@@ -191,7 +191,7 @@ class EdgeIndex(NamedTuple):
 
     Edge ``i`` leads from entity ``owner[i]`` via ``relation[i]`` to row
     ``source[i]`` of the source table: one row per entity, then one row per
-    distinct attribute value in ``value_ids`` order. Entity ``e`` owns edges
+    attribute value, in value id order. Entity ``e`` owns edges
     ``offsets[e]:offsets[e + 1]``. Only the ``active`` entities (those with
     at least one edge) own a segment; ``segments`` delimits those segments,
     so none is empty. ``merge[e]`` is entity ``e``'s row in the table of the
@@ -202,7 +202,6 @@ class EdgeIndex(NamedTuple):
     owner: np.ndarray
     relation: np.ndarray
     source: np.ndarray
-    value_ids: np.ndarray
     active: np.ndarray
     segments: np.ndarray
     merge: np.ndarray
@@ -217,9 +216,7 @@ def build_edge_index(neighborhood: list[list[Neighbor]]) -> EdgeIndex:
     relation = np.array([nb.relation for nb in flat], dtype=np.intp)
     target = np.array([nb.target for nb in flat], dtype=np.intp)
     is_attribute = np.array([nb.is_attribute for nb in flat], dtype=bool)
-    value_ids, value_rows = np.unique(target[is_attribute], return_inverse=True)
-    source = target.copy()
-    source[is_attribute] = n + value_rows
+    source = target + n * is_attribute
     active = np.flatnonzero(counts)
     merge = np.arange(n, dtype=np.intp) + len(active)
     merge[active] = np.arange(len(active))
@@ -228,7 +225,6 @@ def build_edge_index(neighborhood: list[list[Neighbor]]) -> EdgeIndex:
         owner=np.repeat(np.arange(n, dtype=np.intp), counts),
         relation=relation,
         source=source,
-        value_ids=value_ids.astype(np.intp),
         active=active,
         segments=np.append(offsets[active], len(flat)).astype(np.intp),
         merge=merge,

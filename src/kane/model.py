@@ -19,7 +19,9 @@ Each layer runs over all edges of the view at once: it gathers the
 relation and neighbor rows of every edge, computes messages and logits
 with one matrix product per head, normalizes the logits with a softmax
 over each entity's segment of the edge list, and sums each segment's
-weighted messages. Each distinct attribute value is encoded once per pass.
+weighted messages. All attribute values of a pass are encoded in one
+batched encoder call into one value table, row ``v`` for value id ``v``,
+which propagation and the completion loss both read.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
@@ -28,7 +30,7 @@ translation scoring on the raw embedding tables.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -198,15 +200,7 @@ def params_from_arrays(
     word = p("word") if vocab_size > 0 else None
     lstm = None
     if config.encoder == "lstm" and vocab_size > 0:
-        lstm = LstmParams(**{
-            fname: p(f"lstm.{fname}")
-            for fname in (
-                "w_in_input", "w_hid_input", "b_input",
-                "w_in_forget", "w_hid_forget", "b_forget",
-                "w_in_output", "w_hid_output", "b_output",
-                "w_in_cell", "w_hid_cell", "b_cell",
-            )
-        })
+        lstm = LstmParams(**{f.name: p(f"lstm.{f.name}") for f in fields(LstmParams)})
     head_w = [
         [p(f"head_w.{l}.{i}") for i in range(config.heads)] for l in range(config.layers)
     ]
@@ -225,27 +219,20 @@ def params_from_arrays(
 # attribute value encoding
 
 def encode_value(
-    value_id: int,
+    value_ids: Sequence[int],
     view: GraphView,
     params: ModelParams,
     config: ModelConfig,
-    cache: dict[int, Tensor] | None = None,
 ) -> Tensor:
-    """Encode one attribute value; memoized per forward pass via ``cache``."""
-    if cache is not None and value_id in cache:
-        return cache[value_id]
+    """Encode attribute values in one batched encoder call: one row per id."""
     if params.word is None:
         raise ConfigError("model has no word table but attribute encoding was requested")
-    tokens = view.kg.value_tokens[value_id]
+    sequences = [view.kg.value_tokens[int(v)] for v in value_ids]
     if config.encoder == "bow":
-        enc = bow_encode(tokens, params.word)
-    else:
-        if params.lstm is None:
-            raise ConfigError("encoder is 'lstm' but the model has no LSTM parameters")
-        enc = lstm_encode(tokens, params.word, params.lstm)
-    if cache is not None:
-        cache[value_id] = enc
-    return enc
+        return bow_encode(sequences, params.word)
+    if params.lstm is None:
+        raise ConfigError("encoder is 'lstm' but the model has no LSTM parameters")
+    return lstm_encode(sequences, params.word, params.lstm)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +270,12 @@ def attention_logit(
     return ad.scale(d, -1.0)
 
 
-def _value_matrix(
-    view: GraphView, params: ModelParams, config: ModelConfig, cache: dict[int, Tensor]
-) -> Tensor | None:
-    """Encodings of the view's distinct attribute values, in ``edges.value_ids`` order."""
-    ids = view.edges.value_ids
-    if ids.size == 0:
+def _value_table(view: GraphView, params: ModelParams, config: ModelConfig) -> Tensor | None:
+    """Encodings of all attribute values of the graph, row ``v`` for value
+    id ``v``; None when no edge of the view reads a value."""
+    if view.edges.source.max() < view.entity_count:
         return None
-    return ad.stack_rows([encode_value(int(v), view, params, config, cache) for v in ids])
+    return encode_value(np.arange(view.kg.num_values), view, params, config)
 
 
 def _layer_heads(
@@ -306,7 +291,7 @@ def _layer_heads(
     outputs of the entities that have neighbors, (active entities, head_dim).
 
     ``inputs`` are the previous layer's entity vectors, ``rel`` the relation
-    row of every edge and ``values`` the stacked attribute encodings.
+    row of every edge and ``values`` the value table.
     """
     edges = view.edges
     table = inputs if values is None else ad.concat_rows([inputs, values])
@@ -337,17 +322,15 @@ def _entity_layer(
     config: ModelConfig,
     layer: int,
     layer_vecs: Tensor | None,
-    value_cache: dict[int, Tensor] | None,
 ) -> list[tuple[Tensor, Tensor]]:
     """The whole-graph layer, computed to read one entity's slice of it."""
     config.validate()
     if not view.neighborhood[entity_id]:
         raise ValueError(f"entity {entity_id} has no outgoing neighbors")
-    cache = value_cache if value_cache is not None else {}
     return _layer_heads(
         params.entity if layer_vecs is None else layer_vecs,
         ad.rows(params.relation, view.edges.relation),
-        _value_matrix(view, params, config, cache),
+        _value_table(view, params, config),
         view, params, config, layer,
     )
 
@@ -360,7 +343,6 @@ def attention_weights(
     layer: int = 0,
     head: int = 0,
     layer_vecs: Tensor | None = None,
-    value_cache: dict[int, Tensor] | None = None,
 ) -> Tensor:
     """Normalized attention over one entity's neighbors at a given layer/head.
 
@@ -368,7 +350,7 @@ def attention_weights(
     embedding table by default). Raises ValueError for an entity with no
     neighbors.
     """
-    weights, _ = _entity_layer(entity_id, view, params, config, layer, layer_vecs, value_cache)[head]
+    weights, _ = _entity_layer(entity_id, view, params, config, layer, layer_vecs)[head]
     offsets = view.edges.offsets
     return ad.slice_vec(weights, int(offsets[entity_id]), int(offsets[entity_id + 1]))
 
@@ -381,10 +363,9 @@ def propagate_head(
     layer: int = 0,
     head: int = 0,
     layer_vecs: Tensor | None = None,
-    value_cache: dict[int, Tensor] | None = None,
 ) -> Tensor:
     """One head's output for one entity: the attention-weighted message sum."""
-    _, outputs = _entity_layer(entity_id, view, params, config, layer, layer_vecs, value_cache)[head]
+    _, outputs = _entity_layer(entity_id, view, params, config, layer, layer_vecs)[head]
     return ad.row(outputs, int(view.edges.merge[entity_id]))
 
 
@@ -410,21 +391,23 @@ def forward_all(
     view: GraphView,
     params: ModelParams,
     config: ModelConfig,
-    value_cache: dict[int, Tensor] | None = None,
+    values: Tensor | None = None,
 ) -> EntityVectors:
     """Final entity vectors after ``layers`` rounds of propagation.
 
-    Layer 0 is the raw embedding table. Pass ``value_cache`` to share the
-    per-pass attribute encodings with loss code running on the same tape.
+    Layer 0 is the raw embedding table. ``values`` is the value table from
+    ``encode_value`` over all value ids, for a caller whose loss reads the
+    same encodings on the same tape; without it, the table is encoded here
+    when an edge of the view reads a value.
     """
     config.validate()
     vecs = params.entity
     edges = view.edges
     if config.layers == 0 or edges.active.size == 0:
         return EntityVectors(vecs)
-    cache = value_cache if value_cache is not None else {}
+    if values is None:
+        values = _value_table(view, params, config)
     rel = ad.rows(params.relation, edges.relation)
-    values = _value_matrix(view, params, config, cache)
     for layer in range(config.layers):
         heads = _layer_heads(vecs, rel, values, view, params, config, layer)
         merged = aggregate([out for _, out in heads], params, config, layer)

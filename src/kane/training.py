@@ -217,24 +217,20 @@ def _completion_batch_loss(
     batch: list[RelationTriple | AttributeTriple],
     negatives: list[list[RelationTriple | AttributeTriple]],
     finals: EntityVectors,
-    view: GraphView,
     params: ModelParams,
     config: TrainConfig,
-    value_cache: dict[int, Tensor],
+    values: Tensor | None = None,
 ) -> Tensor:
+    """Hinge loss of a batch against its negatives. Attribute tails read
+    ``values``, the value table from ``encode_value`` over all value ids."""
     triples: list[RelationTriple | AttributeTriple] = list(batch)
     for negs in negatives:
         triples.extend(negs)
 
-    # tails index one table: the entity rows, then the batch's distinct values
+    # tails index one table: the entity rows, then the value rows by value id
     ent = finals.matrix
-    values = sorted({t.value for t in triples if isinstance(t, AttributeTriple)})
-    table = ent
-    if values:
-        encodings = [encode_value(v, view, params, config.model, value_cache) for v in values]
-        table = ad.concat_rows([ent, ad.stack_rows(encodings)])
-    value_row = {v: ent.shape[0] + i for i, v in enumerate(values)}
-    tails = [value_row[t.value] if isinstance(t, AttributeTriple) else t.tail for t in triples]
+    table = ent if values is None else ad.concat_rows([ent, values])
+    tails = [ent.shape[0] + t.value if isinstance(t, AttributeTriple) else t.tail for t in triples]
 
     head_mat = ad.rows(ent, [t.head for t in triples])
     tail_mat = ad.rows(table, tails)
@@ -276,6 +272,7 @@ def train(
         kg.num_entities, kg.num_relations, kg.vocab_size, class_count, config.model, rng
     )
     view = GraphView.restricted(kg, split.train, config.model.use_attributes)
+    value_ids = np.arange(kg.num_values) if config.model.use_attributes and kg.num_values else None
 
     if config.task == "completion":
         positives: list = list(split.train)
@@ -310,14 +307,16 @@ def train(
                 negs = [corrupt(p, kg, rng, config.negatives) for p in chunk]
             ad.zero_grads(params.all_tensors())
             with Tape() as tape:
-                value_cache: dict[int, Tensor] = {}
-                finals = forward_all(view, params, config.model, value_cache)
                 if config.task == "completion":
-                    loss = _completion_batch_loss(
-                        chunk, negs, finals, view, params, config, value_cache
-                    )
+                    # one value table, read by propagation and by the loss's attribute tails
+                    values = None
+                    if value_ids is not None:
+                        values = encode_value(value_ids, view, params, config.model)
+                    finals = forward_all(view, params, config.model, values)
+                    loss = _completion_batch_loss(chunk, negs, finals, params, config, values)
                     total_loss += loss.item()
                 else:
+                    finals = forward_all(view, params, config.model)
                     loss = _classification_batch_loss(chunk, finals, params, split)
                     total_loss += loss.item() * len(chunk)
             if not np.isfinite(loss.data):

@@ -194,7 +194,7 @@ def _end_to_end_case(seed: int, task: str):
 
         def forward():
             finals = forward_all(view, params, model)
-            return _completion_batch_loss(batch, negs, finals, view, params, config, {})
+            return _completion_batch_loss(batch, negs, finals, params, config)
     else:
 
         def forward():
@@ -368,7 +368,7 @@ def test_encoder_properties():
         shuffled = list(tokens)
         rng.shuffle(shuffled)
         assert np.array_equal(
-            bow_encode(tokens, table).data, bow_encode(shuffled, table).data
+            bow_encode([tokens], table).data[0], bow_encode([shuffled], table).data[0]
         ), f"bag-of-words differs across orderings of {tokens}"
         bow_checked += 1
 
@@ -384,8 +384,8 @@ def test_encoder_properties():
             tokens[j] = int(rng.integers(12))
         swapped = list(tokens)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        a = lstm_encode(tokens, lstm_table, params).data
-        b = lstm_encode(swapped, lstm_table, params).data
+        a = lstm_encode([tokens], lstm_table, params).data[0]
+        b = lstm_encode([swapped], lstm_table, params).data[0]
         if not np.array_equal(a, b):
             differing += 1
     ok = differing >= 0.99 * pairs
@@ -421,7 +421,7 @@ def test_translation_degeneracy_matches_reference():
         negs = [corrupt(p, kg, rng, config.negatives) for p in batch]
         finals = forward_all(view, params, model)
         got = float(
-            _completion_batch_loss(batch, negs, finals, view, params, config, {}).data
+            _completion_batch_loss(batch, negs, finals, params, config).data
         )
         want = reference_transe_hinge(
             params.entity.data,

@@ -203,6 +203,27 @@ def test_reused_tensor_accumulates():
     assert np.allclose(grads[v], 2.0 * v.data, atol=0, rtol=0)
 
 
+def test_gather_backward_adds_repeated_indices_to_existing_grad():
+    rng = np.random.default_rng(4)
+    m = ad.parameter(rng.normal(size=(5, 3)))
+    v = ad.parameter(rng.normal(size=5))
+    idx = [3, 0, 3, 4, 3, 0, 1]
+    w_m = rng.normal(size=(len(idx), 3))
+    w_v = rng.normal(size=len(idx))
+    prior_m, prior_v = rng.normal(size=(5, 3)), rng.normal(size=5)
+    m.grad, v.grad = prior_m.copy(), prior_v.copy()
+    with ad.Tape() as tape:
+        picked = ad.elementwise_mul(ad.rows(m, idx), ad.constant(w_m))
+        taken = ad.elementwise_mul(ad.take(v, idx), ad.constant(w_v))
+        ad.backward(tape, ad.add(ad.sum_all(picked), ad.sum_all(taken)))
+    want_m, want_v = prior_m.copy(), prior_v.copy()
+    for k, i in enumerate(idx):
+        want_m[i] += w_m[k]
+        want_v[i] += w_v[k]
+    assert relative_error(m.grad, want_m) < 1e-14
+    assert relative_error(v.grad, want_v) < 1e-14
+
+
 def test_gradient_linearity():
     rng = np.random.default_rng(3)
     v = ad.parameter(rng.normal(size=5))

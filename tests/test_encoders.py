@@ -1,5 +1,7 @@
 """Value-encoder behavior: BOW invariances and the LSTM against a
-plain-numpy reference cell, plus finite-difference gradient checks."""
+plain-numpy reference cell, plus finite-difference gradient checks.
+Single sequences are encoded as one-element batches; a batch must equal
+its sequences encoded one at a time."""
 
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ class TestBow:
         rng = np.random.default_rng(0)
         table = make_table(rng)
         tokens = [3, 1, 4, 1, 5]
-        out = bow_encode(tokens, table).data
+        out = bow_encode([tokens], table).data[0]
         want = np.zeros(table.shape[1])
         for w in tokens:
             want = want + table.data[w]
@@ -39,10 +41,10 @@ class TestBow:
         for _ in range(200):
             k = int(rng.integers(1, 8))
             tokens = [int(rng.integers(table.shape[0])) for _ in range(k)]
-            base = bow_encode(tokens, table).data
+            base = bow_encode([tokens], table).data[0]
             shuffled = list(tokens)
             rng.shuffle(shuffled)
-            assert np.array_equal(bow_encode(shuffled, table).data, base)
+            assert np.array_equal(bow_encode([shuffled], table).data[0], base)
 
     @given(st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=10),
            st.randoms(use_true_random=False))
@@ -51,13 +53,13 @@ class TestBow:
         table = make_table(np.random.default_rng(7))
         shuffled = list(tokens)
         pyrandom.shuffle(shuffled)
-        assert np.array_equal(bow_encode(shuffled, table).data,
-                              bow_encode(tokens, table).data)
+        assert np.array_equal(bow_encode([shuffled], table).data[0],
+                              bow_encode([tokens], table).data[0])
 
     def test_repeated_token_counts_per_occurrence(self):
         table = make_table(np.random.default_rng(2))
-        single = bow_encode([4], table).data
-        double = bow_encode([4, 4], table).data
+        single = bow_encode([[4]], table).data[0]
+        double = bow_encode([[4, 4]], table).data[0]
         assert np.array_equal(double, 2.0 * single)
 
     def test_additive_over_concatenation(self):
@@ -65,15 +67,15 @@ class TestBow:
         table = make_table(rng)
         a = [int(rng.integers(12)) for _ in range(4)]
         b = [int(rng.integers(12)) for _ in range(3)]
-        joint = bow_encode(a + b, table).data
-        split = bow_encode(a, table).data + bow_encode(b, table).data
+        joint = bow_encode([a + b], table).data[0]
+        split = bow_encode([a], table).data[0] + bow_encode([b], table).data[0]
         assert relative_error(joint, split) < 1e-12
 
     def test_gradient_is_occurrence_count(self):
         table = make_table(np.random.default_rng(4), vocab=6, dim=3)
         tokens = [2, 5, 2, 2]
         with ad.Tape() as tape:
-            loss = ad.sum_all(bow_encode(tokens, table))
+            loss = ad.sum_all(bow_encode([tokens], table))
             grads = ad.backward(tape, loss)
         g = grads[table]
         want = np.zeros_like(table.data)
@@ -84,14 +86,18 @@ class TestBow:
     def test_rejects_empty_sequence(self):
         table = make_table(np.random.default_rng(5))
         with pytest.raises(ValueError):
+            bow_encode([[]], table)
+        with pytest.raises(ValueError):
+            bow_encode([[1], []], table)
+        with pytest.raises(ValueError):
             bow_encode([], table)
 
     def test_rejects_out_of_vocabulary_id(self):
         table = make_table(np.random.default_rng(6), vocab=4)
         with pytest.raises(IndexError):
-            bow_encode([0, 4], table)
+            bow_encode([[0, 4]], table)
         with pytest.raises(IndexError):
-            bow_encode([-1], table)
+            bow_encode([[-1]], table)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ class TestLstm:
             rng = np.random.default_rng(100 + seed)
             tokens = [int(rng.integers(table.shape[0]))
                       for _ in range(int(rng.integers(1, 7)))]
-            got = lstm_encode(tokens, table, params).data
+            got = lstm_encode([tokens], table, params).data[0]
             raw = {name.removeprefix("lstm."): t.data for name, t in params.named()}
             want = reference_lstm_final_state(tokens, table.data, raw)
             assert relative_error(got, want) < 1e-12
@@ -128,8 +134,8 @@ class TestLstm:
                 tokens[j] = int(rng.integers(table.shape[0]))
             swapped = list(tokens)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            a = lstm_encode(tokens, table, params).data
-            b = lstm_encode(swapped, table, params).data
+            a = lstm_encode([tokens], table, params).data[0]
+            b = lstm_encode([swapped], table, params).data[0]
             if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 0.99 * trials
@@ -150,9 +156,11 @@ class TestLstm:
     def test_rejects_empty_and_out_of_range(self):
         table, params = self._setup(9)
         with pytest.raises(ValueError):
+            lstm_encode([[]], table, params)
+        with pytest.raises(ValueError):
             lstm_encode([], table, params)
         with pytest.raises(IndexError):
-            lstm_encode([table.shape[0]], table, params)
+            lstm_encode([[table.shape[0]]], table, params)
 
     def test_gradients_match_finite_differences(self):
         table, params = self._setup(10, dim=3, vocab=5)
@@ -160,7 +168,7 @@ class TestLstm:
         tensors = [table] + [t for _, t in params.named()]
 
         def forward():
-            return ad.sum_all(lstm_encode(tokens, table, params))
+            return ad.sum_all(lstm_encode([tokens], table, params))
 
         worst = check_gradients(forward, tensors, step=1e-6)
         assert worst < 1e-5
@@ -169,16 +177,59 @@ class TestLstm:
         table, params = self._setup(11, dim=3, vocab=5)
         tensors = [t for _, t in params.named()]
         with ad.Tape() as tape:
-            loss = ad.sum_all(lstm_encode([0, 3, 2], table, params))
+            loss = ad.sum_all(lstm_encode([[0, 3, 2]], table, params))
             grads = ad.backward(tape, loss)
         for (name, t) in params.named():
             assert np.abs(grads[t]).max() > 0, f"no gradient reached {name}"
+
+    def test_batched_gradients_match_finite_differences(self):
+        # lengths 3, 1, 4, 2: sequences end at three different steps
+        table, params = self._setup(14, dim=3, vocab=6)
+        sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
+        tensors = [table] + [t for _, t in params.named()]
+        weights = ad.constant(np.random.default_rng(15).standard_normal((4, 3)))
+
+        def forward():
+            return ad.sum_all(ad.elementwise_mul(lstm_encode(sequences, table, params), weights))
+
+        assert check_gradients(forward, tensors, step=1e-6) < 1e-5
 
 
 def test_bow_gradient_matches_finite_differences():
     table = make_table(np.random.default_rng(12), vocab=5, dim=3)
 
     def forward():
-        return ad.sum_all(bow_encode([0, 2, 2, 4], table))
+        return ad.sum_all(bow_encode([[0, 2, 2, 4]], table))
 
     assert check_gradients(forward, [table], step=1e-6) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+BATCHES = {
+    # lengths 1-6 in no order, repeated tokens within and across sequences
+    "mixed": [[3, 1], [4, 1, 5, 9, 2, 6], [5], [3, 5, 8, 9], [7, 7, 7], [1, 4]],
+    "equal": [[2, 7, 1], [8, 2, 8], [1, 8, 2], [8, 4, 5]],
+    "single": [[6, 2, 6, 4]],
+}
+
+
+@pytest.mark.parametrize("encoder", ["bow", "lstm"])
+@pytest.mark.parametrize("case", sorted(BATCHES))
+def test_batch_equals_sequences_encoded_alone(encoder, case):
+    rng = np.random.default_rng(13)
+    table = make_table(rng, vocab=10, dim=4)
+    params = init_lstm_params(4, rng)
+    sequences = BATCHES[case]
+
+    def encode(batch):
+        if encoder == "bow":
+            return bow_encode(batch, table).data
+        return lstm_encode(batch, table, params).data
+
+    got = encode(sequences)
+    assert got.shape == (len(sequences), 4)
+    for row, tokens in zip(got, sequences):
+        assert relative_error(row, encode([tokens])[0]) < 1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import kane.autodiff as ad
+import kane.model as model_module
 import kane.oracle as oracle
 from kane.errors import ConfigError
 from kane.kgdata import GraphView
@@ -178,7 +179,7 @@ class TestAttention:
                 dim=5, head_dim=4, heads=2, layers=1, attention=attention, norm="l2"
             )
         kg, view, params = build(7, config, with_attributes=True)
-        cache: dict[int, ad.Tensor] = {}
+        values = encode_value(np.arange(kg.num_values), view, params, config)
         for e in range(kg.num_entities):
             neighbors = view.neighborhood[e]
             logits = []
@@ -186,7 +187,7 @@ class TestAttention:
             for nb in neighbors:
                 r_vec = ad.row(params.relation, nb.relation)
                 if nb.is_attribute:
-                    n_vec = encode_value(nb.target, view, params, config, cache)
+                    n_vec = ad.row(values, nb.target)
                 else:
                     n_vec = ad.row(params.entity, nb.target)
                 logits.append(
@@ -216,22 +217,20 @@ class TestAttention:
 def test_propagate_head_is_weighted_message_sum():
     config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1)
     kg, view, params = build(11, config, with_attributes=True)
-    cache: dict[int, ad.Tensor] = {}
+    values = encode_value(np.arange(kg.num_values), view, params, config).data
     for e in range(kg.num_entities):
-        weights = attention_weights(
-            e, view, params, config, layer=0, head=0, value_cache=cache
-        ).data
+        weights = attention_weights(e, view, params, config, layer=0, head=0).data
         transform = params.head_w[0][0].data
         messages = []
         for nb in view.neighborhood[e]:
             r_vec = params.relation.data[nb.relation]
             if nb.is_attribute:
-                n_vec = encode_value(nb.target, view, params, config, cache).data
+                n_vec = values[nb.target]
             else:
                 n_vec = params.entity.data[nb.target]
             messages.append(transform @ (r_vec + n_vec))
         want = weights @ np.stack(messages)
-        got = propagate_head(e, view, params, config, layer=0, head=0, value_cache=cache).data
+        got = propagate_head(e, view, params, config, layer=0, head=0).data
         assert relative_error(got, want) < 1e-12
 
 
@@ -290,16 +289,23 @@ def test_classify_hand_oracle_and_missing_head():
         classify(v, bare)
 
 
-def test_encode_value_uses_cache():
-    config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
+def test_encode_value_once_per_pass(monkeypatch):
+    config = ModelConfig(dim=4, head_dim=4, heads=1, layers=2)
     kg, view, params = build(12, config, with_attributes=True)
-    cache: dict[int, ad.Tensor] = {}
-    first = encode_value(0, view, params, config, cache)
-    again = encode_value(0, view, params, config, cache)
-    assert first is again
-    tokens = kg.value_tokens[0]
-    want = params.word.data[sorted(tokens)].sum(axis=0)
-    assert relative_error(first.data, want) < 1e-12
+    ids = [2, 0, 2]
+    table = encode_value(ids, view, params, config).data
+    assert table.shape == (3, 4) and np.array_equal(table[0], table[2])
+    for row, v in zip(table, ids):
+        want = params.word.data[sorted(kg.value_tokens[v])].sum(axis=0)
+        assert relative_error(row, want) < 1e-12
+    # a forward pass encodes every value once, in one call, for all layers
+    calls = []
+    real = model_module.bow_encode
+    monkeypatch.setattr(
+        model_module, "bow_encode", lambda seqs, word: calls.append(seqs) or real(seqs, word)
+    )
+    forward_all(view, params, config)
+    assert calls == [kg.value_tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +352,20 @@ def test_isolated_entity_keeps_raw_vector():
     assert not np.array_equal(vecs[moved].data, params.entity.data[moved])
 
 
-def test_forward_all_populates_shared_value_cache():
+def test_forward_all_reads_the_given_value_table(monkeypatch):
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     kg, view, params = build(13, config, with_attributes=True)
-    cache: dict[int, ad.Tensor] = {}
-    forward_all(view, params, config, value_cache=cache)
     used = {nb.target for nbs in view.neighborhood for nb in nbs if nb.is_attribute}
-    assert set(cache) == used and used
+    assert used
+    values = encode_value(np.arange(kg.num_values), view, params, config)
+    want = forward_all(view, params, config).matrix.data
+
+    def no_second_encoding(*args):
+        raise AssertionError("forward_all encoded values although a table was given")
+
+    monkeypatch.setattr(model_module, "encode_value", no_second_encoding)
+    got = forward_all(view, params, config, values).matrix.data
+    assert np.array_equal(got, want)
 
 
 def test_attributes_off_ignores_attribute_triples():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import kane.autodiff as ad
+import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
 from kane.kgdata import AttributeTriple, DatasetSplit, GraphView, RelationTriple
-from kane.model import ModelConfig, forward_all, init_params
+from kane.model import ModelConfig, encode_value, forward_all, init_params
 from kane.training import (
     TrainConfig,
     TrainReport,
@@ -202,7 +203,7 @@ def test_translation_mode_batch_loss_matches_reference(norm):
     negs = [corrupt(p, kg, rng, config.negatives) for p in batch]
 
     finals = forward_all(view, params, model)
-    got = float(_completion_batch_loss(batch, negs, finals, view, params, config, {}).data)
+    got = float(_completion_batch_loss(batch, negs, finals, params, config).data)
     want = reference_transe_hinge(
         params.entity.data,
         params.relation.data,
@@ -230,8 +231,9 @@ def test_completion_loss_gradients_end_to_end():
     negs = [corrupt(p, kg, np.random.default_rng(11), 2) for p in batch]
 
     def forward():
-        finals = forward_all(view, params, model)
-        return _completion_batch_loss(batch, negs, finals, view, params, config, {})
+        values = encode_value(np.arange(kg.num_values), view, params, model)
+        finals = forward_all(view, params, model, values)
+        return _completion_batch_loss(batch, negs, finals, params, config, values)
 
     rng = np.random.default_rng(12)
     worst = check_gradients(forward, params.all_tensors(), step=1e-6,
@@ -367,6 +369,36 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(kg, split, _toy_config(task="classification", epochs=1))
 
+    def test_step_shares_one_value_table(self, monkeypatch):
+        kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
+                       attribute_relations=1, attribute_triples=5)
+        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        encoded, read = [], []
+        real_encode, real_forward = training.encode_value, training.forward_all
+        real_loss = training._completion_batch_loss
+
+        def encode(*args):
+            encoded.append(real_encode(*args))
+            return encoded[-1]
+
+        def forward(view, params, config, values=None):
+            read.append(("forward", values))
+            return real_forward(view, params, config, values)
+
+        def loss(batch, negatives, finals, params, config, values=None):
+            read.append(("loss", values))
+            return real_loss(batch, negatives, finals, params, config, values)
+
+        monkeypatch.setattr(training, "encode_value", encode)
+        monkeypatch.setattr(training, "forward_all", forward)
+        monkeypatch.setattr(training, "_completion_batch_loss", loss)
+        train(kg, split, _toy_config(epochs=1))
+        steps = -(-(len(kg.relation_triples) + len(kg.attribute_triples)) // 4)
+        assert len(encoded) == steps
+        for step, table in enumerate(encoded):
+            assert table.shape == (kg.num_values, 8)
+            assert read[2 * step] == ("forward", table) and read[2 * step + 1] == ("loss", table)
+
     def test_renormalize_keeps_entity_rows_unit_length(self):
         kg, split = _toy_setup()
         params, _ = train(kg, split, _toy_config(epochs=2, renormalize=True))
@@ -460,6 +492,20 @@ class TestCheckpoint:
         blob[20] = 0xFF  # invalid UTF-8 inside the JSON header
         with pytest.raises(IntegrityError):
             load_checkpoint_bytes(bytes(blob))
+
+    def test_lstm_round_trip_reproduces_encodings(self):
+        kg = random_kg(np.random.default_rng(5), entities=6, relations=2, triples=12,
+                       attribute_relations=1, attribute_triples=5)
+        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        model = ModelConfig(dim=5, head_dim=5, heads=1, layers=1, encoder="lstm")
+        config = _toy_config(model=model, epochs=1)
+        params, _ = train(kg, split, config)
+        loaded, _, _ = load_checkpoint_bytes(save_checkpoint_bytes(params, config))
+        assert loaded.lstm is not None
+        view = GraphView.restricted(kg, split.train, model.use_attributes)
+        ids = np.arange(kg.num_values)
+        want = encode_value(ids, view, params, model).data
+        assert np.array_equal(encode_value(ids, view, loaded, model).data, want)
 
     def test_config_dict_round_trip(self):
         config = _toy_config(task="classification", renormalize=True, epochs=17)
