@@ -112,9 +112,13 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _takes_grad(t: Tensor) -> bool:
     # constants do not accumulate; this also prunes dead subgraphs
-    if t._backward is None and not t.is_param:
+    return t._backward is not None or t.is_param
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    if not _takes_grad(t):
         return
     if t.grad is None:
         t.grad = np.array(g)  # copy: g may alias another tensor's grad
@@ -123,7 +127,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_rows(t: Tensor, idx, g: np.ndarray) -> None:
-    if t._backward is None and not t.is_param:
+    if not _takes_grad(t):
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -246,8 +250,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # skip the product for an operand that takes no gradient
+        if _takes_grad(a):
+            _accum(a, g @ b.data.T)
+        if _takes_grad(b):
+            _accum(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), back)
 

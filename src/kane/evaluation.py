@@ -8,6 +8,12 @@ optimistic rank. The "filter" setting drops candidates that form a known
 positive triple (train + valid + test) other than the answer itself;
 a filtered rank can never be worse than the raw rank.
 
+Ranking is batched: ``rank_tail``, ``rank_head`` and ``rank_relation``
+take many queries at once and score them in chunks of (queries x
+candidates) distances; one distance pass gives both the raw and the
+filtered rank. The known positives are sorted key -> answer arrays
+(``FilterIndex``), looked up with ``searchsorted``.
+
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
 into the messages.
@@ -15,7 +21,7 @@ into the messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +31,55 @@ from .model import ModelConfig, ModelParams, forward_all, is_translation_mode
 
 SETTINGS = ("raw", "filter")
 
+# Elements of the (queries x candidates x dim) float64 buffer that one
+# ranking chunk fills: 2**17 is 1 MiB, about 4 queries over 500 entities
+# at dim 64 and about 40 over 50.
+CHUNK_ELEMENTS = 1 << 17
 
-@dataclass
+
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per id pair (ids are below 2**31)."""
+    return (a.astype(np.int64) << 32) | b.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class KnownAnswers:
+    """Known answers of one query kind, sorted by key: ``answers[i]``
+    completes the known triple whose two other ids make ``keys[i]``."""
+
+    keys: np.ndarray
+    answers: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, keys: np.ndarray, answers: np.ndarray) -> KnownAnswers:
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], answers[order])
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``keys``, known answer), one pair per known answer."""
+        start = np.searchsorted(self.keys, keys, side="left")
+        count = np.searchsorted(self.keys, keys, side="right") - start
+        query = np.repeat(np.arange(len(keys)), count)
+        first = np.repeat(start - (np.cumsum(count) - count), count)
+        return query, self.answers[first + np.arange(len(query))]
+
+
+@dataclass(frozen=True)
 class FilterIndex:
     """Known-positive lookups for the filtered setting, over all splits."""
 
-    tails: dict[tuple[int, int], set[int]] = field(default_factory=dict)  # (h, r) -> {t}
-    heads: dict[tuple[int, int], set[int]] = field(default_factory=dict)  # (r, t) -> {h}
-    relations: dict[tuple[int, int], set[int]] = field(default_factory=dict)  # (h, t) -> {r}
+    tails: KnownAnswers  # (h, r) -> t
+    heads: KnownAnswers  # (r, t) -> h
+    relations: KnownAnswers  # (h, t) -> r
 
 
 def build_filter_index(kg: KnowledgeGraph) -> FilterIndex:
-    idx = FilterIndex()
-    for t in kg.relation_triples:
-        idx.tails.setdefault((t.head, t.relation), set()).add(t.tail)
-        idx.heads.setdefault((t.relation, t.tail), set()).add(t.head)
-        idx.relations.setdefault((t.head, t.tail), set()).add(t.relation)
-    return idx
+    h, r, t = np.array(kg.relation_triples, dtype=np.int64).reshape(-1, 3).T
+    return FilterIndex(
+        tails=KnownAnswers.from_pairs(_pair_keys(h, r), t),
+        heads=KnownAnswers.from_pairs(_pair_keys(r, t), h),
+        relations=KnownAnswers.from_pairs(_pair_keys(h, t), r),
+    )
 
 
 def entity_matrix(view: GraphView, params: ModelParams, config: ModelConfig) -> np.ndarray:
@@ -53,70 +91,122 @@ def entity_matrix(view: GraphView, params: ModelParams, config: ModelConfig) -> 
     return np.array(forward_all(view, params, config).matrix.data)
 
 
-def _distances(batch: np.ndarray, target: np.ndarray, norm: str) -> np.ndarray:
-    diff = batch - target
-    if norm == "l1":
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1))
+def _as_queries(queries) -> tuple[np.ndarray, bool]:
+    """(n, 3) int64 triples, and whether ``queries`` was a single triple."""
+    q = np.asarray(queries, dtype=np.int64)
+    if q.shape == (3,):
+        return q.reshape(1, 3), True
+    if q.size == 0:
+        return q.reshape(0, 3), False
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise ConfigError(f"queries must be a triple or an (n, 3) array of triples, got shape {q.shape}")
+    return q, False
 
 
-def _rank_from_distances(dist: np.ndarray, true_idx: int, excluded: set[int], setting: str) -> int:
-    if setting not in SETTINGS:
-        raise ConfigError(f"setting must be one of {SETTINGS}, got {setting!r}")
-    true_d = dist[true_idx]
-    if setting == "raw":
-        return 1 + int((dist < true_d).sum())
-    better = dist < true_d
-    for e in excluded:
-        if e != true_idx:
-            better[e] = False
-    return 1 + int(better.sum())
+def _rank(
+    kind: str,
+    queries,
+    ent: np.ndarray,
+    rel: np.ndarray,
+    norm: str,
+    known: KnownAnswers,
+    setting: str | tuple[str, ...],
+) -> int | np.ndarray:
+    if setting == SETTINGS:
+        wanted = SETTINGS
+    elif isinstance(setting, str) and setting in SETTINGS:
+        wanted = (setting,)
+    else:
+        raise ConfigError(f"setting must be one of {SETTINGS} or that tuple, got {setting!r}")
+    q, single = _as_queries(queries)
+    h, r, t = q.T
+    if kind == "tail":
+        answer, keys, candidates = t, _pair_keys(h, r), len(ent)
+    elif kind == "head":
+        answer, keys, candidates = h, _pair_keys(r, t), len(ent)
+    else:
+        answer, keys, candidates = r, _pair_keys(h, t), len(rel)
+    rows = max(1, min(len(q), CHUNK_ELEMENTS // max(1, candidates * ent.shape[1])))
+    buf = np.empty((rows, candidates, ent.shape[1]))
+    out = np.empty((len(wanted), len(q)), dtype=np.int64)
+    for lo in range(0, len(q), rows):
+        s = slice(lo, lo + rows)
+        diff = buf[: len(answer[s])]
+        if kind == "tail":  # (e_h + r) - e_c
+            np.subtract((ent[h[s]] + rel[r[s]])[:, None], ent, out=diff)
+        elif kind == "head":  # (e_c + r) - e_t
+            np.add(ent, rel[r[s]][:, None], out=diff)
+            diff -= ent[t[s]][:, None]
+        else:  # (e_h + r_c) - e_t
+            np.add(ent[h[s]][:, None], rel, out=diff)
+            diff -= ent[t[s]][:, None]
+        if norm == "l1":
+            dist = np.abs(diff, out=diff).sum(axis=2)
+        else:
+            dist = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+        better = dist < dist[np.arange(len(dist)), answer[s]][:, None]
+        raw = 1 + better.sum(axis=1)
+        for i, name in enumerate(wanted):
+            if name == "raw":
+                out[i, s] = raw
+                continue
+            # the answer itself is never better than its own distance
+            query, cand = known.lookup(keys[s])
+            dropped = query[better[query, cand]]
+            out[i, s] = raw - np.bincount(dropped, minlength=len(raw))
+    if single:
+        return int(out[0, 0]) if len(wanted) == 1 else out[:, 0]
+    return out[0] if len(wanted) == 1 else out
 
 
 def rank_tail(
-    triple: RelationTriple,
+    queries,
     ent: np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
-    setting: str,
-) -> int:
-    dist = _distances(ent[triple.head] + rel[triple.relation], ent, norm)
-    known = filt.tails.get((triple.head, triple.relation), set())
-    return _rank_from_distances(dist, triple.tail, known, setting)
+    setting: str | tuple[str, ...],
+) -> int | np.ndarray:
+    """Rank of each query's tail among all entities as candidate tails.
+
+    ``queries`` is one triple or an (n, 3) array of triples; ``setting``
+    one name in ``SETTINGS`` or ``SETTINGS`` itself. One triple and one
+    setting give an int; n triples give an (n,) int64 array; ``SETTINGS``
+    adds a leading axis with one row per setting, all from one pass over
+    the distances.
+    """
+    return _rank("tail", queries, ent, rel, norm, filt.tails, setting)
 
 
 def rank_head(
-    triple: RelationTriple,
+    queries,
     ent: np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
-    setting: str,
-) -> int:
-    dist = _distances(ent + rel[triple.relation], ent[triple.tail], norm)
-    known = filt.heads.get((triple.relation, triple.tail), set())
-    return _rank_from_distances(dist, triple.head, known, setting)
+    setting: str | tuple[str, ...],
+) -> int | np.ndarray:
+    """Rank of each query's head among all entities; shapes as ``rank_tail``."""
+    return _rank("head", queries, ent, rel, norm, filt.heads, setting)
 
 
 def rank_relation(
-    triple: RelationTriple,
+    queries,
     ent: np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
-    setting: str,
-) -> int:
-    dist = _distances(ent[triple.head] + rel, ent[triple.tail], norm)
-    known = filt.relations.get((triple.head, triple.tail), set())
-    return _rank_from_distances(dist, triple.relation, known, setting)
+    setting: str | tuple[str, ...],
+) -> int | np.ndarray:
+    """Rank of each query's relation among all relations; shapes as ``rank_tail``."""
+    return _rank("relation", queries, ent, rel, norm, filt.relations, setting)
 
 
-def aggregate_metrics(ranks: list[int], k: int) -> tuple[float, float]:
+def aggregate_metrics(ranks, k: int) -> tuple[float, float]:
     """(mean rank, fraction of ranks <= k). Empty input is an error."""
-    if not ranks:
-        raise ConfigError("no ranks to aggregate")
     arr = np.asarray(ranks, dtype=np.float64)
+    if arr.size == 0:
+        raise ConfigError("no ranks to aggregate")
     return float(arr.mean()), float((arr <= k).mean())
 
 
@@ -162,15 +252,14 @@ def evaluate_completion(
     rel = params.relation.data
     filt = build_filter_index(kg)
 
-    ent_ranks = {"raw": [], "filter": []}
-    rel_ranks = {"raw": [], "filter": []}
-    for trip in triples:
-        for setting in SETTINGS:
-            ent_ranks[setting].append(rank_tail(trip, ent, rel, config.norm, filt, setting))
-            ent_ranks[setting].append(rank_head(trip, ent, rel, config.norm, filt, setting))
-            rel_ranks[setting].append(rank_relation(trip, ent, rel, config.norm, filt, setting))
+    queries = np.asarray(triples, dtype=np.int64)
+    args = (ent, rel, config.norm, filt, SETTINGS)
+    # each call gives one row per setting
+    entity = np.concatenate([rank_tail(queries, *args), rank_head(queries, *args)], axis=1)
+    ent_ranks = dict(zip(SETTINGS, entity))
+    rel_ranks = dict(zip(SETTINGS, rank_relation(queries, *args)))
 
-    def report(task: str, ranks: dict[str, list[int]], k: int, candidates: int) -> RankingReport:
+    def report(task: str, ranks: dict[str, np.ndarray], k: int, candidates: int) -> RankingReport:
         mr_raw, hits_raw = aggregate_metrics(ranks["raw"], k)
         mr_f, hits_f = aggregate_metrics(ranks["filter"], k)
         return RankingReport(
@@ -196,10 +285,9 @@ def hits_fraction_for_triples(
     """Filtered entity-prediction Hits@k (used as the validation metric)."""
     if not triples:
         raise ConfigError("no triples for validation metric")
-    hits = 0
-    for trip in triples:
-        hits += rank_tail(trip, ent, rel, norm, filt, "filter") <= k
-        hits += rank_head(trip, ent, rel, norm, filt, "filter") <= k
+    queries = np.asarray(triples, dtype=np.int64)
+    hits = int((rank_tail(queries, ent, rel, norm, filt, "filter") <= k).sum())
+    hits += int((rank_head(queries, ent, rel, norm, filt, "filter") <= k).sum())
     return hits / (2 * len(triples))
 
 

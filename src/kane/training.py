@@ -359,19 +359,17 @@ def _validation_metric(
     params: ModelParams,
     config: TrainConfig,
 ) -> float:
-    # imported here: evaluation depends on this module's checkpoint helpers
-    from .evaluation import build_filter_index, entity_matrix, hits_fraction_for_triples
+    # looked up on the module at call time, so that wrappers installed on
+    # kane.evaluation's attributes (bench/tracer.py) also see validation
+    from . import evaluation
 
-    ent = entity_matrix(view, params, config.model)
+    ent = evaluation.entity_matrix(view, params, config.model)
     if config.task == "completion":
-        filt = build_filter_index(kg)
-        return hits_fraction_for_triples(
+        filt = evaluation.build_filter_index(kg)
+        return evaluation.hits_fraction_for_triples(
             split.valid, ent, params.relation.data, config.model.norm, filt, k=10
         )
-    scores = ent[split.label_valid] @ params.cls_w.data.T + params.cls_b.data
-    pred = scores.argmax(axis=1)
-    truth = np.array([split.labels[e] for e in split.label_valid])
-    return float((pred == truth).mean())
+    return evaluation.classification_accuracy(ent, params, split.label_valid, split.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +420,14 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise IntegrityError("not a checkpoint: bad magic")
     off = len(CHECKPOINT_MAGIC)
+    if len(blob) < off + 8:
+        raise IntegrityError(f"checkpoint truncated: {len(blob)} bytes, no header length")
     (head_len,) = struct.unpack_from("<Q", blob, off)
     off += 8
+    if len(blob) < off + head_len:
+        raise IntegrityError(
+            f"checkpoint truncated: header of {head_len} bytes, {len(blob) - off} present"
+        )
     try:
         header = json.loads(blob[off:off + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -434,6 +438,11 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if len(blob) < off + count * 8:
+            raise IntegrityError(
+                f"checkpoint truncated: array {spec['name']!r} needs {count * 8} bytes, "
+                f"{len(blob) - off} present"
+            )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
         arrays[spec["name"]] = arr.astype(np.float64)
         off += count * 8

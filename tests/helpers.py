@@ -151,6 +151,23 @@ def random_kg(
     return kg
 
 
+def quantized_ranking_setups(count: int = 10):
+    """(graph, entity vectors, relation vectors) on 2-d half-integer grids."""
+    rng = np.random.default_rng(99)
+    for _ in range(count):
+        entities = int(rng.integers(5, 21))
+        kg = random_kg(
+            rng,
+            entities=entities,
+            relations=int(rng.integers(2, 5)),
+            triples=int(rng.integers(entities, 3 * entities)),
+        )
+        # coarsely quantized coordinates force plenty of exact distance ties
+        ent = rng.integers(-2, 3, size=(kg.num_entities, 2)).astype(float) / 2.0
+        rel = rng.integers(-2, 3, size=(kg.num_relations, 2)).astype(float) / 2.0
+        yield kg, ent, rel
+
+
 # ---------------------------------------------------------------------------
 # independent numpy references
 

@@ -52,6 +52,7 @@ from kane.training import train as train_model
 from helpers import (
     away_from_zero,
     check_gradients,
+    quantized_ranking_setups,
     random_kg,
     reference_transe_hinge,
 )
@@ -292,27 +293,11 @@ def test_attention_weights_normalized():
 # 3 + 4. ranking oracle equivalence and filter dominance
 
 
-def _ranking_setups(count: int = 10):
-    rng = np.random.default_rng(99)
-    for _ in range(count):
-        entities = int(rng.integers(5, 21))
-        kg = random_kg(
-            rng,
-            entities=entities,
-            relations=int(rng.integers(2, 5)),
-            triples=int(rng.integers(entities, 3 * entities)),
-        )
-        # coarsely quantized coordinates force plenty of exact distance ties
-        ent = rng.integers(-2, 3, size=(kg.num_entities, 2)).astype(float) / 2.0
-        rel = rng.integers(-2, 3, size=(kg.num_relations, 2)).astype(float) / 2.0
-        yield kg, ent, rel
-
-
 def test_ranking_matches_brute_force_oracle():
     start = time.perf_counter()
     queries = 0
     ties_seen = 0
-    for kg, ent, rel in _ranking_setups():
+    for kg, ent, rel in quantized_ranking_setups():
         filt = build_filter_index(kg)
         vectors = [list(map(float, r)) for r in ent]
         relations = [list(map(float, r)) for r in rel]
@@ -343,7 +328,7 @@ def test_ranking_matches_brute_force_oracle():
 
 def test_filtered_rank_never_exceeds_raw():
     queries = 0
-    for kg, ent, rel in _ranking_setups():
+    for kg, ent, rel in quantized_ranking_setups():
         filt = build_filter_index(kg)
         for trip in kg.relation_triples:
             for fn in (rank_tail, rank_head, rank_relation):

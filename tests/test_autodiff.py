@@ -305,6 +305,14 @@ def test_constants_receive_no_gradient():
         loss = ad.dot(c, v)
         ad.backward(tape, loss)
     assert c.grad is None and v.grad is not None
+    # matmul with one constant operand, on either side
+    k = ad.constant(np.arange(6.0).reshape(2, 3))
+    for left in (True, False):
+        m = ad.parameter(np.ones((3, 2)))
+        with ad.Tape() as tape:
+            ad.backward(tape, ad.sum_all(ad.matmul(k, m) if left else ad.matmul(m, k)))
+        want = k.data.T @ np.ones((2, 2)) if left else np.ones((3, 3)) @ k.data.T
+        assert k.grad is None and np.array_equal(m.grad, want)
 
 
 def test_untouched_parameter_gets_zero_gradient():

@@ -210,6 +210,18 @@ class TestFailures:
         assert code == 1
         assert "different bundle" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_refused(self, tmp_path, capsys):
+        bundle = gen_and_prepare(tmp_path)
+        out = tmp_path / "run"
+        assert run(["train", "--bundle", str(bundle), "--out", str(out), *SMALL_TRAIN]) == 0
+        ckpt = out / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        capsys.readouterr()
+        code = run(["eval-completion", "--bundle", str(bundle),
+                    "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 1
+        assert "error: checkpoint truncated" in capsys.readouterr().err
+
     def test_missing_bundle_file_exits_nonzero(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)])

@@ -6,10 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import kane.evaluation as evaluation
 import kane.oracle as oracle
 from kane.errors import ConfigError
 from kane.evaluation import (
-    FilterIndex,
+    SETTINGS,
     aggregate_metrics,
     build_filter_index,
     classification_accuracy,
@@ -17,6 +18,7 @@ from kane.evaluation import (
     classification_report_tsv,
     completion_report_text,
     completion_report_tsv,
+    entity_matrix,
     evaluate_classification,
     evaluate_completion,
     hits_fraction_for_triples,
@@ -24,15 +26,33 @@ from kane.evaluation import (
     rank_relation,
     rank_tail,
 )
-from kane.kgdata import DatasetSplit, RelationTriple, split_relation_triples
+from kane.kgdata import (
+    DatasetSplit,
+    GraphView,
+    KnowledgeGraph,
+    RelationTriple,
+    split_relation_triples,
+)
 from kane.model import ModelConfig, init_params
 from kane.training import TrainConfig, train
 
-from helpers import kg_from_name_triples, random_kg
+from helpers import quantized_ranking_setups, random_kg
 
 
 # ---------------------------------------------------------------------------
 # rank computation on crafted distances
+
+
+def _index(triples: list[tuple[int, int, int]], entities: int = 4, relations: int = 1):
+    """Filter index over the given known (h, r, t) id triples."""
+    kg = KnowledgeGraph()
+    for i in range(entities):
+        kg.entities.intern(f"e{i}")
+    for i in range(relations):
+        kg.relations.intern(f"r{i}")
+    for h, r, t in triples:
+        kg.add_relation_triple(f"e{h}", f"r{r}", f"e{t}")
+    return build_filter_index(kg)
 
 
 class TestRankHandCases:
@@ -45,31 +65,63 @@ class TestRankHandCases:
 
     def test_raw_rank_counts_strictly_better_only(self):
         ent, rel, triple = self._setup()
-        filt = FilterIndex()
+        filt = _index([(0, 0, 2)])
         # true tail at distance 2 ties with entity 3; ties do not hurt
         assert rank_tail(triple, ent, rel, "l1", filt, "raw") == 3
 
     def test_filtered_rank_drops_known_positives(self):
         ent, rel, triple = self._setup()
-        filt = FilterIndex(tails={(0, 0): {1, 2}})
+        filt = _index([(0, 0, 1), (0, 0, 2)])
         assert rank_tail(triple, ent, rel, "l1", filt, "filter") == 2
 
     def test_true_answer_never_filtered_out(self):
         ent, rel, triple = self._setup()
-        filt = FilterIndex(tails={(0, 0): {0, 1, 2, 3}})
+        filt = _index([(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3)])
         assert rank_tail(triple, ent, rel, "l1", filt, "filter") == 1
 
     def test_exact_match_ranks_first(self):
         ent = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]])
         rel = np.array([ent[1] - ent[0]])
         triple = RelationTriple(0, 0, 1)
-        assert rank_tail(triple, ent, rel, "l2", FilterIndex(), "raw") == 1
-        assert rank_head(triple, ent, rel, "l2", FilterIndex(), "raw") == 1
+        filt = _index([(0, 0, 1)], entities=3)
+        assert rank_tail(triple, ent, rel, "l2", filt, "raw") == 1
+        assert rank_head(triple, ent, rel, "l2", filt, "raw") == 1
 
     def test_unknown_setting_rejected(self):
         ent, rel, triple = self._setup()
+        filt = _index([(0, 0, 2)])
+        for setting in ("both", ("raw",), ("filter", "raw")):
+            with pytest.raises(ConfigError):
+                rank_tail(triple, ent, rel, "l1", filt, setting)
         with pytest.raises(ConfigError):
-            rank_tail(triple, ent, rel, "l1", FilterIndex(), "both")
+            rank_tail([[0, 0]], ent, rel, "l1", filt, "raw")
+
+
+# ---------------------------------------------------------------------------
+# batched ranking
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_batches_match_single_triple_calls(norm, monkeypatch):
+    checked = 0
+    for kg, ent, rel in quantized_ranking_setups():
+        filt = build_filter_index(kg)
+        # three entity queries per chunk; n is not a multiple of three
+        monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * ent.size)
+        n = len(kg.relation_triples) - (len(kg.relation_triples) % 3 == 0)
+        for batch in (kg.relation_triples[:1], kg.relation_triples[:n]):
+            for fn in (rank_tail, rank_head, rank_relation):
+                both = fn(np.array(batch), ent, rel, norm, filt, SETTINGS)
+                assert both.shape == (len(SETTINGS), len(batch))
+                for i, setting in enumerate(SETTINGS):
+                    single = [fn(t, ent, rel, norm, filt, setting) for t in batch]
+                    assert all(type(r) is int for r in single)
+                    got = fn(batch, ent, rel, norm, filt, setting)
+                    assert got.dtype == np.int64 and got.tolist() == single
+                    assert both[i].tolist() == single
+                    checked += len(batch)
+                assert fn(batch[0], ent, rel, norm, filt, SETTINGS).tolist() == both[:, 0].tolist()
+    assert checked >= 1000
 
 
 def test_aggregate_metrics_hand_case():
@@ -165,6 +217,23 @@ class TestEvaluateCompletion:
             assert 1.0 <= rep.mean_rank_raw <= rep.candidates
             assert 0.0 <= rep.hits_raw <= 1.0
 
+    def test_report_aggregates_single_triple_ranks(self):
+        kg, split, params, model = _trained_toy()
+        reports = evaluate_completion(kg, split, params, model)
+        view = GraphView.restricted(kg, split.train, model.use_attributes)
+        ent = entity_matrix(view, params, model)
+        args = (ent, params.relation.data, model.norm, build_filter_index(kg))
+        ent_rep, rel_rep = reports["entity_prediction"], reports["relation_prediction"]
+        for setting in SETTINGS:
+            entity = [fn(t, *args, setting) for t in split.test for fn in (rank_tail, rank_head)]
+            relation = [rank_relation(t, *args, setting) for t in split.test]
+            if setting == "raw":
+                assert aggregate_metrics(entity, 10) == (ent_rep.mean_rank_raw, ent_rep.hits_raw)
+                assert aggregate_metrics(relation, 1) == (rel_rep.mean_rank_raw, rel_rep.hits_raw)
+            else:
+                assert aggregate_metrics(entity, 10) == (ent_rep.mean_rank_filtered, ent_rep.hits_filtered)
+                assert aggregate_metrics(relation, 1) == (rel_rep.mean_rank_filtered, rel_rep.hits_filtered)
+
     def test_no_test_triples_rejected(self):
         kg, split, params, model = _trained_toy()
         split = DatasetSplit(train=split.train, valid=[], test=[])
@@ -173,9 +242,6 @@ class TestEvaluateCompletion:
 
     def test_hits_fraction_matches_manual_ranks(self):
         kg, split, params, model = _trained_toy()
-        from kane.evaluation import entity_matrix
-        from kane.kgdata import GraphView
-
         view = GraphView.restricted(kg, split.train, model.use_attributes)
         ent = entity_matrix(view, params, model)
         filt = build_filter_index(kg)

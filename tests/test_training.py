@@ -12,6 +12,7 @@ from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingErro
 from kane.kgdata import AttributeTriple, DatasetSplit, GraphView, RelationTriple
 from kane.model import ModelConfig, encode_value, forward_all, init_params
 from kane.training import (
+    CHECKPOINT_MAGIC,
     TrainConfig,
     TrainReport,
     _classification_batch_loss,
@@ -485,6 +486,15 @@ class TestCheckpoint:
         blob = save_checkpoint_bytes(params, config)
         with pytest.raises(IntegrityError):
             load_checkpoint_bytes(blob + b"\x00")
+
+    def test_every_truncation_rejected(self):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        for length in range(len(blob)):
+            with pytest.raises(IntegrityError) as err:
+                load_checkpoint_bytes(blob[:length])
+            if length >= len(CHECKPOINT_MAGIC):
+                assert "truncated" in str(err.value), length
 
     def test_corrupt_header_rejected(self):
         params, config = self._params_and_config()
