@@ -17,7 +17,7 @@ from .kgdata import (
     RelationTriple, generate_synthetic_kg, parse_attribute_triples,
     parse_labels, parse_relation_triples,
 )
-from .model import ModelConfig, ModelParams, forward_all, init_params, score, classify
+from .model import ModelConfig, ModelParams, forward_all, init_params
 from .training import TrainConfig, TrainReport, train
 from .evaluation import evaluate_classification, evaluate_completion
 

@@ -209,41 +209,8 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"dot: needs equal-length vectors, got {u.shape} and {v.shape}")
-
-    def back(g):
-        _accum(u, g * v.data)
-        _accum(v, g * u.data)
-
-    return _make(np.asarray(u.data @ v.data), (u, v), back)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
-
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {m.shape} and {v.shape}")
-
-    def back(g):
-        _accum(m, np.outer(g, v.data))
-        _accum(v, m.data.T @ g)
-
-    return _make(m.data @ v.data, (m, v), back)
-
-
-def vecmat(v: Tensor, m: Tensor) -> Tensor:
-    if v.data.ndim != 1 or m.data.ndim != 2 or v.shape[0] != m.shape[0]:
-        raise ShapeError(f"vecmat: incompatible shapes {v.shape} and {m.shape}")
-
-    def back(g):
-        _accum(v, m.data @ g)
-        _accum(m, np.outer(v.data, g))
-
-    return _make(v.data @ m.data, (v, m), back)
-
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -271,22 +238,6 @@ def transpose(m: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # structure: lookups, stacking, slicing, reductions
-
-def row(m: Tensor, i: int) -> Tensor:
-    if m.data.ndim != 2:
-        raise ShapeError(f"row: needs a matrix, got shape {m.shape}")
-    if not 0 <= i < m.shape[0]:
-        raise IndexError(f"row {i} out of range for matrix with {m.shape[0]} rows")
-
-    def back(g):
-        if m._backward is None and not m.is_param:
-            return
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        m.grad[i] += g
-
-    return _make(m.data[i].copy(), (m,), back)
-
 
 def rows(m: Tensor, indices) -> Tensor:
     if m.data.ndim != 2:
@@ -316,40 +267,6 @@ def take(v: Tensor, indices) -> Tensor:
         _accum_rows(v, idx, g)
 
     return _make(v.data[idx], (v,), back)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat: needs at least one tensor")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat: needs vectors, got shape {p.shape}")
-    parts = tuple(parts)
-    sizes = [p.shape[0] for p in parts]
-
-    def back(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            _accum(p, g[off:off + n])
-            off += n
-
-    return _make(np.concatenate([p.data for p in parts]), parts, back)
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("stack_rows: needs at least one tensor")
-    width = parts[0].shape
-    for p in parts:
-        if p.data.ndim != 1 or p.shape != width:
-            raise ShapeError(f"stack_rows: needs equal-length vectors, got {p.shape} vs {width}")
-    parts = tuple(parts)
-
-    def back(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-
-    return _make(np.stack([p.data for p in parts]), parts, back)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -430,17 +347,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _make(m.data + v.data, (m, v), back)
 
 
-def sum_rows(m: Tensor) -> Tensor:
-    """Sum over rows: (p, q) -> (q,)."""
-    if m.data.ndim != 2:
-        raise ShapeError(f"sum_rows: needs a matrix, got shape {m.shape}")
-
-    def back(g):
-        _accum(m, np.broadcast_to(g, m.shape))
-
-    return _make(m.data.sum(axis=0), (m,), back)
-
-
 def sum_cols(m: Tensor) -> Tensor:
     """Sum over columns: (p, q) -> (p,)."""
     if m.data.ndim != 2:
@@ -461,25 +367,6 @@ def sum_all(t: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # norms
-
-def l1_norm(v: Tensor) -> Tensor:
-    def back(g):
-        # subgradient at 0 is 0 (np.sign(0) == 0)
-        _accum(v, g * np.sign(v.data))
-
-    return _make(np.asarray(np.abs(v.data).sum()), (v,), back)
-
-
-def l2_norm(v: Tensor) -> Tensor:
-    norm = float(np.sqrt((v.data * v.data).sum()))
-
-    def back(g):
-        if norm == 0.0:
-            return
-        _accum(v, g * (v.data / norm))
-
-    return _make(np.asarray(norm), (v,), back)
-
 
 def rowwise_norm(m: Tensor, kind: str) -> Tensor:
     """Per-row L1 or L2 norm: (p, q) -> (p,). Used for batched scoring."""
@@ -553,20 +440,6 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
         _accum(t, g * inside)
 
     return _make(np.clip(t.data, lo, hi), (t,), back)
-
-
-def softmax_over_group(logits: Tensor) -> Tensor:
-    """Softmax over one variable-length group of logits (max-stabilized)."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_over_group: needs a vector, got shape {logits.shape}")
-    shifted = logits.data - logits.data.max()
-    e = np.exp(shifted)
-    val = e / e.sum()
-
-    def back(g):
-        _accum(logits, val * (g - (g * val).sum()))
-
-    return _make(val, (logits,), back)
 
 
 # ---------------------------------------------------------------------------

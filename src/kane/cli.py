@@ -20,14 +20,16 @@ to ``$KANE_OUT_DIR`` or the current directory. All file writes are atomic
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, KaneError
+from .errors import ConfigError, IntegrityError, KaneError, ParseError
 from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, bundle_from_json, bundle_to_json,
     generate_synthetic_kg, kg_statistics, parse_attribute_triples, parse_labels,
@@ -41,34 +43,25 @@ from .evaluation import (
     evaluate_completion,
 )
 from .training import (
-    TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes, train,
+    MODEL_KEYS, TRAIN_KEYS, TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes, train,
 )
 
 OUT_DIR_ENV = "KANE_OUT_DIR"
 
-DEFAULTS: dict[str, object] = {
-    # model architecture
-    "dim": 64, "head_dim": 64, "heads": 2, "layers": 2,
-    "aggregator": "concat", "encoder": "bow", "attention": "bilinear",
-    "norm": "l1", "leaky_slope": 0.2, "use_attributes": True,
-    # training
-    "task": "completion", "margin": 1.0, "learning_rate": 0.0005,
-    "batch_size": 8, "negatives": 10, "epochs": 200, "seed": 0,
-    "val_every": 5, "patience": 20, "renormalize": False,
-    # synthetic generator / splits
-    "entities": 50, "relations": 5, "clusters": 5, "edge_prob": 0.9,
-    "decoy_fraction": 0.1, "attribute_relations": 3,
-    "valid_fraction": 0.1, "test_fraction": 0.1,
+# synthetic generator and split keys: the generator's keyword defaults
+_GENERATOR_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(generate_synthetic_kg).parameters.items()
+    if p.default is not inspect.Parameter.empty
 }
 
-_MODEL_KEYS = (
-    "dim", "head_dim", "heads", "layers", "aggregator", "encoder",
-    "attention", "norm", "leaky_slope", "use_attributes",
-)
-_TRAIN_KEYS = (
-    "task", "margin", "learning_rate", "batch_size", "negatives",
-    "epochs", "seed", "val_every", "patience", "renormalize",
-)
+# every configuration key with its default; the value's type sets how a
+# key's text is parsed
+DEFAULTS: dict[str, object] = {
+    **{f.name: f.default for f in fields(ModelConfig)},
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_KEYS},
+    **_GENERATOR_DEFAULTS,
+}
 
 
 def _coerce(key: str, value: str) -> object:
@@ -90,10 +83,20 @@ def _coerce(key: str, value: str) -> object:
     return value.strip()
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; bytes that are not UTF-8 raise a
+    ``ParseError`` naming the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(path, raw.count(b"\n", 0, e.start) + 1, f"not UTF-8 text ({e.reason})") from e
+
+
 def parse_config_file(path: str) -> dict[str, object]:
     """Flat ``key = value`` file; unknown keys are errors."""
     out: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -120,8 +123,8 @@ def merge_config(args: argparse.Namespace) -> dict[str, object]:
 
 
 def make_train_config(cfg: dict[str, object]) -> TrainConfig:
-    model = ModelConfig(**{k: cfg[k] for k in _MODEL_KEYS})
-    return TrainConfig(model=model, **{k: cfg[k] for k in _TRAIN_KEYS})
+    model = ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
+    return TrainConfig(model=model, **{k: cfg[k] for k in TRAIN_KEYS})
 
 
 def out_dir(args: argparse.Namespace) -> Path:
@@ -156,17 +159,7 @@ def _print_stats(kg: KnowledgeGraph) -> None:
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    kg, split = generate_synthetic_kg(
-        seed=int(cfg["seed"]),
-        entities=int(cfg["entities"]),
-        relations=int(cfg["relations"]),
-        clusters=int(cfg["clusters"]),
-        edge_prob=float(cfg["edge_prob"]),
-        decoy_fraction=float(cfg["decoy_fraction"]),
-        attribute_relations=int(cfg["attribute_relations"]),
-        valid_fraction=float(cfg["valid_fraction"]),
-        test_fraction=float(cfg["test_fraction"]),
-    )
+    kg, split = generate_synthetic_kg(cfg["seed"], **{k: cfg[k] for k in _GENERATOR_DEFAULTS})
     d = out_dir(args)
     write_atomic(d / "relations.tsv", relations_to_tsv(kg))
     write_atomic(d / "attributes.tsv", attributes_to_tsv(kg))
@@ -180,13 +173,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     rng = np.random.default_rng(int(cfg["seed"]))
     kg = KnowledgeGraph()
-    parse_relation_triples(Path(args.relations).read_text(encoding="utf-8"), kg, args.relations)
+    parse_relation_triples(_read_text(args.relations), kg, args.relations)
     if args.attributes:
-        parse_attribute_triples(Path(args.attributes).read_text(encoding="utf-8"), kg, args.attributes)
+        parse_attribute_triples(_read_text(args.attributes), kg, args.attributes)
     labels = None
     class_names: list[str] = []
     if args.labels:
-        labels, class_names = parse_labels(Path(args.labels).read_text(encoding="utf-8"), kg, args.labels)
+        labels, class_names = parse_labels(_read_text(args.labels), kg, args.labels)
     if kg.dropped_relation_duplicates or kg.dropped_attribute_duplicates:
         print(
             f"warning: dropped {kg.dropped_relation_duplicates} duplicate relation "
@@ -215,7 +208,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _load_bundle_file(path: str):
-    return bundle_from_json(Path(path).read_text(encoding="utf-8"))
+    return bundle_from_json(_read_text(path), path)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -390,10 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KaneError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (KaneError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

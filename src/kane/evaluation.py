@@ -88,7 +88,7 @@ def entity_matrix(view: GraphView, params: ModelParams, config: ModelConfig) -> 
     The array is a copy: with no propagation layers the final matrix is
     the live embedding table itself.
     """
-    return np.array(forward_all(view, params, config).matrix.data)
+    return np.array(forward_all(view, params, config).data)
 
 
 def _as_queries(queries) -> tuple[np.ndarray, bool]:
@@ -237,22 +237,17 @@ def evaluate_completion(
     split: DatasetSplit,
     params: ModelParams,
     config: ModelConfig,
-    triples: list[RelationTriple] | None = None,
-    view: GraphView | None = None,
 ) -> dict[str, RankingReport]:
     """Entity prediction (head + tail queries pooled, Hits@10) and relation
     prediction (Hits@1) over the test triples."""
-    if triples is None:
-        triples = split.test
-    if not triples:
+    if not split.test:
         raise ConfigError("no evaluation triples")
-    if view is None:
-        view = GraphView.restricted(kg, split.train, config.use_attributes)
+    view = GraphView.restricted(kg, split.train, config.use_attributes)
     ent = entity_matrix(view, params, config)
     rel = params.relation.data
     filt = build_filter_index(kg)
 
-    queries = np.asarray(triples, dtype=np.int64)
+    queries = np.asarray(split.test, dtype=np.int64)
     args = (ent, rel, config.norm, filt, SETTINGS)
     # each call gives one row per setting
     entity = np.concatenate([rank_tail(queries, *args), rank_head(queries, *args)], axis=1)
@@ -316,18 +311,14 @@ def evaluate_classification(
     split: DatasetSplit,
     params: ModelParams,
     config: ModelConfig,
-    entities: list[int] | None = None,
-    view: GraphView | None = None,
 ) -> dict[str, float | int]:
+    """Accuracy over the labeled test entities."""
     if split.labels is None:
         raise ConfigError("dataset has no labels")
-    if entities is None:
-        entities = split.label_test
-    if view is None:
-        view = GraphView.restricted(kg, split.train, config.use_attributes)
+    view = GraphView.restricted(kg, split.train, config.use_attributes)
     ent = entity_matrix(view, params, config)
-    acc = classification_accuracy(ent, params, entities, split.labels)
-    return {"accuracy": acc, "entities": len(entities), "classes": split.class_count}
+    acc = classification_accuracy(ent, params, split.label_test, split.labels)
+    return {"accuracy": acc, "entities": len(split.label_test), "classes": split.class_count}
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,7 @@ def tokenize(literal: str) -> list[str]:
 
 
 class KnowledgeGraph:
-    """Interned triple store with an outgoing-neighbor index.
-
-    Duplicate triples are dropped on insert and counted. The neighborhood
-    of an entity lists its outgoing (relation, target) pairs in load order:
-    relation triples first, then attribute triples.
-    """
+    """Interned triple store; duplicate triples are dropped on insert and counted."""
 
     def __init__(self) -> None:
         self.entities = Interner()
@@ -97,7 +92,6 @@ class KnowledgeGraph:
         self.dropped_attribute_duplicates = 0
         self._rel_set: set[RelationTriple] = set()
         self._attr_set: set[AttributeTriple] = set()
-        self._neighborhood: list[list[Neighbor]] | None = None
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -156,7 +150,6 @@ class KnowledgeGraph:
             return None
         self._rel_set.add(trip)
         self.relation_triples.append(trip)
-        self._neighborhood = None
         return trip
 
     def _store_attribute(self, trip: AttributeTriple) -> AttributeTriple | None:
@@ -165,25 +158,7 @@ class KnowledgeGraph:
             return None
         self._attr_set.add(trip)
         self.attribute_triples.append(trip)
-        self._neighborhood = None
         return trip
-
-    # -- indexing -------------------------------------------------------
-    @property
-    def neighborhood(self) -> list[list[Neighbor]]:
-        if self._neighborhood is None:
-            self._neighborhood = build_neighborhood(self)
-        return self._neighborhood
-
-
-def build_neighborhood(kg: KnowledgeGraph) -> list[list[Neighbor]]:
-    """Outgoing (relation, target) pairs per entity, in triple load order."""
-    nb: list[list[Neighbor]] = [[] for _ in range(kg.num_entities)]
-    for t in kg.relation_triples:
-        nb[t.head].append(Neighbor(t.relation, t.tail, False))
-    for a in kg.attribute_triples:
-        nb[a.head].append(Neighbor(a.relation, a.value, True))
-    return nb
 
 
 class EdgeIndex(NamedTuple):
@@ -255,16 +230,13 @@ class GraphView:
         return self._edges
 
     @classmethod
-    def full(cls, kg: KnowledgeGraph, use_attributes: bool = True) -> "GraphView":
-        nb = kg.neighborhood
-        if not use_attributes:
-            nb = [[n for n in lst if not n.is_attribute] for lst in nb]
-        return cls(kg, nb)
-
-    @classmethod
     def restricted(
         cls, kg: KnowledgeGraph, relation_triples: Iterable[RelationTriple], use_attributes: bool = True
     ) -> "GraphView":
+        """View over the given relation triples (and all attribute triples
+        when ``use_attributes``). Each entity's neighborhood lists its
+        outgoing (relation, target) pairs in load order: relation triples
+        first, then attribute triples."""
         nb: list[list[Neighbor]] = [[] for _ in range(kg.num_entities)]
         for t in relation_triples:
             nb[t.head].append(Neighbor(t.relation, t.tail, False))
@@ -653,19 +625,85 @@ def bundle_to_json(kg: KnowledgeGraph, split: DatasetSplit) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def bundle_from_json(text: str) -> tuple[KnowledgeGraph, DatasetSplit, str]:
-    """Rebuild graph and split from a bundle; verifies the content checksum."""
+_BUNDLE_KEYS = (
+    "entities", "relations", "values", "relation_triples", "attribute_triples",
+    "dropped_duplicates", "split", "labels",
+)
+_SPLIT_KEYS = ("train", "valid", "test")
+_LABEL_KEYS = ("classes", "by_entity", "train", "valid", "test")
+
+
+def _require(obj, keys: tuple[str, ...], what: str, source: str) -> None:
+    if not isinstance(obj, dict):
+        raise IntegrityError(f"{source}: bundle {what} is not an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise IntegrityError(f"{source}: bundle {what} lacks {', '.join(missing)}")
+
+
+def _names(value, what: str, source: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise IntegrityError(f"{source}: bundle {what} is not a list of strings")
+    return value
+
+
+def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> None:
+    """``value`` must be a list of ids below ``limits[0]`` (one limit), or a
+    list of rows whose column j holds ids below ``limits[j]``."""
+    shape = (len(limits),) if len(limits) > 1 else ()
+    if value == []:
+        return
+    try:
+        arr = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # rows of unequal length
+        arr = None
+    if arr is None or arr.dtype.kind != "i" or arr.shape[1:] != shape:
+        kind = f"rows of {len(limits)} ids" if shape else "ids"
+        raise IntegrityError(f"{source}: bundle {what} is not a list of {kind}")
+    bad = ((arr < 0) | (arr >= np.asarray(limits))).reshape(len(arr), -1).any(axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise IntegrityError(f"{source}: bundle {what} entry {i} is out of range: {arr[i].tolist()}")
+
+
+def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGraph, DatasetSplit, str]:
+    """Rebuild graph and split from a bundle.
+
+    Verifies the content checksum, the required keys, and that every
+    entity, relation, value, triple, class and split id is in range; any
+    failure raises ``IntegrityError`` naming ``source``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise IntegrityError(f"bundle is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
-        raise IntegrityError(f"not a {BUNDLE_FORMAT} bundle")
+        raise IntegrityError(f"{source}: bundle is not valid JSON: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT or "data" not in doc:
+        raise IntegrityError(f"{source}: not a {BUNDLE_FORMAT} bundle")
     data = doc["data"]
     stored = doc.get("checksum", "")
     actual = bundle_checksum(data)
     if stored != actual:
-        raise IntegrityError(f"bundle checksum mismatch: stored {stored}, computed {actual}")
+        raise IntegrityError(f"{source}: bundle checksum mismatch: stored {stored}, computed {actual}")
+
+    _require(data, _BUNDLE_KEYS, "data", source)
+    n_ent = len(_names(data["entities"], "entities", source))
+    n_rel = len(_names(data["relations"], "relations", source))
+    n_val = len(_names(data["values"], "values", source))
+    _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source)
+    _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source)
+    _require(data["split"], _SPLIT_KEYS, "split", source)
+    for part in _SPLIT_KEYS:
+        _check_ids(data["split"][part], (len(data["relation_triples"]),), f"split {part}", source)
+    dropped = data["dropped_duplicates"]
+    if not (isinstance(dropped, list) and len(dropped) == 2 and all(type(x) is int for x in dropped)):
+        raise IntegrityError(f"{source}: bundle dropped_duplicates is not a pair of counts")
+    lab = data["labels"]
+    if lab is not None:
+        _require(lab, _LABEL_KEYS, "labels", source)
+        n_cls = len(_names(lab["classes"], "label classes", source))
+        _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
+        for part in _SPLIT_KEYS:
+            _check_ids(lab[part], (n_ent,), f"labels {part}", source)
 
     kg = KnowledgeGraph()
     for name in data["entities"]:
@@ -678,7 +716,9 @@ def bundle_from_json(text: str) -> tuple[KnowledgeGraph, DatasetSplit, str]:
         kg._store_relation(RelationTriple(h, r, t))
     for h, r, v in data["attribute_triples"]:
         kg._store_attribute(AttributeTriple(h, r, v))
-    kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates = data["dropped_duplicates"]
+    if kg.dropped_relation_duplicates or kg.dropped_attribute_duplicates:
+        raise IntegrityError(f"{source}: bundle lists a triple twice")
+    kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates = dropped
 
     trips = kg.relation_triples
     split = DatasetSplit(
@@ -686,8 +726,7 @@ def bundle_from_json(text: str) -> tuple[KnowledgeGraph, DatasetSplit, str]:
         valid=[trips[i] for i in data["split"]["valid"]],
         test=[trips[i] for i in data["split"]["test"]],
     )
-    if data["labels"] is not None:
-        lab = data["labels"]
+    if lab is not None:
         split.labels = {e: c for e, c in lab["by_entity"]}
         split.class_names = list(lab["classes"])
         split.class_count = len(split.class_names)

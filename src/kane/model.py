@@ -238,38 +238,6 @@ def encode_value(
 # ---------------------------------------------------------------------------
 # attention and propagation, over all edges of a view at once
 
-class EntityVectors(Sequence):
-    """Final entity vectors: one (entities, dim) matrix, indexable per entity."""
-
-    def __init__(self, matrix: Tensor):
-        self.matrix = matrix
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return ad.row(self.matrix, index)
-
-
-def attention_logit(
-    head_vec: Tensor,
-    rel_vec: Tensor,
-    neighbor_vec: Tensor,
-    transform: Tensor,
-    config: ModelConfig,
-) -> Tensor:
-    """Unnormalized attention score for a single neighbor."""
-    if config.attention == "bilinear":
-        q = ad.matvec(transform, rel_vec)
-        m = ad.matvec(transform, ad.add(rel_vec, neighbor_vec))
-        return ad.leaky_relu(ad.dot(q, m), config.leaky_slope)
-    diff = ad.sub(ad.add(head_vec, rel_vec), neighbor_vec)
-    d = ad.l1_norm(diff) if config.norm == "l1" else ad.l2_norm(diff)
-    return ad.scale(d, -1.0)
-
-
 def _value_table(view: GraphView, params: ModelParams, config: ModelConfig) -> Tensor | None:
     """Encodings of all attribute values of the graph, row ``v`` for value
     id ``v``; None when no edge of the view reads a value."""
@@ -315,70 +283,13 @@ def _layer_heads(
     return heads
 
 
-def _entity_layer(
-    entity_id: int,
-    view: GraphView,
-    params: ModelParams,
-    config: ModelConfig,
-    layer: int,
-    layer_vecs: Tensor | None,
-) -> list[tuple[Tensor, Tensor]]:
-    """The whole-graph layer, computed to read one entity's slice of it."""
-    config.validate()
-    if not view.neighborhood[entity_id]:
-        raise ValueError(f"entity {entity_id} has no outgoing neighbors")
-    return _layer_heads(
-        params.entity if layer_vecs is None else layer_vecs,
-        ad.rows(params.relation, view.edges.relation),
-        _value_table(view, params, config),
-        view, params, config, layer,
-    )
-
-
-def attention_weights(
-    entity_id: int,
-    view: GraphView,
-    params: ModelParams,
-    config: ModelConfig,
-    layer: int = 0,
-    head: int = 0,
-    layer_vecs: Tensor | None = None,
-) -> Tensor:
-    """Normalized attention over one entity's neighbors at a given layer/head.
-
-    ``layer_vecs`` is the previous layer's (entities, dim) matrix (the raw
-    embedding table by default). Raises ValueError for an entity with no
-    neighbors.
-    """
-    weights, _ = _entity_layer(entity_id, view, params, config, layer, layer_vecs)[head]
-    offsets = view.edges.offsets
-    return ad.slice_vec(weights, int(offsets[entity_id]), int(offsets[entity_id + 1]))
-
-
-def propagate_head(
-    entity_id: int,
-    view: GraphView,
-    params: ModelParams,
-    config: ModelConfig,
-    layer: int = 0,
-    head: int = 0,
-    layer_vecs: Tensor | None = None,
-) -> Tensor:
-    """One head's output for one entity: the attention-weighted message sum."""
-    _, outputs = _entity_layer(entity_id, view, params, config, layer, layer_vecs)[head]
-    return ad.row(outputs, int(view.edges.merge[entity_id]))
-
-
 def aggregate(head_outputs: list[Tensor], params: ModelParams, config: ModelConfig, layer: int) -> Tensor:
-    """Merge per-head outputs into dim-sized vectors: one entity's head
-    vectors, or the (entities, head_dim) head matrices of many at once."""
+    """Merge the (entities, head_dim) head output matrices into one
+    (entities, dim) matrix."""
     if len(head_outputs) != config.heads:
         raise ConfigError(f"expected {config.heads} head outputs, got {len(head_outputs)}")
     if config.aggregator == "concat":
-        if head_outputs[0].data.ndim == 1:
-            merged = ad.matvec(params.out_w[layer], ad.concat(head_outputs))
-        else:
-            merged = ad.matmul(ad.concat_cols(head_outputs), ad.transpose(params.out_w[layer]))
+        merged = ad.matmul(ad.concat_cols(head_outputs), ad.transpose(params.out_w[layer]))
     else:
         total = head_outputs[0]
         for h in head_outputs[1:]:
@@ -392,8 +303,8 @@ def forward_all(
     params: ModelParams,
     config: ModelConfig,
     values: Tensor | None = None,
-) -> EntityVectors:
-    """Final entity vectors after ``layers`` rounds of propagation.
+) -> Tensor:
+    """Final (entities, dim) entity vectors after ``layers`` rounds of propagation.
 
     Layer 0 is the raw embedding table. ``values`` is the value table from
     ``encode_value`` over all value ids, for a caller whose loss reads the
@@ -404,7 +315,7 @@ def forward_all(
     vecs = params.entity
     edges = view.edges
     if config.layers == 0 or edges.active.size == 0:
-        return EntityVectors(vecs)
+        return vecs
     if values is None:
         values = _value_table(view, params, config)
     rel = ad.rows(params.relation, edges.relation)
@@ -415,20 +326,4 @@ def forward_all(
             # isolated entities keep their previous vector
             merged = ad.rows(ad.concat_rows([merged, vecs]), edges.merge)
         vecs = merged
-    return EntityVectors(vecs)
-
-
-# ---------------------------------------------------------------------------
-# scoring
-
-def score(head_vec: Tensor, rel_vec: Tensor, tail_vec: Tensor, norm: str = "l1") -> Tensor:
-    """Translation distance ||h + r - t||; lower means more plausible."""
-    diff = ad.sub(ad.add(head_vec, rel_vec), tail_vec)
-    return ad.l1_norm(diff) if norm == "l1" else ad.l2_norm(diff)
-
-
-def classify(entity_vec: Tensor, params: ModelParams) -> Tensor:
-    """Per-class scores for one entity vector."""
-    if params.cls_w is None or params.cls_b is None:
-        raise ConfigError("model has no classifier head")
-    return ad.add(ad.matvec(params.cls_w, entity_vec), params.cls_b)
+    return vecs

@@ -18,7 +18,7 @@ import io
 import json
 import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .kgdata import (
     AttributeTriple, DatasetSplit, GraphView, KnowledgeGraph, RelationTriple,
 )
 from .model import (
-    EntityVectors, ModelConfig, ModelParams, encode_value, forward_all, init_params,
-    is_translation_mode, params_from_arrays,
+    ModelConfig, ModelParams, encode_value, forward_all, init_params, params_from_arrays,
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
@@ -68,6 +67,11 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.val_every < 0 or self.patience < 1:
             raise ConfigError("val_every must be >= 0 and patience >= 1")
+
+
+# the flat configuration keys, as the CLI sets them and checkpoints store them
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "model")
 
 
 @dataclass
@@ -216,7 +220,7 @@ def _renormalize_entities(params: ModelParams) -> None:
 def _completion_batch_loss(
     batch: list[RelationTriple | AttributeTriple],
     negatives: list[list[RelationTriple | AttributeTriple]],
-    finals: EntityVectors,
+    ent: Tensor,
     params: ModelParams,
     config: TrainConfig,
     values: Tensor | None = None,
@@ -228,7 +232,6 @@ def _completion_batch_loss(
         triples.extend(negs)
 
     # tails index one table: the entity rows, then the value rows by value id
-    ent = finals.matrix
     table = ent if values is None else ad.concat_rows([ent, values])
     tails = [ent.shape[0] + t.value if isinstance(t, AttributeTriple) else t.tail for t in triples]
 
@@ -243,11 +246,11 @@ def _completion_batch_loss(
 
 def _classification_batch_loss(
     batch_entities: list[int],
-    finals: EntityVectors,
+    ent: Tensor,
     params: ModelParams,
     split: DatasetSplit,
 ) -> Tensor:
-    vecs = ad.rows(finals.matrix, batch_entities)
+    vecs = ad.rows(ent, batch_entities)
     scores = ad.add_rowvec(ad.matmul(vecs, ad.transpose(params.cls_w)), params.cls_b)
     labels = [split.labels[e] for e in batch_entities]
     return bce_loss(scores, labels, split.class_count)
@@ -433,6 +436,8 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"corrupt checkpoint header: {e}") from e
     off += head_len
+    if not isinstance(header, dict) or "config" not in header:
+        raise IntegrityError("corrupt checkpoint header: no config")
     config = _config_from_dict(header["config"])
     arrays: dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
@@ -462,7 +467,18 @@ def _config_to_dict(config: TrainConfig) -> dict:
     return {"model": model, **d}
 
 
+def _check_keys(section, keys: tuple[str, ...], what: str) -> None:
+    if not isinstance(section, dict):
+        raise IntegrityError(f"corrupt checkpoint config: {what} is not an object")
+    unknown = sorted(set(section) - set(keys))
+    missing = [k for k in keys if k not in section]
+    if unknown or missing:
+        raise IntegrityError(
+            f"corrupt checkpoint config: {what} has unknown keys {unknown} and lacks keys {missing}"
+        )
+
+
 def _config_from_dict(d: dict) -> TrainConfig:
-    model = ModelConfig(**d["model"])
-    rest = {k: v for k, v in d.items() if k != "model"}
-    return TrainConfig(model=model, **rest)
+    _check_keys(d, ("model", *TRAIN_KEYS), "config")
+    _check_keys(d["model"], MODEL_KEYS, "model config")
+    return TrainConfig(model=ModelConfig(**d["model"]), **{k: d[k] for k in TRAIN_KEYS})

@@ -5,6 +5,8 @@ round-trips. Commands run in-process through ``kane.cli.main``."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 from kane.cli import (
     DEFAULTS,
+    make_train_config,
     format_embedding_export,
     main,
     merge_config,
@@ -21,8 +24,9 @@ from kane.cli import (
 )
 from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import entity_matrix
-from kane.kgdata import GraphView, bundle_from_json
-from kane.training import load_checkpoint_bytes
+from kane.kgdata import GraphView, bundle_checksum, bundle_from_json, generate_synthetic_kg
+from kane.model import ModelConfig
+from kane.training import TrainConfig, load_checkpoint_bytes
 
 
 SMALL_GEN = [
@@ -101,6 +105,19 @@ class TestConfig:
         args = argparse.Namespace(config=None, set=["epochs3"], seed=None)
         with pytest.raises(ConfigError, match="--set expects key=value"):
             merge_config(args)
+
+    def test_defaults_are_the_dataclass_and_generator_defaults(self):
+        model, train = ModelConfig(), TrainConfig()
+        want = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        want.update(
+            (f.name, getattr(train, f.name)) for f in dataclasses.fields(train) if f.name != "model"
+        )
+        generator = inspect.signature(generate_synthetic_kg).parameters
+        want.update((k, p.default) for k, p in generator.items() if k != "seed")
+        assert list(DEFAULTS) == list(want)
+        for key, value in want.items():
+            assert type(DEFAULTS[key]) is type(value) and DEFAULTS[key] == value, key
+        assert make_train_config(dict(DEFAULTS)) == TrainConfig()
 
     def test_unknown_set_key_exits_nonzero(self, tmp_path, capsys):
         code = run(["gen-synth", "--out", str(tmp_path), "--set", "entties=9"])
@@ -227,6 +244,51 @@ class TestFailures:
                     "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("split"), "bundle data lacks split"),
+        (lambda d: d["split"]["test"].__setitem__(0, 99999), "split test entry 0 is out of range"),
+        (lambda d: d["relation_triples"][d["split"]["train"][0]].__setitem__(2, -1), "out of range"),
+        (lambda d: d["relation_triples"][d["split"]["valid"][0]].__setitem__(2, 9999), "out of range"),
+    ], ids=["no-split", "test-index", "train-tail", "valid-tail"])
+    def test_malformed_bundle_is_one_error_line(self, tmp_path, capsys, edit, message):
+        bundle = gen_and_prepare(tmp_path)
+        doc = json.loads(bundle.read_text())
+        edit(doc["data"])
+        doc["checksum"] = bundle_checksum(doc["data"])
+        bundle.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+                    *SMALL_TRAIN, "--set", "epochs=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_directory_as_bundle_is_one_error_line(self, tmp_path, capsys):
+        assert run(["train", "--bundle", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+    def test_non_utf8_bundle_is_one_error_line(self, tmp_path, capsys):
+        bundle = gen_and_prepare(tmp_path)
+        raw = bundle.read_bytes()
+        bundle.write_bytes(raw[:40] + b"\xff" + raw[40:])
+        capsys.readouterr()
+        assert run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bundle}:1: not UTF-8 text (invalid start byte)\n"
+
+    def test_non_utf8_tsv_names_file_and_line(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert run(["gen-synth", "--out", str(gen), "--seed", "0", *SMALL_GEN]) == 0
+        rel = gen / "relations.tsv"
+        lines = rel.read_bytes().split(b"\n")
+        lines[2] = b"caf\xe9\tr\tx"
+        rel.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run(["prepare", "--relations", str(rel), "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rel}:3: not UTF-8 text") and err.count("\n") == 1
 
     def test_tampered_bundle_refused(self, tmp_path, capsys):
         bundle = gen_and_prepare(tmp_path)

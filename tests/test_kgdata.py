@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from kane.errors import ConfigError, IntegrityError, ParseError
 from kane.kgdata import (
     AttributeTriple, GraphView, Interner, KnowledgeGraph, RelationTriple,
-    attributes_to_tsv, bundle_from_json, bundle_to_json, generate_synthetic_kg,
+    attributes_to_tsv, bundle_checksum, bundle_from_json, bundle_to_json, generate_synthetic_kg,
     kg_statistics, labels_to_tsv, parse_attribute_triples, parse_labels,
     parse_relation_triples, relations_to_tsv, split_labeled_entities,
     split_relation_triples, tokenize,
@@ -69,14 +71,15 @@ def test_neighborhood_lists_relations_then_attributes_in_load_order():
         [("a", "p", "x y"), ("b", "p", "z")],
     )
     a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
-    nb_a = kg.neighborhood[a]
+    neighborhood = GraphView.restricted(kg, kg.relation_triples).neighborhood
+    nb_a = neighborhood[a]
     assert [(n.relation, n.is_attribute) for n in nb_a] == [
         (kg.relations.id_of("r1"), False),
         (kg.relations.id_of("r2"), False),
         (kg.relations.id_of("p"), True),
     ]
-    assert kg.neighborhood[b][0].target == a
-    total = sum(len(lst) for lst in kg.neighborhood)
+    assert neighborhood[b][0].target == a
+    total = sum(len(lst) for lst in neighborhood)
     assert total == len(kg.relation_triples) + len(kg.attribute_triples)
 
 
@@ -84,7 +87,7 @@ def test_neighborhood_completeness_on_random_graphs():
     for seed in range(5):
         kg = random_kg(np.random.default_rng(seed), entities=8, relations=3,
                        triples=20, attribute_relations=2, attribute_triples=8)
-        total = sum(len(lst) for lst in kg.neighborhood)
+        total = sum(len(lst) for lst in GraphView.restricted(kg, kg.relation_triples).neighborhood)
         assert total == len(kg.relation_triples) + len(kg.attribute_triples)
 
 
@@ -101,7 +104,7 @@ def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
     assert view.neighborhood[b] == []
     bare = GraphView.restricted(kg, train, False)
     assert [n.is_attribute for n in bare.neighborhood[a]] == [False]
-    full = GraphView.full(kg)
+    full = GraphView.restricted(kg, kg.relation_triples)
     assert len(full.neighborhood[a]) == 3
 
 
@@ -355,3 +358,55 @@ def test_bundle_checksum_detects_tampering():
         bundle_from_json("{}")
     with pytest.raises(IntegrityError):
         bundle_from_json("not json")
+
+
+def _edited_bundle(edit) -> str:
+    """A valid bundle with ``edit`` applied to its data and the checksum
+    recomputed, so only the schema checks can refuse it."""
+    kg, split = generate_synthetic_kg(5)
+    doc = json.loads(bundle_to_json(kg, split))
+    edit(doc["data"])
+    doc["checksum"] = bundle_checksum(doc["data"])
+    return json.dumps(doc)
+
+
+def _set_tail(data, part, tail):
+    data["relation_triples"][data["split"][part][0]][2] = tail
+
+
+MALFORMED_BUNDLES = [
+    (lambda d: d.pop("split"), "data lacks split"),
+    (lambda d: d["split"].pop("valid"), "split lacks valid"),
+    (lambda d: d["split"]["test"].__setitem__(0, 99999), "split test entry 0 is out of range"),
+    (lambda d: _set_tail(d, "train", -1), "relation_triples entry \\d+ is out of range"),
+    (lambda d: _set_tail(d, "valid", 9999), "relation_triples entry \\d+ is out of range"),
+    (lambda d: d["relation_triples"][0].pop(), "relation_triples is not a list of rows of 3 ids"),
+    (lambda d: d["relation_triples"].append(d["relation_triples"][0]), "lists a triple twice"),
+    (lambda d: d["attribute_triples"][3].__setitem__(2, len(d["values"])),
+     "attribute_triples entry 3 is out of range"),
+    (lambda d: d["attribute_triples"][0].__setitem__(1, 0.5), "attribute_triples is not a list"),
+    (lambda d: d.update(entities="ent_000"), "entities is not a list of strings"),
+    (lambda d: d.update(dropped_duplicates=[0]), "dropped_duplicates is not a pair"),
+    (lambda d: d["labels"]["by_entity"][2].__setitem__(1, 5), "labels by_entity entry 2 is out of range"),
+    (lambda d: d["labels"]["by_entity"][0].__setitem__(0, 50), "labels by_entity entry 0 is out of range"),
+    (lambda d: d["labels"]["test"].__setitem__(1, -3), "labels test entry 1 is out of range"),
+    (lambda d: d["labels"].pop("classes"), "labels lacks classes"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_BUNDLES, ids=[
+    "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
+    "duplicate-triple", "value-id", "float-id", "entities-string", "dropped-count",
+    "class-id", "label-entity", "label-test-entity", "no-classes",
+])
+def test_malformed_bundle_names_source_and_problem(edit, message):
+    with pytest.raises(IntegrityError, match=f"^data/b.json: bundle .*{message}"):
+        bundle_from_json(_edited_bundle(edit), "data/b.json")
+
+
+def test_bundle_without_data_rejected():
+    kg, split = generate_synthetic_kg(5)
+    doc = json.loads(bundle_to_json(kg, split))
+    del doc["data"]
+    with pytest.raises(IntegrityError, match="b.json: not a kane-bundle-v1 bundle"):
+        bundle_from_json(json.dumps(doc), "b.json")

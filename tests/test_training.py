@@ -3,6 +3,9 @@ references, optimizer steps, the training loop, and checkpoint bytes."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -520,3 +523,35 @@ class TestCheckpoint:
     def test_config_dict_round_trip(self):
         config = _toy_config(task="classification", renormalize=True, epochs=17)
         assert _config_from_dict(_config_to_dict(config)) == config
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["model"].update(width=3), "unknown keys \\['width'\\]"),
+        (lambda c: c.update(momentum=0.9), "unknown keys \\['momentum'\\]"),
+        (lambda c: c["model"].pop("heads"), "lacks keys \\['heads'\\]"),
+        (lambda c: c.pop("margin"), "lacks keys \\['margin'\\]"),
+        (lambda c: c.update(model=[]), "model config is not an object"),
+    ], ids=["unknown-model-key", "unknown-train-key", "no-model-key", "no-train-key", "model-list"])
+    def test_config_keys_checked(self, edit, message):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        edit(header["config"])
+        with pytest.raises(IntegrityError, match=message):
+            load_checkpoint_bytes(_with_header(blob, header))
+        del header["config"]
+        with pytest.raises(IntegrityError, match="no config"):
+            load_checkpoint_bytes(_with_header(blob, header))
+
+
+def _read_header(blob: bytes) -> dict:
+    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
+    start = len(CHECKPOINT_MAGIC) + 8
+    return json.loads(blob[start:start + length])
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    """``blob`` with its JSON header replaced and the arrays kept."""
+    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
+    head = json.dumps(header).encode("utf-8")
+    arrays = blob[len(CHECKPOINT_MAGIC) + 8 + length:]
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(head)) + head + arrays
