@@ -114,7 +114,9 @@ def lstm_encode(sequences: Sequence[Sequence[int]], word_table: Tensor, params: 
     ``t`` of every sequence still running and advances their states with
     one matrix product per gate and path; the states of sequences that
     have ended are set aside, which keeps the running ones in the leading
-    rows. The final states are put back in input order at the end.
+    rows. Step 0 starts from the zero states, so it runs only the input
+    path and no forget gate. The final states are put back in input order
+    at the end.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
     order = np.argsort(-lengths, kind="stable")
@@ -129,22 +131,27 @@ def lstm_encode(sequences: Sequence[Sequence[int]], word_table: Tensor, params: 
             (params.w_in_cell, params.w_hid_cell, params.b_cell),
         )
     ]
-    h = ad.constant(np.zeros((lengths.size, word_table.shape[1])))
-    c = h
+    h = c = None  # the zero initial states
     ended: list[Tensor] = []
     for t, live in enumerate(running.tolist()):
-        if live < h.shape[0]:
+        if h is not None and live < h.shape[0]:
             ended.append(ad.slice_rows(h, live, h.shape[0]))
             h, c = ad.slice_rows(h, 0, live), ad.slice_rows(c, 0, live)
         x = ad.rows(word_table, flat[starts[:live] + t])
-        pre = [
-            ad.add_rowvec(ad.add(ad.matmul(x, w_in), ad.matmul(h, w_hid)), b)
-            for w_in, w_hid, b in gates
-        ]
-        gate_i, gate_f, gate_o = (ad.sigmoid(p) for p in pre[:3])
-        cand = ad.tanh(pre[3])
-        c = ad.add(ad.elementwise_mul(gate_f, c), ad.elementwise_mul(gate_i, cand))
-        h = ad.elementwise_mul(gate_o, ad.tanh(c))
+        if h is None:
+            # zero initial states: no hidden-path products, no cell state to forget
+            pre_i, pre_o, pre_c = (
+                ad.add_rowvec(ad.matmul(x, gates[k][0]), gates[k][2]) for k in (0, 2, 3)
+            )
+            c = ad.elementwise_mul(ad.sigmoid(pre_i), ad.tanh(pre_c))
+        else:
+            pre_i, pre_f, pre_o, pre_c = (
+                ad.add_rowvec(ad.add(ad.matmul(x, w_in), ad.matmul(h, w_hid)), b)
+                for w_in, w_hid, b in gates
+            )
+            forget = ad.elementwise_mul(ad.sigmoid(pre_f), c)
+            c = ad.add(forget, ad.elementwise_mul(ad.sigmoid(pre_i), ad.tanh(pre_c)))
+        h = ad.elementwise_mul(ad.sigmoid(pre_o), ad.tanh(c))
     ended.append(h)
     # blocks ended shortest first; reversed, they run longest first again
     packed = ad.concat_rows(ended[::-1])

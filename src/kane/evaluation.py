@@ -12,7 +12,8 @@ Ranking is batched: ``rank_tail``, ``rank_head`` and ``rank_relation``
 take many queries at once and score them in chunks of (queries x
 candidates) distances; one distance pass gives both the raw and the
 filtered rank. The known positives are sorted key -> answer arrays
-(``FilterIndex``), looked up with ``searchsorted``.
+(``FilterIndex``, built from ``kgdata.KnownAnswers``), looked up with
+``searchsorted``.
 
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kgdata import DatasetSplit, GraphView, KnowledgeGraph, RelationTriple
+from .kgdata import (
+    DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, RelationTriple, pair_keys, triple_rows,
+)
 from .model import ModelConfig, ModelParams, forward_all, is_translation_mode
 
 SETTINGS = ("raw", "filter")
@@ -35,33 +38,6 @@ SETTINGS = ("raw", "filter")
 # ranking chunk fills: 2**17 is 1 MiB, about 4 queries over 500 entities
 # at dim 64 and about 40 over 50.
 CHUNK_ELEMENTS = 1 << 17
-
-
-def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One int64 key per id pair (ids are below 2**31)."""
-    return (a.astype(np.int64) << 32) | b.astype(np.int64)
-
-
-@dataclass(frozen=True)
-class KnownAnswers:
-    """Known answers of one query kind, sorted by key: ``answers[i]``
-    completes the known triple whose two other ids make ``keys[i]``."""
-
-    keys: np.ndarray
-    answers: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, keys: np.ndarray, answers: np.ndarray) -> KnownAnswers:
-        order = np.argsort(keys, kind="stable")
-        return cls(keys[order], answers[order])
-
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(position in ``keys``, known answer), one pair per known answer."""
-        start = np.searchsorted(self.keys, keys, side="left")
-        count = np.searchsorted(self.keys, keys, side="right") - start
-        query = np.repeat(np.arange(len(keys)), count)
-        first = np.repeat(start - (np.cumsum(count) - count), count)
-        return query, self.answers[first + np.arange(len(query))]
 
 
 @dataclass(frozen=True)
@@ -74,11 +50,11 @@ class FilterIndex:
 
 
 def build_filter_index(kg: KnowledgeGraph) -> FilterIndex:
-    h, r, t = np.array(kg.relation_triples, dtype=np.int64).reshape(-1, 3).T
+    h, r, t = triple_rows(kg, kg.relation_triples).T
     return FilterIndex(
-        tails=KnownAnswers.from_pairs(_pair_keys(h, r), t),
-        heads=KnownAnswers.from_pairs(_pair_keys(r, t), h),
-        relations=KnownAnswers.from_pairs(_pair_keys(h, t), r),
+        tails=KnownAnswers.from_pairs(pair_keys(h, r), t),
+        heads=KnownAnswers.from_pairs(pair_keys(r, t), h),
+        relations=KnownAnswers.from_pairs(pair_keys(h, t), r),
     )
 
 
@@ -121,11 +97,11 @@ def _rank(
     q, single = _as_queries(queries)
     h, r, t = q.T
     if kind == "tail":
-        answer, keys, candidates = t, _pair_keys(h, r), len(ent)
+        answer, keys, candidates = t, pair_keys(h, r), len(ent)
     elif kind == "head":
-        answer, keys, candidates = h, _pair_keys(r, t), len(ent)
+        answer, keys, candidates = h, pair_keys(r, t), len(ent)
     else:
-        answer, keys, candidates = r, _pair_keys(h, t), len(rel)
+        answer, keys, candidates = r, pair_keys(h, t), len(rel)
     rows = max(1, min(len(q), CHUNK_ELEMENTS // max(1, candidates * ent.shape[1])))
     buf = np.empty((rows, candidates, ent.shape[1]))
     out = np.empty((len(wanted), len(q)), dtype=np.int64)

@@ -10,6 +10,11 @@ File formats (UTF-8, ``#`` starts a comment line, blank lines ignored):
 Entities, relations, attribute values and literal words are interned into
 dense integer ids in first-seen order, so loading the same files always
 produces the same ids.
+
+Hot paths read triples as (n, 3) int64 ``triple_rows`` ``(head, relation,
+target)``: ``target`` is the tail entity, or ``num_entities + v`` for
+attribute value ``v``. ``known_triples`` indexes every known row by sorted
+int64 keys (``KnownAnswers``).
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, ParseError
+from .errors import ConfigError, DomainError, IntegrityError, ParseError
 
 BUNDLE_FORMAT = "kane-bundle-v1"
 
@@ -110,14 +117,6 @@ class KnowledgeGraph:
     def vocab_size(self) -> int:
         return len(self.words)
 
-    @property
-    def relation_triple_set(self) -> set[RelationTriple]:
-        return self._rel_set
-
-    @property
-    def attribute_triple_set(self) -> set[AttributeTriple]:
-        return self._attr_set
-
     # -- construction ---------------------------------------------------
     def add_relation_triple(self, head: str, relation: str, tail: str) -> RelationTriple | None:
         """Intern names and store the triple; returns None for a duplicate."""
@@ -127,9 +126,11 @@ class KnowledgeGraph:
         return self._store_relation(trip)
 
     def add_attribute_triple(self, head: str, relation: str, literal: str) -> AttributeTriple | None:
+        """Intern names and the literal and store the triple; returns None
+        for a duplicate. A literal with no tokens raises ``DomainError``."""
         tokens = tokenize(literal)
         if not tokens:
-            raise ValueError(f"attribute literal {literal!r} has no tokens")
+            raise DomainError(f"attribute literal {literal!r} has no tokens")
         trip = AttributeTriple(
             self.entities.intern(head),
             self.relations.intern(relation),
@@ -161,19 +162,70 @@ class KnowledgeGraph:
         return trip
 
 
+def triple_rows(
+    kg: KnowledgeGraph, relation_triples: Iterable[RelationTriple], with_attributes: bool = False
+) -> np.ndarray:
+    """(n, 3) int64 rows ``(head, relation, target)``: the given relation
+    triples in order, then, when ``with_attributes``, every attribute
+    triple of the graph with target ``num_entities + value``."""
+    rows = np.fromiter(chain.from_iterable(relation_triples), dtype=np.int64).reshape(-1, 3)
+    if not (with_attributes and kg.attribute_triples):
+        return rows
+    attr = np.fromiter(chain.from_iterable(kg.attribute_triples), dtype=np.int64).reshape(-1, 3)
+    return np.concatenate([rows, attr + (0, 0, kg.num_entities)])
+
+
+def pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 key per id pair (ids are below 2**31)."""
+    return (a.astype(np.int64) << 32) | b.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class KnownAnswers:
+    """Known answers of one query kind, sorted by key: ``answers[i]``
+    completes the known triple whose two other ids make ``keys[i]``."""
+
+    keys: np.ndarray
+    answers: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, keys: np.ndarray, answers: np.ndarray) -> KnownAnswers:
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], answers[order])
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``keys``, known answer), one pair per known answer."""
+        start = np.searchsorted(self.keys, keys, side="left")
+        count = np.searchsorted(self.keys, keys, side="right") - start
+        query = np.repeat(np.arange(len(keys)), count)
+        first = np.repeat(start - (np.cumsum(count) - count), count)
+        return query, self.answers[first + np.arange(len(query))]
+
+    def contains(self, keys: np.ndarray, answers: np.ndarray) -> np.ndarray:
+        """Whether each (key, answer) pair is known: a bool per pair."""
+        query, known = self.lookup(keys)
+        return np.bincount(query[known == answers[query]], minlength=len(keys)) > 0
+
+
+def known_triples(kg: KnowledgeGraph) -> KnownAnswers:
+    """(head, relation) -> target over the ``triple_rows`` of every relation
+    triple of the graph (all splits) and every attribute triple."""
+    rows = triple_rows(kg, kg.relation_triples, with_attributes=True)
+    return KnownAnswers.from_pairs(pair_keys(rows[:, 0], rows[:, 1]), rows[:, 2])
+
+
 class EdgeIndex(NamedTuple):
-    """All edges of a view as flat arrays, in neighborhood order (CSR layout).
+    """All edges of a view as flat arrays, grouped by owner (CSR layout).
 
     Edge ``i`` leads from entity ``owner[i]`` via ``relation[i]`` to row
     ``source[i]`` of the source table: one row per entity, then one row per
-    attribute value, in value id order. Entity ``e`` owns edges
-    ``offsets[e]:offsets[e + 1]``. Only the ``active`` entities (those with
-    at least one edge) own a segment; ``segments`` delimits those segments,
-    so none is empty. ``merge[e]`` is entity ``e``'s row in the table of the
-    active entities' new rows followed by every entity's previous row.
+    attribute value, in value id order. The ``active`` entities (those with
+    at least one edge) own one segment each, in entity order; ``segments``
+    delimits them, so none is empty. ``merge[e]`` is entity ``e``'s row in
+    the table of the active entities' new rows followed by every entity's
+    previous row.
     """
 
-    offsets: np.ndarray
     owner: np.ndarray
     relation: np.ndarray
     source: np.ndarray
@@ -182,68 +234,47 @@ class EdgeIndex(NamedTuple):
     merge: np.ndarray
 
 
-def build_edge_index(neighborhood: list[list[Neighbor]]) -> EdgeIndex:
-    """Flatten per-entity neighbor lists into an ``EdgeIndex``."""
-    n = len(neighborhood)
-    counts = np.array([len(nbs) for nbs in neighborhood], dtype=np.intp)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-    flat = [nb for nbs in neighborhood for nb in nbs]
-    relation = np.array([nb.relation for nb in flat], dtype=np.intp)
-    target = np.array([nb.target for nb in flat], dtype=np.intp)
-    is_attribute = np.array([nb.is_attribute for nb in flat], dtype=bool)
-    source = target + n * is_attribute
-    active = np.flatnonzero(counts)
-    merge = np.arange(n, dtype=np.intp) + len(active)
-    merge[active] = np.arange(len(active))
-    return EdgeIndex(
-        offsets=offsets,
-        owner=np.repeat(np.arange(n, dtype=np.intp), counts),
-        relation=relation,
-        source=source,
-        active=active,
-        segments=np.append(offsets[active], len(flat)).astype(np.intp),
-        merge=merge,
-    )
-
-
 class GraphView:
-    """A propagation view: entity count plus a (possibly restricted) neighborhood.
+    """A propagation view: the graph plus the edges that messages follow.
 
     Training and evaluation propagate over the training edges only, so the
     held-out triples never leak into the message passing.
     """
 
-    def __init__(self, kg: KnowledgeGraph, neighborhood: list[list[Neighbor]]):
+    def __init__(self, kg: KnowledgeGraph, edges: EdgeIndex):
         self.kg = kg
-        self.neighborhood = neighborhood
-        self._edges: EdgeIndex | None = None
+        self.edges = edges
 
     @property
     def entity_count(self) -> int:
         return self.kg.num_entities
 
-    @property
-    def edges(self) -> EdgeIndex:
-        """The neighborhood as flat edge arrays, built on first use."""
-        if self._edges is None:
-            self._edges = build_edge_index(self.neighborhood)
-        return self._edges
+    @cached_property
+    def neighborhood(self) -> list[list[Neighbor]]:
+        """Per entity, its outgoing edges as ``Neighbor``s, in edge order."""
+        n, e = self.entity_count, self.edges
+        nb: list[list[Neighbor]] = [[] for _ in range(n)]
+        for owner, rel, src in zip(e.owner.tolist(), e.relation.tolist(), e.source.tolist()):
+            nb[owner].append(Neighbor(rel, src - n if src >= n else src, src >= n))
+        return nb
 
     @classmethod
     def restricted(
         cls, kg: KnowledgeGraph, relation_triples: Iterable[RelationTriple], use_attributes: bool = True
     ) -> "GraphView":
         """View over the given relation triples (and all attribute triples
-        when ``use_attributes``). Each entity's neighborhood lists its
-        outgoing (relation, target) pairs in load order: relation triples
-        first, then attribute triples."""
-        nb: list[list[Neighbor]] = [[] for _ in range(kg.num_entities)]
-        for t in relation_triples:
-            nb[t.head].append(Neighbor(t.relation, t.tail, False))
-        if use_attributes:
-            for a in kg.attribute_triples:
-                nb[a.head].append(Neighbor(a.relation, a.value, True))
-        return cls(kg, nb)
+        when ``use_attributes``). Each entity's edges are its outgoing
+        (relation, target) pairs in load order: relation triples first,
+        then attribute triples."""
+        n = kg.num_entities
+        rows = triple_rows(kg, relation_triples, use_attributes)
+        owner, relation, source = rows[np.argsort(rows[:, 0], kind="stable")].T.copy()
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))  # each owner's first edge
+        active = owner[starts]
+        merge = np.arange(n) + len(active)
+        merge[active] = np.arange(len(active))
+        segments = np.append(starts, len(rows))
+        return cls(kg, EdgeIndex(owner, relation, source, active, segments, merge))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +324,12 @@ def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input
             raise ParseError(source, ln, "empty field in attribute triple")
         if len(lit) >= 2 and lit.startswith('"') and lit.endswith('"'):
             lit = lit[1:-1]
-        tokens = tokenize(lit)
-        if not tokens:
-            raise ParseError(source, ln, "attribute literal has no tokens")
-        trip = AttributeTriple(
-            kg.entities.intern(h), kg.relations.intern(r), kg._intern_value(lit, tokens)
-        )
-        stored = kg._store_attribute(trip)
-        if stored is not None:
-            out.append(stored)
+        try:
+            trip = kg.add_attribute_triple(h, r, lit)
+        except DomainError as err:
+            raise ParseError(source, ln, str(err)) from err
+        if trip is not None:
+            out.append(trip)
     return out
 
 
@@ -710,8 +738,11 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
         kg.entities.intern(name)
     for name in data["relations"]:
         kg.relations.intern(name)
-    for literal in data["values"]:
-        kg._intern_value(literal, tokenize(literal))
+    for i, literal in enumerate(data["values"]):
+        tokens = tokenize(literal)
+        if not tokens:
+            raise IntegrityError(f"{source}: bundle value {i} has no tokens: {literal!r}")
+        kg._intern_value(literal, tokens)
     for h, r, t in data["relation_triples"]:
         kg._store_relation(RelationTriple(h, r, t))
     for h, r, v in data["attribute_triples"]:

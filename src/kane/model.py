@@ -215,6 +215,28 @@ def params_from_arrays(
     )
 
 
+def parameter_shapes(
+    config: ModelConfig, entity_count: int, relation_count: int, vocab_size: int, class_count: int
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter ``init_params`` makes for these
+    counts, in ``named_parameters`` order."""
+    d, hd = config.dim, config.head_dim
+    out = [("entity", (entity_count, d)), ("relation", (relation_count, d))]
+    if vocab_size > 0:
+        out.append(("word", (vocab_size, d)))
+        if config.encoder == "lstm":
+            out += [
+                (f"lstm.{f.name}", (d,) if f.name.startswith("b_") else (d, d))
+                for f in fields(LstmParams)
+            ]
+    out += [(f"head_w.{l}.{i}", (hd, d)) for l in range(config.layers) for i in range(config.heads)]
+    if config.aggregator == "concat":
+        out += [(f"out_w.{l}", (d, config.heads * hd)) for l in range(config.layers)]
+    if class_count > 0:
+        out += [("cls_w", (class_count, d)), ("cls_b", (class_count,))]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # attribute value encoding
 

@@ -4,6 +4,7 @@ Two tasks share the propagation model but train separately:
 
 * ``completion``      -- margin hinge loss over positive triples (training
   relation triples plus all attribute triples) against sampled corruptions.
+  Both are ``kgdata.triple_rows``; ``corrupt`` draws a whole batch at once.
 * ``classification``  -- per-class binary cross-entropy on the labeled
   training entities.
 
@@ -24,13 +25,17 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+# evaluation's functions are looked up on the module at call time, so that
+# wrappers installed on its attributes (bench/tracer.py) also see validation
+from . import evaluation
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, IntegrityError, SamplingError, TrainingError
 from .kgdata import (
-    AttributeTriple, DatasetSplit, GraphView, KnowledgeGraph, RelationTriple,
+    DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, known_triples, pair_keys, triple_rows,
 )
 from .model import (
-    ModelConfig, ModelParams, encode_value, forward_all, init_params, params_from_arrays,
+    ModelConfig, ModelParams, encode_value, forward_all, init_params, parameter_shapes,
+    params_from_arrays,
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
@@ -107,47 +112,41 @@ _MAX_RESAMPLE = 1000
 
 
 def corrupt(
-    triple: RelationTriple | AttributeTriple,
+    positives: np.ndarray,
     kg: KnowledgeGraph,
+    known: KnownAnswers,
     rng: np.random.Generator,
     n: int,
-) -> list[RelationTriple | AttributeTriple]:
-    """``n`` corruptions of a positive triple, filtered against known positives.
+) -> np.ndarray:
+    """``n`` corruptions of each positive row, filtered against known positives.
 
-    Each draw replaces the head or the tail (the attribute value, for
-    attribute triples), chosen uniformly; draws that reproduce any known
-    positive are resampled.
+    ``positives`` are (m, 3) ``triple_rows`` and ``known`` is
+    ``known_triples(kg)``; returns (m * n, 3) rows grouped by positive. A
+    fair coin picks the head or the target, which is replaced by a uniform
+    entity (a uniform value, for an attribute row's target). Slots that hit
+    a known triple are drawn again, coin included.
     """
-    is_attr = isinstance(triple, AttributeTriple)
-    if kg.num_entities < 2:
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    ne, nv = kg.num_entities, kg.num_values
+    if ne < 2:
         raise SamplingError("cannot corrupt: need at least 2 entities")
-    if is_attr and kg.num_values < 2:
+    if (pos[:, 2] >= ne).any() and nv < 2:
         raise SamplingError("cannot corrupt attribute value: need at least 2 values")
-    known_rel = kg.relation_triple_set
-    known_attr = kg.attribute_triple_set
-    out: list[RelationTriple | AttributeTriple] = []
-    for _ in range(n):
-        for attempt in range(_MAX_RESAMPLE):
-            corrupt_head = bool(rng.integers(2))
-            if is_attr:
-                if corrupt_head:
-                    cand = AttributeTriple(int(rng.integers(kg.num_entities)), triple.relation, triple.value)
-                else:
-                    cand = AttributeTriple(triple.head, triple.relation, int(rng.integers(kg.num_values)))
-                if cand not in known_attr:
-                    out.append(cand)
-                    break
-            else:
-                if corrupt_head:
-                    cand = RelationTriple(int(rng.integers(kg.num_entities)), triple.relation, triple.tail)
-                else:
-                    cand = RelationTriple(triple.head, triple.relation, int(rng.integers(kg.num_entities)))
-                if cand not in known_rel:
-                    out.append(cand)
-                    break
-        else:
-            raise SamplingError(f"no valid corruption found for {triple} after {_MAX_RESAMPLE} draws")
-    return out
+    out = np.repeat(pos, n, axis=0)
+    slots = np.arange(len(out))
+    for _ in range(_MAX_RESAMPLE):
+        cand = pos[slots // n]
+        head = rng.integers(2, size=slots.size).astype(bool)
+        value = (cand[:, 2] >= ne) & ~head
+        draw = rng.integers(np.where(value, ne, 0), np.where(value, ne + nv, ne))
+        cand[np.arange(slots.size), np.where(head, 0, 2)] = draw
+        out[slots] = cand
+        slots = slots[known.contains(pair_keys(cand[:, 0], cand[:, 1]), cand[:, 2])]
+        if not slots.size:
+            return out
+    raise SamplingError(
+        f"no valid corruption found for {pos[slots[0] // n].tolist()} after {_MAX_RESAMPLE} draws"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +217,25 @@ def _renormalize_entities(params: ModelParams) -> None:
 # batch losses
 
 def _completion_batch_loss(
-    batch: list[RelationTriple | AttributeTriple],
-    negatives: list[list[RelationTriple | AttributeTriple]],
+    positives: np.ndarray,
+    negatives: np.ndarray,
     ent: Tensor,
     params: ModelParams,
     config: TrainConfig,
     values: Tensor | None = None,
 ) -> Tensor:
-    """Hinge loss of a batch against its negatives. Attribute tails read
-    ``values``, the value table from ``encode_value`` over all value ids."""
-    triples: list[RelationTriple | AttributeTriple] = list(batch)
-    for negs in negatives:
-        triples.extend(negs)
-
-    # tails index one table: the entity rows, then the value rows by value id
+    """Hinge loss of positive rows against their negative rows, grouped by
+    positive. Attribute targets read ``values``, the value table from
+    ``encode_value`` over all value ids."""
+    rows = np.concatenate([positives, negatives])
+    # targets index one table: the entity rows, then the value rows by value id
     table = ent if values is None else ad.concat_rows([ent, values])
-    tails = [ent.shape[0] + t.value if isinstance(t, AttributeTriple) else t.tail for t in triples]
-
-    head_mat = ad.rows(ent, [t.head for t in triples])
-    tail_mat = ad.rows(table, tails)
-    rel_mat = ad.rows(params.relation, [t.relation for t in triples])
+    head_mat = ad.rows(ent, rows[:, 0])
+    tail_mat = ad.rows(table, rows[:, 2])
+    rel_mat = ad.rows(params.relation, rows[:, 1])
     dists = ad.rowwise_norm(ad.sub(ad.add(head_mat, rel_mat), tail_mat), config.model.norm)
-    d_pos = ad.slice_vec(dists, 0, len(batch))
-    d_neg = ad.slice_vec(dists, len(batch), len(triples))
+    d_pos = ad.slice_vec(dists, 0, len(positives))
+    d_neg = ad.slice_vec(dists, len(positives), len(rows))
     return hinge_loss(d_pos, d_neg, config.margin, config.negatives)
 
 
@@ -278,17 +273,16 @@ def train(
     value_ids = np.arange(kg.num_values) if config.model.use_attributes and kg.num_values else None
 
     if config.task == "completion":
-        positives: list = list(split.train)
-        if config.model.use_attributes:
-            positives.extend(kg.attribute_triples)
-        if not positives and config.epochs > 0:
+        positives = triple_rows(kg, split.train, config.model.use_attributes)
+        known = known_triples(kg)
+        if not len(positives) and config.epochs > 0:
             raise ConfigError("no training triples")
         has_validation = bool(split.valid)
     else:
         if split.labels is None or class_count < 1:
             raise ConfigError("classification training needs labels")
-        positives = list(split.label_train)
-        if not positives and config.epochs > 0:
+        positives = np.array(split.label_train, dtype=np.int64)
+        if not len(positives) and config.epochs > 0:
             raise ConfigError("no labeled training entities")
         for e in positives:
             if e not in split.labels:
@@ -299,19 +293,20 @@ def train(
     best_metric: float | None = None
     best_snap: dict[str, np.ndarray] | None = None
     checks_since_best = 0
+    filt = None  # the filter index, built at the first completion validation
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(len(positives))
         total_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            chunk = [positives[int(j)] for j in order[start:start + config.batch_size]]
+            chunk = positives[order[start:start + config.batch_size]]
             if config.task == "completion":
-                negs = [corrupt(p, kg, rng, config.negatives) for p in chunk]
+                negs = corrupt(chunk, kg, known, rng, config.negatives)
             ad.zero_grads(params.all_tensors())
             with Tape() as tape:
                 if config.task == "completion":
-                    # one value table, read by propagation and by the loss's attribute tails
+                    # one value table, read by propagation and by the loss's attribute targets
                     values = None
                     if value_ids is not None:
                         values = encode_value(value_ids, view, params, config.model)
@@ -335,7 +330,9 @@ def train(
         report.epoch_seconds.append(time.perf_counter() - t0)
 
         if config.val_every and has_validation and epoch % config.val_every == 0:
-            metric = _validation_metric(kg, split, view, params, config)
+            if config.task == "completion" and filt is None:
+                filt = evaluation.build_filter_index(kg)
+            metric = _validation_metric(split, view, params, config, filt)
             report.validation.append((epoch, metric))
             if best_metric is None or metric > best_metric:
                 best_metric = metric
@@ -356,19 +353,14 @@ def train(
 
 
 def _validation_metric(
-    kg: KnowledgeGraph,
     split: DatasetSplit,
     view: GraphView,
     params: ModelParams,
     config: TrainConfig,
+    filt: evaluation.FilterIndex | None,
 ) -> float:
-    # looked up on the module at call time, so that wrappers installed on
-    # kane.evaluation's attributes (bench/tracer.py) also see validation
-    from . import evaluation
-
     ent = evaluation.entity_matrix(view, params, config.model)
     if config.task == "completion":
-        filt = evaluation.build_filter_index(kg)
         return evaluation.hits_fraction_for_triples(
             split.valid, ent, params.relation.data, config.model.norm, filt, k=10
         )
@@ -439,17 +431,17 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     if not isinstance(header, dict) or "config" not in header:
         raise IntegrityError("corrupt checkpoint header: no config")
     config = _config_from_dict(header["config"])
+    specs = _array_specs(header.get("arrays"), config.model)
     arrays: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
+    for name, shape in specs:
         count = int(np.prod(shape)) if shape else 1
         if len(blob) < off + count * 8:
             raise IntegrityError(
-                f"checkpoint truncated: array {spec['name']!r} needs {count * 8} bytes, "
+                f"checkpoint truncated: array {name!r} needs {count * 8} bytes, "
                 f"{len(blob) - off} present"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        arrays[spec["name"]] = arr.astype(np.float64)
+        arrays[name] = arr.astype(np.float64)
         off += count * 8
     if off != len(blob):
         raise IntegrityError(f"checkpoint has {len(blob) - off} trailing bytes")
@@ -459,6 +451,32 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         vocab_size=int(arrays["word"].shape[0]) if "word" in arrays else 0,
     )
     return params, config, header
+
+
+def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The header's (name, shape) list, checked against the layout that the
+    model config and the row counts of the embedding tables imply."""
+    if not isinstance(specs, list):
+        raise IntegrityError("corrupt checkpoint header: no arrays")
+    out = []
+    for spec in specs:
+        ok = isinstance(spec, dict) and isinstance(spec.get("name"), str)
+        shape = spec.get("shape") if ok else None
+        if not (isinstance(shape, list) and all(type(x) is int and x >= 0 for x in shape)):
+            raise IntegrityError(f"corrupt checkpoint header: bad array entry {spec!r}")
+        out.append((spec["name"], tuple(shape)))
+    rows = {name: shape[0] for name, shape in out if shape}
+    counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_w")]
+    expected = parameter_shapes(model, *counts)
+    if out != expected:
+        names, want = [n for n, _ in out], [n for n, _ in expected]
+        if names != want:
+            raise IntegrityError(f"checkpoint arrays {names} do not match the config's {want}")
+        name, shape, need = next((n, a, b) for (n, a), (_, b) in zip(out, expected) if a != b)
+        raise IntegrityError(f"checkpoint array {name!r} has shape {shape}, the config implies {need}")
+    if not (counts[0] and counts[1]):
+        raise IntegrityError("checkpoint has no entity or no relation rows")
+    return out
 
 
 def _config_to_dict(config: TrainConfig) -> dict:
@@ -478,7 +496,31 @@ def _check_keys(section, keys: tuple[str, ...], what: str) -> None:
         )
 
 
+def _typed_values(section: dict, cls, what: str) -> dict:
+    """``section``'s values for the fields of dataclass ``cls``, each checked
+    against the type of the field's default (an int is accepted for a float)."""
+    out = {}
+    for f in fields(cls):
+        if f.name == "model":
+            continue
+        value, want = section[f.name], type(f.default)
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise IntegrityError(
+                f"corrupt checkpoint config: {what}{f.name} must be {want.__name__}, got {value!r}"
+            )
+        out[f.name] = want(value)
+    return out
+
+
 def _config_from_dict(d: dict) -> TrainConfig:
     _check_keys(d, ("model", *TRAIN_KEYS), "config")
     _check_keys(d["model"], MODEL_KEYS, "model config")
-    return TrainConfig(model=ModelConfig(**d["model"]), **{k: d[k] for k in TRAIN_KEYS})
+    config = TrainConfig(
+        model=ModelConfig(**_typed_values(d["model"], ModelConfig, "model.")),
+        **_typed_values(d, TrainConfig, ""),
+    )
+    try:
+        config.validate()
+    except ConfigError as err:
+        raise IntegrityError(f"corrupt checkpoint config: {err}") from err
+    return config

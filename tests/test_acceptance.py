@@ -35,6 +35,8 @@ from kane.kgdata import (
     bundle_from_json,
     bundle_to_json,
     generate_synthetic_kg,
+    known_triples,
+    triple_rows,
 )
 import kane.model as model_module
 from kane.model import ModelConfig, forward_all, init_params
@@ -171,8 +173,8 @@ def _end_to_end_case(seed: int, task: str):
     )
     view = GraphView.restricted(kg, split.train, model.use_attributes)
     if task == "completion":
-        batch = list(kg.relation_triples[:2])
-        negs = [corrupt(p, kg, np.random.default_rng(seed + 80), 2) for p in batch]
+        batch = triple_rows(kg, kg.relation_triples[:2])
+        negs = corrupt(batch, kg, known_triples(kg), np.random.default_rng(seed + 80), 2)
 
         def forward():
             finals = forward_all(view, params, model)
@@ -265,9 +267,8 @@ def test_attention_normalization():
             model_module._value_table(view, params, config),
             view, params, config, layer,
         )[head]
-        offsets = view.edges.offsets
         for e in range(kg.num_entities):
-            w = weights.data[offsets[e]:offsets[e + 1]]
+            w = weights.data[view.edges.owner == e]
             assert w.shape == (len(view.neighborhood[e]),)
             worst_sum_gap = max(worst_sum_gap, abs(float(w.sum()) - 1.0))
             assert (w >= 0.0).all(), "negative attention weight"
@@ -377,6 +378,7 @@ def test_encoder_properties():
 def test_translation_degeneracy_matches_reference():
     kg = random_kg(np.random.default_rng(7), entities=10, relations=3, triples=30)
     split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+    known = known_triples(kg)
     worst = 0.0
     for batch_idx in range(50):
         norm = "l1" if batch_idx % 2 == 0 else "l2"
@@ -392,8 +394,8 @@ def test_translation_degeneracy_matches_reference():
         view = GraphView.restricted(kg, split.train, False)
         rng = np.random.default_rng(200 + batch_idx)
         picks = rng.permutation(len(split.train))[:4]
-        batch = [split.train[int(j)] for j in picks]
-        negs = [corrupt(p, kg, rng, config.negatives) for p in batch]
+        batch = triple_rows(kg, split.train)[picks]
+        negs = corrupt(batch, kg, known, rng, config.negatives)
         finals = forward_all(view, params, model)
         got = float(
             _completion_batch_loss(batch, negs, finals, params, config).data
@@ -401,8 +403,8 @@ def test_translation_degeneracy_matches_reference():
         want = reference_transe_hinge(
             params.entity.data,
             params.relation.data,
-            [(t.head, t.relation, t.tail) for t in batch],
-            [[(t.head, t.relation, t.tail) for t in group] for group in negs],
+            batch.tolist(),
+            negs.reshape(len(batch), config.negatives, 3).tolist(),
             margin=margin,
             norm=norm,
         )

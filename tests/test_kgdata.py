@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kane.errors import ConfigError, IntegrityError, ParseError
+from kane.errors import ConfigError, DomainError, IntegrityError, KaneError, ParseError
 from kane.kgdata import (
     AttributeTriple, GraphView, Interner, KnowledgeGraph, RelationTriple,
     attributes_to_tsv, bundle_checksum, bundle_from_json, bundle_to_json, generate_synthetic_kg,
-    kg_statistics, labels_to_tsv, parse_attribute_triples, parse_labels,
+    kg_statistics, known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
     parse_relation_triples, relations_to_tsv, split_labeled_entities,
-    split_relation_triples, tokenize,
+    split_relation_triples, tokenize, triple_rows,
 )
 
 from helpers import kg_from_name_triples, random_kg
@@ -63,6 +64,42 @@ def test_duplicates_dropped_and_counted():
     assert kg.dropped_relation_duplicates == 1
     assert kg.dropped_attribute_duplicates == 1
     assert len(kg.relation_triples) == 1 and len(kg.attribute_triples) == 1
+
+
+def test_add_attribute_triple_refuses_literal_without_tokens():
+    kg = KnowledgeGraph()
+    with pytest.raises(DomainError, match="no tokens") as err:
+        kg.add_attribute_triple("a", "p", "  ")
+    assert isinstance(err.value, KaneError)
+    assert kg.num_entities == 0 and kg.num_values == 0  # nothing was interned
+
+
+def test_triple_rows_put_values_after_entities():
+    kg = random_kg(np.random.default_rng(3), entities=6, relations=2, triples=10,
+                   attribute_relations=2, attribute_triples=5)
+    ne = kg.num_entities
+    rows = triple_rows(kg, kg.relation_triples, with_attributes=True)
+    assert rows.dtype == np.int64
+    assert [tuple(r) for r in rows.tolist()] == [tuple(t) for t in kg.relation_triples] + [
+        (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+    ]
+    assert triple_rows(kg, kg.relation_triples[:3]).tolist() == [list(t) for t in kg.relation_triples[:3]]
+    assert triple_rows(kg, []).shape == (0, 3)
+
+
+def test_known_triples_agree_with_python_set():
+    for seed in range(6):
+        kg = random_kg(np.random.default_rng(seed), entities=6, relations=3, triples=14,
+                       attribute_relations=2, attribute_triples=8)
+        ne = kg.num_entities
+        want = {tuple(t) for t in kg.relation_triples} | {
+            (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+        }
+        grid = np.array(list(itertools.product(
+            range(ne), range(kg.num_relations), range(ne + kg.num_values)
+        )))
+        hit = known_triples(kg).contains(pair_keys(grid[:, 0], grid[:, 1]), grid[:, 2])
+        assert {tuple(r) for r in grid[hit].tolist()} == want
 
 
 def test_neighborhood_lists_relations_then_attributes_in_load_order():
@@ -391,13 +428,14 @@ MALFORMED_BUNDLES = [
     (lambda d: d["labels"]["by_entity"][0].__setitem__(0, 50), "labels by_entity entry 0 is out of range"),
     (lambda d: d["labels"]["test"].__setitem__(1, -3), "labels test entry 1 is out of range"),
     (lambda d: d["labels"].pop("classes"), "labels lacks classes"),
+    (lambda d: d["values"].__setitem__(2, " "), "value 2 has no tokens"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_BUNDLES, ids=[
     "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
     "duplicate-triple", "value-id", "float-id", "entities-string", "dropped-count",
-    "class-id", "label-entity", "label-test-entity", "no-classes",
+    "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
 ])
 def test_malformed_bundle_names_source_and_problem(edit, message):
     with pytest.raises(IntegrityError, match=f"^data/b.json: bundle .*{message}"):

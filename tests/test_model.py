@@ -11,7 +11,7 @@ import kane.model as model_module
 import kane.oracle as oracle
 from kane.errors import ConfigError, ShapeError
 from kane.evaluation import classification_accuracy
-from kane.kgdata import DatasetSplit, GraphView, RelationTriple
+from kane.kgdata import DatasetSplit, GraphView
 from kane.model import (
     ModelConfig,
     aggregate,
@@ -19,6 +19,7 @@ from kane.model import (
     forward_all,
     init_params,
     is_translation_mode,
+    parameter_shapes,
     params_from_arrays,
 )
 from kane.training import TrainConfig, _classification_batch_loss, _completion_batch_loss
@@ -67,8 +68,7 @@ def layer_heads(view, params, config, layer=0):
 
 def edge_slice(view, weights, e):
     """Entity ``e``'s attention weights, one per neighbor."""
-    offsets = view.edges.offsets
-    return weights.data[offsets[e]:offsets[e + 1]]
+    return weights.data[view.edges.owner == e]
 
 
 def numpy_logits(config, transform, head_vec, neighbors):
@@ -185,6 +185,17 @@ def test_params_from_arrays_round_trip():
         assert np.array_equal(got[name].data, want[name].data), name
 
 
+@pytest.mark.parametrize("config, vocab, classes", [
+    (ModelConfig(dim=5, head_dim=4, heads=2, layers=2, encoder="lstm"), 8, 2),
+    (ModelConfig(dim=4, head_dim=4, heads=3, layers=1, aggregator="average"), 5, 0),
+    (ModelConfig(dim=3, head_dim=2, heads=1, layers=0, encoder="lstm"), 0, 4),
+], ids=["lstm-concat-classes", "bow-average", "no-words"])
+def test_parameter_shapes_match_init_params(config, vocab, classes):
+    params = init_params(6, 3, vocab, classes, config, np.random.default_rng(2))
+    want = [(name, t.data.shape) for name, t in params.named_parameters()]
+    assert parameter_shapes(config, 6, 3, vocab, classes) == want
+
+
 # ---------------------------------------------------------------------------
 # attention
 
@@ -255,11 +266,12 @@ class TestAttention:
         sink = kg.entities.id_of("b")
         edges = view.edges
         # attention over an empty neighborhood is refused, so the sink owns
-        # an empty range of the edge list but no softmax segment
-        assert edges.offsets[sink] == edges.offsets[sink + 1]
+        # no edge and no softmax segment
+        assert sink not in edges.owner
         with pytest.raises(ShapeError):
-            ad.segment_softmax(ad.constant(np.zeros(1)), edges.offsets)
+            ad.segment_softmax(ad.constant(np.zeros(1)), np.array([0, 1, 1]))
         assert sink not in edges.active
+        assert edges.segments.tolist() == [0, 1]
         weights, outputs = layer_heads(view, params, config)[0]
         assert weights.shape == (1,) and outputs.shape == (1, 3)
 
@@ -327,7 +339,7 @@ def test_score_hand_values():
         params.entity.data = np.array([[1.0, 2.0], [0.0, 0.0]])
         params.relation.data = np.array([[0.0, 1.0]])
         loss = _completion_batch_loss(
-            [RelationTriple(h, 0, t)], [[RelationTriple(t, 0, t)]], params.entity, params, config
+            np.array([[h, 0, t]]), np.array([[t, 0, t]]), params.entity, params, config
         )
         assert abs(float(loss.data) - (10.0 + d_pos - 1.0)) < 1e-12
 

@@ -12,7 +12,7 @@ import pytest
 import kane.autodiff as ad
 import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
-from kane.kgdata import AttributeTriple, DatasetSplit, GraphView, RelationTriple
+from kane.kgdata import DatasetSplit, GraphView, known_triples, triple_rows
 from kane.model import ModelConfig, encode_value, forward_all, init_params
 from kane.training import (
     CHECKPOINT_MAGIC,
@@ -45,63 +45,114 @@ from helpers import (
 # negative sampling
 
 
+def _corrupt_all(kg, n, seed, rows=None, with_attributes=False):
+    """``n`` corruptions of every row (default: all relation triples)."""
+    if rows is None:
+        rows = triple_rows(kg, kg.relation_triples, with_attributes)
+    return rows, corrupt(rows, kg, known_triples(kg), np.random.default_rng(seed), n)
+
+
+def _known_set(kg) -> set[tuple[int, int, int]]:
+    """Every known triple of every split, as row tuples, built in plain Python."""
+    ne = kg.num_entities
+    return {tuple(t) for t in kg.relation_triples} | {
+        (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+    }
+
+
 class TestCorrupt:
     def test_two_entity_graph_enumerates_both_corruptions(self):
         kg = kg_from_name_triples([("e0", "r", "e1")])
-        positive = kg.relation_triples[0]
-        rng = np.random.default_rng(0)
-        seen = {(c.head, c.tail) for c in corrupt(positive, kg, rng, 200)}
-        assert seen == {(0, 0), (1, 1)}
+        _, negs = _corrupt_all(kg, 200, 0)
+        assert {(h, t) for h, _, t in negs.tolist()} == {(0, 0), (1, 1)}
 
     def test_never_returns_known_positive(self):
         draws = 0
         for seed in range(4):
-            kg = random_kg(np.random.default_rng(seed), entities=7, triples=16)
-            rng = np.random.default_rng(100 + seed)
-            for positive in kg.relation_triples:
-                for cand in corrupt(positive, kg, rng, 80):
+            kg = random_kg(np.random.default_rng(seed), entities=7, triples=16,
+                           attribute_relations=2, attribute_triples=6)
+            known = _known_set(kg)
+            # corrupt a training part only; the held-out triples stay known
+            train = kg.relation_triples[: len(kg.relation_triples) // 2]
+            rows = triple_rows(kg, train, with_attributes=True)
+            _, negs = _corrupt_all(kg, 80, 100 + seed, rows)
+            for pos, group in zip(rows.tolist(), negs.reshape(len(rows), 80, 3).tolist()):
+                for cand in group:
                     draws += 1
-                    assert cand not in kg.relation_triple_set
-                    assert cand.relation == positive.relation
+                    assert tuple(cand) not in known
+                    assert cand[1] == pos[1]
         assert draws >= 4000
 
     def test_deterministic_for_fixed_rng(self):
-        kg = random_kg(np.random.default_rng(1), entities=6, triples=14)
-        positive = kg.relation_triples[3]
-        a = corrupt(positive, kg, np.random.default_rng(7), 25)
-        b = corrupt(positive, kg, np.random.default_rng(7), 25)
-        assert a == b
+        kg = random_kg(np.random.default_rng(1), entities=6, triples=14,
+                       attribute_relations=1, attribute_triples=4)
+        _, a = _corrupt_all(kg, 25, 7, with_attributes=True)
+        _, b = _corrupt_all(kg, 25, 7, with_attributes=True)
+        assert np.array_equal(a, b)
 
     def test_returns_requested_count(self):
         kg = random_kg(np.random.default_rng(2), entities=6, triples=14)
-        assert len(corrupt(kg.relation_triples[0], kg, np.random.default_rng(0), 13)) == 13
+        rows, negs = _corrupt_all(kg, 13, 0)
+        assert negs.shape == (13 * len(rows), 3)
+        groups = negs.reshape(len(rows), 13, 3)
+        # each corruption keeps its positive's relation and one of its two ends
+        assert (groups[:, :, 1] == rows[:, None, 1]).all()
+        kept = (groups[:, :, 0] == rows[:, None, 0]) | (groups[:, :, 2] == rows[:, None, 2])
+        assert kept.all()
+        assert corrupt(rows[:0], kg, known_triples(kg), np.random.default_rng(0), 3).shape == (0, 3)
 
     def test_attribute_triples_swap_head_or_value(self):
         kg = kg_from_name_triples(
             [("a", "r", "b")],
             [("a", "color", "red"), ("b", "color", "green"), ("a", "size", "big")],
         )
-        positive = kg.attribute_triples[0]
-        rng = np.random.default_rng(3)
-        for cand in corrupt(positive, kg, rng, 300):
-            assert isinstance(cand, AttributeTriple)
-            assert cand not in kg.attribute_triple_set
-            assert cand.relation == positive.relation
-            changed_head = cand.head != positive.head
-            changed_value = cand.value != positive.value
+        ne = kg.num_entities
+        positive = triple_rows(kg, [], with_attributes=True)[:1]
+        _, negs = _corrupt_all(kg, 300, 3, positive)
+        known = _known_set(kg)
+        for h, r, target in negs.tolist():
+            assert (h, r, target) not in known
+            assert r == positive[0, 1]
+            assert ne <= target < ne + kg.num_values  # the target stays a value
+            changed_head = h != positive[0, 0]
+            changed_value = target != positive[0, 2]
             assert changed_head != changed_value  # exactly one slot replaced
+
+    def test_valid_corruptions_drawn_uniformly(self):
+        # positive (a, r, b) on four entities; (c, r, b) and (a, r, d) are
+        # also known, so the valid corruptions are (b, r, b), (d, r, b),
+        # (a, r, a) and (a, r, c): each has draw weight 1/2 * 1/4
+        kg = kg_from_name_triples([("a", "r", "b"), ("c", "r", "b"), ("a", "r", "d")])
+        a, b, c, d = (kg.entities.id_of(x) for x in "abcd")
+        draws = 8000
+        _, negs = _corrupt_all(kg, draws, 11, triple_rows(kg, kg.relation_triples[:1]))
+        counts = {}
+        for h, _, t in negs.tolist():
+            counts[(h, t)] = counts.get((h, t), 0) + 1
+        assert set(counts) == {(b, b), (d, b), (a, a), (a, c)}
+        # binomial(8000, 1/4): standard deviation about 38.7; allow 5 of them
+        sd = np.sqrt(draws * 0.25 * 0.75)
+        for pair, count in counts.items():
+            assert abs(count - draws / 4) <= 5 * sd, (pair, count)
 
     def test_saturated_graph_raises(self):
         kg = kg_from_name_triples(
             [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")]
         )
         with pytest.raises(SamplingError):
-            corrupt(kg.relation_triples[0], kg, np.random.default_rng(0), 1)
+            _corrupt_all(kg, 1, 0)
 
     def test_single_entity_graph_raises(self):
         kg = kg_from_name_triples([("a", "r", "a")])
         with pytest.raises(SamplingError):
-            corrupt(kg.relation_triples[0], kg, np.random.default_rng(0), 1)
+            _corrupt_all(kg, 1, 0)
+
+    def test_single_value_attribute_graph_raises(self):
+        kg = kg_from_name_triples([("a", "r", "b")], [("a", "color", "red")])
+        with pytest.raises(SamplingError, match="2 values"):
+            _corrupt_all(kg, 1, 0, with_attributes=True)
+        # relation rows alone still corrupt
+        assert _corrupt_all(kg, 2, 0)[1].shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +254,16 @@ def test_translation_mode_batch_loss_matches_reference(norm):
     split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
     view = GraphView.restricted(kg, split.train, model.use_attributes)
     rng = np.random.default_rng(8)
-    batch = list(kg.relation_triples[:4])
-    negs = [corrupt(p, kg, rng, config.negatives) for p in batch]
+    batch = triple_rows(kg, kg.relation_triples[:4])
+    negs = corrupt(batch, kg, known_triples(kg), rng, config.negatives)
 
     finals = forward_all(view, params, model)
     got = float(_completion_batch_loss(batch, negs, finals, params, config).data)
     want = reference_transe_hinge(
         params.entity.data,
         params.relation.data,
-        [(t.head, t.relation, t.tail) for t in batch],
-        [[(t.head, t.relation, t.tail) for t in group] for group in negs],
+        batch.tolist(),
+        negs.reshape(len(batch), config.negatives, 3).tolist(),
         margin=config.margin,
         norm=norm,
     )
@@ -231,8 +282,10 @@ def test_completion_loss_gradients_end_to_end():
     )
     split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
     view = GraphView.restricted(kg, split.train, model.use_attributes)
-    batch = list(kg.relation_triples[:2]) + list(kg.attribute_triples[:1])
-    negs = [corrupt(p, kg, np.random.default_rng(11), 2) for p in batch]
+    rows = triple_rows(kg, kg.relation_triples, with_attributes=True)
+    batch = np.concatenate([rows[:2], rows[len(kg.relation_triples):][:1]])
+    negs = corrupt(batch, kg, known_triples(kg), np.random.default_rng(11), 2)
+    assert batch[2, 2] >= kg.num_entities  # the attribute row reads the value table
 
     def forward():
         values = encode_value(np.arange(kg.num_values), view, params, model)
@@ -540,6 +593,56 @@ class TestCheckpoint:
             load_checkpoint_bytes(_with_header(blob, header))
         del header["config"]
         with pytest.raises(IntegrityError, match="no config"):
+            load_checkpoint_bytes(_with_header(blob, header))
+
+    def test_header_without_arrays_rejected(self):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        del header["arrays"]
+        with pytest.raises(IntegrityError, match="no arrays"):
+            load_checkpoint_bytes(_with_header(blob, header))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["model"].update(dim="x"), "model.dim must be int, got 'x'"),
+        (lambda c: c["model"].update(use_attributes=1), "model.use_attributes must be bool"),
+        (lambda c: c.update(epochs=2.0), "epochs must be int, got 2.0"),
+        (lambda c: c.update(margin="1"), "margin must be float"),
+        (lambda c: c["model"].update(norm="l3"), "norm must be one of"),
+        (lambda c: c.update(learning_rate=-1), "learning_rate must be > 0"),
+    ], ids=["str-for-int", "int-for-bool", "float-for-int", "str-for-float", "bad-norm", "bad-rate"])
+    def test_config_values_type_checked_and_validated(self, edit, message):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        edit(header["config"])
+        with pytest.raises(IntegrityError, match=message):
+            load_checkpoint_bytes(_with_header(blob, header))
+
+    def test_config_accepts_int_for_float(self):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        header["config"]["margin"] = 2
+        _, loaded, _ = load_checkpoint_bytes(_with_header(blob, header))
+        assert loaded.margin == 2.0 and type(loaded.margin) is float
+
+    def test_array_shapes_checked_against_config(self):
+        params, config = self._params_and_config()
+        entities = params.entity.data.shape[0]
+        params.entity.data = np.zeros((entities, config.model.dim + 1))
+        with pytest.raises(IntegrityError, match="'entity' has shape"):
+            load_checkpoint_bytes(save_checkpoint_bytes(params, config))
+        params, config = self._params_and_config()
+        params.relation.data = np.zeros((0, config.model.dim))
+        with pytest.raises(IntegrityError, match="no relation rows"):
+            load_checkpoint_bytes(save_checkpoint_bytes(params, config))
+        # a config with one more layer implies arrays the checkpoint lacks
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        header["config"]["model"]["layers"] += 1
+        with pytest.raises(IntegrityError, match="do not match"):
             load_checkpoint_bytes(_with_header(blob, header))
 
 
