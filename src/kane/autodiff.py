@@ -286,23 +286,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=0), parts, back)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Place matrices with equal row counts side by side."""
-    if not parts:
-        raise ShapeError("concat_cols: needs at least one tensor")
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != parts[0].shape[0]:
-            raise ShapeError(f"concat_cols: needs matrices of equal height, got {p.shape} vs {parts[0].shape}")
-    parts = tuple(parts)
-    bounds = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def back(g):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            _accum(p, g[:, lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), parts, back)
-
-
 def slice_vec(v: Tensor, start: int, stop: int) -> Tensor:
     if v.data.ndim != 1:
         raise ShapeError(f"slice_vec: needs a vector, got shape {v.shape}")
@@ -345,17 +328,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
         _accum(v, g.sum(axis=0))
 
     return _make(m.data + v.data, (m, v), back)
-
-
-def sum_cols(m: Tensor) -> Tensor:
-    """Sum over columns: (p, q) -> (p,)."""
-    if m.data.ndim != 2:
-        raise ShapeError(f"sum_cols: needs a matrix, got shape {m.shape}")
-
-    def back(g):
-        _accum(m, np.broadcast_to(g[:, None], m.shape))
-
-    return _make(m.data.sum(axis=1), (m,), back)
 
 
 def sum_all(t: Tensor) -> Tensor:
@@ -461,31 +433,41 @@ def _segments(offsets, length: int, op: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def segment_softmax(logits: Tensor, offsets) -> Tensor:
-    """Softmax within each segment of a logit vector (max-stabilized per segment)."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"segment_softmax: needs a vector, got shape {logits.shape}")
+    """Softmax within each segment (max-stabilized per segment), of a logit
+    vector or of each column of an (n, k) logit matrix."""
+    if logits.data.ndim == 0:
+        raise ShapeError("segment_softmax: needs a vector or a matrix, got a scalar")
     starts, counts = _segments(offsets, logits.shape[0], "segment_softmax")
     x = logits.data
-    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), counts))
-    val = e / np.repeat(np.add.reduceat(e, starts), counts)
+    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), counts, axis=0))
+    val = e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)
 
     def back(g):
-        _accum(logits, val * (g - np.repeat(np.add.reduceat(g * val, starts), counts)))
+        _accum(logits, val * (g - np.repeat(np.add.reduceat(g * val, starts), counts, axis=0)))
 
     return _make(val, (logits,), back)
 
 
 def segment_weighted_sum(weights: Tensor, values: Tensor, offsets) -> Tensor:
     """Per segment, the sum of its value rows scaled by their weights:
-    (n,) and (n, q) -> (segments, q)."""
-    if weights.data.ndim != 1 or values.data.ndim != 2 or weights.shape[0] != values.shape[0]:
+    (n,) or (n, k) and (n, q) -> (segments, q). A weight vector scales
+    whole rows; weight column j of a matrix scales column block j, of
+    width q / k, of the values."""
+    k = weights.shape[1] if weights.data.ndim == 2 else 1
+    if (weights.data.ndim == 0 or values.data.ndim != 2
+            or weights.shape[0] != values.shape[0] or values.shape[1] % k):
         raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
-    starts, counts = _segments(offsets, values.shape[0], "segment_weighted_sum")
-    w = weights.data[:, None]
+    n = values.shape[0]
+    starts, counts = _segments(offsets, n, "segment_weighted_sum")
+    w = weights.data.reshape(n, k, 1)
+
+    def blocks(m: np.ndarray) -> np.ndarray:
+        return m.reshape(n, k, -1)
 
     def back(g):
-        spread = np.repeat(g, counts, axis=0)
-        _accum(weights, (spread * values.data).sum(axis=1))
-        _accum(values, w * spread)
+        spread = blocks(np.repeat(g, counts, axis=0))
+        _accum(weights, (spread * blocks(values.data)).sum(axis=2).reshape(weights.shape))
+        _accum(values, (w * spread).reshape(values.shape))
 
-    return _make(np.add.reduceat(w * values.data, starts, axis=0), (weights, values), back)
+    scaled = (w * blocks(values.data)).reshape(values.shape)
+    return _make(np.add.reduceat(scaled, starts, axis=0), (weights, values), back)

@@ -672,6 +672,12 @@ def _require(obj, keys: tuple[str, ...], what: str, source: str) -> None:
 def _names(value, what: str, source: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise IntegrityError(f"{source}: bundle {what} is not a list of strings")
+    # ids are list positions, and interning a repeated name would drop one
+    seen: set[str] = set()
+    for i, name in enumerate(value):
+        if name in seen:
+            raise IntegrityError(f"{source}: bundle {what} entry {i} repeats {name!r}")
+        seen.add(name)
     return value
 
 

@@ -15,13 +15,20 @@ either by concatenation followed by a learned projection, or by averaging
 their previous-layer vector. Relation embeddings and attribute encodings
 are read fresh at every layer; only entity vectors propagate.
 
-Each layer runs over all edges of the view at once: it gathers the
-relation and neighbor rows of every edge, computes messages and logits
-with one matrix product per head, normalizes the logits with a softmax
-over each entity's segment of the edge list, and sums each segment's
-weighted messages. All attribute values of a pass are encoded in one
-batched encoder call into one value table, row ``v`` for value id ``v``,
-which propagation and the completion loss both read.
+Each layer runs over all edges of the view at once, for all heads at once.
+The head transforms are stacked into one (heads * head_dim, dim) matrix W,
+which multiplies the relation table and the source table (entity vectors,
+then value encodings) once each, before any per-edge gather: the query is
+row ``relation`` of the transformed relation table, and the message adds
+row ``source`` of the transformed source table to it, since
+W (r + n) = W r + W n. The bilinear logits are the per-head block sums of
+query * message, one matrix product by a constant 0/1 block matrix. One
+segment softmax normalizes every head's (edges, heads) logit column over
+each entity's segment of the edge list, and one segment weighted sum gives
+all head outputs side by side, in concat layout. All attribute values of a
+pass are encoded in one batched encoder call into one value table, row
+``v`` for value id ``v``, which propagation and the completion loss both
+read.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
@@ -270,54 +277,54 @@ def _value_table(view: GraphView, params: ModelParams, config: ModelConfig) -> T
 
 def _layer_heads(
     inputs: Tensor,
-    rel: Tensor,
+    rel: Tensor | None,
     values: Tensor | None,
     view: GraphView,
     params: ModelParams,
     config: ModelConfig,
     layer: int,
-) -> list[tuple[Tensor, Tensor]]:
-    """Per head: attention weights over all edges, (edges,), and the head
-    outputs of the entities that have neighbors, (active entities, head_dim).
+) -> tuple[Tensor, Tensor]:
+    """Attention weights over all edges and the head outputs, in concat
+    layout, of the entities that have neighbors: (active, heads * head_dim).
+    Bilinear weights are (edges, heads), column j for head j; translational
+    weights are one (edges,) vector that all heads share.
 
-    ``inputs`` are the previous layer's entity vectors, ``rel`` the relation
-    row of every edge and ``values`` the value table.
+    ``inputs`` are the previous layer's entity vectors, ``values`` the value
+    table and ``rel`` the relation row of every edge, which only
+    translational attention reads.
     """
     edges = view.edges
     table = inputs if values is None else ad.concat_rows([inputs, values])
-    src = ad.rows(table, edges.source)
-    summed = ad.add(rel, src)
-    if config.attention == "translational":
-        # the logit reads no head transform, so all heads share the weights
-        diff = ad.sub(ad.add(ad.rows(inputs, edges.owner), rel), src)
-        logits = ad.scale(ad.rowwise_norm(diff, config.norm), -1.0)
-        shared = ad.segment_softmax(logits, edges.segments)
-    heads = []
-    for w in params.head_w[layer]:
-        w_t = ad.transpose(w)
-        messages = ad.matmul(summed, w_t)
-        if config.attention == "bilinear":
-            raw = ad.sum_cols(ad.elementwise_mul(ad.matmul(rel, w_t), messages))
-            weights = ad.segment_softmax(ad.leaky_relu(raw, config.leaky_slope), edges.segments)
-        else:
-            weights = shared
-        heads.append((weights, ad.segment_weighted_sum(weights, messages, edges.segments)))
-    return heads
-
-
-def aggregate(head_outputs: list[Tensor], params: ModelParams, config: ModelConfig, layer: int) -> Tensor:
-    """Merge the (entities, head_dim) head output matrices into one
-    (entities, dim) matrix."""
-    if len(head_outputs) != config.heads:
-        raise ConfigError(f"expected {config.heads} head outputs, got {len(head_outputs)}")
-    if config.aggregator == "concat":
-        merged = ad.matmul(ad.concat_cols(head_outputs), ad.transpose(params.out_w[layer]))
+    # all heads stacked: W = [W_0; W_1; ...], applied to the tables before
+    # the per-edge gathers, since W (r + n) = W r + W n
+    w_t = ad.transpose(ad.concat_rows(params.head_w[layer]))
+    query = ad.rows(ad.matmul(params.relation, w_t), edges.relation)
+    messages = ad.add(query, ad.rows(ad.matmul(table, w_t), edges.source))
+    if config.attention == "bilinear":
+        # per-head block sums of q * m
+        blocks = ad.constant(np.repeat(np.eye(config.heads), config.head_dim, axis=0))
+        raw = ad.matmul(ad.elementwise_mul(query, messages), blocks)
+        logits = ad.leaky_relu(raw, config.leaky_slope)
     else:
-        total = head_outputs[0]
-        for h in head_outputs[1:]:
-            total = ad.add(total, h)
-        merged = ad.scale(total, 1.0 / config.heads)
-    return ad.leaky_relu(merged, config.leaky_slope)
+        # the logit reads no head transform, so all heads share the weights
+        diff = ad.sub(ad.add(ad.rows(inputs, edges.owner), rel), ad.rows(table, edges.source))
+        logits = ad.scale(ad.rowwise_norm(diff, config.norm), -1.0)
+    weights = ad.segment_softmax(logits, edges.segments)
+    return weights, ad.segment_weighted_sum(weights, messages, edges.segments)
+
+
+def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, layer: int) -> Tensor:
+    """Merge the (entities, heads * head_dim) head outputs, in concat layout,
+    into one (entities, dim) matrix."""
+    width = config.heads * config.head_dim
+    if head_outputs.data.ndim != 2 or head_outputs.shape[1] != width:
+        raise ConfigError(f"expected head outputs {width} wide, got shape {head_outputs.shape}")
+    if config.aggregator == "concat":
+        merge = ad.transpose(params.out_w[layer])
+    else:
+        # the mean of the head blocks
+        merge = ad.constant(np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads)
+    return ad.leaky_relu(ad.matmul(head_outputs, merge), config.leaky_slope)
 
 
 def forward_all(
@@ -340,10 +347,10 @@ def forward_all(
         return vecs
     if values is None:
         values = _value_table(view, params, config)
-    rel = ad.rows(params.relation, edges.relation)
+    rel = ad.rows(params.relation, edges.relation) if config.attention == "translational" else None
     for layer in range(config.layers):
-        heads = _layer_heads(vecs, rel, values, view, params, config, layer)
-        merged = aggregate([out for _, out in heads], params, config, layer)
+        _, outputs = _layer_heads(vecs, rel, values, view, params, config, layer)
+        merged = aggregate(outputs, params, config, layer)
         if edges.active.size < view.entity_count:
             # isolated entities keep their previous vector
             merged = ad.rows(ad.concat_rows([merged, vecs]), edges.merge)

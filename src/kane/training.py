@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -60,10 +61,11 @@ class TrainConfig:
         self.model.validate()
         if self.task not in ("completion", "classification"):
             raise ConfigError(f"task must be 'completion' or 'classification', got {self.task!r}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # range tests, so that NaN fails them too
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be > 0 and finite, got {self.margin}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.negatives < 1:

@@ -85,29 +85,30 @@ class TestOpGradients:
         m = mat(rng, 6, 3)
         assert check_gradients(lambda: ad.sum_all(ad.slice_vec(a, 1, 6)), [a], STEP) < TOL
         assert check_gradients(lambda: ad.sum_all(ad.slice_rows(m, 2, 5)), [m], STEP) < TOL
-        top, side = mat(rng, 2, 3), mat(rng, 6, 2)
+        top = mat(rng, 2, 3)
         w93 = ad.constant(rng.normal(size=(10, 3)))
-        w65 = ad.constant(rng.normal(size=(6, 5)))
         assert check_gradients(
             lambda: ad.sum_all(ad.elementwise_mul(ad.concat_rows([m, top, top]), w93)), [m, top], STEP
-        ) < TOL
-        assert check_gradients(
-            lambda: ad.sum_all(ad.elementwise_mul(ad.concat_cols([m, side]), w65)), [m, side], STEP
         ) < TOL
 
     def test_add_rowvec_and_reductions(self, seed):
         rng = np.random.default_rng(seed)
         m = mat(rng, 4, 3)
         v = vec(rng, 3)
-        w4 = ad.constant(rng.normal(size=4))
         assert check_gradients(lambda: ad.sum_all(ad.add_rowvec(m, v)), [m, v], STEP) < TOL
-        assert check_gradients(lambda: probe(ad.sum_cols(m), w4), [m], STEP) < TOL
         # segments of 1, 3 and 2 rows: the first holds a single entry
         weights, rows6 = vec(rng, 6), mat(rng, 6, 3)
         w33 = ad.constant(rng.normal(size=(3, 3)))
         assert check_gradients(
             lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(weights, rows6, [0, 1, 4, 6]), w33)),
             [weights, rows6], STEP,
+        ) < TOL
+        # (6, 2) weights over 4 value columns: weight column j scales value block j
+        heads, wide = mat(rng, 6, 2), mat(rng, 6, 4)
+        w34 = ad.constant(rng.normal(size=(3, 4)))
+        assert check_gradients(
+            lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(heads, wide, [0, 1, 4, 6]), w34)),
+            [heads, wide], STEP,
         ) < TOL
 
     def test_norms(self, seed):
@@ -143,6 +144,12 @@ class TestOpGradients:
         assert check_gradients(
             lambda: probe(ad.segment_softmax(grouped, [0, 1, 4, 6]), weights), [grouped], STEP
         ) < TOL
+        # an (n, k) logit matrix: a softmax per column within each segment
+        columns = mat(rng, 6, 3)
+        w63 = ad.constant(rng.normal(size=(6, 3)))
+        assert check_gradients(
+            lambda: probe(ad.segment_softmax(columns, [0, 1, 4, 6]), w63), [columns], STEP
+        ) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +157,9 @@ class TestOpGradients:
 
 
 def _random_chain(rng: np.random.Generator):
-    """A random scalar-valued composition of depth <= 6 over one vector."""
+    """A random scalar-valued composition of depth <= 6 over one (n, 1) column."""
     n = int(rng.integers(3, 7))
-    v = ad.parameter(rng.normal(size=n))
+    v = ad.parameter(rng.normal(size=(n, 1)))
     plan: list[tuple[str, int | None]] = []
     mats: list[ad.Tensor] = []
     consts: list[ad.Tensor] = []
@@ -165,11 +172,11 @@ def _random_chain(rng: np.random.Generator):
             plan.append((op, len(mats) - 1))
             size = new_size
         elif op == "add_const":
-            consts.append(ad.constant(rng.normal(size=size)))
+            consts.append(ad.constant(rng.normal(size=(size, 1))))
             plan.append((op, len(consts) - 1))
         else:
             plan.append((op, None))
-    final = ad.constant(rng.normal(size=size))
+    final = ad.constant(rng.normal(size=(size, 1)))
 
     def forward():
         cur = v
@@ -185,9 +192,7 @@ def _random_chain(rng: np.random.Generator):
             elif op == "mul_self":
                 cur = ad.elementwise_mul(cur, cur)
             elif op == "matvec":
-                # M @ cur: cur weights the rows of M^T in a single segment
-                rowvec = ad.segment_weighted_sum(cur, ad.transpose(mats[aux]), [0, cur.shape[0]])
-                cur = ad.sum_cols(ad.transpose(rowvec))
+                cur = ad.matmul(mats[aux], cur)
             else:
                 cur = ad.add(cur, consts[aux])
         return probe(cur, final)
@@ -285,6 +290,28 @@ def test_softmax_extreme_logits_stay_finite():
     assert np.abs(np.add.reduceat(seg, [0, 3, 4]) - 1.0).max() < 1e-12
 
 
+def test_matrix_segment_ops_act_per_column_and_block():
+    """With (n, k) weights, each softmax column is the vector softmax of that
+    logit column, and weighted-sum block j is the vector weighted sum of value
+    block j by weight column j."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        k, width = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        counts = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        n = int(offsets[-1])
+        logits = rng.normal(size=(n, k)) * 5
+        values = rng.normal(size=(n, k * width))
+        weights = ad.segment_softmax(ad.constant(logits), offsets)
+        summed = ad.segment_weighted_sum(weights, ad.constant(values), offsets).data
+        for j in range(k):
+            column = ad.segment_softmax(ad.constant(logits[:, j]), offsets)
+            assert np.abs(weights.data[:, j] - column.data).max() < 1e-15
+            block = slice(j * width, (j + 1) * width)
+            want = ad.segment_weighted_sum(column, ad.constant(values[:, block]), offsets).data
+            assert np.abs(summed[:, block] - want).max() < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # tape/shape/domain contracts
 
@@ -368,7 +395,7 @@ def test_shape_and_domain_errors():
     with pytest.raises(DomainError):
         ad.rowwise_norm(m, "l7")
     with pytest.raises(ShapeError):
-        ad.segment_softmax(m, [0, 2])  # a matrix, not a logit vector
+        ad.segment_softmax(ad.constant(1.0), [0, 1])  # a scalar, not logits
     with pytest.raises(ShapeError):
         ad.segment_softmax(v4, [0, 2, 2, 4])  # empty segment
     with pytest.raises(ShapeError):
@@ -376,9 +403,11 @@ def test_shape_and_domain_errors():
     with pytest.raises(ShapeError):
         ad.segment_weighted_sum(v3, m, [0, 1, 2])
     with pytest.raises(ShapeError):
-        ad.concat_rows([m, ad.parameter(np.ones((2, 4)))])
+        ad.segment_weighted_sum(ad.parameter(np.ones((2, 2))), m, [0, 1, 2])  # width 3, two blocks
     with pytest.raises(ShapeError):
-        ad.concat_cols([m, ad.parameter(np.ones((3, 3)))])
+        ad.segment_weighted_sum(ad.parameter(np.ones((3, 3))), m, [0, 1, 2])  # 3 weight rows, 2 value rows
+    with pytest.raises(ShapeError):
+        ad.concat_rows([m, ad.parameter(np.ones((2, 4)))])
 
 
 def test_zero_grads_clears():

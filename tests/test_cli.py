@@ -119,6 +119,17 @@ class TestConfig:
             assert type(DEFAULTS[key]) is type(value) and DEFAULTS[key] == value, key
         assert make_train_config(dict(DEFAULTS)) == TrainConfig()
 
+    @pytest.mark.parametrize("key", ["margin", "learning_rate"])
+    def test_nan_set_value_exits_with_one_line_error(self, tmp_path, capsys, key):
+        bundle = gen_and_prepare(tmp_path)
+        capsys.readouterr()
+        code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+                    *SMALL_TRAIN, "--set", f"{key}=nan"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {key} must be > 0 and finite") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_unknown_set_key_exits_nonzero(self, tmp_path, capsys):
         code = run(["gen-synth", "--out", str(tmp_path), "--set", "entties=9"])
         assert code == 1

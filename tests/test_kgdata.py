@@ -429,6 +429,9 @@ MALFORMED_BUNDLES = [
     (lambda d: d["labels"]["test"].__setitem__(1, -3), "labels test entry 1 is out of range"),
     (lambda d: d["labels"].pop("classes"), "labels lacks classes"),
     (lambda d: d["values"].__setitem__(2, " "), "value 2 has no tokens"),
+    (lambda d: d["entities"].__setitem__(3, d["entities"][1]), "entities entry 3 repeats 'ent_001'"),
+    (lambda d: d["relations"].__setitem__(1, d["relations"][0]), "relations entry 1 repeats"),
+    (lambda d: d["values"].__setitem__(1, d["values"][0]), "values entry 1 repeats"),
 ]
 
 
@@ -436,6 +439,7 @@ MALFORMED_BUNDLES = [
     "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
     "duplicate-triple", "value-id", "float-id", "entities-string", "dropped-count",
     "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
+    "duplicate-entity", "duplicate-relation", "duplicate-value",
 ])
 def test_malformed_bundle_names_source_and_problem(edit, message):
     with pytest.raises(IntegrityError, match=f"^data/b.json: bundle .*{message}"):

@@ -55,20 +55,33 @@ def build(
 
 
 def layer_heads(view, params, config, layer=0):
-    """Per head, (attention weights over all edges, head outputs of the
-    entities with neighbors) of one layer run on the raw embedding table,
-    read from the whole-graph layer ``forward_all`` runs."""
-    return model_module._layer_heads(
+    """(Attention weights over all edges, (edges, heads), and head outputs of
+    the entities with neighbors, (active, heads * head_dim)) of one layer run
+    on the raw embedding table, read from the whole-graph layer
+    ``forward_all`` runs. Translational heads share one weight vector; it
+    is repeated here once per head."""
+    weights, outputs = model_module._layer_heads(
         params.entity,
         ad.rows(params.relation, view.edges.relation),
         model_module._value_table(view, params, config),
         view, params, config, layer,
     )
+    edges = view.edges.source.size
+    if config.attention == "bilinear":
+        assert weights.shape == (edges, config.heads)
+        return weights.data, outputs.data
+    assert weights.shape == (edges,)
+    return np.repeat(weights.data[:, None], config.heads, axis=1), outputs.data
 
 
-def edge_slice(view, weights, e):
-    """Entity ``e``'s attention weights, one per neighbor."""
-    return weights.data[view.edges.owner == e]
+def edge_slice(view, weights, e, head):
+    """Entity ``e``'s attention weights in ``head``, one per neighbor."""
+    return weights[view.edges.owner == e, head]
+
+
+def head_block(outputs, config, head):
+    """The columns of ``head`` in concat-layout head outputs."""
+    return outputs[:, head * config.head_dim:(head + 1) * config.head_dim]
 
 
 def numpy_logits(config, transform, head_vec, neighbors):
@@ -210,11 +223,11 @@ class TestAttention:
         values = np.array([params.word.data[toks].sum(axis=0) for toks in kg.value_tokens])
         neighbors = neighbor_vectors(view, params, values, a)
         logits = numpy_logits(config, params.head_w[0][0].data, params.entity.data[a], neighbors)
-        weights, _ = layer_heads(view, params, config)[0]
+        weights, _ = layer_heads(view, params, config)
         # logits within a few units of each other, so every weight counts,
         # and one negative bilinear logit takes the leaky branch
         assert len(logits) == 4 and (logits < 0).any() and np.abs(logits).max() < 5
-        assert relative_error(edge_slice(view, weights, a), softmax(logits)) < 1e-12
+        assert relative_error(edge_slice(view, weights, a, 0), softmax(logits)) < 1e-12
 
     def test_weights_sum_to_one_and_are_non_negative(self):
         for seed in range(6):
@@ -223,12 +236,13 @@ class TestAttention:
                     dim=5, head_dim=4, heads=2, layers=2, attention=attention
                 )
                 kg, view, params = build(seed, config, with_attributes=seed % 2 == 0)
-                weights, _ = layer_heads(view, params, config, layer=1)[1]
+                weights, _ = layer_heads(view, params, config, layer=1)
                 for e in range(kg.num_entities):
-                    w = edge_slice(view, weights, e)
-                    assert abs(float(w.sum()) - 1.0) < 1e-12
-                    assert (w >= 0.0).all()
-                    assert w.shape == (len(view.neighborhood[e]),)
+                    for head in range(config.heads):
+                        w = edge_slice(view, weights, e, head)
+                        assert abs(float(w.sum()) - 1.0) < 1e-12
+                        assert (w >= 0.0).all()
+                        assert w.shape == (len(view.neighborhood[e]),)
 
     def test_bilinear_logit_hand_oracle(self):
         config = ModelConfig(dim=4, head_dim=3, heads=1, layers=1, leaky_slope=0.2)
@@ -250,13 +264,14 @@ class TestAttention:
             )
         kg, view, params = build(7, config, with_attributes=True)
         values = encode_value(np.arange(kg.num_values), view, params, config).data
-        weights, _ = layer_heads(view, params, config)[1]
+        weights, _ = layer_heads(view, params, config)
         for e in range(kg.num_entities):
-            logits = numpy_logits(
-                config, params.head_w[0][1].data, params.entity.data[e],
-                neighbor_vectors(view, params, values, e),
-            )
-            assert relative_error(edge_slice(view, weights, e), softmax(logits)) < 1e-12
+            for head in range(config.heads):
+                logits = numpy_logits(
+                    config, params.head_w[0][head].data, params.entity.data[e],
+                    neighbor_vectors(view, params, values, e),
+                )
+                assert relative_error(edge_slice(view, weights, e, head), softmax(logits)) < 1e-12
 
     def test_no_neighbors_raises(self):
         kg = kg_from_name_triples([("a", "r", "b")])
@@ -272,24 +287,25 @@ class TestAttention:
             ad.segment_softmax(ad.constant(np.zeros(1)), np.array([0, 1, 1]))
         assert sink not in edges.active
         assert edges.segments.tolist() == [0, 1]
-        weights, outputs = layer_heads(view, params, config)[0]
-        assert weights.shape == (1,) and outputs.shape == (1, 3)
+        weights, outputs = layer_heads(view, params, config)
+        assert weights.shape == (1, 1) and outputs.shape == (1, 3)
 
 
 def test_head_output_is_weighted_message_sum():
     config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1)
     kg, view, params = build(11, config, with_attributes=True)
     values = encode_value(np.arange(kg.num_values), view, params, config).data
-    weights, outputs = layer_heads(view, params, config)[0]
-    transform = params.head_w[0][0].data
-    for e in range(kg.num_entities):
-        messages = [
-            transform @ (r_vec + n_vec)
-            for r_vec, n_vec in neighbor_vectors(view, params, values, e)
-        ]
-        want = edge_slice(view, weights, e) @ np.stack(messages)
-        got = outputs.data[view.edges.merge[e]]
-        assert relative_error(got, want) < 1e-12
+    weights, outputs = layer_heads(view, params, config)
+    for head in range(config.heads):
+        transform = params.head_w[0][head].data
+        for e in range(kg.num_entities):
+            messages = [
+                transform @ (r_vec + n_vec)
+                for r_vec, n_vec in neighbor_vectors(view, params, values, e)
+            ]
+            want = edge_slice(view, weights, e, head) @ np.stack(messages)
+            got = head_block(outputs, config, head)[view.edges.merge[e]]
+            assert relative_error(got, want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +316,9 @@ def test_aggregate_concat_hand_oracle():
     config = ModelConfig(dim=4, head_dim=3, heads=2, layers=1, leaky_slope=0.1)
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    outs = [ad.constant(rng.standard_normal((2, 3))) for _ in range(2)]
-    got = aggregate(outs, params, config, layer=0).data
-    pre = np.concatenate([o.data for o in outs], axis=1) @ params.out_w[0].data.T
+    outs = [rng.standard_normal((2, 3)) for _ in range(2)]
+    got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
+    pre = np.concatenate(outs, axis=1) @ params.out_w[0].data.T
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
 
@@ -313,9 +329,9 @@ def test_aggregate_average_hand_oracle():
     )
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    outs = [ad.constant(rng.standard_normal((2, 4))) for _ in range(3)]
-    got = aggregate(outs, params, config, layer=0).data
-    pre = sum(o.data for o in outs) / 3.0
+    outs = [rng.standard_normal((2, 4)) for _ in range(3)]
+    got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
+    pre = sum(outs) / 3.0
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
 
@@ -323,8 +339,9 @@ def test_aggregate_average_hand_oracle():
 def test_aggregate_rejects_wrong_head_count():
     config = ModelConfig(dim=4, head_dim=3, heads=2, layers=1)
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(9))
+    # one head's columns where two heads' are due
     with pytest.raises(ConfigError):
-        aggregate([ad.constant(np.zeros((2, 3)))], params, config, layer=0)
+        aggregate(ad.constant(np.zeros((2, 3))), params, config, layer=0)
 
 
 def test_score_hand_values():
@@ -390,6 +407,8 @@ FORWARD_CASES = [
     ModelConfig(dim=4, head_dim=3, heads=3, layers=2, attention="translational", norm="l2"),
     ModelConfig(dim=5, head_dim=5, heads=2, layers=1, encoder="lstm"),
     ModelConfig(dim=3, head_dim=2, heads=2, layers=3, leaky_slope=0.0),
+    ModelConfig(dim=4, head_dim=4, heads=3, layers=2, aggregator="average"),
+    ModelConfig(dim=4, head_dim=3, heads=1, layers=2, attention="translational"),
 ]
 
 

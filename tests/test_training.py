@@ -468,7 +468,11 @@ class TestTrainLoop:
     [
         {"task": "ranking"},
         {"margin": 0.0},
+        {"margin": float("nan")},
+        {"margin": float("inf")},
         {"learning_rate": 0.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
         {"batch_size": 0},
         {"negatives": 0},
         {"epochs": -1},
@@ -610,7 +614,10 @@ class TestCheckpoint:
         (lambda c: c.update(margin="1"), "margin must be float"),
         (lambda c: c["model"].update(norm="l3"), "norm must be one of"),
         (lambda c: c.update(learning_rate=-1), "learning_rate must be > 0"),
-    ], ids=["str-for-int", "int-for-bool", "float-for-int", "str-for-float", "bad-norm", "bad-rate"])
+        (lambda c: c.update(margin=float("nan")), "margin must be > 0 and finite, got nan"),
+        (lambda c: c.update(learning_rate=float("nan")), "learning_rate must be > 0 and finite"),
+    ], ids=["str-for-int", "int-for-bool", "float-for-int", "str-for-float", "bad-norm", "bad-rate",
+            "nan-margin", "nan-rate"])
     def test_config_values_type_checked_and_validated(self, edit, message):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
