@@ -8,6 +8,24 @@ is no broadcasting, no sparse storage and no higher-order gradients.
 Ops executed inside a ``with Tape():`` block record themselves on that
 tape; outside a tape they are plain forward computations, which is how
 evaluation code runs the model without paying for bookkeeping.
+
+Gradient buffers are owned, not copied. A tensor's first gradient is the
+array its consumer's backward hands over (``_accum`` adopts it), and later
+ones are added into it in place. So a backward passes the array it
+received, or a view of it, to at most one parent: ``add`` gives ``b`` a
+copy, ``concat_rows`` hands out disjoint row slices, ``transpose`` one
+view, and every other backward builds a fresh array per parent. A
+received array may be passed on because the sweep runs in reverse tape
+order: by the time a tensor's backward runs, its own gradient is final.
+The grads of two parameters therefore never share memory, while an
+intermediate tensor's ``grad`` may go on to hold a parent's sum after its
+backward ran; read the parameters' grads, which ``backward`` returns.
+
+Every sum of rows by index goes through one kernel, ``_scatter_sum``: a
+flat ``np.bincount`` over ``index * width + column``. It serves the
+backward of the gathers ``rows`` and ``take`` and the forward sum of
+``segment_weighted_sum``, needs no sort, and reads its input in memory
+order; rows no index hits are zero.
 """
 
 from __future__ import annotations
@@ -118,25 +136,33 @@ def _takes_grad(t: Tensor) -> bool:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``; a first gradient is adopted, not copied."""
     if not _takes_grad(t):
         return
     if t.grad is None:
-        t.grad = np.array(g)  # copy: g may alias another tensor's grad
+        t.grad = np.asarray(g)
     else:
         t.grad += g
 
 
-def _accum_rows(t: Tensor, idx, g: np.ndarray) -> None:
-    if not _takes_grad(t):
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    # sum the rows of each index in one sorted segment reduction, then add
-    # once per distinct index (far cheaper than np.add.at's per-row scatter)
-    order = np.argsort(idx, kind="stable")
-    ordered = idx[order]
-    firsts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    t.grad[ordered[firsts]] += np.add.reduceat(g[order], firsts, axis=0)
+def _scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Row ``i`` of the result is the sum of the entries or rows of ``g``
+    whose index is ``i``, for ``i < n``; rows no index hits are zero.
+
+    One flat ``bincount`` over ``idx * width + column``: it reads ``g`` in
+    memory order and needs no sort, where an axis-0 ``reduceat`` walks each
+    column down the rows.
+    """
+    if g.ndim == 1:
+        return np.bincount(idx, weights=g, minlength=n)
+    w = g.shape[1]
+    flat = (idx[:, None] * w + np.arange(w)).ravel()
+    return np.bincount(flat, weights=g.ravel(), minlength=n * w).reshape(n, w)
+
+
+def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    if _takes_grad(t):
+        _accum(t, _scatter_sum(idx, g, t.shape[0]))
 
 
 def backward(tape: Tape, root: Tensor) -> dict[Tensor, np.ndarray]:
@@ -173,7 +199,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         _accum(a, g)
-        _accum(b, g)
+        if _takes_grad(b):
+            _accum(b, g.copy())  # a may have adopted g
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -293,7 +320,7 @@ def slice_vec(v: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_vec: bad range [{start}, {stop}) for length {v.shape[0]}")
 
     def back(g):
-        if v._backward is None and not v.is_param:
+        if not _takes_grad(v):
             return
         if v.grad is None:
             v.grad = np.zeros_like(v.data)
@@ -309,7 +336,7 @@ def slice_rows(m: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_rows: bad range [{start}, {stop}) for {m.shape[0]} rows")
 
     def back(g):
-        if m._backward is None and not m.is_param:
+        if not _takes_grad(m):
             return
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
@@ -332,7 +359,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def sum_all(t: Tensor) -> Tensor:
     def back(g):
-        _accum(t, np.broadcast_to(g, t.shape))
+        _accum(t, np.full(t.shape, g))
 
     return _make(np.asarray(t.data.sum()), (t,), back)
 
@@ -458,7 +485,7 @@ def segment_weighted_sum(weights: Tensor, values: Tensor, offsets) -> Tensor:
             or weights.shape[0] != values.shape[0] or values.shape[1] % k):
         raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
     n = values.shape[0]
-    starts, counts = _segments(offsets, n, "segment_weighted_sum")
+    _, counts = _segments(offsets, n, "segment_weighted_sum")
     w = weights.data.reshape(n, k, 1)
 
     def blocks(m: np.ndarray) -> np.ndarray:
@@ -470,4 +497,5 @@ def segment_weighted_sum(weights: Tensor, values: Tensor, offsets) -> Tensor:
         _accum(values, (w * spread).reshape(values.shape))
 
     scaled = (w * blocks(values.data)).reshape(values.shape)
-    return _make(np.add.reduceat(scaled, starts, axis=0), (weights, values), back)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return _make(_scatter_sum(owner, scaled, counts.size), (weights, values), back)

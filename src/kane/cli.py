@@ -119,6 +119,9 @@ def merge_config(args: argparse.Namespace) -> dict[str, object]:
         cfg[key.strip()] = _coerce(key.strip(), value.strip())
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    # every command seeds a NumPy generator, which refuses a negative seed
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ConfigError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.val_every < 0 or self.patience < 1:
             raise ConfigError("val_every must be >= 0 and patience >= 1")
 

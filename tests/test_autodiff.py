@@ -9,11 +9,15 @@ kinks so the numeric derivative is valid.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kane.autodiff as ad
 from kane.errors import DomainError, ShapeError
@@ -234,6 +238,83 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
         want_v[i] += w_v[k]
     assert relative_error(m.grad, want_m) < 1e-14
     assert relative_error(v.grad, want_v) < 1e-14
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_scatter_sums_match_a_python_loop(data):
+    """The one scatter kernel, through the backward of ``rows`` and ``take``
+    and the forward of ``segment_weighted_sum``: unsorted and repeated
+    indices, rows no index hits, widths 1, 3 and 128, vector and (n, k)
+    weights."""
+    width = data.draw(st.sampled_from([1, 3, 128]), label="width")
+    n = data.draw(st.integers(1, 12), label="n")
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    m, v = ad.parameter(rng.normal(size=(n, width))), ad.parameter(rng.normal(size=n))
+    w_m, w_v = rng.normal(size=(len(idx), width)), rng.normal(size=len(idx))
+    with ad.Tape() as tape:
+        ad.backward(tape, ad.add(probe(ad.rows(m, idx), ad.constant(w_m)),
+                                 probe(ad.take(v, idx), ad.constant(w_v))))
+    want_m, want_v = np.zeros((n, width)), np.zeros(n)
+    for k, i in enumerate(idx):
+        want_m[i] += w_m[k]
+        want_v[i] += w_v[k]
+    assert relative_error(m.grad, want_m) < 1e-14
+    assert relative_error(v.grad, want_v) < 1e-14
+
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="counts")
+    k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    rows_total, blocks = int(offsets[-1]), k or 1
+    weights = rng.normal(size=rows_total if k is None else (rows_total, k))
+    values = rng.normal(size=(rows_total, blocks * width))
+    got = ad.segment_weighted_sum(ad.constant(weights), ad.constant(values), offsets).data
+    want = np.zeros((len(counts), blocks * width))
+    for seg, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        for i in range(lo, hi):
+            for j in range(blocks):
+                block = slice(j * width, (j + 1) * width)
+                want[seg, block] += (weights[i] if k is None else weights[i, j]) * values[i, block]
+    assert relative_error(got, want) < 1e-14
+
+
+def test_gradient_buffers_belong_to_one_tensor():
+    """Backward adopts fresh gradient arrays instead of copying them, so an
+    op that hands one buffer to two parents must copy it for one of them.
+    Each parameter below gets its first gradient from one op. After
+    backward no two parameters' grads share memory, each grad is its hand
+    value, and a second backward into one parameter leaves the others'
+    grads as they were."""
+    rng = np.random.default_rng(14)
+    params = {name: ad.parameter(rng.normal(size=(2, 3))) for name in "pqux"}
+    params["r"], params["s"] = ad.parameter(rng.normal(size=(3, 2))), ad.parameter(rng.normal(size=(2, 2)))
+    p, q, u, x, r, s = params.values()
+    c = rng.normal(size=(5, 2, 3))
+    c_cat = rng.normal(size=(4, 3))
+    with ad.Tape() as tape:
+        terms = [probe(ad.add(p, q), ad.constant(c[0])), probe(ad.add(u, u), ad.constant(c[1])),
+                 probe(ad.concat_rows([x, x]), ad.constant(c_cat)), probe(ad.transpose(r), ad.constant(c[2]))]
+        ad.backward(tape, functools.reduce(ad.add, terms))
+    with ad.Tape() as tape:
+        ad.backward(tape, ad.sum_all(s))  # a sum_all root: its gradient spreads over s
+    want = {"p": c[0], "q": c[0], "u": 2.0 * c[1], "x": c_cat[:2] + c_cat[2:], "r": c[2].T,
+            "s": np.ones((2, 2))}
+    for name, t in params.items():
+        assert relative_error(t.grad, want[name]) < 1e-14, name
+    for a, b in itertools.combinations(params, 2):
+        assert not np.shares_memory(params[a].grad, params[b].grad), (a, b)
+
+    before = {name: t.grad.copy() for name, t in params.items()}
+    with ad.Tape() as tape:
+        ad.backward(tape, probe(q, ad.constant(c[3])))
+    with ad.Tape() as tape:
+        ad.backward(tape, ad.sum_all(s))
+    assert np.array_equal(q.grad, before["q"] + c[3])
+    assert np.array_equal(s.grad, 2.0 * before["s"])
+    for name in "puxr":
+        assert np.array_equal(params[name].grad, before[name]), name
 
 
 def test_gradient_linearity():

@@ -130,6 +130,25 @@ class TestConfig:
         assert err.startswith(f"error: {key} must be > 0 and finite") and err.count("\n") == 1
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("form", [["--seed", "-1"], ["--set", "seed=-1"]], ids=["flag", "set"])
+    @pytest.mark.parametrize("command", ["gen-synth", "prepare", "train"])
+    def test_negative_seed_exits_with_one_line_error(self, tmp_path, capsys, command, form):
+        bundle = gen_and_prepare(tmp_path)
+        gen = tmp_path / "gen"
+        inputs = {
+            "gen-synth": SMALL_GEN,
+            "prepare": ["--relations", str(gen / "relations.tsv"),
+                        "--attributes", str(gen / "attributes.tsv")],
+            "train": ["--bundle", str(bundle), *SMALL_TRAIN],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--out", str(out), *inputs, *form])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_unknown_set_key_exits_nonzero(self, tmp_path, capsys):
         code = run(["gen-synth", "--out", str(tmp_path), "--set", "entties=9"])
         assert code == 1

@@ -616,8 +616,9 @@ class TestCheckpoint:
         (lambda c: c.update(learning_rate=-1), "learning_rate must be > 0"),
         (lambda c: c.update(margin=float("nan")), "margin must be > 0 and finite, got nan"),
         (lambda c: c.update(learning_rate=float("nan")), "learning_rate must be > 0 and finite"),
+        (lambda c: c.update(seed=-1), "seed must be >= 0, got -1"),
     ], ids=["str-for-int", "int-for-bool", "float-for-int", "str-for-float", "bad-norm", "bad-rate",
-            "nan-margin", "nan-rate"])
+            "nan-margin", "nan-rate", "negative-seed"])
     def test_config_values_type_checked_and_validated(self, edit, message):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
