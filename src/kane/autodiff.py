@@ -13,19 +13,20 @@ Gradient buffers are owned, not copied. A tensor's first gradient is the
 array its consumer's backward hands over (``_accum`` adopts it), and later
 ones are added into it in place. So a backward passes the array it
 received, or a view of it, to at most one parent: ``add`` gives ``b`` a
-copy, ``concat_rows`` hands out disjoint row slices, ``transpose`` one
-view, and every other backward builds a fresh array per parent. A
-received array may be passed on because the sweep runs in reverse tape
-order: by the time a tensor's backward runs, its own gradient is final.
-The grads of two parameters therefore never share memory, while an
-intermediate tensor's ``grad`` may go on to hold a parent's sum after its
-backward ran; read the parameters' grads, which ``backward`` returns.
+copy, ``concat_rows`` hands out disjoint row slices, ``transpose`` and
+``reshape`` one view each, and every other backward builds a fresh array
+per parent. A received array may be passed on because the sweep runs in
+reverse tape order: by the time a tensor's backward runs, its own gradient
+is final. The grads of two parameters therefore never share memory, while
+an intermediate tensor's ``grad`` may go on to hold a parent's sum after
+its backward ran; read the parameters' grads, which ``backward`` returns.
 
 Every sum of rows by index goes through one kernel, ``_scatter_sum``: a
 flat ``np.bincount`` over ``index * width + column``. It serves the
-backward of the gathers ``rows`` and ``take`` and the forward sum of
-``segment_weighted_sum``, needs no sort, and reads its input in memory
-order; rows no index hits are zero.
+backward of the gathers ``rows`` and ``take``, the forward of their
+adjoint ``scatter_rows`` and the forward sum of ``segment_weighted_sum``,
+needs no sort, and reads its input in memory order; rows no index hits
+are zero.
 """
 
 from __future__ import annotations
@@ -266,14 +267,20 @@ def transpose(m: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # structure: lookups, stacking, slicing, reductions
 
+def _indices(indices, n: int, op: str) -> np.ndarray:
+    """A validated non-empty 1-d index array into ``n`` rows."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError(f"{op}: needs a non-empty 1-d index list")
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError(f"{op}: index out of range for {n} rows")
+    return idx
+
+
 def rows(m: Tensor, indices) -> Tensor:
     if m.data.ndim != 2:
         raise ShapeError(f"rows: needs a matrix, got shape {m.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("rows: needs a non-empty 1-d index list")
-    if idx.min() < 0 or idx.max() >= m.shape[0]:
-        raise IndexError(f"rows: index out of range for matrix with {m.shape[0]} rows")
+    idx = _indices(indices, m.shape[0], "rows")
 
     def back(g):
         _accum_rows(m, idx, g)
@@ -284,16 +291,42 @@ def rows(m: Tensor, indices) -> Tensor:
 def take(v: Tensor, indices) -> Tensor:
     if v.data.ndim != 1:
         raise ShapeError(f"take: needs a vector, got shape {v.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("take: needs a non-empty 1-d index list")
-    if idx.min() < 0 or idx.max() >= v.shape[0]:
-        raise IndexError(f"take: index out of range for vector of length {v.shape[0]}")
+    idx = _indices(indices, v.shape[0], "take")
 
     def back(g):
         _accum_rows(v, idx, g)
 
     return _make(v.data[idx], (v,), back)
+
+
+def scatter_rows(m: Tensor, indices, n: int) -> Tensor:
+    """The adjoint of ``rows`` and ``take``: entry or row ``k`` of ``m`` is
+    added into row ``indices[k]`` of an ``n``-row result; rows no index
+    hits are zero. Its backward is the gather."""
+    if m.data.ndim == 0:
+        raise ShapeError("scatter_rows: needs a vector or a matrix, got a scalar")
+    idx = _indices(indices, n, "scatter_rows")
+    if idx.size != m.shape[0]:
+        raise ShapeError(f"scatter_rows: {idx.size} indices for {m.shape[0]} rows")
+
+    def back(g):
+        _accum(m, g[idx])
+
+    return _make(_scatter_sum(idx, m.data, n), (m,), back)
+
+
+def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries, in row-major order, in a new shape of at most two
+    dimensions; one entry of ``shape`` may be -1."""
+    try:
+        val = t.data.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(f"reshape: cannot reshape {t.shape} to {shape}") from err
+
+    def back(g):
+        _accum(t, g.reshape(t.shape))
+
+    return _make(val, (t,), back)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

@@ -17,18 +17,33 @@ are read fresh at every layer; only entity vectors propagate.
 
 Each layer runs over all edges of the view at once, for all heads at once.
 The head transforms are stacked into one (heads * head_dim, dim) matrix W,
-which multiplies the relation table and the source table (entity vectors,
-then value encodings) once each, before any per-edge gather: the query is
-row ``relation`` of the transformed relation table, and the message adds
-row ``source`` of the transformed source table to it, since
-W (r + n) = W r + W n. The bilinear logits are the per-head block sums of
-query * message, one matrix product by a constant 0/1 block matrix. One
-segment softmax normalizes every head's (edges, heads) logit column over
-each entity's segment of the edge list, and one segment weighted sum gives
-all head outputs side by side, in concat layout. All attribute values of a
-pass are encoded in one batched encoder call into one value table, row
-``v`` for value id ``v``, which propagation and the completion loss both
-read.
+which multiplies the relation table (q = W r, R rows) and the source table
+(t = W n, S rows: entity vectors, then value encodings) once each, since
+W (r + n) = W r + W n. Nothing per edge then depends on the relation but
+an (edges, heads) gather, by two exact identities, per head:
+
+    logit:   <q_r, q_r + t_s> = <q_r, q_r> + <q_r, t_s>
+    output:  sum_e a_e (q_r + t_s) = sum_e a_e t_s + sum_r A_r q_r
+
+The first reads every <x, q_r> from one ((S + R) * R, heads) table, the
+product of the rows x of [t; q] with a block-diagonal arrangement of q:
+an edge's logits are two gathers, at rows ``source * R + relation`` and
+``(S + relation) * R + relation``. In the second, A_r sums an entity's
+weights over its edges labelled r: one scatter of the (edges, heads)
+weights into an (active * R, heads) table, then one small matrix product
+with q, next to one weighted sum of the gathered rows t_s. The tables
+hold (S + R) * R * heads and active * R * heads entries, against the
+edges * heads * head_dim of per-edge query rows; they are smaller
+whenever R * (S + R) < edges * head_dim, which holds on every benchmark
+graph (R = 8). Translational attention keeps its per-edge logits, whose
+weights all heads share, and takes the same output identity with one
+weight per (entity, relation) pair.
+
+One segment softmax normalizes every head's logit column over each
+entity's segment of the edge list, and the head outputs come out side by
+side, in concat layout. All attribute values of a pass are encoded in one
+batched encoder call into one value table, row ``v`` for value id ``v``,
+which propagation and the completion loss both read.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
@@ -295,22 +310,38 @@ def _layer_heads(
     """
     edges = view.edges
     table = inputs if values is None else ad.concat_rows([inputs, values])
+    relations, heads = params.relation.shape[0], config.heads
     # all heads stacked: W = [W_0; W_1; ...], applied to the tables before
-    # the per-edge gathers, since W (r + n) = W r + W n
+    # any per-edge gather, since W (r + n) = W r + W n
     w_t = ad.transpose(ad.concat_rows(params.head_w[layer]))
-    query = ad.rows(ad.matmul(params.relation, w_t), edges.relation)
-    messages = ad.add(query, ad.rows(ad.matmul(table, w_t), edges.source))
+    query = ad.matmul(params.relation, w_t)  # (R, heads * head_dim)
+    source = ad.matmul(table, w_t)  # (S, heads * head_dim)
     if config.attention == "bilinear":
-        # per-head block sums of q * m
-        blocks = ad.constant(np.repeat(np.eye(config.heads), config.head_dim, axis=0))
-        raw = ad.matmul(ad.elementwise_mul(query, messages), blocks)
+        # row r * heads + h holds q_r's head-h block and zeros elsewhere
+        mask = np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1))
+        spread = ad.elementwise_mul(ad.rows(query, np.repeat(np.arange(relations), heads)),
+                                    ad.constant(mask))
+        # <x_h, q_{r,h}> for every row x of [source; query], relation r and
+        # head h, at row x * R + r, column h
+        products = ad.reshape(ad.matmul(ad.concat_rows([source, query]), ad.transpose(spread)),
+                              (-1, heads))
+        raw = ad.add(ad.rows(products, edges.source * relations + edges.relation),
+                     ad.rows(products, (source.shape[0] + edges.relation) * relations + edges.relation))
         logits = ad.leaky_relu(raw, config.leaky_slope)
     else:
         # the logit reads no head transform, so all heads share the weights
         diff = ad.sub(ad.add(ad.rows(inputs, edges.owner), rel), ad.rows(table, edges.source))
         logits = ad.scale(ad.rowwise_norm(diff, config.norm), -1.0)
+        spread = query
     weights = ad.segment_softmax(logits, edges.segments)
-    return weights, ad.segment_weighted_sum(weights, messages, edges.segments)
+    # sum_e a_e (q_r + t_s): the t_s half per edge, the q_r half from the
+    # weight sums per (active entity, relation) pair
+    pair = edges.merge[edges.owner] * relations + edges.relation
+    pair_weights = ad.reshape(ad.scatter_rows(weights, pair, edges.active.size * relations),
+                              (edges.active.size, -1))
+    outputs = ad.add(ad.segment_weighted_sum(weights, ad.rows(source, edges.source), edges.segments),
+                     ad.matmul(pair_weights, spread))
+    return weights, outputs
 
 
 def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, layer: int) -> Tensor:

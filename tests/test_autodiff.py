@@ -83,6 +83,20 @@ class TestOpGradients:
         assert check_gradients(lambda: ad.sum_all(ad.rows(m, [0, 2, 2, 4])), [m], STEP) < TOL
         assert check_gradients(lambda: ad.sum_all(ad.take(v, [1, 1, 5, 0])), [v], STEP) < TOL
 
+    def test_scatter_rows_reshape(self, seed):
+        rng = np.random.default_rng(seed)
+        m, v = mat(rng, 6, 3), vec(rng, 6)
+        # unsorted and repeated indices; row 1 of the (4, ...) result is never hit
+        idx = [3, 0, 3, 2, 0, 3]
+        w43, w4 = ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=4))
+        assert check_gradients(lambda: probe(ad.scatter_rows(m, idx, 4), w43), [m], STEP) < TOL
+        assert check_gradients(lambda: probe(ad.scatter_rows(v, idx, 4), w4), [v], STEP) < TOL
+        w29, w18 = ad.constant(rng.normal(size=(2, 9))), ad.constant(rng.normal(size=18))
+        assert check_gradients(lambda: probe(ad.reshape(m, (2, -1)), w29), [m], STEP) < TOL
+        assert check_gradients(lambda: probe(ad.reshape(m, (18,)), w18), [m], STEP) < TOL
+        w32 = ad.constant(rng.normal(size=(3, 2)))
+        assert check_gradients(lambda: probe(ad.reshape(v, (3, 2)), w32), [v], STEP) < TOL
+
     def test_concat_stack_slices(self, seed):
         rng = np.random.default_rng(seed)
         a = vec(rng, 7)
@@ -244,9 +258,9 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
 @settings(max_examples=100, deadline=None)
 def test_scatter_sums_match_a_python_loop(data):
     """The one scatter kernel, through the backward of ``rows`` and ``take``
-    and the forward of ``segment_weighted_sum``: unsorted and repeated
-    indices, rows no index hits, widths 1, 3 and 128, vector and (n, k)
-    weights."""
+    and the forward of ``scatter_rows`` and ``segment_weighted_sum``:
+    unsorted and repeated indices, rows no index hits, widths 1, 3 and 128,
+    vector and (n, k) weights."""
     width = data.draw(st.sampled_from([1, 3, 128]), label="width")
     n = data.draw(st.integers(1, 12), label="n")
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
@@ -263,6 +277,9 @@ def test_scatter_sums_match_a_python_loop(data):
         want_v[i] += w_v[k]
     assert relative_error(m.grad, want_m) < 1e-14
     assert relative_error(v.grad, want_v) < 1e-14
+    # the forward of the adjoint sums the same rows into the same slots
+    assert relative_error(ad.scatter_rows(ad.constant(w_m), idx, n).data, want_m) < 1e-14
+    assert relative_error(ad.scatter_rows(ad.constant(w_v), idx, n).data, want_v) < 1e-14
 
     counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="counts")
     k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
@@ -288,18 +305,19 @@ def test_gradient_buffers_belong_to_one_tensor():
     value, and a second backward into one parameter leaves the others'
     grads as they were."""
     rng = np.random.default_rng(14)
-    params = {name: ad.parameter(rng.normal(size=(2, 3))) for name in "pqux"}
+    params = {name: ad.parameter(rng.normal(size=(2, 3))) for name in "pquxy"}
     params["r"], params["s"] = ad.parameter(rng.normal(size=(3, 2))), ad.parameter(rng.normal(size=(2, 2)))
-    p, q, u, x, r, s = params.values()
+    p, q, u, x, y, r, s = params.values()
     c = rng.normal(size=(5, 2, 3))
     c_cat = rng.normal(size=(4, 3))
     with ad.Tape() as tape:
         terms = [probe(ad.add(p, q), ad.constant(c[0])), probe(ad.add(u, u), ad.constant(c[1])),
-                 probe(ad.concat_rows([x, x]), ad.constant(c_cat)), probe(ad.transpose(r), ad.constant(c[2]))]
+                 probe(ad.concat_rows([x, x]), ad.constant(c_cat)), probe(ad.transpose(r), ad.constant(c[2])),
+                 probe(ad.reshape(y, (3, 2)), ad.constant(c[4].reshape(3, 2)))]
         ad.backward(tape, functools.reduce(ad.add, terms))
     with ad.Tape() as tape:
         ad.backward(tape, ad.sum_all(s))  # a sum_all root: its gradient spreads over s
-    want = {"p": c[0], "q": c[0], "u": 2.0 * c[1], "x": c_cat[:2] + c_cat[2:], "r": c[2].T,
+    want = {"p": c[0], "q": c[0], "u": 2.0 * c[1], "x": c_cat[:2] + c_cat[2:], "y": c[4], "r": c[2].T,
             "s": np.ones((2, 2))}
     for name, t in params.items():
         assert relative_error(t.grad, want[name]) < 1e-14, name
@@ -313,7 +331,7 @@ def test_gradient_buffers_belong_to_one_tensor():
         ad.backward(tape, ad.sum_all(s))
     assert np.array_equal(q.grad, before["q"] + c[3])
     assert np.array_equal(s.grad, 2.0 * before["s"])
-    for name in "puxr":
+    for name in "puxyr":
         assert np.array_equal(params[name].grad, before[name]), name
 
 
@@ -489,6 +507,14 @@ def test_shape_and_domain_errors():
         ad.segment_weighted_sum(ad.parameter(np.ones((3, 3))), m, [0, 1, 2])  # 3 weight rows, 2 value rows
     with pytest.raises(ShapeError):
         ad.concat_rows([m, ad.parameter(np.ones((2, 4)))])
+    with pytest.raises(ShapeError):
+        ad.scatter_rows(m, [0, 1, 1], 3)  # three indices for two rows
+    with pytest.raises(IndexError):
+        ad.scatter_rows(v3, [0, 3, 1], 3)
+    with pytest.raises(ShapeError):
+        ad.reshape(m, (4, 2))
+    with pytest.raises(ShapeError):
+        ad.reshape(m, (1, 2, 3))  # three dimensions
 
 
 def test_zero_grads_clears():

@@ -3,6 +3,8 @@ full forward passes checked against the pure-Python reference implementation."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,27 @@ def test_encode_value_once_per_pass(monkeypatch):
 # full forward pass against the reference implementation
 
 
+def sparse_view(seed, config):
+    """A graph with an entity that owns no edge, ordered before entities
+    that do (the merge path), and a relation whose only triple the view
+    leaves out, so the per-relation tables hold rows no edge reads."""
+    kg = kg_from_name_triples(
+        [("a", "r", "sink"), ("b", "r", "a"), ("a", "s", "b"), ("c", "s", "a"),
+         ("b", "r", "c"), ("c", "r", "b"), ("c", "unused", "sink")],
+        [("a", "p", "red round"), ("c", "q", "blue"), ("b", "p", "green red")],
+    )
+    unused = kg.relations.id_of("unused")
+    view = GraphView.restricted(
+        kg, [t for t in kg.relation_triples if t.relation != unused], config.use_attributes
+    )
+    sink = kg.entities.id_of("sink")
+    assert sink not in view.edges.active and sink < view.edges.active.max()
+    assert unused not in view.edges.relation
+    params = init_params(kg.num_entities, kg.num_relations, kg.vocab_size, 0, config,
+                         np.random.default_rng(seed))
+    return view, params
+
+
 FORWARD_CASES = [
     ModelConfig(dim=5, head_dim=4, heads=2, layers=2),
     ModelConfig(dim=4, head_dim=4, heads=1, layers=1, aggregator="average"),
@@ -413,13 +436,16 @@ FORWARD_CASES = [
 
 
 @pytest.mark.parametrize("config", FORWARD_CASES)
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_forward_all_matches_reference(config, seed):
-    kg, view, params = build(seed, config, with_attributes=True)
+@pytest.mark.parametrize("graph", [0, 1, 2, "sparse"])  # a random graph's seed, or the sparse graph
+def test_forward_all_matches_reference(config, graph):
+    if graph == "sparse":
+        view, params = sparse_view(4, config)
+    else:
+        _, view, params = build(graph, config, with_attributes=True)
     got = forward_all(view, params, config)
     arrays = oracle.params_to_lists(params.named_parameters())
     want = oracle.naive_entity_vectors(view, arrays, oracle_config(config))
-    for e in range(kg.num_entities):
+    for e in range(view.entity_count):
         assert relative_error(got.data[e], np.array(want[e])) < 1e-10
 
 
@@ -476,13 +502,45 @@ def test_attributes_off_ignores_attribute_triples():
 
 
 def test_forward_gradients_end_to_end():
-    config = ModelConfig(dim=4, head_dim=3, heads=2, layers=2)
-    kg, view, params = build(21, config, entities=4, triples=8, with_attributes=True)
-    tensors = params.all_tensors()
+    """Bilinear and translational attention and the average aggregator, each
+    on a random graph and on the sparse graph."""
+    configs = {
+        "bilinear-concat": ModelConfig(dim=4, head_dim=3, heads=2, layers=2),
+        "translational": ModelConfig(dim=4, head_dim=3, heads=2, layers=2, attention="translational"),
+        "average": ModelConfig(dim=3, head_dim=3, heads=2, layers=2, aggregator="average"),
+    }
+    for (name, config), graph in itertools.product(configs.items(), ("random", "sparse")):
+        if graph == "random":
+            _, view, params = build(21, config, entities=4, triples=8, with_attributes=True)
+        else:
+            view, params = sparse_view(21, config)
 
-    def forward():
-        return ad.sum_all(forward_all(view, params, config))
+        def forward():
+            return ad.sum_all(forward_all(view, params, config))
 
-    rng = np.random.default_rng(0)
-    worst = check_gradients(forward, tensors, step=1e-6, max_entries_per_param=6, rng=rng)
-    assert worst < 1e-4
+        rng = np.random.default_rng(0)
+        worst = check_gradients(forward, params.all_tensors(), step=1e-6, max_entries_per_param=6, rng=rng)
+        assert worst < 1e-4, (name, graph)
+
+
+@pytest.mark.parametrize("attention", ["bilinear", "translational"])
+def test_layer_tape_holds_one_per_edge_row_gather(attention):
+    """The relation half of a layer runs on per-relation tables: of all the
+    records one layer puts on the tape, exactly one is (edges, heads *
+    head_dim) wide, the gather of the transformed source rows. Bilinear
+    attention keeps every other per-edge record at most ``heads`` wide."""
+    config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1, attention=attention)
+    kg, view, params = build(3, config, entities=8, triples=30, with_attributes=True)
+    edges, width = view.edges.source.size, config.heads * config.head_dim
+    # read once per forward pass, not per layer
+    rel = ad.rows(params.relation, view.edges.relation)
+    values = model_module._value_table(view, params, config)
+    with ad.Tape() as tape:
+        model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
+    wide = [t for t in tape.records if t.shape == (edges, width)]
+    assert len(wide) == 1
+    (gather,) = wide
+    assert gather._parents[0].shape == (kg.num_entities + kg.num_values, width)
+    if attention == "bilinear":
+        per_edge = [t for t in tape.records if t.shape[:1] == (edges,) and t is not gather]
+        assert per_edge and all(t.shape[1] <= config.heads for t in per_edge)
