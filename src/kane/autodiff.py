@@ -23,10 +23,10 @@ its backward ran; read the parameters' grads, which ``backward`` returns.
 
 Every sum of rows by index goes through one kernel, ``_scatter_sum``: a
 flat ``np.bincount`` over ``index * width + column``. It serves the
-backward of the gathers ``rows`` and ``take``, the forward of their
-adjoint ``scatter_rows`` and the forward sum of ``segment_weighted_sum``,
-needs no sort, and reads its input in memory order; rows no index hits
-are zero.
+backward of the gather ``rows``, the forward of its adjoint
+``scatter_rows`` and the forward sum of ``segment_weighted_sum``, needs
+no sort, and reads its input in memory order; rows no index hits are
+zero.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def transpose(m: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: lookups, stacking, slicing, reductions
+# structure: lookups, stacking, reductions
 
 def _indices(indices, n: int, op: str) -> np.ndarray:
     """A validated non-empty 1-d index array into ``n`` rows."""
@@ -278,8 +278,9 @@ def _indices(indices, n: int, op: str) -> np.ndarray:
 
 
 def rows(m: Tensor, indices) -> Tensor:
-    if m.data.ndim != 2:
-        raise ShapeError(f"rows: needs a matrix, got shape {m.shape}")
+    """Entries of a vector or rows of a matrix by index; indices may repeat."""
+    if m.data.ndim == 0:
+        raise ShapeError("rows: needs a vector or a matrix, got a scalar")
     idx = _indices(indices, m.shape[0], "rows")
 
     def back(g):
@@ -288,21 +289,10 @@ def rows(m: Tensor, indices) -> Tensor:
     return _make(m.data[idx], (m,), back)
 
 
-def take(v: Tensor, indices) -> Tensor:
-    if v.data.ndim != 1:
-        raise ShapeError(f"take: needs a vector, got shape {v.shape}")
-    idx = _indices(indices, v.shape[0], "take")
-
-    def back(g):
-        _accum_rows(v, idx, g)
-
-    return _make(v.data[idx], (v,), back)
-
-
 def scatter_rows(m: Tensor, indices, n: int) -> Tensor:
-    """The adjoint of ``rows`` and ``take``: entry or row ``k`` of ``m`` is
-    added into row ``indices[k]`` of an ``n``-row result; rows no index
-    hits are zero. Its backward is the gather."""
+    """The adjoint of ``rows``: entry or row ``k`` of ``m`` is added into
+    row ``indices[k]`` of an ``n``-row result; rows no index hits are zero.
+    Its backward is the gather."""
     if m.data.ndim == 0:
         raise ShapeError("scatter_rows: needs a vector or a matrix, got a scalar")
     idx = _indices(indices, n, "scatter_rows")
@@ -344,38 +334,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             _accum(p, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), parts, back)
-
-
-def slice_vec(v: Tensor, start: int, stop: int) -> Tensor:
-    if v.data.ndim != 1:
-        raise ShapeError(f"slice_vec: needs a vector, got shape {v.shape}")
-    if not 0 <= start < stop <= v.shape[0]:
-        raise ShapeError(f"slice_vec: bad range [{start}, {stop}) for length {v.shape[0]}")
-
-    def back(g):
-        if not _takes_grad(v):
-            return
-        if v.grad is None:
-            v.grad = np.zeros_like(v.data)
-        v.grad[start:stop] += g
-
-    return _make(v.data[start:stop].copy(), (v,), back)
-
-
-def slice_rows(m: Tensor, start: int, stop: int) -> Tensor:
-    if m.data.ndim != 2:
-        raise ShapeError(f"slice_rows: needs a matrix, got shape {m.shape}")
-    if not 0 <= start < stop <= m.shape[0]:
-        raise ShapeError(f"slice_rows: bad range [{start}, {stop}) for {m.shape[0]} rows")
-
-    def back(g):
-        if not _takes_grad(m):
-            return
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        m.grad[start:stop] += g
-
-    return _make(m.data[start:stop].copy(), (m,), back)
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:

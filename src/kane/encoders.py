@@ -12,7 +12,8 @@ optimization steps.
 * ``lstm_encode`` -- final hidden state of a standard LSTM cell run over
   the tokens in order; zero initial states; order-sensitive. The
   sequences run as packed sequences: one step advances every sequence
-  still running with one matrix product per gate and path.
+  still running with one matrix product per path for all four gates,
+  whose weights are stored side by side in (in, out) layout.
 """
 
 from __future__ import annotations
@@ -61,25 +62,17 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
 
 @dataclass
 class LstmParams:
-    """Gate weights for one LSTM cell of width ``dim``.
-
-    Each gate has an input path (dim x dim), a hidden path (dim x dim) and
-    a bias (dim). The forget bias starts at 1 so early training does not
-    erase the cell state.
+    """The weights of one LSTM cell of width ``dim``, all four gates side
+    by side in the order input, forget, output, cell: the input path and
+    the hidden path are (dim, 4 * dim), the bias is (4 * dim,). Column
+    block ``g`` of a path multiplies the row vectors that feed gate ``g``.
+    The forget bias starts at 1 so early training does not erase the cell
+    state.
     """
 
-    w_in_input: Tensor
-    w_hid_input: Tensor
-    b_input: Tensor
-    w_in_forget: Tensor
-    w_hid_forget: Tensor
-    b_forget: Tensor
-    w_in_output: Tensor
-    w_hid_output: Tensor
-    b_output: Tensor
-    w_in_cell: Tensor
-    w_hid_cell: Tensor
-    b_cell: Tensor
+    w_in: Tensor
+    w_hid: Tensor
+    b: Tensor
 
     def named(self) -> list[tuple[str, Tensor]]:
         """(checkpoint name, tensor) per field, in field order."""
@@ -87,21 +80,14 @@ class LstmParams:
 
 
 def init_lstm_params(dim: int, rng: np.random.Generator) -> LstmParams:
+    """Each gate's (dim, dim) input and hidden matrices are drawn in gate
+    order, input path first, and stored transposed in their column block."""
     bound = np.sqrt(6.0 / (2 * dim))  # fan-based: gate outputs stay O(input)
-
-    def mat(name: str) -> Tensor:
-        return ad.parameter(rng.uniform(-bound, bound, size=(dim, dim)), name)
-
-    w_ii, w_hi = mat("lstm.w_in_input"), mat("lstm.w_hid_input")
-    w_if, w_hf = mat("lstm.w_in_forget"), mat("lstm.w_hid_forget")
-    w_io, w_ho = mat("lstm.w_in_output"), mat("lstm.w_hid_output")
-    w_ic, w_hc = mat("lstm.w_in_cell"), mat("lstm.w_hid_cell")
-    zeros = lambda name: ad.parameter(np.zeros(dim), name)
+    draws = [rng.uniform(-bound, bound, size=(dim, dim)) for _ in range(8)]
     return LstmParams(
-        w_in_input=w_ii, w_hid_input=w_hi, b_input=zeros("lstm.b_input"),
-        w_in_forget=w_if, w_hid_forget=w_hf, b_forget=ad.parameter(np.ones(dim), "lstm.b_forget"),
-        w_in_output=w_io, w_hid_output=w_ho, b_output=zeros("lstm.b_output"),
-        w_in_cell=w_ic, w_hid_cell=w_hc, b_cell=zeros("lstm.b_cell"),
+        w_in=ad.parameter(np.concatenate([w.T for w in draws[0::2]], axis=1), "lstm.w_in"),
+        w_hid=ad.parameter(np.concatenate([w.T for w in draws[1::2]], axis=1), "lstm.w_hid"),
+        b=ad.parameter(np.concatenate([np.zeros(dim), np.ones(dim), np.zeros(2 * dim)]), "lstm.b"),
     )
 
 
@@ -112,46 +98,36 @@ def lstm_encode(sequences: Sequence[Sequence[int]], word_table: Tensor, params: 
     The batch runs as packed sequences, longest first (a stable sort, so
     equal lengths keep their input order). Time step ``t`` gathers token
     ``t`` of every sequence still running and advances their states with
-    one matrix product per gate and path; the states of sequences that
-    have ended are set aside, which keeps the running ones in the leading
-    rows. Step 0 starts from the zero states, so it runs only the input
-    path and no forget gate. The final states are put back in input order
-    at the end.
+    one matrix product per path for all four gates; the states of
+    sequences that have ended are set aside, which keeps the running ones
+    in the leading rows. Step 0 starts from the zero states, so it runs
+    only the input path and no forget gate. The final states are put back
+    in input order at the end.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
+    dim = word_table.shape[1]
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     running = (lengths[order] > np.arange(int(lengths.max()))[:, None]).sum(axis=1)
-    gates = [
-        (ad.transpose(w_in), ad.transpose(w_hid), b)
-        for w_in, w_hid, b in (
-            (params.w_in_input, params.w_hid_input, params.b_input),
-            (params.w_in_forget, params.w_hid_forget, params.b_forget),
-            (params.w_in_output, params.w_hid_output, params.b_output),
-            (params.w_in_cell, params.w_hid_cell, params.b_cell),
-        )
-    ]
     h = c = None  # the zero initial states
     ended: list[Tensor] = []
     for t, live in enumerate(running.tolist()):
         if h is not None and live < h.shape[0]:
-            ended.append(ad.slice_rows(h, live, h.shape[0]))
-            h, c = ad.slice_rows(h, 0, live), ad.slice_rows(c, 0, live)
+            ended.append(ad.rows(h, np.arange(live, h.shape[0])))
+            h, c = ad.rows(h, np.arange(live)), ad.rows(c, np.arange(live))
         x = ad.rows(word_table, flat[starts[:live] + t])
-        if h is None:
-            # zero initial states: no hidden-path products, no cell state to forget
-            pre_i, pre_o, pre_c = (
-                ad.add_rowvec(ad.matmul(x, gates[k][0]), gates[k][2]) for k in (0, 2, 3)
-            )
-            c = ad.elementwise_mul(ad.sigmoid(pre_i), ad.tanh(pre_c))
+        pre = ad.matmul(x, params.w_in)
+        if h is not None:
+            pre = ad.add(pre, ad.matmul(h, params.w_hid))
+        pre = ad.reshape(ad.add_rowvec(pre, params.b), (4 * live, dim))
+        # row 4 k + g of pre holds gate g of sequence k
+        i, f, o, g = (np.arange(k, 4 * live, 4) for k in range(4))
+        cell = ad.elementwise_mul(ad.sigmoid(ad.rows(pre, i)), ad.tanh(ad.rows(pre, g)))
+        if c is None:
+            c = cell  # zero initial states: no cell state to forget
         else:
-            pre_i, pre_f, pre_o, pre_c = (
-                ad.add_rowvec(ad.add(ad.matmul(x, w_in), ad.matmul(h, w_hid)), b)
-                for w_in, w_hid, b in gates
-            )
-            forget = ad.elementwise_mul(ad.sigmoid(pre_f), c)
-            c = ad.add(forget, ad.elementwise_mul(ad.sigmoid(pre_i), ad.tanh(pre_c)))
-        h = ad.elementwise_mul(ad.sigmoid(pre_o), ad.tanh(c))
+            c = ad.add(ad.elementwise_mul(ad.sigmoid(ad.rows(pre, f)), c), cell)
+        h = ad.elementwise_mul(ad.sigmoid(ad.rows(pre, o)), ad.tanh(c))
     ended.append(h)
     # blocks ended shortest first; reversed, they run longest first again
     packed = ad.concat_rows(ended[::-1])

@@ -276,7 +276,7 @@ def classification_accuracy(
     for e in entities:
         if e not in labels:
             raise ConfigError(f"entity {e} has no label")
-    scores = ent[entities] @ params.cls_w.data.T + params.cls_b.data
+    scores = ent[entities] @ params.cls_w.data + params.cls_b.data
     pred = scores.argmax(axis=1)
     truth = np.array([labels[e] for e in entities])
     return float((pred == truth).mean())

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -71,12 +70,6 @@ class AttributeTriple(NamedTuple):
     head: int
     relation: int
     value: int
-
-
-class Neighbor(NamedTuple):
-    relation: int
-    target: int  # entity id, or attribute value id when is_attribute
-    is_attribute: bool
 
 
 def tokenize(literal: str) -> list[str]:
@@ -248,15 +241,6 @@ class GraphView:
     @property
     def entity_count(self) -> int:
         return self.kg.num_entities
-
-    @cached_property
-    def neighborhood(self) -> list[list[Neighbor]]:
-        """Per entity, its outgoing edges as ``Neighbor``s, in edge order."""
-        n, e = self.entity_count, self.edges
-        nb: list[list[Neighbor]] = [[] for _ in range(n)]
-        for owner, rel, src in zip(e.owner.tolist(), e.relation.tolist(), e.source.tolist()):
-            nb[owner].append(Neighbor(rel, src - n if src >= n else src, src >= n))
-        return nb
 
     @classmethod
     def restricted(

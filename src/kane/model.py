@@ -16,8 +16,12 @@ their previous-layer vector. Relation embeddings and attribute encodings
 are read fresh at every layer; only entity vectors propagate.
 
 Each layer runs over all edges of the view at once, for all heads at once.
-The head transforms are stacked into one (heads * head_dim, dim) matrix W,
-which multiplies the relation table (q = W r, R rows) and the source table
+Every transform is stored in the (in, out) layout of the row-vector
+product that reads it, so the tape never transposes or stacks a
+parameter: a layer's head transforms are one (dim, heads * head_dim)
+matrix holding W_h^T in column block h, the concat merge is (heads *
+head_dim, dim) and the classifier (dim, classes). The stacked transform
+W multiplies the relation table (q = W r, R rows) and the source table
 (t = W n, S rows: entity vectors, then value encodings) once each, since
 W (r + n) = W r + W n. Nothing per edge then depends on the relation but
 an (edges, heads) gather, by two exact identities, per head:
@@ -123,9 +127,9 @@ class ModelParams:
     relation: Tensor
     word: Tensor | None = None
     lstm: LstmParams | None = None
-    head_w: list[list[Tensor]] = field(default_factory=list)  # [layer][head], (head_dim, dim)
-    out_w: list[Tensor] = field(default_factory=list)  # [layer], (dim, heads * head_dim)
-    cls_w: Tensor | None = None  # (classes, dim)
+    head_w: list[Tensor] = field(default_factory=list)  # [layer], (dim, heads * head_dim)
+    out_w: list[Tensor] = field(default_factory=list)  # [layer], (heads * head_dim, dim)
+    cls_w: Tensor | None = None  # (dim, classes)
     cls_b: Tensor | None = None  # (classes,)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -134,9 +138,8 @@ class ModelParams:
             out.append(("word", self.word))
         if self.lstm is not None:
             out.extend(self.lstm.named())
-        for l, heads in enumerate(self.head_w):
-            for i, w in enumerate(heads):
-                out.append((f"head_w.{l}.{i}", w))
+        for l, w in enumerate(self.head_w):
+            out.append((f"head_w.{l}", w))
         for l, w in enumerate(self.out_w):
             out.append((f"out_w.{l}", w))
         if self.cls_w is not None:
@@ -167,7 +170,9 @@ def init_params(
     entity and relation rows L2-normalized once; linear transforms use
     fan-based (Glorot) uniform bounds so propagation preserves vector
     magnitude instead of amplifying it layer over layer. Draw order is
-    fixed so a seed pins every value."""
+    fixed so a seed pins every value: each head's (head_dim, dim)
+    transform, the (dim, heads * head_dim) merge and the (classes, dim)
+    classifier are drawn in that shape and stored transposed."""
     config.validate()
     if entity_count < 1 or relation_count < 1:
         raise ConfigError("need at least one entity and one relation")
@@ -191,20 +196,23 @@ def init_params(
     if config.encoder == "lstm" and word is not None:
         lstm = init_lstm_params(config.dim, rng)
 
+    def transposed(draw: np.ndarray, name: str) -> Tensor:
+        return ad.parameter(np.ascontiguousarray(draw.T), name)
+
     head_w = [
-        [ad.parameter(fan_uniform((config.head_dim, config.dim)), f"head_w.{l}.{i}")
-         for i in range(config.heads)]
+        transposed(np.concatenate([fan_uniform((config.head_dim, config.dim))
+                                   for _ in range(config.heads)]), f"head_w.{l}")
         for l in range(config.layers)
     ]
     out_w = []
     if config.aggregator == "concat":
         out_w = [
-            ad.parameter(fan_uniform((config.dim, config.heads * config.head_dim)), f"out_w.{l}")
+            transposed(fan_uniform((config.dim, config.heads * config.head_dim)), f"out_w.{l}")
             for l in range(config.layers)
         ]
     cls_w = cls_b = None
     if class_count > 0:
-        cls_w = ad.parameter(fan_uniform((class_count, config.dim)), "cls_w")
+        cls_w = transposed(fan_uniform((class_count, config.dim)), "cls_w")
         cls_b = ad.parameter(np.zeros(class_count), "cls_b")
     return ModelParams(
         entity=entity, relation=relation, word=word, lstm=lstm,
@@ -223,9 +231,7 @@ def params_from_arrays(
     lstm = None
     if config.encoder == "lstm" and vocab_size > 0:
         lstm = LstmParams(**{f.name: p(f"lstm.{f.name}") for f in fields(LstmParams)})
-    head_w = [
-        [p(f"head_w.{l}.{i}") for i in range(config.heads)] for l in range(config.layers)
-    ]
+    head_w = [p(f"head_w.{l}") for l in range(config.layers)]
     out_w = []
     if config.aggregator == "concat":
         out_w = [p(f"out_w.{l}") for l in range(config.layers)]
@@ -242,20 +248,17 @@ def parameter_shapes(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter ``init_params`` makes for these
     counts, in ``named_parameters`` order."""
-    d, hd = config.dim, config.head_dim
+    d, width = config.dim, config.heads * config.head_dim
     out = [("entity", (entity_count, d)), ("relation", (relation_count, d))]
     if vocab_size > 0:
         out.append(("word", (vocab_size, d)))
         if config.encoder == "lstm":
-            out += [
-                (f"lstm.{f.name}", (d,) if f.name.startswith("b_") else (d, d))
-                for f in fields(LstmParams)
-            ]
-    out += [(f"head_w.{l}.{i}", (hd, d)) for l in range(config.layers) for i in range(config.heads)]
+            out += [("lstm.w_in", (d, 4 * d)), ("lstm.w_hid", (d, 4 * d)), ("lstm.b", (4 * d,))]
+    out += [(f"head_w.{l}", (d, width)) for l in range(config.layers)]
     if config.aggregator == "concat":
-        out += [(f"out_w.{l}", (d, config.heads * hd)) for l in range(config.layers)]
+        out += [(f"out_w.{l}", (width, d)) for l in range(config.layers)]
     if class_count > 0:
-        out += [("cls_w", (class_count, d)), ("cls_b", (class_count,))]
+        out += [("cls_w", (d, class_count)), ("cls_b", (class_count,))]
     return out
 
 
@@ -311,11 +314,10 @@ def _layer_heads(
     edges = view.edges
     table = inputs if values is None else ad.concat_rows([inputs, values])
     relations, heads = params.relation.shape[0], config.heads
-    # all heads stacked: W = [W_0; W_1; ...], applied to the tables before
-    # any per-edge gather, since W (r + n) = W r + W n
-    w_t = ad.transpose(ad.concat_rows(params.head_w[layer]))
-    query = ad.matmul(params.relation, w_t)  # (R, heads * head_dim)
-    source = ad.matmul(table, w_t)  # (S, heads * head_dim)
+    # all heads at once, applied to the tables before any per-edge gather,
+    # since W (r + n) = W r + W n
+    query = ad.matmul(params.relation, params.head_w[layer])  # (R, heads * head_dim)
+    source = ad.matmul(table, params.head_w[layer])  # (S, heads * head_dim)
     if config.attention == "bilinear":
         # row r * heads + h holds q_r's head-h block and zeros elsewhere
         mask = np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1))
@@ -351,7 +353,7 @@ def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, la
     if head_outputs.data.ndim != 2 or head_outputs.shape[1] != width:
         raise ConfigError(f"expected head outputs {width} wide, got shape {head_outputs.shape}")
     if config.aggregator == "concat":
-        merge = ad.transpose(params.out_w[layer])
+        merge = params.out_w[layer]
     else:
         # the mean of the head blocks
         merge = ad.constant(np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads)

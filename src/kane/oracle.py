@@ -7,7 +7,9 @@ graph data types and ``math``), so agreement between the two routes is
 meaningful evidence rather than a tautology.
 
 Parameters arrive as a plain ``{name: nested lists}`` dict and the
-configuration as a plain dict of values.
+configuration as a plain dict of values. Matrices are in the model's
+(in, out) layout: a row vector times the matrix, and the stacked head
+transforms and LSTM gates are read block by block.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ def params_to_lists(named_parameters) -> dict[str, list]:
     return {name: tensor.data.tolist() for name, tensor in named_parameters}
 
 
-def _matvec(m: list[list[float]], v: list[float]) -> list[float]:
+def _vecmat(v: list[float], m: list[list[float]], lo: int, hi: int) -> list[float]:
+    """Columns ``lo:hi`` of the row vector ``v`` times the matrix ``m``."""
     out = []
-    for row_vals in m:
+    for j in range(lo, hi):
         acc = 0.0
-        for a, b in zip(row_vals, v):
-            acc += a * b
+        for i, x in enumerate(v):
+            acc += x * m[i][j]
         out.append(acc)
     return out
 
@@ -89,20 +92,20 @@ def _encode_lstm(tokens: list[int], word: list[list[float]], arrays: dict) -> li
     dim = len(word[0])
     h = [0.0] * dim
     c = [0.0] * dim
+
+    def pre(x: list[float], hidden: list[float], gate: int) -> list[float]:
+        # gates side by side: input, forget, output, cell
+        lo, hi = gate * dim, (gate + 1) * dim
+        return [a + b + bb for a, b, bb in zip(
+            _vecmat(x, arrays["lstm.w_in"], lo, hi), _vecmat(hidden, arrays["lstm.w_hid"], lo, hi),
+            arrays["lstm.b"][lo:hi])]
+
     for w in tokens:
         x = word[w]
-        gate_i = [_sigmoid(a + b + bb) for a, b, bb in zip(
-            _matvec(arrays["lstm.w_in_input"], x), _matvec(arrays["lstm.w_hid_input"], h),
-            arrays["lstm.b_input"])]
-        gate_f = [_sigmoid(a + b + bb) for a, b, bb in zip(
-            _matvec(arrays["lstm.w_in_forget"], x), _matvec(arrays["lstm.w_hid_forget"], h),
-            arrays["lstm.b_forget"])]
-        gate_o = [_sigmoid(a + b + bb) for a, b, bb in zip(
-            _matvec(arrays["lstm.w_in_output"], x), _matvec(arrays["lstm.w_hid_output"], h),
-            arrays["lstm.b_output"])]
-        cand = [math.tanh(a + b + bb) for a, b, bb in zip(
-            _matvec(arrays["lstm.w_in_cell"], x), _matvec(arrays["lstm.w_hid_cell"], h),
-            arrays["lstm.b_cell"])]
+        gate_i = [_sigmoid(a) for a in pre(x, h, 0)]
+        gate_f = [_sigmoid(a) for a in pre(x, h, 1)]
+        gate_o = [_sigmoid(a) for a in pre(x, h, 2)]
+        cand = [math.tanh(a) for a in pre(x, h, 3)]
         c = [f * cc + i * g for f, cc, i, g in zip(gate_f, c, gate_i, cand)]
         h = [o * math.tanh(cc) for o, cc in zip(gate_o, c)]
     return h
@@ -115,31 +118,49 @@ def _encoded_value(value_id: int, view: GraphView, arrays: dict, cfg: dict) -> l
     return _encode_lstm(tokens, arrays["word"], arrays)
 
 
+def neighbor_lists(view: GraphView) -> list[list[tuple[int, int, bool]]]:
+    """Per entity, its outgoing edges in edge order as (relation, target,
+    is_attribute) tuples; the target is an entity id, or a value id when
+    ``is_attribute``."""
+    n = view.entity_count
+    out: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    edges = view.edges
+    for owner, rel, src in zip(edges.owner.tolist(), edges.relation.tolist(), edges.source.tolist()):
+        if src >= n:
+            out[owner].append((rel, src - n, True))
+        else:
+            out[owner].append((rel, src, False))
+    return out
+
+
 def naive_entity_vectors(view: GraphView, arrays: dict, cfg: dict) -> list[list[float]]:
     """Layer-by-layer propagation with explicit dense loops."""
     vecs = [list(map(float, row_vals)) for row_vals in arrays["entity"]]
+    neighborhood = neighbor_lists(view)
     for layer in range(cfg["layers"]):
+        transform = arrays[f"head_w.{layer}"]
+        head_dim = len(transform[0]) // cfg["heads"]
         new_vecs = []
         for e in range(view.entity_count):
-            neighbors = view.neighborhood[e]
+            neighbors = neighborhood[e]
             if not neighbors:
                 new_vecs.append(list(vecs[e]))
                 continue
             head_outs = []
             for head in range(cfg["heads"]):
-                transform = arrays[f"head_w.{layer}.{head}"]
+                lo, hi = head * head_dim, (head + 1) * head_dim
                 logits = []
                 messages = []
-                for nb in neighbors:
-                    r_vec = arrays["relation"][nb.relation]
-                    if nb.is_attribute:
-                        n_vec = _encoded_value(nb.target, view, arrays, cfg)
+                for relation, target, is_attribute in neighbors:
+                    r_vec = arrays["relation"][relation]
+                    if is_attribute:
+                        n_vec = _encoded_value(target, view, arrays, cfg)
                     else:
-                        n_vec = vecs[nb.target]
+                        n_vec = vecs[target]
                     combined = _vadd(r_vec, n_vec)
-                    message = _matvec(transform, combined)
+                    message = _vecmat(combined, transform, lo, hi)
                     if cfg["attention"] == "bilinear":
-                        query = _matvec(transform, r_vec)
+                        query = _vecmat(r_vec, transform, lo, hi)
                         logits.append(_leaky(_dot(query, message), cfg["leaky_slope"]))
                     else:
                         diff = _vsub(_vadd(vecs[e], r_vec), n_vec)
@@ -152,7 +173,8 @@ def naive_entity_vectors(view: GraphView, arrays: dict, cfg: dict) -> list[list[
                 head_outs.append(out)
             if cfg["aggregator"] == "concat":
                 flat = [x for out in head_outs for x in out]
-                merged = _matvec(arrays[f"out_w.{layer}"], flat)
+                out_w = arrays[f"out_w.{layer}"]
+                merged = _vecmat(flat, out_w, 0, len(out_w[0]))
             else:
                 merged = [0.0] * len(head_outs[0])
                 for out in head_outs:

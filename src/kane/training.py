@@ -40,6 +40,7 @@ from .model import (
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
+CHECKPOINT_FORMAT = 2  # the parameter names and shapes of ``model.parameter_shapes``
 SCORE_CLIP = 30.0  # classifier scores are clipped before sigmoid to keep log finite
 
 
@@ -169,7 +170,7 @@ def hinge_loss(
         raise ConfigError(
             f"expected {n_pos * negatives_per_positive} negative distances, got {neg_distances.shape[0]}"
         )
-    paired = ad.take(pos_distances, np.repeat(np.arange(n_pos), negatives_per_positive))
+    paired = ad.rows(pos_distances, np.repeat(np.arange(n_pos), negatives_per_positive))
     gamma = ad.constant(np.full(neg_distances.shape[0], float(margin)))
     violation = ad.add(ad.sub(paired, neg_distances), gamma)
     return ad.sum_all(ad.leaky_relu(violation, 0.0))
@@ -184,11 +185,14 @@ def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
     n, c = scores.shape
     if len(labels) != n:
         raise ConfigError(f"got {n} score rows but {len(labels)} labels")
+    if class_count != c:
+        raise ConfigError(f"got {c} score columns for {class_count} classes")
+    lab = np.asarray(labels, dtype=np.intp)
+    outside = (lab < 0) | (lab >= c)
+    if outside.any():
+        raise ConfigError(f"label {lab[outside][0]} outside 0..{c - 1}")
     onehot = np.zeros((n, c))
-    for i, lab in enumerate(labels):
-        if not 0 <= lab < class_count or class_count != c:
-            raise ConfigError(f"label {lab} outside 0..{c - 1}")
-        onehot[i, lab] = 1.0
+    onehot[np.arange(n), lab] = 1.0
     probs = ad.sigmoid(ad.clip(scores, -SCORE_CLIP, SCORE_CLIP))
     pos_term = ad.elementwise_mul(ad.constant(onehot), ad.log(probs))
     neg_term = ad.elementwise_mul(
@@ -238,8 +242,8 @@ def _completion_batch_loss(
     tail_mat = ad.rows(table, rows[:, 2])
     rel_mat = ad.rows(params.relation, rows[:, 1])
     dists = ad.rowwise_norm(ad.sub(ad.add(head_mat, rel_mat), tail_mat), config.model.norm)
-    d_pos = ad.slice_vec(dists, 0, len(positives))
-    d_neg = ad.slice_vec(dists, len(positives), len(rows))
+    d_pos = ad.rows(dists, np.arange(len(positives)))
+    d_neg = ad.rows(dists, np.arange(len(positives), len(rows)))
     return hinge_loss(d_pos, d_neg, config.margin, config.negatives)
 
 
@@ -250,7 +254,7 @@ def _classification_batch_loss(
     split: DatasetSplit,
 ) -> Tensor:
     vecs = ad.rows(ent, batch_entities)
-    scores = ad.add_rowvec(ad.matmul(vecs, ad.transpose(params.cls_w)), params.cls_b)
+    scores = ad.add_rowvec(ad.matmul(vecs, params.cls_w), params.cls_b)
     labels = [split.labels[e] for e in batch_entities]
     return bce_loss(scores, labels, split.class_count)
 
@@ -392,11 +396,13 @@ def save_checkpoint_bytes(
 
     Layout: 8-byte magic ``KANECKP1``, little-endian uint64 header length,
     UTF-8 JSON header (sorted keys), then each array's raw float64
-    little-endian row-major bytes in header order.
+    little-endian row-major bytes in header order. The header's
+    ``format_version`` names the parameter layout; a loader reads its own
+    format only.
     """
     named = params.named_parameters()
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT,
         "config": _config_to_dict(config),
         "bundle_checksum": bundle_checksum,
         "rng_state": rng_state or {},
@@ -434,6 +440,11 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     off += head_len
     if not isinstance(header, dict) or "config" not in header:
         raise IntegrityError("corrupt checkpoint header: no config")
+    version = header.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_FORMAT:
+        raise IntegrityError(
+            f"unsupported checkpoint format_version {version!r}: only format {CHECKPOINT_FORMAT} loads"
+        )
     config = _config_from_dict(header["config"])
     specs = _array_specs(header.get("arrays"), config.model)
     arrays: dict[str, np.ndarray] = {}
@@ -451,7 +462,7 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         raise IntegrityError(f"checkpoint has {len(blob) - off} trailing bytes")
     params = params_from_arrays(
         arrays, config.model,
-        class_count=int(arrays["cls_w"].shape[0]) if "cls_w" in arrays else 0,
+        class_count=int(arrays["cls_b"].shape[0]) if "cls_b" in arrays else 0,
         vocab_size=int(arrays["word"].shape[0]) if "word" in arrays else 0,
     )
     return params, config, header
@@ -470,7 +481,7 @@ def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
             raise IntegrityError(f"corrupt checkpoint header: bad array entry {spec!r}")
         out.append((spec["name"], tuple(shape)))
     rows = {name: shape[0] for name, shape in out if shape}
-    counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_w")]
+    counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_b")]
     expected = parameter_shapes(model, *counts)
     if out != expected:
         names, want = [n for n, _ in out], [n for n, _ in expected]

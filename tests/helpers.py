@@ -174,7 +174,9 @@ def quantized_ranking_setups(count: int = 10):
 def reference_lstm_final_state(
     tokens: list[int], word: np.ndarray, p: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Plain numpy LSTM over token embeddings; returns the final hidden state."""
+    """Plain numpy LSTM over token embeddings; returns the final hidden state.
+    ``p`` holds ``w_in`` and ``w_hid``, (dim, 4 * dim), and ``b``, (4 * dim,),
+    with the gates side by side: input, forget, output, cell."""
 
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -184,10 +186,9 @@ def reference_lstm_final_state(
     c = np.zeros(dim)
     for w in tokens:
         x = word[w]
-        i = sig(p["w_in_input"] @ x + p["w_hid_input"] @ h + p["b_input"])
-        f = sig(p["w_in_forget"] @ x + p["w_hid_forget"] @ h + p["b_forget"])
-        o = sig(p["w_in_output"] @ x + p["w_hid_output"] @ h + p["b_output"])
-        g = np.tanh(p["w_in_cell"] @ x + p["w_hid_cell"] @ h + p["b_cell"])
+        gate = [x @ p["w_in"][:, k * dim:(k + 1) * dim] + h @ p["w_hid"][:, k * dim:(k + 1) * dim]
+                + p["b"][k * dim:(k + 1) * dim] for k in range(4)]
+        i, f, o, g = sig(gate[0]), sig(gate[1]), sig(gate[2]), np.tanh(gate[3])
         c = f * c + i * g
         h = o * np.tanh(c)
     return h

@@ -144,14 +144,17 @@ class TestLstm:
         rng = np.random.default_rng(8)
         params = init_lstm_params(5, rng)
         named = dict(params.named())
-        assert len(named) == 12
-        for name, t in named.items():
-            if name.startswith("lstm.b_"):
-                assert t.shape == (5,)
-            else:
-                assert t.shape == (5, 5)
-        assert np.array_equal(named["lstm.b_forget"].data, np.ones(5))
-        assert np.array_equal(named["lstm.b_input"].data, np.zeros(5))
+        assert list(named) == ["lstm.w_in", "lstm.w_hid", "lstm.b"]
+        assert named["lstm.w_in"].shape == named["lstm.w_hid"].shape == (5, 20)
+        # gates input, forget, output, cell: only the forget bias starts at 1
+        gate_bias = named["lstm.b"].data.reshape(4, 5)
+        assert np.array_equal(gate_bias, np.repeat([[0.0], [1.0], [0.0], [0.0]], 5, axis=1))
+        # each gate's (5, 5) matrices, drawn input path first, in gate order
+        draws = np.random.default_rng(8).uniform(-np.sqrt(0.6), np.sqrt(0.6), size=(8, 5, 5))
+        for gate in range(4):
+            block = slice(gate * 5, (gate + 1) * 5)
+            assert np.array_equal(named["lstm.w_in"].data[:, block], draws[2 * gate].T)
+            assert np.array_equal(named["lstm.w_hid"].data[:, block], draws[2 * gate + 1].T)
 
     def test_rejects_empty_and_out_of_range(self):
         table, params = self._setup(9)

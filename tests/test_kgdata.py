@@ -108,24 +108,21 @@ def test_neighborhood_lists_relations_then_attributes_in_load_order():
         [("a", "p", "x y"), ("b", "p", "z")],
     )
     a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
-    neighborhood = GraphView.restricted(kg, kg.relation_triples).neighborhood
-    nb_a = neighborhood[a]
-    assert [(n.relation, n.is_attribute) for n in nb_a] == [
-        (kg.relations.id_of("r1"), False),
-        (kg.relations.id_of("r2"), False),
-        (kg.relations.id_of("p"), True),
-    ]
-    assert neighborhood[b][0].target == a
-    total = sum(len(lst) for lst in neighborhood)
-    assert total == len(kg.relation_triples) + len(kg.attribute_triples)
+    edges = GraphView.restricted(kg, kg.relation_triples).edges
+    of_a = edges.owner == a
+    assert edges.relation[of_a].tolist() == [kg.relations.id_of(r) for r in ("r1", "r2", "p")]
+    # source rows past the entities are attribute values
+    assert (edges.source[of_a] >= kg.num_entities).tolist() == [False, False, True]
+    assert edges.source[edges.owner == b][0] == a
+    assert edges.owner.size == len(kg.relation_triples) + len(kg.attribute_triples)
 
 
 def test_neighborhood_completeness_on_random_graphs():
     for seed in range(5):
         kg = random_kg(np.random.default_rng(seed), entities=8, relations=3,
                        triples=20, attribute_relations=2, attribute_triples=8)
-        total = sum(len(lst) for lst in GraphView.restricted(kg, kg.relation_triples).neighborhood)
-        assert total == len(kg.relation_triples) + len(kg.attribute_triples)
+        edges = GraphView.restricted(kg, kg.relation_triples).edges
+        assert edges.owner.size == len(kg.relation_triples) + len(kg.attribute_triples)
 
 
 def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
@@ -134,15 +131,18 @@ def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
         [("a", "p", "v")],
     )
     train = [kg.relation_triples[0]]
-    view = GraphView.restricted(kg, train, True)
     a = kg.entities.id_of("a")
     b = kg.entities.id_of("b")
-    assert [n.is_attribute for n in view.neighborhood[a]] == [False, True]
-    assert view.neighborhood[b] == []
-    bare = GraphView.restricted(kg, train, False)
-    assert [n.is_attribute for n in bare.neighborhood[a]] == [False]
-    full = GraphView.restricted(kg, kg.relation_triples)
-    assert len(full.neighborhood[a]) == 3
+
+    def reads_value(view, e):
+        """Per outgoing edge of ``e``, whether it reads an attribute value."""
+        return (view.edges.source[view.edges.owner == e] >= kg.num_entities).tolist()
+
+    view = GraphView.restricted(kg, train, True)
+    assert reads_value(view, a) == [False, True]
+    assert reads_value(view, b) == []
+    assert reads_value(GraphView.restricted(kg, train, False), a) == [False]
+    assert len(reads_value(GraphView.restricted(kg, kg.relation_triples), a)) == 3
 
 
 # ---------------------------------------------------------------------------

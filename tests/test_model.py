@@ -86,6 +86,12 @@ def head_block(outputs, config, head):
     return outputs[:, head * config.head_dim:(head + 1) * config.head_dim]
 
 
+def head_transform(params, config, layer, head):
+    """Head ``head``'s (head_dim, dim) transform W_h, acting on column
+    vectors: the transpose of its column block of ``head_w.{layer}``."""
+    return params.head_w[layer].data[:, head * config.head_dim:(head + 1) * config.head_dim].T
+
+
 def numpy_logits(config, transform, head_vec, neighbors):
     """Unnormalized attention logits of one entity's (relation vector,
     neighbor vector) pairs, computed in plain NumPy."""
@@ -109,23 +115,27 @@ def neighbor_vectors(view, params, values, e):
     """(relation vector, neighbor vector) per outgoing edge of ``e``;
     attribute neighbors read row ``v`` of the value table ``values``."""
     return [
-        (params.relation.data[nb.relation],
-         values[nb.target] if nb.is_attribute else params.entity.data[nb.target])
-        for nb in view.neighborhood[e]
+        (params.relation.data[relation], values[target] if is_attribute else params.entity.data[target])
+        for relation, target, is_attribute in oracle.neighbor_lists(view)[e]
     ]
 
 
 def hand_built(config):
     """A small graph whose entity "a" reaches two entities, itself and one
-    attribute value; every parameter is redrawn standard-normal."""
+    attribute value; every parameter is redrawn standard-normal, the
+    transforms in their (out, in) shape and stored transposed, as
+    ``init_params`` draws them."""
     kg = kg_from_name_triples(
         [("a", "r", "b"), ("a", "s", "c"), ("a", "r", "a"), ("b", "s", "a")],
         [("a", "p", "x y")],
     )
     rng = np.random.default_rng(5)
     params = init_params(kg.num_entities, kg.num_relations, kg.vocab_size, 0, config, rng)
-    for t in params.all_tensors():
-        t.data = rng.standard_normal(t.shape)
+    for name, t in params.named_parameters():
+        if name.startswith(("head_w", "out_w")):
+            t.data = rng.standard_normal(t.shape[::-1]).T
+        else:
+            t.data = rng.standard_normal(t.shape)
     view = GraphView.restricted(kg, kg.relation_triples, config.use_attributes)
     return kg, view, params
 
@@ -200,6 +210,28 @@ def test_params_from_arrays_round_trip():
         assert np.array_equal(got[name].data, want[name].data), name
 
 
+def test_init_params_stores_each_draw_transposed():
+    """A seed pins the values it pinned when every transform was stored in
+    its drawn (out, in) shape: after the embedding tables, each head's
+    (head_dim, dim) transform per layer, the (dim, heads * head_dim) merge
+    per layer and the (classes, dim) classifier, each stored transposed."""
+    config = ModelConfig(dim=5, head_dim=3, heads=2, layers=2)
+    params = init_params(6, 3, 0, 4, config, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    rng.uniform(size=(6 + 3) * 5)  # the entity and relation tables
+
+    def fan(shape):
+        limit = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
+
+    for layer in range(2):
+        heads = [fan((3, 5)) for _ in range(2)]
+        assert np.array_equal(params.head_w[layer].data, np.concatenate(heads).T)
+    for layer in range(2):
+        assert np.array_equal(params.out_w[layer].data, fan((5, 6)).T)
+    assert np.array_equal(params.cls_w.data, fan((4, 5)).T)
+
+
 @pytest.mark.parametrize("config, vocab, classes", [
     (ModelConfig(dim=5, head_dim=4, heads=2, layers=2, encoder="lstm"), 8, 2),
     (ModelConfig(dim=4, head_dim=4, heads=3, layers=1, aggregator="average"), 5, 0),
@@ -224,7 +256,7 @@ class TestAttention:
         a = kg.entities.id_of("a")
         values = np.array([params.word.data[toks].sum(axis=0) for toks in kg.value_tokens])
         neighbors = neighbor_vectors(view, params, values, a)
-        logits = numpy_logits(config, params.head_w[0][0].data, params.entity.data[a], neighbors)
+        logits = numpy_logits(config, head_transform(params, config, 0, 0), params.entity.data[a], neighbors)
         weights, _ = layer_heads(view, params, config)
         # logits within a few units of each other, so every weight counts,
         # and one negative bilinear logit takes the leaky branch
@@ -244,7 +276,7 @@ class TestAttention:
                         w = edge_slice(view, weights, e, head)
                         assert abs(float(w.sum()) - 1.0) < 1e-12
                         assert (w >= 0.0).all()
-                        assert w.shape == (len(view.neighborhood[e]),)
+                        assert w.shape == ((view.edges.owner == e).sum(),)
 
     def test_bilinear_logit_hand_oracle(self):
         config = ModelConfig(dim=4, head_dim=3, heads=1, layers=1, leaky_slope=0.2)
@@ -270,7 +302,7 @@ class TestAttention:
         for e in range(kg.num_entities):
             for head in range(config.heads):
                 logits = numpy_logits(
-                    config, params.head_w[0][head].data, params.entity.data[e],
+                    config, head_transform(params, config, 0, head), params.entity.data[e],
                     neighbor_vectors(view, params, values, e),
                 )
                 assert relative_error(edge_slice(view, weights, e, head), softmax(logits)) < 1e-12
@@ -299,7 +331,7 @@ def test_head_output_is_weighted_message_sum():
     values = encode_value(np.arange(kg.num_values), view, params, config).data
     weights, outputs = layer_heads(view, params, config)
     for head in range(config.heads):
-        transform = params.head_w[0][head].data
+        transform = head_transform(params, config, 0, head)
         for e in range(kg.num_entities):
             messages = [
                 transform @ (r_vec + n_vec)
@@ -320,7 +352,7 @@ def test_aggregate_concat_hand_oracle():
     rng = np.random.default_rng(6)
     outs = [rng.standard_normal((2, 3)) for _ in range(2)]
     got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
-    pre = np.concatenate(outs, axis=1) @ params.out_w[0].data.T
+    pre = np.concatenate(outs, axis=1) @ params.out_w[0].data
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
 
@@ -367,7 +399,7 @@ def test_classify_hand_oracle_and_missing_head():
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     params = init_params(3, 2, 0, 3, config, np.random.default_rng(10))
     ent = np.random.default_rng(11).standard_normal((3, 4))
-    scores = ent @ params.cls_w.data.T + params.cls_b.data
+    scores = ent @ params.cls_w.data + params.cls_b.data
     labels = [2, 0, 1]
     split = DatasetSplit([], [], [], labels=dict(enumerate(labels)), class_count=3)
     got = _classification_batch_loss([0, 1, 2], ad.constant(ent), params, split)
@@ -472,8 +504,7 @@ def test_isolated_entity_keeps_raw_vector():
 def test_forward_all_reads_the_given_value_table(monkeypatch):
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     kg, view, params = build(13, config, with_attributes=True)
-    used = {nb.target for nbs in view.neighborhood for nb in nbs if nb.is_attribute}
-    assert used
+    assert (view.edges.source >= kg.num_entities).any()  # an edge reads a value
     values = encode_value(np.arange(kg.num_values), view, params, config)
     want = forward_all(view, params, config).data
 

@@ -229,8 +229,11 @@ class TestBceLoss:
             bce_loss(scores, [0, 3], 3)
         with pytest.raises(ConfigError):
             bce_loss(scores, [0], 3)
-        with pytest.raises(ConfigError):
-            bce_loss(scores, [0, 1], 4)  # class_count disagrees with score width
+        # class_count disagrees with the score width: no valid label is blamed
+        with pytest.raises(ConfigError, match="3 score columns for 4 classes"):
+            bce_loss(scores, [0, 1], 4)
+        with pytest.raises(ConfigError, match="label -1 outside 0..2"):
+            bce_loss(scores, [1, -1], 3)
 
     def test_gradients_match_finite_differences(self):
         scores = ad.parameter(np.random.default_rng(5).standard_normal((3, 4)), "scores")
@@ -456,6 +459,42 @@ class TestTrainLoop:
             assert table.shape == (kg.num_values, 8)
             assert read[2 * step] == ("forward", table) and read[2 * step + 1] == ("loss", table)
 
+    @pytest.mark.parametrize("task", ["completion", "classification"])
+    def test_step_neither_transposes_nor_stacks_a_parameter(self, task, monkeypatch):
+        """Every transform is stored in the layout its product reads: on the
+        tape of a training step no ``transpose`` record reads a parameter,
+        and the one ``concat_rows`` input that is a parameter is the entity
+        table, which layer 0 stacks over the value encodings as its source
+        rows. The classification step runs the LSTM encoder."""
+        kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
+                       attribute_relations=1, attribute_triples=5)
+        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        encoder = "bow"
+        if task == "classification":
+            split.labels, split.class_count, split.label_train = {e: e % 2 for e in range(6)}, 2, list(range(6))
+            encoder = "lstm"
+        model = ModelConfig(dim=4, head_dim=3, heads=2, layers=2, encoder=encoder)
+        tapes = []
+        real_backward = ad.backward
+
+        def backward(tape, root):
+            tapes.append(tape)
+            return real_backward(tape, root)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        params, _ = train(kg, split, _toy_config(model=model, task=task, epochs=1, batch_size=64))
+        (tape,) = tapes
+        reads = {}  # op name -> names of the parameters it reads
+        for t in tape.records:
+            op = t._backward.__qualname__.split(".")[0]
+            reads.setdefault(op, set()).update(p.name for p in t._parents if p.is_param)
+        assert reads.get("transpose", set()) == set()
+        assert reads.get("concat_rows", set()) <= {"entity"}
+        # every weight matrix is read by a product on the tape, as stored
+        matrices = {name for name, _ in params.named_parameters()
+                    if name.startswith(("head_w", "out_w", "cls_w", "lstm.w"))}
+        assert matrices and matrices <= reads["matmul"]
+
     def test_renormalize_keeps_entity_rows_unit_length(self):
         kg, split = _toy_setup()
         params, _ = train(kg, split, _toy_config(epochs=2, renormalize=True))
@@ -562,6 +601,24 @@ class TestCheckpoint:
         blob[20] = 0xFF  # invalid UTF-8 inside the JSON header
         with pytest.raises(IntegrityError):
             load_checkpoint_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("version", [1, 3, None], ids=["format-1", "format-3", "no-version"])
+    def test_other_format_versions_rejected(self, version):
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = _read_header(blob)
+        assert header["format_version"] == 2
+        if version is None:
+            del header["format_version"]
+        else:
+            header["format_version"] = version
+        if version == 1:
+            # format 1 stored one transform per head: the version, not a
+            # name or shape mismatch, is what the loader reports
+            for spec in header["arrays"]:
+                spec["name"] = spec["name"].replace("head_w.0", "head_w.0.0")
+        with pytest.raises(IntegrityError, match=f"unsupported checkpoint format_version {version!r}"):
+            load_checkpoint_bytes(_with_header(blob, header))
 
     def test_lstm_round_trip_reproduces_encodings(self):
         kg = random_kg(np.random.default_rng(5), entities=6, relations=2, triples=12,
