@@ -13,9 +13,8 @@ from .errors import (
     SamplingError, ShapeError, TrainingError,
 )
 from .kgdata import (
-    AttributeTriple, DatasetSplit, GraphView, KnowledgeGraph, RelationTriple,
-    generate_synthetic_kg, parse_attribute_triples, parse_labels,
-    parse_relation_triples,
+    DatasetSplit, GraphView, KnowledgeGraph, generate_synthetic_kg,
+    parse_attribute_triples, parse_labels, parse_relation_triples,
 )
 from .model import ModelConfig, ModelParams, forward_all, init_params
 from .training import TrainConfig, TrainReport, train

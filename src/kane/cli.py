@@ -291,25 +291,6 @@ def format_embedding_export(names: list[str], matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_embedding_export(text: str) -> tuple[list[str], np.ndarray]:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise IntegrityError("embedding export missing '#entities dim' header")
-    count, dim = (int(x) for x in lines[0][1:].split())
-    names: list[str] = []
-    rows: list[list[float]] = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, values = line.partition("\t")
-        names.append(name)
-        rows.append([float(x) for x in values.split()])
-    mat = np.array(rows, dtype=np.float64)
-    if mat.shape != (count, dim):
-        raise IntegrityError(f"embedding export header says {(count, dim)}, found {mat.shape}")
-    return names, mat
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
     if args.propagated:

@@ -19,7 +19,6 @@ optimization steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ def _check_sequences(
     lengths = np.array([len(tokens) for tokens in sequences], dtype=np.intp)
     if (lengths == 0).any():
         raise ValueError("cannot encode an empty token sequence")
-    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.intp, count=int(lengths.sum()))
+    flat = np.array([t for tokens in sequences for t in tokens], dtype=np.intp)
     outside = (flat < 0) | (flat >= vocab_size)
     if outside.any():
         raise IndexError(f"word id {flat[outside][0]} outside vocabulary of size {vocab_size}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kgdata import (
-    DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, RelationTriple, pair_keys, triple_rows,
+    DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, Triple, pair_keys, triple_rows,
 )
 from .model import ModelConfig, ModelParams, forward_all, is_translation_mode
 
@@ -246,7 +246,7 @@ def evaluate_completion(
 
 
 def hits_fraction_for_triples(
-    triples: list[RelationTriple],
+    triples: list[Triple],
     ent: np.ndarray,
     rel: np.ndarray,
     norm: str,

@@ -11,10 +11,13 @@ Entities, relations, attribute values and literal words are interned into
 dense integer ids in first-seen order, so loading the same files always
 produces the same ids.
 
-Hot paths read triples as (n, 3) int64 ``triple_rows`` ``(head, relation,
+The graph stores triples as (n, 3) int64 id rows: ``relation_triples``
+holds ``(head, relation, tail)`` and ``attribute_triples`` ``(head,
+relation, value)``. Hot paths read ``triple_rows`` ``(head, relation,
 target)``: ``target`` is the tail entity, or ``num_entities + v`` for
 attribute value ``v``. ``known_triples`` indexes every known row by sorted
-int64 keys (``KnownAnswers``).
+int64 keys (``KnownAnswers``). The parts of a ``DatasetSplit`` are lists of
+``(head, relation, tail)`` int tuples.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, IntegrityError, ParseError
 
 BUNDLE_FORMAT = "kane-bundle-v1"
+
+Triple = tuple[int, int, int]
 
 
 class Interner:
@@ -60,25 +64,34 @@ class Interner:
         return len(self.names)
 
 
-class RelationTriple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
-class AttributeTriple(NamedTuple):
-    head: int
-    relation: int
-    value: int
-
-
 def tokenize(literal: str) -> list[str]:
     """Lowercase and split on Unicode whitespace; punctuation stays attached."""
     return literal.lower().split()
 
 
+def first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Bool mask over (n, 3) ``rows``: True at the first occurrence of each
+    distinct row. One stable sort, then a compare of adjacent rows."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[order[1:]] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return keep
+
+
+def _append_new(stored: np.ndarray, rows: list[Triple]) -> tuple[np.ndarray, int]:
+    """``stored`` followed by the rows it does not hold yet, each once, in
+    input order; and the number of rows dropped."""
+    both = np.concatenate([stored, np.asarray(rows, dtype=np.int64).reshape(-1, 3)])
+    keep = first_occurrences(both)
+    return both[keep], len(keep) - int(keep.sum())
+
+
 class KnowledgeGraph:
-    """Interned triple store; duplicate triples are dropped on insert and counted."""
+    """Interned triple store: ``relation_triples`` is an (n, 3) int64 array
+    of ``(head, relation, tail)`` rows and ``attribute_triples`` an (m, 3)
+    one of ``(head, relation, value)`` rows, each row stored once in load
+    order. Duplicate triples are dropped on insert and counted."""
 
     def __init__(self) -> None:
         self.entities = Interner()
@@ -86,12 +99,10 @@ class KnowledgeGraph:
         self.values = Interner()  # keyed by the literal string, quotes stripped
         self.words = Interner()
         self.value_tokens: list[list[int]] = []  # per value id, word ids
-        self.relation_triples: list[RelationTriple] = []
-        self.attribute_triples: list[AttributeTriple] = []
+        self.relation_triples = np.empty((0, 3), dtype=np.int64)
+        self.attribute_triples = np.empty((0, 3), dtype=np.int64)
         self.dropped_relation_duplicates = 0
         self.dropped_attribute_duplicates = 0
-        self._rel_set: set[RelationTriple] = set()
-        self._attr_set: set[AttributeTriple] = set()
 
     # -- sizes ----------------------------------------------------------
     @property
@@ -111,61 +122,50 @@ class KnowledgeGraph:
         return len(self.words)
 
     # -- construction ---------------------------------------------------
-    def add_relation_triple(self, head: str, relation: str, tail: str) -> RelationTriple | None:
-        """Intern names and store the triple; returns None for a duplicate."""
-        trip = RelationTriple(
-            self.entities.intern(head), self.relations.intern(relation), self.entities.intern(tail)
-        )
-        return self._store_relation(trip)
+    def add_relation_triples(self, triples: Iterable[tuple[str, str, str]]) -> np.ndarray:
+        """Intern the names of ``(head, relation, tail)`` triples in
+        first-seen order and store their rows; a triple already stored, or
+        repeated in ``triples``, is dropped and counted. Returns the rows
+        stored, in input order."""
+        ent, rel = self.entities.intern, self.relations.intern
+        before = len(self.relation_triples)
+        rows = [(ent(h), rel(r), ent(t)) for h, r, t in triples]
+        self.relation_triples, dropped = _append_new(self.relation_triples, rows)
+        self.dropped_relation_duplicates += dropped
+        return self.relation_triples[before:]
 
-    def add_attribute_triple(self, head: str, relation: str, literal: str) -> AttributeTriple | None:
-        """Intern names and the literal and store the triple; returns None
-        for a duplicate. A literal with no tokens raises ``DomainError``."""
-        tokens = tokenize(literal)
-        if not tokens:
-            raise DomainError(f"attribute literal {literal!r} has no tokens")
-        trip = AttributeTriple(
-            self.entities.intern(head),
-            self.relations.intern(relation),
-            self._intern_value(literal, tokens),
-        )
-        return self._store_attribute(trip)
+    def add_attribute_triples(self, triples: Iterable[tuple[str, str, str]]) -> np.ndarray:
+        """``add_relation_triples`` for ``(head, relation, literal)``
+        triples; each new literal is interned as a value with its tokens. A
+        literal with no tokens raises ``DomainError`` before anything is
+        interned."""
+        triples = list(triples)
+        for _, _, literal in triples:
+            if not literal.strip():  # no tokens: strip and split share one whitespace
+                raise DomainError(f"attribute literal {literal!r} has no tokens")
+        ent, rel, val = self.entities.intern, self.relations.intern, self._intern_value
+        before = len(self.attribute_triples)
+        rows = [(ent(h), rel(r), val(literal)) for h, r, literal in triples]
+        self.attribute_triples, dropped = _append_new(self.attribute_triples, rows)
+        self.dropped_attribute_duplicates += dropped
+        return self.attribute_triples[before:]
 
-    def _intern_value(self, literal: str, tokens: list[str]) -> int:
+    def _intern_value(self, literal: str) -> int:
         known = literal in self.values
         vid = self.values.intern(literal)
         if not known:
-            self.value_tokens.append([self.words.intern(w) for w in tokens])
+            self.value_tokens.append([self.words.intern(w) for w in tokenize(literal)])
         return vid
 
-    def _store_relation(self, trip: RelationTriple) -> RelationTriple | None:
-        if trip in self._rel_set:
-            self.dropped_relation_duplicates += 1
-            return None
-        self._rel_set.add(trip)
-        self.relation_triples.append(trip)
-        return trip
 
-    def _store_attribute(self, trip: AttributeTriple) -> AttributeTriple | None:
-        if trip in self._attr_set:
-            self.dropped_attribute_duplicates += 1
-            return None
-        self._attr_set.add(trip)
-        self.attribute_triples.append(trip)
-        return trip
-
-
-def triple_rows(
-    kg: KnowledgeGraph, relation_triples: Iterable[RelationTriple], with_attributes: bool = False
-) -> np.ndarray:
+def triple_rows(kg: KnowledgeGraph, relation_triples, with_attributes: bool = False) -> np.ndarray:
     """(n, 3) int64 rows ``(head, relation, target)``: the given relation
-    triples in order, then, when ``with_attributes``, every attribute
-    triple of the graph with target ``num_entities + value``."""
-    rows = np.fromiter(chain.from_iterable(relation_triples), dtype=np.int64).reshape(-1, 3)
-    if not (with_attributes and kg.attribute_triples):
+    triples (rows or id tuples) in order, then, when ``with_attributes``,
+    every attribute triple of the graph with target ``num_entities + value``."""
+    rows = np.asarray(relation_triples, dtype=np.int64).reshape(-1, 3)
+    if not (with_attributes and len(kg.attribute_triples)):
         return rows
-    attr = np.fromiter(chain.from_iterable(kg.attribute_triples), dtype=np.int64).reshape(-1, 3)
-    return np.concatenate([rows, attr + (0, 0, kg.num_entities)])
+    return np.concatenate([rows, kg.attribute_triples + (0, 0, kg.num_entities)])
 
 
 def pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,9 +243,7 @@ class GraphView:
         return self.kg.num_entities
 
     @classmethod
-    def restricted(
-        cls, kg: KnowledgeGraph, relation_triples: Iterable[RelationTriple], use_attributes: bool = True
-    ) -> "GraphView":
+    def restricted(cls, kg: KnowledgeGraph, relation_triples, use_attributes: bool = True) -> "GraphView":
         """View over the given relation triples (and all attribute triples
         when ``use_attributes``). Each entity's edges are its outgoing
         (relation, target) pairs in load order: relation triples first,
@@ -278,43 +276,38 @@ def _three_fields(line: str, source: str, ln: int) -> list[str]:
     return fields
 
 
-def parse_relation_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> list[RelationTriple]:
+def parse_relation_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> np.ndarray:
     """Parse ``head<TAB>relation<TAB>tail`` lines into the graph.
 
-    Duplicates are dropped (counted on the graph); returns the stored
-    triples in input order.
+    Every line is checked before any triple is stored. Duplicates are
+    dropped (counted on the graph); returns the stored rows in input order.
     """
-    out = []
+    triples = []
     for ln, line in _content_lines(text):
-        h, r, t = _three_fields(line, source, ln)
-        if not h or not r or not t:
+        fields = _three_fields(line, source, ln)
+        if not all(fields):
             raise ParseError(source, ln, "empty field in relation triple")
-        trip = kg.add_relation_triple(h, r, t)
-        if trip is not None:
-            out.append(trip)
-    return out
+        triples.append(fields)
+    return kg.add_relation_triples(triples)
 
 
-def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> list[AttributeTriple]:
+def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> np.ndarray:
     """Parse ``head<TAB>relation<TAB>"literal"`` lines into the graph.
 
     Surrounding double quotes on the literal are stripped; the literal is
     lowercased and split on whitespace. A literal with no tokens is an error.
     """
-    out = []
+    triples = []
     for ln, line in _content_lines(text):
         h, r, lit = _three_fields(line, source, ln)
         if not h or not r:
             raise ParseError(source, ln, "empty field in attribute triple")
         if len(lit) >= 2 and lit.startswith('"') and lit.endswith('"'):
             lit = lit[1:-1]
-        try:
-            trip = kg.add_attribute_triple(h, r, lit)
-        except DomainError as err:
-            raise ParseError(source, ln, str(err)) from err
-        if trip is not None:
-            out.append(trip)
-    return out
+        if not lit.strip():
+            raise ParseError(source, ln, f"attribute literal {lit!r} has no tokens")
+        triples.append((h, r, lit))
+    return kg.add_attribute_triples(triples)
 
 
 def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tuple[dict[int, int], list[str]]:
@@ -341,18 +334,14 @@ def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tupl
 # serialization back to TSV
 
 def relations_to_tsv(kg: KnowledgeGraph) -> str:
-    lines = [
-        f"{kg.entities.name_of(t.head)}\t{kg.relations.name_of(t.relation)}\t{kg.entities.name_of(t.tail)}"
-        for t in kg.relation_triples
-    ]
+    ent, rel = kg.entities.names, kg.relations.names
+    lines = [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in kg.relation_triples.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def attributes_to_tsv(kg: KnowledgeGraph) -> str:
-    lines = [
-        f'{kg.entities.name_of(a.head)}\t{kg.relations.name_of(a.relation)}\t"{kg.values.name_of(a.value)}"'
-        for a in kg.attribute_triples
-    ]
+    ent, rel, val = kg.entities.names, kg.relations.names, kg.values.names
+    lines = [f'{ent[h]}\t{rel[r]}\t"{val[v]}"' for h, r, v in kg.attribute_triples.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -377,9 +366,9 @@ class DatasetSplit:
     classification task.
     """
 
-    train: list[RelationTriple]
-    valid: list[RelationTriple]
-    test: list[RelationTriple]
+    train: list[Triple]
+    valid: list[Triple]
+    test: list[Triple]
     labels: dict[int, int] | None = None
     class_count: int = 0
     class_names: list[str] = field(default_factory=list)
@@ -388,37 +377,41 @@ class DatasetSplit:
     label_test: list[int] = field(default_factory=list)
 
 
+def id_tuples(rows: np.ndarray) -> list[Triple]:
+    """(n, 3) id rows as a list of plain int tuples (``DatasetSplit`` parts)."""
+    return list(map(tuple, rows.tolist()))
+
+
 def split_relation_triples(
-    triples: list[RelationTriple],
+    triples,
     rng: np.random.Generator,
     valid_fraction: float = 0.1,
     test_fraction: float = 0.1,
-) -> tuple[list[RelationTriple], list[RelationTriple], list[RelationTriple]]:
-    """Seeded split that keeps every held-out entity and relation in train.
+) -> tuple[list[Triple], list[Triple], list[Triple]]:
+    """Seeded split of (n, 3) id rows that keeps every held-out entity and
+    relation in train.
 
     A triple is only eligible for holdout while each of its entities and
     its relation still occurs at least once in the remaining pool.
     """
-    ent_count: dict[int, int] = {}
-    rel_count: dict[int, int] = {}
-    for t in triples:
-        ent_count[t.head] = ent_count.get(t.head, 0) + 1
-        ent_count[t.tail] = ent_count.get(t.tail, 0) + 1
-        rel_count[t.relation] = rel_count.get(t.relation, 0) + 1
+    rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    ent_count = np.bincount(rows[:, [0, 2]].ravel()).tolist()
+    rel_count = np.bincount(rows[:, 1]).tolist()
 
-    n = len(triples)
+    n = len(rows)
     want_valid = int(n * valid_fraction)
     want_test = int(n * test_fraction)
-    valid: list[RelationTriple] = []
-    test: list[RelationTriple] = []
-    train: list[RelationTriple] = []
-    for j in rng.permutation(n):
-        t = triples[int(j)]
+    valid: list[Triple] = []
+    test: list[Triple] = []
+    train: list[Triple] = []
+    triples = id_tuples(rows)
+    for j in rng.permutation(n).tolist():
+        t = h, r, tail = triples[j]
         need = len(valid) < want_valid or len(test) < want_test
-        if need and _removable(t, ent_count, rel_count):
-            ent_count[t.head] -= 1
-            ent_count[t.tail] -= 1
-            rel_count[t.relation] -= 1
+        if need and _removable(h, r, tail, ent_count, rel_count):
+            ent_count[h] -= 1
+            ent_count[tail] -= 1
+            rel_count[r] -= 1
             if len(valid) < want_valid:
                 valid.append(t)
             else:
@@ -428,12 +421,12 @@ def split_relation_triples(
     return train, valid, test
 
 
-def _removable(t: RelationTriple, ent_count: dict[int, int], rel_count: dict[int, int]) -> bool:
-    if rel_count[t.relation] <= 1:
+def _removable(h: int, r: int, t: int, ent_count: list[int], rel_count: list[int]) -> bool:
+    if rel_count[r] <= 1:
         return False
-    if t.head == t.tail:
-        return ent_count[t.head] > 2
-    return ent_count[t.head] > 1 and ent_count[t.tail] > 1
+    if h == t:
+        return ent_count[h] > 2
+    return ent_count[h] > 1 and ent_count[t] > 1
 
 
 def split_labeled_entities(
@@ -542,31 +535,31 @@ def generate_synthetic_kg(
             shift = 1 + int(rng.integers(clusters - 1))
             structural[e] = (cluster_of[e] + shift) % clusters
 
+    # an entity's edges are drawn only in its own iteration, so its two
+    # draws for one relation are the only triples that can repeat
     displacement = [1 + (r % (clusters - 1)) for r in range(relations)]
+    triples = []
     for i in range(entities):
         src = structural[i]
         eligible = [r for r in range(relations) if src + displacement[r] < clusters]
         degree = 0
         for r in eligible:
-            target = src + displacement[r]
-            pool = members[target]
-            for _ in range(2):
-                if rng.random() >= edge_prob:
-                    continue
-                tail = pool[int(rng.integers(len(pool)))]
-                if kg.add_relation_triple(names[i], f"rel_{r}", names[tail]) is not None:
-                    degree += 1
+            pool = members[src + displacement[r]]
+            tails = [pool[int(rng.integers(len(pool)))] for _ in range(2) if rng.random() < edge_prob]
+            triples += [(names[i], f"rel_{r}", names[t]) for t in tails]
+            degree += len(set(tails))
         if degree == 0 and eligible:  # keep chain sources inside the training graph
             r = eligible[int(rng.integers(len(eligible)))]
             target = src + displacement[r]
             tail = members[target][int(rng.integers(len(members[target])))]
-            kg.add_relation_triple(names[i], f"rel_{r}", names[tail])
+            triples.append((names[i], f"rel_{r}", names[tail]))
+    kg.add_relation_triples(triples)
 
-    for i in range(entities):
-        c = cluster_of[i]
-        word = _CLUSTER_WORDS[c] if c < len(_CLUSTER_WORDS) else f"clan{c}"
-        for s in range(attribute_relations):
-            kg.add_attribute_triple(names[i], _ATTR_RELATIONS[s], _ATTR_TEMPLATES[s].format(word))
+    words = [_CLUSTER_WORDS[c] if c < len(_CLUSTER_WORDS) else f"clan{c}" for c in cluster_of]
+    kg.add_attribute_triples(
+        (names[i], _ATTR_RELATIONS[s], _ATTR_TEMPLATES[s].format(words[i]))
+        for i in range(entities) for s in range(attribute_relations)
+    )
 
     train, valid, test = split_relation_triples(
         kg.relation_triples, rng, valid_fraction, test_fraction
@@ -584,12 +577,10 @@ def generate_synthetic_kg(
 
 def kg_statistics(kg: KnowledgeGraph) -> dict[str, int]:
     """Dataset summary: entity/relation/attribute counts and triple totals."""
-    structural = {t.relation for t in kg.relation_triples}
-    attributive = {a.relation for a in kg.attribute_triples}
     return {
         "entities": kg.num_entities,
-        "relations": len(structural),
-        "attributes": len(attributive),
+        "relations": len(set(kg.relation_triples[:, 1].tolist())),
+        "attributes": len(set(kg.attribute_triples[:, 1].tolist())),
         "relation_triples": len(kg.relation_triples),
         "attribute_triples": len(kg.attribute_triples),
         "total_triples": len(kg.relation_triples) + len(kg.attribute_triples),
@@ -600,13 +591,13 @@ def kg_statistics(kg: KnowledgeGraph) -> dict[str, int]:
 # dataset bundle (single self-contained JSON file with content checksum)
 
 def _bundle_data(kg: KnowledgeGraph, split: DatasetSplit) -> dict:
-    index = {t: i for i, t in enumerate(kg.relation_triples)}
+    index = {t: i for i, t in enumerate(id_tuples(kg.relation_triples))}
     data = {
         "entities": list(kg.entities.names),
         "relations": list(kg.relations.names),
         "values": list(kg.values.names),
-        "relation_triples": [list(t) for t in kg.relation_triples],
-        "attribute_triples": [list(t) for t in kg.attribute_triples],
+        "relation_triples": kg.relation_triples.tolist(),
+        "attribute_triples": kg.attribute_triples.tolist(),
         "dropped_duplicates": [kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates],
         "split": {
             "train": [index[t] for t in split.train],
@@ -665,12 +656,13 @@ def _names(value, what: str, source: str) -> list[str]:
     return value
 
 
-def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> None:
-    """``value`` must be a list of ids below ``limits[0]`` (one limit), or a
-    list of rows whose column j holds ids below ``limits[j]``."""
+def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> np.ndarray:
+    """``value`` as an int64 array: it must be a list of ids below
+    ``limits[0]`` (one limit), or a list of rows whose column j holds ids
+    below ``limits[j]``."""
     shape = (len(limits),) if len(limits) > 1 else ()
     if value == []:
-        return
+        return np.empty((0, *shape), dtype=np.int64)
     try:
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # rows of unequal length
@@ -682,13 +674,25 @@ def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> None:
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise IntegrityError(f"{source}: bundle {what} entry {i} is out of range: {arr[i].tolist()}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _check_once(ids: np.ndarray, limit: int, what: str, source: str) -> np.ndarray:
+    """How often each id below ``limit`` occurs in ``ids``; an id that
+    occurs more than once raises."""
+    counts = np.bincount(ids, minlength=limit)
+    if (counts > 1).any():
+        raise IntegrityError(f"{source}: bundle {what} {int(np.argmax(counts > 1))} more than once")
+    return counts
 
 
 def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGraph, DatasetSplit, str]:
     """Rebuild graph and split from a bundle.
 
-    Verifies the content checksum, the required keys, and that every
-    entity, relation, value, triple, class and split id is in range; any
+    Verifies the content checksum, the required keys, that every entity,
+    relation, value, triple, class and split id is in range, that no
+    triple, split index, labeled entity or label-split entity is listed
+    twice, and that every entity of the label split has a label; any
     failure raises ``IntegrityError`` naming ``source``.
     """
     try:
@@ -707,21 +711,28 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     n_ent = len(_names(data["entities"], "entities", source))
     n_rel = len(_names(data["relations"], "relations", source))
     n_val = len(_names(data["values"], "values", source))
-    _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source)
-    _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source)
+    rel_rows = _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source)
+    attr_rows = _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source)
+    if not (first_occurrences(rel_rows).all() and first_occurrences(attr_rows).all()):
+        raise IntegrityError(f"{source}: bundle lists a triple twice")
     _require(data["split"], _SPLIT_KEYS, "split", source)
-    for part in _SPLIT_KEYS:
-        _check_ids(data["split"][part], (len(data["relation_triples"]),), f"split {part}", source)
+    parts = [_check_ids(data["split"][p], (len(rel_rows),), f"split {p}", source) for p in _SPLIT_KEYS]
+    _check_once(np.concatenate(parts), len(rel_rows), "split lists triple", source)
     dropped = data["dropped_duplicates"]
-    if not (isinstance(dropped, list) and len(dropped) == 2 and all(type(x) is int for x in dropped)):
+    if not (isinstance(dropped, list) and len(dropped) == 2 and all(type(x) is int and x >= 0 for x in dropped)):
         raise IntegrityError(f"{source}: bundle dropped_duplicates is not a pair of counts")
     lab = data["labels"]
     if lab is not None:
         _require(lab, _LABEL_KEYS, "labels", source)
         n_cls = len(_names(lab["classes"], "label classes", source))
-        _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
-        for part in _SPLIT_KEYS:
-            _check_ids(lab[part], (n_ent,), f"labels {part}", source)
+        by_entity = _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
+        labeled = _check_once(by_entity[:, 0], n_ent, "labels by_entity lists entity", source)
+        label_parts = [_check_ids(lab[p], (n_ent,), f"labels {p}", source) for p in _SPLIT_KEYS]
+        split_entities = np.concatenate(label_parts)
+        _check_once(split_entities, n_ent, "labels split lists entity", source)
+        unlabeled = split_entities[labeled[split_entities] == 0]
+        if len(unlabeled):
+            raise IntegrityError(f"{source}: bundle labels split entity {unlabeled[0]} has no label")
 
     kg = KnowledgeGraph()
     for name in data["entities"]:
@@ -729,29 +740,16 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     for name in data["relations"]:
         kg.relations.intern(name)
     for i, literal in enumerate(data["values"]):
-        tokens = tokenize(literal)
-        if not tokens:
+        if not tokenize(literal):
             raise IntegrityError(f"{source}: bundle value {i} has no tokens: {literal!r}")
-        kg._intern_value(literal, tokens)
-    for h, r, t in data["relation_triples"]:
-        kg._store_relation(RelationTriple(h, r, t))
-    for h, r, v in data["attribute_triples"]:
-        kg._store_attribute(AttributeTriple(h, r, v))
-    if kg.dropped_relation_duplicates or kg.dropped_attribute_duplicates:
-        raise IntegrityError(f"{source}: bundle lists a triple twice")
+        kg._intern_value(literal)
+    kg.relation_triples, kg.attribute_triples = rel_rows, attr_rows
     kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates = dropped
 
-    trips = kg.relation_triples
-    split = DatasetSplit(
-        train=[trips[i] for i in data["split"]["train"]],
-        valid=[trips[i] for i in data["split"]["valid"]],
-        test=[trips[i] for i in data["split"]["test"]],
-    )
+    split = DatasetSplit(*(id_tuples(rel_rows[ids]) for ids in parts))
     if lab is not None:
-        split.labels = {e: c for e, c in lab["by_entity"]}
+        split.labels = dict(by_entity.tolist())
         split.class_names = list(lab["classes"])
         split.class_count = len(split.class_names)
-        split.label_train = list(lab["train"])
-        split.label_valid = list(lab["valid"])
-        split.label_test = list(lab["test"])
+        split.label_train, split.label_valid, split.label_test = (ids.tolist() for ids in label_parts)
     return kg, split, actual

@@ -449,7 +449,7 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     specs = _array_specs(header.get("arrays"), config.model)
     arrays: dict[str, np.ndarray] = {}
     for name, shape in specs:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if len(blob) < off + count * 8:
             raise IntegrityError(
                 f"checkpoint truncated: array {name!r} needs {count * 8} bytes, "
@@ -480,6 +480,9 @@ def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
         if not (isinstance(shape, list) and all(type(x) is int and x >= 0 for x in shape)):
             raise IntegrityError(f"corrupt checkpoint header: bad array entry {spec!r}")
         out.append((spec["name"], tuple(shape)))
+    # every layer stores at least head_w.{l}: refuse before building shapes
+    if model.layers > len(out):
+        raise IntegrityError(f"checkpoint config has {model.layers} layers, its header only {len(out)} arrays")
     rows = {name: shape[0] for name, shape in out if shape}
     counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_b")]
     expected = parameter_shapes(model, *counts)

@@ -7,10 +7,15 @@ package is evidence of correctness rather than a restatement of it.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 import kane.autodiff as ad
+from kane.errors import IntegrityError
 from kane.kgdata import KnowledgeGraph
+from kane.training import CHECKPOINT_MAGIC
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +113,8 @@ def kg_from_name_triples(
     attribute_triples: list[tuple[str, str, str]] = (),
 ) -> KnowledgeGraph:
     kg = KnowledgeGraph()
-    for h, r, t in relation_triples:
-        kg.add_relation_triple(h, r, t)
-    for h, r, lit in attribute_triples:
-        kg.add_attribute_triple(h, r, lit)
+    kg.add_relation_triples(relation_triples)
+    kg.add_attribute_triples(attribute_triples)
     return kg
 
 
@@ -131,23 +134,27 @@ def random_kg(
     rels = [f"r{i}" for i in range(relations)]
     for name in names:  # fix entity ids 0..n-1 up front
         kg.entities.intern(name)
+    rel_triples = []
     for i in range(entities):  # guarantee an outgoing edge per entity
         r = rels[int(rng.integers(relations))]
         t = names[int(rng.integers(entities))]
-        kg.add_relation_triple(names[i], r, t)
+        rel_triples.append((names[i], r, t))
     for _ in range(max(0, triples - entities)):
         h = names[int(rng.integers(entities))]
         r = rels[int(rng.integers(relations))]
         t = names[int(rng.integers(entities))]
-        kg.add_relation_triple(h, r, t)
+        rel_triples.append((h, r, t))
+    kg.add_relation_triples(rel_triples)
     if attribute_relations and attribute_triples:
         arels = [f"a{i}" for i in range(attribute_relations)]
+        attr_triples = []
         for _ in range(attribute_triples):
             h = names[int(rng.integers(entities))]
             r = arels[int(rng.integers(attribute_relations))]
             k = int(rng.integers(1, max_tokens + 1))
             lit = " ".join(vocab[int(rng.integers(len(vocab)))] for _ in range(k))
-            kg.add_attribute_triple(h, r, lit)
+            attr_triples.append((h, r, lit))
+        kg.add_attribute_triples(attr_triples)
     return kg
 
 
@@ -166,6 +173,42 @@ def quantized_ranking_setups(count: int = 10):
         ent = rng.integers(-2, 3, size=(kg.num_entities, 2)).astype(float) / 2.0
         rel = rng.integers(-2, 3, size=(kg.num_relations, 2)).astype(float) / 2.0
         yield kg, ent, rel
+
+
+def parse_embedding_export(text: str) -> tuple[list[str], np.ndarray]:
+    """Names and matrix of a ``kane export`` file, read back independently
+    of the writer (``cli.format_embedding_export``)."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise IntegrityError("embedding export missing '#entities dim' header")
+    count, dim = (int(x) for x in lines[0][1:].split())
+    names: list[str] = []
+    rows: list[list[float]] = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, values = line.partition("\t")
+        names.append(name)
+        rows.append([float(x) for x in values.split()])
+    mat = np.array(rows, dtype=np.float64)
+    if mat.shape != (count, dim):
+        raise IntegrityError(f"embedding export header says {(count, dim)}, found {mat.shape}")
+    return names, mat
+
+
+def checkpoint_header(blob: bytes) -> dict:
+    """The JSON header of a checkpoint."""
+    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
+    start = len(CHECKPOINT_MAGIC) + 8
+    return json.loads(blob[start:start + length])
+
+
+def with_checkpoint_header(blob: bytes, header) -> bytes:
+    """``blob`` with its JSON header replaced and the arrays kept."""
+    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
+    head = json.dumps(header).encode("utf-8")
+    arrays = blob[len(CHECKPOINT_MAGIC) + 8 + length:]
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(head)) + head + arrays
 
 
 # ---------------------------------------------------------------------------

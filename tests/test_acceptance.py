@@ -20,7 +20,7 @@ import pytest
 
 import kane.autodiff as ad
 import kane.oracle as oracle
-from kane.cli import format_embedding_export, main, parse_embedding_export
+from kane.cli import format_embedding_export, main
 from kane.encoders import bow_encode, init_lstm_params, lstm_encode
 from kane.evaluation import (
     build_filter_index,
@@ -36,6 +36,7 @@ from kane.kgdata import (
     bundle_from_json,
     bundle_to_json,
     generate_synthetic_kg,
+    id_tuples,
     known_triples,
     triple_rows,
 )
@@ -56,6 +57,7 @@ from kane.training import train as train_model
 from helpers import (
     away_from_zero,
     check_gradients,
+    parse_embedding_export,
     quantized_ranking_setups,
     random_kg,
     reference_transe_hinge,
@@ -175,7 +177,7 @@ def _end_to_end_case(seed: int, task: str):
         model, np.random.default_rng(seed + 50),
     )
     split = DatasetSplit(
-        train=list(kg.relation_triples), valid=[], test=[],
+        train=id_tuples(kg.relation_triples), valid=[], test=[],
         labels={e: e % 2 for e in range(4)}, class_count=2,
         label_train=[0, 1, 2, 3],
     )
@@ -303,12 +305,12 @@ def test_ranking_matches_brute_force_oracle():
         filt = build_filter_index(kg)
         vectors = [list(map(float, r)) for r in ent]
         relations = [list(map(float, r)) for r in rel]
-        known = [(t.head, t.relation, t.tail) for t in kg.relation_triples]
+        known = id_tuples(kg.relation_triples)
         for trip in kg.relation_triples:
-            tup = (trip.head, trip.relation, trip.tail)
-            target = ent[trip.head] + rel[trip.relation]
+            tup = h, r, t = tuple(trip.tolist())
+            target = ent[h] + rel[r]
             dist = np.abs(ent - target).sum(axis=1)
-            if (dist == dist[trip.tail]).sum() > 1:
+            if (dist == dist[t]).sum() > 1:
                 ties_seen += 1
             for setting in ("raw", "filter"):
                 for mine, ref in (
@@ -388,7 +390,7 @@ def test_encoder_properties():
 
 def test_translation_degeneracy_matches_reference():
     kg = random_kg(np.random.default_rng(7), entities=10, relations=3, triples=30)
-    split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+    split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
     known = known_triples(kg)
     worst = 0.0
     for batch_idx in range(50):

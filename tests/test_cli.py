@@ -20,13 +20,14 @@ from kane.cli import (
     main,
     merge_config,
     parse_config_file,
-    parse_embedding_export,
 )
 from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import entity_matrix
 from kane.kgdata import GraphView, bundle_checksum, bundle_from_json, generate_synthetic_kg
 from kane.model import ModelConfig
 from kane.training import TrainConfig, load_checkpoint_bytes
+
+from helpers import parse_embedding_export
 
 
 SMALL_GEN = [

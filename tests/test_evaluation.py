@@ -30,7 +30,7 @@ from kane.kgdata import (
     DatasetSplit,
     GraphView,
     KnowledgeGraph,
-    RelationTriple,
+    id_tuples,
     split_relation_triples,
 )
 from kane.model import ModelConfig, init_params
@@ -50,8 +50,7 @@ def _index(triples: list[tuple[int, int, int]], entities: int = 4, relations: in
         kg.entities.intern(f"e{i}")
     for i in range(relations):
         kg.relations.intern(f"r{i}")
-    for h, r, t in triples:
-        kg.add_relation_triple(f"e{h}", f"r{r}", f"e{t}")
+    kg.add_relation_triples((f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples)
     return build_filter_index(kg)
 
 
@@ -60,7 +59,7 @@ class TestRankHandCases:
         # 1-d embeddings: distances from head 0 with r=0 are 0, 1, 2, 2
         ent = np.array([[0.0], [1.0], [2.0], [2.0]])
         rel = np.array([[0.0]])
-        triple = RelationTriple(head=0, relation=0, tail=2)
+        triple = (0, 0, 2)
         return ent, rel, triple
 
     def test_raw_rank_counts_strictly_better_only(self):
@@ -82,7 +81,7 @@ class TestRankHandCases:
     def test_exact_match_ranks_first(self):
         ent = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]])
         rel = np.array([ent[1] - ent[0]])
-        triple = RelationTriple(0, 0, 1)
+        triple = (0, 0, 1)
         filt = _index([(0, 0, 1)], entities=3)
         assert rank_tail(triple, ent, rel, "l2", filt, "raw") == 1
         assert rank_head(triple, ent, rel, "l2", filt, "raw") == 1
@@ -152,9 +151,9 @@ def test_ranks_match_brute_force_oracle(norm):
         filt = build_filter_index(kg)
         vectors = [list(map(float, row)) for row in ent]
         relations = [list(map(float, row)) for row in rel]
-        known = [(t.head, t.relation, t.tail) for t in kg.relation_triples]
+        known = id_tuples(kg.relation_triples)
         for trip in kg.relation_triples:
-            tup = (trip.head, trip.relation, trip.tail)
+            tup = tuple(trip.tolist())
             for setting in ("raw", "filter"):
                 assert rank_tail(trip, ent, rel, norm, filt, setting) == \
                     oracle.naive_rank_tail(tup, vectors, relations, known, norm, setting)
@@ -185,7 +184,7 @@ def test_filtered_rank_never_exceeds_raw():
 def _trained_toy(task="completion", seed=0):
     kg = random_kg(np.random.default_rng(seed), entities=8, relations=2, triples=24)
     train_t, valid_t, test_t = split_relation_triples(
-        list(kg.relation_triples), np.random.default_rng(seed + 1)
+        kg.relation_triples, np.random.default_rng(seed + 1)
     )
     split = DatasetSplit(train=train_t, valid=valid_t, test=test_t)
     model = ModelConfig(dim=6, head_dim=6, heads=1, layers=1)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from kane.errors import ConfigError, DomainError, IntegrityError, KaneError, ParseError
 from kane.kgdata import (
-    AttributeTriple, GraphView, Interner, KnowledgeGraph, RelationTriple,
-    attributes_to_tsv, bundle_checksum, bundle_from_json, bundle_to_json, generate_synthetic_kg,
-    kg_statistics, known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
-    parse_relation_triples, relations_to_tsv, split_labeled_entities,
-    split_relation_triples, tokenize, triple_rows,
+    GraphView, Interner, KnowledgeGraph, attributes_to_tsv, bundle_checksum, bundle_from_json,
+    bundle_to_json, first_occurrences, generate_synthetic_kg, id_tuples, kg_statistics,
+    known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
+    parse_relation_triples, relations_to_tsv, split_labeled_entities, split_relation_triples,
+    tokenize, triple_rows,
 )
 
 from helpers import kg_from_name_triples, random_kg
@@ -55,23 +55,54 @@ def test_tokenize_lowercases_and_keeps_punctuation():
 # graph construction, deduplication, neighborhood
 
 
+def _relation_names(kg, rows) -> list[tuple[str, str, str]]:
+    ent, rel = kg.entities.names, kg.relations.names
+    return [(ent[h], rel[r], ent[t]) for h, r, t in rows.tolist()]
+
+
 def test_duplicates_dropped_and_counted():
     kg = KnowledgeGraph()
-    assert kg.add_relation_triple("a", "r", "b") is not None
-    assert kg.add_relation_triple("a", "r", "b") is None
-    assert kg.add_attribute_triple("a", "p", "Blue Sky") is not None
-    assert kg.add_attribute_triple("a", "p", "Blue Sky") is None
-    assert kg.dropped_relation_duplicates == 1
-    assert kg.dropped_attribute_duplicates == 1
-    assert len(kg.relation_triples) == 1 and len(kg.attribute_triples) == 1
+    stored = kg.add_relation_triples([("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])
+    assert stored.tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert kg.add_relation_triples([("b", "r", "a")]).shape == (0, 3)  # already stored
+    assert kg.add_attribute_triples([("a", "p", "Blue Sky")] * 2).tolist() == [[0, 1, 0]]
+    assert kg.add_attribute_triples([("a", "p", "Blue Sky")]).shape == (0, 3)
+    assert kg.dropped_relation_duplicates == 2
+    assert kg.dropped_attribute_duplicates == 2
+    assert kg.relation_triples.tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert kg.attribute_triples.tolist() == [[0, 1, 0]]
+    assert kg.relation_triples.dtype == kg.attribute_triples.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(*[st.sampled_from("abc")] * 3), max_size=12), max_size=3))
+def test_batch_adds_keep_first_occurrences_in_order(batches):
+    kg = KnowledgeGraph()
+    seen: dict[tuple[str, str, str], None] = {}
+    for batch in batches:
+        new = [t for t in dict.fromkeys(batch) if t not in seen]
+        assert _relation_names(kg, kg.add_relation_triples(batch)) == new
+        seen.update(dict.fromkeys(new))
+    assert _relation_names(kg, kg.relation_triples) == list(seen)
+    assert kg.dropped_relation_duplicates == sum(map(len, batches)) - len(seen)
+    # names are interned in first-seen order: head, relation, tail of each triple
+    first_seen = dict.fromkeys(n for batch in batches for h, _, t in batch for n in (h, t))
+    assert kg.entities.names == list(first_seen)
+
+
+def test_first_occurrences_marks_each_distinct_row_once():
+    rows = np.array([[1, 2, 3], [0, 0, 0], [1, 2, 3], [1, 2, 4], [0, 0, 0], [1, 2, 3]])
+    assert first_occurrences(rows).tolist() == [True, True, False, True, False, False]
+    assert first_occurrences(rows[:0]).shape == (0,)
 
 
 def test_add_attribute_triple_refuses_literal_without_tokens():
     kg = KnowledgeGraph()
     with pytest.raises(DomainError, match="no tokens") as err:
-        kg.add_attribute_triple("a", "p", "  ")
+        kg.add_attribute_triples([("a", "p", "fine"), ("b", "p", "  ")])
     assert isinstance(err.value, KaneError)
     assert kg.num_entities == 0 and kg.num_values == 0  # nothing was interned
+    assert kg.attribute_triples.shape == (0, 3)
 
 
 def test_triple_rows_put_values_after_entities():
@@ -80,10 +111,12 @@ def test_triple_rows_put_values_after_entities():
     ne = kg.num_entities
     rows = triple_rows(kg, kg.relation_triples, with_attributes=True)
     assert rows.dtype == np.int64
-    assert [tuple(r) for r in rows.tolist()] == [tuple(t) for t in kg.relation_triples] + [
-        (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+    assert rows.tolist() == kg.relation_triples.tolist() + [
+        [h, r, ne + v] for h, r, v in kg.attribute_triples.tolist()
     ]
-    assert triple_rows(kg, kg.relation_triples[:3]).tolist() == [list(t) for t in kg.relation_triples[:3]]
+    first = id_tuples(kg.relation_triples[:3])
+    assert all(type(x) is int for t in first for x in t)
+    assert triple_rows(kg, first).tolist() == kg.relation_triples[:3].tolist()
     assert triple_rows(kg, []).shape == (0, 3)
 
 
@@ -92,8 +125,8 @@ def test_known_triples_agree_with_python_set():
         kg = random_kg(np.random.default_rng(seed), entities=6, relations=3, triples=14,
                        attribute_relations=2, attribute_triples=8)
         ne = kg.num_entities
-        want = {tuple(t) for t in kg.relation_triples} | {
-            (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+        want = set(id_tuples(kg.relation_triples)) | {
+            (h, r, ne + v) for h, r, v in kg.attribute_triples.tolist()
         }
         grid = np.array(list(itertools.product(
             range(ne), range(kg.num_relations), range(ne + kg.num_values)
@@ -130,7 +163,7 @@ def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
         [("a", "r", "b"), ("a", "r", "c"), ("b", "r", "c")],
         [("a", "p", "v")],
     )
-    train = [kg.relation_triples[0]]
+    train = id_tuples(kg.relation_triples[:1])
     a = kg.entities.id_of("a")
     b = kg.entities.id_of("b")
 
@@ -153,14 +186,12 @@ def test_parse_relation_triples_round_trip():
     text = "a\tlikes\tb\n# comment\n\nb\tlikes\tc\na\tknows\tc\n"
     kg = KnowledgeGraph()
     trips = parse_relation_triples(text, kg, "relations.tsv")
-    assert len(trips) == 3
+    assert trips.tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 2]]
     again = KnowledgeGraph()
     parse_relation_triples(relations_to_tsv(kg), again)
-    assert [
-        (again.entities.name_of(t.head), again.relations.name_of(t.relation),
-         again.entities.name_of(t.tail))
-        for t in again.relation_triples
-    ] == [("a", "likes", "b"), ("b", "likes", "c"), ("a", "knows", "c")]
+    assert _relation_names(again, again.relation_triples) == [
+        ("a", "likes", "b"), ("b", "likes", "c"), ("a", "knows", "c")
+    ]
 
 
 def test_parse_attribute_triples_quotes_and_tokens():
@@ -185,6 +216,10 @@ def test_parse_errors_name_source_and_line():
     with pytest.raises(ParseError) as err:
         parse_attribute_triples('e\tp\t""\n', kg, "attrs.tsv")
     assert "attrs.tsv:1" in str(err.value)
+    with pytest.raises(ParseError, match="attrs.tsv:2: attribute literal ' ' has no tokens"):
+        parse_attribute_triples('e\tp\tfine\nf\tp\t" "\n', kg, "attrs.tsv")
+    # every line is checked before any triple is stored
+    assert kg.num_entities == 0 and len(kg.relation_triples) == len(kg.attribute_triples) == 0
 
 
 def test_parse_labels_validation():
@@ -205,16 +240,17 @@ def test_parse_labels_validation():
 # splits
 
 
-def assert_split_invariants(triples, train, valid, test):
+def assert_split_invariants(rows, train, valid, test):
+    triples = id_tuples(rows)
     # partition: disjoint, exhaustive
     assert sorted(train + valid + test) == sorted(triples)
     assert len(set(train) | set(valid) | set(test)) == len(triples)
     # coverage: every held-out entity and relation appears in train
-    train_entities = {t.head for t in train} | {t.tail for t in train}
-    train_relations = {t.relation for t in train}
-    for t in valid + test:
-        assert t.head in train_entities and t.tail in train_entities
-        assert t.relation in train_relations
+    train_entities = {h for h, _, _ in train} | {t for _, _, t in train}
+    train_relations = {r for _, r, _ in train}
+    for h, r, t in valid + test:
+        assert h in train_entities and t in train_entities
+        assert r in train_relations
 
 
 def test_split_relation_triples_invariants_hold_on_random_graphs():
@@ -242,7 +278,7 @@ def test_split_never_orphans_a_single_occurrence():
         train, valid, test = split_relation_triples(
             kg.relation_triples, np.random.default_rng(seed), 0.2, 0.2
         )
-        assert kg.relation_triples[4] in train
+        assert id_tuples(kg.relation_triples[4:5])[0] in train
 
 
 def test_split_labeled_entities_stratified():
@@ -278,17 +314,14 @@ def test_generator_split_and_attribute_conventions():
     kg, split = generate_synthetic_kg(0)
     assert_split_invariants(kg.relation_triples, split.train, split.valid, split.test)
     # every entity carries one attribute triple per attribute relation
-    per_entity = {}
-    for a in kg.attribute_triples:
-        per_entity[a.head] = per_entity.get(a.head, 0) + 1
-    assert all(per_entity.get(e, 0) == 3 for e in range(kg.num_entities))
+    assert np.bincount(kg.attribute_triples[:, 0]).tolist() == [3] * kg.num_entities
     # labeled split partitions all entities
     assert sorted(split.label_train + split.label_valid + split.label_test) == list(range(50))
     # attribute tokens identify the label cluster: same label -> same value set
     by_label = {}
     values_of = {}
-    for a in kg.attribute_triples:
-        values_of.setdefault(a.head, set()).add(a.value)
+    for h, _, v in kg.attribute_triples.tolist():
+        values_of.setdefault(h, set()).add(v)
     for e, lab in split.labels.items():
         by_label.setdefault(lab, []).append(values_of[e])
     for group in by_label.values():
@@ -301,10 +334,9 @@ def test_generator_relation_identity_matches_cluster_pair():
     # tail cluster is (head cluster + relation displacement) except for the
     # ~10% decoy heads whose outgoing edges follow a shifted cluster's rule
     pair_counts: dict[tuple[int, int], dict[int, int]] = {}
-    for t in kg.relation_triples:
-        key = (label[t.head], t.relation)
-        tgt = pair_counts.setdefault(key, {})
-        tgt[label[t.tail]] = tgt.get(label[t.tail], 0) + 1
+    for h, r, t in kg.relation_triples.tolist():
+        tgt = pair_counts.setdefault((label[h], r), {})
+        tgt[label[t]] = tgt.get(label[t], 0) + 1
     modal = sum(max(c.values()) for c in pair_counts.values())
     assert modal >= 0.85 * len(kg.relation_triples)
     # each relation's modal mapping is one fixed displacement along the chain;
@@ -353,22 +385,12 @@ def test_full_tsv_round_trip_reproduces_graph():
     assert again.entities.names[: kg.num_entities] == kg.entities.names or set(
         again.entities.names
     ) == set(kg.entities.names)
-    assert {
-        (again.entities.name_of(t.head), again.relations.name_of(t.relation),
-         again.entities.name_of(t.tail))
-        for t in again.relation_triples
-    } == {
-        (kg.entities.name_of(t.head), kg.relations.name_of(t.relation),
-         kg.entities.name_of(t.tail))
-        for t in kg.relation_triples
-    }
-    assert {
-        (again.entities.name_of(a.head), again.values.name_of(a.value))
-        for a in again.attribute_triples
-    } == {
-        (kg.entities.name_of(a.head), kg.values.name_of(a.value))
-        for a in kg.attribute_triples
-    }
+    assert set(_relation_names(again, again.relation_triples)) == set(_relation_names(kg, kg.relation_triples))
+
+    def attribute_names(g):
+        return {(g.entities.name_of(h), g.values.name_of(v)) for h, _, v in g.attribute_triples.tolist()}
+
+    assert attribute_names(again) == attribute_names(kg)
     assert {again.entities.name_of(e): classes[c] for e, c in labels.items()} == {
         kg.entities.name_of(e): split.class_names[c] for e, c in split.labels.items()
     }
@@ -381,6 +403,10 @@ def test_bundle_round_trip_is_bit_exact():
     assert bundle_to_json(kg2, split2) == blob
     assert checksum in blob
     assert split2.train == split.train
+    assert all(type(x) is int for t in split2.test for x in t)
+    assert np.array_equal(kg2.relation_triples, kg.relation_triples)
+    assert np.array_equal(kg2.attribute_triples, kg.attribute_triples)
+    assert kg2.relation_triples.dtype == kg2.attribute_triples.dtype == np.int64
     assert split2.labels == split.labels
     assert kg2.value_tokens == kg.value_tokens
 
@@ -432,6 +458,13 @@ MALFORMED_BUNDLES = [
     (lambda d: d["entities"].__setitem__(3, d["entities"][1]), "entities entry 3 repeats 'ent_001'"),
     (lambda d: d["relations"].__setitem__(1, d["relations"][0]), "relations entry 1 repeats"),
     (lambda d: d["values"].__setitem__(1, d["values"][0]), "values entry 1 repeats"),
+    (lambda d: d["split"]["train"].append(d["split"]["train"][0]), "split lists triple \\d+ more than once"),
+    (lambda d: d["split"]["train"].append(d["split"]["test"][0]), "split lists triple \\d+ more than once"),
+    (lambda d: d["labels"]["by_entity"].append([7, 0]), "labels by_entity lists entity 7 more than once"),
+    (lambda d: d["labels"]["by_entity"].remove([4, 4]), "labels split entity 4 has no label"),
+    (lambda d: d.update(dropped_duplicates=[-1, 0]), "dropped_duplicates is not a pair of counts"),
+    (lambda d: d["labels"]["train"].append(d["labels"]["test"][0]),
+     "labels split lists entity \\d+ more than once"),
 ]
 
 
@@ -439,7 +472,9 @@ MALFORMED_BUNDLES = [
     "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
     "duplicate-triple", "value-id", "float-id", "entities-string", "dropped-count",
     "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
-    "duplicate-entity", "duplicate-relation", "duplicate-value",
+    "duplicate-entity", "duplicate-relation", "duplicate-value", "split-repeat-within",
+    "split-repeat-across", "labeled-twice", "split-entity-unlabeled", "negative-dropped-count",
+    "label-split-repeat",
 ])
 def test_malformed_bundle_names_source_and_problem(edit, message):
     with pytest.raises(IntegrityError, match=f"^data/b.json: bundle .*{message}"):

@@ -446,7 +446,7 @@ def sparse_view(seed, config):
     )
     unused = kg.relations.id_of("unused")
     view = GraphView.restricted(
-        kg, [t for t in kg.relation_triples if t.relation != unused], config.use_attributes
+        kg, kg.relation_triples[kg.relation_triples[:, 1] != unused], config.use_attributes
     )
     sink = kg.entities.id_of("sink")
     assert sink not in view.edges.active and sink < view.edges.active.max()

@@ -3,8 +3,7 @@ references, optimizer steps, the training loop, and checkpoint bytes."""
 
 from __future__ import annotations
 
-import json
-import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ import pytest
 import kane.autodiff as ad
 import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
-from kane.kgdata import DatasetSplit, GraphView, known_triples, triple_rows
+from kane.kgdata import DatasetSplit, GraphView, id_tuples, known_triples, triple_rows
 from kane.model import ModelConfig, encode_value, forward_all, init_params
 from kane.training import (
     CHECKPOINT_MAGIC,
@@ -33,11 +32,13 @@ from kane.training import (
 
 from helpers import (
     check_gradients,
+    checkpoint_header,
     kg_from_name_triples,
     random_kg,
     reference_bce,
     reference_transe_hinge,
     relative_error,
+    with_checkpoint_header,
 )
 
 
@@ -55,8 +56,8 @@ def _corrupt_all(kg, n, seed, rows=None, with_attributes=False):
 def _known_set(kg) -> set[tuple[int, int, int]]:
     """Every known triple of every split, as row tuples, built in plain Python."""
     ne = kg.num_entities
-    return {tuple(t) for t in kg.relation_triples} | {
-        (a.head, a.relation, ne + a.value) for a in kg.attribute_triples
+    return {tuple(t) for t in kg.relation_triples.tolist()} | {
+        (h, r, ne + v) for h, r, v in kg.attribute_triples.tolist()
     }
 
 
@@ -254,7 +255,7 @@ def test_translation_mode_batch_loss_matches_reference(norm):
     model = ModelConfig(dim=6, head_dim=6, heads=1, layers=0, use_attributes=False, norm=norm)
     config = TrainConfig(model=model, margin=1.0, negatives=3)
     params = init_params(kg.num_entities, kg.num_relations, 0, 0, model, np.random.default_rng(7))
-    split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+    split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
     view = GraphView.restricted(kg, split.train, model.use_attributes)
     rng = np.random.default_rng(8)
     batch = triple_rows(kg, kg.relation_triples[:4])
@@ -283,7 +284,7 @@ def test_completion_loss_gradients_end_to_end():
     params = init_params(
         kg.num_entities, kg.num_relations, kg.vocab_size, 0, model, np.random.default_rng(10)
     )
-    split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+    split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
     view = GraphView.restricted(kg, split.train, model.use_attributes)
     rows = triple_rows(kg, kg.relation_triples, with_attributes=True)
     batch = np.concatenate([rows[:2], rows[len(kg.relation_triples):][:1]])
@@ -306,7 +307,7 @@ def test_classification_loss_gradients_end_to_end():
     model = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     params = init_params(kg.num_entities, kg.num_relations, 0, 2, model, np.random.default_rng(14))
     split = DatasetSplit(
-        train=list(kg.relation_triples), valid=[], test=[],
+        train=id_tuples(kg.relation_triples), valid=[], test=[],
         labels={0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, class_count=2,
         label_train=[0, 1, 2, 3, 4],
     )
@@ -359,7 +360,7 @@ class TestSgdStep:
 
 def _toy_setup(seed=3, entities=8, triples=20):
     kg = random_kg(np.random.default_rng(seed), entities=entities, relations=2, triples=triples)
-    split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+    split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
     return kg, split
 
 
@@ -432,7 +433,7 @@ class TestTrainLoop:
     def test_step_shares_one_value_table(self, monkeypatch):
         kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
                        attribute_relations=1, attribute_triples=5)
-        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
         encoded, read = [], []
         real_encode, real_forward = training.encode_value, training.forward_all
         real_loss = training._completion_batch_loss
@@ -468,7 +469,7 @@ class TestTrainLoop:
         rows. The classification step runs the LSTM encoder."""
         kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
                        attribute_relations=1, attribute_triples=5)
-        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
         encoder = "bow"
         if task == "classification":
             split.labels, split.class_count, split.label_train = {e: e % 2 for e in range(6)}, 2, list(range(6))
@@ -606,7 +607,7 @@ class TestCheckpoint:
     def test_other_format_versions_rejected(self, version):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         assert header["format_version"] == 2
         if version is None:
             del header["format_version"]
@@ -618,12 +619,12 @@ class TestCheckpoint:
             for spec in header["arrays"]:
                 spec["name"] = spec["name"].replace("head_w.0", "head_w.0.0")
         with pytest.raises(IntegrityError, match=f"unsupported checkpoint format_version {version!r}"):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
     def test_lstm_round_trip_reproduces_encodings(self):
         kg = random_kg(np.random.default_rng(5), entities=6, relations=2, triples=12,
                        attribute_relations=1, attribute_triples=5)
-        split = DatasetSplit(train=list(kg.relation_triples), valid=[], test=[])
+        split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
         model = ModelConfig(dim=5, head_dim=5, heads=1, layers=1, encoder="lstm")
         config = _toy_config(model=model, epochs=1)
         params, _ = train(kg, split, config)
@@ -648,21 +649,21 @@ class TestCheckpoint:
     def test_config_keys_checked(self, edit, message):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         edit(header["config"])
         with pytest.raises(IntegrityError, match=message):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
         del header["config"]
         with pytest.raises(IntegrityError, match="no config"):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
     def test_header_without_arrays_rejected(self):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         del header["arrays"]
         with pytest.raises(IntegrityError, match="no arrays"):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["model"].update(dim="x"), "model.dim must be int, got 'x'"),
@@ -679,17 +680,17 @@ class TestCheckpoint:
     def test_config_values_type_checked_and_validated(self, edit, message):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         edit(header["config"])
         with pytest.raises(IntegrityError, match=message):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
     def test_config_accepts_int_for_float(self):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         header["config"]["margin"] = 2
-        _, loaded, _ = load_checkpoint_bytes(_with_header(blob, header))
+        _, loaded, _ = load_checkpoint_bytes(with_checkpoint_header(blob, header))
         assert loaded.margin == 2.0 and type(loaded.margin) is float
 
     def test_array_shapes_checked_against_config(self):
@@ -705,21 +706,21 @@ class TestCheckpoint:
         # a config with one more layer implies arrays the checkpoint lacks
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
-        header = _read_header(blob)
+        header = checkpoint_header(blob)
         header["config"]["model"]["layers"] += 1
         with pytest.raises(IntegrityError, match="do not match"):
-            load_checkpoint_bytes(_with_header(blob, header))
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
+    def test_absurd_layer_count_refused_before_building_shapes(self):
+        # every layer stores at least one array, so the header's array count
+        # bounds the layers; 2**40 layers would otherwise build 2**41 shapes
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config)
+        header = checkpoint_header(blob)
+        header["config"]["model"]["layers"] = 2**40
+        arrays = len(header["arrays"])
+        start = time.process_time()
+        with pytest.raises(IntegrityError, match=f"has {2**40} layers, its header only {arrays} arrays"):
+            load_checkpoint_bytes(with_checkpoint_header(blob, header))
+        assert time.process_time() - start < 1.0
 
-def _read_header(blob: bytes) -> dict:
-    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
-    start = len(CHECKPOINT_MAGIC) + 8
-    return json.loads(blob[start:start + length])
-
-
-def _with_header(blob: bytes, header: dict) -> bytes:
-    """``blob`` with its JSON header replaced and the arrays kept."""
-    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
-    head = json.dumps(header).encode("utf-8")
-    arrays = blob[len(CHECKPOINT_MAGIC) + 8 + length:]
-    return CHECKPOINT_MAGIC + struct.pack("<Q", len(head)) + head + arrays
