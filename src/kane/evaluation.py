@@ -9,11 +9,25 @@ positive triple (train + valid + test) other than the answer itself;
 a filtered rank can never be worse than the raw rank.
 
 Ranking is batched: ``rank_tail``, ``rank_head`` and ``rank_relation``
-take many queries at once and score them in chunks of (queries x
-candidates) distances; one distance pass gives both the raw and the
+take many queries at once; one distance pass gives both the raw and the
 filtered rank. The known positives are sorted key -> answer arrays
 (``FilterIndex``, built from ``kgdata.KnownAnswers``), looked up with
 ``searchsorted``.
+
+Ranks are exactly those of the float64 distances ``||(x + y) - z||``
+(the tail's ``(e_h + r) - e_c``, the head's ``(e_c + r) - e_t``, the
+relation's ``(e_h + r_c) - e_t``), at about half their memory traffic.
+Each kind is one distance from a per-query vector ``a`` to every
+candidate ``c``, first computed in float32: a (dim x queries x
+candidates) chunk of differences, mapped by ``abs`` (l1) or ``square``
+(l2, compared squared) and summed over dim. A per-query rounding bound
+(Higham's gamma_n, see ``_rank``) puts the float32 value within ``err``
+of the float64 one. A candidate below the answer by more than twice
+``err`` is better; one above by more is not; the band between, and any
+query whose values are not finite or near float32's limit, is
+recomputed in float64 with the expression above and its summation
+order. A candidate whose row equals the answer's is never better and
+is skipped.
 
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
@@ -34,10 +48,12 @@ from .model import ModelConfig, ModelParams, forward_all, is_translation_mode
 
 SETTINGS = ("raw", "filter")
 
-# Elements of the (queries x candidates x dim) float64 buffer that one
-# ranking chunk fills: 2**17 is 1 MiB, about 4 queries over 500 entities
-# at dim 64 and about 40 over 50.
-CHUNK_ELEMENTS = 1 << 17
+# Elements of the (dim x queries x candidates) float32 buffer of one
+# ranking chunk: 2**18 is 1 MiB, about 8 queries over 500 entities at dim
+# 64 and about 80 over 50. A band holds the approximate distances of up
+# to this many (query, candidate) pairs, and a float64 recheck up to this
+# many differences.
+CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,36 @@ def _as_queries(queries) -> tuple[np.ndarray, bool]:
     return q, False
 
 
+# Unit roundoffs of float32 and float64, and the absolute error of one
+# float32 rounding below its normal range (half the smallest subnormal).
+_U32, _U64, _ETA32 = 2.0**-24, 2.0**-53, 2.0**-150
+# Queries whose distances could come near float32's largest value (or are
+# not finite) get no band: the recheck covers all their candidates.
+_SAFE32 = float(np.finfo(np.float32).max) / 4
+# Per norm, the map of each coordinate difference and the power p of the
+# summed map: l2 distances are compared squared until the float64 recheck
+# takes the square root.
+_NORM_MAPS = {"l1": (np.abs, 1), "l2": (np.square, 2)}
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = nu / (1 - nu): bounds the relative error of a
+    result that passed through n roundings of unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def _copy_groups(mat: np.ndarray) -> np.ndarray:
+    """An id per row such that rows with one id are equal (equal rows may
+    still get different ids; a row holding NaN shares its id with none)."""
+    order = np.argsort(mat.sum(axis=1))
+    ordered = mat[order]
+    new = np.ones(len(mat), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(mat), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
+
+
 def _rank(
     kind: str,
     queries,
@@ -94,41 +140,89 @@ def _rank(
         wanted = (setting,)
     else:
         raise ConfigError(f"setting must be one of {SETTINGS} or that tuple, got {setting!r}")
+    if norm not in _NORM_MAPS:
+        raise ConfigError(f"norm must be one of {tuple(_NORM_MAPS)}, got {norm!r}")
+    phi, p = _NORM_MAPS[norm]
     q, single = _as_queries(queries)
     h, r, t = q.T
-    if kind == "tail":
-        answer, keys, candidates = t, pair_keys(h, r), len(ent)
-    elif kind == "head":
-        answer, keys, candidates = h, pair_keys(r, t), len(ent)
-    else:
-        answer, keys, candidates = r, pair_keys(h, t), len(rel)
-    rows = max(1, min(len(q), CHUNK_ELEMENTS // max(1, candidates * ent.shape[1])))
-    buf = np.empty((rows, candidates, ent.shape[1]))
+    # the float64 distance maps (x + y) - z; None marks the candidate's place
+    if kind == "tail":  # (e_h + r) - e_c
+        answer, keys, cand, parts = t, pair_keys(h, r), ent, (ent[h], rel[r], None)
+        a = parts[0] + parts[1]
+    elif kind == "head":  # (e_c + r) - e_t
+        answer, keys, cand, parts = h, pair_keys(r, t), ent, (None, rel[r], ent[t])
+        a = parts[2] - parts[1]
+    else:  # (e_h + r_c) - e_t
+        answer, keys, cand, parts = r, pair_keys(h, t), rel, (ent[h], None, ent[t])
+        a = parts[2] - parts[0]
+    # which is the same map of a - c for a per-query vector a. Summed in
+    # float32, a distance differs from the float64 one by at most `err`
+    # (n = dim; size >= the sum over coordinates of (|x| + |y| + |c|)**p,
+    # u and v the float32 and float64 unit roundoffs), which covers, with
+    # room to spare:
+    #   rounding a and c to float32, and the float32 a - c      2u + v
+    #   the float32 map and sum of n terms                      gamma_n
+    #   the float64 (x + y) - z, map and sum                    gamma_n
+    #   float32 underflow, absolute                              ~6n eta
+    # So a float32 distance below the answer's by more than 2 err is
+    # strictly below in float64 too (after l2's root as well), and one
+    # above by more is not better.
+    dim = ent.shape[1]
+    x, y = (part for part in parts if part is not None)
+    size = (phi(np.abs(x) + np.abs(y)).sum(axis=1) ** (1 / p)
+            + phi(cand).sum(axis=1).max(initial=0.0) ** (1 / p)) ** p
+    err = (_gamma(dim + 8, _U32) + _gamma(dim + 8, _U64) + 8 * dim * _ETA32) * size + 16 * dim * _ETA32
+    width = np.where(size < _SAFE32, 2 * err, np.inf)
+    with np.errstate(over="ignore"):
+        a32 = np.ascontiguousarray(a.T, dtype=np.float32)
+        c32 = np.ascontiguousarray(cand.T, dtype=np.float32)
+
+    def exact(qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
+        """The float64 distance of each (query, candidate) pair."""
+        x, y, z = (cand[ci] if part is None else part[qi] for part in parts)
+        dist = phi((x + y) - z).sum(axis=1)
+        return np.sqrt(dist) if p == 2 else dist
+
+    # a candidate whose row equals the answer's is never strictly better
+    copies = _copy_groups(cand)
+    # queries per band (their approximate distances fill one chunk),
+    # queries per float32 pass, and (query, candidate) pairs per recheck
+    group = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(cand))))
+    rows = max(1, min(group, CHUNK_ELEMENTS // max(1, len(cand) * dim)))
+    pairs = max(1, CHUNK_ELEMENTS // max(1, dim))
+    buf = np.empty(rows * len(cand) * dim, dtype=np.float32)
     out = np.empty((len(wanted), len(q)), dtype=np.int64)
-    for lo in range(0, len(q), rows):
-        s = slice(lo, lo + rows)
-        diff = buf[: len(answer[s])]
-        if kind == "tail":  # (e_h + r) - e_c
-            np.subtract((ent[h[s]] + rel[r[s]])[:, None], ent, out=diff)
-        elif kind == "head":  # (e_c + r) - e_t
-            np.add(ent, rel[r[s]][:, None], out=diff)
-            diff -= ent[t[s]][:, None]
-        else:  # (e_h + r_c) - e_t
-            np.add(ent[h[s]][:, None], rel, out=diff)
-            diff -= ent[t[s]][:, None]
-        if norm == "l1":
-            dist = np.abs(diff, out=diff).sum(axis=2)
-        else:
-            dist = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
-        better = dist < dist[np.arange(len(dist)), answer[s]][:, None]
+    for lo in range(0, len(q), group):
+        s = slice(lo, lo + group)
+        n = len(answer[s])
+        approx = np.empty((n, len(cand)), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, n, rows):
+                k = min(rows, n - j)
+                diff = buf[: dim * k * len(cand)].reshape(dim, k, len(cand))
+                np.subtract(a32[:, lo + j : lo + j + k, None], c32[:, None], out=diff)
+                np.add.reduce(phi(diff, out=diff), axis=0, out=approx[j : j + k])
+            near = approx[np.arange(n), answer[s]].astype(np.float64)
+            # thresholds rounded outward to float32, so each test stays sound
+            below = np.nextafter((near - width[s]).astype(np.float32), -np.inf)[:, None]
+            above = np.nextafter((near + width[s]).astype(np.float32), np.inf)[:, None]
+        better = approx < below
+        # the band holds every NaN
+        band = ~(better | (approx > above) | (copies == copies[answer[s], None]))
+        qi, ci = np.nonzero(band)
+        dist = np.empty(len(qi))
+        for i in range(0, len(qi), pairs):
+            dist[i : i + pairs] = exact(qi[i : i + pairs] + lo, ci[i : i + pairs])
+        closer = dist < exact(np.arange(lo, lo + n), answer[s])[qi]
+        better[qi[closer], ci[closer]] = True
         raw = 1 + better.sum(axis=1)
         for i, name in enumerate(wanted):
             if name == "raw":
                 out[i, s] = raw
                 continue
             # the answer itself is never better than its own distance
-            query, cand = known.lookup(keys[s])
-            dropped = query[better[query, cand]]
+            query, cand_id = known.lookup(keys[s])
+            dropped = query[better[query, cand_id]]
             out[i, s] = raw - np.bincount(dropped, minlength=len(raw))
     if single:
         return int(out[0, 0]) if len(wanted) == 1 else out[:, 0]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -667,7 +668,9 @@ def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> np.nda
         arr = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # rows of unequal length
         arr = None
-    if arr is None or arr.dtype.kind != "i" or arr.shape[1:] != shape:
+    # NumPy reads JSON true and false among ints as 1 and 0
+    if (arr is None or arr.dtype.kind != "i" or arr.shape[1:] != shape
+            or bool in set(map(type, chain.from_iterable(value) if shape else value))):
         kind = f"rows of {len(limits)} ids" if shape else "ids"
         raise IntegrityError(f"{source}: bundle {what} is not a list of {kind}")
     bad = ((arr < 0) | (arr >= np.asarray(limits))).reshape(len(arr), -1).any(axis=1)

@@ -448,6 +448,7 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     config = _config_from_dict(header["config"])
     specs = _array_specs(header.get("arrays"), config.model)
     arrays: dict[str, np.ndarray] = {}
+    start = off
     for name, shape in specs:
         count = math.prod(shape)
         if len(blob) < off + count * 8:
@@ -460,6 +461,9 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         off += count * 8
     if off != len(blob):
         raise IntegrityError(f"checkpoint has {len(blob) - off} trailing bytes")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=(off - start) // 8, offset=start)).all():
+        name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+        raise IntegrityError(f"checkpoint array {name!r} holds a non-finite value")
     params = params_from_arrays(
         arrays, config.model,
         class_count=int(arrays["cls_b"].shape[0]) if "cls_b" in arrays else 0,

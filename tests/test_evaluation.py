@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kane.evaluation as evaluation
 import kane.oracle as oracle
 from kane.errors import ConfigError
 from kane.evaluation import (
     SETTINGS,
+    FilterIndex,
     aggregate_metrics,
     build_filter_index,
     classification_accuracy,
@@ -30,7 +33,9 @@ from kane.kgdata import (
     DatasetSplit,
     GraphView,
     KnowledgeGraph,
+    KnownAnswers,
     id_tuples,
+    pair_keys,
     split_relation_triples,
 )
 from kane.model import ModelConfig, init_params
@@ -94,6 +99,8 @@ class TestRankHandCases:
                 rank_tail(triple, ent, rel, "l1", filt, setting)
         with pytest.raises(ConfigError):
             rank_tail([[0, 0]], ent, rel, "l1", filt, "raw")
+        with pytest.raises(ConfigError, match="norm must be one of"):
+            rank_tail(triple, ent, rel, "l3", filt, "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +128,124 @@ def test_batches_match_single_triple_calls(norm, monkeypatch):
                     checked += len(batch)
                 assert fn(batch[0], ent, rel, norm, filt, SETTINGS).tolist() == both[:, 0].tolist()
     assert checked >= 1000
+
+
+# ---------------------------------------------------------------------------
+# float32 pass and float64 recheck: ranks exactly as the float64 distances
+
+
+RANKERS = {"tail": rank_tail, "head": rank_head, "relation": rank_relation}
+
+
+@pytest.mark.parametrize("band", ["bound", "everything", "nothing"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_tie_heavy_ranks_match_oracle_whatever_the_band(norm, band, monkeypatch):
+    """The rounding bound, a band over every candidate (no float32 result is
+    trusted) and a band of zero width (only exact float32 ties are
+    rechecked) all give the oracle's ranks: half-integer grids are exact in
+    float32, so only the bound's soundness is at stake elsewhere."""
+    if band == "everything":
+        monkeypatch.setattr(evaluation, "_SAFE32", 0.0)
+    elif band == "nothing":
+        for name in ("_U32", "_U64", "_ETA32"):
+            monkeypatch.setattr(evaluation, name, 0.0)
+    checked = 0
+    for kg, ent, rel in quantized_ranking_setups():
+        filt = build_filter_index(kg)
+        monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * ent.size)
+        vectors, relations = ent.tolist(), rel.tolist()
+        known = id_tuples(kg.relation_triples)
+        for kind, fn in RANKERS.items():
+            naive = getattr(oracle, f"naive_rank_{kind}")
+            got = fn(kg.relation_triples, ent, rel, norm, filt, SETTINGS)
+            for i, setting in enumerate(SETTINGS):
+                want = [naive(tuple(trip), vectors, relations, known, norm, setting)
+                        for trip in kg.relation_triples.tolist()]
+                assert got[i].tolist() == want, (kind, setting)
+                checked += len(want)
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_candidate_past_float32_range_still_ranks_in_float64(norm):
+    """A candidate row beyond float32's largest value (3.4e38) is infinite
+    in float32, yet in float64 it is closer than the answer."""
+    ent = np.array([[3e38], [0.0], [3.5e38]])  # distances 0, 3e38, 0.5e38 from e_0
+    filt = _index([(0, 0, 1)], entities=3)
+    assert rank_tail((0, 0, 1), ent, np.zeros((1, 1)), norm, filt, "raw") == 3
+
+
+def _float64_ranks(kind, queries, ent, rel, norm, known):
+    """(raw, filter) ranks from every float64 distance at once, in the
+    expression and summation order the rankers compute them with."""
+    h, r, t = queries.T
+    if kind == "tail":
+        diff, answer, cols = (ent[h] + rel[r])[:, None] - ent, t, (0, 1, 2)
+    elif kind == "head":
+        diff, answer, cols = (ent + rel[r][:, None]) - ent[t][:, None], h, (1, 2, 0)
+    else:
+        diff, answer, cols = (ent[h][:, None] + rel) - ent[t][:, None], r, (0, 2, 1)
+    dist = np.abs(diff).sum(axis=2) if norm == "l1" else np.sqrt((diff * diff).sum(axis=2))
+    better = dist < dist[np.arange(len(queries)), answer][:, None]
+    positive = np.zeros_like(better)
+    for i, query in enumerate(queries):
+        for triple in known:
+            if triple[cols[0]] == query[cols[0]] and triple[cols[1]] == query[cols[1]]:
+                positive[i, triple[cols[2]]] = True
+    return np.stack([1 + better.sum(axis=1), 1 + (better & ~positive).sum(axis=1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
+def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
+    """Random vectors whose entries span float32 underflow (1e-40), the
+    normal range, ties and float32 overflow (1e200), with duplicated rows,
+    rank exactly as their float64 distances do."""
+    rng = np.random.default_rng(seed)
+    entities, relations = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+
+    # one scale for the whole example, or a scale per row
+    scales = [1e-40, 1.0, 1e38, 1e200, None]
+    scale = scales[int(rng.integers(len(scales)))]
+
+    def table(rows):
+        base = 1 + rows // 3
+        row_scale = scale or 10.0 ** rng.choice([-40, -20, 0, 20, 38, 200], size=(base, 1))
+        grid = rng.integers(-2, 3, size=(base, dim)) / 2.0
+        mat = np.where(rng.random((base, dim)) < 0.5, grid, rng.standard_normal((base, dim))) * row_scale
+        # the other rows copy a base row or mirror one through another (the
+        # same distance away on the other side), exactly or with entries
+        # moved by a few float64 or float32 ulps or float32 subnormal steps
+        mat = mat[np.concatenate([np.arange(base), rng.integers(0, base, rows - base)])]
+        for k in range(base, rows):
+            if rng.random() < 0.5:
+                mat[k] = 2 * mat[rng.integers(0, base)] - mat[rng.integers(0, base)]
+        steps = rng.uniform(-3, 3, size=(rows, dim)) * (rng.random((rows, dim)) < 0.3)
+        steps[:base] = 0
+        steps[rng.random(rows) < 0.3] = 0
+        unit = rng.choice([2.0**-52, 2.0**-23, 0.0], size=(rows, 1)) * np.abs(mat)
+        return mat + steps * np.where(unit > 0, unit, 2.0**-149)
+
+    ent, rel = table(entities), table(relations)
+    rel[0] *= rng.integers(0, 2)  # a zero relation: the query vector is an entity row
+    queries = np.stack([rng.integers(0, entities, 12), rng.integers(0, relations, 12),
+                        rng.integers(0, entities, 12)], axis=1)
+    # known positives: distinct triples, as a graph stores them
+    h, r, t = np.unique(queries[: int(rng.integers(1, 13))], axis=0).T
+    filt = FilterIndex(
+        tails=KnownAnswers.from_pairs(pair_keys(h, r), t),
+        heads=KnownAnswers.from_pairs(pair_keys(r, t), h),
+        relations=KnownAnswers.from_pairs(pair_keys(h, t), r),
+    )
+    known = np.stack([h, r, t], axis=1)
+    ids = evaluation._copy_groups(ent)
+    same = ids[:, None] == ids[None, :]
+    assert (ent[np.nonzero(same)[0]] == ent[np.nonzero(same)[1]]).all()
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "CHUNK_ELEMENTS", int(rng.integers(1, 4)) * entities * dim)
+        for kind, fn in RANKERS.items():
+            got = fn(queries, ent, rel, norm, filt, SETTINGS)
+            assert got.tolist() == _float64_ranks(kind, queries, ent, rel, norm, known).tolist(), kind
 
 
 def test_aggregate_metrics_hand_case():

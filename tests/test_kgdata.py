@@ -448,6 +448,8 @@ MALFORMED_BUNDLES = [
     (lambda d: d["attribute_triples"][3].__setitem__(2, len(d["values"])),
      "attribute_triples entry 3 is out of range"),
     (lambda d: d["attribute_triples"][0].__setitem__(1, 0.5), "attribute_triples is not a list"),
+    (lambda d: d["relation_triples"][0].__setitem__(1, True), "relation_triples is not a list of rows of 3 ids"),
+    (lambda d: d["split"]["test"].__setitem__(0, False), "split test is not a list of ids"),
     (lambda d: d.update(entities="ent_000"), "entities is not a list of strings"),
     (lambda d: d.update(dropped_duplicates=[0]), "dropped_duplicates is not a pair"),
     (lambda d: d["labels"]["by_entity"][2].__setitem__(1, 5), "labels by_entity entry 2 is out of range"),
@@ -470,7 +472,7 @@ MALFORMED_BUNDLES = [
 
 @pytest.mark.parametrize("edit, message", MALFORMED_BUNDLES, ids=[
     "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
-    "duplicate-triple", "value-id", "float-id", "entities-string", "dropped-count",
+    "duplicate-triple", "value-id", "float-id", "bool-id", "bool-index", "entities-string", "dropped-count",
     "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
     "duplicate-entity", "duplicate-relation", "duplicate-value", "split-repeat-within",
     "split-repeat-across", "labeled-twice", "split-entity-unlabeled", "negative-dropped-count",

@@ -575,6 +575,14 @@ class TestCheckpoint:
         )
         assert again == blob
 
+    @pytest.mark.parametrize("name, value", [("entity", np.nan), ("relation", np.inf), ("entity", -np.inf)])
+    def test_non_finite_array_rejected(self, name, value):
+        params, config = self._params_and_config()
+        dict(params.named_parameters())[name].data[1, 1] = value
+        blob = save_checkpoint_bytes(params, config)
+        with pytest.raises(IntegrityError, match=f"^checkpoint array '{name}' holds a non-finite value$"):
+            load_checkpoint_bytes(blob)
+
     def test_bad_magic_rejected(self):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
