@@ -19,7 +19,7 @@ per parent. A received array may be passed on because the sweep runs in
 reverse tape order: by the time a tensor's backward runs, its own gradient
 is final. The grads of two parameters therefore never share memory, while
 an intermediate tensor's ``grad`` may go on to hold a parent's sum after
-its backward ran; read the parameters' grads, which ``backward`` returns.
+its backward ran; read the grads of parameters, not of intermediates.
 
 Every sum of rows by index goes through one kernel, ``_scatter_sum``: a
 flat ``np.bincount`` over ``index * width + column``. It serves the
@@ -56,8 +56,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.records: list[Tensor] = []
-        # insertion-ordered registry of parameter leaves touched by any op
-        self.params: dict[int, "Tensor"] = {}
         self._outer: Tape | None = None
 
     def __enter__(self) -> "Tape":
@@ -108,7 +106,8 @@ class Tensor:
 
 
 def parameter(data, name: str | None = None) -> Tensor:
-    """A trainable leaf: receives a gradient after every backward pass."""
+    """A trainable leaf: receives a gradient from every backward pass whose
+    root depends on it."""
     return Tensor(data, is_param=True, name=name)
 
 
@@ -124,10 +123,6 @@ def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
         out._parents = parents
         out._backward = backward
         tape.records.append(out)
-        reg = tape.params
-        for p in parents:
-            if p.is_param:
-                reg.setdefault(id(p), p)
     return out
 
 
@@ -166,24 +161,15 @@ def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
         _accum(t, _scatter_sum(idx, g, t.shape[0]))
 
 
-def backward(tape: Tape, root: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse sweep from a scalar root; returns grads of parameter leaves.
-
-    Every parameter leaf touched by an op on the tape ends up with a
-    gradient of its own shape (zeros if the root does not depend on it).
-    """
+def backward(tape: Tape, root: Tensor) -> None:
+    """Reverse sweep from a scalar root into the ``grad`` of every tensor
+    on its path; a parameter the root does not depend on keeps ``None``."""
     if root.shape != ():
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     root.grad = np.ones((), dtype=np.float64)
     for out in reversed(tape.records):
         if out.grad is not None and out._backward is not None:
             out._backward(out.grad)
-    grads: dict[Tensor, np.ndarray] = {}
-    for p in tape.params.values():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        grads[p] = p.grad
-    return grads
 
 
 def zero_grads(tensors) -> None:

@@ -197,7 +197,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if labels is not None:
         split.labels = labels
         split.class_names = class_names
-        split.class_count = len(class_names)
         split.label_train, split.label_valid, split.label_test = split_labeled_entities(
             labels, split.class_count, rng
         )
@@ -219,24 +218,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     kg, split, checksum = _load_bundle_file(args.bundle)
     config = make_train_config(cfg)
     params, report = train(kg, split, config)
-    counts = {
-        "entities": kg.num_entities, "relations": kg.num_relations,
-        "values": kg.num_values, "vocabulary": kg.vocab_size,
-        "classes": split.class_count,
-    }
-    meta = {
-        "task": config.task,
-        "epochs_trained": len(report.epoch_losses),
-        "mode": "transe-mode" if is_translation_mode(config.model) else "kane",
-    }
-    blob = save_checkpoint_bytes(
-        params, config, bundle_checksum=checksum,
-        rng_state=report.rng_state, counts=counts, meta=meta,
-    )
+    blob = save_checkpoint_bytes(params, config, bundle_checksum=checksum)
     d = out_dir(args)
     write_atomic(d / "model.ckpt", blob)
     write_atomic(d / "train_log.csv", report.to_csv())
-    print(f"wrote {d / 'model.ckpt'} ({meta['mode']}, task={config.task})")
+    mode = "transe-mode" if is_translation_mode(config.model) else "kane"
+    print(f"wrote {d / 'model.ckpt'} ({mode}, task={config.task})")
     if report.epoch_losses:
         print(f"epochs {len(report.epoch_losses)}  final mean loss {report.epoch_losses[-1]:.6f}")
     if report.final_validation is not None:

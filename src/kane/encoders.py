@@ -8,7 +8,7 @@ rebuilt from the current table at every use; nothing is cached across
 optimization steps.
 
 * ``bow_encode``  -- sum of the token embeddings; permutation-invariant.
-  One gather over the concatenated tokens and one segment sum.
+  One gather over the concatenated tokens and one scatter sum by sequence.
 * ``lstm_encode`` -- final hidden state of a standard LSTM cell run over
   the tokens in order; zero initial states; order-sensitive. The
   sequences run as packed sequences: one step advances every sequence
@@ -54,9 +54,7 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
     owner = np.repeat(np.arange(lengths.size), lengths)
     tokens = flat[np.lexsort((flat, owner))]  # sorted within each sequence
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    ones = ad.constant(np.ones(tokens.size))
-    return ad.segment_weighted_sum(ones, ad.rows(word_table, tokens), offsets)
+    return ad.scatter_rows(ad.rows(word_table, tokens), owner, lengths.size)
 
 
 @dataclass

@@ -371,11 +371,14 @@ class DatasetSplit:
     valid: list[Triple]
     test: list[Triple]
     labels: dict[int, int] | None = None
-    class_count: int = 0
     class_names: list[str] = field(default_factory=list)
     label_train: list[int] = field(default_factory=list)
     label_valid: list[int] = field(default_factory=list)
     label_test: list[int] = field(default_factory=list)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.class_names)
 
 
 def id_tuples(rows: np.ndarray) -> list[Triple]:
@@ -395,6 +398,14 @@ def split_relation_triples(
     A triple is only eligible for holdout while each of its entities and
     its relation still occurs at least once in the remaining pool.
     """
+    # range tests, so that NaN fails them too
+    for key, fraction in (("valid_fraction", valid_fraction), ("test_fraction", test_fraction)):
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigError(f"{key} must be in [0, 1], got {fraction}")
+    if not valid_fraction + test_fraction <= 1.0:
+        raise ConfigError(
+            f"valid_fraction + test_fraction must be at most 1, got {valid_fraction} + {test_fraction}"
+        )
     rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     ent_count = np.bincount(rows[:, [0, 2]].ravel()).tolist()
     rel_count = np.bincount(rows[:, 1]).tolist()
@@ -567,7 +578,7 @@ def generate_synthetic_kg(
     )
     split = DatasetSplit(
         train=train, valid=valid, test=test,
-        labels=labels, class_count=clusters, class_names=class_names,
+        labels=labels, class_names=class_names,
         label_train=lab_train, label_valid=lab_valid, label_test=lab_test,
     )
     return kg, split
@@ -753,6 +764,5 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     if lab is not None:
         split.labels = dict(by_entity.tolist())
         split.class_names = list(lab["classes"])
-        split.class_count = len(split.class_names)
         split.label_train, split.label_valid, split.label_test = (ids.tolist() for ids in label_parts)
     return kg, split, actual

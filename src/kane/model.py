@@ -55,7 +55,6 @@ translation scoring on the raw embedding tables.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -265,16 +264,15 @@ def parameter_shapes(
 # ---------------------------------------------------------------------------
 # attribute value encoding
 
-def encode_value(
-    value_ids: Sequence[int],
-    view: GraphView,
-    params: ModelParams,
-    config: ModelConfig,
-) -> Tensor:
-    """Encode attribute values in one batched encoder call: one row per id."""
+def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> Tensor | None:
+    """Encodings of all attribute values of the graph in one batched encoder
+    call, row ``v`` for value id ``v``; None when no edge of the view reads
+    a value."""
+    if not (view.edges.source >= view.entity_count).any():
+        return None
     if params.word is None:
         raise ConfigError("model has no word table but attribute encoding was requested")
-    sequences = [view.kg.value_tokens[int(v)] for v in value_ids]
+    sequences = view.kg.value_tokens
     if config.encoder == "bow":
         return bow_encode(sequences, params.word)
     if params.lstm is None:
@@ -284,14 +282,6 @@ def encode_value(
 
 # ---------------------------------------------------------------------------
 # attention and propagation, over all edges of a view at once
-
-def _value_table(view: GraphView, params: ModelParams, config: ModelConfig) -> Tensor | None:
-    """Encodings of all attribute values of the graph, row ``v`` for value
-    id ``v``; None when no edge of the view reads a value."""
-    if view.edges.source.max() < view.entity_count:
-        return None
-    return encode_value(np.arange(view.kg.num_values), view, params, config)
-
 
 def _layer_heads(
     inputs: Tensor,
@@ -369,9 +359,8 @@ def forward_all(
     """Final (entities, dim) entity vectors after ``layers`` rounds of propagation.
 
     Layer 0 is the raw embedding table. ``values`` is the value table from
-    ``encode_value`` over all value ids, for a caller whose loss reads the
-    same encodings on the same tape; without it, the table is encoded here
-    when an edge of the view reads a value.
+    ``encode_value``, for a caller whose loss reads the same encodings on
+    the same tape; without it, the table is encoded here.
     """
     config.validate()
     vecs = params.entity
@@ -379,7 +368,7 @@ def forward_all(
     if config.layers == 0 or edges.active.size == 0:
         return vecs
     if values is None:
-        values = _value_table(view, params, config)
+        values = encode_value(view, params, config)
     rel = ad.rows(params.relation, edges.relation) if config.attention == "translational" else None
     for layer in range(config.layers):
         _, outputs = _layer_heads(vecs, rel, values, view, params, config, layer)

@@ -94,7 +94,6 @@ class TrainReport:
     best_epoch: int | None = None
     stopped_early_at: int | None = None
     final_validation: float | None = None
-    rng_state: dict | None = None  # generator state when training finished
 
     def to_csv(self) -> str:
         """Loss log: epoch, loss, val_metric (blank between checks), seconds.
@@ -234,7 +233,7 @@ def _completion_batch_loss(
 ) -> Tensor:
     """Hinge loss of positive rows against their negative rows, grouped by
     positive. Attribute targets read ``values``, the value table from
-    ``encode_value`` over all value ids."""
+    ``encode_value``."""
     rows = np.concatenate([positives, negatives])
     # targets index one table: the entity rows, then the value rows by value id
     table = ent if values is None else ad.concat_rows([ent, values])
@@ -278,7 +277,6 @@ def train(
         kg.num_entities, kg.num_relations, kg.vocab_size, class_count, config.model, rng
     )
     view = GraphView.restricted(kg, split.train, config.model.use_attributes)
-    value_ids = np.arange(kg.num_values) if config.model.use_attributes and kg.num_values else None
 
     if config.task == "completion":
         positives = triple_rows(kg, split.train, config.model.use_attributes)
@@ -315,9 +313,7 @@ def train(
             with Tape() as tape:
                 if config.task == "completion":
                     # one value table, read by propagation and by the loss's attribute targets
-                    values = None
-                    if value_ids is not None:
-                        values = encode_value(value_ids, view, params, config.model)
+                    values = encode_value(view, params, config.model)
                     finals = forward_all(view, params, config.model, values)
                     loss = _completion_batch_loss(chunk, negs, finals, params, config, values)
                     total_loss += loss.item()
@@ -356,7 +352,6 @@ def train(
     if best_snap is not None:
         params.restore(best_snap)
         report.final_validation = best_metric
-    report.rng_state = _rng_state_json(rng)
     return params, report
 
 
@@ -378,19 +373,11 @@ def _validation_metric(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _rng_state_json(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
-
-
 def save_checkpoint_bytes(
     params: ModelParams,
     config: TrainConfig,
     *,
     bundle_checksum: str = "",
-    rng_state: dict | None = None,
-    counts: dict[str, int] | None = None,
-    meta: dict | None = None,
 ) -> bytes:
     """Serialize to the versioned binary layout.
 
@@ -403,11 +390,8 @@ def save_checkpoint_bytes(
     named = params.named_parameters()
     header = {
         "format_version": CHECKPOINT_FORMAT,
-        "config": _config_to_dict(config),
+        "config": asdict(config),
         "bundle_checksum": bundle_checksum,
-        "rng_state": rng_state or {},
-        "counts": counts or {},
-        "meta": meta or {},
         "arrays": [{"name": name, "shape": list(t.data.shape)} for name, t in named],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -499,12 +483,6 @@ def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
     if not (counts[0] and counts[1]):
         raise IntegrityError("checkpoint has no entity or no relation rows")
     return out
-
-
-def _config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    model = d.pop("model")
-    return {"model": model, **d}
 
 
 def _check_keys(section, keys: tuple[str, ...], what: str) -> None:

@@ -34,8 +34,8 @@ def autodiff_gradients(forward, params: list[ad.Tensor]) -> tuple[float, list[np
     ad.zero_grads(params)
     with ad.Tape() as tape:
         loss = forward()
-        grads = ad.backward(tape, loss)
-    out = [np.array(grads.get(p, np.zeros_like(p.data))) for p in params]
+        ad.backward(tape, loss)
+    out = [np.zeros_like(p.data) if p.grad is None else np.array(p.grad) for p in params]
     ad.zero_grads(params)
     return float(loss.data), out
 

@@ -178,7 +178,7 @@ def _end_to_end_case(seed: int, task: str):
     )
     split = DatasetSplit(
         train=id_tuples(kg.relation_triples), valid=[], test=[],
-        labels={e: e % 2 for e in range(4)}, class_count=2,
+        labels={e: e % 2 for e in range(4)}, class_names=["c0", "c1"],
         label_train=[0, 1, 2, 3],
     )
     view = GraphView.restricted(kg, split.train, model.use_attributes)
@@ -275,7 +275,7 @@ def test_attention_normalization():
         weights, _ = model_module._layer_heads(
             params.entity,
             ad.rows(params.relation, view.edges.relation),
-            model_module._value_table(view, params, config),
+            model_module.encode_value(view, params, config),
             view, params, config, layer,
         )
         # bilinear heads have a weight column each; translational heads share one
@@ -548,15 +548,9 @@ def test_serialization_round_trips(tmp_path):
         kg.num_entities, kg.num_relations, kg.vocab_size, split.class_count,
         model, np.random.default_rng(11),
     )
-    blob = save_checkpoint_bytes(
-        params, config, bundle_checksum=checksum,
-        rng_state={"x": 1}, counts={"entities": kg.num_entities}, meta={"k": "v"},
-    )
+    blob = save_checkpoint_bytes(params, config, bundle_checksum=checksum)
     loaded, config2, header = load_checkpoint_bytes(blob)
-    blob2 = save_checkpoint_bytes(
-        loaded, config2, bundle_checksum=header["bundle_checksum"],
-        rng_state=header["rng_state"], counts=header["counts"], meta=header["meta"],
-    )
+    blob2 = save_checkpoint_bytes(loaded, config2, bundle_checksum=header["bundle_checksum"])
     assert blob2 == blob, "checkpoint round-trip changed bytes"
     for (name, t1), (_, t2) in zip(params.named_parameters(), loaded.named_parameters()):
         assert np.array_equal(t1.data, t2.data), f"checkpoint array {name} changed"

@@ -150,6 +150,29 @@ class TestConfig:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("valid_fraction=nan", "valid_fraction must be in [0, 1], got nan"),
+        ("test_fraction=inf", "test_fraction must be in [0, 1], got inf"),
+        ("valid_fraction=-1", "valid_fraction must be in [0, 1], got -1.0"),
+        ("valid_fraction=1.5", "valid_fraction must be in [0, 1], got 1.5"),
+        ("test_fraction=0.95", "valid_fraction + test_fraction must be at most 1, got 0.1 + 0.95"),
+    ], ids=["nan", "inf", "negative", "above-one", "sum-above-one"])
+    @pytest.mark.parametrize("command", ["gen-synth", "prepare"])
+    def test_bad_split_fraction_exits_with_one_line_error(self, tmp_path, capsys, command, setting, message):
+        gen = tmp_path / "gen"
+        assert run(["gen-synth", "--out", str(gen), *SMALL_GEN]) == 0
+        inputs = {
+            "gen-synth": SMALL_GEN,
+            "prepare": ["--relations", str(gen / "relations.tsv"),
+                        "--attributes", str(gen / "attributes.tsv")],
+        }[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--out", str(out), *inputs, "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_set_key_exits_nonzero(self, tmp_path, capsys):
         code = run(["gen-synth", "--out", str(tmp_path), "--set", "entties=9"])
         assert code == 1

@@ -317,7 +317,7 @@ def _trained_toy(task="completion", seed=0):
                          negatives=2, val_every=0, seed=seed)
     if task == "classification":
         split.labels = {e: e % 2 for e in range(kg.num_entities)}
-        split.class_count = 2
+        split.class_names = ["c0", "c1"]
         split.label_train = list(range(6))
         split.label_test = [6, 7]
     params, _ = train(kg, split, config)

@@ -65,7 +65,7 @@ def layer_heads(view, params, config, layer=0):
     weights, outputs = model_module._layer_heads(
         params.entity,
         ad.rows(params.relation, view.edges.relation),
-        model_module._value_table(view, params, config),
+        encode_value(view, params, config),
         view, params, config, layer,
     )
     edges = view.edges.source.size
@@ -297,7 +297,7 @@ class TestAttention:
                 dim=5, head_dim=4, heads=2, layers=1, attention=attention, norm="l2"
             )
         kg, view, params = build(7, config, with_attributes=True)
-        values = encode_value(np.arange(kg.num_values), view, params, config).data
+        values = encode_value(view, params, config).data
         weights, _ = layer_heads(view, params, config)
         for e in range(kg.num_entities):
             for head in range(config.heads):
@@ -328,7 +328,7 @@ class TestAttention:
 def test_head_output_is_weighted_message_sum():
     config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1)
     kg, view, params = build(11, config, with_attributes=True)
-    values = encode_value(np.arange(kg.num_values), view, params, config).data
+    values = encode_value(view, params, config).data
     weights, outputs = layer_heads(view, params, config)
     for head in range(config.heads):
         transform = head_transform(params, config, 0, head)
@@ -401,7 +401,7 @@ def test_classify_hand_oracle_and_missing_head():
     ent = np.random.default_rng(11).standard_normal((3, 4))
     scores = ent @ params.cls_w.data + params.cls_b.data
     labels = [2, 0, 1]
-    split = DatasetSplit([], [], [], labels=dict(enumerate(labels)), class_count=3)
+    split = DatasetSplit([], [], [], labels=dict(enumerate(labels)), class_names=["x", "y", "z"])
     got = _classification_batch_loss([0, 1, 2], ad.constant(ent), params, split)
     # the loss reads the scores W v + b
     assert abs(float(got.data) - reference_bce(scores, labels)) < 1e-12
@@ -415,12 +415,13 @@ def test_classify_hand_oracle_and_missing_head():
 def test_encode_value_once_per_pass(monkeypatch):
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=2)
     kg, view, params = build(12, config, with_attributes=True)
-    ids = [2, 0, 2]
-    table = encode_value(ids, view, params, config).data
-    assert table.shape == (3, 4) and np.array_equal(table[0], table[2])
-    for row, v in zip(table, ids):
+    table = encode_value(view, params, config).data
+    assert table.shape == (kg.num_values, 4)
+    for v, row in enumerate(table):
         want = params.word.data[sorted(kg.value_tokens[v])].sum(axis=0)
         assert relative_error(row, want) < 1e-12
+    # no edge of a view without attributes reads a value
+    assert encode_value(GraphView.restricted(kg, kg.relation_triples, False), params, config) is None
     # a forward pass encodes every value once, in one call, for all layers
     calls = []
     real = model_module.bow_encode
@@ -505,7 +506,7 @@ def test_forward_all_reads_the_given_value_table(monkeypatch):
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     kg, view, params = build(13, config, with_attributes=True)
     assert (view.edges.source >= kg.num_entities).any()  # an edge reads a value
-    values = encode_value(np.arange(kg.num_values), view, params, config)
+    values = encode_value(view, params, config)
     want = forward_all(view, params, config).data
 
     def no_second_encoding(*args):
@@ -565,7 +566,7 @@ def test_layer_tape_holds_one_per_edge_row_gather(attention):
     edges, width = view.edges.source.size, config.heads * config.head_dim
     # read once per forward pass, not per layer
     rel = ad.rows(params.relation, view.edges.relation)
-    values = model_module._value_table(view, params, config)
+    values = encode_value(view, params, config)
     with ad.Tape() as tape:
         model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
     wide = [t for t in tape.records if t.shape == (edges, width)]

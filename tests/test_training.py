@@ -4,6 +4,7 @@ references, optimizer steps, the training loop, and checkpoint bytes."""
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from kane.training import (
     _classification_batch_loss,
     _completion_batch_loss,
     _config_from_dict,
-    _config_to_dict,
     bce_loss,
     corrupt,
     hinge_loss,
@@ -292,7 +292,7 @@ def test_completion_loss_gradients_end_to_end():
     assert batch[2, 2] >= kg.num_entities  # the attribute row reads the value table
 
     def forward():
-        values = encode_value(np.arange(kg.num_values), view, params, model)
+        values = encode_value(view, params, model)
         finals = forward_all(view, params, model, values)
         return _completion_batch_loss(batch, negs, finals, params, config, values)
 
@@ -308,7 +308,7 @@ def test_classification_loss_gradients_end_to_end():
     params = init_params(kg.num_entities, kg.num_relations, 0, 2, model, np.random.default_rng(14))
     split = DatasetSplit(
         train=id_tuples(kg.relation_triples), valid=[], test=[],
-        labels={0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, class_count=2,
+        labels={0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, class_names=["c0", "c1"],
         label_train=[0, 1, 2, 3, 4],
     )
     view = GraphView.restricted(kg, split.train, model.use_attributes)
@@ -402,7 +402,7 @@ class TestTrainLoop:
     def test_classification_trains_and_validates(self):
         kg, split = _toy_setup()
         split.labels = {e: e % 2 for e in range(kg.num_entities)}
-        split.class_count = 2
+        split.class_names = ["c0", "c1"]
         split.label_train = list(range(6))
         split.label_valid = [6, 7]
         config = _toy_config(task="classification", epochs=10, val_every=5, patience=20)
@@ -415,7 +415,7 @@ class TestTrainLoop:
     def test_early_stopping_on_flat_validation(self):
         kg, split = _toy_setup()
         split.labels = {e: e % 2 for e in range(kg.num_entities)}
-        split.class_count = 2
+        split.class_names = ["c0", "c1"]
         split.label_train = list(range(6))
         split.label_valid = [6, 7]
         config = _toy_config(task="classification", epochs=50, val_every=1,
@@ -472,7 +472,7 @@ class TestTrainLoop:
         split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
         encoder = "bow"
         if task == "classification":
-            split.labels, split.class_count, split.label_train = {e: e % 2 for e in range(6)}, 2, list(range(6))
+            split.labels, split.class_names, split.label_train = {e: e % 2 for e in range(6)}, ["c0", "c1"], list(range(6))
             encoder = "lstm"
         model = ModelConfig(dim=4, head_dim=3, heads=2, layers=2, encoder=encoder)
         tapes = []
@@ -551,29 +551,32 @@ class TestCheckpoint:
 
     def test_round_trip_is_bit_exact(self):
         params, config = self._params_and_config()
-        blob = save_checkpoint_bytes(
-            params, config,
-            bundle_checksum="abc123",
-            rng_state={"state": 7},
-            counts={"entities": 8},
-            meta={"note": "x"},
-        )
+        blob = save_checkpoint_bytes(params, config, bundle_checksum="abc123")
         loaded, config2, header = load_checkpoint_bytes(blob)
         assert config2 == config
         assert header["bundle_checksum"] == "abc123"
-        assert header["counts"] == {"entities": 8}
-        assert header["meta"] == {"note": "x"}
         got = dict(loaded.named_parameters())
         for name, tensor in params.named_parameters():
             assert np.array_equal(got[name].data, tensor.data), name
-        again = save_checkpoint_bytes(
-            loaded, config2,
-            bundle_checksum=header["bundle_checksum"],
-            rng_state=header["rng_state"],
-            counts=header["counts"],
-            meta=header["meta"],
-        )
+        again = save_checkpoint_bytes(loaded, config2, bundle_checksum=header["bundle_checksum"])
         assert again == blob
+
+    def test_header_keys_of_older_writers_ignored(self):
+        """Earlier writers of format 2 also stored the generator state, graph
+        counts and run facts in the header; such a checkpoint still loads."""
+        params, config = self._params_and_config()
+        blob = save_checkpoint_bytes(params, config, bundle_checksum="abc123")
+        header = checkpoint_header(blob)
+        header.update(
+            rng_state={"bit_generator": "PCG64", "state": {"state": 7, "inc": 9}},
+            counts={"entities": 8, "relations": 2, "values": 0, "vocabulary": 0, "classes": 0},
+            meta={"task": "completion", "epochs_trained": 0, "mode": "kane"},
+        )
+        loaded, config2, header2 = load_checkpoint_bytes(with_checkpoint_header(blob, header))
+        assert config2 == config and header2["bundle_checksum"] == "abc123"
+        got = dict(loaded.named_parameters())
+        for name, tensor in params.named_parameters():
+            assert got[name].data.tobytes() == tensor.data.tobytes(), name
 
     @pytest.mark.parametrize("name, value", [("entity", np.nan), ("relation", np.inf), ("entity", -np.inf)])
     def test_non_finite_array_rejected(self, name, value):
@@ -639,13 +642,12 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint_bytes(save_checkpoint_bytes(params, config))
         assert loaded.lstm is not None
         view = GraphView.restricted(kg, split.train, model.use_attributes)
-        ids = np.arange(kg.num_values)
-        want = encode_value(ids, view, params, model).data
-        assert np.array_equal(encode_value(ids, view, loaded, model).data, want)
+        want = encode_value(view, params, model).data
+        assert np.array_equal(encode_value(view, loaded, model).data, want)
 
     def test_config_dict_round_trip(self):
         config = _toy_config(task="classification", renormalize=True, epochs=17)
-        assert _config_from_dict(_config_to_dict(config)) == config
+        assert _config_from_dict(asdict(config)) == config
 
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["model"].update(width=3), "unknown keys \\['width'\\]"),
