@@ -43,7 +43,7 @@ from .evaluation import (
     evaluate_completion,
 )
 from .training import (
-    MODEL_KEYS, TRAIN_KEYS, TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes, train,
+    TRAIN_KEYS, TrainConfig, load_checkpoint_bytes, make_train_config, save_checkpoint_bytes, train,
 )
 
 OUT_DIR_ENV = "KANE_OUT_DIR"
@@ -123,11 +123,6 @@ def merge_config(args: argparse.Namespace) -> dict[str, object]:
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
-
-
-def make_train_config(cfg: dict[str, object]) -> TrainConfig:
-    model = ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
-    return TrainConfig(model=model, **{k: cfg[k] for k in TRAIN_KEYS})
 
 
 def out_dir(args: argparse.Namespace) -> Path:

@@ -123,19 +123,16 @@ class KnowledgeGraph:
         return len(self.words)
 
     # -- construction ---------------------------------------------------
-    def add_relation_triples(self, triples: Iterable[tuple[str, str, str]]) -> np.ndarray:
+    def add_relation_triples(self, triples: Iterable[tuple[str, str, str]]) -> None:
         """Intern the names of ``(head, relation, tail)`` triples in
-        first-seen order and store their rows; a triple already stored, or
-        repeated in ``triples``, is dropped and counted. Returns the rows
-        stored, in input order."""
+        first-seen order and store their rows in input order; a triple
+        already stored, or repeated in ``triples``, is dropped and counted."""
         ent, rel = self.entities.intern, self.relations.intern
-        before = len(self.relation_triples)
         rows = [(ent(h), rel(r), ent(t)) for h, r, t in triples]
         self.relation_triples, dropped = _append_new(self.relation_triples, rows)
         self.dropped_relation_duplicates += dropped
-        return self.relation_triples[before:]
 
-    def add_attribute_triples(self, triples: Iterable[tuple[str, str, str]]) -> np.ndarray:
+    def add_attribute_triples(self, triples: Iterable[tuple[str, str, str]]) -> None:
         """``add_relation_triples`` for ``(head, relation, literal)``
         triples; each new literal is interned as a value with its tokens. A
         literal with no tokens raises ``DomainError`` before anything is
@@ -145,11 +142,9 @@ class KnowledgeGraph:
             if not literal.strip():  # no tokens: strip and split share one whitespace
                 raise DomainError(f"attribute literal {literal!r} has no tokens")
         ent, rel, val = self.entities.intern, self.relations.intern, self._intern_value
-        before = len(self.attribute_triples)
         rows = [(ent(h), rel(r), val(literal)) for h, r, literal in triples]
         self.attribute_triples, dropped = _append_new(self.attribute_triples, rows)
         self.dropped_attribute_duplicates += dropped
-        return self.attribute_triples[before:]
 
     def _intern_value(self, literal: str) -> int:
         known = literal in self.values
@@ -277,11 +272,11 @@ def _three_fields(line: str, source: str, ln: int) -> list[str]:
     return fields
 
 
-def parse_relation_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> np.ndarray:
+def parse_relation_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> None:
     """Parse ``head<TAB>relation<TAB>tail`` lines into the graph.
 
     Every line is checked before any triple is stored. Duplicates are
-    dropped (counted on the graph); returns the stored rows in input order.
+    dropped (counted on the graph).
     """
     triples = []
     for ln, line in _content_lines(text):
@@ -289,10 +284,10 @@ def parse_relation_triples(text: str, kg: KnowledgeGraph, source: str = "<input>
         if not all(fields):
             raise ParseError(source, ln, "empty field in relation triple")
         triples.append(fields)
-    return kg.add_relation_triples(triples)
+    kg.add_relation_triples(triples)
 
 
-def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> np.ndarray:
+def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input>") -> None:
     """Parse ``head<TAB>relation<TAB>"literal"`` lines into the graph.
 
     Surrounding double quotes on the literal are stripped; the literal is
@@ -308,7 +303,7 @@ def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input
         if not lit.strip():
             raise ParseError(source, ln, f"attribute literal {lit!r} has no tokens")
         triples.append((h, r, lit))
-    return kg.add_attribute_triples(triples)
+    kg.add_attribute_triples(triples)
 
 
 def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tuple[dict[int, int], list[str]]:

@@ -55,7 +55,7 @@ translation scoring on the raw embedding tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -71,9 +71,28 @@ NORMS = ("l1", "l2")
 ATTENTION_FORMS = ("bilinear", "translational")
 
 
-@dataclass
+def check_field_types(config, prefix: str) -> None:
+    """Each field of dataclass ``config`` must hold exactly the type of its
+    default, or its default factory (a class), so a bool is no int. An int
+    given for a float is stored as one."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        want = f.default_factory if f.default is MISSING else type(f.default)
+        if want is float and type(value) is int:
+            object.__setattr__(config, f.name, float(value))
+        elif type(value) is not want:
+            raise ConfigError(f"{prefix}{f.name} must be {want.__name__}, got {value!r}")
+
+
+def unit_rows(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with every nonzero row scaled to unit L2 norm."""
+    norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
+    return mat / np.where(norms == 0.0, 1.0, norms)
+
+
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, checked when the config is built.
 
     ``attention`` selects the logit form: "bilinear" is the product form
     above; "translational" uses -||h + r - n|| with the configured norm.
@@ -90,7 +109,8 @@ class ModelConfig:
     leaky_slope: float = 0.2
     use_attributes: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_field_types(self, "model.")
         if self.dim < 1 or self.head_dim < 1:
             raise ConfigError(f"dim and head_dim must be >= 1, got {self.dim}, {self.head_dim}")
         if self.heads < 1:
@@ -146,6 +166,23 @@ class ModelParams:
             out.append(("cls_b", self.cls_b))
         return out
 
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor]) -> ModelParams:
+        """Inverse of ``named_parameters``: the parameters stored under
+        those names, which must follow ``parameter_shapes``."""
+        def layers(prefix: str) -> list[Tensor]:
+            count = sum(name.startswith(prefix) for name in named)
+            return [named[f"{prefix}{l}"] for l in range(count)]
+
+        lstm = None
+        if "lstm.w_in" in named:
+            lstm = LstmParams(**{f.name: named[f"lstm.{f.name}"] for f in fields(LstmParams)})
+        return cls(
+            entity=named["entity"], relation=named["relation"], word=named.get("word"), lstm=lstm,
+            head_w=layers("head_w."), out_w=layers("out_w."),
+            cls_w=named.get("cls_w"), cls_b=named.get("cls_b"),
+        )
+
     def all_tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
@@ -172,7 +209,6 @@ def init_params(
     fixed so a seed pins every value: each head's (head_dim, dim)
     transform, the (dim, heads * head_dim) merge and the (classes, dim)
     classifier are drawn in that shape and stored transposed."""
-    config.validate()
     if entity_count < 1 or relation_count < 1:
         raise ConfigError("need at least one entity and one relation")
     bound = 6.0 / np.sqrt(config.dim)
@@ -184,12 +220,8 @@ def init_params(
         limit = np.sqrt(6.0 / (shape[0] + shape[1]))
         return rng.uniform(-limit, limit, size=shape)
 
-    def normalized(mat: np.ndarray) -> np.ndarray:
-        norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
-        return mat / np.where(norms == 0.0, 1.0, norms)
-
-    entity = ad.parameter(normalized(uniform((entity_count, config.dim))), "entity")
-    relation = ad.parameter(normalized(uniform((relation_count, config.dim))), "relation")
+    entity = ad.parameter(unit_rows(uniform((entity_count, config.dim))), "entity")
+    relation = ad.parameter(unit_rows(uniform((relation_count, config.dim))), "relation")
     word = ad.parameter(uniform((vocab_size, config.dim)), "word") if vocab_size > 0 else None
     lstm = None
     if config.encoder == "lstm" and word is not None:
@@ -215,29 +247,6 @@ def init_params(
         cls_b = ad.parameter(np.zeros(class_count), "cls_b")
     return ModelParams(
         entity=entity, relation=relation, word=word, lstm=lstm,
-        head_w=head_w, out_w=out_w, cls_w=cls_w, cls_b=cls_b,
-    )
-
-
-def params_from_arrays(
-    arrays: dict[str, np.ndarray], config: ModelConfig, class_count: int, vocab_size: int
-) -> ModelParams:
-    """Rebuild ModelParams from named arrays (checkpoint loading)."""
-    def p(name: str) -> Tensor:
-        return ad.parameter(arrays[name].copy(), name)
-
-    word = p("word") if vocab_size > 0 else None
-    lstm = None
-    if config.encoder == "lstm" and vocab_size > 0:
-        lstm = LstmParams(**{f.name: p(f"lstm.{f.name}") for f in fields(LstmParams)})
-    head_w = [p(f"head_w.{l}") for l in range(config.layers)]
-    out_w = []
-    if config.aggregator == "concat":
-        out_w = [p(f"out_w.{l}") for l in range(config.layers)]
-    cls_w = p("cls_w") if class_count > 0 else None
-    cls_b = p("cls_b") if class_count > 0 else None
-    return ModelParams(
-        entity=p("entity"), relation=p("relation"), word=word, lstm=lstm,
         head_w=head_w, out_w=out_w, cls_w=cls_w, cls_b=cls_b,
     )
 
@@ -362,7 +371,6 @@ def forward_all(
     ``encode_value``, for a caller whose loss reads the same encodings on
     the same tape; without it, the table is encoded here.
     """
-    config.validate()
     vecs = params.entity
     edges = view.edges
     if config.layers == 0 or edges.active.size == 0:

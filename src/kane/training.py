@@ -35,8 +35,8 @@ from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, known_triples, pair_keys, triple_rows,
 )
 from .model import (
-    ModelConfig, ModelParams, encode_value, forward_all, init_params, parameter_shapes,
-    params_from_arrays,
+    ModelConfig, ModelParams, check_field_types, encode_value, forward_all, init_params,
+    parameter_shapes, unit_rows,
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
@@ -44,8 +44,11 @@ CHECKPOINT_FORMAT = 2  # the parameter names and shapes of ``model.parameter_sha
 SCORE_CLIP = 30.0  # classifier scores are clipped before sigmoid to keep log finite
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters and the model config, checked when the
+    config is built."""
+
     model: ModelConfig = field(default_factory=ModelConfig)
     task: str = "completion"
     margin: float = 1.0
@@ -58,8 +61,8 @@ class TrainConfig:
     patience: int = 20  # validation checks without improvement before stopping
     renormalize: bool = False  # re-unit-norm entity rows after each epoch
 
-    def validate(self) -> None:
-        self.model.validate()
+    def __post_init__(self) -> None:
+        check_field_types(self, "")
         if self.task not in ("completion", "classification"):
             raise ConfigError(f"task must be 'completion' or 'classification', got {self.task!r}")
         # range tests, so that NaN fails them too
@@ -75,13 +78,22 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.val_every < 0 or self.patience < 1:
-            raise ConfigError("val_every must be >= 0 and patience >= 1")
+        if self.val_every < 0:
+            raise ConfigError(f"val_every must be >= 0, got {self.val_every}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
 
 # the flat configuration keys, as the CLI sets them and checkpoints store them
 MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "model")
+
+
+def make_train_config(flat: dict[str, object]) -> TrainConfig:
+    """The config that the flat ``MODEL_KEYS`` and ``TRAIN_KEYS`` of
+    ``flat`` set; other keys are ignored."""
+    model = ModelConfig(**{k: flat[k] for k in MODEL_KEYS})
+    return TrainConfig(model=model, **{k: flat[k] for k in TRAIN_KEYS})
 
 
 @dataclass
@@ -214,12 +226,6 @@ def sgd_step(params: ModelParams, learning_rate: float) -> None:
         p.data -= learning_rate * p.grad
 
 
-def _renormalize_entities(params: ModelParams) -> None:
-    mat = params.entity.data
-    norms = np.sqrt((mat * mat).sum(axis=1, keepdims=True))
-    params.entity.data = mat / np.where(norms == 0.0, 1.0, norms)
-
-
 # ---------------------------------------------------------------------------
 # batch losses
 
@@ -270,7 +276,6 @@ def train(
     the best-validation parameters are kept and restored at the end; early
     stopping triggers after ``patience`` checks without improvement.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     class_count = split.class_count if split.labels is not None else 0
     params = init_params(
@@ -329,7 +334,7 @@ def train(
             except TrainingError as err:
                 raise TrainingError(f"epoch {epoch}, batch at {start}: {err}") from err
         if config.renormalize:
-            _renormalize_entities(params)
+            params.entity.data = unit_rows(params.entity.data)
         report.epoch_losses.append(total_loss / max(1, len(positives)))
         report.epoch_seconds.append(time.perf_counter() - t0)
 
@@ -431,7 +436,7 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         )
     config = _config_from_dict(header["config"])
     specs = _array_specs(header.get("arrays"), config.model)
-    arrays: dict[str, np.ndarray] = {}
+    named: dict[str, Tensor] = {}
     start = off
     for name, shape in specs:
         count = math.prod(shape)
@@ -441,19 +446,14 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
                 f"{len(blob) - off} present"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        arrays[name] = arr.astype(np.float64)
+        named[name] = ad.parameter(arr.astype(np.float64), name)
         off += count * 8
     if off != len(blob):
         raise IntegrityError(f"checkpoint has {len(blob) - off} trailing bytes")
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=(off - start) // 8, offset=start)).all():
-        name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+        name = next(name for name, t in named.items() if not np.isfinite(t.data).all())
         raise IntegrityError(f"checkpoint array {name!r} holds a non-finite value")
-    params = params_from_arrays(
-        arrays, config.model,
-        class_count=int(arrays["cls_b"].shape[0]) if "cls_b" in arrays else 0,
-        vocab_size=int(arrays["word"].shape[0]) if "word" in arrays else 0,
-    )
-    return params, config, header
+    return ModelParams.from_named(named), config, header
 
 
 def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -496,31 +496,10 @@ def _check_keys(section, keys: tuple[str, ...], what: str) -> None:
         )
 
 
-def _typed_values(section: dict, cls, what: str) -> dict:
-    """``section``'s values for the fields of dataclass ``cls``, each checked
-    against the type of the field's default (an int is accepted for a float)."""
-    out = {}
-    for f in fields(cls):
-        if f.name == "model":
-            continue
-        value, want = section[f.name], type(f.default)
-        if not (type(value) is want or (want is float and type(value) is int)):
-            raise IntegrityError(
-                f"corrupt checkpoint config: {what}{f.name} must be {want.__name__}, got {value!r}"
-            )
-        out[f.name] = want(value)
-    return out
-
-
 def _config_from_dict(d: dict) -> TrainConfig:
     _check_keys(d, ("model", *TRAIN_KEYS), "config")
     _check_keys(d["model"], MODEL_KEYS, "model config")
-    config = TrainConfig(
-        model=ModelConfig(**_typed_values(d["model"], ModelConfig, "model.")),
-        **_typed_values(d, TrainConfig, ""),
-    )
     try:
-        config.validate()
+        return make_train_config({**d, **d["model"]})
     except ConfigError as err:
         raise IntegrityError(f"corrupt checkpoint config: {err}") from err
-    return config

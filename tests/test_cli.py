@@ -15,7 +15,6 @@ import pytest
 
 from kane.cli import (
     DEFAULTS,
-    make_train_config,
     format_embedding_export,
     main,
     merge_config,
@@ -25,7 +24,7 @@ from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import entity_matrix
 from kane.kgdata import GraphView, bundle_checksum, bundle_from_json, generate_synthetic_kg
 from kane.model import ModelConfig
-from kane.training import TrainConfig, load_checkpoint_bytes
+from kane.training import TrainConfig, load_checkpoint_bytes, make_train_config
 
 from helpers import parse_embedding_export
 

@@ -62,11 +62,12 @@ def _relation_names(kg, rows) -> list[tuple[str, str, str]]:
 
 def test_duplicates_dropped_and_counted():
     kg = KnowledgeGraph()
-    stored = kg.add_relation_triples([("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])
-    assert stored.tolist() == [[0, 0, 1], [1, 0, 0]]
-    assert kg.add_relation_triples([("b", "r", "a")]).shape == (0, 3)  # already stored
-    assert kg.add_attribute_triples([("a", "p", "Blue Sky")] * 2).tolist() == [[0, 1, 0]]
-    assert kg.add_attribute_triples([("a", "p", "Blue Sky")]).shape == (0, 3)
+    kg.add_relation_triples([("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])
+    assert kg.relation_triples.tolist() == [[0, 0, 1], [1, 0, 0]]
+    kg.add_relation_triples([("b", "r", "a")])  # already stored
+    kg.add_attribute_triples([("a", "p", "Blue Sky")] * 2)
+    assert kg.attribute_triples.tolist() == [[0, 1, 0]]
+    kg.add_attribute_triples([("a", "p", "Blue Sky")])
     assert kg.dropped_relation_duplicates == 2
     assert kg.dropped_attribute_duplicates == 2
     assert kg.relation_triples.tolist() == [[0, 0, 1], [1, 0, 0]]
@@ -81,7 +82,9 @@ def test_batch_adds_keep_first_occurrences_in_order(batches):
     seen: dict[tuple[str, str, str], None] = {}
     for batch in batches:
         new = [t for t in dict.fromkeys(batch) if t not in seen]
-        assert _relation_names(kg, kg.add_relation_triples(batch)) == new
+        before = len(kg.relation_triples)
+        kg.add_relation_triples(batch)
+        assert _relation_names(kg, kg.relation_triples[before:]) == new
         seen.update(dict.fromkeys(new))
     assert _relation_names(kg, kg.relation_triples) == list(seen)
     assert kg.dropped_relation_duplicates == sum(map(len, batches)) - len(seen)
@@ -185,8 +188,8 @@ def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
 def test_parse_relation_triples_round_trip():
     text = "a\tlikes\tb\n# comment\n\nb\tlikes\tc\na\tknows\tc\n"
     kg = KnowledgeGraph()
-    trips = parse_relation_triples(text, kg, "relations.tsv")
-    assert trips.tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 2]]
+    parse_relation_triples(text, kg, "relations.tsv")
+    assert kg.relation_triples.tolist() == [[0, 0, 1], [1, 0, 2], [0, 1, 2]]
     again = KnowledgeGraph()
     parse_relation_triples(relations_to_tsv(kg), again)
     assert _relation_names(again, again.relation_triples) == [

@@ -16,13 +16,13 @@ from kane.evaluation import classification_accuracy
 from kane.kgdata import DatasetSplit, GraphView
 from kane.model import (
     ModelConfig,
+    ModelParams,
     aggregate,
     encode_value,
     forward_all,
     init_params,
     is_translation_mode,
     parameter_shapes,
-    params_from_arrays,
 )
 from kane.training import TrainConfig, _classification_batch_loss, _completion_batch_loss
 
@@ -174,11 +174,11 @@ BAD_CONFIGS = [
 @pytest.mark.parametrize("overrides", BAD_CONFIGS)
 def test_invalid_config_rejected(overrides):
     with pytest.raises(ConfigError):
-        ModelConfig(**overrides).validate()
+        ModelConfig(**overrides)
 
 
 def test_default_config_is_valid():
-    ModelConfig().validate()
+    ModelConfig()
 
 
 def test_translation_mode_flag():
@@ -197,17 +197,13 @@ def test_init_rows_are_unit_length():
     assert params.cls_b is not None and np.array_equal(params.cls_b.data, np.zeros(3))
 
 
-def test_params_from_arrays_round_trip():
+def test_from_named_round_trip():
     config = ModelConfig(dim=5, head_dim=4, heads=2, layers=2, encoder="lstm")
     rng = np.random.default_rng(1)
     params = init_params(6, 3, 8, 2, config, rng)
-    arrays = params.snapshot()
-    rebuilt = params_from_arrays(arrays, config, class_count=2, vocab_size=8)
-    got = dict(rebuilt.named_parameters())
-    want = dict(params.named_parameters())
-    assert set(got) == set(want)
-    for name in want:
-        assert np.array_equal(got[name].data, want[name].data), name
+    want = params.named_parameters()
+    rebuilt = ModelParams.from_named(dict(want))
+    assert rebuilt.named_parameters() == want
 
 
 def test_init_params_stores_each_draw_transposed():

@@ -4,16 +4,20 @@ references, optimizer steps, the training loop, and checkpoint bytes."""
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kane.autodiff as ad
 import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
 from kane.kgdata import DatasetSplit, GraphView, id_tuples, known_triples, triple_rows
-from kane.model import ModelConfig, encode_value, forward_all, init_params
+from kane.model import (
+    AGGREGATORS, ATTENTION_FORMS, ENCODERS, NORMS, ModelConfig, encode_value, forward_all, init_params,
+)
 from kane.training import (
     CHECKPOINT_MAGIC,
     TrainConfig,
@@ -25,6 +29,7 @@ from kane.training import (
     corrupt,
     hinge_loss,
     load_checkpoint_bytes,
+    make_train_config,
     save_checkpoint_bytes,
     sgd_step,
     train,
@@ -522,7 +527,35 @@ class TestTrainLoop:
 )
 def test_invalid_train_config_rejected(overrides):
     with pytest.raises(ConfigError):
-        _toy_config(**overrides).validate()
+        _toy_config(**overrides)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelConfig(dim=8.5), "model.dim must be int, got 8.5"),
+    (lambda: ModelConfig(heads="2"), "model.heads must be int, got '2'"),
+    (lambda: ModelConfig(use_attributes="no"), "model.use_attributes must be bool, got 'no'"),
+    (lambda: ModelConfig(layers=np.int64(1)), "model.layers must be int, got "),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be int, got 2.5"),
+    (lambda: TrainConfig(epochs=True), "epochs must be int, got True"),
+    (lambda: TrainConfig(model={}), "model must be ModelConfig, got {}"),
+], ids=["float-dim", "str-heads", "str-attributes", "numpy-layers", "float-batch", "bool-epochs",
+        "dict-model"])
+def test_wrong_field_types_rejected_when_built(build, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        build()
+
+
+def test_int_for_float_stored_as_float():
+    config = TrainConfig(model=ModelConfig(leaky_slope=0), margin=2)
+    assert type(config.model.leaky_slope) is float and type(config.margin) is float
+
+
+def test_configs_are_immutable():
+    config = TrainConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.epochs = 3
+    with pytest.raises(FrozenInstanceError):
+        config.model.dim = 3
 
 
 def test_report_csv_layout():
@@ -644,6 +677,41 @@ class TestCheckpoint:
         view = GraphView.restricted(kg, split.train, model.use_attributes)
         want = encode_value(view, params, model).data
         assert np.array_equal(encode_value(view, loaded, model).data, want)
+
+    # one field may take an arbitrary value; the rest take valid ones
+    _FIELDS = {
+        "dim": st.integers(1, 3), "head_dim": st.integers(1, 3), "heads": st.integers(1, 2),
+        "layers": st.integers(0, 2), "aggregator": st.sampled_from(AGGREGATORS),
+        "encoder": st.sampled_from(ENCODERS), "attention": st.sampled_from(ATTENTION_FORMS),
+        "norm": st.sampled_from(NORMS), "leaky_slope": st.floats(0.0, 0.99),
+        "use_attributes": st.booleans(), "task": st.sampled_from(["completion", "classification"]),
+        "margin": st.floats(0.01, 10.0), "learning_rate": st.floats(1e-6, 1.0),
+        "batch_size": st.integers(1, 9), "negatives": st.integers(1, 9), "epochs": st.integers(0, 9),
+        "seed": st.integers(0, 2**32), "val_every": st.integers(0, 9), "patience": st.integers(1, 9),
+        "renormalize": st.booleans(),
+    }
+    _ANY_VALUE = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=3),
+        st.sampled_from(["no", "true", "bow", "lstm", "average", "l2", "classification"]),
+        st.integers(0, 4).map(np.int64), st.floats(0.0, 4.0).map(np.float64),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries(_FIELDS), st.sampled_from([None, *_FIELDS]), _ANY_VALUE)
+    @example({**asdict(TrainConfig()), **asdict(ModelConfig())}, "use_attributes", "no")
+    def test_every_buildable_config_round_trips(self, values, odd, odd_value):
+        if odd is not None:
+            values = {**values, odd: odd_value}
+        try:
+            config = make_train_config(values)
+        except ConfigError:
+            return
+        classes = 2 if config.task == "classification" else 0
+        params = init_params(3, 2, 4, classes, config.model, np.random.default_rng(0))
+        blob = save_checkpoint_bytes(params, config)
+        _, loaded, _ = load_checkpoint_bytes(blob)
+        assert loaded == config
+        assert save_checkpoint_bytes(params, loaded) == blob
 
     def test_config_dict_round_trip(self):
         config = _toy_config(task="classification", renormalize=True, epochs=17)
