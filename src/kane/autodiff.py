@@ -21,12 +21,15 @@ is final. The grads of two parameters therefore never share memory, while
 an intermediate tensor's ``grad`` may go on to hold a parent's sum after
 its backward ran; read the grads of parameters, not of intermediates.
 
-Every sum of rows by index goes through one kernel, ``_scatter_sum``: a
-flat ``np.bincount`` over ``index * width + column``. It serves the
+Every scatter of rows by index goes through one kernel, ``_scatter_sum``:
+a flat ``np.bincount`` over ``index * width + column``. It serves the
 backward of the gather ``rows``, the forward of its adjoint
-``scatter_rows`` and the forward sum of ``segment_weighted_sum``, needs
+``scatter_rows`` and the table gradient of ``segment_weighted_sum``, needs
 no sort, and reads its input in memory order; rows no index hits are
-zero.
+zero. The forward of ``segment_weighted_sum``, the edge aggregation,
+reads its table rows by index where they are and sums them slot by slot
+over segments ordered longest first, with no (entries, width) array.
+Both add in index order from zero, so every sum equals a Python loop's.
 """
 
 from __future__ import annotations
@@ -452,27 +455,45 @@ def segment_softmax(logits: Tensor, offsets) -> Tensor:
     return _make(val, (logits,), back)
 
 
-def segment_weighted_sum(weights: Tensor, values: Tensor, offsets) -> Tensor:
-    """Per segment, the sum of its value rows scaled by their weights:
-    (n,) or (n, k) and (n, q) -> (segments, q). A weight vector scales
-    whole rows; weight column j of a matrix scales column block j, of
-    width q / k, of the values."""
-    k = weights.shape[1] if weights.data.ndim == 2 else 1
-    if (weights.data.ndim == 0 or values.data.ndim != 2
-            or weights.shape[0] != values.shape[0] or values.shape[1] % k):
-        raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {values.shape}")
-    n = values.shape[0]
-    _, counts = _segments(offsets, n, "segment_weighted_sum")
-    w = weights.data.reshape(n, k, 1)
+def segment_weighted_sum(weights: Tensor, table: Tensor, index, offsets) -> Tensor:
+    """Per segment, the sum over its entries e of table row ``index[e]``
+    scaled by weight e: (n,) or (n, k) weights, a (rows, q) table and n
+    indices -> (segments, q). A weight vector scales whole rows; weight
+    column j of a matrix scales column block j, of width q / k. Indices
+    may repeat, and table rows no index hits add nothing.
 
-    def blocks(m: np.ndarray) -> np.ndarray:
-        return m.reshape(n, k, -1)
+    The forward gathers no (n, q) array. Segments are ordered longest
+    first, so the segments still open at slot l are a prefix, and slot l
+    adds entry l of each of them into a zeroed (segments, q) accumulator:
+    every sum is 0 + x_0 + x_1 + ... in entry order.
+    """
+    k = weights.shape[1] if weights.data.ndim == 2 else 1
+    if weights.data.ndim == 0 or table.data.ndim != 2 or table.shape[1] % k:
+        raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {table.shape}")
+    n = weights.shape[0]
+    idx = _indices(index, table.shape[0], "segment_weighted_sum")
+    if idx.size != n:
+        raise ShapeError(f"segment_weighted_sum: {idx.size} indices for {n} weight rows")
+    starts, counts = _segments(offsets, n, "segment_weighted_sum")
+    w = weights.data.reshape(n, k, 1)
+    blocks = table.data.reshape(table.shape[0], k, -1)
 
     def back(g):
-        spread = blocks(np.repeat(g, counts, axis=0))
-        _accum(weights, (spread * blocks(values.data)).sum(axis=2).reshape(weights.shape))
-        _accum(values, (w * spread).reshape(values.shape))
+        spread = np.repeat(g, counts, axis=0).reshape(n, k, -1)
+        _accum(weights, (spread * blocks[idx]).sum(axis=2).reshape(weights.shape))
+        _accum_rows(table, idx, (w * spread).reshape(n, -1))
 
-    scaled = (w * blocks(values.data)).reshape(values.shape)
-    owner = np.repeat(np.arange(counts.size), counts)
-    return _make(_scatter_sum(owner, scaled, counts.size), (weights, values), back)
+    order = np.argsort(-counts, kind="stable")
+    first, longest_first = starts[order], counts[order]
+    acc = np.zeros((counts.size,) + blocks.shape[1:])
+    part = np.empty_like(acc)
+    # open_: how many segments are longer than slot; indices are checked,
+    # so take's "clip" never clips, and unlike "raise" it writes to out directly
+    for slot, open_ in enumerate(np.searchsorted(-longest_first, -np.arange(longest_first[0]))):
+        entry = first[:open_] + slot
+        scaled = np.take(blocks, idx[entry], axis=0, out=part[:open_], mode="clip")
+        scaled *= w[entry]
+        acc[:open_] += scaled
+    out = np.empty((counts.size, table.shape[1]))
+    out[order] = acc.reshape(counts.size, -1)
+    return _make(out, (weights, table), back)

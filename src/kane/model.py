@@ -35,9 +35,11 @@ an edge's logits are two gathers, at rows ``source * R + relation`` and
 ``(S + relation) * R + relation``. In the second, A_r sums an entity's
 weights over its edges labelled r: one scatter of the (edges, heads)
 weights into an (active * R, heads) table, then one small matrix product
-with q, next to one weighted sum of the gathered rows t_s. The tables
-hold (S + R) * R * heads and active * R * heads entries, against the
-edges * heads * head_dim of per-edge query rows; they are smaller
+with q, next to one weighted sum of the rows t_s, which
+``segment_weighted_sum`` reads from the source table by index, slot by
+slot, with no (edges, heads * head_dim) array of gathered rows. The
+tables hold (S + R) * R * heads and active * R * heads entries, against
+the edges * heads * head_dim of per-edge query rows; they are smaller
 whenever R * (S + R) < edges * head_dim, which holds on every benchmark
 graph (R = 8). Translational attention keeps its per-edge logits, whose
 weights all heads share, and takes the same output identity with one
@@ -340,7 +342,7 @@ def _layer_heads(
     pair = edges.merge[edges.owner] * relations + edges.relation
     pair_weights = ad.reshape(ad.scatter_rows(weights, pair, edges.active.size * relations),
                               (edges.active.size, -1))
-    outputs = ad.add(ad.segment_weighted_sum(weights, ad.rows(source, edges.source), edges.segments),
+    outputs = ad.add(ad.segment_weighted_sum(weights, source, edges.source, edges.segments),
                      ad.matmul(pair_weights, spread))
     return weights, outputs
 

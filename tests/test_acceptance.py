@@ -137,19 +137,21 @@ def _op_gradient_cases(rng: np.random.Generator):
     probe6 = ad.constant(rng.normal(size=6))
     case("segment_softmax", [v18],
          lambda: ad.sum_all(ad.elementwise_mul(ad.segment_softmax(v18, offsets), probe6)))
-    v19, m19 = v(6), m(6, 3)
+    # the index repeats table rows 0 and 2 and never reads row 1
+    index = [2, 0, 2, 3, 0, 2]
+    v19, m19 = v(6), m(4, 3)
     probe33 = ad.constant(rng.normal(size=(3, 3)))
     case("segment_weighted_sum", [v19, m19],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, offsets), probe33)))
+         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, index, offsets), probe33)))
     # (edges, heads) weights: one column per head, each over all segments
     m20 = m(6, 2)
     probe62 = ad.constant(rng.normal(size=(6, 2)))
     case("segment_softmax_heads", [m20],
          lambda: ad.sum_all(ad.elementwise_mul(ad.segment_softmax(m20, offsets), probe62)))
-    m21, m22 = m(6, 2), m(6, 4)
+    m21, m22 = m(6, 2), m(4, 4)
     probe34 = ad.constant(rng.normal(size=(3, 4)))
     case("segment_weighted_sum_heads", [m21, m22],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, offsets), probe34)))
+         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, index, offsets), probe34)))
     return cases
 
 

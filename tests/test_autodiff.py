@@ -113,19 +113,19 @@ class TestOpGradients:
         m = mat(rng, 4, 3)
         v = vec(rng, 3)
         assert check_gradients(lambda: ad.sum_all(ad.add_rowvec(m, v)), [m, v], STEP) < TOL
-        # segments of 1, 3 and 2 rows: the first holds a single entry
-        weights, rows6 = vec(rng, 6), mat(rng, 6, 3)
+        # segments of 1, 3 and 2 entries: the first holds a single entry; the
+        # index repeats table rows 0 and 2 and never reads row 1
+        idx, offsets = [2, 0, 2, 3, 0, 2], [0, 1, 4, 6]
+        weights, table = vec(rng, 6), mat(rng, 4, 3)
         w33 = ad.constant(rng.normal(size=(3, 3)))
         assert check_gradients(
-            lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(weights, rows6, [0, 1, 4, 6]), w33)),
-            [weights, rows6], STEP,
+            lambda: probe(ad.segment_weighted_sum(weights, table, idx, offsets), w33), [weights, table], STEP,
         ) < TOL
-        # (6, 2) weights over 4 value columns: weight column j scales value block j
-        heads, wide = mat(rng, 6, 2), mat(rng, 6, 4)
+        # (6, 2) weights over 4 table columns: weight column j scales column block j
+        heads, wide = mat(rng, 6, 2), mat(rng, 4, 4)
         w34 = ad.constant(rng.normal(size=(3, 4)))
         assert check_gradients(
-            lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(heads, wide, [0, 1, 4, 6]), w34)),
-            [heads, wide], STEP,
+            lambda: probe(ad.segment_weighted_sum(heads, wide, idx, offsets), w34), [heads, wide], STEP,
         ) < TOL
 
     def test_norms(self, seed):
@@ -256,11 +256,12 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_scatter_sums_match_a_python_loop(data):
-    """The one scatter kernel, through the backward of ``rows`` on a matrix
-    and a vector and the forward of ``scatter_rows`` and
-    ``segment_weighted_sum``:
-    unsorted and repeated indices, rows no index hits, widths 1, 3 and 128,
-    vector and (n, k) weights."""
+    """Every sum of rows by index adds in index order, from zero, exactly as
+    a Python loop does: the backward of ``rows`` on a matrix and a vector,
+    the forward of ``scatter_rows``, and both the forward and the table
+    gradient of ``segment_weighted_sum``. Unsorted and repeated indices,
+    rows no index hits, widths 1, 3 and 128, vector and (n, k) weights, and
+    segments of unequal lengths whose longest is not the first."""
     width = data.draw(st.sampled_from([1, 3, 128]), label="width")
     n = data.draw(st.integers(1, 12), label="n")
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
@@ -275,26 +276,41 @@ def test_scatter_sums_match_a_python_loop(data):
     for k, i in enumerate(idx):
         want_m[i] += w_m[k]
         want_v[i] += w_v[k]
-    assert relative_error(m.grad, want_m) < 1e-14
-    assert relative_error(v.grad, want_v) < 1e-14
+    assert np.array_equal(m.grad, want_m)
+    assert np.array_equal(v.grad, want_v)
     # the forward of the adjoint sums the same rows into the same slots
-    assert relative_error(ad.scatter_rows(ad.constant(w_m), idx, n).data, want_m) < 1e-14
-    assert relative_error(ad.scatter_rows(ad.constant(w_v), idx, n).data, want_v) < 1e-14
+    assert np.array_equal(ad.scatter_rows(ad.constant(w_m), idx, n).data, want_m)
+    assert np.array_equal(ad.scatter_rows(ad.constant(w_v), idx, n).data, want_v)
 
     counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="counts")
+    counts.insert(data.draw(st.integers(1, len(counts)), label="longest at"), max(counts) + 1)
     k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    rows_total, blocks = int(offsets[-1]), k or 1
-    weights = rng.normal(size=rows_total if k is None else (rows_total, k))
-    values = rng.normal(size=(rows_total, blocks * width))
-    got = ad.segment_weighted_sum(ad.constant(weights), ad.constant(values), offsets).data
-    want = np.zeros((len(counts), blocks * width))
+    entries, blocks = int(offsets[-1]), k or 1
+    # the last table row is never read, and the last entry repeats the first
+    rows_total = data.draw(st.integers(2, 12), label="table rows")
+    index = data.draw(st.lists(st.integers(0, rows_total - 2), min_size=entries, max_size=entries), label="index")
+    index[-1] = index[0]
+    weights = rng.normal(size=entries if k is None else (entries, k))
+    table = ad.parameter(rng.normal(size=(rows_total, blocks * width)))
+    w_out = rng.normal(size=(len(counts), blocks * width))
+    with ad.Tape() as tape:
+        summed = ad.segment_weighted_sum(ad.constant(weights), table, index, offsets)
+        ad.backward(tape, probe(summed, ad.constant(w_out)))
+    want, want_table = np.zeros_like(w_out), np.zeros_like(table.data)
     for seg, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        for i in range(lo, hi):
+        for e in range(lo, hi):
             for j in range(blocks):
                 block = slice(j * width, (j + 1) * width)
-                want[seg, block] += (weights[i] if k is None else weights[i, j]) * values[i, block]
-    assert relative_error(got, want) < 1e-14
+                w = weights[e] if k is None else weights[e, j]
+                want[seg, block] += w * table.data[index[e], block]
+    for e in range(entries):
+        seg = np.searchsorted(offsets, e, side="right") - 1
+        for j in range(blocks):
+            block = slice(j * width, (j + 1) * width)
+            want_table[index[e], block] += (weights[e] if k is None else weights[e, j]) * w_out[seg, block]
+    assert np.array_equal(summed.data, want)
+    assert np.array_equal(table.grad, want_table)
 
 
 def test_gradient_buffers_belong_to_one_tensor():
@@ -391,7 +407,7 @@ def test_softmax_extreme_logits_stay_finite():
 
 def test_matrix_segment_ops_act_per_column_and_block():
     """With (n, k) weights, each softmax column is the vector softmax of that
-    logit column, and weighted-sum block j is the vector weighted sum of value
+    logit column, and weighted-sum block j is the vector weighted sum of table
     block j by weight column j."""
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -400,14 +416,15 @@ def test_matrix_segment_ops_act_per_column_and_block():
         offsets = np.concatenate([[0], np.cumsum(counts)])
         n = int(offsets[-1])
         logits = rng.normal(size=(n, k)) * 5
-        values = rng.normal(size=(n, k * width))
+        table = rng.normal(size=(int(rng.integers(1, 6)), k * width))
+        index = rng.integers(0, table.shape[0], size=n)  # repeats whenever n exceeds the rows
         weights = ad.segment_softmax(ad.constant(logits), offsets)
-        summed = ad.segment_weighted_sum(weights, ad.constant(values), offsets).data
+        summed = ad.segment_weighted_sum(weights, ad.constant(table), index, offsets).data
         for j in range(k):
             column = ad.segment_softmax(ad.constant(logits[:, j]), offsets)
             assert np.abs(weights.data[:, j] - column.data).max() < 1e-15
             block = slice(j * width, (j + 1) * width)
-            want = ad.segment_weighted_sum(column, ad.constant(values[:, block]), offsets).data
+            want = ad.segment_weighted_sum(column, ad.constant(table[:, block]), index, offsets).data
             assert np.abs(summed[:, block] - want).max() < 1e-14
 
 
@@ -503,11 +520,13 @@ def test_shape_and_domain_errors():
     with pytest.raises(ShapeError):
         ad.segment_softmax(v4, [0, 3])  # offsets stop short of the length
     with pytest.raises(ShapeError):
-        ad.segment_weighted_sum(v3, m, [0, 1, 2])
+        ad.segment_weighted_sum(v3, m, [0, 1], [0, 1, 3])  # 2 indices for 3 weight rows
+    with pytest.raises(IndexError):
+        ad.segment_weighted_sum(v3, m, [0, 2, 1], [0, 1, 3])  # m has 2 rows
     with pytest.raises(ShapeError):
-        ad.segment_weighted_sum(ad.parameter(np.ones((2, 2))), m, [0, 1, 2])  # width 3, two blocks
+        ad.segment_weighted_sum(ad.parameter(np.ones((2, 2))), m, [0, 1], [0, 1, 2])  # width 3, two blocks
     with pytest.raises(ShapeError):
-        ad.segment_weighted_sum(ad.parameter(np.ones((3, 3))), m, [0, 1, 2])  # 3 weight rows, 2 value rows
+        ad.segment_weighted_sum(v3, v3, [0, 1, 2], [0, 1, 3])  # a vector is no table
     with pytest.raises(ShapeError):
         ad.concat_rows([m, ad.parameter(np.ones((2, 4)))])
     with pytest.raises(ShapeError):

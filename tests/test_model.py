@@ -552,23 +552,20 @@ def test_forward_gradients_end_to_end():
 
 
 @pytest.mark.parametrize("attention", ["bilinear", "translational"])
-def test_layer_tape_holds_one_per_edge_row_gather(attention):
-    """The relation half of a layer runs on per-relation tables: of all the
-    records one layer puts on the tape, exactly one is (edges, heads *
-    head_dim) wide, the gather of the transformed source rows. Bilinear
-    attention keeps every other per-edge record at most ``heads`` wide."""
+def test_layer_tape_holds_no_per_edge_record_of_head_width(attention):
+    """The relation half of a layer runs on per-relation tables, and the
+    weighted sum reads the transformed source rows where they are: no
+    record one layer puts on the tape is (edges, heads * head_dim).
+    Bilinear attention keeps every per-edge record at most ``heads`` wide."""
     config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1, attention=attention)
-    kg, view, params = build(3, config, entities=8, triples=30, with_attributes=True)
+    _, view, params = build(3, config, entities=8, triples=30, with_attributes=True)
     edges, width = view.edges.source.size, config.heads * config.head_dim
     # read once per forward pass, not per layer
     rel = ad.rows(params.relation, view.edges.relation)
     values = encode_value(view, params, config)
     with ad.Tape() as tape:
         model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
-    wide = [t for t in tape.records if t.shape == (edges, width)]
-    assert len(wide) == 1
-    (gather,) = wide
-    assert gather._parents[0].shape == (kg.num_entities + kg.num_values, width)
+    assert not [t for t in tape.records if t.shape == (edges, width)]
     if attention == "bilinear":
-        per_edge = [t for t in tape.records if t.shape[:1] == (edges,) and t is not gather]
+        per_edge = [t for t in tape.records if t.shape[:1] == (edges,)]
         assert per_edge and all(t.shape[1] <= config.heads for t in per_edge)
