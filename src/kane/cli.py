@@ -36,14 +36,15 @@ from .kgdata import (
     parse_relation_triples, relations_to_tsv, attributes_to_tsv, labels_to_tsv,
     split_labeled_entities, split_relation_triples,
 )
-from .model import ModelConfig, is_translation_mode
+from .model import ModelConfig, is_translation_mode, parameter_shapes
 from .evaluation import (
     completion_report_text, completion_report_tsv, classification_report_text,
     classification_report_tsv, entity_matrix, evaluate_classification,
     evaluate_completion,
 )
 from .training import (
-    TRAIN_KEYS, TrainConfig, load_checkpoint_bytes, make_train_config, save_checkpoint_bytes, train,
+    TRAIN_KEYS, TrainConfig, check_layout, load_checkpoint_bytes, make_train_config,
+    save_checkpoint_bytes, train,
 )
 
 OUT_DIR_ENV = "KANE_OUT_DIR"
@@ -229,14 +230,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_checkpoint_for(bundle_path: str, checkpoint_path: str):
+    """The bundle and a checkpoint trained on it, whose tables fit it."""
     kg, split, checksum = _load_bundle_file(bundle_path)
-    params, config, header = load_checkpoint_bytes(Path(checkpoint_path).read_bytes())
+    params, config, header = load_checkpoint_bytes(Path(checkpoint_path).read_bytes(), checkpoint_path)
     stored = header.get("bundle_checksum", "")
     if stored != checksum:
         raise IntegrityError(
-            f"checkpoint was trained on a different bundle "
+            f"{checkpoint_path}: checkpoint was trained on a different bundle "
             f"(checkpoint {stored or '<none>'}, bundle {checksum}); refusing to evaluate"
         )
+    class_count = split.class_count if split.labels is not None else 0
+    expected = parameter_shapes(config.model, kg.num_entities, kg.num_relations, kg.vocab_size, class_count)
+    try:
+        check_layout([(name, t.shape) for name, t in params.items()], expected, "the bundle")
+    except IntegrityError as err:
+        raise IntegrityError(f"{checkpoint_path}: {err}; refusing to evaluate") from err
     return kg, split, params, config, header
 
 

@@ -14,11 +14,13 @@ optimization steps.
   sequences run as packed sequences: one step advances every sequence
   still running with one matrix product per path for all four gates,
   whose weights are stored side by side in (in, out) layout.
+
+The encoders take their weights as tensors; which parameters a model has,
+their checkpoint names and how they are drawn is ``kane.model``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -57,40 +59,16 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
     return ad.scatter_rows(ad.rows(word_table, tokens), owner, lengths.size)
 
 
-@dataclass
-class LstmParams:
-    """The weights of one LSTM cell of width ``dim``, all four gates side
-    by side in the order input, forget, output, cell: the input path and
-    the hidden path are (dim, 4 * dim), the bias is (4 * dim,). Column
-    block ``g`` of a path multiplies the row vectors that feed gate ``g``.
-    The forget bias starts at 1 so early training does not erase the cell
-    state.
-    """
-
-    w_in: Tensor
-    w_hid: Tensor
-    b: Tensor
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        """(checkpoint name, tensor) per field, in field order."""
-        return [(f"lstm.{f.name}", getattr(self, f.name)) for f in fields(self)]
-
-
-def init_lstm_params(dim: int, rng: np.random.Generator) -> LstmParams:
-    """Each gate's (dim, dim) input and hidden matrices are drawn in gate
-    order, input path first, and stored transposed in their column block."""
-    bound = np.sqrt(6.0 / (2 * dim))  # fan-based: gate outputs stay O(input)
-    draws = [rng.uniform(-bound, bound, size=(dim, dim)) for _ in range(8)]
-    return LstmParams(
-        w_in=ad.parameter(np.concatenate([w.T for w in draws[0::2]], axis=1), "lstm.w_in"),
-        w_hid=ad.parameter(np.concatenate([w.T for w in draws[1::2]], axis=1), "lstm.w_hid"),
-        b=ad.parameter(np.concatenate([np.zeros(dim), np.ones(dim), np.zeros(2 * dim)]), "lstm.b"),
-    )
-
-
-def lstm_encode(sequences: Sequence[Sequence[int]], word_table: Tensor, params: LstmParams) -> Tensor:
+def lstm_encode(
+    sequences: Sequence[Sequence[int]], word_table: Tensor, w_in: Tensor, w_hid: Tensor, b: Tensor
+) -> Tensor:
     """Final hidden state of each sequence after feeding its token embeddings
     in order: (sequences, dim).
+
+    The cell's four gates sit side by side in the order input, forget,
+    output, cell: the input path ``w_in`` and the hidden path ``w_hid`` are
+    (dim, 4 * dim), the bias ``b`` is (4 * dim,), and column block ``g`` of
+    a path feeds gate ``g``.
 
     The batch runs as packed sequences, longest first (a stable sort, so
     equal lengths keep their input order). Time step ``t`` gathers token
@@ -113,10 +91,10 @@ def lstm_encode(sequences: Sequence[Sequence[int]], word_table: Tensor, params: 
             ended.append(ad.rows(h, np.arange(live, h.shape[0])))
             h, c = ad.rows(h, np.arange(live)), ad.rows(c, np.arange(live))
         x = ad.rows(word_table, flat[starts[:live] + t])
-        pre = ad.matmul(x, params.w_in)
+        pre = ad.matmul(x, w_in)
         if h is not None:
-            pre = ad.add(pre, ad.matmul(h, params.w_hid))
-        pre = ad.reshape(ad.add_rowvec(pre, params.b), (4 * live, dim))
+            pre = ad.add(pre, ad.matmul(h, w_hid))
+        pre = ad.reshape(ad.add_rowvec(pre, b), (4 * live, dim))
         # row 4 k + g of pre holds gate g of sequence k
         i, f, o, g = (np.arange(k, 4 * live, 4) for k in range(4))
         cell = ad.elementwise_mul(ad.sigmoid(ad.rows(pre, i)), ad.tanh(ad.rows(pre, g)))

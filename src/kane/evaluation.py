@@ -365,12 +365,12 @@ def classification_accuracy(
     """Accuracy of argmax class prediction (ties resolve to the lowest index)."""
     if not entities:
         raise ConfigError("no entities to classify")
-    if params.cls_w is None or params.cls_b is None:
+    if "cls_w" not in params:
         raise ConfigError("model has no classifier head")
     for e in entities:
         if e not in labels:
             raise ConfigError(f"entity {e} has no label")
-    scores = ent[entities] @ params.cls_w.data + params.cls_b.data
+    scores = ent[entities] @ params["cls_w"].data + params["cls_b"].data
     pred = scores.argmax(axis=1)
     truth = np.array([labels[e] for e in entities])
     return float((pred == truth).mean())

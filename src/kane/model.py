@@ -53,17 +53,22 @@ which propagation and the completion loss both read.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
+
+``parameter_shapes`` alone decides which parameters a config and a graph's
+counts give, with their checkpoint names, shapes and order. ``ModelParams``
+maps those names to tensors in that order, ``init_params`` draws them in
+that order, and propagation reads each by name, such as ``head_w.{l}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import LstmParams, bow_encode, init_lstm_params, lstm_encode
+from .encoders import bow_encode, lstm_encode
 from .errors import ConfigError
 from .kgdata import GraphView
 
@@ -140,124 +145,12 @@ def is_translation_mode(config: ModelConfig) -> bool:
     return config.layers == 0 and not config.use_attributes
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors, with a fixed naming/ordering for checkpoints."""
-
-    entity: Tensor
-    relation: Tensor
-    word: Tensor | None = None
-    lstm: LstmParams | None = None
-    head_w: list[Tensor] = field(default_factory=list)  # [layer], (dim, heads * head_dim)
-    out_w: list[Tensor] = field(default_factory=list)  # [layer], (heads * head_dim, dim)
-    cls_w: Tensor | None = None  # (dim, classes)
-    cls_b: Tensor | None = None  # (classes,)
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("entity", self.entity), ("relation", self.relation)]
-        if self.word is not None:
-            out.append(("word", self.word))
-        if self.lstm is not None:
-            out.extend(self.lstm.named())
-        for l, w in enumerate(self.head_w):
-            out.append((f"head_w.{l}", w))
-        for l, w in enumerate(self.out_w):
-            out.append((f"out_w.{l}", w))
-        if self.cls_w is not None:
-            out.append(("cls_w", self.cls_w))
-            out.append(("cls_b", self.cls_b))
-        return out
-
-    @classmethod
-    def from_named(cls, named: dict[str, Tensor]) -> ModelParams:
-        """Inverse of ``named_parameters``: the parameters stored under
-        those names, which must follow ``parameter_shapes``."""
-        def layers(prefix: str) -> list[Tensor]:
-            count = sum(name.startswith(prefix) for name in named)
-            return [named[f"{prefix}{l}"] for l in range(count)]
-
-        lstm = None
-        if "lstm.w_in" in named:
-            lstm = LstmParams(**{f.name: named[f"lstm.{f.name}"] for f in fields(LstmParams)})
-        return cls(
-            entity=named["entity"], relation=named["relation"], word=named.get("word"), lstm=lstm,
-            head_w=layers("head_w."), out_w=layers("out_w."),
-            cls_w=named.get("cls_w"), cls_b=named.get("cls_b"),
-        )
-
-    def all_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_parameters()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_parameters():
-            t.data = snap[name].copy()
-
-
-def init_params(
-    entity_count: int,
-    relation_count: int,
-    vocab_size: int,
-    class_count: int,
-    config: ModelConfig,
-    rng: np.random.Generator,
-) -> ModelParams:
-    """Embedding tables start uniform in [-6/sqrt(dim), 6/sqrt(dim)] with
-    entity and relation rows L2-normalized once; linear transforms use
-    fan-based (Glorot) uniform bounds so propagation preserves vector
-    magnitude instead of amplifying it layer over layer. Draw order is
-    fixed so a seed pins every value: each head's (head_dim, dim)
-    transform, the (dim, heads * head_dim) merge and the (classes, dim)
-    classifier are drawn in that shape and stored transposed."""
-    if entity_count < 1 or relation_count < 1:
-        raise ConfigError("need at least one entity and one relation")
-    bound = 6.0 / np.sqrt(config.dim)
-
-    def uniform(shape) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=shape)
-
-    def fan_uniform(shape) -> np.ndarray:
-        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape)
-
-    entity = ad.parameter(unit_rows(uniform((entity_count, config.dim))), "entity")
-    relation = ad.parameter(unit_rows(uniform((relation_count, config.dim))), "relation")
-    word = ad.parameter(uniform((vocab_size, config.dim)), "word") if vocab_size > 0 else None
-    lstm = None
-    if config.encoder == "lstm" and word is not None:
-        lstm = init_lstm_params(config.dim, rng)
-
-    def transposed(draw: np.ndarray, name: str) -> Tensor:
-        return ad.parameter(np.ascontiguousarray(draw.T), name)
-
-    head_w = [
-        transposed(np.concatenate([fan_uniform((config.head_dim, config.dim))
-                                   for _ in range(config.heads)]), f"head_w.{l}")
-        for l in range(config.layers)
-    ]
-    out_w = []
-    if config.aggregator == "concat":
-        out_w = [
-            transposed(fan_uniform((config.dim, config.heads * config.head_dim)), f"out_w.{l}")
-            for l in range(config.layers)
-        ]
-    cls_w = cls_b = None
-    if class_count > 0:
-        cls_w = transposed(fan_uniform((class_count, config.dim)), "cls_w")
-        cls_b = ad.parameter(np.zeros(class_count), "cls_b")
-    return ModelParams(
-        entity=entity, relation=relation, word=word, lstm=lstm,
-        head_w=head_w, out_w=out_w, cls_w=cls_w, cls_b=cls_b,
-    )
-
-
 def parameter_shapes(
     config: ModelConfig, entity_count: int, relation_count: int, vocab_size: int, class_count: int
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every parameter ``init_params`` makes for these
-    counts, in ``named_parameters`` order."""
+    """(checkpoint name, shape) of every parameter of a model with this
+    config and these counts, in checkpoint order: the one place that
+    decides which parameters exist."""
     d, width = config.dim, config.heads * config.head_dim
     out = [("entity", (entity_count, d)), ("relation", (relation_count, d))]
     if vocab_size > 0:
@@ -272,6 +165,78 @@ def parameter_shapes(
     return out
 
 
+class ModelParams(dict):
+    """All trainable tensors by checkpoint name, in ``parameter_shapes`` order."""
+
+    @property
+    def entity(self) -> Tensor:
+        return self["entity"]
+
+    @property
+    def relation(self) -> Tensor:
+        return self["relation"]
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self.items())
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: t.data.copy() for name, t in self.items()}
+
+    def restore(self, snap: dict[str, np.ndarray]) -> None:
+        for name, t in self.items():
+            t.data = snap[name].copy()
+
+
+def init_params(
+    entity_count: int,
+    relation_count: int,
+    vocab_size: int,
+    class_count: int,
+    config: ModelConfig,
+    rng: np.random.Generator,
+) -> ModelParams:
+    """The parameters of ``parameter_shapes``, drawn in its order, so a seed
+    pins every value. Embedding tables start uniform in [-6/sqrt(dim),
+    6/sqrt(dim)], with entity and relation rows L2-normalized once; linear
+    transforms use fan-based (Glorot) uniform bounds so propagation
+    preserves vector magnitude instead of amplifying it layer over layer.
+    Each transform is drawn in its (out, in) shape and stored transposed:
+    ``head_w.{l}`` as one (head_dim, dim) block per head, and the LSTM as
+    each gate's (dim, dim) input and hidden matrices, gate by gate, input
+    path first. Biases start at zero, but the LSTM forget bias starts at 1
+    so early training does not erase the cell state."""
+    if entity_count < 1 or relation_count < 1:
+        raise ConfigError("need at least one entity and one relation")
+    d = config.dim
+    bound = 6.0 / np.sqrt(d)
+
+    def fan_uniform(shape: tuple[int, int], fan: int) -> np.ndarray:
+        limit = np.sqrt(6.0 / fan)
+        return rng.uniform(-limit, limit, size=shape)
+
+    params = ModelParams()
+    for name, shape in parameter_shapes(config, entity_count, relation_count, vocab_size, class_count):
+        if name in ("entity", "relation"):
+            data = unit_rows(rng.uniform(-bound, bound, size=shape))
+        elif name == "word":
+            data = rng.uniform(-bound, bound, size=shape)
+        elif name == "lstm.w_in":
+            # transposed draws side by side leave both paths in column-major order
+            gates = [(fan_uniform((d, d), 2 * d), fan_uniform((d, d), 2 * d)) for _ in range(4)]
+            data = np.concatenate([w_in.T for w_in, _ in gates], axis=1)
+        elif name == "lstm.w_hid":  # drawn with lstm.w_in, which comes first
+            data = np.concatenate([w_hid.T for _, w_hid in gates], axis=1)
+        elif name == "lstm.b":  # gates input, forget, output, cell
+            data = np.repeat([0.0, 1.0, 0.0, 0.0], d)
+        elif name == "cls_b":
+            data = np.zeros(shape)
+        else:  # head_w.{l}, out_w.{l}, cls_w
+            fan = d + config.head_dim if name.startswith("head_w.") else sum(shape)
+            data = np.ascontiguousarray(fan_uniform(shape[::-1], fan).T)
+        params[name] = ad.parameter(data, name)
+    return params
+
+
 # ---------------------------------------------------------------------------
 # attribute value encoding
 
@@ -281,14 +246,12 @@ def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> T
     a value."""
     if not (view.edges.source >= view.entity_count).any():
         return None
-    if params.word is None:
+    if "word" not in params:
         raise ConfigError("model has no word table but attribute encoding was requested")
-    sequences = view.kg.value_tokens
+    sequences, word = view.kg.value_tokens, params["word"]
     if config.encoder == "bow":
-        return bow_encode(sequences, params.word)
-    if params.lstm is None:
-        raise ConfigError("encoder is 'lstm' but the model has no LSTM parameters")
-    return lstm_encode(sequences, params.word, params.lstm)
+        return bow_encode(sequences, word)
+    return lstm_encode(sequences, word, params["lstm.w_in"], params["lstm.w_hid"], params["lstm.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +280,9 @@ def _layer_heads(
     relations, heads = params.relation.shape[0], config.heads
     # all heads at once, applied to the tables before any per-edge gather,
     # since W (r + n) = W r + W n
-    query = ad.matmul(params.relation, params.head_w[layer])  # (R, heads * head_dim)
-    source = ad.matmul(table, params.head_w[layer])  # (S, heads * head_dim)
+    transform = params[f"head_w.{layer}"]
+    query = ad.matmul(params.relation, transform)  # (R, heads * head_dim)
+    source = ad.matmul(table, transform)  # (S, heads * head_dim)
     if config.attention == "bilinear":
         # row r * heads + h holds q_r's head-h block and zeros elsewhere
         mask = np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1))
@@ -354,7 +318,7 @@ def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, la
     if head_outputs.data.ndim != 2 or head_outputs.shape[1] != width:
         raise ConfigError(f"expected head outputs {width} wide, got shape {head_outputs.shape}")
     if config.aggregator == "concat":
-        merge = params.out_w[layer]
+        merge = params[f"out_w.{layer}"]
     else:
         # the mean of the head blocks
         merge = ad.constant(np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads)

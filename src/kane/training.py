@@ -16,6 +16,7 @@ randomness.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import struct
@@ -40,7 +41,7 @@ from .model import (
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
-CHECKPOINT_FORMAT = 2  # the parameter names and shapes of ``model.parameter_shapes``
+CHECKPOINT_FORMAT = 2  # arrays named, shaped and ordered as ``model.parameter_shapes`` lays them out
 SCORE_CLIP = 30.0  # classifier scores are clipped before sigmoid to keep log finite
 
 
@@ -259,7 +260,7 @@ def _classification_batch_loss(
     split: DatasetSplit,
 ) -> Tensor:
     vecs = ad.rows(ent, batch_entities)
-    scores = ad.add_rowvec(ad.matmul(vecs, params.cls_w), params.cls_b)
+    scores = ad.add_rowvec(ad.matmul(vecs, params["cls_w"]), params["cls_b"])
     labels = [split.labels[e] for e in batch_entities]
     return bce_loss(scores, labels, split.class_count)
 
@@ -314,7 +315,7 @@ def train(
             chunk = positives[order[start:start + config.batch_size]]
             if config.task == "completion":
                 negs = corrupt(chunk, kg, known, rng, config.negatives)
-            ad.zero_grads(params.all_tensors())
+            ad.zero_grads(params.values())
             with Tape() as tape:
                 if config.task == "completion":
                     # one value table, read by propagation and by the loss's attribute targets
@@ -409,8 +410,18 @@ def save_checkpoint_bytes(
     return buf.getvalue()
 
 
-def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
-    """Inverse of ``save_checkpoint_bytes``; round-trips bit-exactly."""
+def load_checkpoint_bytes(
+    blob: bytes, source: str = "<checkpoint>"
+) -> tuple[ModelParams, TrainConfig, dict]:
+    """Inverse of ``save_checkpoint_bytes``; round-trips bit-exactly. Any
+    failure raises ``IntegrityError`` naming ``source``."""
+    try:
+        return _read_checkpoint(blob)
+    except IntegrityError as err:
+        raise IntegrityError(f"{source}: {err}") from err
+
+
+def _read_checkpoint(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise IntegrityError("not a checkpoint: bad magic")
     off = len(CHECKPOINT_MAGIC)
@@ -436,7 +447,7 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         )
     config = _config_from_dict(header["config"])
     specs = _array_specs(header.get("arrays"), config.model)
-    named: dict[str, Tensor] = {}
+    params = ModelParams()
     start = off
     for name, shape in specs:
         count = math.prod(shape)
@@ -446,14 +457,14 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
                 f"{len(blob) - off} present"
             )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        named[name] = ad.parameter(arr.astype(np.float64), name)
+        params[name] = ad.parameter(arr.astype(np.float64), name)
         off += count * 8
     if off != len(blob):
         raise IntegrityError(f"checkpoint has {len(blob) - off} trailing bytes")
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=(off - start) // 8, offset=start)).all():
-        name = next(name for name, t in named.items() if not np.isfinite(t.data).all())
+        name = next(name for name, t in params.items() if not np.isfinite(t.data).all())
         raise IntegrityError(f"checkpoint array {name!r} holds a non-finite value")
-    return ModelParams.from_named(named), config, header
+    return params, config, header
 
 
 def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -473,16 +484,27 @@ def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
         raise IntegrityError(f"checkpoint config has {model.layers} layers, its header only {len(out)} arrays")
     rows = {name: shape[0] for name, shape in out if shape}
     counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_b")]
-    expected = parameter_shapes(model, *counts)
-    if out != expected:
-        names, want = [n for n, _ in out], [n for n, _ in expected]
-        if names != want:
-            raise IntegrityError(f"checkpoint arrays {names} do not match the config's {want}")
-        name, shape, need = next((n, a, b) for (n, a), (_, b) in zip(out, expected) if a != b)
-        raise IntegrityError(f"checkpoint array {name!r} has shape {shape}, the config implies {need}")
+    check_layout(out, parameter_shapes(model, *counts), "its config")
     if not (counts[0] and counts[1]):
         raise IntegrityError("checkpoint has no entity or no relation rows")
     return out
+
+
+def check_layout(
+    arrays: list[tuple[str, tuple[int, ...]]], expected: list[tuple[str, tuple[int, ...]]], against: str
+) -> None:
+    """Refuse a checkpoint whose (name, shape) list ``arrays`` is not the
+    ``expected`` layout that ``against`` implies, naming the first array
+    that differs."""
+    for have, want in itertools.zip_longest(arrays, expected):
+        if have != want:
+            raise IntegrityError(
+                f"checkpoint holds {_array_text(have)} where {against} implies {_array_text(want)}"
+            )
+
+
+def _array_text(spec: tuple[str, tuple[int, ...]] | None) -> str:
+    return "no array" if spec is None else f"{spec[0]!r} of shape {spec[1]}"
 
 
 def _check_keys(section, keys: tuple[str, ...], what: str) -> None:

@@ -21,7 +21,7 @@ import pytest
 import kane.autodiff as ad
 import kane.oracle as oracle
 from kane.cli import format_embedding_export, main
-from kane.encoders import bow_encode, init_lstm_params, lstm_encode
+from kane.encoders import bow_encode, lstm_encode
 from kane.evaluation import (
     build_filter_index,
     evaluate_classification,
@@ -197,7 +197,7 @@ def _end_to_end_case(seed: int, task: str):
             finals = forward_all(view, params, model)
             return _classification_batch_loss([0, 1, 3], finals, params, split)
 
-    return forward, params.all_tensors()
+    return forward, list(params.values())
 
 
 def test_gradient_suite():
@@ -364,7 +364,8 @@ def test_encoder_properties():
         bow_checked += 1
 
     lstm_table = ad.parameter(rng.standard_normal((12, 6)), "word")
-    params = init_lstm_params(6, rng)
+    lstm = init_params(1, 1, 1, 0, ModelConfig(dim=6, head_dim=6, heads=1, layers=0, encoder="lstm"), rng)
+    weights = [lstm[name] for name in ("lstm.w_in", "lstm.w_hid", "lstm.b")]
     pairs = 1000
     differing = 0
     for _ in range(pairs):
@@ -375,8 +376,8 @@ def test_encoder_properties():
             tokens[j] = int(rng.integers(12))
         swapped = list(tokens)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        a = lstm_encode([tokens], lstm_table, params).data[0]
-        b = lstm_encode([swapped], lstm_table, params).data[0]
+        a = lstm_encode([tokens], lstm_table, *weights).data[0]
+        b = lstm_encode([swapped], lstm_table, *weights).data[0]
         if not np.array_equal(a, b):
             differing += 1
     ok = differing >= 0.99 * pairs

@@ -24,7 +24,9 @@ from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import entity_matrix
 from kane.kgdata import GraphView, bundle_checksum, bundle_from_json, generate_synthetic_kg
 from kane.model import ModelConfig
-from kane.training import TrainConfig, load_checkpoint_bytes, make_train_config
+from kane.training import (
+    TrainConfig, load_checkpoint_bytes, make_train_config, save_checkpoint_bytes,
+)
 
 from helpers import parse_embedding_export
 
@@ -56,6 +58,15 @@ def gen_and_prepare(tmp_path: Path, seed: int = 0) -> Path:
         "--out", str(prep), "--seed", str(seed),
     ]) == 0
     return prep / "bundle.json"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory) -> tuple[Path, bytes]:
+    """A 20-entity bundle and the bytes of a checkpoint trained on it."""
+    tmp = tmp_path_factory.mktemp("trained")
+    bundle = gen_and_prepare(tmp)
+    assert run(["train", "--bundle", str(bundle), "--out", str(tmp / "run"), *SMALL_TRAIN]) == 0
+    return bundle, (tmp / "run" / "model.ckpt").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +301,38 @@ class TestFailures:
         code = run(["eval-completion", "--bundle", str(bundle),
                     "--checkpoint", str(ckpt), "--out", str(out)])
         assert code == 1
-        assert "error: checkpoint truncated" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: checkpoint truncated: ")
+
+    @pytest.mark.parametrize("command", ["eval-completion", "eval-classify", "export"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"entity": lambda rows: rows[:-5]}, "'entity' of shape (15, 8)"),
+        ({"entity": lambda rows: np.vstack([rows, rows[:5]])}, "'entity' of shape (25, 8)"),
+        ({"word": lambda rows: rows[:3]}, "'word' of shape (3, 8)"),
+        ({}, "checkpoint truncated: "),
+    ], ids=["fewer-entities", "more-entities", "fewer-words", "truncated"])
+    def test_checkpoint_that_does_not_fit_the_bundle_is_one_error_line(
+        self, trained, tmp_path, capsys, command, edit, message
+    ):
+        """A checkpoint whose tables differ from the bundle's counts, with
+        the right bundle checksum, or a truncated one, is refused before
+        any output is written, in one line naming the file."""
+        bundle, blob = trained
+        params, config, header = load_checkpoint_bytes(blob)
+        named = dict(params.named_parameters())
+        for name, change in edit.items():
+            named[name].data = change(named[name].data)
+        ckpt = tmp_path / "edited.ckpt"
+        if edit:
+            ckpt.write_bytes(save_checkpoint_bytes(params, config, bundle_checksum=header["bundle_checksum"]))
+        else:
+            ckpt.write_bytes(blob[:-5])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--bundle", str(bundle), "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and message in err and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_bundle_file_exits_nonzero(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope.json"),

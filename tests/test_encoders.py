@@ -11,13 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kane.autodiff as ad
-from kane.encoders import bow_encode, init_lstm_params, lstm_encode
+from kane.encoders import bow_encode, lstm_encode
+from kane.model import ModelConfig, init_params
 
 from helpers import check_gradients, reference_lstm_final_state, relative_error
 
 
 def make_table(rng: np.random.Generator, vocab: int = 12, dim: int = 5) -> ad.Tensor:
     return ad.parameter(rng.standard_normal((vocab, dim)), "word")
+
+
+LSTM_NAMES = ("lstm.w_in", "lstm.w_hid", "lstm.b")
+
+
+def lstm_weights(rng: np.random.Generator, dim: int) -> list[ad.Tensor]:
+    """The input path, hidden path and bias that ``init_params`` draws for
+    an LSTM of width ``dim``."""
+    config = ModelConfig(dim=dim, head_dim=dim, heads=1, layers=0, encoder="lstm")
+    params = init_params(1, 1, 1, 0, config, rng)
+    return [params[name] for name in LSTM_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +120,7 @@ class TestLstm:
     def _setup(self, seed: int, dim: int = 4, vocab: int = 9):
         rng = np.random.default_rng(seed)
         table = make_table(rng, vocab=vocab, dim=dim)
-        params = init_lstm_params(dim, rng)
-        return table, params
+        return table, lstm_weights(rng, dim)
 
     def test_matches_numpy_reference(self):
         for seed in range(5):
@@ -117,8 +128,8 @@ class TestLstm:
             rng = np.random.default_rng(100 + seed)
             tokens = [int(rng.integers(table.shape[0]))
                       for _ in range(int(rng.integers(1, 7)))]
-            got = lstm_encode([tokens], table, params).data[0]
-            raw = {name.removeprefix("lstm."): t.data for name, t in params.named()}
+            got = lstm_encode([tokens], table, *params).data[0]
+            raw = {name.removeprefix("lstm."): t.data for name, t in zip(LSTM_NAMES, params)}
             want = reference_lstm_final_state(tokens, table.data, raw)
             assert relative_error(got, want) < 1e-12
 
@@ -134,66 +145,67 @@ class TestLstm:
                 tokens[j] = int(rng.integers(table.shape[0]))
             swapped = list(tokens)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            a = lstm_encode([tokens], table, params).data[0]
-            b = lstm_encode([swapped], table, params).data[0]
+            a = lstm_encode([tokens], table, *params).data[0]
+            b = lstm_encode([swapped], table, *params).data[0]
             if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 0.99 * trials
 
     def test_init_shapes_and_forget_bias(self):
-        rng = np.random.default_rng(8)
-        params = init_lstm_params(5, rng)
-        named = dict(params.named())
-        assert list(named) == ["lstm.w_in", "lstm.w_hid", "lstm.b"]
-        assert named["lstm.w_in"].shape == named["lstm.w_hid"].shape == (5, 20)
+        config = ModelConfig(dim=5, head_dim=5, heads=1, layers=0, encoder="lstm")
+        params = init_params(1, 1, 1, 0, config, np.random.default_rng(8))
+        assert [name for name in params if name.startswith("lstm.")] == list(LSTM_NAMES)
+        assert params["lstm.w_in"].shape == params["lstm.w_hid"].shape == (5, 20)
         # gates input, forget, output, cell: only the forget bias starts at 1
-        gate_bias = named["lstm.b"].data.reshape(4, 5)
+        gate_bias = params["lstm.b"].data.reshape(4, 5)
         assert np.array_equal(gate_bias, np.repeat([[0.0], [1.0], [0.0], [0.0]], 5, axis=1))
-        # each gate's (5, 5) matrices, drawn input path first, in gate order
-        draws = np.random.default_rng(8).uniform(-np.sqrt(0.6), np.sqrt(0.6), size=(8, 5, 5))
+        # after the one-row entity, relation and word tables, each gate's
+        # (5, 5) matrices, drawn input path first, in gate order
+        rng = np.random.default_rng(8)
+        rng.uniform(size=3 * 5)
+        draws = rng.uniform(-np.sqrt(0.6), np.sqrt(0.6), size=(8, 5, 5))
         for gate in range(4):
             block = slice(gate * 5, (gate + 1) * 5)
-            assert np.array_equal(named["lstm.w_in"].data[:, block], draws[2 * gate].T)
-            assert np.array_equal(named["lstm.w_hid"].data[:, block], draws[2 * gate + 1].T)
+            assert np.array_equal(params["lstm.w_in"].data[:, block], draws[2 * gate].T)
+            assert np.array_equal(params["lstm.w_hid"].data[:, block], draws[2 * gate + 1].T)
 
     def test_rejects_empty_and_out_of_range(self):
         table, params = self._setup(9)
         with pytest.raises(ValueError):
-            lstm_encode([[]], table, params)
+            lstm_encode([[]], table, *params)
         with pytest.raises(ValueError):
-            lstm_encode([], table, params)
+            lstm_encode([], table, *params)
         with pytest.raises(IndexError):
-            lstm_encode([[table.shape[0]]], table, params)
+            lstm_encode([[table.shape[0]]], table, *params)
 
     def test_gradients_match_finite_differences(self):
         table, params = self._setup(10, dim=3, vocab=5)
         tokens = [1, 4, 1, 2]
-        tensors = [table] + [t for _, t in params.named()]
+        tensors = [table, *params]
 
         def forward():
-            return ad.sum_all(lstm_encode([tokens], table, params))
+            return ad.sum_all(lstm_encode([tokens], table, *params))
 
         worst = check_gradients(forward, tensors, step=1e-6)
         assert worst < 1e-5
 
     def test_gradient_reaches_every_gate(self):
         table, params = self._setup(11, dim=3, vocab=5)
-        tensors = [t for _, t in params.named()]
         with ad.Tape() as tape:
-            loss = ad.sum_all(lstm_encode([[0, 3, 2]], table, params))
+            loss = ad.sum_all(lstm_encode([[0, 3, 2]], table, *params))
             ad.backward(tape, loss)
-        for (name, t) in params.named():
+        for name, t in zip(LSTM_NAMES, params):
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
 
     def test_batched_gradients_match_finite_differences(self):
         # lengths 3, 1, 4, 2: sequences end at three different steps
         table, params = self._setup(14, dim=3, vocab=6)
         sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
-        tensors = [table] + [t for _, t in params.named()]
+        tensors = [table, *params]
         weights = ad.constant(np.random.default_rng(15).standard_normal((4, 3)))
 
         def forward():
-            return ad.sum_all(ad.elementwise_mul(lstm_encode(sequences, table, params), weights))
+            return ad.sum_all(ad.elementwise_mul(lstm_encode(sequences, table, *params), weights))
 
         assert check_gradients(forward, tensors, step=1e-6) < 1e-5
 
@@ -224,13 +236,13 @@ BATCHES = {
 def test_batch_equals_sequences_encoded_alone(encoder, case):
     rng = np.random.default_rng(13)
     table = make_table(rng, vocab=10, dim=4)
-    params = init_lstm_params(4, rng)
+    params = lstm_weights(rng, 4)
     sequences = BATCHES[case]
 
     def encode(batch):
         if encoder == "bow":
             return bow_encode(batch, table).data
-        return lstm_encode(batch, table, params).data
+        return lstm_encode(batch, table, *params).data
 
     got = encode(sequences)
     assert got.shape == (len(sequences), 4)

@@ -388,8 +388,8 @@ class TestClassification:
     def _params_with_identity_head(self):
         model = ModelConfig(dim=2, head_dim=2, heads=1, layers=0)
         params = init_params(4, 1, 0, 2, model, np.random.default_rng(0))
-        params.cls_w.data = np.eye(2)
-        params.cls_b.data = np.zeros(2)
+        params["cls_w"].data = np.eye(2)
+        params["cls_b"].data = np.zeros(2)
         return params
 
     def test_accuracy_hand_case(self):

@@ -23,6 +23,7 @@ from kane.model import (
     init_params,
     is_translation_mode,
     parameter_shapes,
+    unit_rows,
 )
 from kane.training import TrainConfig, _classification_batch_loss, _completion_batch_loss
 
@@ -89,7 +90,7 @@ def head_block(outputs, config, head):
 def head_transform(params, config, layer, head):
     """Head ``head``'s (head_dim, dim) transform W_h, acting on column
     vectors: the transpose of its column block of ``head_w.{layer}``."""
-    return params.head_w[layer].data[:, head * config.head_dim:(head + 1) * config.head_dim].T
+    return params[f"head_w.{layer}"].data[:, head * config.head_dim:(head + 1) * config.head_dim].T
 
 
 def numpy_logits(config, transform, head_vec, neighbors):
@@ -194,7 +195,7 @@ def test_init_rows_are_unit_length():
     for table in (params.entity, params.relation):
         norms = np.linalg.norm(table.data, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
-    assert params.cls_b is not None and np.array_equal(params.cls_b.data, np.zeros(3))
+    assert np.array_equal(params["cls_b"].data, np.zeros(3))
 
 
 def test_from_named_round_trip():
@@ -202,30 +203,49 @@ def test_from_named_round_trip():
     rng = np.random.default_rng(1)
     params = init_params(6, 3, 8, 2, config, rng)
     want = params.named_parameters()
-    rebuilt = ModelParams.from_named(dict(want))
+    rebuilt = ModelParams(want)
     assert rebuilt.named_parameters() == want
 
 
 def test_init_params_stores_each_draw_transposed():
-    """A seed pins the values it pinned when every transform was stored in
-    its drawn (out, in) shape: after the embedding tables, each head's
-    (head_dim, dim) transform per layer, the (dim, heads * head_dim) merge
-    per layer and the (classes, dim) classifier, each stored transposed."""
-    config = ModelConfig(dim=5, head_dim=3, heads=2, layers=2)
-    params = init_params(6, 3, 0, 4, config, np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    rng.uniform(size=(6 + 3) * 5)  # the entity and relation tables
+    """A seed pins every value, drawn in this order: the entity, relation
+    and word tables, uniform in +-6/sqrt(dim), entity and relation rows
+    then scaled to unit length; with the LSTM encoder, each gate's (dim,
+    dim) input and hidden matrices, gate by gate, input path first; each
+    head's (head_dim, dim) transform per layer, the (dim, heads *
+    head_dim) merge per layer and the (classes, dim) classifier. Every
+    transform is stored transposed; the LSTM forget bias starts at 1 and
+    every other bias at 0."""
+    for vocab, encoder in ((0, "bow"), (7, "lstm")):
+        config = ModelConfig(dim=5, head_dim=3, heads=2, layers=2, encoder=encoder)
+        params = init_params(6, 3, vocab, 4, config, np.random.default_rng(9))
+        got = {name: t.data for name, t in params.named_parameters()}
+        rng = np.random.default_rng(9)
 
-    def fan(shape):
-        limit = np.sqrt(6.0 / sum(shape))
-        return rng.uniform(-limit, limit, size=shape)
+        def table(rows):
+            return rng.uniform(-6.0 / np.sqrt(5), 6.0 / np.sqrt(5), size=(rows, 5))
 
-    for layer in range(2):
-        heads = [fan((3, 5)) for _ in range(2)]
-        assert np.array_equal(params.head_w[layer].data, np.concatenate(heads).T)
-    for layer in range(2):
-        assert np.array_equal(params.out_w[layer].data, fan((5, 6)).T)
-    assert np.array_equal(params.cls_w.data, fan((4, 5)).T)
+        def fan(shape):
+            limit = np.sqrt(6.0 / sum(shape))
+            return rng.uniform(-limit, limit, size=shape)
+
+        want = {"entity": unit_rows(table(6)), "relation": unit_rows(table(3))}
+        if vocab:
+            want["word"] = table(vocab)
+        if encoder == "lstm":
+            gates = [(fan((5, 5)), fan((5, 5))) for _ in range(4)]
+            want["lstm.w_in"] = np.concatenate([w_in.T for w_in, _ in gates], axis=1)
+            want["lstm.w_hid"] = np.concatenate([w_hid.T for _, w_hid in gates], axis=1)
+            want["lstm.b"] = np.repeat([0.0, 1.0, 0.0, 0.0], 5)  # input, forget, output, cell
+        for layer in range(2):
+            want[f"head_w.{layer}"] = np.concatenate([fan((3, 5)) for _ in range(2)]).T
+        for layer in range(2):
+            want[f"out_w.{layer}"] = fan((5, 6)).T
+        want["cls_w"] = fan((4, 5)).T
+        want["cls_b"] = np.zeros(4)
+        assert list(got) == list(want), encoder
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), (encoder, name)
 
 
 @pytest.mark.parametrize("config, vocab, classes", [
@@ -250,7 +270,7 @@ class TestAttention:
         its four NumPy logits."""
         kg, view, params = hand_built(config)
         a = kg.entities.id_of("a")
-        values = np.array([params.word.data[toks].sum(axis=0) for toks in kg.value_tokens])
+        values = np.array([params["word"].data[toks].sum(axis=0) for toks in kg.value_tokens])
         neighbors = neighbor_vectors(view, params, values, a)
         logits = numpy_logits(config, head_transform(params, config, 0, 0), params.entity.data[a], neighbors)
         weights, _ = layer_heads(view, params, config)
@@ -348,7 +368,7 @@ def test_aggregate_concat_hand_oracle():
     rng = np.random.default_rng(6)
     outs = [rng.standard_normal((2, 3)) for _ in range(2)]
     got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
-    pre = np.concatenate(outs, axis=1) @ params.out_w[0].data
+    pre = np.concatenate(outs, axis=1) @ params["out_w.0"].data
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
 
@@ -395,7 +415,7 @@ def test_classify_hand_oracle_and_missing_head():
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1)
     params = init_params(3, 2, 0, 3, config, np.random.default_rng(10))
     ent = np.random.default_rng(11).standard_normal((3, 4))
-    scores = ent @ params.cls_w.data + params.cls_b.data
+    scores = ent @ params["cls_w"].data + params["cls_b"].data
     labels = [2, 0, 1]
     split = DatasetSplit([], [], [], labels=dict(enumerate(labels)), class_names=["x", "y", "z"])
     got = _classification_batch_loss([0, 1, 2], ad.constant(ent), params, split)
@@ -414,7 +434,7 @@ def test_encode_value_once_per_pass(monkeypatch):
     table = encode_value(view, params, config).data
     assert table.shape == (kg.num_values, 4)
     for v, row in enumerate(table):
-        want = params.word.data[sorted(kg.value_tokens[v])].sum(axis=0)
+        want = params["word"].data[sorted(kg.value_tokens[v])].sum(axis=0)
         assert relative_error(row, want) < 1e-12
     # no edge of a view without attributes reads a value
     assert encode_value(GraphView.restricted(kg, kg.relation_triples, False), params, config) is None
@@ -547,7 +567,7 @@ def test_forward_gradients_end_to_end():
             return ad.sum_all(forward_all(view, params, config))
 
         rng = np.random.default_rng(0)
-        worst = check_gradients(forward, params.all_tensors(), step=1e-6, max_entries_per_param=6, rng=rng)
+        worst = check_gradients(forward, list(params.values()), step=1e-6, max_entries_per_param=6, rng=rng)
         assert worst < 1e-4, (name, graph)
 
 

@@ -302,7 +302,7 @@ def test_completion_loss_gradients_end_to_end():
         return _completion_batch_loss(batch, negs, finals, params, config, values)
 
     rng = np.random.default_rng(12)
-    worst = check_gradients(forward, params.all_tensors(), step=1e-6,
+    worst = check_gradients(forward, list(params.values()), step=1e-6,
                             max_entries_per_param=6, rng=rng)
     assert worst < 1e-4
 
@@ -323,7 +323,7 @@ def test_classification_loss_gradients_end_to_end():
         return _classification_batch_loss([0, 1, 3], finals, params, split)
 
     rng = np.random.default_rng(15)
-    worst = check_gradients(forward, params.all_tensors(), step=1e-6,
+    worst = check_gradients(forward, list(params.values()), step=1e-6,
                             max_entries_per_param=6, rng=rng)
     assert worst < 1e-4
 
@@ -616,7 +616,7 @@ class TestCheckpoint:
         params, config = self._params_and_config()
         dict(params.named_parameters())[name].data[1, 1] = value
         blob = save_checkpoint_bytes(params, config)
-        with pytest.raises(IntegrityError, match=f"^checkpoint array '{name}' holds a non-finite value$"):
+        with pytest.raises(IntegrityError, match=f"^<checkpoint>: checkpoint array '{name}' holds a non-finite value$"):
             load_checkpoint_bytes(blob)
 
     def test_bad_magic_rejected(self):
@@ -673,7 +673,7 @@ class TestCheckpoint:
         config = _toy_config(model=model, epochs=1)
         params, _ = train(kg, split, config)
         loaded, _, _ = load_checkpoint_bytes(save_checkpoint_bytes(params, config))
-        assert loaded.lstm is not None
+        assert "lstm.w_in" in loaded
         view = GraphView.restricted(kg, split.train, model.use_attributes)
         want = encode_value(view, params, model).data
         assert np.array_equal(encode_value(view, loaded, model).data, want)
@@ -775,7 +775,7 @@ class TestCheckpoint:
         params, config = self._params_and_config()
         entities = params.entity.data.shape[0]
         params.entity.data = np.zeros((entities, config.model.dim + 1))
-        with pytest.raises(IntegrityError, match="'entity' has shape"):
+        with pytest.raises(IntegrityError, match=r"holds 'entity' of shape \(\d+, 9\) where its config implies"):
             load_checkpoint_bytes(save_checkpoint_bytes(params, config))
         params, config = self._params_and_config()
         params.relation.data = np.zeros((0, config.model.dim))
@@ -786,7 +786,7 @@ class TestCheckpoint:
         blob = save_checkpoint_bytes(params, config)
         header = checkpoint_header(blob)
         header["config"]["model"]["layers"] += 1
-        with pytest.raises(IntegrityError, match="do not match"):
+        with pytest.raises(IntegrityError, match="holds 'out_w.0' of shape \\(8, 8\\) where its config implies 'head_w.1'"):
             load_checkpoint_bytes(with_checkpoint_header(blob, header))
 
     def test_absurd_layer_count_refused_before_building_shapes(self):
