@@ -43,8 +43,8 @@ from .evaluation import (
     evaluate_completion,
 )
 from .training import (
-    TRAIN_KEYS, TrainConfig, check_layout, load_checkpoint_bytes, make_train_config,
-    save_checkpoint_bytes, train,
+    TRAIN_KEYS, TrainConfig, check_layout, classifier_classes, load_checkpoint_bytes,
+    make_train_config, save_checkpoint_bytes, train,
 )
 
 OUT_DIR_ENV = "KANE_OUT_DIR"
@@ -239,7 +239,7 @@ def _load_checkpoint_for(bundle_path: str, checkpoint_path: str):
             f"{checkpoint_path}: checkpoint was trained on a different bundle "
             f"(checkpoint {stored or '<none>'}, bundle {checksum}); refusing to evaluate"
         )
-    class_count = split.class_count if split.labels is not None else 0
+    class_count = classifier_classes(config, split.class_count)
     expected = parameter_shapes(config.model, kg.num_entities, kg.num_relations, kg.vocab_size, class_count)
     try:
         check_layout([(name, t.shape) for name, t in params.items()], expected, "the bundle")
@@ -261,6 +261,8 @@ def cmd_eval_completion(args: argparse.Namespace) -> int:
 
 def cmd_eval_classify(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
+    if config.task != "classification":
+        raise IntegrityError(f"{args.checkpoint}: a {config.task} checkpoint has no classifier head")
     result = evaluate_classification(kg, split, params, config.model)
     text = classification_report_text(result, config.model)
     d = out_dir(args)

@@ -58,6 +58,10 @@ translation scoring on the raw embedding tables.
 counts give, with their checkpoint names, shapes and order. ``ModelParams``
 maps those names to tensors in that order, ``init_params`` draws them in
 that order, and propagation reads each by name, such as ``head_w.{l}``.
+A run stores only what it trains, with one corner left: with ``layers ==
+0`` a classification run reads neither the relation table nor any
+attribute, yet stores the relation table and, with ``use_attributes``, the
+word table.
 """
 
 from __future__ import annotations
@@ -150,10 +154,12 @@ def parameter_shapes(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """(checkpoint name, shape) of every parameter of a model with this
     config and these counts, in checkpoint order: the one place that
-    decides which parameters exist."""
+    decides which parameters exist. ``word`` and ``lstm.*`` exist only with
+    ``use_attributes``, the classifier only for ``class_count > 0``, which
+    ``training.classifier_classes`` gives for classification alone."""
     d, width = config.dim, config.heads * config.head_dim
     out = [("entity", (entity_count, d)), ("relation", (relation_count, d))]
-    if vocab_size > 0:
+    if config.use_attributes and vocab_size > 0:
         out.append(("word", (vocab_size, d)))
         if config.encoder == "lstm":
             out += [("lstm.w_in", (d, 4 * d)), ("lstm.w_hid", (d, 4 * d)), ("lstm.b", (4 * d,))]
@@ -200,11 +206,12 @@ def init_params(
     6/sqrt(dim)], with entity and relation rows L2-normalized once; linear
     transforms use fan-based (Glorot) uniform bounds so propagation
     preserves vector magnitude instead of amplifying it layer over layer.
-    Each transform is drawn in its (out, in) shape and stored transposed:
-    ``head_w.{l}`` as one (head_dim, dim) block per head, and the LSTM as
-    each gate's (dim, dim) input and hidden matrices, gate by gate, input
-    path first. Biases start at zero, but the LSTM forget bias starts at 1
-    so early training does not erase the cell state."""
+    Each transform is drawn in its (out, in) shape and stored transposed,
+    row-major as a checkpoint load gives it: ``head_w.{l}`` as one
+    (head_dim, dim) block per head, and the LSTM as each gate's (dim, dim)
+    input and hidden matrices, gate by gate, input path first. Biases start
+    at zero, but the LSTM forget bias starts at 1 so early training does
+    not erase the cell state."""
     if entity_count < 1 or relation_count < 1:
         raise ConfigError("need at least one entity and one relation")
     d = config.dim
@@ -221,11 +228,10 @@ def init_params(
         elif name == "word":
             data = rng.uniform(-bound, bound, size=shape)
         elif name == "lstm.w_in":
-            # transposed draws side by side leave both paths in column-major order
             gates = [(fan_uniform((d, d), 2 * d), fan_uniform((d, d), 2 * d)) for _ in range(4)]
-            data = np.concatenate([w_in.T for w_in, _ in gates], axis=1)
+            data = np.ascontiguousarray(np.concatenate([w_in.T for w_in, _ in gates], axis=1))
         elif name == "lstm.w_hid":  # drawn with lstm.w_in, which comes first
-            data = np.concatenate([w_hid.T for _, w_hid in gates], axis=1)
+            data = np.ascontiguousarray(np.concatenate([w_hid.T for _, w_hid in gates], axis=1))
         elif name == "lstm.b":  # gates input, forget, output, cell
             data = np.repeat([0.0, 1.0, 0.0, 0.0], d)
         elif name == "cls_b":
@@ -246,8 +252,6 @@ def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> T
     a value."""
     if not (view.edges.source >= view.entity_count).any():
         return None
-    if "word" not in params:
-        raise ConfigError("model has no word table but attribute encoding was requested")
     sequences, word = view.kg.value_tokens, params["word"]
     if config.encoder == "bow":
         return bow_encode(sequences, word)

@@ -41,7 +41,7 @@ from .model import (
 )
 
 CHECKPOINT_MAGIC = b"KANECKP1"
-CHECKPOINT_FORMAT = 2  # arrays named, shaped and ordered as ``model.parameter_shapes`` lays them out
+CHECKPOINT_FORMAT = 3  # arrays as ``model.parameter_shapes`` lays out the run's own config
 SCORE_CLIP = 30.0  # classifier scores are clipped before sigmoid to keep log finite
 
 
@@ -120,6 +120,13 @@ class TrainReport:
             val = repr(by_epoch[i]) if i in by_epoch else ""
             out.append(f"{i},{loss!r},{val},{self.epoch_seconds[i - 1]!r}")
         return "\n".join(out) + "\n"
+
+
+def classifier_classes(config: TrainConfig, class_count: int) -> int:
+    """Classes of the classifier head that a run with ``config`` holds: all
+    ``class_count`` for classification, none for completion, whose steps
+    never train a head."""
+    return class_count if config.task == "classification" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +285,7 @@ def train(
     stopping triggers after ``patience`` checks without improvement.
     """
     rng = np.random.default_rng(config.seed)
-    class_count = split.class_count if split.labels is not None else 0
+    class_count = classifier_classes(config, split.class_count)
     params = init_params(
         kg.num_entities, kg.num_relations, kg.vocab_size, class_count, config.model, rng
     )
@@ -446,7 +453,7 @@ def _read_checkpoint(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
             f"unsupported checkpoint format_version {version!r}: only format {CHECKPOINT_FORMAT} loads"
         )
     config = _config_from_dict(header["config"])
-    specs = _array_specs(header.get("arrays"), config.model)
+    specs = _array_specs(header.get("arrays"), config)
     params = ModelParams()
     start = off
     for name, shape in specs:
@@ -467,9 +474,9 @@ def _read_checkpoint(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
     return params, config, header
 
 
-def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+def _array_specs(specs, config: TrainConfig) -> list[tuple[str, tuple[int, ...]]]:
     """The header's (name, shape) list, checked against the layout that the
-    model config and the row counts of the embedding tables imply."""
+    config and the row counts of the tables imply."""
     if not isinstance(specs, list):
         raise IntegrityError("corrupt checkpoint header: no arrays")
     out = []
@@ -480,13 +487,17 @@ def _array_specs(specs, model: ModelConfig) -> list[tuple[str, tuple[int, ...]]]
             raise IntegrityError(f"corrupt checkpoint header: bad array entry {spec!r}")
         out.append((spec["name"], tuple(shape)))
     # every layer stores at least head_w.{l}: refuse before building shapes
+    model = config.model
     if model.layers > len(out):
         raise IntegrityError(f"checkpoint config has {model.layers} layers, its header only {len(out)} arrays")
     rows = {name: shape[0] for name, shape in out if shape}
-    counts = [rows.get(name, 0) for name in ("entity", "relation", "word", "cls_b")]
-    check_layout(out, parameter_shapes(model, *counts), "its config")
+    counts = [rows.get(name, 0) for name in ("entity", "relation", "word")]
+    classes = classifier_classes(config, rows.get("cls_b", 0))
+    check_layout(out, parameter_shapes(model, *counts, classes), "its config")
     if not (counts[0] and counts[1]):
         raise IntegrityError("checkpoint has no entity or no relation rows")
+    if config.task == "classification" and not classes:
+        raise IntegrityError("classification checkpoint has no classifier head")
     return out
 
 

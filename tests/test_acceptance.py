@@ -546,7 +546,7 @@ def test_serialization_round_trips(tmp_path):
     assert doc2 == doc, "dataset bundle round-trip changed bytes"
 
     model = ModelConfig(dim=8, head_dim=8, heads=1, layers=1)
-    config = TrainConfig(model=model, epochs=0)
+    config = TrainConfig(model=model, task="classification", epochs=0)
     params = init_params(
         kg.num_entities, kg.num_relations, kg.vocab_size, split.class_count,
         model, np.random.default_rng(11),

@@ -31,7 +31,7 @@ _model = ModelConfig(dim=3, head_dim=2, heads=2, layers=2, aggregator="concat", 
 CHECKPOINT = save_checkpoint_bytes(
     init_params(_kg.num_entities, _kg.num_relations, _kg.vocab_size, _split.class_count, _model,
                 np.random.default_rng(0)),
-    TrainConfig(model=_model),
+    TrainConfig(model=_model, task="classification"),
 )
 
 # replacement values: wrong types, out-of-range and huge numbers (2**62

@@ -220,6 +220,9 @@ class TestPipeline:
                     "--checkpoint", str(run_k / "model.ckpt"), "--out", str(run_k)]) == 0
         assert "accuracy" in (run_k / "classification_report.txt").read_text()
         assert (run_k / "classification_metrics.tsv").exists()
+        # a classification checkpoint's embeddings also rank triples
+        assert run(["eval-completion", "--bundle", str(bundle),
+                    "--checkpoint", str(run_k / "model.ckpt"), "--out", str(run_k)]) == 0
 
         assert run(["export", "--bundle", str(bundle),
                     "--checkpoint", str(run_c / "model.ckpt"),
@@ -332,6 +335,21 @@ class TestFailures:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and message in err and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_eval_classify_refuses_a_completion_checkpoint(self, trained, tmp_path, capsys):
+        """A completion run holds no classifier head, so there is nothing to
+        score: one line naming the file, and no output."""
+        bundle, blob = trained
+        ckpt = tmp_path / "completion.ckpt"
+        ckpt.write_bytes(blob)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run(["eval-classify", "--bundle", str(bundle), "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: a completion checkpoint has no classifier head")
+        assert err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
     def test_missing_bundle_file_exits_nonzero(self, tmp_path, capsys):

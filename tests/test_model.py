@@ -13,7 +13,7 @@ import kane.model as model_module
 import kane.oracle as oracle
 from kane.errors import ConfigError, ShapeError
 from kane.evaluation import classification_accuracy
-from kane.kgdata import DatasetSplit, GraphView
+from kane.kgdata import DatasetSplit, GraphView, generate_synthetic_kg
 from kane.model import (
     ModelConfig,
     ModelParams,
@@ -25,7 +25,10 @@ from kane.model import (
     parameter_shapes,
     unit_rows,
 )
-from kane.training import TrainConfig, _classification_batch_loss, _completion_batch_loss
+from kane.training import (
+    TrainConfig, _classification_batch_loss, _completion_batch_loss, load_checkpoint_bytes,
+    save_checkpoint_bytes, train,
+)
 
 from helpers import (
     check_gradients, kg_from_name_triples, random_kg, reference_bce, relative_error,
@@ -214,8 +217,9 @@ def test_init_params_stores_each_draw_transposed():
     dim) input and hidden matrices, gate by gate, input path first; each
     head's (head_dim, dim) transform per layer, the (dim, heads *
     head_dim) merge per layer and the (classes, dim) classifier. Every
-    transform is stored transposed; the LSTM forget bias starts at 1 and
-    every other bias at 0."""
+    transform is stored transposed, and every array row-major, as a
+    checkpoint load gives it; the LSTM forget bias starts at 1 and every
+    other bias at 0."""
     for vocab, encoder in ((0, "bow"), (7, "lstm")):
         config = ModelConfig(dim=5, head_dim=3, heads=2, layers=2, encoder=encoder)
         params = init_params(6, 3, vocab, 4, config, np.random.default_rng(9))
@@ -246,17 +250,41 @@ def test_init_params_stores_each_draw_transposed():
         assert list(got) == list(want), encoder
         for name, value in want.items():
             assert np.array_equal(got[name], value), (encoder, name)
+            assert got[name].flags.c_contiguous, (encoder, name)
 
 
-@pytest.mark.parametrize("config, vocab, classes", [
-    (ModelConfig(dim=5, head_dim=4, heads=2, layers=2, encoder="lstm"), 8, 2),
-    (ModelConfig(dim=4, head_dim=4, heads=3, layers=1, aggregator="average"), 5, 0),
-    (ModelConfig(dim=3, head_dim=2, heads=1, layers=0, encoder="lstm"), 0, 4),
-], ids=["lstm-concat-classes", "bow-average", "no-words"])
-def test_parameter_shapes_match_init_params(config, vocab, classes):
-    params = init_params(6, 3, vocab, classes, config, np.random.default_rng(2))
-    want = [(name, t.data.shape) for name, t in params.named_parameters()]
-    assert parameter_shapes(config, 6, 3, vocab, classes) == want
+_LAYOUT_CASES = {
+    "lstm-concat-classes": ("classification", ModelConfig(dim=5, head_dim=4, heads=2, layers=2, encoder="lstm")),
+    "bow-average": ("completion", ModelConfig(dim=4, head_dim=4, heads=3, layers=1, aggregator="average")),
+    "no-words": ("completion", ModelConfig(dim=3, head_dim=2, heads=1, layers=0, use_attributes=False)),
+    **{
+        f"{task}-{'attributes' if attributes else 'no-attributes'}-{encoder}": (
+            task, ModelConfig(dim=4, head_dim=3, heads=2, layers=1, encoder=encoder, use_attributes=attributes)
+        )
+        for task, attributes, encoder in itertools.product(
+            ("completion", "classification"), (True, False), ("bow", "lstm")
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("task, config", _LAYOUT_CASES.values(), ids=_LAYOUT_CASES)
+def test_parameter_shapes_match_init_params(task, config):
+    """``init_params`` draws the layout of ``parameter_shapes``, the
+    classifier only for classification, and one epoch of training on the
+    seed-0 synthetic graph moves every array of the checkpoint from its
+    init draw: a run stores nothing that it does not train."""
+    kg, split = generate_synthetic_kg(0)
+    counts = (kg.num_entities, kg.num_relations, kg.vocab_size,
+              split.class_count if task == "classification" else 0)
+    init = init_params(*counts, config, np.random.default_rng(0))
+    assert [(name, t.shape) for name, t in init.items()] == parameter_shapes(config, *counts)
+    train_config = TrainConfig(model=config, task=task, epochs=1, seed=0, val_every=0, negatives=2)
+    trained, _ = train(kg, split, train_config)
+    stored, _, _ = load_checkpoint_bytes(save_checkpoint_bytes(trained, train_config))
+    assert list(stored) == list(init)
+    for name, t in stored.items():
+        assert not np.array_equal(t.data, init[name].data), name
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +573,8 @@ def test_attributes_off_ignores_attribute_triples():
     top = with_attr.entities.id_of("a")
     assert np.array_equal(vec_a.data[top], vec_b.data[top])
     config_on = ModelConfig(dim=3, head_dim=3, heads=1, layers=2)
-    vec_on = forward_all(GraphView.restricted(with_attr, with_attr.relation_triples, True), params_a, config_on)
+    params_on = init_params(2, 2, 2, 0, config_on, np.random.default_rng(5))
+    vec_on = forward_all(GraphView.restricted(with_attr, with_attr.relation_triples, True), params_on, config_on)
     assert not np.array_equal(vec_on.data[top], vec_a.data[top])
 
 

@@ -3,6 +3,7 @@ references, optimizer steps, the training loop, and checkpoint bytes."""
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import FrozenInstanceError, asdict
 
@@ -595,8 +596,9 @@ class TestCheckpoint:
         assert again == blob
 
     def test_header_keys_of_older_writers_ignored(self):
-        """Earlier writers of format 2 also stored the generator state, graph
-        counts and run facts in the header; such a checkpoint still loads."""
+        """Earlier writers also stored the generator state, graph counts and
+        run facts in the header; header keys the loader does not read are
+        ignored."""
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config, bundle_checksum="abc123")
         header = checkpoint_header(blob)
@@ -647,12 +649,13 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("version", [1, 3, None], ids=["format-1", "format-3", "no-version"])
+    @pytest.mark.parametrize("version", [1, 2, 4, None],
+                             ids=["format-1", "format-2", "format-4", "no-version"])
     def test_other_format_versions_rejected(self, version):
         params, config = self._params_and_config()
         blob = save_checkpoint_bytes(params, config)
         header = checkpoint_header(blob)
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         if version is None:
             del header["format_version"]
         else:
@@ -788,6 +791,28 @@ class TestCheckpoint:
         header["config"]["model"]["layers"] += 1
         with pytest.raises(IntegrityError, match="holds 'out_w.0' of shape \\(8, 8\\) where its config implies 'head_w.1'"):
             load_checkpoint_bytes(with_checkpoint_header(blob, header))
+
+    @pytest.mark.parametrize("drawn, saved, message", [
+        (dict(task="classification"), dict(task="completion"), "holds 'cls_w' of shape (8, 2)"),
+        ({}, dict(model=ModelConfig(dim=8, head_dim=8, heads=1, layers=1, use_attributes=False)),
+         "holds 'word' of shape (4, 8)"),
+    ], ids=["completion-with-classifier", "attributes-off-with-words"])
+    def test_array_the_config_does_not_train_refused(self, drawn, saved, message):
+        """A completion checkpoint holding a classifier head, or an
+        attributes-off one holding a word table, is refused naming the
+        array: a checkpoint holds exactly what its own config trains."""
+        config = _toy_config(**drawn)
+        params = init_params(8, 2, 4, 2 if config.task == "classification" else 0, config.model,
+                             np.random.default_rng(0))
+        blob = save_checkpoint_bytes(params, _toy_config(**saved))
+        with pytest.raises(IntegrityError, match=re.escape(f"{message} where its config implies")):
+            load_checkpoint_bytes(blob)
+
+    def test_classification_checkpoint_without_head_refused(self):
+        config = _toy_config(task="classification")
+        params = init_params(8, 2, 0, 0, config.model, np.random.default_rng(0))
+        with pytest.raises(IntegrityError, match="classification checkpoint has no classifier head"):
+            load_checkpoint_bytes(save_checkpoint_bytes(params, config))
 
     def test_absurd_layer_count_refused_before_building_shapes(self):
         # every layer stores at least one array, so the header's array count
