@@ -1,9 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The op set is deliberately closed: it covers exactly what the embedding
-model, the attribute encoders and the losses need. Values are numpy arrays
-of at most two dimensions (0-d scalars, 1-d vectors, 2-d matrices); there
-is no broadcasting, no sparse storage and no higher-order gradients.
+model and the attribute encoders need; each loss is one ``fused`` record.
+Values are numpy arrays of at most two dimensions (0-d scalars, 1-d
+vectors, 2-d matrices); there is no broadcasting, no sparse storage and
+no higher-order gradients.
 
 Ops executed inside a ``with Tape():`` block record themselves on that
 tape; outside a tape they are plain forward computations, which is how
@@ -14,7 +15,8 @@ array its consumer's backward hands over (``_accum`` adopts it), and later
 ones are added into it in place. So a backward passes the array it
 received, or a view of it, to at most one parent: ``add`` gives ``b`` a
 copy, ``concat_rows`` hands out disjoint row slices, ``transpose`` and
-``reshape`` one view each, and every other backward builds a fresh array
+``reshape`` one view each, ``fused`` copies a gradient that may share
+memory with an earlier one, and every other backward builds a fresh array
 per parent. A received array may be passed on because the sweep runs in
 reverse tape order: by the time a tensor's backward runs, its own gradient
 is final. The grads of two parameters therefore never share memory, while
@@ -164,6 +166,21 @@ def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
         _accum(t, _scatter_sum(idx, g, t.shape[0]))
 
 
+def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+    """A tape record of value ``data`` whose ``backward(g)`` returns, per
+    parent, a gradient shaped like it or ``None``. Parents that take no
+    gradient get none; a gradient that may alias an earlier one is copied."""
+
+    def back(g):
+        given: list[np.ndarray] = []
+        for p, grad in zip(parents, backward(g), strict=True):
+            if grad is not None and _takes_grad(p):
+                given.append(grad.copy() if any(np.may_share_memory(grad, h) for h in given) else grad)
+                _accum(p, given[-1])
+
+    return _make(data, tuple(parents), back)
+
+
 def backward(tape: Tape, root: Tensor) -> None:
     """Reverse sweep from a scalar root into the ``grad`` of every tensor
     on its path; a parameter the root does not depend on keeps ``None``."""
@@ -254,7 +271,7 @@ def transpose(m: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: lookups, stacking, reductions
+# structure: lookups and stacking
 
 def _indices(indices, n: int, op: str) -> np.ndarray:
     """A validated non-empty 1-d index array into ``n`` rows."""
@@ -337,13 +354,6 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _make(m.data + v.data, (m, v), back)
 
 
-def sum_all(t: Tensor) -> Tensor:
-    def back(g):
-        _accum(t, np.full(t.shape, g))
-
-    return _make(np.asarray(t.data.sum()), (t,), back)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -402,23 +412,6 @@ def tanh(t: Tensor) -> Tensor:
     return _make(val, (t,), back)
 
 
-def log(t: Tensor) -> Tensor:
-    if np.any(t.data <= 0.0):
-        raise DomainError(f"log of non-positive input (min {t.data.min()})")
-
-    def back(g):
-        _accum(t, g / t.data)
-
-    return _make(np.log(t.data), (t,), back)
-
-
-def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (t.data >= lo) & (t.data <= hi)
-
-    def back(g):
-        _accum(t, g * inside)
-
-    return _make(np.clip(t.data, lo, hi), (t,), back)
 
 
 # ---------------------------------------------------------------------------

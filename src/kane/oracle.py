@@ -1,4 +1,4 @@
-"""Naive reference implementations used only by tests.
+"""Naive reference implementations for the tests and the benchmark checks.
 
 Everything here is written with plain Python floats, lists and explicit
 loops, allocating fresh lists at every step. It deliberately shares no

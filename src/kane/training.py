@@ -42,7 +42,6 @@ from .model import (
 
 CHECKPOINT_MAGIC = b"KANECKP1"
 CHECKPOINT_FORMAT = 3  # arrays as ``model.parameter_shapes`` lays out the run's own config
-SCORE_CLIP = 30.0  # classifier scores are clipped before sigmoid to keep log finite
 
 
 @dataclass(frozen=True)
@@ -185,21 +184,24 @@ def hinge_loss(
     grouped in positive order.
     """
     n_pos = pos_distances.shape[0]
-    if neg_distances.shape[0] != n_pos * negatives_per_positive:
-        raise ConfigError(
-            f"expected {n_pos * negatives_per_positive} negative distances, got {neg_distances.shape[0]}"
-        )
-    paired = ad.rows(pos_distances, np.repeat(np.arange(n_pos), negatives_per_positive))
-    gamma = ad.constant(np.full(neg_distances.shape[0], float(margin)))
-    violation = ad.add(ad.sub(paired, neg_distances), gamma)
-    return ad.sum_all(ad.leaky_relu(violation, 0.0))
+    owner = np.repeat(np.arange(n_pos), negatives_per_positive)
+    if neg_distances.shape != owner.shape:
+        raise ConfigError(f"expected {owner.size} negative distances, got {neg_distances.shape[0]}")
+    violation = (pos_distances.data[owner] - neg_distances.data) + float(margin)
+    active = violation > 0.0
+
+    def back(g):
+        g_active = g * active
+        return np.bincount(owner, weights=g_active, minlength=n_pos), -g_active
+
+    return ad.fused(np.where(active, violation, 0.0).sum(), (pos_distances, neg_distances), back)
 
 
 def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
     """Mean per-entity binary cross-entropy against one-hot labels.
 
-    ``scores`` is (batch, classes); scores are clipped to +/-SCORE_CLIP
-    before the sigmoid so perfectly confident outputs stay finite.
+    ``scores`` is (batch, classes) logits; a row's loss is the sum of
+    softplus(s) - y s, exact and finite for any finite score.
     """
     n, c = scores.shape
     if len(labels) != n:
@@ -210,28 +212,32 @@ def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
     outside = (lab < 0) | (lab >= c)
     if outside.any():
         raise ConfigError(f"label {lab[outside][0]} outside 0..{c - 1}")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), lab] = 1.0
-    probs = ad.sigmoid(ad.clip(scores, -SCORE_CLIP, SCORE_CLIP))
-    pos_term = ad.elementwise_mul(ad.constant(onehot), ad.log(probs))
-    neg_term = ad.elementwise_mul(
-        ad.constant(1.0 - onehot), ad.log(ad.sub(ad.constant(np.ones((n, c))), probs))
-    )
-    total = ad.sum_all(ad.add(pos_term, neg_term))
-    return ad.scale(total, -1.0 / n)
+    onehot = np.eye(c)[lab]
+    s = scores.data
+    z = np.exp(-np.abs(s))  # overflow-free in both tails
+    # max(s, 0) - y s is exact, so a confident right score keeps log1p's precision
+    loss = ((np.maximum(s, 0.0) - onehot * s) + np.log1p(z)).sum() / n
+
+    def back(g):  # (sigmoid(s) - y) / n
+        return ((np.where(s >= 0.0, 1.0, z) / (1.0 + z) - onehot) * (g / n),)
+
+    return ad.fused(loss, (scores,), back)
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 def sgd_step(params: ModelParams, learning_rate: float) -> None:
-    """In-place SGD update; parameters without gradients stay untouched."""
+    """In-place SGD update; parameters without gradients stay untouched. One
+    that the update leaves non-finite raises ``TrainingError`` naming it."""
     for name, p in params.named_parameters():
         if p.grad is None:
             continue
-        if not np.isfinite(p.grad).all():
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
         p.data -= learning_rate * p.grad
+        if not np.isfinite(p.data).all():  # as it is after any non-finite gradient
+            if not np.isfinite(p.grad).all():
+                raise TrainingError(f"non-finite gradient in parameter {name!r}")
+            raise TrainingError(f"update left parameter {name!r} non-finite")
 
 
 # ---------------------------------------------------------------------------
@@ -314,53 +320,54 @@ def train(
     checks_since_best = 0
     filt = None  # the filter index, built at the first completion validation
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(positives))
-        total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = positives[order[start:start + config.batch_size]]
-            if config.task == "completion":
-                negs = corrupt(chunk, kg, known, rng, config.negatives)
-            ad.zero_grads(params.values())
-            with Tape() as tape:
+    with np.errstate(all="ignore"):  # no warnings: a diverging step fails a check below
+        for epoch in range(1, config.epochs + 1):
+            t0 = time.perf_counter()
+            order = rng.permutation(len(positives))
+            total_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                chunk = positives[order[start:start + config.batch_size]]
                 if config.task == "completion":
-                    # one value table, read by propagation and by the loss's attribute targets
-                    values = encode_value(view, params, config.model)
-                    finals = forward_all(view, params, config.model, values)
-                    loss = _completion_batch_loss(chunk, negs, finals, params, config, values)
-                    total_loss += loss.item()
-                else:
-                    finals = forward_all(view, params, config.model)
-                    loss = _classification_batch_loss(chunk, finals, params, split)
-                    total_loss += loss.item() * len(chunk)
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"epoch {epoch}, batch at {start}: non-finite loss")
-            ad.backward(tape, loss)
-            try:
-                sgd_step(params, config.learning_rate)
-            except TrainingError as err:
-                raise TrainingError(f"epoch {epoch}, batch at {start}: {err}") from err
-        if config.renormalize:
-            params.entity.data = unit_rows(params.entity.data)
-        report.epoch_losses.append(total_loss / max(1, len(positives)))
-        report.epoch_seconds.append(time.perf_counter() - t0)
+                    negs = corrupt(chunk, kg, known, rng, config.negatives)
+                ad.zero_grads(params.values())
+                with Tape() as tape:
+                    if config.task == "completion":
+                        # one value table, read by propagation and by the loss's attribute targets
+                        values = encode_value(view, params, config.model)
+                        finals = forward_all(view, params, config.model, values)
+                        loss = _completion_batch_loss(chunk, negs, finals, params, config, values)
+                        total_loss += loss.item()
+                    else:
+                        finals = forward_all(view, params, config.model)
+                        loss = _classification_batch_loss(chunk, finals, params, split)
+                        total_loss += loss.item() * len(chunk)
+                if not np.isfinite(loss.data):
+                    raise TrainingError(f"epoch {epoch}, batch at {start}: non-finite loss")
+                ad.backward(tape, loss)
+                try:
+                    sgd_step(params, config.learning_rate)
+                except TrainingError as err:
+                    raise TrainingError(f"epoch {epoch}, batch at {start}: {err}") from err
+            if config.renormalize:
+                params.entity.data = unit_rows(params.entity.data)
+            report.epoch_losses.append(total_loss / max(1, len(positives)))
+            report.epoch_seconds.append(time.perf_counter() - t0)
 
-        if config.val_every and has_validation and epoch % config.val_every == 0:
-            if config.task == "completion" and filt is None:
-                filt = evaluation.build_filter_index(kg)
-            metric = _validation_metric(split, view, params, config, filt)
-            report.validation.append((epoch, metric))
-            if best_metric is None or metric > best_metric:
-                best_metric = metric
-                best_snap = params.snapshot()
-                report.best_epoch = epoch
-                checks_since_best = 0
-            else:
-                checks_since_best += 1
-                if checks_since_best >= config.patience:
-                    report.stopped_early_at = epoch
-                    break
+            if config.val_every and has_validation and epoch % config.val_every == 0:
+                if config.task == "completion" and filt is None:
+                    filt = evaluation.build_filter_index(kg)
+                metric = _validation_metric(split, view, params, config, filt)
+                report.validation.append((epoch, metric))
+                if best_metric is None or metric > best_metric:
+                    best_metric = metric
+                    best_snap = params.snapshot()
+                    report.best_epoch = epoch
+                    checks_since_best = 0
+                else:
+                    checks_since_best += 1
+                    if checks_since_best >= config.patience:
+                        report.stopped_early_at = epoch
+                        break
 
     if best_snap is not None:
         params.restore(best_snap)

@@ -97,6 +97,12 @@ def check_gradients(
     return worst
 
 
+def total(t: ad.Tensor) -> ad.Tensor:
+    """The sum of all entries of ``t``: a scalar root for gradient checks,
+    built as one ``ad.fused`` record."""
+    return ad.fused(t.data.sum(), (t,), lambda g: (np.full(t.shape, g),))
+
+
 def away_from_zero(arr: "np.ndarray", gap: float = 0.05) -> "np.ndarray":
     """Shift entries so none lies within ``gap`` of zero (kink safety)."""
     out = np.array(arr)
@@ -259,14 +265,14 @@ def reference_transe_hinge(
     return float(total)
 
 
-def reference_bce(scores: np.ndarray, labels: list[int], clip: float = 30.0) -> float:
-    """Mean one-hot binary cross-entropy with score clipping, pure numpy."""
+def reference_bce(scores: np.ndarray, labels: list[int]) -> float:
+    """Mean one-hot binary cross-entropy from logits, pure numpy: per entry
+    -log(sigmoid(s)) for the label's class and -log(1 - sigmoid(s)) for the
+    others, each as ``np.logaddexp`` (log(1 + e^-s) and log(1 + e^s))."""
     n, c = scores.shape
-    s = np.clip(scores, -clip, clip)
-    probs = 1.0 / (1.0 + np.exp(-s))
-    total = 0.0
+    loss_sum = 0.0
     for i, lab in enumerate(labels):
         for j in range(c):
-            y = 1.0 if j == lab else 0.0
-            total += y * np.log(probs[i, j]) + (1.0 - y) * np.log(1.0 - probs[i, j])
-    return float(-total / n)
+            s = float(scores[i, j])
+            loss_sum += np.logaddexp(0.0, -s) if j == lab else np.logaddexp(0.0, s)
+    return float(loss_sum / n)

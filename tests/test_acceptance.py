@@ -61,6 +61,7 @@ from helpers import (
     quantized_ranking_setups,
     random_kg,
     reference_transe_hinge,
+    total,
 )
 
 
@@ -86,72 +87,74 @@ def _op_gradient_cases(rng: np.random.Generator):
         return ad.parameter(rng.normal(size=(r, c)))
 
     a, b = v(), v()
-    case("add", [a, b], lambda: ad.sum_all(ad.add(a, b)))
+    case("add", [a, b], lambda: total(ad.add(a, b)))
     c, d = v(), v()
-    case("sub", [c, d], lambda: ad.sum_all(ad.sub(c, d)))
+    case("sub", [c, d], lambda: total(ad.sub(c, d)))
     e = v()
-    case("scale", [e], lambda: ad.sum_all(ad.scale(e, -1.7)))
+    case("scale", [e], lambda: total(ad.scale(e, -1.7)))
     f, g = v(), v()
-    case("elementwise_mul", [f, g], lambda: ad.sum_all(ad.elementwise_mul(f, g)))
+    case("elementwise_mul", [f, g], lambda: total(ad.elementwise_mul(f, g)))
     m3, m4 = m(4, 3), m(3, 2)
-    case("matmul", [m3, m4], lambda: ad.sum_all(ad.matmul(m3, m4)))
+    case("matmul", [m3, m4], lambda: total(ad.matmul(m3, m4)))
     m5 = m()
-    case("transpose", [m5], lambda: ad.sum_all(ad.transpose(m5)))
+    case("transpose", [m5], lambda: total(ad.transpose(m5)))
     m7 = m()
-    case("rows", [m7], lambda: ad.sum_all(ad.rows(m7, [0, 2, 2, 1])))
+    case("rows", [m7], lambda: total(ad.rows(m7, [0, 2, 2, 1])))
     v3 = v(6)
-    case("rows_vector", [v3], lambda: ad.sum_all(ad.rows(v3, [1, 4, 1, 0])))
+    case("rows_vector", [v3], lambda: total(ad.rows(v3, [1, 4, 1, 0])))
     # unsorted, repeated indices; row 1 of the result is never hit
     m8 = m(5, 3)
     probe43 = ad.constant(rng.normal(size=(4, 3)))
     case("scatter_rows", [m8],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.scatter_rows(m8, [3, 0, 3, 2, 0], 4), probe43)))
+         lambda: total(ad.elementwise_mul(ad.scatter_rows(m8, [3, 0, 3, 2, 0], 4), probe43)))
     m10 = m(4, 3)
     probe26 = ad.constant(rng.normal(size=(2, 6)))
-    case("reshape", [m10], lambda: ad.sum_all(ad.elementwise_mul(ad.reshape(m10, (2, -1)), probe26)))
+    case("reshape", [m10], lambda: total(ad.elementwise_mul(ad.reshape(m10, (2, -1)), probe26)))
     m9, v9 = m(4, 3), v(3)
-    case("add_rowvec", [m9, v9], lambda: ad.sum_all(ad.add_rowvec(m9, v9)))
-    m12 = m()
-    case("sum_all", [m12], lambda: ad.sum_all(m12))
+    case("add_rowvec", [m9, v9], lambda: total(ad.add_rowvec(m9, v9)))
     m13 = ad.parameter(away_from_zero(rng.normal(size=(4, 3))))
-    case("rowwise_norm_l1", [m13], lambda: ad.sum_all(ad.rowwise_norm(m13, "l1")))
+    case("rowwise_norm_l1", [m13], lambda: total(ad.rowwise_norm(m13, "l1")))
     m14 = m()
-    case("rowwise_norm_l2", [m14], lambda: ad.sum_all(ad.rowwise_norm(m14, "l2")))
+    case("rowwise_norm_l2", [m14], lambda: total(ad.rowwise_norm(m14, "l2")))
     v12 = ad.parameter(away_from_zero(rng.normal(size=6)))
-    case("leaky_relu", [v12], lambda: ad.sum_all(ad.leaky_relu(v12, 0.2)))
+    case("leaky_relu", [v12], lambda: total(ad.leaky_relu(v12, 0.2)))
     v13 = v(6)
-    case("sigmoid", [v13], lambda: ad.sum_all(ad.sigmoid(v13)))
+    case("sigmoid", [v13], lambda: total(ad.sigmoid(v13)))
     v14 = v(6)
-    case("tanh", [v14], lambda: ad.sum_all(ad.tanh(v14)))
-    v15 = ad.parameter(np.abs(rng.normal(size=6)) + 0.5)
-    case("log", [v15], lambda: ad.sum_all(ad.log(v15)))
-    v16 = ad.parameter(away_from_zero(rng.normal(size=6) * 2.0, gap=0.2))
-    case("clip", [v16], lambda: ad.sum_all(ad.clip(v16, -3.5, 3.5)))
+    case("tanh", [v14], lambda: total(ad.tanh(v14)))
     m15, m16 = m(2, 3), m(3, 3)
     probe53 = ad.constant(rng.normal(size=(5, 3)))
     case("concat_rows", [m15, m16],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.concat_rows([m15, m16]), probe53)))
+         lambda: total(ad.elementwise_mul(ad.concat_rows([m15, m16]), probe53)))
     # segments of 1, 3 and 2 entries: the first holds a single edge
     offsets = [0, 1, 4, 6]
     v18 = v(6)
     probe6 = ad.constant(rng.normal(size=6))
     case("segment_softmax", [v18],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_softmax(v18, offsets), probe6)))
+         lambda: total(ad.elementwise_mul(ad.segment_softmax(v18, offsets), probe6)))
     # the index repeats table rows 0 and 2 and never reads row 1
     index = [2, 0, 2, 3, 0, 2]
     v19, m19 = v(6), m(4, 3)
     probe33 = ad.constant(rng.normal(size=(3, 3)))
     case("segment_weighted_sum", [v19, m19],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, index, offsets), probe33)))
+         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, index, offsets), probe33)))
     # (edges, heads) weights: one column per head, each over all segments
     m20 = m(6, 2)
     probe62 = ad.constant(rng.normal(size=(6, 2)))
     case("segment_softmax_heads", [m20],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_softmax(m20, offsets), probe62)))
+         lambda: total(ad.elementwise_mul(ad.segment_softmax(m20, offsets), probe62)))
     m21, m22 = m(6, 2), m(4, 4)
     probe34 = ad.constant(rng.normal(size=(3, 4)))
     case("segment_weighted_sum_heads", [m21, m22],
-         lambda: ad.sum_all(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, index, offsets), probe34)))
+         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, index, offsets), probe34)))
+
+    def tanh_times(t, k):
+        """tanh(t) * k as one fused record; k is a constant parent."""
+        val = np.tanh(t.data)
+        return ad.fused(val * k.data, (t, k), lambda grad: (grad * k.data * (1.0 - val * val), grad * val))
+
+    m23, k23 = m(), ad.constant(rng.normal(size=(4, 3)))
+    case("fused_constant_parent", [m23], lambda: total(tanh_times(m23, k23)))
     return cases
 
 
@@ -163,6 +166,9 @@ def _loss_gradient_cases(rng: np.random.Generator):
     scores = ad.parameter(rng.normal(size=(3, 4)))
     labels = [int(rng.integers(4)) for _ in range(3)]
     cases.append(("bce_loss", [scores], lambda: bce_loss(scores, labels, 4)))
+    # scores beyond +/-30, right and wrong class alike: the gradient stays exact
+    wide = ad.parameter(rng.choice([-1.0, 1.0], size=(3, 4)) * rng.uniform(31.0, 45.0, size=(3, 4)))
+    cases.append(("bce_loss_wide_scores", [wide], lambda: bce_loss(wide, labels, 4)))
     return cases
 
 

@@ -352,6 +352,23 @@ class TestFailures:
         assert err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("setting, message", [
+        ("learning_rate=1e308", "update left parameter 'entity' non-finite"),
+        ("margin=1e308", "non-finite loss"),
+    ])
+    def test_diverging_run_is_one_error_line_and_no_checkpoint(self, trained, tmp_path, capsys, setting, message):
+        """A step whose loss or update overflows stops the run with the step
+        named, in one line and with no NumPy warning (which this suite turns
+        into an error), and writes no checkpoint."""
+        bundle, _ = trained
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--bundle", str(bundle), "--out", str(out), *SMALL_TRAIN,
+                    "--set", "epochs=1", "--set", "batch_size=100000", "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: epoch 1, batch at 0: {message}\n"
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_bundle_file_exits_nonzero(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ import kane.autodiff as ad
 from kane.encoders import bow_encode, lstm_encode
 from kane.model import ModelConfig, init_params
 
-from helpers import check_gradients, reference_lstm_final_state, relative_error
+from helpers import check_gradients, reference_lstm_final_state, relative_error, total
 
 
 def make_table(rng: np.random.Generator, vocab: int = 12, dim: int = 5) -> ad.Tensor:
@@ -87,7 +87,7 @@ class TestBow:
         table = make_table(np.random.default_rng(4), vocab=6, dim=3)
         tokens = [2, 5, 2, 2]
         with ad.Tape() as tape:
-            loss = ad.sum_all(bow_encode([tokens], table))
+            loss = total(bow_encode([tokens], table))
             ad.backward(tape, loss)
         g = table.grad
         want = np.zeros_like(table.data)
@@ -184,7 +184,7 @@ class TestLstm:
         tensors = [table, *params]
 
         def forward():
-            return ad.sum_all(lstm_encode([tokens], table, *params))
+            return total(lstm_encode([tokens], table, *params))
 
         worst = check_gradients(forward, tensors, step=1e-6)
         assert worst < 1e-5
@@ -192,7 +192,7 @@ class TestLstm:
     def test_gradient_reaches_every_gate(self):
         table, params = self._setup(11, dim=3, vocab=5)
         with ad.Tape() as tape:
-            loss = ad.sum_all(lstm_encode([[0, 3, 2]], table, *params))
+            loss = total(lstm_encode([[0, 3, 2]], table, *params))
             ad.backward(tape, loss)
         for name, t in zip(LSTM_NAMES, params):
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
@@ -205,7 +205,7 @@ class TestLstm:
         weights = ad.constant(np.random.default_rng(15).standard_normal((4, 3)))
 
         def forward():
-            return ad.sum_all(ad.elementwise_mul(lstm_encode(sequences, table, *params), weights))
+            return total(ad.elementwise_mul(lstm_encode(sequences, table, *params), weights))
 
         assert check_gradients(forward, tensors, step=1e-6) < 1e-5
 
@@ -214,7 +214,7 @@ def test_bow_gradient_matches_finite_differences():
     table = make_table(np.random.default_rng(12), vocab=5, dim=3)
 
     def forward():
-        return ad.sum_all(bow_encode([[0, 2, 2, 4]], table))
+        return total(bow_encode([[0, 2, 2, 4]], table))
 
     assert check_gradients(forward, [table], step=1e-6) < 1e-7
 

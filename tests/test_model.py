@@ -31,7 +31,7 @@ from kane.training import (
 )
 
 from helpers import (
-    check_gradients, kg_from_name_triples, random_kg, reference_bce, relative_error,
+    check_gradients, kg_from_name_triples, random_kg, reference_bce, relative_error, total,
 )
 
 
@@ -593,7 +593,7 @@ def test_forward_gradients_end_to_end():
             view, params = sparse_view(21, config)
 
         def forward():
-            return ad.sum_all(forward_all(view, params, config))
+            return total(forward_all(view, params, config))
 
         rng = np.random.default_rng(0)
         worst = check_gradients(forward, list(params.values()), step=1e-6, max_entries_per_param=6, rng=rng)

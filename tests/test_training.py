@@ -224,11 +224,31 @@ class TestBceLoss:
             got = float(bce_loss(ad.constant(raw), labels, c).data)
             assert abs(got - reference_bce(raw, labels)) < 1e-12
 
-    def test_extreme_scores_stay_finite_via_clipping(self):
+    def test_extreme_scores_are_exact_without_clipping(self):
         raw = np.array([[1000.0, -1000.0, 55.0]])
         got = float(bce_loss(ad.constant(raw), [0], 3).data)
         assert np.isfinite(got)
         assert abs(got - reference_bce(raw, [0])) < 1e-12
+
+    @pytest.mark.parametrize("score", [1.0, -1.0, 35.0, -35.0, 1000.0, -1000.0])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_loss_and_gradient_exact_for_any_finite_score(self, score, label):
+        """Per entry, the loss is softplus(s) - y s and the gradient
+        (sigmoid(s) - y) / n, also beyond the +/-30 where scores were once
+        clipped: a wrong-class score of 35 gets about 1 / n, not 0."""
+        n = 2
+        raw = np.array([[score, 0.0], [0.0, 0.0]])
+        scores = ad.parameter(raw)
+        with ad.Tape() as tape:
+            loss = bce_loss(scores, [label, 0], 2)
+            ad.backward(tape, loss)
+        onehot = np.array([[label == 0, label == 1], [1, 0]], dtype=float)
+        want = (np.logaddexp(0.0, raw) - onehot * raw).sum() / n
+        assert np.isfinite(float(loss.data)) and abs(float(loss.data) - want) < 1e-12
+        want_grad = (0.5 * (1.0 + np.tanh(raw / 2.0)) - onehot) / n
+        assert np.abs(scores.grad - want_grad).max() < 1e-15
+        if label == 1 and score == 35.0:
+            assert abs(scores.grad[0, 0] - 1.0 / n) < 1e-15
 
     def test_bad_labels_raise(self):
         scores = ad.constant(np.zeros((2, 3)))
@@ -249,6 +269,17 @@ class TestBceLoss:
             return bce_loss(scores, [0, 2, 3], 4)
 
         assert check_gradients(forward, [scores], step=1e-6) < 1e-8
+
+
+@pytest.mark.parametrize("loss", ["hinge", "bce"])
+def test_each_loss_is_one_tape_record(loss):
+    rng = np.random.default_rng(8)
+    with ad.Tape() as tape:
+        if loss == "hinge":
+            hinge_loss(ad.parameter(rng.uniform(size=2)), ad.parameter(rng.uniform(size=6)), 1.0, 3)
+        else:
+            bce_loss(ad.parameter(rng.normal(size=(3, 4))), [0, 2, 3], 4)
+    assert len(tape.records) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +389,13 @@ class TestSgdStep:
         params.relation.grad = np.array([[np.nan]])
         with pytest.raises(TrainingError, match="relation"):
             sgd_step(params, 0.1)
+
+    def test_update_that_leaves_a_parameter_non_finite_names_it(self):
+        params = self._tiny_params()
+        params.relation.grad = np.array([[-1e308]])
+        with np.errstate(over="ignore"):  # 10 * -1e308 overflows
+            with pytest.raises(TrainingError, match="^update left parameter 'relation' non-finite$"):
+                sgd_step(params, 10.0)
 
 
 # ---------------------------------------------------------------------------
