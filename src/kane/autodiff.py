@@ -23,15 +23,16 @@ is final. The grads of two parameters therefore never share memory, while
 an intermediate tensor's ``grad`` may go on to hold a parent's sum after
 its backward ran; read the grads of parameters, not of intermediates.
 
-Every scatter of rows by index goes through one kernel, ``_scatter_sum``:
-a flat ``np.bincount`` over ``index * width + column``. It serves the
-backward of the gather ``rows``, the forward of its adjoint
-``scatter_rows`` and the table gradient of ``segment_weighted_sum``, needs
-no sort, and reads its input in memory order; rows no index hits are
-zero. The forward of ``segment_weighted_sum``, the edge aggregation,
+Two kernels sum rows by index. ``scatter_sum`` is a flat ``np.bincount``
+over ``index * width + column``: it serves the backward of the gather
+``rows``, the forward of its adjoint ``scatter_rows`` and the completion
+loss's scatters, needs no sort, and reads its input in memory order; rows
+no index hits are zero. ``segment_weighted_sum``, the edge aggregation,
 reads its table rows by index where they are and sums them slot by slot
-over segments ordered longest first, with no (entries, width) array.
-Both add in index order from zero, so every sum equals a Python loop's.
+over runs ordered longest first, with no (entries, width) array: its
+forward runs over segments, and its table gradient over the entries
+grouped by table row. Both add in index order from zero, so every sum
+equals a Python loop's.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     """Row ``i`` of the result is the sum of the entries or rows of ``g``
     whose index is ``i``, for ``i < n``; rows no index hits are zero.
 
@@ -159,11 +160,6 @@ def _scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     w = g.shape[1]
     flat = (idx[:, None] * w + np.arange(w)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=n * w).reshape(n, w)
-
-
-def _accum_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
-    if _takes_grad(t):
-        _accum(t, _scatter_sum(idx, g, t.shape[0]))
 
 
 def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
@@ -290,7 +286,8 @@ def rows(m: Tensor, indices) -> Tensor:
     idx = _indices(indices, m.shape[0], "rows")
 
     def back(g):
-        _accum_rows(m, idx, g)
+        if _takes_grad(m):
+            _accum(m, scatter_sum(idx, g, m.shape[0]))
 
     return _make(m.data[idx], (m,), back)
 
@@ -308,7 +305,7 @@ def scatter_rows(m: Tensor, indices, n: int) -> Tensor:
     def back(g):
         _accum(m, g[idx])
 
-    return _make(_scatter_sum(idx, m.data, n), (m,), back)
+    return _make(scatter_sum(idx, m.data, n), (m,), back)
 
 
 def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -448,6 +445,26 @@ def segment_softmax(logits: Tensor, offsets) -> Tensor:
     return _make(val, (logits,), back)
 
 
+def _slots(lengths: np.ndarray) -> np.ndarray:
+    """For runs ordered longest first, how many are still open at each slot:
+    entry ``l`` of the result counts the runs longer than ``l``."""
+    return np.searchsorted(-lengths, -np.arange(lengths[0]))
+
+
+def _slot_sums(first, lengths, table, index, weights, part, acc) -> None:
+    """Add, for each run r ordered longest first, the rows
+    ``table[index[p]] * weights[p]`` over its positions ``p = first[r] + l``
+    into ``acc[r]``, slot ``l`` by slot: every sum is acc + x_0 + x_1 + ...
+    in position order. ``part`` holds at least as many rows as ``acc``."""
+    for slot, open_ in enumerate(_slots(lengths)):
+        entry = first[:open_] + slot
+        # indices are checked, so take's "clip" never clips, and unlike
+        # "raise" it writes to out directly
+        scaled = np.take(table, index[entry], axis=0, out=part[:open_], mode="clip")
+        scaled *= weights[entry]
+        acc[:open_] += scaled
+
+
 def segment_weighted_sum(weights: Tensor, table: Tensor, index, offsets) -> Tensor:
     """Per segment, the sum over its entries e of table row ``index[e]``
     scaled by weight e: (n,) or (n, k) weights, a (rows, q) table and n
@@ -455,10 +472,14 @@ def segment_weighted_sum(weights: Tensor, table: Tensor, index, offsets) -> Tens
     column j of a matrix scales column block j, of width q / k. Indices
     may repeat, and table rows no index hits add nothing.
 
-    The forward gathers no (n, q) array. Segments are ordered longest
+    Neither pass builds an (n, q) array. Segments are ordered longest
     first, so the segments still open at slot l are a prefix, and slot l
     adds entry l of each of them into a zeroed (segments, q) accumulator:
-    every sum is 0 + x_0 + x_1 + ... in entry order.
+    every sum is 0 + x_0 + x_1 + ... in entry order. The backward walks
+    the same slots for the weight gradient, one row product per entry, and
+    runs the same kernel for the table gradient over the entries grouped
+    by table row (a stable sort, so each row adds its entries in entry
+    order from zero, as ``scatter_sum`` would).
     """
     k = weights.shape[1] if weights.data.ndim == 2 else 1
     if weights.data.ndim == 0 or table.data.ndim != 2 or table.shape[1] % k:
@@ -470,23 +491,36 @@ def segment_weighted_sum(weights: Tensor, table: Tensor, index, offsets) -> Tens
     starts, counts = _segments(offsets, n, "segment_weighted_sum")
     w = weights.data.reshape(n, k, 1)
     blocks = table.data.reshape(table.shape[0], k, -1)
-
-    def back(g):
-        spread = np.repeat(g, counts, axis=0).reshape(n, k, -1)
-        _accum(weights, (spread * blocks[idx]).sum(axis=2).reshape(weights.shape))
-        _accum_rows(table, idx, (w * spread).reshape(n, -1))
-
     order = np.argsort(-counts, kind="stable")
     first, longest_first = starts[order], counts[order]
     acc = np.zeros((counts.size,) + blocks.shape[1:])
     part = np.empty_like(acc)
-    # open_: how many segments are longer than slot; indices are checked,
-    # so take's "clip" never clips, and unlike "raise" it writes to out directly
-    for slot, open_ in enumerate(np.searchsorted(-longest_first, -np.arange(longest_first[0]))):
-        entry = first[:open_] + slot
-        scaled = np.take(blocks, idx[entry], axis=0, out=part[:open_], mode="clip")
-        scaled *= w[entry]
-        acc[:open_] += scaled
+
+    def back(g):
+        g = g.reshape(counts.size, k, -1)
+        if _takes_grad(weights):
+            g_order = g[order]
+            w_grad = np.empty((n, k))
+            for slot, open_ in enumerate(_slots(longest_first)):
+                entry = first[:open_] + slot
+                prod = np.take(blocks, idx[entry], axis=0, out=part[:open_], mode="clip")
+                prod *= g_order[:open_]
+                w_grad[entry] = prod.sum(axis=2)
+            _accum(weights, w_grad.reshape(weights.shape))
+        if _takes_grad(table):
+            # entries grouped by table row in entry order, the most-read rows first
+            by_row = np.argsort(idx, kind="stable")
+            hits = np.bincount(idx, minlength=table.shape[0])
+            row_order = np.argsort(-hits, kind="stable")
+            row_first = (np.cumsum(hits) - hits)[row_order]
+            segment = np.repeat(np.arange(counts.size), counts)[by_row]
+            row_acc = np.zeros(blocks.shape)
+            _slot_sums(row_first, hits[row_order], g, segment, w[by_row], np.empty_like(row_acc), row_acc)
+            grad = np.empty(table.shape)
+            grad[row_order] = row_acc.reshape(table.shape)
+            _accum(table, grad)
+
+    _slot_sums(first, longest_first, blocks, idx, w, part, acc)
     out = np.empty((counts.size, table.shape[1]))
     out[order] = acc.reshape(counts.size, -1)
     return _make(out, (weights, table), back)

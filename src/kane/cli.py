@@ -248,9 +248,18 @@ def _load_checkpoint_for(bundle_path: str, checkpoint_path: str):
     return kg, split, params, config, header
 
 
+def _from_checkpoint(checkpoint_path: str, compute, *args):
+    """``compute(*args)`` on a checkpoint's parameters; vectors or scores
+    that are not finite fail naming the checkpoint."""
+    try:
+        return compute(*args)
+    except IntegrityError as err:
+        raise IntegrityError(f"{checkpoint_path}: {err}; refusing to use it") from err
+
+
 def cmd_eval_completion(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
-    reports = evaluate_completion(kg, split, params, config.model)
+    reports = _from_checkpoint(args.checkpoint, evaluate_completion, kg, split, params, config.model)
     text = completion_report_text(reports, config.model)
     d = out_dir(args)
     write_atomic(d / "completion_report.txt", text)
@@ -263,7 +272,7 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
     if config.task != "classification":
         raise IntegrityError(f"{args.checkpoint}: a {config.task} checkpoint has no classifier head")
-    result = evaluate_classification(kg, split, params, config.model)
+    result = _from_checkpoint(args.checkpoint, evaluate_classification, kg, split, params, config.model)
     text = classification_report_text(result, config.model)
     d = out_dir(args)
     write_atomic(d / "classification_report.txt", text)
@@ -287,7 +296,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
     if args.propagated:
         view = GraphView.restricted(kg, split.train, config.model.use_attributes)
-        matrix = entity_matrix(view, params, config.model)
+        matrix = _from_checkpoint(args.checkpoint, entity_matrix, view, params, config.model)
     else:
         matrix = params.entity.data
     d = out_dir(args)

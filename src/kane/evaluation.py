@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, Triple, pair_keys, triple_rows,
 )
@@ -78,9 +78,15 @@ def entity_matrix(view: GraphView, params: ModelParams, config: ModelConfig) -> 
     """Final entity vectors as one (entities, dim) array (no tape recorded).
 
     The array is a copy: with no propagation layers the final matrix is
-    the live embedding table itself.
+    the live embedding table itself. Finite but huge parameters can
+    propagate to vectors that are not finite: that raises
+    ``IntegrityError``, with no NumPy warning on the way.
     """
-    return np.array(forward_all(view, params, config).data)
+    with np.errstate(all="ignore"):
+        ent = np.array(forward_all(view, params, config).data)
+    if not np.isfinite(ent).all():
+        raise IntegrityError("propagated entity vectors are not finite")
+    return ent
 
 
 def _as_queries(queries) -> tuple[np.ndarray, bool]:
@@ -362,7 +368,8 @@ def hits_fraction_for_triples(
 def classification_accuracy(
     ent: np.ndarray, params: ModelParams, entities: list[int], labels: dict[int, int]
 ) -> float:
-    """Accuracy of argmax class prediction (ties resolve to the lowest index)."""
+    """Accuracy of argmax class prediction (ties resolve to the lowest index).
+    Class scores that are not finite raise ``IntegrityError``."""
     if not entities:
         raise ConfigError("no entities to classify")
     if "cls_w" not in params:
@@ -370,7 +377,10 @@ def classification_accuracy(
     for e in entities:
         if e not in labels:
             raise ConfigError(f"entity {e} has no label")
-    scores = ent[entities] @ params["cls_w"].data + params["cls_b"].data
+    with np.errstate(all="ignore"):
+        scores = ent[entities] @ params["cls_w"].data + params["cls_b"].data
+    if not np.isfinite(scores).all():
+        raise IntegrityError("class scores are not finite")
     pred = scores.argmax(axis=1)
     truth = np.array([labels[e] for e in entities])
     return float((pred == truth).mean())

@@ -176,25 +176,24 @@ def corrupt(
 # losses
 
 def hinge_loss(
-    pos_distances: Tensor, neg_distances: Tensor, margin: float, negatives_per_positive: int
-) -> Tensor:
-    """Sum of [margin + d(pos) - d(neg)]_+ over all (positive, negative) pairs.
+    distances: np.ndarray, positives: int, margin: float, negatives_per_positive: int
+) -> tuple[float, np.ndarray]:
+    """Sum of [margin + d(pos) - d(neg)]_+ over all (positive, negative)
+    pairs, and its gradient with respect to each distance.
 
-    ``neg_distances`` holds ``negatives_per_positive`` entries per positive,
-    grouped in positive order.
+    ``distances`` holds the ``positives`` positive distances, then
+    ``negatives_per_positive`` negative ones per positive, grouped in
+    positive order.
     """
-    n_pos = pos_distances.shape[0]
-    owner = np.repeat(np.arange(n_pos), negatives_per_positive)
-    if neg_distances.shape != owner.shape:
-        raise ConfigError(f"expected {owner.size} negative distances, got {neg_distances.shape[0]}")
-    violation = (pos_distances.data[owner] - neg_distances.data) + float(margin)
+    owner = np.repeat(np.arange(positives), negatives_per_positive)
+    if distances.shape != (positives + owner.size,):
+        raise ConfigError(f"expected {positives + owner.size} distances, got {distances.shape[0]}")
+    violation = (distances[owner] - distances[positives:]) + float(margin)
     active = violation > 0.0
-
-    def back(g):
-        g_active = g * active
-        return np.bincount(owner, weights=g_active, minlength=n_pos), -g_active
-
-    return ad.fused(np.where(active, violation, 0.0).sum(), (pos_distances, neg_distances), back)
+    grad = np.zeros(distances.shape)
+    grad[:positives] = np.bincount(owner, weights=active, minlength=positives)
+    grad[positives:] -= active
+    return np.where(active, violation, 0.0).sum(), grad
 
 
 def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
@@ -252,18 +251,46 @@ def _completion_batch_loss(
     values: Tensor | None = None,
 ) -> Tensor:
     """Hinge loss of positive rows against their negative rows, grouped by
-    positive. Attribute targets read ``values``, the value table from
-    ``encode_value``."""
+    positive, as one tape record. Attribute targets read ``values``, the
+    value table from ``encode_value``.
+
+    Each row's difference h + r - t is built in one buffer, and the
+    backward writes its gradient into a second one, from which three
+    scatters fill the entity, relation and value gradients.
+    """
     rows = np.concatenate([positives, negatives])
+    head, relation, target = rows[:, 0], rows[:, 1], rows[:, 2]
+    rel, n_ent = params.relation, ent.shape[0]
     # targets index one table: the entity rows, then the value rows by value id
-    table = ent if values is None else ad.concat_rows([ent, values])
-    head_mat = ad.rows(ent, rows[:, 0])
-    tail_mat = ad.rows(table, rows[:, 2])
-    rel_mat = ad.rows(params.relation, rows[:, 1])
-    dists = ad.rowwise_norm(ad.sub(ad.add(head_mat, rel_mat), tail_mat), config.model.norm)
-    d_pos = ad.rows(dists, np.arange(len(positives)))
-    d_neg = ad.rows(dists, np.arange(len(positives), len(rows)))
-    return hinge_loss(d_pos, d_neg, config.margin, config.negatives)
+    table = ent.data if values is None else np.concatenate([ent.data, values.data])
+    n_rel, n_target = rel.shape[0], table.shape[0]
+    for col, n, what in ((head, n_ent, "head"), (relation, n_rel, "relation"), (target, n_target, "target")):
+        if col.min() < 0 or col.max() >= n:
+            raise IndexError(f"completion loss: {what} index out of range for {n} rows")
+    diff = np.take(ent.data, head, axis=0)
+    buf = np.take(rel.data, relation, axis=0)
+    diff += buf
+    diff -= np.take(table, target, axis=0, out=buf)
+    l1 = config.model.norm == "l1"
+    dist = np.abs(diff, out=buf).sum(axis=1) if l1 else np.sqrt(np.multiply(diff, diff, out=buf).sum(axis=1))
+    loss, dist_grad = hinge_loss(dist, len(positives), config.margin, config.negatives)
+
+    def back(g):
+        g_dist = (dist_grad * g)[:, None]
+        if l1:
+            grad = np.multiply(np.sign(diff, out=buf), g_dist, out=buf)
+        else:
+            grad = np.multiply(diff, g_dist / np.where(dist == 0.0, 1.0, dist)[:, None], out=buf)
+            grad *= (dist != 0.0)[:, None]
+        rel_grad = ad.scatter_sum(relation, grad, n_rel)
+        head_grad = ad.scatter_sum(head, grad, n_ent)
+        target_grad = ad.scatter_sum(target, np.negative(grad, out=grad), n_target)
+        head_grad += target_grad[:n_ent]
+        if values is None:
+            return head_grad, rel_grad
+        return head_grad, rel_grad, target_grad[n_ent:]
+
+    return ad.fused(loss, (ent, rel) if values is None else (ent, rel, values), back)
 
 
 def _classification_batch_loss(
@@ -356,7 +383,10 @@ def train(
             if config.val_every and has_validation and epoch % config.val_every == 0:
                 if config.task == "completion" and filt is None:
                     filt = evaluation.build_filter_index(kg)
-                metric = _validation_metric(split, view, params, config, filt)
+                try:
+                    metric = _validation_metric(split, view, params, config, filt)
+                except IntegrityError as err:
+                    raise TrainingError(f"epoch {epoch}, validation: {err}") from err
                 report.validation.append((epoch, metric))
                 if best_metric is None or metric > best_metric:
                     best_metric = metric

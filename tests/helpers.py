@@ -103,6 +103,40 @@ def total(t: ad.Tensor) -> ad.Tensor:
     return ad.fused(t.data.sum(), (t,), lambda g: (np.full(t.shape, g),))
 
 
+def composed_completion_loss(
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    ent: ad.Tensor,
+    relation: ad.Tensor,
+    norm: str,
+    margin: float,
+    negatives_per_positive: int,
+    values: ad.Tensor | None = None,
+) -> ad.Tensor:
+    """The completion hinge loss built op by op, one tape record per step:
+    gather h, r and t (t from the entity rows, then the value rows), take
+    the norm of (h + r) - t, split the distances into positives and
+    negatives, and hinge them. ``training._completion_batch_loss`` fuses
+    these steps into one record with the same sums in the same order."""
+    rows = np.concatenate([positives, negatives])
+    table = ent if values is None else ad.concat_rows([ent, values])
+    head_mat = ad.rows(ent, rows[:, 0])
+    tail_mat = ad.rows(table, rows[:, 2])
+    rel_mat = ad.rows(relation, rows[:, 1])
+    dists = ad.rowwise_norm(ad.sub(ad.add(head_mat, rel_mat), tail_mat), norm)
+    d_pos = ad.rows(dists, np.arange(len(positives)))
+    d_neg = ad.rows(dists, np.arange(len(positives), len(rows)))
+    owner = np.repeat(np.arange(len(positives)), negatives_per_positive)
+    violation = (d_pos.data[owner] - d_neg.data) + float(margin)
+    active = violation > 0.0
+
+    def back(g):
+        g_active = g * active
+        return np.bincount(owner, weights=g_active, minlength=len(positives)), -g_active
+
+    return ad.fused(np.where(active, violation, 0.0).sum(), (d_pos, d_neg), back)
+
+
 def away_from_zero(arr: "np.ndarray", gap: float = 0.05) -> "np.ndarray":
     """Shift entries so none lies within ``gap`` of zero (kink safety)."""
     out = np.array(arr)

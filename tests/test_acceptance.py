@@ -41,14 +41,13 @@ from kane.kgdata import (
     triple_rows,
 )
 import kane.model as model_module
-from kane.model import ModelConfig, forward_all, init_params
+from kane.model import ModelConfig, ModelParams, forward_all, init_params
 from kane.training import (
     TrainConfig,
     _classification_batch_loss,
     _completion_batch_loss,
     bce_loss,
     corrupt,
-    hinge_loss,
     load_checkpoint_bytes,
     save_checkpoint_bytes,
 )
@@ -160,9 +159,6 @@ def _op_gradient_cases(rng: np.random.Generator):
 
 def _loss_gradient_cases(rng: np.random.Generator):
     cases = []
-    pos = ad.parameter(rng.uniform(0.5, 2.5, size=2))
-    neg = ad.parameter(rng.uniform(0.5, 3.5, size=4))
-    cases.append(("hinge_loss", [pos, neg], lambda: hinge_loss(pos, neg, 1.0, 2)))
     scores = ad.parameter(rng.normal(size=(3, 4)))
     labels = [int(rng.integers(4)) for _ in range(3)]
     cases.append(("bce_loss", [scores], lambda: bce_loss(scores, labels, 4)))
@@ -206,6 +202,23 @@ def _end_to_end_case(seed: int, task: str):
     return forward, list(params.values())
 
 
+def _completion_loss_case(seed: int, norm: str, with_values: bool):
+    """The fused completion loss on parameter tables: 5 entities, 3
+    relations and, with ``with_values``, 3 value rows as targets 5-7."""
+    rng = np.random.default_rng(seed + 20)
+    ent = ad.parameter(rng.normal(size=(5, 4)))
+    params = ModelParams({"entity": ent, "relation": ad.parameter(rng.normal(size=(3, 4)))})
+    values = ad.parameter(rng.normal(size=(3, 4))) if with_values else None
+    targets = 8 if with_values else 5
+    positives = np.stack([rng.integers(0, 5, size=3), rng.integers(0, 3, size=3),
+                          rng.integers(0, targets, size=3)], axis=1)
+    negatives = np.repeat(positives, 2, axis=0)
+    negatives[:, 2] = rng.integers(0, targets, size=6)
+    config = TrainConfig(model=ModelConfig(dim=4, norm=norm), margin=3.0, negatives=2)
+    tensors = list(params.values()) + ([values] if with_values else [])
+    return lambda: _completion_batch_loss(positives, negatives, ent, params, config, values), tensors
+
+
 def test_gradient_suite():
     start = time.perf_counter()
     op_cases = 0
@@ -229,6 +242,13 @@ def test_gradient_suite():
             assert err < 1e-4, f"end-to-end {task} (seed {seed}): relative error {err}"
             worst_e2e = max(worst_e2e, err)
             e2e_cases += 1
+        for norm in ("l1", "l2"):
+            for with_values in (False, True):
+                forward, tensors = _completion_loss_case(seed, norm, with_values)
+                err = check_gradients(forward, tensors, step=1e-6)
+                assert err < 1e-4, f"completion loss {norm}, values {with_values} (seed {seed}): relative error {err}"
+                worst_e2e = max(worst_e2e, err)
+                e2e_cases += 1
 
     elapsed = time.perf_counter() - start
     total = op_cases + e2e_cases

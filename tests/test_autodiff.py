@@ -12,6 +12,7 @@ import ast
 import functools
 import inspect
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,10 +256,12 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
 def test_scatter_sums_match_a_python_loop(data):
     """Every sum of rows by index adds in index order, from zero, exactly as
     a Python loop does: the backward of ``rows`` on a matrix and a vector,
-    the forward of ``scatter_rows``, and both the forward and the table
-    gradient of ``segment_weighted_sum``. Unsorted and repeated indices,
-    rows no index hits, widths 1, 3 and 128, vector and (n, k) weights, and
-    segments of unequal lengths whose longest is not the first."""
+    the forward of ``scatter_rows``, and the forward and the table gradient
+    of ``segment_weighted_sum``; its weight gradient takes each entry's
+    products with its segment's gradient row and sums them as ``np.sum``
+    does. Unsorted and repeated indices, rows no index hits, widths 1, 3 and
+    128, vector and (n, k) weights, and segments of unequal lengths whose
+    longest is not the first."""
     width = data.draw(st.sampled_from([1, 3, 128]), label="width")
     n = data.draw(st.integers(1, 12), label="n")
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
@@ -288,13 +291,15 @@ def test_scatter_sums_match_a_python_loop(data):
     rows_total = data.draw(st.integers(2, 12), label="table rows")
     index = data.draw(st.lists(st.integers(0, rows_total - 2), min_size=entries, max_size=entries), label="index")
     index[-1] = index[0]
-    weights = rng.normal(size=entries if k is None else (entries, k))
+    weight_param = ad.parameter(rng.normal(size=entries if k is None else (entries, k)))
+    weights = weight_param.data
     table = ad.parameter(rng.normal(size=(rows_total, blocks * width)))
     w_out = rng.normal(size=(len(counts), blocks * width))
     with ad.Tape() as tape:
-        summed = ad.segment_weighted_sum(ad.constant(weights), table, index, offsets)
+        summed = ad.segment_weighted_sum(weight_param, table, index, offsets)
         ad.backward(tape, probe(summed, ad.constant(w_out)))
     want, want_table = np.zeros_like(w_out), np.zeros_like(table.data)
+    want_weights = np.zeros((entries, blocks))
     for seg, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         for e in range(lo, hi):
             for j in range(blocks):
@@ -306,8 +311,35 @@ def test_scatter_sums_match_a_python_loop(data):
         for j in range(blocks):
             block = slice(j * width, (j + 1) * width)
             want_table[index[e], block] += (weights[e] if k is None else weights[e, j]) * w_out[seg, block]
+            want_weights[e, j] = (w_out[seg, block] * table.data[index[e], block]).sum()
     assert np.array_equal(summed.data, want)
     assert np.array_equal(table.grad, want_table)
+    assert np.array_equal(weight_param.grad, want_weights.reshape(weights.shape))
+
+
+def test_aggregation_backward_builds_no_entry_wide_array():
+    """The backward of ``segment_weighted_sum`` over 2,000 entries allocates
+    less at its peak than one (entries, width) float64 array: both of its
+    gradients are summed slot by slot, not from gathered rows."""
+    rng = np.random.default_rng(31)
+    counts = rng.integers(1, 40, size=100)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    entries, width = int(offsets[-1]), 64
+    assert entries >= 1000
+    weights = ad.parameter(rng.normal(size=(entries, 2)))
+    table = ad.parameter(rng.normal(size=(50, width)))
+    index = rng.integers(0, 50, size=entries)
+    w_out = ad.constant(rng.normal(size=(counts.size, width)))
+    with ad.Tape() as tape:
+        root = probe(ad.segment_weighted_sum(weights, table, index, offsets), w_out)
+        tracemalloc.start()
+        try:
+            ad.backward(tape, root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert weights.grad.shape == (entries, 2) and table.grad.shape == (50, width)
+    assert peak < entries * width * 8, f"peak {peak} bytes"
 
 
 def test_gradient_buffers_belong_to_one_tensor():

@@ -369,6 +369,40 @@ class TestFailures:
         assert capsys.readouterr().err == f"error: epoch 1, batch at 0: {message}\n"
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["eval-completion", "eval-classify", "export"])
+    def test_checkpoint_whose_vectors_overflow_is_one_error_line(self, tmp_path, capsys, command):
+        """One classification epoch at a learning rate of 1e308 leaves every
+        parameter finite but huge, so propagation overflows: each command
+        that reads the propagated vectors refuses the checkpoint in one line
+        naming it, with no NumPy warning and no output."""
+        bundle = gen_and_prepare(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--bundle", str(bundle), "--out", str(run_dir), *SMALL_TRAIN,
+                    "--set", "task=classification", "--set", "epochs=1", "--set", "batch_size=100000",
+                    "--set", "learning_rate=1e308"]) == 0
+        ckpt = run_dir / "model.ckpt"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        extra = ["--propagated"] if command == "export" else []
+        code = run([command, "--bundle", str(bundle), "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: propagated entity vectors are not finite; refusing to use it\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_validation_on_overflowing_vectors_stops_the_run(self, tmp_path, capsys):
+        """The same overflow met by in-training validation is a training
+        failure naming the epoch, and no checkpoint is written."""
+        bundle = gen_and_prepare(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--bundle", str(bundle), "--out", str(out), *SMALL_TRAIN,
+                    "--set", "task=classification", "--set", "epochs=1", "--set", "val_every=1",
+                    "--set", "batch_size=100000", "--set", "learning_rate=1e308"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: epoch 1, validation: propagated entity vectors are not finite\n"
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_bundle_file_exits_nonzero(self, tmp_path, capsys):
         code = run(["train", "--bundle", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path)])

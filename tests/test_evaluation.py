@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kane.evaluation as evaluation
 import kane.oracle as oracle
-from kane.errors import ConfigError
+from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import (
     SETTINGS,
     FilterIndex,
@@ -416,6 +416,15 @@ class TestClassification:
                            np.random.default_rng(1))
         with pytest.raises(ConfigError):
             classification_accuracy(ent, bare, [0], {0: 0})
+
+    def test_scores_that_overflow_raise_integrity_error(self):
+        """Finite vectors times a huge head overflow to infinite scores:
+        they are refused, not ranked, and warn nothing."""
+        params = self._params_with_identity_head()
+        params["cls_w"].data = np.array([[1e308, -1e308], [1e308, -1e308]])
+        ent = np.array([[2.0, 2.0]])
+        with pytest.raises(IntegrityError, match="class scores are not finite"):
+            classification_accuracy(ent, params, [0], {0: 0})
 
     def test_evaluate_classification_output(self):
         kg, split, params, model = _trained_toy(task="classification")

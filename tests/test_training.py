@@ -37,8 +37,10 @@ from kane.training import (
 )
 
 from helpers import (
+    autodiff_gradients,
     check_gradients,
     checkpoint_header,
+    composed_completion_loss,
     kg_from_name_triples,
     random_kg,
     reference_bce,
@@ -169,14 +171,7 @@ class TestCorrupt:
 class TestHingeLoss:
     @staticmethod
     def _loss(pos, neg, margin, npp):
-        return float(
-            hinge_loss(
-                ad.constant(np.array(pos, dtype=float)),
-                ad.constant(np.array(neg, dtype=float)),
-                margin,
-                npp,
-            ).data
-        )
+        return float(hinge_loss(np.array(pos + neg, dtype=float), len(pos), margin, npp)[0])
 
     def test_hand_values(self):
         assert self._loss([1.0], [3.0], 1.0, 1) == 0.0
@@ -193,13 +188,16 @@ class TestHingeLoss:
             self._loss([1.0, 2.0], [1.0, 2.0, 3.0], 1.0, 2)
 
     def test_gradients_exact_for_linear_regions(self):
-        pos = ad.parameter(np.array([0.5, 2.0]), "pos")
-        neg = ad.parameter(np.array([3.0, 0.7, 1.4, 4.0]), "neg")
-
-        def forward():
-            return hinge_loss(pos, neg, 1.0, 2)
-
-        assert check_gradients(forward, [pos, neg], step=1e-6) < 1e-9
+        """Each positive gets +1 per active pair and each negative -1 if
+        its pair is active; central differences agree away from the kinks."""
+        dist = np.array([0.5, 2.0, 3.0, 0.7, 1.4, 4.0])
+        loss, grad = hinge_loss(dist, 2, 1.0, 2)
+        assert loss == ((0.5 - 0.7) + 1.0) + ((2.0 - 1.4) + 1.0)
+        assert np.array_equal(grad, [1.0, 1.0, 0.0, -1.0, -1.0, 0.0])
+        step = 1e-6
+        numeric = [(hinge_loss(dist + step * e, 2, 1.0, 2)[0] - hinge_loss(dist - step * e, 2, 1.0, 2)[0])
+                   / (2.0 * step) for e in np.eye(dist.size)]
+        assert np.abs(grad - numeric).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +269,64 @@ class TestBceLoss:
         assert check_gradients(forward, [scores], step=1e-6) < 1e-8
 
 
-@pytest.mark.parametrize("loss", ["hinge", "bce"])
+def _completion_loss_setup(norm, values):
+    """Positive and negative rows over 5 entities, 3 relations and, with
+    ``values``, 3 value rows (targets 5-7), with entity and relation tables
+    as parameters: (positives, negatives, ent, params, config, value table)."""
+    rng = np.random.default_rng(21)
+    positives = np.array([[0, 1, 2], [3, 0, 4], [1, 2, 6 if values else 0], [4, 2, 1]])
+    # 3 negatives per positive; the last replaces the head, the others the target
+    negatives = np.repeat(positives, 3, axis=0)
+    negatives[0::3, 2] = rng.integers(0, 8 if values else 5, size=4)
+    negatives[1::3, 2] = rng.integers(0, 8 if values else 5, size=4)
+    negatives[2::3, 0] = rng.integers(0, 5, size=4)
+    params = init_params(5, 3, 0, 0, ModelConfig(dim=4, head_dim=4, heads=1, layers=0,
+                                                 use_attributes=False, norm=norm), rng)
+    config = TrainConfig(model=ModelConfig(dim=4, norm=norm), margin=2.0, negatives=3)
+    table = ad.parameter(rng.normal(size=(3, 4))) if values else None
+    return positives, negatives, params.entity, params, config, table
+
+
+@pytest.mark.parametrize("loss", ["completion", "bce"])
 def test_each_loss_is_one_tape_record(loss):
     rng = np.random.default_rng(8)
     with ad.Tape() as tape:
-        if loss == "hinge":
-            hinge_loss(ad.parameter(rng.uniform(size=2)), ad.parameter(rng.uniform(size=6)), 1.0, 3)
+        if loss == "completion":
+            _completion_batch_loss(*_completion_loss_setup("l2", values=True))
         else:
             bce_loss(ad.parameter(rng.normal(size=(3, 4))), [0, 2, 3], 4)
     assert len(tape.records) == 1
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("values", [False, True])
+def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values):
+    """The one-record loss and every gradient equal the op-by-op composition
+    (``helpers.composed_completion_loss``) bit for bit, with and without
+    a value table, and some distances exactly zero (l2's 0/0 guard)."""
+    positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values)
+    negatives[0] = positives[0]  # with the next line, row 0 of both has a zero difference
+    ent.data[2] = ent.data[0] + params.relation.data[1]
+    tensors = list(params.values()) + ([table] if values else [])
+    fused_loss, fused_grads = autodiff_gradients(
+        lambda: _completion_batch_loss(positives, negatives, ent, params, config, table), tensors)
+    composed_loss, composed_grads = autodiff_gradients(
+        lambda: composed_completion_loss(positives, negatives, ent, params.relation, norm,
+                                         config.margin, config.negatives, table), tensors)
+    assert fused_loss == composed_loss
+    for got, want in zip(fused_grads, composed_grads, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("column, rows", [(0, 5), (1, 3), (2, 8)])
+def test_completion_loss_refuses_an_index_out_of_range(column, rows):
+    positives, negatives, ent, params, config, table = _completion_loss_setup("l1", values=True)
+    negatives[-1, column] = rows
+    with pytest.raises(IndexError, match=f"out of range for {rows} rows"):
+        _completion_batch_loss(positives, negatives, ent, params, config, table)
+    negatives[-1, column] = -1
+    with pytest.raises(IndexError):
+        _completion_batch_loss(positives, negatives, ent, params, config, table)
 
 
 # ---------------------------------------------------------------------------
