@@ -1,7 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The op set is deliberately closed: it covers exactly what the embedding
-model and the attribute encoders need; each loss is one ``fused`` record.
+model and the bag-of-words encoder need; each loss and the LSTM encoder
+is one ``fused`` record, so no elementwise activation but the leaky ReLU
+remains.
 Values are numpy arrays of at most two dimensions (0-d scalars, 1-d
 vectors, 2-d matrices); there is no broadcasting, no sparse storage and
 no higher-order gradients.
@@ -31,13 +33,16 @@ no index hits are zero. ``segment_weighted_sum``, the edge aggregation,
 reads its table rows by index where they are and sums them slot by slot
 over runs ordered longest first, with no (entries, width) array: its
 forward runs over segments, and its table gradient over the entries
-grouped by table row. Both add in index order from zero, so every sum
-equals a Python loop's.
+grouped by table row. It reads that slot structure from an
+``AggregationPlan``, built once per edge set (a graph view holds one), whose
+reverse index for the table gradient is built at the first backward. Both
+kernels add in index order from zero, so every sum equals a Python loop's.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -389,28 +394,6 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     return _make(np.where(pos, t.data, s * t.data), (t,), back)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    z = np.exp(-np.abs(x))  # overflow-free in both tails
-    val = np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def back(g):
-        _accum(t, g * val * (1.0 - val))
-
-    return _make(val, (t,), back)
-
-
-def tanh(t: Tensor) -> Tensor:
-    val = np.tanh(t.data)
-
-    def back(g):
-        _accum(t, g * (1.0 - val * val))
-
-    return _make(val, (t,), back)
-
-
-
-
 # ---------------------------------------------------------------------------
 # segments: consecutive runs of entries, delimited by CSR offsets
 #
@@ -445,82 +428,125 @@ def segment_softmax(logits: Tensor, offsets) -> Tensor:
     return _make(val, (logits,), back)
 
 
-def _slots(lengths: np.ndarray) -> np.ndarray:
-    """For runs ordered longest first, how many are still open at each slot:
-    entry ``l`` of the result counts the runs longer than ``l``."""
-    return np.searchsorted(-lengths, -np.arange(lengths[0]))
+def _slot_major(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """For runs ordered longest first, run ``r`` holding positions
+    ``first[r] + l`` for ``l < lengths[r]``: every position, slot ``l`` by
+    slot and within a slot run by run, and each slot's (start, stop) in that
+    list. The runs still open at a slot are a prefix of the order."""
+    open_ = np.searchsorted(-lengths, -np.arange(lengths[0]))  # runs longer than l
+    bounds = np.concatenate([[0], np.cumsum(open_)])
+    run = np.arange(bounds[-1]) - np.repeat(bounds[:-1], open_)
+    positions = first[run] + np.repeat(np.arange(open_.size), open_)
+    return positions, list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _slot_sums(first, lengths, table, index, weights, part, acc) -> None:
-    """Add, for each run r ordered longest first, the rows
-    ``table[index[p]] * weights[p]`` over its positions ``p = first[r] + l``
-    into ``acc[r]``, slot ``l`` by slot: every sum is acc + x_0 + x_1 + ...
-    in position order. ``part`` holds at least as many rows as ``acc``."""
-    for slot, open_ in enumerate(_slots(lengths)):
-        entry = first[:open_] + slot
+class AggregationPlan:
+    """The slot structure of ``segment_weighted_sum`` over fixed entries:
+    entry ``e`` reads table row ``index[e]``, and the CSR ``offsets``
+    delimit the segments. A graph view builds one for its edges, which
+    never change, and every aggregation over them reads it.
+
+    Segments are ordered longest first (``order``, a stable sort), so the
+    ones still open at slot ``l`` are a prefix of that order and slot ``l``
+    adds entry ``l`` of each. ``entries`` lists the entries slot-major,
+    ``sources`` the table rows they read, and ``slots`` each slot's (start,
+    stop) in those lists. The same structure over the entries grouped by
+    table row, for the table gradient, is built by the first backward
+    (``reverse``, cached), so a forward outside a tape never pays for it.
+    """
+
+    def __init__(self, index, offsets):
+        idx = np.asarray(index, dtype=np.intp)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ShapeError("AggregationPlan: needs a non-empty 1-d index list")
+        if idx.min() < 0:
+            raise IndexError("AggregationPlan: negative table row index")
+        starts, counts = _segments(offsets, idx.size, "AggregationPlan")
+        self.index = idx
+        self.counts = counts
+        self.rows = int(idx.max()) + 1  # a table needs at least this many rows
+        self.order = np.argsort(-counts, kind="stable")
+        self.entries, self.slots = _slot_major(starts[self.order], counts[self.order])
+        self.sources = idx[self.entries]
+
+    @cached_property
+    def reverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
+        """The table rows that entries read, most-read first; then, slot by
+        slot over those rows, the entries (grouped by row in entry order, a
+        stable sort) and the segments they belong to; and each slot's
+        (start, stop)."""
+        by_row = np.argsort(self.index, kind="stable")
+        hits = np.bincount(self.index)
+        hit_rows = np.argsort(-hits, kind="stable")[:np.count_nonzero(hits)]
+        first = (np.cumsum(hits) - hits)[hit_rows]
+        positions, slots = _slot_major(first, hits[hit_rows])
+        entries = by_row[positions]
+        return hit_rows, entries, np.repeat(np.arange(self.counts.size), self.counts)[entries], slots
+
+
+def _slot_sums(slots, table, index, weights, part, acc) -> None:
+    """Add, for each slot-major entry ``p``, the row ``table[index[p]] *
+    weights[p]`` into row ``p - start`` of ``acc``, where ``start`` opens
+    its slot: every sum is acc + x_0 + x_1 + ... in slot order. ``part``
+    holds at least as many rows as ``acc``."""
+    for lo, hi in slots:
         # indices are checked, so take's "clip" never clips, and unlike
         # "raise" it writes to out directly
-        scaled = np.take(table, index[entry], axis=0, out=part[:open_], mode="clip")
-        scaled *= weights[entry]
-        acc[:open_] += scaled
+        scaled = np.take(table, index[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
+        scaled *= weights[lo:hi]
+        acc[:hi - lo] += scaled
 
 
-def segment_weighted_sum(weights: Tensor, table: Tensor, index, offsets) -> Tensor:
-    """Per segment, the sum over its entries e of table row ``index[e]``
-    scaled by weight e: (n,) or (n, k) weights, a (rows, q) table and n
-    indices -> (segments, q). A weight vector scales whole rows; weight
-    column j of a matrix scales column block j, of width q / k. Indices
-    may repeat, and table rows no index hits add nothing.
+def segment_weighted_sum(weights: Tensor, table: Tensor, plan: AggregationPlan) -> Tensor:
+    """Per segment of ``plan``, the sum over its entries e of table row
+    ``plan.index[e]`` scaled by weight e: (n,) or (n, k) weights and a
+    (rows, q) table -> (segments, q). A weight vector scales whole rows;
+    weight column j of a matrix scales column block j, of width q / k.
+    Indices may repeat, and table rows no index hits add nothing.
 
-    Neither pass builds an (n, q) array. Segments are ordered longest
-    first, so the segments still open at slot l are a prefix, and slot l
-    adds entry l of each of them into a zeroed (segments, q) accumulator:
-    every sum is 0 + x_0 + x_1 + ... in entry order. The backward walks
-    the same slots for the weight gradient, one row product per entry, and
-    runs the same kernel for the table gradient over the entries grouped
-    by table row (a stable sort, so each row adds its entries in entry
-    order from zero, as ``scatter_sum`` would).
+    Neither pass builds an (n, q) array. Slot ``l`` adds entry ``l`` of
+    each segment still open into a zeroed (segments, q) accumulator, one
+    gather, one product and one sum per slot, so every sum is 0 + x_0 + x_1
+    + ... in entry order. The backward walks the same slots for the weight
+    gradient, one row product per entry, and runs the same kernel over the
+    plan's reverse index for the table gradient, so each row adds its
+    entries in entry order from zero, as ``scatter_sum`` would.
     """
     k = weights.shape[1] if weights.data.ndim == 2 else 1
     if weights.data.ndim == 0 or table.data.ndim != 2 or table.shape[1] % k:
         raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {table.shape}")
     n = weights.shape[0]
-    idx = _indices(index, table.shape[0], "segment_weighted_sum")
-    if idx.size != n:
-        raise ShapeError(f"segment_weighted_sum: {idx.size} indices for {n} weight rows")
-    starts, counts = _segments(offsets, n, "segment_weighted_sum")
+    if n != plan.index.size:
+        raise ShapeError(f"segment_weighted_sum: {n} weight rows for a plan of {plan.index.size} entries")
+    if table.shape[0] < plan.rows:
+        raise IndexError(f"segment_weighted_sum: index out of range for {table.shape[0]} rows")
+    segments, order, entries, slots = plan.counts.size, plan.order, plan.entries, plan.slots
     w = weights.data.reshape(n, k, 1)
     blocks = table.data.reshape(table.shape[0], k, -1)
-    order = np.argsort(-counts, kind="stable")
-    first, longest_first = starts[order], counts[order]
-    acc = np.zeros((counts.size,) + blocks.shape[1:])
+    acc = np.zeros((segments,) + blocks.shape[1:])
     part = np.empty_like(acc)
 
     def back(g):
-        g = g.reshape(counts.size, k, -1)
+        g = g.reshape(segments, k, -1)
         if _takes_grad(weights):
             g_order = g[order]
+            by_slot = np.empty((n, k))
+            for lo, hi in slots:
+                prod = np.take(blocks, plan.sources[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
+                prod *= g_order[:hi - lo]
+                np.add.reduce(prod, axis=2, out=by_slot[lo:hi])
             w_grad = np.empty((n, k))
-            for slot, open_ in enumerate(_slots(longest_first)):
-                entry = first[:open_] + slot
-                prod = np.take(blocks, idx[entry], axis=0, out=part[:open_], mode="clip")
-                prod *= g_order[:open_]
-                w_grad[entry] = prod.sum(axis=2)
+            w_grad[entries] = by_slot
             _accum(weights, w_grad.reshape(weights.shape))
         if _takes_grad(table):
-            # entries grouped by table row in entry order, the most-read rows first
-            by_row = np.argsort(idx, kind="stable")
-            hits = np.bincount(idx, minlength=table.shape[0])
-            row_order = np.argsort(-hits, kind="stable")
-            row_first = (np.cumsum(hits) - hits)[row_order]
-            segment = np.repeat(np.arange(counts.size), counts)[by_row]
-            row_acc = np.zeros(blocks.shape)
-            _slot_sums(row_first, hits[row_order], g, segment, w[by_row], np.empty_like(row_acc), row_acc)
-            grad = np.empty(table.shape)
-            grad[row_order] = row_acc.reshape(table.shape)
+            hit_rows, row_entries, segment, row_slots = plan.reverse
+            row_acc = np.zeros((hit_rows.size,) + blocks.shape[1:])
+            _slot_sums(row_slots, g, segment, w[row_entries], np.empty_like(row_acc), row_acc)
+            grad = np.zeros(table.shape)
+            grad[hit_rows] = row_acc.reshape(hit_rows.size, -1)
             _accum(table, grad)
 
-    _slot_sums(first, longest_first, blocks, idx, w, part, acc)
-    out = np.empty((counts.size, table.shape[1]))
-    out[order] = acc.reshape(counts.size, -1)
+    _slot_sums(slots, blocks, plan.sources, w[entries], part, acc)
+    out = np.empty((segments, table.shape[1]))
+    out[order] = acc.reshape(segments, -1)
     return _make(out, (weights, table), back)

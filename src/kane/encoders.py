@@ -13,7 +13,10 @@ optimization steps.
   the tokens in order; zero initial states; order-sensitive. The
   sequences run as packed sequences: one step advances every sequence
   still running with one matrix product per path for all four gates,
-  whose weights are stored side by side in (in, out) layout.
+  whose weights are stored side by side in (in, out) layout. The whole
+  encoding is one tape record with a hand-written backward through time,
+  whose sums keep the order of the op-by-op tape of the same cell, so its
+  gradients are bit for bit those of that composition.
 
 The encoders take their weights as tensors; which parameters a model has,
 their checkpoint names and how they are drawn is ``kane.model``'s.
@@ -59,6 +62,15 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
     return ad.scatter_rows(ad.rows(word_table, tokens), owner, lengths.size)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, overflow-free in
+    both tails."""
+    z = np.exp(np.negative(np.abs(x)))
+    val = np.where(x >= 0.0, 1.0, z)
+    val /= 1.0 + z
+    return val
+
+
 def lstm_encode(
     sequences: Sequence[Sequence[int]], word_table: Tensor, w_in: Tensor, w_hid: Tensor, b: Tensor
 ) -> Tensor:
@@ -71,39 +83,79 @@ def lstm_encode(
     a path feeds gate ``g``.
 
     The batch runs as packed sequences, longest first (a stable sort, so
-    equal lengths keep their input order). Time step ``t`` gathers token
-    ``t`` of every sequence still running and advances their states with
-    one matrix product per path for all four gates; the states of
-    sequences that have ended are set aside, which keeps the running ones
-    in the leading rows. Step 0 starts from the zero states, so it runs
-    only the input path and no forget gate. The final states are put back
-    in input order at the end.
+    equal lengths keep their input order): step ``t`` advances the ``live``
+    sequences still running, always the leading rows, with one matrix
+    product per path for all four gates, read as column slices. Step 0
+    starts from the zero states, so it runs only the input path and no
+    forget gate. The whole encoding is one tape record; its backward walks
+    the steps in reverse (backpropagation through time) and adds each
+    parameter's gradient step by step from the last step, the word table's
+    by one scatter per step, which is the order of the op-by-op tape.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
     dim = word_table.shape[1]
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
-    running = (lengths[order] > np.arange(int(lengths.max()))[:, None]).sum(axis=1)
+    running = (lengths[order] > np.arange(int(lengths.max()))[:, None]).sum(axis=1).tolist()
+    table, w_i, w_h, bias = word_table.data, w_in.data, w_hid.data, b.data
+    final = np.empty((lengths.size, dim))  # longest first
+    steps = []  # per step: tokens, inputs, previous states, gates, tanh(cell)
     h = c = None  # the zero initial states
-    ended: list[Tensor] = []
-    for t, live in enumerate(running.tolist()):
-        if h is not None and live < h.shape[0]:
-            ended.append(ad.rows(h, np.arange(live, h.shape[0])))
-            h, c = ad.rows(h, np.arange(live)), ad.rows(c, np.arange(live))
-        x = ad.rows(word_table, flat[starts[:live] + t])
-        pre = ad.matmul(x, w_in)
+    for t, live in enumerate(running):
+        tokens = flat[starts[:live] + t]
+        x = table[tokens]
+        pre = x @ w_i
         if h is not None:
-            pre = ad.add(pre, ad.matmul(h, w_hid))
-        pre = ad.reshape(ad.add_rowvec(pre, b), (4 * live, dim))
-        # row 4 k + g of pre holds gate g of sequence k
-        i, f, o, g = (np.arange(k, 4 * live, 4) for k in range(4))
-        cell = ad.elementwise_mul(ad.sigmoid(ad.rows(pre, i)), ad.tanh(ad.rows(pre, g)))
-        if c is None:
-            c = cell  # zero initial states: no cell state to forget
-        else:
-            c = ad.add(ad.elementwise_mul(ad.sigmoid(ad.rows(pre, f)), c), cell)
-        h = ad.elementwise_mul(ad.sigmoid(ad.rows(pre, o)), ad.tanh(c))
-    ended.append(h)
-    # blocks ended shortest first; reversed, they run longest first again
-    packed = ad.concat_rows(ended[::-1])
-    return ad.rows(packed, np.argsort(order))
+            h, c = h[:live], c[:live]
+            pre += h @ w_h
+        pre += bias
+        sig = _sigmoid(pre[:, :3 * dim])  # input, forget, output
+        cand = np.tanh(pre[:, 3 * dim:])
+        cell = sig[:, :dim] * cand
+        c_new = cell if c is None else sig[:, dim:2 * dim] * c + cell
+        tanh_c = np.tanh(c_new)
+        h_new = sig[:, 2 * dim:] * tanh_c
+        steps.append((tokens, x, h, c, sig, cand, tanh_c))
+        h, c = h_new, c_new
+        done = running[t + 1] if t + 1 < len(running) else 0
+        final[done:live] = h[done:]
+
+    def backward(g):
+        g_final = g[order]
+        grads = [None, None, None, None]  # word table, w_in, w_hid, b
+        g_h = g_c = None  # from step t + 1, for its live rows
+        for t in range(len(steps) - 1, -1, -1):
+            tokens, x, h_prev, c_prev, sig, cand, tanh_c = steps[t]
+            live = x.shape[0]
+            i, f, o = sig[:, :dim], sig[:, dim:2 * dim], sig[:, 2 * dim:]
+            done = 0 if g_h is None else g_h.shape[0]
+            gh = np.empty((live, dim))
+            gh[:done] = g_h
+            gh[done:] = g_final[done:live]
+            gc = (gh * o) * (1.0 - tanh_c * tanh_c)
+            if g_c is not None:
+                gc[:done] += g_c
+            g_pre = np.empty((live, 4 * dim))
+            np.multiply(gc, cand, out=g_pre[:, :dim])
+            if c_prev is None:
+                g_pre[:, dim:2 * dim] = 0.0
+            else:
+                np.multiply(gc, c_prev, out=g_pre[:, dim:2 * dim])
+            np.multiply(gh, tanh_c, out=g_pre[:, 2 * dim:3 * dim])
+            g_sig = g_pre[:, :3 * dim]
+            g_sig *= sig
+            g_sig *= 1.0 - sig
+            np.multiply(gc * i, 1.0 - cand * cand, out=g_pre[:, 3 * dim:])
+            parts = [ad.scatter_sum(tokens, g_pre @ w_i.T, table.shape[0]), x.T @ g_pre, None, g_pre.sum(axis=0)]
+            if h_prev is not None:
+                parts[2] = h_prev.T @ g_pre
+                g_h, g_c = g_pre @ w_h.T, gc * f
+            for k, part in enumerate(parts):
+                if part is not None:
+                    if grads[k] is None:
+                        grads[k] = part
+                    else:
+                        grads[k] += part
+        return grads
+
+    return ad.fused(final[np.argsort(order)], (word_table, w_in, w_hid, b), backward)

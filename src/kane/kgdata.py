@@ -25,11 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .autodiff import AggregationPlan
 from .errors import ConfigError, DomainError, IntegrityError, ParseError
 
 BUNDLE_FORMAT = "kane-bundle-v1"
@@ -237,6 +239,12 @@ class GraphView:
     @property
     def entity_count(self) -> int:
         return self.kg.num_entities
+
+    @cached_property
+    def aggregation(self) -> AggregationPlan:
+        """The plan of every edge aggregation over this view, built at first
+        use: a view's edges never change."""
+        return AggregationPlan(self.edges.source, self.edges.segments)
 
     @classmethod
     def restricted(cls, kg: KnowledgeGraph, relation_triples, use_attributes: bool = True) -> "GraphView":

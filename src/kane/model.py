@@ -37,13 +37,15 @@ weights over its edges labelled r: one scatter of the (edges, heads)
 weights into an (active * R, heads) table, then one small matrix product
 with q, next to one weighted sum of the rows t_s, which
 ``segment_weighted_sum`` reads from the source table by index, slot by
-slot, with no (edges, heads * head_dim) array of gathered rows. The
-tables hold (S + R) * R * heads and active * R * heads entries, against
-the edges * heads * head_dim of per-edge query rows; they are smaller
-whenever R * (S + R) < edges * head_dim, which holds on every benchmark
-graph (R = 8). Translational attention keeps its per-edge logits, whose
-weights all heads share, and takes the same output identity with one
-weight per (entity, relation) pair.
+slot, with no (edges, heads * head_dim) array of gathered rows. Its slot
+plan is the view's ``aggregation``, built once per view and shared by
+every layer, step and validation over it. The tables hold (S + R) * R *
+heads and active * R * heads entries, against the edges * heads *
+head_dim of per-edge query rows; they are smaller whenever R * (S + R) <
+edges * head_dim, which holds on every benchmark graph (R = 8).
+Translational attention keeps its per-edge logits, whose weights all
+heads share, and takes the same output identity with one weight per
+(entity, relation) pair.
 
 One segment softmax normalizes every head's logit column over each
 entity's segment of the edge list, and the head outputs come out side by
@@ -310,7 +312,7 @@ def _layer_heads(
     pair = edges.merge[edges.owner] * relations + edges.relation
     pair_weights = ad.reshape(ad.scatter_rows(weights, pair, edges.active.size * relations),
                               (edges.active.size, -1))
-    outputs = ad.add(ad.segment_weighted_sum(weights, source, edges.source, edges.segments),
+    outputs = ad.add(ad.segment_weighted_sum(weights, source, view.aggregation),
                      ad.matmul(pair_weights, spread))
     return weights, outputs
 

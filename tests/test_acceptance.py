@@ -117,10 +117,13 @@ def _op_gradient_cases(rng: np.random.Generator):
     case("rowwise_norm_l2", [m14], lambda: total(ad.rowwise_norm(m14, "l2")))
     v12 = ad.parameter(away_from_zero(rng.normal(size=6)))
     case("leaky_relu", [v12], lambda: total(ad.leaky_relu(v12, 0.2)))
-    v13 = v(6)
-    case("sigmoid", [v13], lambda: total(ad.sigmoid(v13)))
-    v14 = v(6)
-    case("tanh", [v14], lambda: total(ad.tanh(v14)))
+    # the one-record LSTM: lengths 3, 1, 4 and 2 end at four different
+    # steps, and the length-1 sequence runs step 0 alone, with no hidden path
+    word, w_in, w_hid, bias = m(6, 3), m(3, 12), m(3, 12), v(12)
+    probe_lstm = ad.constant(rng.normal(size=(4, 3)))
+    sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
+    case("lstm_encode", [word, w_in, w_hid, bias],
+         lambda: total(ad.elementwise_mul(lstm_encode(sequences, word, w_in, w_hid, bias), probe_lstm)))
     m15, m16 = m(2, 3), m(3, 3)
     probe53 = ad.constant(rng.normal(size=(5, 3)))
     case("concat_rows", [m15, m16],
@@ -132,11 +135,11 @@ def _op_gradient_cases(rng: np.random.Generator):
     case("segment_softmax", [v18],
          lambda: total(ad.elementwise_mul(ad.segment_softmax(v18, offsets), probe6)))
     # the index repeats table rows 0 and 2 and never reads row 1
-    index = [2, 0, 2, 3, 0, 2]
+    plan = ad.AggregationPlan([2, 0, 2, 3, 0, 2], offsets)
     v19, m19 = v(6), m(4, 3)
     probe33 = ad.constant(rng.normal(size=(3, 3)))
     case("segment_weighted_sum", [v19, m19],
-         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, index, offsets), probe33)))
+         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, plan), probe33)))
     # (edges, heads) weights: one column per head, each over all segments
     m20 = m(6, 2)
     probe62 = ad.constant(rng.normal(size=(6, 2)))
@@ -145,7 +148,7 @@ def _op_gradient_cases(rng: np.random.Generator):
     m21, m22 = m(6, 2), m(4, 4)
     probe34 = ad.constant(rng.normal(size=(3, 4)))
     case("segment_weighted_sum_heads", [m21, m22],
-         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, index, offsets), probe34)))
+         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, plan), probe34)))
 
     def tanh_times(t, k):
         """tanh(t) * k as one fused record; k is a constant parent."""

@@ -557,7 +557,8 @@ class TestTrainLoop:
         tape of a training step no ``transpose`` record reads a parameter,
         and the one ``concat_rows`` input that is a parameter is the entity
         table, which layer 0 stacks over the value encodings as its source
-        rows. The classification step runs the LSTM encoder."""
+        rows. The classification step runs the LSTM encoder, one ``fused``
+        record that reads its weights as stored."""
         kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
                        attribute_relations=1, attribute_triples=5)
         split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
@@ -582,10 +583,47 @@ class TestTrainLoop:
             reads.setdefault(op, set()).update(p.name for p in t._parents if p.is_param)
         assert reads.get("transpose", set()) == set()
         assert reads.get("concat_rows", set()) <= {"entity"}
-        # every weight matrix is read by a product on the tape, as stored
+        # every weight matrix is read by a product on the tape, as stored,
+        # or by the LSTM's one record
         matrices = {name for name, _ in params.named_parameters()
-                    if name.startswith(("head_w", "out_w", "cls_w", "lstm.w"))}
+                    if name.startswith(("head_w", "out_w", "cls_w"))}
         assert matrices and matrices <= reads["matmul"]
+        lstm = {name for name, _ in params.named_parameters() if name.startswith("lstm.w")}
+        assert lstm == ({"lstm.w_in", "lstm.w_hid"} if encoder == "lstm" else set())
+        assert lstm <= reads.get("fused", set())
+
+    def test_one_aggregation_plan_per_view(self, monkeypatch):
+        """A run's edges never change: one ``train`` call builds one view and
+        its aggregation plan once, and the plan's reverse index at the first
+        backward; validation reuses both. A forward outside a tape, as
+        evaluation runs it, builds a plan but never its reverse index."""
+        kg = random_kg(np.random.default_rng(5), entities=8, relations=2, triples=24,
+                       attribute_relations=1, attribute_triples=6)
+        triples = id_tuples(kg.relation_triples)
+        split = DatasetSplit(train=triples[:20], valid=triples[20:], test=[])
+        views, plans = [], []
+        real_restricted, real_init = GraphView.restricted, ad.AggregationPlan.__init__
+
+        def restricted(cls, *args, **kwargs):
+            views.append(real_restricted(*args, **kwargs))
+            return views[-1]
+
+        def init(plan, index, offsets):
+            plans.append(plan)
+            real_init(plan, index, offsets)
+
+        monkeypatch.setattr(GraphView, "restricted", classmethod(restricted))
+        monkeypatch.setattr(ad.AggregationPlan, "__init__", init)
+        config = _toy_config(model=ModelConfig(dim=4, head_dim=3, heads=2, layers=2), epochs=2, val_every=1)
+        params, report = train(kg, split, config)
+        assert len(report.validation) == 2
+        assert len(views) == 1 and len(plans) == 1
+        assert views[0].aggregation is plans[0] and "reverse" in plans[0].__dict__
+
+        view = GraphView.restricted(kg, split.train)
+        forward_all(view, params, config.model)
+        assert len(plans) == 2 and view.aggregation is plans[1]
+        assert "reverse" not in plans[1].__dict__
 
     def test_renormalize_keeps_entity_rows_unit_length(self):
         kg, split = _toy_setup()
