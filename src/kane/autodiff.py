@@ -1,12 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The op set is deliberately closed: it covers exactly what the embedding
-model and the bag-of-words encoder need; each loss and the LSTM encoder
-is one ``fused`` record, so no elementwise activation but the leaky ReLU
-remains.
-Values are numpy arrays of at most two dimensions (0-d scalars, 1-d
-vectors, 2-d matrices); there is no broadcasting, no sparse storage and
-no higher-order gradients.
+The model's heavy steps are ``fused`` records: one NumPy forward and one
+hand-written backward each. Each attention layer, each head merge, each
+loss and the LSTM encoder is one, so a train-50 or train-500 training step
+makes 7 tape records and a classify-lstm-50 step 9. The generic op set is
+what is left around them, and it is closed: the product ``matmul``, the
+row gather ``rows`` and its adjoint ``scatter_rows`` (the bag-of-words
+encoder and the classifier), ``concat_rows`` (the isolated entities'
+rows) and the bias add ``add_rowvec``. Values are numpy arrays of at most
+two dimensions (0-d scalars, 1-d vectors, 2-d matrices); there is no
+broadcasting, no sparse storage and no higher-order gradients.
 
 Ops executed inside a ``with Tape():`` block record themselves on that
 tape; outside a tape they are plain forward computations, which is how
@@ -15,30 +18,31 @@ evaluation code runs the model without paying for bookkeeping.
 Gradient buffers are owned, not copied. A tensor's first gradient is the
 array its consumer's backward hands over (``_accum`` adopts it), and later
 ones are added into it in place. So a backward passes the array it
-received, or a view of it, to at most one parent: ``add`` gives ``b`` a
-copy, ``concat_rows`` hands out disjoint row slices, ``transpose`` and
-``reshape`` one view each, ``fused`` copies a gradient that may share
-memory with an earlier one, and every other backward builds a fresh array
-per parent. A received array may be passed on because the sweep runs in
+received, or a view of it, to at most one parent: ``concat_rows`` hands
+out disjoint row slices, ``fused`` copies a gradient that may share memory
+with an earlier one, and every other backward builds a fresh array per
+parent. A received array may be passed on because the sweep runs in
 reverse tape order: by the time a tensor's backward runs, its own gradient
 is final. The grads of two parameters therefore never share memory, while
 an intermediate tensor's ``grad`` may go on to hold a parent's sum after
-its backward ran; read the grads of parameters, not of intermediates.
+its backward ran; read the grads of parameters, not of intermediates. A
+``fused`` record may list a parent more than once; it then adds that
+parent's gradients one after another, in its list's order.
 
-Two kernels sum rows by index. ``scatter_sum`` is a flat ``np.bincount``
-over ``index * width + column``: it serves the backward of the gather
-``rows``, the forward of its adjoint ``scatter_rows`` and the completion
-loss's scatters, needs no sort, and reads its input in memory order; rows
-no index hits are zero. ``segment_weighted_sum``, the edge aggregation,
-reads its table rows by index where they are and sums them slot by slot
-over runs ordered longest first, with no (entries, width) array: its
-forward runs over segments, and its table gradient over the entries
-grouped by table row. It reads that slot structure from an
-``AggregationPlan``, built once per edge set (a graph view holds one), whose
-reverse index for the table gradient is built at the first backward. Both
-kernels add in index order from zero, so every sum equals a Python loop's.
+The NumPy kernels the records run sum rows by index. ``scatter_sum`` is a
+flat ``np.bincount`` over ``index * width + column``: it serves the
+backward of the gather ``rows``, the forward of its adjoint
+``scatter_rows``, the completion loss's scatters and the layers' scatters,
+needs no sort, and reads its input in memory order; rows no index hits
+are zero. An ``AggregationPlan``, built once per edge set (a graph view
+holds one), holds the segments of the edges and runs the segment softmax
+and the edge aggregation over them. The aggregation reads its table rows
+by index where they are and sums them slot by slot over segments ordered
+longest first, with no (entries, width) array: its forward runs over
+segments, and its table gradient over the entries grouped by table row,
+whose reverse index the plan builds at the first gradient. Both kernels
+add in index order from zero, so every sum equals a Python loop's.
 """
-
 from __future__ import annotations
 
 import threading
@@ -47,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 _LOCAL = threading.local()
 
@@ -170,7 +174,8 @@ def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     """A tape record of value ``data`` whose ``backward(g)`` returns, per
     parent, a gradient shaped like it or ``None``. Parents that take no
-    gradient get none; a gradient that may alias an earlier one is copied."""
+    gradient get none; a gradient that may alias an earlier one is copied;
+    a parent listed more than once gets its gradients in list order."""
 
     def back(g):
         given: list[np.ndarray] = []
@@ -199,53 +204,7 @@ def zero_grads(tensors) -> None:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-
-    def back(g):
-        _accum(a, g)
-        if _takes_grad(b):
-            _accum(b, g.copy())  # a may have adopted g
-
-    return _make(a.data + b.data, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(a.data - b.data, (a, b), back)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    c = float(factor)
-
-    def back(g):
-        _accum(a, g * c)
-
-    return _make(a.data * c, (a,), back)
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise_mul: shapes {a.shape} and {b.shape} differ")
-
-    def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), back)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
+# linear algebra and structure
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -260,19 +219,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     return _make(a.data @ b.data, (a, b), back)
 
-
-def transpose(m: Tensor) -> Tensor:
-    if m.data.ndim != 2:
-        raise ShapeError(f"transpose: needs a matrix, got shape {m.shape}")
-
-    def back(g):
-        _accum(m, g.T)
-
-    return _make(np.ascontiguousarray(m.data.T), (m,), back)
-
-
-# ---------------------------------------------------------------------------
-# structure: lookups and stacking
 
 def _indices(indices, n: int, op: str) -> np.ndarray:
     """A validated non-empty 1-d index array into ``n`` rows."""
@@ -313,20 +259,6 @@ def scatter_rows(m: Tensor, indices, n: int) -> Tensor:
     return _make(scatter_sum(idx, m.data, n), (m,), back)
 
 
-def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """The same entries, in row-major order, in a new shape of at most two
-    dimensions; one entry of ``shape`` may be -1."""
-    try:
-        val = t.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"reshape: cannot reshape {t.shape} to {shape}") from err
-
-    def back(g):
-        _accum(t, g.reshape(t.shape))
-
-    return _make(val, (t,), back)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack matrices with equal column counts on top of each other."""
     if not parts:
@@ -357,75 +289,21 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# norms
-
-def rowwise_norm(m: Tensor, kind: str) -> Tensor:
-    """Per-row L1 or L2 norm: (p, q) -> (p,). Used for batched scoring."""
-    if m.data.ndim != 2:
-        raise ShapeError(f"rowwise_norm: needs a matrix, got shape {m.shape}")
-    if kind == "l1":
-        val = np.abs(m.data).sum(axis=1)
-
-        def back(g):
-            _accum(m, g[:, None] * np.sign(m.data))
-
-    elif kind == "l2":
-        val = np.sqrt((m.data * m.data).sum(axis=1))
-
-        def back(g):
-            safe = np.where(val == 0.0, 1.0, val)
-            _accum(m, (g / safe)[:, None] * m.data * (val != 0.0)[:, None])
-
-    else:
-        raise DomainError(f"rowwise_norm: unknown kind {kind!r}")
-    return _make(val, (m,), back)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
-    s = float(slope)
-    pos = t.data > 0.0
-
-    def back(g):
-        _accum(t, g * np.where(pos, 1.0, s))
-
-    return _make(np.where(pos, t.data, s * t.data), (t,), back)
-
-
-# ---------------------------------------------------------------------------
 # segments: consecutive runs of entries, delimited by CSR offsets
 #
 # ``offsets`` has one more entry than there are segments: segment k covers
 # entries offsets[k]:offsets[k + 1]. Offsets start at 0, end at the entry
 # count and strictly increase, so no segment is empty.
 
-def _segments(offsets, length: int, op: str) -> tuple[np.ndarray, np.ndarray]:
+def _segments(offsets, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Segment starts and lengths from validated offsets."""
     off = np.asarray(offsets, dtype=np.intp)
     if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != length:
-        raise ShapeError(f"{op}: offsets must be 1-d and run from 0 to {length}")
+        raise ShapeError(f"AggregationPlan: offsets must be 1-d and run from 0 to {length}")
     counts = np.diff(off)
     if (counts < 1).any():
-        raise ShapeError(f"{op}: offsets must strictly increase (no empty segment)")
+        raise ShapeError("AggregationPlan: offsets must strictly increase (no empty segment)")
     return off[:-1], counts
-
-
-def segment_softmax(logits: Tensor, offsets) -> Tensor:
-    """Softmax within each segment (max-stabilized per segment), of a logit
-    vector or of each column of an (n, k) logit matrix."""
-    if logits.data.ndim == 0:
-        raise ShapeError("segment_softmax: needs a vector or a matrix, got a scalar")
-    starts, counts = _segments(offsets, logits.shape[0], "segment_softmax")
-    x = logits.data
-    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), counts, axis=0))
-    val = e / np.repeat(np.add.reduceat(e, starts), counts, axis=0)
-
-    def back(g):
-        _accum(logits, val * (g - np.repeat(np.add.reduceat(g * val, starts), counts, axis=0)))
-
-    return _make(val, (logits,), back)
 
 
 def _slot_major(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -441,18 +319,21 @@ def _slot_major(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, lis
 
 
 class AggregationPlan:
-    """The slot structure of ``segment_weighted_sum`` over fixed entries:
-    entry ``e`` reads table row ``index[e]``, and the CSR ``offsets``
-    delimit the segments. A graph view builds one for its edges, which
-    never change, and every aggregation over them reads it.
+    """The segments of fixed entries and the NumPy kernels that run over
+    them: entry ``e`` reads table row ``index[e]``, and the CSR ``offsets``
+    delimit the segments (``starts``, ``counts``). A graph view builds one
+    for its edges, which never change, and every attention layer over them
+    reads it: ``softmax`` and its gradient per segment, and the weighted sum
+    of table rows per segment and its two gradients.
 
-    Segments are ordered longest first (``order``, a stable sort), so the
-    ones still open at slot ``l`` are a prefix of that order and slot ``l``
-    adds entry ``l`` of each. ``entries`` lists the entries slot-major,
-    ``sources`` the table rows they read, and ``slots`` each slot's (start,
-    stop) in those lists. The same structure over the entries grouped by
-    table row, for the table gradient, is built by the first backward
-    (``reverse``, cached), so a forward outside a tape never pays for it.
+    The weighted sum runs slot by slot. Segments are ordered longest first
+    (``order``, a stable sort), so the ones still open at slot ``l`` are a
+    prefix of that order and slot ``l`` adds entry ``l`` of each.
+    ``entries`` lists the entries slot-major, ``sources`` the table rows
+    they read, and ``slots`` each slot's (start, stop) in those lists. The
+    same structure over the entries grouped by table row, for the table
+    gradient, is built at the first gradient (``reverse``, cached), so a
+    forward outside a tape never pays for it.
     """
 
     def __init__(self, index, offsets):
@@ -461,12 +342,11 @@ class AggregationPlan:
             raise ShapeError("AggregationPlan: needs a non-empty 1-d index list")
         if idx.min() < 0:
             raise IndexError("AggregationPlan: negative table row index")
-        starts, counts = _segments(offsets, idx.size, "AggregationPlan")
+        self.starts, self.counts = _segments(offsets, idx.size)
         self.index = idx
-        self.counts = counts
         self.rows = int(idx.max()) + 1  # a table needs at least this many rows
-        self.order = np.argsort(-counts, kind="stable")
-        self.entries, self.slots = _slot_major(starts[self.order], counts[self.order])
+        self.order = np.argsort(-self.counts, kind="stable")
+        self.entries, self.slots = _slot_major(self.starts[self.order], self.counts[self.order])
         self.sources = idx[self.entries]
 
     @cached_property
@@ -483,6 +363,82 @@ class AggregationPlan:
         entries = by_row[positions]
         return hit_rows, entries, np.repeat(np.arange(self.counts.size), self.counts)[entries], slots
 
+    def _per_segment(self, sums: np.ndarray) -> np.ndarray:
+        """Each segment's row of ``sums`` repeated once per entry."""
+        return np.repeat(sums, self.counts, axis=0)
+
+    def softmax(self, logits: np.ndarray) -> np.ndarray:
+        """Softmax within each segment (max-stabilized per segment) of an
+        (entries,) logit vector, or of each column of an (entries, k) one."""
+        if logits.ndim not in (1, 2) or logits.shape[0] != self.index.size:
+            raise ShapeError(f"softmax: logits of shape {logits.shape} for {self.index.size} entries")
+        e = np.exp(logits - self._per_segment(np.maximum.reduceat(logits, self.starts)))
+        return e / self._per_segment(np.add.reduceat(e, self.starts))
+
+    def softmax_grad(self, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The logit gradient of ``softmax`` output ``weights`` given ``g``."""
+        return weights * (g - self._per_segment(np.add.reduceat(g * weights, self.starts)))
+
+    def _blocks(self, weights: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(entries, k, 1) weights and (rows, k, q / k) table blocks: a weight
+        vector scales whole rows, weight column j column block j."""
+        k = weights.shape[1] if weights.ndim == 2 else 1
+        if weights.ndim not in (1, 2) or table.ndim != 2 or table.shape[1] % k:
+            raise ShapeError(f"weighted sum: incompatible shapes {weights.shape} and {table.shape}")
+        if weights.shape[0] != self.index.size:
+            raise ShapeError(f"weighted sum: {weights.shape[0]} weight rows for {self.index.size} entries")
+        if table.shape[0] < self.rows:
+            raise IndexError(f"weighted sum: index out of range for {table.shape[0]} rows")
+        return weights.reshape(-1, k, 1), table.reshape(table.shape[0], k, -1)
+
+    def weighted_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Per segment, the sum over its entries e of table row ``index[e]``
+        scaled by weight e: (entries,) or (entries, k) weights and a (rows,
+        q) table -> (segments, q). Indices may repeat, and table rows no
+        index hits add nothing.
+
+        No (entries, q) array is built. Slot ``l`` adds entry ``l`` of each
+        segment still open into a zeroed (segments, q) accumulator, one
+        gather, one product and one sum per slot, so every sum is 0 + x_0 +
+        x_1 + ... in entry order.
+        """
+        w, blocks = self._blocks(weights, table)
+        segments = self.counts.size
+        acc = np.zeros((segments,) + blocks.shape[1:])
+        _slot_sums(self.slots, blocks, self.sources, w[self.entries], np.empty_like(acc), acc)
+        out = np.empty((segments, table.shape[1]))
+        out[self.order] = acc.reshape(segments, -1)
+        return out
+
+    def weighted_sum_grads(
+        self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of ``weighted_sum`` for the weights and the table,
+        given the (segments, q) gradient ``g``; neither builds an (entries,
+        q) array. The weight gradient walks the forward's slots, one row
+        product per entry, summed as ``np.sum`` sums a row. The table
+        gradient runs the forward's kernel over ``reverse``, so each table
+        row adds its entries in entry order from zero, as ``scatter_sum``
+        would."""
+        w, blocks = self._blocks(weights, table)
+        segments, n, k = self.counts.size, w.shape[0], w.shape[1]
+        g = g.reshape(segments, k, -1)
+        g_order = g[self.order]
+        part = np.empty((segments,) + blocks.shape[1:])
+        by_slot = np.empty((n, k))
+        for lo, hi in self.slots:
+            prod = blocks.take(self.sources[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
+            prod *= g_order[:hi - lo]
+            np.add.reduce(prod, axis=2, out=by_slot[lo:hi])
+        w_grad = np.empty((n, k))
+        w_grad[self.entries] = by_slot
+        hit_rows, row_entries, segment, row_slots = self.reverse
+        row_acc = np.zeros((hit_rows.size,) + blocks.shape[1:])
+        _slot_sums(row_slots, g, segment, w[row_entries], np.empty_like(row_acc), row_acc)
+        table_grad = np.zeros(table.shape)
+        table_grad[hit_rows] = row_acc.reshape(hit_rows.size, -1)
+        return w_grad.reshape(weights.shape), table_grad
+
 
 def _slot_sums(slots, table, index, weights, part, acc) -> None:
     """Add, for each slot-major entry ``p``, the row ``table[index[p]] *
@@ -492,61 +448,6 @@ def _slot_sums(slots, table, index, weights, part, acc) -> None:
     for lo, hi in slots:
         # indices are checked, so take's "clip" never clips, and unlike
         # "raise" it writes to out directly
-        scaled = np.take(table, index[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
+        scaled = table.take(index[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
         scaled *= weights[lo:hi]
         acc[:hi - lo] += scaled
-
-
-def segment_weighted_sum(weights: Tensor, table: Tensor, plan: AggregationPlan) -> Tensor:
-    """Per segment of ``plan``, the sum over its entries e of table row
-    ``plan.index[e]`` scaled by weight e: (n,) or (n, k) weights and a
-    (rows, q) table -> (segments, q). A weight vector scales whole rows;
-    weight column j of a matrix scales column block j, of width q / k.
-    Indices may repeat, and table rows no index hits add nothing.
-
-    Neither pass builds an (n, q) array. Slot ``l`` adds entry ``l`` of
-    each segment still open into a zeroed (segments, q) accumulator, one
-    gather, one product and one sum per slot, so every sum is 0 + x_0 + x_1
-    + ... in entry order. The backward walks the same slots for the weight
-    gradient, one row product per entry, and runs the same kernel over the
-    plan's reverse index for the table gradient, so each row adds its
-    entries in entry order from zero, as ``scatter_sum`` would.
-    """
-    k = weights.shape[1] if weights.data.ndim == 2 else 1
-    if weights.data.ndim == 0 or table.data.ndim != 2 or table.shape[1] % k:
-        raise ShapeError(f"segment_weighted_sum: incompatible shapes {weights.shape} and {table.shape}")
-    n = weights.shape[0]
-    if n != plan.index.size:
-        raise ShapeError(f"segment_weighted_sum: {n} weight rows for a plan of {plan.index.size} entries")
-    if table.shape[0] < plan.rows:
-        raise IndexError(f"segment_weighted_sum: index out of range for {table.shape[0]} rows")
-    segments, order, entries, slots = plan.counts.size, plan.order, plan.entries, plan.slots
-    w = weights.data.reshape(n, k, 1)
-    blocks = table.data.reshape(table.shape[0], k, -1)
-    acc = np.zeros((segments,) + blocks.shape[1:])
-    part = np.empty_like(acc)
-
-    def back(g):
-        g = g.reshape(segments, k, -1)
-        if _takes_grad(weights):
-            g_order = g[order]
-            by_slot = np.empty((n, k))
-            for lo, hi in slots:
-                prod = np.take(blocks, plan.sources[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
-                prod *= g_order[:hi - lo]
-                np.add.reduce(prod, axis=2, out=by_slot[lo:hi])
-            w_grad = np.empty((n, k))
-            w_grad[entries] = by_slot
-            _accum(weights, w_grad.reshape(weights.shape))
-        if _takes_grad(table):
-            hit_rows, row_entries, segment, row_slots = plan.reverse
-            row_acc = np.zeros((hit_rows.size,) + blocks.shape[1:])
-            _slot_sums(row_slots, g, segment, w[row_entries], np.empty_like(row_acc), row_acc)
-            grad = np.zeros(table.shape)
-            grad[hit_rows] = row_acc.reshape(hit_rows.size, -1)
-            _accum(table, grad)
-
-    _slot_sums(slots, blocks, plan.sources, w[entries], part, acc)
-    out = np.empty((segments, table.shape[1]))
-    out[order] = acc.reshape(segments, -1)
-    return _make(out, (weights, table), back)

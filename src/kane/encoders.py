@@ -89,8 +89,11 @@ def lstm_encode(
     starts from the zero states, so it runs only the input path and no
     forget gate. The whole encoding is one tape record; its backward walks
     the steps in reverse (backpropagation through time) and adds each
-    parameter's gradient step by step from the last step, the word table's
-    by one scatter per step, which is the order of the op-by-op tape.
+    parameter's gradient step by step from the last step, which is the
+    order of the op-by-op tape. The word table's gradient runs over only
+    the words the batch reads, one scatter per step, and fills one (vocab,
+    dim) array at the end, so a backward costs what the tokens cost, not
+    steps times the vocabulary.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
     dim = word_table.shape[1]
@@ -122,7 +125,10 @@ def lstm_encode(
 
     def backward(g):
         g_final = g[order]
-        grads = [None, None, None, None]  # word table, w_in, w_hid, b
+        # the word gradient is summed over only the words the batch reads
+        read = np.bincount(flat, minlength=table.shape[0]) > 0
+        words, slot = np.flatnonzero(read), np.cumsum(read) - 1
+        grads = [None, None, None, None]  # those words' rows, w_in, w_hid, b
         g_h = g_c = None  # from step t + 1, for its live rows
         for t in range(len(steps) - 1, -1, -1):
             tokens, x, h_prev, c_prev, sig, cand, tanh_c = steps[t]
@@ -146,7 +152,7 @@ def lstm_encode(
             g_sig *= sig
             g_sig *= 1.0 - sig
             np.multiply(gc * i, 1.0 - cand * cand, out=g_pre[:, 3 * dim:])
-            parts = [ad.scatter_sum(tokens, g_pre @ w_i.T, table.shape[0]), x.T @ g_pre, None, g_pre.sum(axis=0)]
+            parts = [ad.scatter_sum(slot[tokens], g_pre @ w_i.T, words.size), x.T @ g_pre, None, g_pre.sum(axis=0)]
             if h_prev is not None:
                 parts[2] = h_prev.T @ g_pre
                 g_h, g_c = g_pre @ w_h.T, gc * f
@@ -156,6 +162,8 @@ def lstm_encode(
                         grads[k] = part
                     else:
                         grads[k] += part
-        return grads
+        word_grad = np.zeros(table.shape)
+        word_grad[words] = grads[0]
+        return [word_grad] + grads[1:]
 
     return ad.fused(final[np.argsort(order)], (word_table, w_in, w_hid, b), backward)

@@ -17,8 +17,8 @@ are read fresh at every layer; only entity vectors propagate.
 
 Each layer runs over all edges of the view at once, for all heads at once.
 Every transform is stored in the (in, out) layout of the row-vector
-product that reads it, so the tape never transposes or stacks a
-parameter: a layer's head transforms are one (dim, heads * head_dim)
+product that reads it, so no step transposes or stacks a parameter: a
+layer's head transforms are one (dim, heads * head_dim)
 matrix holding W_h^T in column block h, the concat merge is (heads *
 head_dim, dim) and the classifier (dim, classes). The stacked transform
 W multiplies the relation table (q = W r, R rows) and the source table
@@ -35,11 +35,11 @@ an edge's logits are two gathers, at rows ``source * R + relation`` and
 ``(S + relation) * R + relation``. In the second, A_r sums an entity's
 weights over its edges labelled r: one scatter of the (edges, heads)
 weights into an (active * R, heads) table, then one small matrix product
-with q, next to one weighted sum of the rows t_s, which
-``segment_weighted_sum`` reads from the source table by index, slot by
-slot, with no (edges, heads * head_dim) array of gathered rows. Its slot
-plan is the view's ``aggregation``, built once per view and shared by
-every layer, step and validation over it. The tables hold (S + R) * R *
+with q, next to one weighted sum of the rows t_s, which the plan's
+``weighted_sum`` reads from the source table by index, slot by slot, with
+no (edges, heads * head_dim) array of gathered rows. The plan is the
+view's ``aggregation``, built once per view and shared by every layer,
+step and validation over it. The tables hold (S + R) * R *
 heads and active * R * heads entries, against the edges * heads *
 head_dim of per-edge query rows; they are smaller whenever R * (S + R) <
 edges * head_dim, which holds on every benchmark graph (R = 8).
@@ -52,6 +52,14 @@ entity's segment of the edge list, and the head outputs come out side by
 side, in concat layout. All attribute values of a pass are encoded in one
 batched encoder call into one value table, row ``v`` for value id ``v``,
 which propagation and the completion loss both read.
+
+A layer is one tape record, the SDDMM -> softmax -> SpMM sequence of
+FusedMM (Rahman et al. 2021) run as NumPy calls: the products table and
+its two logit gathers (or the translational norms), the leaky ReLU, the
+segment softmax, the pair scatter, the weighted sum and the pair-weight
+product. Its hand-written backward walks those steps in reverse and keeps
+only the arrays it reads. The merge, a product and a leaky ReLU, is a
+second record per layer.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
@@ -275,60 +283,137 @@ def _layer_heads(
     """Attention weights over all edges and the head outputs, in concat
     layout, of the entities that have neighbors: (active, heads * head_dim).
     Bilinear weights are (edges, heads), column j for head j; translational
-    weights are one (edges,) vector that all heads share.
+    weights are one (edges,) vector that all heads share. The weights are a
+    constant for inspection; the outputs are one tape record.
 
     ``inputs`` are the previous layer's entity vectors, ``values`` the value
     table and ``rel`` the relation row of every edge, which only
     translational attention reads.
+
+    The backward walks the forward's steps in reverse: the pair-weight
+    product, the weighted sum, the pair scatter, the softmax, the leaky ReLU
+    and the logit gathers (or the norms and the translational gathers), the
+    products table and the spread mask, and last the transform's two
+    products. It adds each gradient in the order the same steps would as
+    separate tape records, so its sums, and with them fixed-seed runs, are
+    bit for bit those of that composition: a tensor that several steps
+    read, such as the source table, gets its contributions one after
+    another, and ``inputs`` is listed once per step that hands it one, so
+    even a gradient it already holds grows in that order.
     """
-    edges = view.edges
-    table = inputs if values is None else ad.concat_rows([inputs, values])
-    relations, heads = params.relation.shape[0], config.heads
+    edges, plan = view.edges, view.aggregation
+    relation, transform = params.relation, params[f"head_w.{layer}"]
+    relations, heads, slope = relation.shape[0], config.heads, config.leaky_slope
+    bilinear = config.attention == "bilinear"
+    table = inputs.data if values is None else np.concatenate([inputs.data, values.data])
+    n_inputs, n_table = inputs.shape[0], table.shape[0]
+    w = transform.data
     # all heads at once, applied to the tables before any per-edge gather,
     # since W (r + n) = W r + W n
-    transform = params[f"head_w.{layer}"]
-    query = ad.matmul(params.relation, transform)  # (R, heads * head_dim)
-    source = ad.matmul(table, transform)  # (S, heads * head_dim)
-    if config.attention == "bilinear":
+    query = relation.data @ w  # (R, heads * head_dim)
+    source = table @ w  # (S, heads * head_dim)
+    if bilinear:
         # row r * heads + h holds q_r's head-h block and zeros elsewhere
         mask = np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1))
-        spread = ad.elementwise_mul(ad.rows(query, np.repeat(np.arange(relations), heads)),
-                                    ad.constant(mask))
+        relation_of = np.repeat(np.arange(relations), heads)
+        spread = query[relation_of] * mask
         # <x_h, q_{r,h}> for every row x of [source; query], relation r and
         # head h, at row x * R + r, column h
-        products = ad.reshape(ad.matmul(ad.concat_rows([source, query]), ad.transpose(spread)),
-                              (-1, heads))
-        raw = ad.add(ad.rows(products, edges.source * relations + edges.relation),
-                     ad.rows(products, (source.shape[0] + edges.relation) * relations + edges.relation))
-        logits = ad.leaky_relu(raw, config.leaky_slope)
+        stacked = np.concatenate([source, query])
+        spread_t = np.ascontiguousarray(spread.T)
+        products = (stacked @ spread_t).reshape(-1, heads)
+        at_source = edges.source * relations + edges.relation
+        at_query = (n_table + edges.relation) * relations + edges.relation
+        raw = products[at_source] + products[at_query]
+        pos = raw > 0.0
+        logits = np.where(pos, raw, slope * raw)
     else:
         # the logit reads no head transform, so all heads share the weights
-        diff = ad.sub(ad.add(ad.rows(inputs, edges.owner), rel), ad.rows(table, edges.source))
-        logits = ad.scale(ad.rowwise_norm(diff, config.norm), -1.0)
+        diff = inputs.data[edges.owner] + rel.data
+        diff -= table[edges.source]
+        l1 = config.norm == "l1"
+        norms = np.abs(diff).sum(axis=1) if l1 else np.sqrt((diff * diff).sum(axis=1))
+        logits = -norms
         spread = query
-    weights = ad.segment_softmax(logits, edges.segments)
+    weights = plan.softmax(logits)
     # sum_e a_e (q_r + t_s): the t_s half per edge, the q_r half from the
     # weight sums per (active entity, relation) pair
     pair = edges.merge[edges.owner] * relations + edges.relation
-    pair_weights = ad.reshape(ad.scatter_rows(weights, pair, edges.active.size * relations),
-                              (edges.active.size, -1))
-    outputs = ad.add(ad.segment_weighted_sum(weights, source, view.aggregation),
-                     ad.matmul(pair_weights, spread))
-    return weights, outputs
+    pair_weights = ad.scatter_sum(pair, weights, edges.active.size * relations).reshape(edges.active.size, -1)
+    out = plan.weighted_sum(weights, source)
+    out += pair_weights @ spread
+
+    def backward(g):
+        g_pair = (g @ spread.T).reshape((-1,) + weights.shape[1:])
+        g_spread = pair_weights.T @ g
+        g_weights, g_source = plan.weighted_sum_grads(g, weights, source)
+        g_weights += g_pair[pair]
+        g_logits = plan.softmax_grad(g_weights, weights)
+        if bilinear:
+            g_raw = g_logits * np.where(pos, 1.0, slope)
+            g_products = ad.scatter_sum(at_query, g_raw, stacked.shape[0] * relations)
+            g_products += ad.scatter_sum(at_source, g_raw, stacked.shape[0] * relations)
+            g_products = g_products.reshape(-1, relations * heads)
+            g_stacked = g_products @ spread_t.T
+            g_spread += (stacked.T @ g_products).T
+            g_source += g_stacked[:n_table]
+            g_query = g_stacked[n_table:]
+            g_query += ad.scatter_sum(relation_of, g_spread * mask, relations)
+            g_table = g_source @ w.T
+            from_table = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
+            parts = from_table + [g_query @ w.T]
+        else:
+            g_query = g_spread
+            g_norms = -g_logits
+            if l1:
+                g_diff = g_norms[:, None] * np.sign(diff)
+            else:
+                safe = np.where(norms == 0.0, 1.0, norms)
+                g_diff = (g_norms / safe)[:, None] * diff * (norms != 0.0)[:, None]
+            g_table = ad.scatter_sum(edges.source, -g_diff, n_table)
+            g_owner = ad.scatter_sum(edges.owner, g_diff, n_inputs)
+            # the source gather's, the owner gather's, then the product's
+            if values is None:  # the table is the inputs, which get all three in turn
+                parts = [g_table, g_owner, g_source @ w.T]
+            else:
+                g_table += g_source @ w.T
+                parts = [g_owner, g_table[:n_inputs], g_table[n_inputs:]]
+            parts += [g_diff, g_query @ w.T]
+        g_w = table.T @ g_source
+        g_w += relation.data.T @ g_query
+        return parts + [g_w]
+
+    if bilinear:
+        parents = [inputs] if values is None else [inputs, values]
+    else:
+        parents = [inputs, inputs, inputs if values is None else values, rel]
+    return ad.constant(weights), ad.fused(out, parents + [relation, transform], backward)
 
 
 def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, layer: int) -> Tensor:
     """Merge the (entities, heads * head_dim) head outputs, in concat layout,
-    into one (entities, dim) matrix."""
+    into one (entities, dim) matrix: the merge product, then the leaky ReLU,
+    as one tape record."""
     width = config.heads * config.head_dim
     if head_outputs.data.ndim != 2 or head_outputs.shape[1] != width:
         raise ConfigError(f"expected head outputs {width} wide, got shape {head_outputs.shape}")
     if config.aggregator == "concat":
         merge = params[f"out_w.{layer}"]
+        parents, matrix = (head_outputs, merge), merge.data
     else:
         # the mean of the head blocks
-        merge = ad.constant(np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads)
-    return ad.leaky_relu(ad.matmul(head_outputs, merge), config.leaky_slope)
+        parents, matrix = (head_outputs,), np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads
+    pre = head_outputs.data @ matrix
+    pos = pre > 0.0
+    slope = config.leaky_slope
+
+    def backward(g):
+        g_pre = g * np.where(pos, 1.0, slope)
+        if len(parents) == 1:
+            return (g_pre @ matrix.T,)
+        return g_pre @ matrix.T, head_outputs.data.T @ g_pre
+
+    return ad.fused(np.where(pos, pre, slope * pre), parents, backward)
 
 
 def forward_all(

@@ -15,6 +15,7 @@ import numpy as np
 import kane.autodiff as ad
 from kane.errors import IntegrityError
 from kane.kgdata import KnowledgeGraph
+from kane.model import ModelParams
 from kane.training import CHECKPOINT_MAGIC
 
 
@@ -103,6 +104,40 @@ def total(t: ad.Tensor) -> ad.Tensor:
     return ad.fused(t.data.sum(), (t,), lambda g: (np.full(t.shape, g),))
 
 
+def probe(t: ad.Tensor, weights) -> ad.Tensor:
+    """The sum of ``t`` times the constant ``weights`` (an array or a
+    constant tensor of ``t``'s shape), as one ``ad.fused`` record: a scalar
+    root whose gradient for ``t`` is ``weights``."""
+    w = np.asarray(getattr(weights, "data", weights), dtype=np.float64)
+    if w.shape != t.shape:
+        raise ValueError(f"probe: weights {w.shape} for a tensor {t.shape}")
+    return ad.fused((t.data * w).sum(), (t,), lambda g: (g * w,))
+
+
+# sums, differences and row norms as one record each, with the backward of
+# the generic op: the steps of the composed completion loss below
+
+def fused_add(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.fused(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def fused_sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.fused(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def fused_norm(m: ad.Tensor, kind: str) -> ad.Tensor:
+    if kind == "l1":
+        val = np.abs(m.data).sum(axis=1)
+        return ad.fused(val, (m,), lambda g: (g[:, None] * np.sign(m.data),))
+    val = np.sqrt((m.data * m.data).sum(axis=1))
+
+    def back(g):
+        safe = np.where(val == 0.0, 1.0, val)
+        return ((g / safe)[:, None] * m.data * (val != 0.0)[:, None],)
+
+    return ad.fused(val, (m,), back)
+
+
 def composed_completion_loss(
     positives: np.ndarray,
     negatives: np.ndarray,
@@ -115,15 +150,16 @@ def composed_completion_loss(
 ) -> ad.Tensor:
     """The completion hinge loss built op by op, one tape record per step:
     gather h, r and t (t from the entity rows, then the value rows), take
-    the norm of (h + r) - t, split the distances into positives and
-    negatives, and hinge them. ``training._completion_batch_loss`` fuses
-    these steps into one record with the same sums in the same order."""
+    the norm of (h + r) - t with the records above, split the distances
+    into positives and negatives, and hinge them.
+    ``training._completion_batch_loss`` fuses these steps into one record
+    with the same sums in the same order."""
     rows = np.concatenate([positives, negatives])
     table = ent if values is None else ad.concat_rows([ent, values])
     head_mat = ad.rows(ent, rows[:, 0])
     tail_mat = ad.rows(table, rows[:, 2])
     rel_mat = ad.rows(relation, rows[:, 1])
-    dists = ad.rowwise_norm(ad.sub(ad.add(head_mat, rel_mat), tail_mat), norm)
+    dists = fused_norm(fused_sub(fused_add(head_mat, rel_mat), tail_mat), norm)
     d_pos = ad.rows(dists, np.arange(len(positives)))
     d_neg = ad.rows(dists, np.arange(len(positives), len(rows)))
     owner = np.repeat(np.arange(len(positives)), negatives_per_positive)
@@ -196,6 +232,33 @@ def random_kg(
             attr_triples.append((h, r, lit))
         kg.add_attribute_triples(attr_triples)
     return kg
+
+
+def edge_case_graph() -> KnowledgeGraph:
+    """Five entities whose edges hold every edge case of an attention layer:
+    ``a`` reads ``b`` via two relations (a repeated source) and reads one
+    attribute value, ``b`` has a single edge (a one-edge segment), ``c``
+    reads the same value as ``a``, and ``d`` and ``e`` have no outgoing
+    edge (isolated entities)."""
+    return kg_from_name_triples(
+        [("a", "r0", "b"), ("a", "r1", "b"), ("b", "r0", "c"), ("c", "r1", "a"), ("c", "r0", "d"),
+         ("c", "r1", "e")],
+        [("a", "color", "red round"), ("c", "color", "red round")],
+    )
+
+
+def layer_tensors(rng: np.random.Generator, view, config, with_values: bool = True):
+    """Random tensors for one attention layer over ``view``: (entity vectors,
+    relation row per edge, value table or None, ``ModelParams`` with the
+    relation table and ``head_w.0``), every one a parameter."""
+    kg, d = view.kg, config.dim
+    params = ModelParams({
+        "relation": ad.parameter(rng.normal(size=(kg.num_relations, d))),
+        "head_w.0": ad.parameter(rng.normal(size=(d, config.heads * config.head_dim)) * 0.5),
+    })
+    values = ad.parameter(rng.normal(size=(len(kg.value_tokens), d))) if with_values else None
+    rel = ad.parameter(rng.normal(size=(view.edges.source.size, d)))
+    return ad.parameter(rng.normal(size=(kg.num_entities, d))), rel, values, params
 
 
 def quantized_ranking_setups(count: int = 10):

@@ -2,7 +2,7 @@
 PASS/FAIL line with the measured numbers.
 
 Covered guarantees: finite-difference gradient correctness for every
-autodiff op and both losses, attention-weight normalization, exact
+autodiff op, every fused record of the model and both losses, attention-weight normalization, exact
 agreement of the ranking code with a brute-force oracle, filtered-rank
 dominance, encoder invariance properties, the degenerate translation mode
 matching a plain reference, learning on the bundled synthetic benchmark
@@ -54,9 +54,11 @@ from kane.training import (
 from kane.training import train as train_model
 
 from helpers import (
-    away_from_zero,
     check_gradients,
+    edge_case_graph,
+    layer_tensors,
     parse_embedding_export,
+    probe,
     quantized_ranking_setups,
     random_kg,
     reference_transe_hinge,
@@ -73,7 +75,8 @@ def _report(ok: bool, label: str, detail: str) -> None:
 
 
 def _op_gradient_cases(rng: np.random.Generator):
-    """One (name, params, forward) triple per differentiable op."""
+    """One (name, params, forward) triple per differentiable op and per fused
+    record of the model."""
     cases = []
 
     def case(name, params, forward):
@@ -85,70 +88,61 @@ def _op_gradient_cases(rng: np.random.Generator):
     def m(r=4, c=3):
         return ad.parameter(rng.normal(size=(r, c)))
 
-    a, b = v(), v()
-    case("add", [a, b], lambda: total(ad.add(a, b)))
-    c, d = v(), v()
-    case("sub", [c, d], lambda: total(ad.sub(c, d)))
-    e = v()
-    case("scale", [e], lambda: total(ad.scale(e, -1.7)))
-    f, g = v(), v()
-    case("elementwise_mul", [f, g], lambda: total(ad.elementwise_mul(f, g)))
     m3, m4 = m(4, 3), m(3, 2)
     case("matmul", [m3, m4], lambda: total(ad.matmul(m3, m4)))
-    m5 = m()
-    case("transpose", [m5], lambda: total(ad.transpose(m5)))
     m7 = m()
     case("rows", [m7], lambda: total(ad.rows(m7, [0, 2, 2, 1])))
     v3 = v(6)
     case("rows_vector", [v3], lambda: total(ad.rows(v3, [1, 4, 1, 0])))
     # unsorted, repeated indices; row 1 of the result is never hit
     m8 = m(5, 3)
-    probe43 = ad.constant(rng.normal(size=(4, 3)))
-    case("scatter_rows", [m8],
-         lambda: total(ad.elementwise_mul(ad.scatter_rows(m8, [3, 0, 3, 2, 0], 4), probe43)))
-    m10 = m(4, 3)
-    probe26 = ad.constant(rng.normal(size=(2, 6)))
-    case("reshape", [m10], lambda: total(ad.elementwise_mul(ad.reshape(m10, (2, -1)), probe26)))
+    probe43 = rng.normal(size=(4, 3))
+    case("scatter_rows", [m8], lambda: probe(ad.scatter_rows(m8, [3, 0, 3, 2, 0], 4), probe43))
     m9, v9 = m(4, 3), v(3)
     case("add_rowvec", [m9, v9], lambda: total(ad.add_rowvec(m9, v9)))
-    m13 = ad.parameter(away_from_zero(rng.normal(size=(4, 3))))
-    case("rowwise_norm_l1", [m13], lambda: total(ad.rowwise_norm(m13, "l1")))
-    m14 = m()
-    case("rowwise_norm_l2", [m14], lambda: total(ad.rowwise_norm(m14, "l2")))
-    v12 = ad.parameter(away_from_zero(rng.normal(size=6)))
-    case("leaky_relu", [v12], lambda: total(ad.leaky_relu(v12, 0.2)))
     # the one-record LSTM: lengths 3, 1, 4 and 2 end at four different
     # steps, and the length-1 sequence runs step 0 alone, with no hidden path
     word, w_in, w_hid, bias = m(6, 3), m(3, 12), m(3, 12), v(12)
-    probe_lstm = ad.constant(rng.normal(size=(4, 3)))
+    probe_lstm = rng.normal(size=(4, 3))
     sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
     case("lstm_encode", [word, w_in, w_hid, bias],
-         lambda: total(ad.elementwise_mul(lstm_encode(sequences, word, w_in, w_hid, bias), probe_lstm)))
+         lambda: probe(lstm_encode(sequences, word, w_in, w_hid, bias), probe_lstm))
     m15, m16 = m(2, 3), m(3, 3)
-    probe53 = ad.constant(rng.normal(size=(5, 3)))
-    case("concat_rows", [m15, m16],
-         lambda: total(ad.elementwise_mul(ad.concat_rows([m15, m16]), probe53)))
-    # segments of 1, 3 and 2 entries: the first holds a single edge
-    offsets = [0, 1, 4, 6]
-    v18 = v(6)
-    probe6 = ad.constant(rng.normal(size=6))
-    case("segment_softmax", [v18],
-         lambda: total(ad.elementwise_mul(ad.segment_softmax(v18, offsets), probe6)))
-    # the index repeats table rows 0 and 2 and never reads row 1
-    plan = ad.AggregationPlan([2, 0, 2, 3, 0, 2], offsets)
-    v19, m19 = v(6), m(4, 3)
-    probe33 = ad.constant(rng.normal(size=(3, 3)))
-    case("segment_weighted_sum", [v19, m19],
-         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(v19, m19, plan), probe33)))
-    # (edges, heads) weights: one column per head, each over all segments
-    m20 = m(6, 2)
-    probe62 = ad.constant(rng.normal(size=(6, 2)))
-    case("segment_softmax_heads", [m20],
-         lambda: total(ad.elementwise_mul(ad.segment_softmax(m20, offsets), probe62)))
-    m21, m22 = m(6, 2), m(4, 4)
-    probe34 = ad.constant(rng.normal(size=(3, 4)))
-    case("segment_weighted_sum_heads", [m21, m22],
-         lambda: total(ad.elementwise_mul(ad.segment_weighted_sum(m21, m22, plan), probe34)))
+    probe53 = rng.normal(size=(5, 3))
+    case("concat_rows", [m15, m16], lambda: probe(ad.concat_rows([m15, m16]), probe53))
+
+    # one attention layer record over a graph with isolated entities, a
+    # one-edge segment, a source read twice by one segment and a value read
+    # by two; without attributes the entity vectors are the only source rows
+    kg = edge_case_graph()
+
+    def layer_case(name, config, use_attributes):
+        view = GraphView.restricted(kg, kg.relation_triples, use_attributes)
+        inputs, rel, values, params = layer_tensors(rng, view, config, use_attributes)
+        weights = rng.normal(size=(view.edges.active.size, config.heads * config.head_dim))
+        tensors = [inputs, params.relation, params["head_w.0"]] + ([] if values is None else [values])
+        if config.attention == "translational":
+            tensors.append(rel)
+        case(name, tensors, lambda: probe(
+            model_module._layer_heads(inputs, rel, values, view, params, config, 0)[1], weights))
+
+    layer_case("layer_bilinear", ModelConfig(dim=4, head_dim=3, heads=2), True)
+    layer_case("layer_bilinear_no_values", ModelConfig(dim=4, head_dim=3, heads=3), False)
+    layer_case("layer_bilinear_relu", ModelConfig(dim=4, head_dim=2, heads=1, leaky_slope=0.0), True)
+    for norm in ("l1", "l2"):
+        translational = ModelConfig(dim=4, head_dim=3, heads=2, attention="translational", norm=norm)
+        layer_case(f"layer_translational_{norm}", translational, True)
+        layer_case(f"layer_translational_{norm}_no_values", translational, False)
+    # the merge and its leaky ReLU, one record for either aggregator
+    for aggregator, head_dim in (("concat", 3), ("average", 4)):
+        config = ModelConfig(dim=4, head_dim=head_dim, heads=2, aggregator=aggregator)
+        params = init_params(3, 2, 0, 0, config, rng)
+        heads = ad.parameter(rng.normal(size=(5, 2 * head_dim)))
+        tensors = [heads] + [t for name, t in params.items() if name.startswith("out_w.")]
+        weights = rng.normal(size=(5, 4))
+        case(f"aggregate_{aggregator}", tensors,
+             lambda heads=heads, params=params, config=config, weights=weights:
+             probe(model_module.aggregate(heads, params, config, 0), weights))
 
     def tanh_times(t, k):
         """tanh(t) * k as one fused record; k is a constant parent."""
@@ -226,7 +220,7 @@ def test_gradient_suite():
     start = time.perf_counter()
     op_cases = 0
     worst_op = 0.0
-    for seed in range(4):
+    for seed in range(5):
         rng = np.random.default_rng(seed)
         for name, params, forward in _op_gradient_cases(rng) + _loss_gradient_cases(rng):
             err = check_gradients(forward, params, step=1e-6)

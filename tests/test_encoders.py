@@ -5,6 +5,8 @@ its sequences encoded one at a time."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ import kane.autodiff as ad
 from kane.encoders import bow_encode, lstm_encode
 from kane.model import ModelConfig, init_params
 
-from helpers import check_gradients, reference_lstm_final_state, relative_error, total
+from helpers import check_gradients, probe, reference_lstm_final_state, relative_error, total
 
 
 def make_table(rng: np.random.Generator, vocab: int = 12, dim: int = 5) -> ad.Tensor:
@@ -202,12 +204,37 @@ class TestLstm:
         table, params = self._setup(14, dim=3, vocab=6)
         sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
         tensors = [table, *params]
-        weights = ad.constant(np.random.default_rng(15).standard_normal((4, 3)))
+        weights = np.random.default_rng(15).standard_normal((4, 3))
 
         def forward():
-            return total(ad.elementwise_mul(lstm_encode(sequences, table, *params), weights))
+            return probe(lstm_encode(sequences, table, *params), weights)
 
         assert check_gradients(forward, tensors, step=1e-6) < 1e-5
+
+    def test_word_gradient_costs_the_words_read_not_the_vocabulary(self):
+        """At a vocabulary of 5,000, one backward over 30 short sequences
+        allocates less than two (vocab, dim) arrays at its peak: the word
+        gradient is summed over the words the batch reads and fills one
+        table-sized array once, not one per step. Rows no token reads get
+        zero."""
+        rng = np.random.default_rng(16)
+        vocab, dim = 5000, 64
+        table = make_table(rng, vocab=vocab, dim=dim)
+        params = lstm_weights(rng, dim)
+        sequences = [list(rng.integers(0, vocab, size=int(rng.integers(3, 6)))) for _ in range(30)]
+        with ad.Tape() as tape:
+            root = probe(lstm_encode(sequences, table, *params), rng.standard_normal((30, dim)))
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                ad.backward(tape, root)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        read = np.unique(np.concatenate(sequences))
+        assert (np.abs(table.grad[read]).max(axis=1) > 0).all()
+        assert not np.delete(table.grad, read, axis=0).any()
+        assert peak < 2 * vocab * dim * 8, f"peak {peak} bytes"
 
 
 def test_bow_gradient_matches_finite_differences():

@@ -4,6 +4,7 @@ full forward passes checked against the pure-Python reference implementation."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from kane.training import (
 )
 
 from helpers import (
-    check_gradients, kg_from_name_triples, random_kg, reference_bce, relative_error, total,
+    check_gradients, kg_from_name_triples, probe, random_kg, reference_bce, relative_error, total,
 )
 
 
@@ -362,7 +363,7 @@ class TestAttention:
         # no edge and no softmax segment
         assert sink not in edges.owner
         with pytest.raises(ShapeError):
-            ad.segment_softmax(ad.constant(np.zeros(1)), np.array([0, 1, 1]))
+            ad.AggregationPlan([0], np.array([0, 1, 1]))
         assert sink not in edges.active
         assert edges.segments.tolist() == [0, 1]
         weights, outputs = layer_heads(view, params, config)
@@ -601,20 +602,50 @@ def test_forward_gradients_end_to_end():
 
 
 @pytest.mark.parametrize("attention", ["bilinear", "translational"])
-def test_layer_tape_holds_no_per_edge_record_of_head_width(attention):
+def test_layer_builds_no_per_edge_array_of_head_width(attention):
     """The relation half of a layer runs on per-relation tables, and the
-    weighted sum reads the transformed source rows where they are: no
-    record one layer puts on the tape is (edges, heads * head_dim).
-    Bilinear attention keeps every per-edge record at most ``heads`` wide."""
-    config = ModelConfig(dim=5, head_dim=3, heads=2, layers=1, attention=attention)
-    _, view, params = build(3, config, entities=8, triples=30, with_attributes=True)
+    weighted sum reads the transformed source rows where they are: neither
+    the layer's forward nor its backward allocates as much as one (edges,
+    heads * head_dim) array at its peak, on a graph with many more edges
+    than entities."""
+    config = ModelConfig(dim=4, head_dim=64, heads=2, layers=1, attention=attention)
+    _, view, params = build(3, config, entities=10, relations=6, triples=800, with_attributes=True)
     edges, width = view.edges.source.size, config.heads * config.head_dim
-    # read once per forward pass, not per layer
-    rel = ad.rows(params.relation, view.edges.relation)
+    assert edges >= 400
+    rel = ad.rows(params.relation, view.edges.relation)  # read once per forward pass, not per layer
     values = encode_value(view, params, config)
+    view.aggregation.reverse  # built once per view, not per layer
+    weights = np.random.default_rng(4).normal(size=(view.edges.active.size, width))
+    peaks = []  # above what was held before each pass
     with ad.Tape() as tape:
-        model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
-    assert not [t for t in tape.records if t.shape == (edges, width)]
-    if attention == "bilinear":
-        per_edge = [t for t in tape.records if t.shape[:1] == (edges,)]
-        assert per_edge and all(t.shape[1] <= config.heads for t in per_edge)
+        tracemalloc.start()
+        try:
+            _, outputs = model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            root = probe(outputs, weights)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            ad.backward(tape, root)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+    assert params["head_w.0"].grad is not None
+    assert max(peaks) < edges * width * 8, (peaks, edges * width * 8)
+
+
+def test_layer_and_merge_are_one_tape_record_each():
+    """Per layer, the attention layer and the merge are one record each;
+    the translational relation rows are gathered once per pass, and
+    isolated entities add one gather of one stacked table per layer."""
+    for attention, isolated in itertools.product(("bilinear", "translational"), (False, True)):
+        config = ModelConfig(dim=4, head_dim=3, heads=2, layers=2, attention=attention)
+        if isolated:
+            view, params = sparse_view(5, config)
+        else:
+            _, view, params = build(5, config)
+        assert (view.edges.active.size < view.entity_count) == isolated
+        values = encode_value(view, params, config)  # off the tape
+        with ad.Tape() as tape:
+            forward_all(view, params, config, values)
+        per_layer = 2 + (2 if isolated else 0)
+        assert len(tape.records) == (attention == "translational") + config.layers * per_layer

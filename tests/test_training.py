@@ -553,12 +553,13 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("task", ["completion", "classification"])
     def test_step_neither_transposes_nor_stacks_a_parameter(self, task, monkeypatch):
-        """Every transform is stored in the layout its product reads: on the
-        tape of a training step no ``transpose`` record reads a parameter,
-        and the one ``concat_rows`` input that is a parameter is the entity
-        table, which layer 0 stacks over the value encodings as its source
-        rows. The classification step runs the LSTM encoder, one ``fused``
-        record that reads its weights as stored."""
+        """Every transform is stored in the layout its product reads: no
+        record of a training step transposes a parameter, and the only
+        ``concat_rows`` input that may be a parameter is the entity table,
+        under the isolated entities' previous rows. The head transforms and
+        the concat merges are read as stored by the layers' and the
+        merges' ``fused`` records, the classifier by a ``matmul``, and the
+        LSTM encoder's weights by its one ``fused`` record."""
         kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
                        attribute_relations=1, attribute_triples=5)
         split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
@@ -583,11 +584,10 @@ class TestTrainLoop:
             reads.setdefault(op, set()).update(p.name for p in t._parents if p.is_param)
         assert reads.get("transpose", set()) == set()
         assert reads.get("concat_rows", set()) <= {"entity"}
-        # every weight matrix is read by a product on the tape, as stored,
-        # or by the LSTM's one record
-        matrices = {name for name, _ in params.named_parameters()
-                    if name.startswith(("head_w", "out_w", "cls_w"))}
-        assert matrices and matrices <= reads["matmul"]
+        layers = {name for name, _ in params.named_parameters() if name.startswith(("head_w", "out_w"))}
+        assert len(layers) == 4 and layers <= reads["fused"]
+        classifier = {"cls_w"} if task == "classification" else set()
+        assert classifier <= reads.get("matmul", set())
         lstm = {name for name, _ in params.named_parameters() if name.startswith("lstm.w")}
         assert lstm == ({"lstm.w_in", "lstm.w_hid"} if encoder == "lstm" else set())
         assert lstm <= reads.get("fused", set())
