@@ -164,6 +164,8 @@ def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     memory order and needs no sort, where an axis-0 ``reduceat`` walks each
     column down the rows.
     """
+    if not idx.size:  # bincount would return int64 zeros
+        return np.zeros((n, *g.shape[1:]))
     if g.ndim == 1:
         return np.bincount(idx, weights=g, minlength=n)
     w = g.shape[1]

@@ -174,7 +174,15 @@ def pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KnownAnswers:
     """Known answers of one query kind, sorted by key: ``answers[i]``
-    completes the known triple whose two other ids make ``keys[i]``."""
+    completes the known triple whose two other ids make ``keys[i]``.
+
+    ``lookup`` lists every known answer of each key (the filter index).
+    ``contains`` tests single pairs (the negative sampler) with one search
+    per pair among sorted codes, one per known pair, built at its first
+    call: the key's dense id, its first id times (largest second id + 1)
+    plus its second id, times (largest answer + 1) plus the answer. Where
+    such a code could overflow int64, it expands ``lookup`` instead.
+    """
 
     keys: np.ndarray
     answers: np.ndarray
@@ -192,10 +200,32 @@ class KnownAnswers:
         first = np.repeat(start - (np.cumsum(count) - count), count)
         return query, self.answers[first + np.arange(len(query))]
 
+    @cached_property
+    def _codes(self) -> tuple[int, int, int, np.ndarray] | None:
+        """(first-id width, second-id width, answer width, sorted codes) of
+        the ``pair_keys`` keys, or None when a code would overflow int64."""
+        first, second = self.keys >> 32, self.keys & 0xFFFFFFFF
+        first_width, second_width = int(first.max()) + 1, int(second.max()) + 1
+        width = int(self.answers.max()) + 1
+        if first_width * second_width * width > np.iinfo(np.int64).max:
+            return None
+        codes = np.sort((first * second_width + second) * width + self.answers)
+        return first_width, second_width, width, codes
+
     def contains(self, keys: np.ndarray, answers: np.ndarray) -> np.ndarray:
         """Whether each (key, answer) pair is known: a bool per pair."""
-        query, known = self.lookup(keys)
-        return np.bincount(query[known == answers[query]], minlength=len(keys)) > 0
+        if not self.keys.size:
+            return np.zeros(len(keys), dtype=bool)
+        if self._codes is None:
+            query, known = self.lookup(keys)
+            return np.bincount(query[known == answers[query]], minlength=len(keys)) > 0
+        first_width, second_width, width, codes = self._codes
+        first, second = keys >> 32, keys & 0xFFFFFFFF
+        # codes of the pairs outside the widths may wrap; they are masked
+        code = (first * second_width + second) * width + answers
+        inside = (keys >= 0) & (first < first_width) & (second < second_width)
+        inside &= (answers >= 0) & (answers < width)
+        return inside & (codes.take(np.searchsorted(codes, code), mode="clip") == code)
 
 
 def known_triples(kg: KnowledgeGraph) -> KnownAnswers:

@@ -249,14 +249,24 @@ def _completion_batch_loss(
     params: ModelParams,
     config: TrainConfig,
     values: Tensor | None = None,
+    work: np.ndarray | None = None,
 ) -> Tensor:
     """Hinge loss of positive rows against their negative rows, grouped by
     positive, as one tape record. Attribute targets read ``values``, the
     value table from ``encode_value``.
 
-    Each row's difference h + r - t is built in one buffer, and the
-    backward writes its gradient into a second one, from which three
-    scatters fill the entity, relation and value gradients.
+    Each row's difference h + r - t is built in one buffer, every gather
+    writing straight into a buffer. The backward runs over the live rows
+    only, those whose hinge gradient is nonzero or whose distance is not
+    finite: any other row adds only +-0.0 to gradient sums that start at
+    +0.0, so dropping it changes no bit. It writes the live rows' gradient
+    of the difference into the second buffer, from which three scatters
+    fill the entity, relation and value gradients.
+
+    The two buffers are ``work[0]`` and ``work[1]``, a (2, >= rows, dim)
+    float64 array that a training run allocates once, or new arrays. The
+    record reads them until its backward has run, so ``work`` must not be
+    passed again before then.
     """
     rows = np.concatenate([positives, negatives])
     head, relation, target = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -267,24 +277,31 @@ def _completion_batch_loss(
     for col, n, what in ((head, n_ent, "head"), (relation, n_rel, "relation"), (target, n_target, "target")):
         if col.min() < 0 or col.max() >= n:
             raise IndexError(f"completion loss: {what} index out of range for {n} rows")
-    diff = np.take(ent.data, head, axis=0)
-    buf = np.take(rel.data, relation, axis=0)
+    if work is None:
+        work = np.empty((2, len(rows), table.shape[1]))
+    # mode="clip" lets take write into ``out`` unbuffered; the checks above keep it from clipping
+    diff = ent.data.take(head, axis=0, out=work[0, :len(rows)], mode="clip")
+    buf = rel.data.take(relation, axis=0, out=work[1, :len(rows)], mode="clip")
     diff += buf
-    diff -= np.take(table, target, axis=0, out=buf)
+    diff -= table.take(target, axis=0, out=buf, mode="clip")
     l1 = config.model.norm == "l1"
     dist = np.abs(diff, out=buf).sum(axis=1) if l1 else np.sqrt(np.multiply(diff, diff, out=buf).sum(axis=1))
     loss, dist_grad = hinge_loss(dist, len(positives), config.margin, config.negatives)
 
     def back(g):
-        g_dist = (dist_grad * g)[:, None]
+        g_dist = dist_grad * g
+        live = np.flatnonzero((g_dist != 0.0) | ~np.isfinite(dist))
+        g_dist, d = g_dist[live, None], dist[live]
+        grad = diff.take(live, axis=0, out=buf[:live.size], mode="clip")
         if l1:
-            grad = np.multiply(np.sign(diff, out=buf), g_dist, out=buf)
+            np.sign(grad, out=grad)
+            grad *= g_dist
         else:
-            grad = np.multiply(diff, g_dist / np.where(dist == 0.0, 1.0, dist)[:, None], out=buf)
-            grad *= (dist != 0.0)[:, None]
-        rel_grad = ad.scatter_sum(relation, grad, n_rel)
-        head_grad = ad.scatter_sum(head, grad, n_ent)
-        target_grad = ad.scatter_sum(target, np.negative(grad, out=grad), n_target)
+            grad *= g_dist / np.where(d == 0.0, 1.0, d)[:, None]
+            grad *= (d != 0.0)[:, None]
+        rel_grad = ad.scatter_sum(relation[live], grad, n_rel)
+        head_grad = ad.scatter_sum(head[live], grad, n_ent)
+        target_grad = ad.scatter_sum(target[live], np.negative(grad, out=grad), n_target)
         head_grad += target_grad[:n_ent]
         if values is None:
             return head_grad, rel_grad
@@ -346,6 +363,9 @@ def train(
     best_snap: dict[str, np.ndarray] | None = None
     checks_since_best = 0
     filt = None  # the filter index, built at the first completion validation
+    work = None  # the completion loss's buffers: allocated once, not faulted in every step
+    if config.task == "completion":
+        work = np.empty((2, min(len(positives), config.batch_size) * (1 + config.negatives), config.model.dim))
 
     with np.errstate(all="ignore"):  # no warnings: a diverging step fails a check below
         for epoch in range(1, config.epochs + 1):
@@ -362,7 +382,7 @@ def train(
                         # one value table, read by propagation and by the loss's attribute targets
                         values = encode_value(view, params, config.model)
                         finals = forward_all(view, params, config.model, values)
-                        loss = _completion_batch_loss(chunk, negs, finals, params, config, values)
+                        loss = _completion_batch_loss(chunk, negs, finals, params, config, values, work)
                         total_loss += loss.item()
                     else:
                         finals = forward_all(view, params, config.model)

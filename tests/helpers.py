@@ -14,7 +14,7 @@ import numpy as np
 
 import kane.autodiff as ad
 from kane.errors import IntegrityError
-from kane.kgdata import KnowledgeGraph
+from kane.kgdata import KnowledgeGraph, KnownAnswers
 from kane.model import ModelParams
 from kane.training import CHECKPOINT_MAGIC
 
@@ -171,6 +171,13 @@ def composed_completion_loss(
         return np.bincount(owner, weights=g_active, minlength=len(positives)), -g_active
 
     return ad.fused(np.where(active, violation, 0.0).sum(), (d_pos, d_neg), back)
+
+
+def contains_by_lookup(known: KnownAnswers, keys: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """``KnownAnswers.contains`` as it was first written: expand every known
+    answer of each key with ``lookup`` and count the matches per pair."""
+    query, found = known.lookup(keys)
+    return np.bincount(query[found == answers[query]], minlength=len(keys)) > 0
 
 
 def away_from_zero(arr: "np.ndarray", gap: float = 0.05) -> "np.ndarray":

@@ -349,6 +349,19 @@ def test_scatter_sums_match_a_python_loop(data):
         assert np.array_equal(weight_grad, want_weights.reshape(weights.shape))
 
 
+def test_scatter_sum_over_no_index_is_float_zeros():
+    """An empty index sums nothing: float64 zeros of the vector and the
+    matrix form, all +0.0, which a gradient can accumulate into."""
+    for g, shape in ((np.zeros(0), (4,)), (np.zeros((0, 3)), (4, 3))):
+        got = ad.scatter_sum(np.zeros(0, dtype=np.int64), g, 4)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert not np.signbit(got).any() and not got.any()
+        t = ad.parameter(np.ones(shape))
+        t.grad = np.ones(shape)
+        t.grad += got
+        assert np.array_equal(t.grad, np.ones(shape))
+
+
 def test_aggregation_backward_builds_no_entry_wide_array():
     """The gradients of the plan's weighted sum over 2,000 entries allocate
     less at their peak than one (entries, width) float64 array: both are

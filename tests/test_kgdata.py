@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from kane.errors import ConfigError, DomainError, IntegrityError, KaneError, ParseError
 from kane.kgdata import (
-    GraphView, Interner, KnowledgeGraph, attributes_to_tsv, bundle_checksum, bundle_from_json,
-    bundle_to_json, first_occurrences, generate_synthetic_kg, id_tuples, kg_statistics,
-    known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
+    GraphView, Interner, KnowledgeGraph, KnownAnswers, attributes_to_tsv, bundle_checksum,
+    bundle_from_json, bundle_to_json, first_occurrences, generate_synthetic_kg, id_tuples,
+    kg_statistics, known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
     parse_relation_triples, relations_to_tsv, split_labeled_entities, split_relation_triples,
     tokenize, triple_rows,
 )
 
-from helpers import kg_from_name_triples, random_kg
+from helpers import contains_by_lookup, kg_from_name_triples, random_kg
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,9 @@ def test_triple_rows_put_values_after_entities():
 
 
 def test_known_triples_agree_with_python_set():
+    """``contains`` answers every (head, relation, target) of a grid wider
+    than the graph, absent keys and answers above every stored answer
+    included, as a Python set and the lookup-based reference do."""
     for seed in range(6):
         kg = random_kg(np.random.default_rng(seed), entities=6, relations=3, triples=14,
                        attribute_relations=2, attribute_triples=8)
@@ -131,11 +134,38 @@ def test_known_triples_agree_with_python_set():
         want = set(id_tuples(kg.relation_triples)) | {
             (h, r, ne + v) for h, r, v in kg.attribute_triples.tolist()
         }
+        known = known_triples(kg)
+        assert (np.bincount(np.unique(known.keys, return_inverse=True)[1]) > 1).any()  # several answers
         grid = np.array(list(itertools.product(
-            range(ne), range(kg.num_relations), range(ne + kg.num_values)
+            range(ne + 2), range(kg.num_relations + 2), range(ne + kg.num_values + 3)
         )))
-        hit = known_triples(kg).contains(pair_keys(grid[:, 0], grid[:, 1]), grid[:, 2])
+        keys = pair_keys(grid[:, 0], grid[:, 1])
+        hit = known.contains(keys, grid[:, 2])
         assert {tuple(r) for r in grid[hit].tolist()} == want
+        assert np.array_equal(hit, contains_by_lookup(known, keys, grid[:, 2]))
+    empty = KnownAnswers.from_pairs(keys[:0], grid[:0, 2])
+    assert not empty.contains(keys, grid[:, 2]).any()
+
+
+def test_known_answers_contains_at_the_id_limits():
+    """Negative ids and ids past the stored widths are unknown, and every
+    answer of a key with several is known, both with small ids and with ids
+    near 2**31, whose pair codes would overflow int64 and are answered
+    through ``lookup``."""
+    for big in (0, 2**31 - 10):
+        h, r = np.array([big + 2, big, big + 2, big + 2]), np.array([1, 0, 1, 3])
+        a = np.array([big + 5, big, big + 1, big + 5])
+        known = KnownAnswers.from_pairs(pair_keys(h, r), a)
+        queries = [  # (head, relation, answer, known)
+            (big + 2, 1, big + 5, True), (big + 2, 1, big + 1, True), (big + 2, 1, big + 2, False),
+            (big, 0, big, True), (big, 2, big, False), (big + 9, 1, big + 5, False),
+            (big + 2, 3, big + 6, False), (big + 2, 0, big + 5, False), (-1, 0, big, False), (big, 0, -1, False),
+            # these two would share the code of (big + 2, 1, big + 5) if not masked
+            (big + 1, 5, big + 5, False), (big + 2, 0, 2 * big + 11, False),
+        ]
+        qh, qr, qa, want = (np.array(column) for column in zip(*queries))
+        assert np.array_equal(known.contains(pair_keys(qh, qr), qa), want)
+        assert np.array_equal(contains_by_lookup(known, pair_keys(qh, qr), qa), want)
 
 
 def test_neighborhood_lists_relations_then_attributes_in_load_order():

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import FrozenInstanceError, asdict
+import tracemalloc
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 import kane.autodiff as ad
 import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
-from kane.kgdata import DatasetSplit, GraphView, id_tuples, known_triples, triple_rows
+from kane.kgdata import (
+    DatasetSplit, GraphView, KnownAnswers, generate_synthetic_kg, id_tuples, known_triples, triple_rows,
+)
 from kane.model import (
     AGGREGATORS, ATTENTION_FORMS, ENCODERS, NORMS, ModelConfig, encode_value, forward_all, init_params,
 )
@@ -41,6 +44,7 @@ from helpers import (
     check_gradients,
     checkpoint_header,
     composed_completion_loss,
+    contains_by_lookup,
     kg_from_name_triples,
     random_kg,
     reference_bce,
@@ -91,6 +95,21 @@ class TestCorrupt:
                     assert tuple(cand) not in known
                     assert cand[1] == pos[1]
         assert draws >= 4000
+
+    @pytest.mark.parametrize("entities", [50, 500])
+    def test_same_negatives_as_the_lookup_based_filter(self, entities, monkeypatch):
+        """The sampler's known-triple test gives the same booleans as the
+        lookup-based reference, so the draws and the negatives are the same
+        bytes, on the synthetic 50- and 500-entity graphs at seeds 0-4."""
+        for seed in range(5):
+            kg, split = generate_synthetic_kg(seed, entities=entities)
+            rows = triple_rows(kg, split.train, with_attributes=True)
+            known = known_triples(kg)
+            got = corrupt(rows, kg, known, np.random.default_rng(seed), 10)
+            with monkeypatch.context() as m:
+                m.setattr(KnownAnswers, "contains", contains_by_lookup)
+                want = corrupt(rows, kg, known, np.random.default_rng(seed), 10)
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic_for_fixed_rng(self):
         kg = random_kg(np.random.default_rng(1), entities=6, triples=14,
@@ -298,6 +317,17 @@ def test_each_loss_is_one_tape_record(loss):
     assert len(tape.records) == 1
 
 
+def _fused_and_composed(positives, negatives, ent, params, config, table):
+    """(loss, gradients) of the one-record loss, then of the composition."""
+    tensors = list(params.values()) + ([] if table is None else [table])
+    fused = autodiff_gradients(
+        lambda: _completion_batch_loss(positives, negatives, ent, params, config, table), tensors)
+    composed = autodiff_gradients(
+        lambda: composed_completion_loss(positives, negatives, ent, params.relation, config.model.norm,
+                                         config.margin, config.negatives, table), tensors)
+    return fused, composed
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("values", [False, True])
 def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values):
@@ -307,15 +337,92 @@ def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values)
     positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values)
     negatives[0] = positives[0]  # with the next line, row 0 of both has a zero difference
     ent.data[2] = ent.data[0] + params.relation.data[1]
-    tensors = list(params.values()) + ([table] if values else [])
-    fused_loss, fused_grads = autodiff_gradients(
-        lambda: _completion_batch_loss(positives, negatives, ent, params, config, table), tensors)
-    composed_loss, composed_grads = autodiff_gradients(
-        lambda: composed_completion_loss(positives, negatives, ent, params.relation, norm,
-                                         config.margin, config.negatives, table), tensors)
+    (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
+        positives, negatives, ent, params, config, table)
     assert fused_loss == composed_loss
     for got, want in zip(fused_grads, composed_grads, strict=True):
         assert np.array_equal(got, want)
+    # buffers with spare rows, filled with NaN: nothing reads past the batch's rows
+    work = np.full((2, len(positives) + len(negatives) + 3, ent.shape[1]), np.nan)
+    work_loss, work_grads = autodiff_gradients(
+        lambda: _completion_batch_loss(positives, negatives, ent, params, config, table, work),
+        list(params.values()) + ([table] if values else []))
+    assert work_loss == fused_loss
+    for got, want in zip(work_grads, fused_grads, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("values", [False, True])
+def test_completion_loss_with_every_negative_past_the_margin_has_positive_zero_gradients(norm, values):
+    """No row carries gradient when every positive sits at distance zero
+    and every negative clears the margin: every gradient is float64 +0.0,
+    byte for byte the composition's."""
+    positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values)
+    rel = params.relation.data
+    # each positive's h + r is its t: 3 + 0 -> 4, 4 + 2 -> 1, 1 + 2 -> 6 (or 0), 0 + 1 -> 2
+    ent.data[4] = ent.data[3] + rel[0]
+    ent.data[1] = ent.data[4] + rel[2]
+    (table.data if values else ent.data)[1 if values else 0] = ent.data[1] + rel[2]
+    ent.data[2] = ent.data[0] + rel[1]
+    negatives[negatives[:, 2] == positives.repeat(3, axis=0)[:, 2], 2] = 3  # no negative is its positive
+    config = replace(config, margin=0.5)
+    full = ent.data if table is None else np.concatenate([ent.data, table.data])
+    diff = full[negatives[:, 0]] + rel[negatives[:, 1]] - full[negatives[:, 2]]
+    dist = np.abs(diff).sum(axis=1) if norm == "l1" else np.sqrt((diff * diff).sum(axis=1))
+    assert dist.min() > config.margin
+    (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
+        positives, negatives, ent, params, config, table)
+    assert fused_loss == composed_loss == 0.0
+    for got, want in zip(fused_grads, composed_grads, strict=True):
+        assert got.dtype == np.float64 and not got.any() and not np.signbit(got).any()
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_completion_loss_passes_a_dead_row_non_finite_distance_on_as_the_composition_does(norm, bad):
+    """A negative whose distance is not finite has no hinge gradient, but
+    its backward still runs: l2's inf * 0 and both norms' NaN reach the
+    same gradient entries as in the composition, bit for bit."""
+    positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values=True)
+    negatives[0] = [0, 1, 7]  # value row 2, which no positive reads
+    table.data[2, 0] = bad
+    with np.errstate(invalid="ignore"):  # as in training: inf * 0 is NaN
+        (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
+            positives, negatives, ent, params, config, table)
+    assert np.isfinite(fused_loss) and fused_loss == composed_loss
+    assert any(np.isnan(g).any() for g in composed_grads) == (norm == "l2" or bad != np.inf)
+    for got, want in zip(fused_grads, composed_grads, strict=True):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_completion_loss_forward_holds_two_row_buffers():
+    """The forward gathers h, r and t straight into its two (rows, dim)
+    buffers: on 2,200 rows at dim 64 its peak stays below 2.5 such arrays,
+    where a buffered gather would copy a third, and below half of one when
+    the buffers are given."""
+    rng = np.random.default_rng(23)
+    dim, n_ent, n_rel, n_val, per = 64, 50, 5, 10, 10
+    model = ModelConfig(dim=dim, head_dim=4, heads=1, layers=0, use_attributes=False)
+    config = TrainConfig(model=model, negatives=per)
+    params = init_params(n_ent, n_rel, 0, 0, model, rng)
+    values = ad.parameter(rng.normal(size=(n_val, dim)))
+    positives = np.column_stack([rng.integers(n, size=200) for n in (n_ent, n_rel, n_ent + n_val)])
+    negatives = np.repeat(positives, per, axis=0)
+    negatives[:, 2] = rng.integers(n_ent + n_val, size=len(negatives))
+    rows = len(positives) + len(negatives)
+    assert rows >= 2000
+    for work, bound in ((None, 2.5), (np.empty((2, rows, dim)), 0.5)):
+        with ad.Tape():
+            tracemalloc.start()
+            try:
+                _completion_batch_loss(positives, negatives, params.entity, params, config, values, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < bound * rows * dim * 8, (peak, rows * dim * 8)
 
 
 @pytest.mark.parametrize("column, rows", [(0, 5), (1, 3), (2, 8)])
@@ -537,9 +644,9 @@ class TestTrainLoop:
             read.append(("forward", values))
             return real_forward(view, params, config, values)
 
-        def loss(batch, negatives, finals, params, config, values=None):
+        def loss(batch, negatives, finals, params, config, values=None, work=None):
             read.append(("loss", values))
-            return real_loss(batch, negatives, finals, params, config, values)
+            return real_loss(batch, negatives, finals, params, config, values, work)
 
         monkeypatch.setattr(training, "encode_value", encode)
         monkeypatch.setattr(training, "forward_all", forward)
