@@ -16,18 +16,27 @@ filtered rank. The known positives are sorted key -> answer arrays
 
 Ranks are exactly those of the float64 distances ``||(x + y) - z||``
 (the tail's ``(e_h + r) - e_c``, the head's ``(e_c + r) - e_t``, the
-relation's ``(e_h + r_c) - e_t``), at about half their memory traffic.
-Each kind is one distance from a per-query vector ``a`` to every
-candidate ``c``, first computed in float32: a (dim x queries x
-candidates) chunk of differences, mapped by ``abs`` (l1) or ``square``
-(l2, compared squared) and summed over dim. A per-query rounding bound
-(Higham's gamma_n, see ``_rank``) puts the float32 value within ``err``
-of the float64 one. A candidate below the answer by more than twice
-``err`` is better; one above by more is not; the band between, and any
-query whose values are not finite or near float32's limit, is
-recomputed in float64 with the expression above and its summation
-order. A candidate whose row equals the answer's is never better and
-is skipped.
+relation's ``(e_h + r_c) - e_t``). Each kind is one distance from a
+per-query vector ``a`` to every candidate ``c``, first computed from
+their float32 roundings in one of two forms that cost two memory sweeps
+or one product:
+
+- l1 as ``2 sum_d max(a_d, c_d) - sum a - sum c``: one broadcast maximum
+  into a (dim x queries x candidates) chunk and one sum over dim, then
+  the row sums, taken once per call, subtracted in place;
+- l2, compared squared, as ``||a||^2 + ||c||^2 - 2 a.c``: one float32
+  matrix product per group of queries.
+
+A per-query rounding bound (Higham's gamma_n, see ``_bound``) puts each
+float32 value within ``err`` of the float64 one. Both forms cancel, so
+the bound follows the size of the operands, not of the distance: for l1
+twice gamma_n of ``sum |a| + sum |c|`` (the doubled sum of the maxima),
+for l2 gamma_n of ``(||a|| + ||c||)**2``.
+A candidate below the answer by more than twice ``err`` is better; one
+above by more is not; the band between, and any query whose values are
+not finite or near float32's limit, is recomputed in float64 with the
+expression above and its summation order. A candidate whose row equals
+the answer's is never better and is dropped from the band by index.
 
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
@@ -48,7 +57,7 @@ from .model import ModelConfig, ModelParams, forward_all, is_translation_mode
 
 SETTINGS = ("raw", "filter")
 
-# Elements of the (dim x queries x candidates) float32 buffer of one
+# Elements of the (dim x queries x candidates) float32 buffer of one l1
 # ranking chunk: 2**18 is 1 MiB, about 8 queries over 500 entities at dim
 # 64 and about 80 over 50. A band holds the approximate distances of up
 # to this many (query, candidate) pairs, and a float64 recheck up to this
@@ -119,16 +128,117 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _copy_groups(mat: np.ndarray) -> np.ndarray:
+def _copy_groups(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An id per row such that rows with one id are equal (equal rows may
-    still get different ids; a row holding NaN shares its id with none)."""
+    still get different ids; a row holding NaN shares its id with none),
+    and the rows ordered by id. Ids run from 1 up."""
     order = np.argsort(mat.sum(axis=1))
     ordered = mat[order]
     new = np.ones(len(mat), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ids = np.empty(len(mat), dtype=np.int64)
     ids[order] = np.cumsum(new)
-    return ids
+    return ids, order
+
+
+def _operands(kind: str, q: np.ndarray, ent: np.ndarray, rel: np.ndarray):
+    """For one ranking kind and (n, 3) queries: each query's answer, the
+    pair keys of its known answers, the candidate table, the parts
+    (x, y, z) of the float64 distance's map of (x + y) - z, with None at
+    the candidate's place, and the per-query vector a whose distance to a
+    candidate c is the same map of a - c."""
+    h, r, t = q.T
+    if kind == "tail":  # (e_h + r) - e_c
+        parts = (ent[h], rel[r], None)
+        return t, pair_keys(h, r), ent, parts, parts[0] + parts[1]
+    if kind == "head":  # (e_c + r) - e_t
+        parts = (None, rel[r], ent[t])
+        return h, pair_keys(r, t), ent, parts, parts[2] - parts[1]
+    parts = (ent[h], None, ent[t])  # (e_h + r_c) - e_t
+    return r, pair_keys(h, t), rel, parts, parts[2] - parts[0]
+
+
+def _bound(norm: str, parts: tuple, cand: np.ndarray) -> np.ndarray:
+    """Per query, a bound on how far each distance of ``_float32_pass``
+    lies from the float64 one (both squared for l2): infinite for a query
+    whose distances could come near float32's largest value or are not
+    finite.
+
+    With n = dim, u and v the float32 and float64 unit roundoffs and
+    ``size`` >= the sum over coordinates of (|x| + |y| + |c|)**p for every
+    candidate c, so >= sum |a| + sum |c| (l1) or (||a|| + ||c||)**2 (l2):
+      l1's doubled sum of the maxima errs by 2 gamma_{n-1} sum |max(a, c)|
+        <= 2 gamma_{n-1} size, its row sums and two
+        subtractions by under 5u size                       2 gamma_{n+2} size
+      l2's product errs by gamma_n sum |a c|, its squared norms and two
+        additions by a few u of ||a||^2 + ||c||^2 + 2 sum |a c|,
+        which is <= size by Cauchy-Schwarz                  gamma_{n+4} size
+    The bound covers that, with room to spare, plus
+      rounding a and c to float32                            (2u + v) size
+      the float64 (x + y) - z, map and sum                   gamma_n size
+      float32 underflow, absolute                            ~6n eta
+    Sums and the max are exact below float32's normal range, so only the
+    roundings to float32 and l2's products underflow. Below ``_SAFE32``
+    no intermediate value overflows.
+    """
+    phi, p = _NORM_MAPS[norm]
+    dim = cand.shape[1]
+    x, y = (part for part in parts if part is not None)
+    with np.errstate(over="ignore"):
+        size = (phi(np.abs(x) + np.abs(y)).sum(axis=1) ** (1 / p)
+                + phi(cand).sum(axis=1).max(initial=0.0) ** (1 / p)) ** p
+    terms = 2 if norm == "l1" else 1
+    err = ((terms * _gamma(dim + 8, _U32) + _gamma(dim + 8, _U64) + 8 * dim * _ETA32) * size
+           + 16 * dim * _ETA32)
+    return np.where(size < _SAFE32, err, np.inf)
+
+
+def _float32_pass(norm: str, a: np.ndarray, cand: np.ndarray, rows: int):
+    """A function ``fill(lo, out)`` that writes the float32 distance (l2's
+    squared) of queries lo, lo + 1, ... to every candidate into the rows of
+    the (queries, candidates) float32 array ``out``, from the float32
+    roundings of ``a`` and ``cand``.
+
+    l1 is 2 sum_d max(a_d, c_d) - sum a - sum c: one broadcast maximum into
+    a (dim x rows x candidates) buffer and one sum over dim per ``rows``
+    queries, then the row sums, taken once, subtracted in place. l2 is
+    ||a||^2 + ||c||^2 - 2 a.c: one float32 product per call. Values that
+    are not finite make NaN or infinity without a warning only under the
+    caller's ``np.errstate``.
+    """
+    dim = cand.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c32 = np.ascontiguousarray(cand.T, dtype=np.float32)
+        if norm == "l2":
+            a32 = np.ascontiguousarray(a, dtype=np.float32)
+            a_sums = np.square(a32, dtype=np.float64).sum(axis=1).astype(np.float32)
+            c_sums = np.square(c32, dtype=np.float64).sum(axis=0).astype(np.float32)
+        else:
+            a32 = np.ascontiguousarray(a.T, dtype=np.float32)
+            a_sums = a32.sum(axis=0, dtype=np.float64).astype(np.float32)
+            c_sums = c32.sum(axis=0, dtype=np.float64).astype(np.float32)
+
+    if norm == "l2":
+        def fill(lo: int, out: np.ndarray) -> None:
+            np.matmul(a32[lo : lo + len(out)], c32, out=out)
+            out *= -2
+            out += a_sums[lo : lo + len(out), None]
+            out += c_sums
+        return fill
+
+    buf = np.empty(rows * len(cand) * dim, dtype=np.float32)
+
+    def fill(lo: int, out: np.ndarray) -> None:
+        n = len(out)
+        for j in range(0, n, rows):
+            k = min(rows, n - j)
+            chunk = buf[: dim * k * len(cand)].reshape(dim, k, len(cand))
+            np.maximum(a32[:, lo + j : lo + j + k, None], c32[:, None], out=chunk)
+            np.add.reduce(chunk, axis=0, out=out[j : j + k])
+        out *= 2
+        out -= a_sums[lo : lo + n, None]
+        out -= c_sums
+    return fill
 
 
 def _rank(
@@ -150,71 +260,53 @@ def _rank(
         raise ConfigError(f"norm must be one of {tuple(_NORM_MAPS)}, got {norm!r}")
     phi, p = _NORM_MAPS[norm]
     q, single = _as_queries(queries)
-    h, r, t = q.T
-    # the float64 distance maps (x + y) - z; None marks the candidate's place
-    if kind == "tail":  # (e_h + r) - e_c
-        answer, keys, cand, parts = t, pair_keys(h, r), ent, (ent[h], rel[r], None)
-        a = parts[0] + parts[1]
-    elif kind == "head":  # (e_c + r) - e_t
-        answer, keys, cand, parts = h, pair_keys(r, t), ent, (None, rel[r], ent[t])
-        a = parts[2] - parts[1]
-    else:  # (e_h + r_c) - e_t
-        answer, keys, cand, parts = r, pair_keys(h, t), rel, (ent[h], None, ent[t])
-        a = parts[2] - parts[0]
-    # which is the same map of a - c for a per-query vector a. Summed in
-    # float32, a distance differs from the float64 one by at most `err`
-    # (n = dim; size >= the sum over coordinates of (|x| + |y| + |c|)**p,
-    # u and v the float32 and float64 unit roundoffs), which covers, with
-    # room to spare:
-    #   rounding a and c to float32, and the float32 a - c      2u + v
-    #   the float32 map and sum of n terms                      gamma_n
-    #   the float64 (x + y) - z, map and sum                    gamma_n
-    #   float32 underflow, absolute                              ~6n eta
-    # So a float32 distance below the answer's by more than 2 err is
+    answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
+    # A float32 distance below the answer's by more than twice the bound is
     # strictly below in float64 too (after l2's root as well), and one
     # above by more is not better.
-    dim = ent.shape[1]
-    x, y = (part for part in parts if part is not None)
-    size = (phi(np.abs(x) + np.abs(y)).sum(axis=1) ** (1 / p)
-            + phi(cand).sum(axis=1).max(initial=0.0) ** (1 / p)) ** p
-    err = (_gamma(dim + 8, _U32) + _gamma(dim + 8, _U64) + 8 * dim * _ETA32) * size + 16 * dim * _ETA32
-    width = np.where(size < _SAFE32, 2 * err, np.inf)
-    with np.errstate(over="ignore"):
-        a32 = np.ascontiguousarray(a.T, dtype=np.float32)
-        c32 = np.ascontiguousarray(cand.T, dtype=np.float32)
+    width = 2 * _bound(norm, parts, cand)
+    dim = cand.shape[1]
 
     def exact(qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
-        """The float64 distance of each (query, candidate) pair."""
+        """The float64 distance of each (query, candidate) pair (infinite
+        where l2's squares overflow)."""
         x, y, z = (cand[ci] if part is None else part[qi] for part in parts)
-        dist = phi((x + y) - z).sum(axis=1)
+        with np.errstate(over="ignore"):
+            dist = phi((x + y) - z).sum(axis=1)
         return np.sqrt(dist) if p == 2 else dist
 
-    # a candidate whose row equals the answer's is never strictly better
-    copies = _copy_groups(cand)
+    # a candidate whose row equals the answer's is never strictly better;
+    # copy group g is members[starts[g] : starts[g] + sizes[g]]
+    copies, members = _copy_groups(cand)
+    sizes = np.bincount(copies)
+    starts = np.cumsum(sizes) - sizes
     # queries per band (their approximate distances fill one chunk),
-    # queries per float32 pass, and (query, candidate) pairs per recheck
+    # queries per float32 sweep, and (query, candidate) pairs per recheck
     group = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(cand))))
     rows = max(1, min(group, CHUNK_ELEMENTS // max(1, len(cand) * dim)))
     pairs = max(1, CHUNK_ELEMENTS // max(1, dim))
-    buf = np.empty(rows * len(cand) * dim, dtype=np.float32)
+    fill = _float32_pass(norm, a, cand, rows)
     out = np.empty((len(wanted), len(q)), dtype=np.int64)
     for lo in range(0, len(q), group):
         s = slice(lo, lo + group)
         n = len(answer[s])
         approx = np.empty((n, len(cand)), dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(0, n, rows):
-                k = min(rows, n - j)
-                diff = buf[: dim * k * len(cand)].reshape(dim, k, len(cand))
-                np.subtract(a32[:, lo + j : lo + j + k, None], c32[:, None], out=diff)
-                np.add.reduce(phi(diff, out=diff), axis=0, out=approx[j : j + k])
+            fill(lo, approx)
             near = approx[np.arange(n), answer[s]].astype(np.float64)
             # thresholds rounded outward to float32, so each test stays sound
             below = np.nextafter((near - width[s]).astype(np.float32), -np.inf)[:, None]
             above = np.nextafter((near + width[s]).astype(np.float32), np.inf)[:, None]
         better = approx < below
         # the band holds every NaN
-        band = ~(better | (approx > above) | (copies == copies[answer[s], None]))
+        band = approx > above
+        band |= better
+        np.logical_not(band, out=band)
+        # each query's answer group leaves the band, listed query by query
+        group_of = copies[answer[s]]
+        count = sizes[group_of]
+        at = np.arange(count.sum()) + np.repeat(starts[group_of] - (np.cumsum(count) - count), count)
+        band[np.repeat(np.arange(n), count), members[at]] = False
         qi, ci = np.nonzero(band)
         dist = np.empty(len(qi))
         for i in range(0, len(qi), pairs):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -265,6 +266,9 @@ class GraphView:
     def __init__(self, kg: KnowledgeGraph, edges: EdgeIndex):
         self.kg = kg
         self.edges = edges
+        # read-only arrays that other modules derive from this view (and
+        # settings of theirs, part of the key), built at first use
+        self.derived: dict[tuple, object] = {}
 
     @property
     def entity_count(self) -> int:
@@ -673,6 +677,41 @@ def bundle_to_json(kg: KnowledgeGraph, split: DatasetSplit) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# the layout bundle_to_json writes: the data span is the canonical
+# serialization that bundle_checksum hashes
+_WRITTEN = re.compile(r'\{"checksum":"([0-9a-f]{64})","data":(.*),"format":"%s"\}\n?' % BUNDLE_FORMAT, re.DOTALL)
+
+
+def _verified_data(text: str, source: str):
+    """The bundle's data, with its checksum verified, and the checksum.
+
+    In the layout ``bundle_to_json`` writes, the data span's bytes are what
+    the checksum hashes, so a span that hashes to the stored checksum is
+    read without serializing it again. Any other layout (or a span that
+    does not match) is parsed whole and checked against its canonical
+    serialization, which accepts the same files."""
+    written = _WRITTEN.fullmatch(text)
+    if written is not None:
+        stored, span = written.groups()
+        if hashlib.sha256(span.encode("utf-8")).hexdigest() == stored:
+            try:
+                return json.loads(span), stored
+            except json.JSONDecodeError:
+                pass  # reported by the full parse below
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise IntegrityError(f"{source}: bundle is not valid JSON: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT or "data" not in doc:
+        raise IntegrityError(f"{source}: not a {BUNDLE_FORMAT} bundle")
+    data = doc["data"]
+    stored = doc.get("checksum", "")
+    actual = bundle_checksum(data)
+    if stored != actual:
+        raise IntegrityError(f"{source}: bundle checksum mismatch: stored {stored}, computed {actual}")
+    return data, actual
+
+
 _BUNDLE_KEYS = (
     "entities", "relations", "values", "relation_triples", "attribute_triples",
     "dropped_duplicates", "split", "labels",
@@ -701,10 +740,11 @@ def _names(value, what: str, source: str) -> list[str]:
     return value
 
 
-def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> np.ndarray:
+def _check_ids(value, limits: tuple[int, ...], what: str, source: str, bools: bool) -> np.ndarray:
     """``value`` as an int64 array: it must be a list of ids below
     ``limits[0]`` (one limit), or a list of rows whose column j holds ids
-    below ``limits[j]``."""
+    below ``limits[j]``. ``bools`` is False when the JSON text holds no
+    ``true`` or ``false``, so no entry needs the scan for them."""
     shape = (len(limits),) if len(limits) > 1 else ()
     if value == []:
         return np.empty((0, *shape), dtype=np.int64)
@@ -714,7 +754,7 @@ def _check_ids(value, limits: tuple[int, ...], what: str, source: str) -> np.nda
         arr = None
     # NumPy reads JSON true and false among ints as 1 and 0
     if (arr is None or arr.dtype.kind != "i" or arr.shape[1:] != shape
-            or bool in set(map(type, chain.from_iterable(value) if shape else value))):
+            or bools and bool in set(map(type, chain.from_iterable(value) if shape else value))):
         kind = f"rows of {len(limits)} ids" if shape else "ids"
         raise IntegrityError(f"{source}: bundle {what} is not a list of {kind}")
     bad = ((arr < 0) | (arr >= np.asarray(limits))).reshape(len(arr), -1).any(axis=1)
@@ -742,28 +782,20 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     twice, and that every entity of the label split has a label; any
     failure raises ``IntegrityError`` naming ``source``.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise IntegrityError(f"{source}: bundle is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT or "data" not in doc:
-        raise IntegrityError(f"{source}: not a {BUNDLE_FORMAT} bundle")
-    data = doc["data"]
-    stored = doc.get("checksum", "")
-    actual = bundle_checksum(data)
-    if stored != actual:
-        raise IntegrityError(f"{source}: bundle checksum mismatch: stored {stored}, computed {actual}")
+    data, checksum = _verified_data(text, source)
+    # JSON spells a bool only as the literal true or false
+    bools = "true" in text or "false" in text
 
     _require(data, _BUNDLE_KEYS, "data", source)
     n_ent = len(_names(data["entities"], "entities", source))
     n_rel = len(_names(data["relations"], "relations", source))
     n_val = len(_names(data["values"], "values", source))
-    rel_rows = _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source)
-    attr_rows = _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source)
+    rel_rows = _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source, bools)
+    attr_rows = _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source, bools)
     if not (first_occurrences(rel_rows).all() and first_occurrences(attr_rows).all()):
         raise IntegrityError(f"{source}: bundle lists a triple twice")
     _require(data["split"], _SPLIT_KEYS, "split", source)
-    parts = [_check_ids(data["split"][p], (len(rel_rows),), f"split {p}", source) for p in _SPLIT_KEYS]
+    parts = [_check_ids(data["split"][p], (len(rel_rows),), f"split {p}", source, bools) for p in _SPLIT_KEYS]
     _check_once(np.concatenate(parts), len(rel_rows), "split lists triple", source)
     dropped = data["dropped_duplicates"]
     if not (isinstance(dropped, list) and len(dropped) == 2 and all(type(x) is int and x >= 0 for x in dropped)):
@@ -772,9 +804,9 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     if lab is not None:
         _require(lab, _LABEL_KEYS, "labels", source)
         n_cls = len(_names(lab["classes"], "label classes", source))
-        by_entity = _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
+        by_entity = _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source, bools)
         labeled = _check_once(by_entity[:, 0], n_ent, "labels by_entity lists entity", source)
-        label_parts = [_check_ids(lab[p], (n_ent,), f"labels {p}", source) for p in _SPLIT_KEYS]
+        label_parts = [_check_ids(lab[p], (n_ent,), f"labels {p}", source, bools) for p in _SPLIT_KEYS]
         split_entities = np.concatenate(label_parts)
         _check_once(split_entities, n_ent, "labels split lists entity", source)
         unlabeled = split_entities[labeled[split_entities] == 0]
@@ -798,4 +830,4 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
         split.labels = dict(by_entity.tolist())
         split.class_names = list(lab["classes"])
         split.label_train, split.label_valid, split.label_test = (ids.tolist() for ids in label_parts)
-    return kg, split, actual
+    return kg, split, checksum

@@ -271,6 +271,28 @@ def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> T
 # ---------------------------------------------------------------------------
 # attention and propagation, over all edges of a view at once
 
+def _layer_index(view: GraphView, relations: int, n_table: int, config: ModelConfig) -> tuple:
+    """The index arrays of an attention layer over ``view``, built once per
+    view and shape: the spread mask, whose row r * heads + h holds ones in
+    head h's columns; the relation of each of its rows; each edge's rows
+    of the products table for its source and for its relation's query;
+    and each edge's (active entity, relation) pair."""
+    key = ("layer_index", relations, n_table, config.heads, config.head_dim)
+    if key not in view.derived:
+        edges, heads = view.edges, config.heads
+        arrays = (
+            np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1)),
+            np.repeat(np.arange(relations), heads),
+            edges.source * relations + edges.relation,
+            (n_table + edges.relation) * relations + edges.relation,
+            edges.merge[edges.owner] * relations + edges.relation,
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        view.derived[key] = arrays
+    return view.derived[key]
+
+
 def _layer_heads(
     inputs: Tensor,
     rel: Tensor | None,
@@ -307,23 +329,19 @@ def _layer_heads(
     bilinear = config.attention == "bilinear"
     table = inputs.data if values is None else np.concatenate([inputs.data, values.data])
     n_inputs, n_table = inputs.shape[0], table.shape[0]
+    mask, relation_of, at_source, at_query, pair = _layer_index(view, relations, n_table, config)
     w = transform.data
     # all heads at once, applied to the tables before any per-edge gather,
     # since W (r + n) = W r + W n
     query = relation.data @ w  # (R, heads * head_dim)
     source = table @ w  # (S, heads * head_dim)
     if bilinear:
-        # row r * heads + h holds q_r's head-h block and zeros elsewhere
-        mask = np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1))
-        relation_of = np.repeat(np.arange(relations), heads)
         spread = query[relation_of] * mask
         # <x_h, q_{r,h}> for every row x of [source; query], relation r and
         # head h, at row x * R + r, column h
         stacked = np.concatenate([source, query])
         spread_t = np.ascontiguousarray(spread.T)
         products = (stacked @ spread_t).reshape(-1, heads)
-        at_source = edges.source * relations + edges.relation
-        at_query = (n_table + edges.relation) * relations + edges.relation
         raw = products[at_source] + products[at_query]
         pos = raw > 0.0
         logits = np.where(pos, raw, slope * raw)
@@ -338,7 +356,6 @@ def _layer_heads(
     weights = plan.softmax(logits)
     # sum_e a_e (q_r + t_s): the t_s half per edge, the q_r half from the
     # weight sums per (active entity, relation) pair
-    pair = edges.merge[edges.owner] * relations + edges.relation
     pair_weights = ad.scatter_sum(pair, weights, edges.active.size * relations).reshape(edges.active.size, -1)
     out = plan.weighted_sum(weights, source)
     out += pair_weights @ spread

@@ -175,16 +175,33 @@ def test_candidate_past_float32_range_still_ranks_in_float64(norm):
     assert rank_tail((0, 0, 1), ent, np.zeros((1, 1)), norm, filt, "raw") == 3
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_rows_past_float32_range_rank_without_a_warning(norm):
+    """A row whose float32 rounding holds both infinities (so its float32
+    sum is NaN) and one whose float64 squares overflow rank as their
+    float64 distances do, with no NumPy warning (warnings fail tests)."""
+    ent = np.array([[1e39, -1e39], [0.0, 1.0], [2e200, 1.0]])
+    filt = _index([(0, 0, 1)], entities=3)
+    got = [fn((0, 0, 1), ent, np.zeros((1, 2)), norm, filt, "raw") for fn in RANKERS.values()]
+    assert got == [2, 2, 1]
+
+
+def _float64_differences(kind, queries, ent, rel):
+    """Every (query, candidate, coordinate) float64 difference in the
+    expression the rankers compute it with, each query's answer, and the
+    columns (two key columns, then the answer's) of the known triples."""
+    h, r, t = queries.T
+    if kind == "tail":
+        return (ent[h] + rel[r])[:, None] - ent, t, (0, 1, 2)
+    if kind == "head":
+        return (ent + rel[r][:, None]) - ent[t][:, None], h, (1, 2, 0)
+    return (ent[h][:, None] + rel) - ent[t][:, None], r, (0, 2, 1)
+
+
 def _float64_ranks(kind, queries, ent, rel, norm, known):
     """(raw, filter) ranks from every float64 distance at once, in the
     expression and summation order the rankers compute them with."""
-    h, r, t = queries.T
-    if kind == "tail":
-        diff, answer, cols = (ent[h] + rel[r])[:, None] - ent, t, (0, 1, 2)
-    elif kind == "head":
-        diff, answer, cols = (ent + rel[r][:, None]) - ent[t][:, None], h, (1, 2, 0)
-    else:
-        diff, answer, cols = (ent[h][:, None] + rel) - ent[t][:, None], r, (0, 2, 1)
+    diff, answer, cols = _float64_differences(kind, queries, ent, rel)
     dist = np.abs(diff).sum(axis=2) if norm == "l1" else np.sqrt((diff * diff).sum(axis=2))
     better = dist < dist[np.arange(len(queries)), answer][:, None]
     positive = np.zeros_like(better)
@@ -195,13 +212,10 @@ def _float64_ranks(kind, queries, ent, rel, norm, known):
     return np.stack([1 + better.sum(axis=1), 1 + (better & ~positive).sum(axis=1)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
-def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
-    """Random vectors whose entries span float32 underflow (1e-40), the
-    normal range, ties and float32 overflow (1e200), with duplicated rows,
-    rank exactly as their float64 distances do."""
-    rng = np.random.default_rng(seed)
+def _mixed_scale_example(rng, dim):
+    """Entity and relation tables whose entries span float32 underflow
+    (1e-40), the normal range, ties and float32 overflow (1e200), with
+    duplicated rows, and 12 queries over them."""
     entities, relations = int(rng.integers(2, 12)), int(rng.integers(1, 4))
 
     # one scale for the whole example, or a scale per row
@@ -230,6 +244,17 @@ def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
     rel[0] *= rng.integers(0, 2)  # a zero relation: the query vector is an entity row
     queries = np.stack([rng.integers(0, entities, 12), rng.integers(0, relations, 12),
                         rng.integers(0, entities, 12)], axis=1)
+    return ent, rel, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
+def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
+    """Mixed-scale vectors (``_mixed_scale_example``) rank exactly as their
+    float64 distances do."""
+    rng = np.random.default_rng(seed)
+    ent, rel, queries = _mixed_scale_example(rng, dim)
+    entities = len(ent)
     # known positives: distinct triples, as a graph stores them
     h, r, t = np.unique(queries[: int(rng.integers(1, 13))], axis=0).T
     filt = FilterIndex(
@@ -238,7 +263,7 @@ def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
         relations=KnownAnswers.from_pairs(pair_keys(h, t), r),
     )
     known = np.stack([h, r, t], axis=1)
-    ids = evaluation._copy_groups(ent)
+    ids, _ = evaluation._copy_groups(ent)
     same = ids[:, None] == ids[None, :]
     assert (ent[np.nonzero(same)[0]] == ent[np.nonzero(same)[1]]).all()
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
@@ -246,6 +271,35 @@ def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
         for kind, fn in RANKERS.items():
             got = fn(queries, ent, rel, norm, filt, SETTINGS)
             assert got.tolist() == _float64_ranks(kind, queries, ent, rel, norm, known).tolist(), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
+def test_float32_distances_lie_within_the_bound(seed, dim, norm):
+    """On mixed-scale vectors, every float32 distance of the approximate
+    pass (l2's squared) lies within its query's bound of the float64 one
+    in the rankers' expression, for every (query, candidate) pair of each
+    query the bound covers; the bound covers every query whose vectors stay
+    well inside float32's range."""
+    rng = np.random.default_rng(seed)
+    ent, rel, queries = _mixed_scale_example(rng, dim)
+    for kind in RANKERS:
+        with np.errstate(all="ignore"):
+            _, _, cand, parts, a = evaluation._operands(kind, queries, ent, rel)
+            err = evaluation._bound(norm, parts, cand)
+            diff, _, _ = _float64_differences(kind, queries, ent, rel)
+            exact = np.abs(diff).sum(axis=2) if norm == "l1" else (diff * diff).sum(axis=2)
+            approx = np.empty(exact.shape, dtype=np.float32)
+            fill = evaluation._float32_pass(norm, a, cand, rows=int(rng.integers(1, 4)))
+            # two calls, so a pass that starts past query 0 is covered too
+            half = int(rng.integers(0, len(queries) + 1))
+            fill(0, approx[:half])
+            fill(half, approx[half:])
+        covered = np.isfinite(err)
+        small = max(np.abs(ent).max(), np.abs(rel).max()) < 1e10
+        assert covered.all() or not small, kind
+        gap = np.abs(approx[covered].astype(np.float64) - exact[covered])
+        assert (gap <= err[covered, None]).all(), (kind, (gap / err[covered, None]).max())
 
 
 def test_aggregate_metrics_hand_case():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kane.kgdata as kgdata
 from kane.errors import ConfigError, DomainError, IntegrityError, KaneError, ParseError
 from kane.kgdata import (
     GraphView, Interner, KnowledgeGraph, KnownAnswers, attributes_to_tsv, bundle_checksum,
@@ -454,6 +455,62 @@ def test_bundle_checksum_detects_tampering():
         bundle_from_json("{}")
     with pytest.raises(IntegrityError):
         bundle_from_json("not json")
+
+
+def _written_bundle(data: dict) -> str:
+    """``data`` with its checksum, in the layout ``bundle_to_json`` writes."""
+    doc = {"format": "kane-bundle-v1", "checksum": bundle_checksum(data), "data": data}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_written_bundle_is_verified_without_serializing_it_again(monkeypatch):
+    kg, split = generate_synthetic_kg(5)
+    blob = bundle_to_json(kg, split)
+    assert _written_bundle(json.loads(blob)["data"]) == blob
+
+    def refuse(data):
+        raise AssertionError("bundle_checksum called")
+
+    monkeypatch.setattr(kgdata, "bundle_checksum", refuse)
+    for text in (blob, blob.rstrip("\n")):
+        kg2, split2, checksum = bundle_from_json(text)
+        assert checksum == json.loads(blob)["checksum"]
+        assert np.array_equal(kg2.relation_triples, kg.relation_triples)
+        assert split2.train == split.train and split2.labels == split.labels
+
+
+def test_reindented_bundle_loads_with_its_stored_checksum():
+    kg, split = generate_synthetic_kg(5)
+    blob = bundle_to_json(kg, split)
+    kg2, split2, checksum = bundle_from_json(json.dumps(json.loads(blob), indent=1), "b.json")
+    assert checksum == json.loads(blob)["checksum"]
+    assert bundle_to_json(kg2, split2) == blob
+
+
+def test_changed_digit_in_written_bundle_is_a_checksum_mismatch():
+    kg, split = generate_synthetic_kg(5)
+    blob = bundle_to_json(kg, split)
+    at = blob.index('"relation_triples":[[') + len('"relation_triples":[[')
+    digit = "2" if blob[at] == "1" else "1"
+    with pytest.raises(IntegrityError, match="^data/b.json: bundle checksum mismatch"):
+        bundle_from_json(blob[:at] + digit + blob[at + 1 :], "data/b.json")
+
+
+def test_bool_among_ids_refused_in_the_written_layout():
+    kg, split = generate_synthetic_kg(5)
+    data = json.loads(bundle_to_json(kg, split))["data"]
+    data["relation_triples"][0][1] = True
+    with pytest.raises(IntegrityError, match="^b.json: bundle relation_triples is not a list of rows of 3 ids"):
+        bundle_from_json(_written_bundle(data), "b.json")
+
+
+def test_entities_named_true_and_false_load():
+    kg, split = generate_synthetic_kg(5)
+    data = json.loads(bundle_to_json(kg, split))["data"]
+    data["entities"][:2] = ["true", "false"]
+    kg2, _, _ = bundle_from_json(_written_bundle(data))
+    assert kg2.entities.names[:2] == ["true", "false"]
+    assert np.array_equal(kg2.relation_triples, kg.relation_triples)
 
 
 def _edited_bundle(edit) -> str:
