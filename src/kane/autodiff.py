@@ -1,40 +1,37 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The model's heavy steps are ``fused`` records: one NumPy forward and one
-hand-written backward each. Each attention layer, each head merge, each
-loss and the LSTM encoder is one, so a train-50 or train-500 training step
-makes 7 tape records and a classify-lstm-50 step 9. The generic op set is
-what is left around them, and it is closed: the product ``matmul``, the
-row gather ``rows`` and its adjoint ``scatter_rows`` (the bag-of-words
-encoder and the classifier), ``concat_rows`` (the isolated entities'
-rows) and the bias add ``add_rowvec``. Values are numpy arrays of at most
-two dimensions (0-d scalars, 1-d vectors, 2-d matrices); there is no
-broadcasting, no sparse storage and no higher-order gradients.
+Every tape record is a ``fused`` record: one NumPy forward and one
+hand-written backward. Each attention layer, each head merge (which also
+places the isolated entities' previous rows), each loss and each encoder
+call is one, so a training step makes 2 * layers + 1 records, plus 1 when
+an encoder runs: 6 at the defaults, on every benchmark workload. There is
+no generic op set; a record gathers, stacks and multiplies with NumPy
+calls. Values are numpy arrays of at most two dimensions (0-d scalars, 1-d
+vectors, 2-d matrices); there is no broadcasting, no sparse storage and no
+higher-order gradients.
 
-Ops executed inside a ``with Tape():`` block record themselves on that
-tape; outside a tape they are plain forward computations, which is how
-evaluation code runs the model without paying for bookkeeping.
+Records made inside a ``with Tape():`` block go on that tape; outside a
+tape ``fused`` returns a plain value, which is how evaluation code runs
+the model without paying for bookkeeping.
 
 Gradient buffers are owned, not copied. A tensor's first gradient is the
-array its consumer's backward hands over (``_accum`` adopts it), and later
-ones are added into it in place. So a backward passes the array it
-received, or a view of it, to at most one parent: ``concat_rows`` hands
-out disjoint row slices, ``fused`` copies a gradient that may share memory
-with an earlier one, and every other backward builds a fresh array per
-parent. A received array may be passed on because the sweep runs in
-reverse tape order: by the time a tensor's backward runs, its own gradient
-is final. The grads of two parameters therefore never share memory, while
-an intermediate tensor's ``grad`` may go on to hold a parent's sum after
-its backward ran; read the grads of parameters, not of intermediates. A
-``fused`` record may list a parent more than once; it then adds that
-parent's gradients one after another, in its list's order.
+array its consumer's backward hands over, which it adopts, and later ones
+are added into it in place. So ``fused`` copies a gradient that may share
+memory with one it already handed to another parent of the same record;
+fresh arrays and disjoint row slices of one buffer pass as they are. A
+received array may be passed on because the sweep runs in reverse tape
+order: by the time a tensor's backward runs, its own gradient is final.
+The grads of two parameters therefore never share memory, while an
+intermediate tensor's ``grad`` may go on to hold a parent's sum after its
+backward ran; read the grads of parameters, not of intermediates. A record
+may list a parent more than once; it then adds that parent's gradients one
+after another, in its list's order.
 
 The NumPy kernels the records run sum rows by index. ``scatter_sum`` is a
 flat ``np.bincount`` over ``index * width + column``: it serves the
-backward of the gather ``rows``, the forward of its adjoint
-``scatter_rows``, the completion loss's scatters and the layers' scatters,
-needs no sort, and reads its input in memory order; rows no index hits
-are zero. An ``AggregationPlan``, built once per edge set (a graph view
+bag-of-words encoder, the scatters of the losses and the layers and the
+isolated entities' rows, needs no sort, and reads its input in memory
+order; rows no index hits are zero. An ``AggregationPlan``, built once per edge set (a graph view
 holds one), holds the segments of the edges and runs the segment softmax
 and the edge aggregation over them. The aggregation reads its table rows
 by index where they are and sums them slot by slot over segments ordered
@@ -131,29 +128,9 @@ def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, is_param=False, name=name)
 
 
-def _make(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
-    out = Tensor(data)
-    tape = active_tape()
-    if tape is not None:
-        out._parents = parents
-        out._backward = backward
-        tape.records.append(out)
-    return out
-
-
 def _takes_grad(t: Tensor) -> bool:
     # constants do not accumulate; this also prunes dead subgraphs
     return t._backward is not None or t.is_param
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``; a first gradient is adopted, not copied."""
-    if not _takes_grad(t):
-        return
-    if t.grad is None:
-        t.grad = np.asarray(g)
-    else:
-        t.grad += g
 
 
 def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -176,17 +153,32 @@ def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     """A tape record of value ``data`` whose ``backward(g)`` returns, per
     parent, a gradient shaped like it or ``None``. Parents that take no
-    gradient get none; a gradient that may alias an earlier one is copied;
-    a parent listed more than once gets its gradients in list order."""
+    gradient get none; a first gradient is adopted, not copied, and later
+    ones are added into it; a gradient that may alias an earlier one is
+    copied; a parent listed more than once gets its gradients in list
+    order. Outside a tape the result is a plain value."""
+    out = Tensor(data)
+    tape = active_tape()
+    if tape is None:
+        return out
 
     def back(g):
         given: list[np.ndarray] = []
         for p, grad in zip(parents, backward(g), strict=True):
-            if grad is not None and _takes_grad(p):
-                given.append(grad.copy() if any(np.may_share_memory(grad, h) for h in given) else grad)
-                _accum(p, given[-1])
+            if grad is None or not _takes_grad(p):
+                continue
+            if any(np.may_share_memory(grad, h) for h in given):
+                grad = grad.copy()
+            given.append(grad)
+            if p.grad is None:
+                p.grad = np.asarray(grad)
+            else:
+                p.grad += grad
 
-    return _make(data, tuple(parents), back)
+    out._parents = tuple(parents)
+    out._backward = back
+    tape.records.append(out)
+    return out
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -203,91 +195,6 @@ def backward(tape: Tape, root: Tensor) -> None:
 def zero_grads(tensors) -> None:
     for t in tensors:
         t.grad = None
-
-
-# ---------------------------------------------------------------------------
-# linear algebra and structure
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        # skip the product for an operand that takes no gradient
-        if _takes_grad(a):
-            _accum(a, g @ b.data.T)
-        if _takes_grad(b):
-            _accum(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), back)
-
-
-def _indices(indices, n: int, op: str) -> np.ndarray:
-    """A validated non-empty 1-d index array into ``n`` rows."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError(f"{op}: needs a non-empty 1-d index list")
-    if idx.min() < 0 or idx.max() >= n:
-        raise IndexError(f"{op}: index out of range for {n} rows")
-    return idx
-
-
-def rows(m: Tensor, indices) -> Tensor:
-    """Entries of a vector or rows of a matrix by index; indices may repeat."""
-    if m.data.ndim == 0:
-        raise ShapeError("rows: needs a vector or a matrix, got a scalar")
-    idx = _indices(indices, m.shape[0], "rows")
-
-    def back(g):
-        if _takes_grad(m):
-            _accum(m, scatter_sum(idx, g, m.shape[0]))
-
-    return _make(m.data[idx], (m,), back)
-
-
-def scatter_rows(m: Tensor, indices, n: int) -> Tensor:
-    """The adjoint of ``rows``: entry or row ``k`` of ``m`` is added into
-    row ``indices[k]`` of an ``n``-row result; rows no index hits are zero.
-    Its backward is the gather."""
-    if m.data.ndim == 0:
-        raise ShapeError("scatter_rows: needs a vector or a matrix, got a scalar")
-    idx = _indices(indices, n, "scatter_rows")
-    if idx.size != m.shape[0]:
-        raise ShapeError(f"scatter_rows: {idx.size} indices for {m.shape[0]} rows")
-
-    def back(g):
-        _accum(m, g[idx])
-
-    return _make(scatter_sum(idx, m.data, n), (m,), back)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices with equal column counts on top of each other."""
-    if not parts:
-        raise ShapeError("concat_rows: needs at least one tensor")
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != parts[0].shape[1]:
-            raise ShapeError(f"concat_rows: needs matrices of equal width, got {p.shape} vs {parts[0].shape}")
-    parts = tuple(parts)
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def back(g):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            _accum(p, g[lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=0), parts, back)
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix (bias add)."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: incompatible shapes {m.shape} and {v.shape}")
-
-    def back(g):
-        _accum(m, g)
-        _accum(v, g.sum(axis=0))
-
-    return _make(m.data + v.data, (m, v), back)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ rebuilt from the current table at every use; nothing is cached across
 optimization steps.
 
 * ``bow_encode``  -- sum of the token embeddings; permutation-invariant.
-  One gather over the concatenated tokens and one scatter sum by sequence.
+  One tape record: one gather over the concatenated tokens and one scatter
+  sum by sequence.
 * ``lstm_encode`` -- final hidden state of a standard LSTM cell run over
   the tokens in order; zero initial states; order-sensitive. The
   sequences run as packed sequences: one step advances every sequence
@@ -54,12 +55,16 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
 
     Each sum runs over its tokens in sorted order: float addition is not
     associative, so summing in arrival order would make two orderings of
-    the same multiset differ in the last bits.
+    the same multiset differ in the last bits. The encoding is one tape
+    record: the token rows summed by sequence, and in its backward each
+    sequence's gradient row summed by token, both with ``scatter_sum``.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
     owner = np.repeat(np.arange(lengths.size), lengths)
     tokens = flat[np.lexsort((flat, owner))]  # sorted within each sequence
-    return ad.scatter_rows(ad.rows(word_table, tokens), owner, lengths.size)
+    vocab = word_table.shape[0]
+    return ad.fused(ad.scatter_sum(owner, word_table.data[tokens], lengths.size), (word_table,),
+                    lambda g: (ad.scatter_sum(tokens, g[owner], vocab),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ class ShapeError(KaneError):
 
 
 class DomainError(KaneError):
-    """Input outside an operation's mathematical domain (e.g. log of <= 0)."""
+    """Input outside what an operation can represent: an attribute literal
+    with no tokens, which no encoder can encode."""
 
 
 class ConfigError(KaneError):

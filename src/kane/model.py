@@ -45,7 +45,9 @@ head_dim of per-edge query rows; they are smaller whenever R * (S + R) <
 edges * head_dim, which holds on every benchmark graph (R = 8).
 Translational attention keeps its per-edge logits, whose weights all
 heads share, and takes the same output identity with one weight per
-(entity, relation) pair.
+(entity, relation) pair. Its layer gathers each edge's relation row
+itself and sums that gather's gradient by relation into the relation
+table's, once per layer.
 
 One segment softmax normalizes every head's logit column over each
 entity's segment of the edge list, and the head outputs come out side by
@@ -59,7 +61,8 @@ its two logit gathers (or the translational norms), the leaky ReLU, the
 segment softmax, the pair scatter, the weighted sum and the pair-weight
 product. Its hand-written backward walks those steps in reverse and keeps
 only the arrays it reads. The merge, a product and a leaky ReLU, is a
-second record per layer.
+second record per layer; on a view with isolated entities it also places
+their previous-layer rows, so a layer is two records on any graph.
 
 With ``layers == 0`` and attributes off, scoring degenerates to plain
 translation scoring on the raw embedding tables.
@@ -295,7 +298,6 @@ def _layer_index(view: GraphView, relations: int, n_table: int, config: ModelCon
 
 def _layer_heads(
     inputs: Tensor,
-    rel: Tensor | None,
     values: Tensor | None,
     view: GraphView,
     params: ModelParams,
@@ -308,9 +310,10 @@ def _layer_heads(
     weights are one (edges,) vector that all heads share. The weights are a
     constant for inspection; the outputs are one tape record.
 
-    ``inputs`` are the previous layer's entity vectors, ``values`` the value
-    table and ``rel`` the relation row of every edge, which only
-    translational attention reads.
+    ``inputs`` are the previous layer's entity vectors and ``values`` the
+    value table. Translational attention also gathers the relation row of
+    every edge, and its backward sums that gather's gradient by relation
+    into the relation table's.
 
     The backward walks the forward's steps in reverse: the pair-weight
     product, the weighted sum, the pair scatter, the softmax, the leaky ReLU
@@ -347,7 +350,7 @@ def _layer_heads(
         logits = np.where(pos, raw, slope * raw)
     else:
         # the logit reads no head transform, so all heads share the weights
-        diff = inputs.data[edges.owner] + rel.data
+        diff = inputs.data[edges.owner] + relation.data[edges.relation]
         diff -= table[edges.source]
         l1 = config.norm == "l1"
         norms = np.abs(diff).sum(axis=1) if l1 else np.sqrt((diff * diff).sum(axis=1))
@@ -377,8 +380,7 @@ def _layer_heads(
             g_query = g_stacked[n_table:]
             g_query += ad.scatter_sum(relation_of, g_spread * mask, relations)
             g_table = g_source @ w.T
-            from_table = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
-            parts = from_table + [g_query @ w.T]
+            parts = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
         else:
             g_query = g_spread
             g_norms = -g_logits
@@ -395,42 +397,61 @@ def _layer_heads(
             else:
                 g_table += g_source @ w.T
                 parts = [g_owner, g_table[:n_inputs], g_table[n_inputs:]]
-            parts += [g_diff, g_query @ w.T]
+        g_relation = g_query @ w.T
+        if not bilinear:
+            g_relation += ad.scatter_sum(edges.relation, g_diff, relations)
         g_w = table.T @ g_source
         g_w += relation.data.T @ g_query
-        return parts + [g_w]
+        return parts + [g_relation, g_w]
 
     if bilinear:
         parents = [inputs] if values is None else [inputs, values]
     else:
-        parents = [inputs, inputs, inputs if values is None else values, rel]
+        parents = [inputs, inputs, inputs if values is None else values]
     return ad.constant(weights), ad.fused(out, parents + [relation, transform], backward)
 
 
-def aggregate(head_outputs: Tensor, params: ModelParams, config: ModelConfig, layer: int) -> Tensor:
-    """Merge the (entities, heads * head_dim) head outputs, in concat layout,
-    into one (entities, dim) matrix: the merge product, then the leaky ReLU,
-    as one tape record."""
+def aggregate(
+    head_outputs: Tensor, previous: Tensor, view: GraphView, params: ModelParams, config: ModelConfig, layer: int
+) -> Tensor:
+    """The layer's (entities, dim) entity vectors, as one tape record: the
+    (active, heads * head_dim) head outputs, in concat layout, merged by
+    the merge product and the leaky ReLU into the active entities' rows,
+    and the ``previous`` layer's rows for the isolated entities, placed by
+    the view's ``merge`` index."""
     width = config.heads * config.head_dim
     if head_outputs.data.ndim != 2 or head_outputs.shape[1] != width:
         raise ConfigError(f"expected head outputs {width} wide, got shape {head_outputs.shape}")
-    if config.aggregator == "concat":
-        merge = params[f"out_w.{layer}"]
-        parents, matrix = (head_outputs, merge), merge.data
+    concat = config.aggregator == "concat"
+    if concat:
+        out_w = params[f"out_w.{layer}"]
+        parents, matrix = [head_outputs, out_w], out_w.data
     else:
         # the mean of the head blocks
-        parents, matrix = (head_outputs,), np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads
+        parents, matrix = [head_outputs], np.tile(np.eye(config.head_dim), (config.heads, 1)) / config.heads
     pre = head_outputs.data @ matrix
     pos = pre > 0.0
     slope = config.leaky_slope
+    out = np.where(pos, pre, slope * pre)
+    active, entities = head_outputs.shape[0], previous.shape[0]
+    isolated = active < entities
+    if isolated:  # entity e's row is row merge[e] of the merged rows over every previous row
+        out = np.concatenate([out, previous.data])[view.edges.merge]
+        parents.append(previous)
 
     def backward(g):
+        if isolated:
+            stacked = ad.scatter_sum(view.edges.merge, g, active + entities)
+            g = stacked[:active]
         g_pre = g * np.where(pos, 1.0, slope)
-        if len(parents) == 1:
-            return (g_pre @ matrix.T,)
-        return g_pre @ matrix.T, head_outputs.data.T @ g_pre
+        grads = [g_pre @ matrix.T]
+        if concat:
+            grads.append(head_outputs.data.T @ g_pre)
+        if isolated:
+            grads.append(stacked[active:])
+        return grads
 
-    return ad.fused(np.where(pos, pre, slope * pre), parents, backward)
+    return ad.fused(out, parents, backward)
 
 
 def forward_all(
@@ -446,17 +467,11 @@ def forward_all(
     the same tape; without it, the table is encoded here.
     """
     vecs = params.entity
-    edges = view.edges
-    if config.layers == 0 or edges.active.size == 0:
+    if config.layers == 0 or view.edges.active.size == 0:
         return vecs
     if values is None:
         values = encode_value(view, params, config)
-    rel = ad.rows(params.relation, edges.relation) if config.attention == "translational" else None
     for layer in range(config.layers):
-        _, outputs = _layer_heads(vecs, rel, values, view, params, config, layer)
-        merged = aggregate(outputs, params, config, layer)
-        if edges.active.size < view.entity_count:
-            # isolated entities keep their previous vector
-            merged = ad.rows(ad.concat_rows([merged, vecs]), edges.merge)
-        vecs = merged
+        _, outputs = _layer_heads(vecs, values, view, params, config, layer)
+        vecs = aggregate(outputs, vecs, view, params, config, layer)
     return vecs

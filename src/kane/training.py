@@ -196,11 +196,13 @@ def hinge_loss(
     return np.where(active, violation, 0.0).sum(), grad
 
 
-def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
-    """Mean per-entity binary cross-entropy against one-hot labels.
+def bce_loss(scores: np.ndarray, labels: Sequence[int], class_count: int) -> tuple[float, np.ndarray]:
+    """Mean per-entity binary cross-entropy against one-hot labels, and its
+    gradient with respect to each score.
 
     ``scores`` is (batch, classes) logits; a row's loss is the sum of
-    softplus(s) - y s, exact and finite for any finite score.
+    softplus(s) - y s, exact and finite for any finite score, and its
+    gradient (sigmoid(s) - y) / n.
     """
     n, c = scores.shape
     if len(labels) != n:
@@ -212,15 +214,11 @@ def bce_loss(scores: Tensor, labels: Sequence[int], class_count: int) -> Tensor:
     if outside.any():
         raise ConfigError(f"label {lab[outside][0]} outside 0..{c - 1}")
     onehot = np.eye(c)[lab]
-    s = scores.data
-    z = np.exp(-np.abs(s))  # overflow-free in both tails
+    z = np.exp(-np.abs(scores))  # overflow-free in both tails
     # max(s, 0) - y s is exact, so a confident right score keeps log1p's precision
-    loss = ((np.maximum(s, 0.0) - onehot * s) + np.log1p(z)).sum() / n
-
-    def back(g):  # (sigmoid(s) - y) / n
-        return ((np.where(s >= 0.0, 1.0, z) / (1.0 + z) - onehot) * (g / n),)
-
-    return ad.fused(loss, (scores,), back)
+    loss = ((np.maximum(scores, 0.0) - onehot * scores) + np.log1p(z)).sum() / n
+    # times 1 / n rather than divided by n: the rounding fixed-seed runs were made with
+    return loss, (np.where(scores >= 0.0, 1.0, z) / (1.0 + z) - onehot) * (1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +314,20 @@ def _classification_batch_loss(
     params: ModelParams,
     split: DatasetSplit,
 ) -> Tensor:
-    vecs = ad.rows(ent, batch_entities)
-    scores = ad.add_rowvec(ad.matmul(vecs, params["cls_w"]), params["cls_b"])
-    labels = [split.labels[e] for e in batch_entities]
-    return bce_loss(scores, labels, split.class_count)
+    """BCE of the classifier scores ``W v + b`` of the batch's entity rows,
+    as one tape record: the row gather, the product, the bias and the loss.
+    An entity read twice gets its two rows' gradients in one scatter."""
+    batch = np.asarray(batch_entities, dtype=np.intp)
+    w, b = params["cls_w"], params["cls_b"]
+    vecs = ent.data[batch]
+    loss, score_grad = bce_loss(vecs @ w.data + b.data, [split.labels[e] for e in batch_entities],
+                                split.class_count)
+
+    def back(g):
+        g_scores = score_grad * g
+        return ad.scatter_sum(batch, g_scores @ w.data.T, ent.shape[0]), vecs.T @ g_scores, g_scores.sum(axis=0)
+
+    return ad.fused(loss, (ent, w, b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, naive references, tiny graphs.
 
 Everything here recomputes results through an independent route (plain
-numpy/Python, no autodiff, no model code) so that agreement with the
+numpy/Python and no model code, or, for the ``composed_*`` references, the
+op-by-op tape records a fused record replaces) so that agreement with the
 package is evidence of correctness rather than a restatement of it.
 """
 
@@ -16,7 +17,7 @@ import kane.autodiff as ad
 from kane.errors import IntegrityError
 from kane.kgdata import KnowledgeGraph, KnownAnswers
 from kane.model import ModelParams
-from kane.training import CHECKPOINT_MAGIC
+from kane.training import CHECKPOINT_MAGIC, bce_loss
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +115,36 @@ def probe(t: ad.Tensor, weights) -> ad.Tensor:
     return ad.fused((t.data * w).sum(), (t,), lambda g: (g * w,))
 
 
-# sums, differences and row norms as one record each, with the backward of
-# the generic op: the steps of the composed completion loss below
+# gathers, scatters, stacks, products, sums, differences and row norms as
+# one record each, with the backward of the generic op: the steps of the
+# composed references below
+
+def fused_rows(m: ad.Tensor, idx) -> ad.Tensor:
+    """Rows (or entries) ``idx`` of ``m``; its gradient is their scatter sum."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return ad.fused(m.data[idx], (m,), lambda g: (ad.scatter_sum(idx, g, m.shape[0]),))
+
+
+def fused_scatter_rows(m: ad.Tensor, idx, n: int) -> ad.Tensor:
+    """Row ``k`` of ``m`` added into row ``idx[k]`` of ``n`` rows; its
+    gradient is the gather."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return ad.fused(ad.scatter_sum(idx, m.data, n), (m,), lambda g: (g[idx],))
+
+
+def fused_concat_rows(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """``a`` on top of ``b``; each gets its disjoint slice of the gradient."""
+    n = a.shape[0]
+    return ad.fused(np.concatenate([a.data, b.data]), (a, b), lambda g: (g[:n], g[n:]))
+
+
+def fused_matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.fused(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def fused_add_rowvec(m: ad.Tensor, v: ad.Tensor) -> ad.Tensor:
+    return ad.fused(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
+
 
 def fused_add(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad.fused(a.data + b.data, (a, b), lambda g: (g, g))
@@ -155,13 +184,13 @@ def composed_completion_loss(
     ``training._completion_batch_loss`` fuses these steps into one record
     with the same sums in the same order."""
     rows = np.concatenate([positives, negatives])
-    table = ent if values is None else ad.concat_rows([ent, values])
-    head_mat = ad.rows(ent, rows[:, 0])
-    tail_mat = ad.rows(table, rows[:, 2])
-    rel_mat = ad.rows(relation, rows[:, 1])
+    table = ent if values is None else fused_concat_rows(ent, values)
+    head_mat = fused_rows(ent, rows[:, 0])
+    tail_mat = fused_rows(table, rows[:, 2])
+    rel_mat = fused_rows(relation, rows[:, 1])
     dists = fused_norm(fused_sub(fused_add(head_mat, rel_mat), tail_mat), norm)
-    d_pos = ad.rows(dists, np.arange(len(positives)))
-    d_neg = ad.rows(dists, np.arange(len(positives), len(rows)))
+    d_pos = fused_rows(dists, np.arange(len(positives)))
+    d_neg = fused_rows(dists, np.arange(len(positives), len(rows)))
     owner = np.repeat(np.arange(len(positives)), negatives_per_positive)
     violation = (d_pos.data[owner] - d_neg.data) + float(margin)
     active = violation > 0.0
@@ -171,6 +200,27 @@ def composed_completion_loss(
         return np.bincount(owner, weights=g_active, minlength=len(positives)), -g_active
 
     return ad.fused(np.where(active, violation, 0.0).sum(), (d_pos, d_neg), back)
+
+
+def composed_bow_encode(sequences, word: ad.Tensor) -> ad.Tensor:
+    """The bag-of-words encoding built op by op: gather every token's row,
+    each sequence's tokens in sorted order, then scatter the rows into
+    their sequence's row. ``encoders.bow_encode`` fuses the two steps into
+    one record with the same sums in the same order."""
+    tokens = [t for seq in sequences for t in sorted(seq)]
+    owner = [k for k, seq in enumerate(sequences) for _ in seq]
+    return fused_scatter_rows(fused_rows(word, tokens), owner, len(sequences))
+
+
+def composed_classification_loss(batch, ent: ad.Tensor, cls_w: ad.Tensor, cls_b: ad.Tensor, labels,
+                                 class_count: int) -> ad.Tensor:
+    """The classification loss built op by op: gather the batch's entity
+    rows, multiply by the classifier, add its bias, then the BCE record.
+    ``training._classification_batch_loss`` fuses these steps into one
+    record with the same sums in the same order."""
+    scores = fused_add_rowvec(fused_matmul(fused_rows(ent, batch), cls_w), cls_b)
+    loss, grad = bce_loss(scores.data, labels, class_count)
+    return ad.fused(loss, (scores,), lambda g: (grad * g,))
 
 
 def contains_by_lookup(known: KnownAnswers, keys: np.ndarray, answers: np.ndarray) -> np.ndarray:
@@ -256,16 +306,15 @@ def edge_case_graph() -> KnowledgeGraph:
 
 def layer_tensors(rng: np.random.Generator, view, config, with_values: bool = True):
     """Random tensors for one attention layer over ``view``: (entity vectors,
-    relation row per edge, value table or None, ``ModelParams`` with the
-    relation table and ``head_w.0``), every one a parameter."""
+    value table or None, ``ModelParams`` with the relation table and
+    ``head_w.0``), every one a parameter."""
     kg, d = view.kg, config.dim
     params = ModelParams({
         "relation": ad.parameter(rng.normal(size=(kg.num_relations, d))),
         "head_w.0": ad.parameter(rng.normal(size=(d, config.heads * config.head_dim)) * 0.5),
     })
     values = ad.parameter(rng.normal(size=(len(kg.value_tokens), d))) if with_values else None
-    rel = ad.parameter(rng.normal(size=(view.edges.source.size, d)))
-    return ad.parameter(rng.normal(size=(kg.num_entities, d))), rel, values, params
+    return ad.parameter(rng.normal(size=(kg.num_entities, d))), values, params
 
 
 def quantized_ranking_setups(count: int = 10):

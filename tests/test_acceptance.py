@@ -2,7 +2,7 @@
 PASS/FAIL line with the measured numbers.
 
 Covered guarantees: finite-difference gradient correctness for every
-autodiff op, every fused record of the model and both losses, attention-weight normalization, exact
+fused record of the model and the encoders and for both losses, attention-weight normalization, exact
 agreement of the ranking code with a brute-force oracle, filtered-rank
 dominance, encoder invariance properties, the degenerate translation mode
 matching a plain reference, learning on the bundled synthetic benchmark
@@ -75,8 +75,8 @@ def _report(ok: bool, label: str, detail: str) -> None:
 
 
 def _op_gradient_cases(rng: np.random.Generator):
-    """One (name, params, forward) triple per differentiable op and per fused
-    record of the model."""
+    """One (name, params, forward) triple per fused record of the model and
+    the encoders."""
     cases = []
 
     def case(name, params, forward):
@@ -88,18 +88,12 @@ def _op_gradient_cases(rng: np.random.Generator):
     def m(r=4, c=3):
         return ad.parameter(rng.normal(size=(r, c)))
 
-    m3, m4 = m(4, 3), m(3, 2)
-    case("matmul", [m3, m4], lambda: total(ad.matmul(m3, m4)))
-    m7 = m()
-    case("rows", [m7], lambda: total(ad.rows(m7, [0, 2, 2, 1])))
-    v3 = v(6)
-    case("rows_vector", [v3], lambda: total(ad.rows(v3, [1, 4, 1, 0])))
-    # unsorted, repeated indices; row 1 of the result is never hit
-    m8 = m(5, 3)
-    probe43 = rng.normal(size=(4, 3))
-    case("scatter_rows", [m8], lambda: probe(ad.scatter_rows(m8, [3, 0, 3, 2, 0], 4), probe43))
-    m9, v9 = m(4, 3), v(3)
-    case("add_rowvec", [m9, v9], lambda: total(ad.add_rowvec(m9, v9)))
+    # the one-record bag of words: unsorted tokens, repeated within and
+    # across sequences, and word 3 read by none
+    bow_word = m(6, 3)
+    probe_bow = rng.normal(size=(3, 3))
+    bow_sequences = [[4, 1, 4], [5, 0], [2, 4, 1, 1]]
+    case("bow_encode", [bow_word], lambda: probe(bow_encode(bow_sequences, bow_word), probe_bow))
     # the one-record LSTM: lengths 3, 1, 4 and 2 end at four different
     # steps, and the length-1 sequence runs step 0 alone, with no hidden path
     word, w_in, w_hid, bias = m(6, 3), m(3, 12), m(3, 12), v(12)
@@ -107,9 +101,6 @@ def _op_gradient_cases(rng: np.random.Generator):
     sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
     case("lstm_encode", [word, w_in, w_hid, bias],
          lambda: probe(lstm_encode(sequences, word, w_in, w_hid, bias), probe_lstm))
-    m15, m16 = m(2, 3), m(3, 3)
-    probe53 = rng.normal(size=(5, 3))
-    case("concat_rows", [m15, m16], lambda: probe(ad.concat_rows([m15, m16]), probe53))
 
     # one attention layer record over a graph with isolated entities, a
     # one-edge segment, a source read twice by one segment and a value read
@@ -118,13 +109,11 @@ def _op_gradient_cases(rng: np.random.Generator):
 
     def layer_case(name, config, use_attributes):
         view = GraphView.restricted(kg, kg.relation_triples, use_attributes)
-        inputs, rel, values, params = layer_tensors(rng, view, config, use_attributes)
+        inputs, values, params = layer_tensors(rng, view, config, use_attributes)
         weights = rng.normal(size=(view.edges.active.size, config.heads * config.head_dim))
         tensors = [inputs, params.relation, params["head_w.0"]] + ([] if values is None else [values])
-        if config.attention == "translational":
-            tensors.append(rel)
         case(name, tensors, lambda: probe(
-            model_module._layer_heads(inputs, rel, values, view, params, config, 0)[1], weights))
+            model_module._layer_heads(inputs, values, view, params, config, 0)[1], weights))
 
     layer_case("layer_bilinear", ModelConfig(dim=4, head_dim=3, heads=2), True)
     layer_case("layer_bilinear_no_values", ModelConfig(dim=4, head_dim=3, heads=3), False)
@@ -133,16 +122,26 @@ def _op_gradient_cases(rng: np.random.Generator):
         translational = ModelConfig(dim=4, head_dim=3, heads=2, attention="translational", norm=norm)
         layer_case(f"layer_translational_{norm}", translational, True)
         layer_case(f"layer_translational_{norm}_no_values", translational, False)
-    # the merge and its leaky ReLU, one record for either aggregator
-    for aggregator, head_dim in (("concat", 3), ("average", 4)):
-        config = ModelConfig(dim=4, head_dim=head_dim, heads=2, aggregator=aggregator)
-        params = init_params(3, 2, 0, 0, config, rng)
-        heads = ad.parameter(rng.normal(size=(5, 2 * head_dim)))
-        tensors = [heads] + [t for name, t in params.items() if name.startswith("out_w.")]
-        weights = rng.normal(size=(5, 4))
-        case(f"aggregate_{aggregator}", tensors,
-             lambda heads=heads, params=params, config=config, weights=weights:
-             probe(model_module.aggregate(heads, params, config, 0), weights))
+    # the merge and its leaky ReLU, one record for either aggregator: on
+    # the same graph, where d and e keep their previous rows, and on a
+    # graph whose entities all have neighbors
+    full = random_kg(rng, entities=4, relations=2, triples=8)
+    for graph, merge_kg in (("isolated", kg), ("all_active", full)):
+        view = GraphView.restricted(merge_kg, merge_kg.relation_triples)
+        entities, active = merge_kg.num_entities, view.edges.active.size
+        assert (active < entities) == (graph == "isolated")
+        for aggregator, head_dim in (("concat", 3), ("average", 4)):
+            config = ModelConfig(dim=4, head_dim=head_dim, heads=2, aggregator=aggregator)
+            params = init_params(entities, merge_kg.num_relations, 0, 0, config, rng)
+            heads = ad.parameter(rng.normal(size=(active, 2 * head_dim)))
+            previous = ad.parameter(rng.normal(size=(entities, 4)))
+            tensors = [heads] + [t for name, t in params.items() if name.startswith("out_w.")]
+            if graph == "isolated":
+                tensors.append(previous)
+            weights = rng.normal(size=(entities, 4))
+            case(f"aggregate_{aggregator}_{graph}", tensors,
+                 lambda heads=heads, previous=previous, view=view, params=params, config=config, weights=weights:
+                 probe(model_module.aggregate(heads, previous, view, params, config, 0), weights))
 
     def tanh_times(t, k):
         """tanh(t) * k as one fused record; k is a constant parent."""
@@ -154,14 +153,26 @@ def _op_gradient_cases(rng: np.random.Generator):
     return cases
 
 
+def _bce_record(scores, labels, class_count):
+    """``bce_loss``'s value and gradient as one fused record."""
+    loss, grad = bce_loss(scores.data, labels, class_count)
+    return ad.fused(loss, (scores,), lambda g: (grad * g,))
+
+
 def _loss_gradient_cases(rng: np.random.Generator):
     cases = []
     scores = ad.parameter(rng.normal(size=(3, 4)))
     labels = [int(rng.integers(4)) for _ in range(3)]
-    cases.append(("bce_loss", [scores], lambda: bce_loss(scores, labels, 4)))
+    cases.append(("bce_loss", [scores], lambda: _bce_record(scores, labels, 4)))
     # scores beyond +/-30, right and wrong class alike: the gradient stays exact
     wide = ad.parameter(rng.choice([-1.0, 1.0], size=(3, 4)) * rng.uniform(31.0, 45.0, size=(3, 4)))
-    cases.append(("bce_loss_wide_scores", [wide], lambda: bce_loss(wide, labels, 4)))
+    cases.append(("bce_loss_wide_scores", [wide], lambda: _bce_record(wide, labels, 4)))
+    # the classifier record: gather, product, bias and BCE, entity 2 read twice
+    ent = ad.parameter(rng.normal(size=(4, 3)))
+    params = ModelParams({"cls_w": ad.parameter(rng.normal(size=(3, 4))), "cls_b": ad.parameter(rng.normal(size=4))})
+    split = DatasetSplit([], [], [], labels={e: e for e in range(4)}, class_names=["a", "b", "c", "d"])
+    cases.append(("classification_loss", [ent, params["cls_w"], params["cls_b"]],
+                  lambda: _classification_batch_loss([2, 0, 2], ent, params, split)))
     return cases
 
 
@@ -298,10 +309,7 @@ def test_attention_normalization():
         head = int(rng.integers(heads))
         # the whole-graph layer forward_all runs, on the raw embedding table
         weights, _ = model_module._layer_heads(
-            params.entity,
-            ad.rows(params.relation, view.edges.relation),
-            model_module.encode_value(view, params, config),
-            view, params, config, layer,
+            params.entity, model_module.encode_value(view, params, config), view, params, config, layer,
         )
         # bilinear heads have a weight column each; translational heads share one
         column = weights.data[:, head] if config.attention == "bilinear" else weights.data

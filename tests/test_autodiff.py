@@ -1,6 +1,6 @@
 """Gradient and contract tests for the tape engine and its NumPy kernels.
 
-Every op, every fused record of the model and the segment kernels of
+The fused records of the model and the segment kernels of
 ``AggregationPlan`` are checked against central finite differences (step
 1e-6, relative error < 1e-5); random compositions of the model's records
 are checked the same way. Inputs for kinked functions (abs, leaky) are
@@ -29,8 +29,8 @@ from kane.model import ModelConfig, ModelParams, aggregate, forward_all, init_pa
 from kane.training import sgd_step
 
 from helpers import (
-    autodiff_gradients, away_from_zero, check_gradients, edge_case_graph, fused_add, fused_norm,
-    fused_sub, layer_tensors, probe, random_kg, relative_error, total,
+    autodiff_gradients, away_from_zero, check_gradients, edge_case_graph, fused_add, fused_concat_rows,
+    fused_matmul, fused_norm, fused_rows, fused_sub, layer_tensors, probe, random_kg, relative_error, total,
 )
 
 STEP = 1e-6
@@ -74,24 +74,30 @@ def layer_gradient_error(rng, config, use_attributes):
     reads a value, and the entity vectors are the only source rows."""
     kg = edge_case_graph()
     view = GraphView.restricted(kg, kg.relation_triples, use_attributes)
-    inputs, rel, values, params = layer_tensors(rng, view, config, use_attributes)
+    inputs, values, params = layer_tensors(rng, view, config, use_attributes)
     weights = rng.normal(size=(view.edges.active.size, config.heads * config.head_dim))
 
     def forward():
-        _, outputs = model_module._layer_heads(inputs, rel, values, view, params, config, 0)
+        _, outputs = model_module._layer_heads(inputs, values, view, params, config, 0)
         return probe(outputs, weights)
 
-    tensors = [inputs, rel, params.relation, params["head_w.0"]] + ([] if values is None else [values])
+    tensors = [inputs, params.relation, params["head_w.0"]] + ([] if values is None else [values])
     return check_gradients(forward, tensors, STEP)
 
 
 def aggregate_gradient_error(rng, config):
-    """Worst finite-difference error of one ``aggregate`` record."""
-    params = init_params(3, 2, 0, 0, config, rng)
-    heads = ad.parameter(away_from_zero(rng.normal(size=(4, config.heads * config.head_dim))))
-    weights = rng.normal(size=(4, config.dim))
-    tensors = [heads] + [t for name, t in params.items() if name.startswith("out_w.")]
-    return check_gradients(lambda: probe(aggregate(heads, params, config, 0), weights), tensors, STEP)
+    """Worst finite-difference error of one ``aggregate`` record over the
+    edge-case graph, whose isolated ``d`` and ``e`` keep their previous
+    rows."""
+    kg = edge_case_graph()
+    view = GraphView.restricted(kg, kg.relation_triples)
+    params = init_params(kg.num_entities, kg.num_relations, 0, 0, config, rng)
+    heads = ad.parameter(away_from_zero(rng.normal(size=(view.edges.active.size, config.heads * config.head_dim))))
+    previous = ad.parameter(rng.normal(size=(kg.num_entities, config.dim)))
+    weights = rng.normal(size=(kg.num_entities, config.dim))
+    tensors = [heads, previous] + [t for name, t in params.items() if name.startswith("out_w.")]
+    return check_gradients(
+        lambda: probe(aggregate(heads, previous, view, params, config, 0), weights), tensors, STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -122,52 +128,8 @@ class TestOpGradients:
         w = ad.constant(rng.normal(size=5))
         assert check_gradients(lambda: probe(a, w), [a], STEP) < TOL
 
-    def test_matmul_transpose(self, seed):
+    def test_weighted_sum(self, seed):
         rng = np.random.default_rng(seed)
-        m = mat(rng, 4, 5)
-        v = mat(rng, 5, 1)
-        u = mat(rng, 1, 4)
-        w = mat(rng, 5, 3)
-        # matrix-vector products as matmuls with one column or one row
-        assert check_gradients(lambda: total(ad.matmul(m, v)), [m, v], STEP) < TOL
-        assert check_gradients(lambda: total(ad.matmul(u, m)), [u, m], STEP) < TOL
-        assert check_gradients(lambda: total(ad.matmul(m, w)), [m, w], STEP) < TOL
-        # an operand held transposed, as a column-major view
-        t = ad.parameter(rng.normal(size=(3, 5)).T)
-        assert not t.data.flags.c_contiguous
-        w43 = rng.normal(size=(4, 3))
-        assert check_gradients(lambda: probe(ad.matmul(m, t), w43), [m, t], STEP) < TOL
-
-    def test_row_rows_take(self, seed):
-        rng = np.random.default_rng(seed)
-        m = mat(rng, 5, 3)
-        v = vec(rng, 6)
-        # repeated indices exercise gradient accumulation into shared rows
-        assert check_gradients(lambda: total(ad.rows(m, [2])), [m], STEP) < TOL
-        assert check_gradients(lambda: total(ad.rows(m, [0, 2, 2, 4])), [m], STEP) < TOL
-        assert check_gradients(lambda: total(ad.rows(v, [1, 1, 5, 0])), [v], STEP) < TOL
-
-    def test_scatter_rows_reshape(self, seed):
-        rng = np.random.default_rng(seed)
-        m, v = mat(rng, 6, 3), vec(rng, 6)
-        # unsorted and repeated indices; row 1 of the (4, ...) result is never hit
-        idx = [3, 0, 3, 2, 0, 3]
-        w43, w4 = ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=4))
-        assert check_gradients(lambda: probe(ad.scatter_rows(m, idx, 4), w43), [m], STEP) < TOL
-        assert check_gradients(lambda: probe(ad.scatter_rows(v, idx, 4), w4), [v], STEP) < TOL
-
-    def test_concat_stack_slices(self, seed):
-        rng = np.random.default_rng(seed)
-        m = mat(rng, 6, 3)
-        top = mat(rng, 2, 3)
-        w93 = ad.constant(rng.normal(size=(10, 3)))
-        assert check_gradients(lambda: probe(ad.concat_rows([m, top, top]), w93), [m, top], STEP) < TOL
-
-    def test_add_rowvec_and_reductions(self, seed):
-        rng = np.random.default_rng(seed)
-        m = mat(rng, 4, 3)
-        v = vec(rng, 3)
-        assert check_gradients(lambda: total(ad.add_rowvec(m, v)), [m, v], STEP) < TOL
         # the plan's weighted sum: segments of 1, 3 and 2 entries, the first
         # a single entry; the index repeats table rows 0 and 2 and never
         # reads row 1
@@ -198,7 +160,8 @@ class TestOpGradients:
 
     def test_nonlinearities(self, seed):
         """The leaky ReLU, at slopes 0.2 and 0 (a plain ReLU), inside the
-        bilinear layer's logits and inside both merges of ``aggregate``."""
+        bilinear layer's logits and inside both merges of ``aggregate``,
+        which also places the isolated entities' previous rows."""
         rng = np.random.default_rng(seed)
         for slope in (0.2, 0.0):
             bilinear = ModelConfig(dim=4, head_dim=3, heads=2, leaky_slope=slope)
@@ -231,7 +194,7 @@ class TestOpGradients:
 
 def test_random_compositions():
     """Whole forward passes of random configurations over random graphs,
-    each a composition of layer, merge, gather and stacking records: 1 or 2
+    each a composition of layer and merge records: 1 or 2
     layers, bilinear or translational (l1 or l2) attention, 1-3 heads, the
     concat or average merge, and views over a random part of the triples,
     so some entities are isolated."""
@@ -275,7 +238,7 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
     prior_m, prior_v = rng.normal(size=(5, 3)), rng.normal(size=5)
     m.grad, v.grad = prior_m.copy(), prior_v.copy()
     with ad.Tape() as tape:
-        ad.backward(tape, fused_add(probe(ad.rows(m, idx), w_m), probe(ad.rows(v, idx), w_v)))
+        ad.backward(tape, fused_add(probe(fused_rows(m, idx), w_m), probe(fused_rows(v, idx), w_v)))
     want_m, want_v = prior_m.copy(), prior_v.copy()
     for k, i in enumerate(idx):
         want_m[i] += w_m[k]
@@ -288,9 +251,9 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
 @settings(max_examples=100, deadline=None)
 def test_scatter_sums_match_a_python_loop(data):
     """Every sum of rows by index adds in index order, from zero, exactly as
-    a Python loop does: the backward of ``rows`` on a matrix and a vector,
-    the forward of ``scatter_rows``, and the plan's weighted sum and its
-    table gradient; its weight gradient takes each entry's products with
+    a Python loop does: ``scatter_sum`` of a matrix and of a vector, and
+    the plan's weighted sum and its table gradient; its weight gradient
+    takes each entry's products with
     its segment's gradient row and sums them as ``np.sum`` does. Unsorted
     and repeated indices, rows no index hits, widths 1, 3 and 128, vector
     and (n, k) weights, and segments of unequal lengths whose longest is
@@ -300,19 +263,13 @@ def test_scatter_sums_match_a_python_loop(data):
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
-    m, v = ad.parameter(rng.normal(size=(n, width))), ad.parameter(rng.normal(size=n))
     w_m, w_v = rng.normal(size=(len(idx), width)), rng.normal(size=len(idx))
-    with ad.Tape() as tape:
-        ad.backward(tape, fused_add(probe(ad.rows(m, idx), w_m), probe(ad.rows(v, idx), w_v)))
     want_m, want_v = np.zeros((n, width)), np.zeros(n)
     for k, i in enumerate(idx):
         want_m[i] += w_m[k]
         want_v[i] += w_v[k]
-    assert np.array_equal(m.grad, want_m)
-    assert np.array_equal(v.grad, want_v)
-    # the forward of the adjoint sums the same rows into the same slots
-    assert np.array_equal(ad.scatter_rows(ad.constant(w_m), idx, n).data, want_m)
-    assert np.array_equal(ad.scatter_rows(ad.constant(w_v), idx, n).data, want_v)
+    assert np.array_equal(ad.scatter_sum(np.asarray(idx), w_m, n), want_m)
+    assert np.array_equal(ad.scatter_sum(np.asarray(idx), w_v, n), want_v)
 
     counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="counts")
     counts.insert(data.draw(st.integers(1, len(counts)), label="longest at"), max(counts) + 1)
@@ -387,10 +344,11 @@ def test_aggregation_backward_builds_no_entry_wide_array():
 
 
 def test_gradient_buffers_belong_to_one_tensor():
-    """Backward adopts fresh gradient arrays instead of copying them, so an
-    op that hands one buffer to two parents must copy it for one of them,
-    as ``fused`` does, and ``concat_rows`` hands out disjoint slices.
-    Each parameter below gets its first gradient from one op. After
+    """Backward adopts fresh gradient arrays instead of copying them, so a
+    record that hands one buffer to two parents gets it copied for one of
+    them by ``fused``, while disjoint row slices of one buffer pass as
+    they are. Each parameter below gets its first gradient from one
+    record. After
     backward no two parameters' grads share memory, each grad is its hand
     value, and a second backward into one parameter leaves the others'
     grads as they were."""
@@ -402,8 +360,8 @@ def test_gradient_buffers_belong_to_one_tensor():
     c_cat = rng.normal(size=(4, 3))
     with ad.Tape() as tape:
         terms = [probe(fused_add(p, q), c[0]), probe(fused_add(u, u), c[1]),
-                 probe(ad.concat_rows([x, x]), c_cat), probe(ad.matmul(r, ad.constant(np.eye(2))), c[2].T),
-                 probe(ad.rows(y, [1, 0]), c[4])]
+                 probe(fused_concat_rows(x, x), c_cat), probe(fused_matmul(r, ad.constant(np.eye(2))), c[2].T),
+                 probe(fused_rows(y, [1, 0]), c[4])]
         ad.backward(tape, functools.reduce(fused_add, terms))
     with ad.Tape() as tape:
         ad.backward(tape, total(s))  # a fused root: its gradient spreads over s
@@ -443,6 +401,17 @@ def test_fused_accumulates_under_the_ownership_rule():
     assert c.grad is None and skipped.grad is None
     assert np.array_equal(a.grad, w) and np.array_equal(b.grad, w) and np.array_equal(d.grad, prior + w)
     assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_fused_needs_one_gradient_per_parent():
+    """A backward that returns fewer or more gradients than the record has
+    parents fails the sweep instead of skipping a parent."""
+    a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+    for grads in (lambda g: (g,), lambda g: (g, g, g)):
+        with ad.Tape() as tape:
+            out = ad.fused(a.data + b.data, (a, b), grads)
+            with pytest.raises(ValueError):
+                ad.backward(tape, total(out))
 
 
 def test_gradient_linearity():
@@ -530,15 +499,15 @@ def test_matrix_segment_ops_act_per_column_and_block():
 
 def test_ops_outside_tape_do_not_record():
     v = ad.parameter(np.ones(3))
-    for out in (ad.rows(v, [2, 0]), total(v)):
+    for out in (fused_rows(v, [2, 0]), total(v)):
         assert out._backward is None and out._parents == ()
 
 
 def test_nested_tapes_restore_outer():
     with ad.Tape() as outer:
-        ad.rows(ad.parameter(np.ones(2)), [1])
+        fused_rows(ad.parameter(np.ones(2)), [1])
         with ad.Tape() as inner:
-            ad.rows(ad.parameter(np.ones(2)), [1])
+            fused_rows(ad.parameter(np.ones(2)), [1])
         assert ad.active_tape() is outer
         assert len(inner.records) == 1
     assert ad.active_tape() is None
@@ -552,12 +521,12 @@ def test_constants_receive_no_gradient():
         loss = total(mul(c, v))
         ad.backward(tape, loss)
     assert c.grad is None and v.grad is not None
-    # matmul with one constant operand, on either side
+    # a product record with one constant operand, on either side
     k = ad.constant(np.arange(6.0).reshape(2, 3))
     for left in (True, False):
         m = ad.parameter(np.ones((3, 2)))
         with ad.Tape() as tape:
-            ad.backward(tape, total(ad.matmul(k, m) if left else ad.matmul(m, k)))
+            ad.backward(tape, total(fused_matmul(k, m) if left else fused_matmul(m, k)))
         want = k.data.T @ np.ones((2, 2)) if left else np.ones((3, 3)) @ k.data.T
         assert k.grad is None and np.array_equal(m.grad, want)
 
@@ -578,7 +547,7 @@ def test_parameter_off_the_root_path_keeps_no_gradient():
 def test_backward_requires_scalar_root():
     v = ad.parameter(np.ones(3))
     with ad.Tape() as tape:
-        out = ad.rows(v, [0, 1])
+        out = fused_rows(v, [0, 1])
         with pytest.raises(ShapeError):
             ad.backward(tape, out)
 
@@ -587,21 +556,11 @@ def test_shape_and_domain_errors():
     v3 = ad.parameter(np.ones(3))
     m = ad.parameter(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        ad.matmul(m, m)
-    with pytest.raises(ShapeError):
-        ad.add_rowvec(m, ad.parameter(np.ones(2)))
-    with pytest.raises(ShapeError):
         ad.Tensor(np.ones((2, 2, 2)))
     with pytest.raises(ShapeError):
         ad.Tensor(np.ones((0, 2)))
     with pytest.raises(ShapeError):
         v3.item()
-    with pytest.raises(IndexError):
-        ad.rows(m, [0, 9])
-    with pytest.raises(IndexError):
-        ad.rows(v3, [0, 7])
-    with pytest.raises(ShapeError):
-        ad.rows(ad.parameter(1.0), [0])  # a scalar has no rows
     plan = ad.AggregationPlan([0, 1], [0, 1, 2])
     with pytest.raises(ShapeError):
         plan.softmax(np.ones(()))  # a scalar, not logits
@@ -615,12 +574,6 @@ def test_shape_and_domain_errors():
         plan.weighted_sum(np.ones(2), np.ones(3))  # a vector is no table
     with pytest.raises(ShapeError):
         plan.weighted_sum_grads(np.ones((2, 3)), np.ones(3), m.data)
-    with pytest.raises(ShapeError):
-        ad.concat_rows([m, ad.parameter(np.ones((2, 4)))])
-    with pytest.raises(ShapeError):
-        ad.scatter_rows(m, [0, 1, 1], 3)  # three indices for two rows
-    with pytest.raises(IndexError):
-        ad.scatter_rows(v3, [0, 3, 1], 3)
 
 
 def test_aggregation_plan_checks_fire():

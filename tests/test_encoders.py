@@ -16,7 +16,10 @@ import kane.autodiff as ad
 from kane.encoders import bow_encode, lstm_encode
 from kane.model import ModelConfig, init_params
 
-from helpers import check_gradients, probe, reference_lstm_final_state, relative_error, total
+from helpers import (
+    autodiff_gradients, check_gradients, composed_bow_encode, probe, reference_lstm_final_state, relative_error,
+    total,
+)
 
 
 def make_table(rng: np.random.Generator, vocab: int = 12, dim: int = 5) -> ad.Tensor:
@@ -96,6 +99,23 @@ class TestBow:
         want[2] = 3.0
         want[5] = 1.0
         assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("sequences", [[[7, 3, 7, 1], [5], [9, 3, 0, 3, 3], [1, 7]], [[4, 4, 4]], [[2], [2], [0]]],
+                             ids=["mixed", "one-word", "same-word"])
+    def test_one_record_matches_the_composition_bit_for_bit(self, sequences):
+        """The one-record encoding, and the word table's gradient, equal the
+        gather-then-scatter composition (``helpers.composed_bow_encode``)
+        bit for bit, on unsorted tokens repeated within and across
+        sequences."""
+        table = make_table(np.random.default_rng(14), vocab=10, dim=4)
+        weights = np.random.default_rng(15).normal(size=(len(sequences), 4))
+        assert np.array_equal(bow_encode(sequences, table).data, composed_bow_encode(sequences, table).data)
+        _, (fused,) = autodiff_gradients(lambda: probe(bow_encode(sequences, table), weights), [table])
+        _, (composed,) = autodiff_gradients(lambda: probe(composed_bow_encode(sequences, table), weights), [table])
+        assert np.array_equal(fused, composed)
+        with ad.Tape() as tape:
+            bow_encode(sequences, table)
+        assert len(tape.records) == 1
 
     def test_rejects_empty_sequence(self):
         table = make_table(np.random.default_rng(5))

@@ -32,7 +32,8 @@ from kane.training import (
 )
 
 from helpers import (
-    check_gradients, kg_from_name_triples, probe, random_kg, reference_bce, relative_error, total,
+    autodiff_gradients, check_gradients, fused_concat_rows, fused_rows, kg_from_name_triples, probe, random_kg,
+    reference_bce, relative_error, total,
 )
 
 
@@ -68,10 +69,7 @@ def layer_heads(view, params, config, layer=0):
     ``forward_all`` runs. Translational heads share one weight vector; it
     is repeated here once per head."""
     weights, outputs = model_module._layer_heads(
-        params.entity,
-        ad.rows(params.relation, view.edges.relation),
-        encode_value(view, params, config),
-        view, params, config, layer,
+        params.entity, encode_value(view, params, config), view, params, config, layer,
     )
     edges = view.edges.source.size
     if config.attention == "bilinear":
@@ -391,12 +389,20 @@ def test_head_output_is_weighted_message_sum():
 # aggregation, scoring, classification
 
 
+def merge_two(head_outputs, params, config):
+    """``aggregate`` over a view of two entities that both have neighbors."""
+    kg = kg_from_name_triples([("a", "r", "b"), ("b", "r", "a")])
+    view = GraphView.restricted(kg, kg.relation_triples)
+    previous = ad.constant(np.zeros((2, config.dim)))
+    return aggregate(ad.constant(head_outputs), previous, view, params, config, layer=0)
+
+
 def test_aggregate_concat_hand_oracle():
     config = ModelConfig(dim=4, head_dim=3, heads=2, layers=1, leaky_slope=0.1)
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     outs = [rng.standard_normal((2, 3)) for _ in range(2)]
-    got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
+    got = merge_two(np.concatenate(outs, axis=1), params, config).data
     pre = np.concatenate(outs, axis=1) @ params["out_w.0"].data
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
@@ -409,7 +415,7 @@ def test_aggregate_average_hand_oracle():
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     outs = [rng.standard_normal((2, 4)) for _ in range(3)]
-    got = aggregate(ad.constant(np.concatenate(outs, axis=1)), params, config, layer=0).data
+    got = merge_two(np.concatenate(outs, axis=1), params, config).data
     pre = sum(outs) / 3.0
     want = np.where(pre > 0, pre, config.leaky_slope * pre)
     assert relative_error(got, want) < 1e-12
@@ -420,7 +426,7 @@ def test_aggregate_rejects_wrong_head_count():
     params = init_params(3, 2, 0, 0, config, np.random.default_rng(9))
     # one head's columns where two heads' are due
     with pytest.raises(ConfigError):
-        aggregate(ad.constant(np.zeros((2, 3))), params, config, layer=0)
+        merge_two(np.zeros((2, 3)), params, config)
 
 
 def test_score_hand_values():
@@ -527,6 +533,34 @@ def test_forward_all_matches_reference(config, graph):
         assert relative_error(got.data[e], np.array(want[e])) < 1e-10
 
 
+@pytest.mark.parametrize("aggregator", ["concat", "average"])
+def test_merge_record_places_isolated_rows_as_the_composition_does(aggregator):
+    """On a view with isolated entities, the merge record's output and every
+    gradient equal, bit for bit, the composition of the merge alone, a
+    stack of its rows over the previous rows, and a gather by the view's
+    ``merge`` index."""
+    config = ModelConfig(dim=3, head_dim=3, heads=2, layers=1, aggregator=aggregator)
+    view, params = sparse_view(8, config)
+    rng = np.random.default_rng(9)
+    entities, active = view.entity_count, view.edges.active.size
+    heads = ad.parameter(rng.normal(size=(active, 6)))
+    previous = ad.parameter(rng.normal(size=(entities, 3)))
+    weights = rng.normal(size=(entities, 3))
+    tensors = [heads, previous] + [t for name, t in params.items() if name.startswith("out_w.")]
+
+    def composed():
+        merged = aggregate(heads, ad.constant(np.zeros((active, 3))), view, params, config, 0)
+        return fused_rows(fused_concat_rows(merged, previous), view.edges.merge)
+
+    got, want = aggregate(heads, previous, view, params, config, 0), composed()
+    assert np.array_equal(got.data, want.data)
+    fused_grads = autodiff_gradients(lambda: probe(aggregate(heads, previous, view, params, config, 0), weights),
+                                     tensors)[1]
+    composed_grads = autodiff_gradients(lambda: probe(composed(), weights), tensors)[1]
+    for g_fused, g_composed in zip(fused_grads, composed_grads, strict=True):
+        assert np.array_equal(g_fused, g_composed)
+
+
 def test_zero_layers_returns_raw_embeddings():
     config = ModelConfig(dim=4, head_dim=4, heads=1, layers=0)
     kg, view, params = build(3, config)
@@ -612,7 +646,6 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
     _, view, params = build(3, config, entities=10, relations=6, triples=800, with_attributes=True)
     edges, width = view.edges.source.size, config.heads * config.head_dim
     assert edges >= 400
-    rel = ad.rows(params.relation, view.edges.relation)  # read once per forward pass, not per layer
     values = encode_value(view, params, config)
     view.aggregation.reverse  # built once per view, not per layer
     weights = np.random.default_rng(4).normal(size=(view.edges.active.size, width))
@@ -620,7 +653,7 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
     with ad.Tape() as tape:
         tracemalloc.start()
         try:
-            _, outputs = model_module._layer_heads(params.entity, rel, values, view, params, config, 0)
+            _, outputs = model_module._layer_heads(params.entity, values, view, params, config, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
             root = probe(outputs, weights)
             tracemalloc.reset_peak()
@@ -631,21 +664,3 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
             tracemalloc.stop()
     assert params["head_w.0"].grad is not None
     assert max(peaks) < edges * width * 8, (peaks, edges * width * 8)
-
-
-def test_layer_and_merge_are_one_tape_record_each():
-    """Per layer, the attention layer and the merge are one record each;
-    the translational relation rows are gathered once per pass, and
-    isolated entities add one gather of one stacked table per layer."""
-    for attention, isolated in itertools.product(("bilinear", "translational"), (False, True)):
-        config = ModelConfig(dim=4, head_dim=3, heads=2, layers=2, attention=attention)
-        if isolated:
-            view, params = sparse_view(5, config)
-        else:
-            _, view, params = build(5, config)
-        assert (view.edges.active.size < view.entity_count) == isolated
-        values = encode_value(view, params, config)  # off the tape
-        with ad.Tape() as tape:
-            forward_all(view, params, config, values)
-        per_layer = 2 + (2 if isolated else 0)
-        assert len(tape.records) == (attention == "translational") + config.layers * per_layer

@@ -43,8 +43,10 @@ from helpers import (
     autodiff_gradients,
     check_gradients,
     checkpoint_header,
+    composed_classification_loss,
     composed_completion_loss,
     contains_by_lookup,
+    edge_case_graph,
     kg_from_name_triples,
     random_kg,
     reference_bce,
@@ -225,11 +227,9 @@ class TestHingeLoss:
 
 class TestBceLoss:
     def test_uniform_scores_hand_value(self):
-        scores = ad.constant(np.zeros((1, 2)))
-        got = float(bce_loss(scores, [0], 2).data)
+        got = float(bce_loss(np.zeros((1, 2)), [0], 2)[0])
         assert abs(got - 2.0 * np.log(2.0)) < 1e-12
-        scores = ad.constant(np.zeros((2, 3)))
-        got = float(bce_loss(scores, [0, 1], 3).data)
+        got = float(bce_loss(np.zeros((2, 3)), [0, 1], 3)[0])
         assert abs(got - 3.0 * np.log(2.0)) < 1e-12
 
     def test_matches_numpy_reference(self):
@@ -238,12 +238,12 @@ class TestBceLoss:
             n, c = int(rng.integers(1, 6)), int(rng.integers(2, 5))
             raw = rng.standard_normal((n, c)) * 3.0
             labels = [int(rng.integers(c)) for _ in range(n)]
-            got = float(bce_loss(ad.constant(raw), labels, c).data)
+            got = float(bce_loss(raw, labels, c)[0])
             assert abs(got - reference_bce(raw, labels)) < 1e-12
 
     def test_extreme_scores_are_exact_without_clipping(self):
         raw = np.array([[1000.0, -1000.0, 55.0]])
-        got = float(bce_loss(ad.constant(raw), [0], 3).data)
+        got = float(bce_loss(raw, [0], 3)[0])
         assert np.isfinite(got)
         assert abs(got - reference_bce(raw, [0])) < 1e-12
 
@@ -255,20 +255,17 @@ class TestBceLoss:
         clipped: a wrong-class score of 35 gets about 1 / n, not 0."""
         n = 2
         raw = np.array([[score, 0.0], [0.0, 0.0]])
-        scores = ad.parameter(raw)
-        with ad.Tape() as tape:
-            loss = bce_loss(scores, [label, 0], 2)
-            ad.backward(tape, loss)
+        loss, grad = bce_loss(raw, [label, 0], 2)
         onehot = np.array([[label == 0, label == 1], [1, 0]], dtype=float)
         want = (np.logaddexp(0.0, raw) - onehot * raw).sum() / n
-        assert np.isfinite(float(loss.data)) and abs(float(loss.data) - want) < 1e-12
+        assert np.isfinite(loss) and abs(loss - want) < 1e-12
         want_grad = (0.5 * (1.0 + np.tanh(raw / 2.0)) - onehot) / n
-        assert np.abs(scores.grad - want_grad).max() < 1e-15
+        assert np.abs(grad - want_grad).max() < 1e-15
         if label == 1 and score == 35.0:
-            assert abs(scores.grad[0, 0] - 1.0 / n) < 1e-15
+            assert abs(grad[0, 0] - 1.0 / n) < 1e-15
 
     def test_bad_labels_raise(self):
-        scores = ad.constant(np.zeros((2, 3)))
+        scores = np.zeros((2, 3))
         with pytest.raises(ConfigError):
             bce_loss(scores, [0, 3], 3)
         with pytest.raises(ConfigError):
@@ -280,12 +277,16 @@ class TestBceLoss:
             bce_loss(scores, [1, -1], 3)
 
     def test_gradients_match_finite_differences(self):
-        scores = ad.parameter(np.random.default_rng(5).standard_normal((3, 4)), "scores")
-
-        def forward():
-            return bce_loss(scores, [0, 2, 3], 4)
-
-        assert check_gradients(forward, [scores], step=1e-6) < 1e-8
+        scores = np.random.default_rng(5).standard_normal((3, 4))
+        _, grad = bce_loss(scores, [0, 2, 3], 4)
+        step = 1e-6
+        numeric = np.zeros_like(scores)
+        for idx in np.ndindex(scores.shape):
+            up, down = scores.copy(), scores.copy()
+            up[idx] += step
+            down[idx] -= step
+            numeric[idx] = (bce_loss(up, [0, 2, 3], 4)[0] - bce_loss(down, [0, 2, 3], 4)[0]) / (2.0 * step)
+        assert relative_error(grad, numeric) < 1e-8
 
 
 def _completion_loss_setup(norm, values):
@@ -308,13 +309,40 @@ def _completion_loss_setup(norm, values):
 
 @pytest.mark.parametrize("loss", ["completion", "bce"])
 def test_each_loss_is_one_tape_record(loss):
-    rng = np.random.default_rng(8)
     with ad.Tape() as tape:
         if loss == "completion":
             _completion_batch_loss(*_completion_loss_setup("l2", values=True))
         else:
-            bce_loss(ad.parameter(rng.normal(size=(3, 4))), [0, 2, 3], 4)
+            _classification_batch_loss(*_classification_loss_setup())
     assert len(tape.records) == 1
+
+
+def _classification_loss_setup(bias_scale: float = 1.0):
+    """A batch over 5 entities and 3 classes that reads entity 3 twice:
+    (batch, entity table, ``ModelParams`` with the classifier, split)."""
+    rng = np.random.default_rng(22)
+    params = init_params(5, 2, 0, 3, ModelConfig(dim=4, head_dim=4, heads=1, layers=0), rng)
+    params["cls_b"].data = rng.normal(size=3) * bias_scale
+    split = DatasetSplit([], [], [], labels={0: 2, 1: 0, 2: 1, 3: 1, 4: 0}, class_names=["x", "y", "z"])
+    return [3, 0, 4, 3], params.entity, params, split
+
+
+@pytest.mark.parametrize("bias_scale", [1.0, 40.0])
+def test_fused_classification_loss_matches_the_composition_bit_for_bit(bias_scale):
+    """The one-record classification loss and every gradient equal the
+    op-by-op composition (``helpers.composed_classification_loss``) bit for
+    bit, with an entity read twice in the batch, also with scores far out
+    in both tails of the sigmoid."""
+    batch, ent, params, split = _classification_loss_setup(bias_scale)
+    tensors = [ent, params["cls_w"], params["cls_b"]]
+    fused_loss, fused_grads = autodiff_gradients(lambda: _classification_batch_loss(batch, ent, params, split),
+                                                 tensors)
+    composed_loss, composed_grads = autodiff_gradients(
+        lambda: composed_classification_loss(batch, ent, params["cls_w"], params["cls_b"],
+                                             [split.labels[e] for e in batch], split.class_count), tensors)
+    assert fused_loss == composed_loss
+    for got, want in zip(fused_grads, composed_grads, strict=True):
+        assert np.array_equal(got, want)
 
 
 def _fused_and_composed(positives, negatives, ent, params, config, table):
@@ -658,23 +686,29 @@ class TestTrainLoop:
             assert table.shape == (kg.num_values, 8)
             assert read[2 * step] == ("forward", table) and read[2 * step + 1] == ("loss", table)
 
-    @pytest.mark.parametrize("task", ["completion", "classification"])
-    def test_step_neither_transposes_nor_stacks_a_parameter(self, task, monkeypatch):
-        """Every transform is stored in the layout its product reads: no
-        record of a training step transposes a parameter, and the only
-        ``concat_rows`` input that may be a parameter is the entity table,
-        under the isolated entities' previous rows. The head transforms and
-        the concat merges are read as stored by the layers' and the
-        merges' ``fused`` records, the classifier by a ``matmul``, and the
-        LSTM encoder's weights by its one ``fused`` record."""
-        kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
-                       attribute_relations=1, attribute_triples=5)
+    @pytest.mark.parametrize("case", ["bow", "attributes-off-isolated", "translational", "lstm-classification"])
+    def test_step_tape_holds_fused_records_alone(self, case, monkeypatch):
+        """Every record of a training step is a ``fused`` record: per layer
+        the attention layer and the merge, which also places any isolated
+        entities' rows, then the loss, plus the encoder when attributes are
+        on: 2 * layers + 1 + 1 = 6 at the default two layers. The head
+        transforms, the concat merges, the classifier and the LSTM weights
+        are read as stored by those records."""
+        model = ModelConfig(dim=4, head_dim=3, heads=2, layers=2,
+                            use_attributes=case != "attributes-off-isolated",
+                            attention="translational" if case == "translational" else "bilinear",
+                            encoder="lstm" if case == "lstm-classification" else "bow")
+        task = "classification" if case == "lstm-classification" else "completion"
+        if case == "attributes-off-isolated":
+            kg = edge_case_graph()  # d and e own no edge
+        else:
+            kg = random_kg(np.random.default_rng(4), entities=6, relations=2, triples=12,
+                           attribute_relations=1, attribute_triples=5)
         split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
-        encoder = "bow"
         if task == "classification":
             split.labels, split.class_names, split.label_train = {e: e % 2 for e in range(6)}, ["c0", "c1"], list(range(6))
-            encoder = "lstm"
-        model = ModelConfig(dim=4, head_dim=3, heads=2, layers=2, encoder=encoder)
+        view = GraphView.restricted(kg, split.train, model.use_attributes)
+        assert (view.edges.active.size < kg.num_entities) == (case == "attributes-off-isolated")
         tapes = []
         real_backward = ad.backward
 
@@ -685,19 +719,13 @@ class TestTrainLoop:
         monkeypatch.setattr(ad, "backward", backward)
         params, _ = train(kg, split, _toy_config(model=model, task=task, epochs=1, batch_size=64))
         (tape,) = tapes
-        reads = {}  # op name -> names of the parameters it reads
-        for t in tape.records:
-            op = t._backward.__qualname__.split(".")[0]
-            reads.setdefault(op, set()).update(p.name for p in t._parents if p.is_param)
-        assert reads.get("transpose", set()) == set()
-        assert reads.get("concat_rows", set()) <= {"entity"}
-        layers = {name for name, _ in params.named_parameters() if name.startswith(("head_w", "out_w"))}
-        assert len(layers) == 4 and layers <= reads["fused"]
-        classifier = {"cls_w"} if task == "classification" else set()
-        assert classifier <= reads.get("matmul", set())
-        lstm = {name for name, _ in params.named_parameters() if name.startswith("lstm.w")}
-        assert lstm == ({"lstm.w_in", "lstm.w_hid"} if encoder == "lstm" else set())
-        assert lstm <= reads.get("fused", set())
+        assert {t._backward.__qualname__ for t in tape.records} == {"fused.<locals>.back"}
+        assert len(tape.records) == 2 * model.layers + 1 + model.use_attributes
+        read = {p.name for t in tape.records for p in t._parents if p.is_param}
+        stored = {name for name, _ in params.named_parameters()
+                  if name.startswith(("head_w", "out_w", "cls_", "lstm.w"))}
+        assert len(stored) == 4 + 2 * (task == "classification") + 2 * (model.encoder == "lstm")
+        assert stored <= read
 
     def test_one_aggregation_plan_per_view(self, monkeypatch):
         """A run's edges never change: one ``train`` call builds one view and
