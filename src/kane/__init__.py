@@ -9,7 +9,7 @@ and filtered Mean Rank / Hits@k, and classification accuracy.
 """
 
 from .errors import (
-    ConfigError, DomainError, IntegrityError, KaneError, ParseError,
+    ConfigError, DatasetError, DomainError, IntegrityError, KaneError, ParseError,
     SamplingError, ShapeError, TrainingError,
 )
 from .kgdata import (

@@ -20,6 +20,7 @@ to ``$KANE_OUT_DIR`` or the current directory. All file writes are atomic
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, KaneError, ParseError
+from .errors import ConfigError, DatasetError, IntegrityError, KaneError, ParseError
 from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, bundle_from_json, bundle_to_json,
     generate_synthetic_kg, kg_statistics, parse_attribute_triples, parse_labels,
@@ -213,7 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     kg, split, checksum = _load_bundle_file(args.bundle)
     config = make_train_config(cfg)
-    params, report = train(kg, split, config)
+    params, report = _computed(args.bundle, None, train, kg, split, config)
     blob = save_checkpoint_bytes(params, config, bundle_checksum=checksum)
     d = out_dir(args)
     write_atomic(d / "model.ckpt", blob)
@@ -248,18 +249,24 @@ def _load_checkpoint_for(bundle_path: str, checkpoint_path: str):
     return kg, split, params, config, header
 
 
-def _from_checkpoint(checkpoint_path: str, compute, *args):
-    """``compute(*args)`` on a checkpoint's parameters; vectors or scores
-    that are not finite fail naming the checkpoint."""
+def _computed(bundle_path: str, checkpoint_path: str | None, compute, *args):
+    """``compute(*args)`` on a bundle's graph and split and, given
+    ``checkpoint_path``, a checkpoint's parameters. An error about what the
+    bundle lacks names the bundle; vectors or scores that are not finite
+    fail naming the checkpoint."""
     try:
         return compute(*args)
+    except DatasetError as err:
+        raise DatasetError(f"{bundle_path}: {err}") from err
     except IntegrityError as err:
+        if checkpoint_path is None:
+            raise
         raise IntegrityError(f"{checkpoint_path}: {err}; refusing to use it") from err
 
 
 def cmd_eval_completion(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
-    reports = _from_checkpoint(args.checkpoint, evaluate_completion, kg, split, params, config.model)
+    reports = _computed(args.bundle, args.checkpoint, evaluate_completion, kg, split, params, config.model)
     text = completion_report_text(reports, config.model)
     d = out_dir(args)
     write_atomic(d / "completion_report.txt", text)
@@ -272,7 +279,7 @@ def cmd_eval_classify(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
     if config.task != "classification":
         raise IntegrityError(f"{args.checkpoint}: a {config.task} checkpoint has no classifier head")
-    result = _from_checkpoint(args.checkpoint, evaluate_classification, kg, split, params, config.model)
+    result = _computed(args.bundle, args.checkpoint, evaluate_classification, kg, split, params, config.model)
     text = classification_report_text(result, config.model)
     d = out_dir(args)
     write_atomic(d / "classification_report.txt", text)
@@ -296,7 +303,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     kg, split, params, config, _ = _load_checkpoint_for(args.bundle, args.checkpoint)
     if args.propagated:
         view = GraphView.restricted(kg, split.train, config.model.use_attributes)
-        matrix = _from_checkpoint(args.checkpoint, entity_matrix, view, params, config.model)
+        matrix = _computed(args.bundle, args.checkpoint, entity_matrix, view, params, config.model)
     else:
         matrix = params.entity.data
     d = out_dir(args)
@@ -363,9 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built at its first call and reused by every
+    later one in the process. Each subcommand binds its ``cmd_*`` function
+    at that build, so replacing ``kane.cli.cmd_*`` afterwards does not reach
+    ``main``."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (KaneError, OSError) as e:

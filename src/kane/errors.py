@@ -21,11 +21,18 @@ class ShapeError(KaneError):
 
 class DomainError(KaneError):
     """Input outside what an operation can represent: an attribute literal
-    with no tokens, which no encoder can encode."""
+    with no tokens, which no encoder can encode, or a graph and split that a
+    bundle cannot store (an id of 2**31 or more, a split triple the graph
+    does not hold)."""
 
 
 class ConfigError(KaneError):
     """Invalid or inconsistent configuration value."""
+
+
+class DatasetError(ConfigError):
+    """The dataset lacks what an operation needs: training or test triples,
+    labels, or labeled entities."""
 
 
 class SamplingError(KaneError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, DatasetError, IntegrityError
 from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, Triple, pair_keys, triple_rows,
 )
@@ -409,7 +409,7 @@ def evaluate_completion(
     """Entity prediction (head + tail queries pooled, Hits@10) and relation
     prediction (Hits@1) over the test triples."""
     if not split.test:
-        raise ConfigError("no evaluation triples")
+        raise DatasetError("no evaluation triples")
     view = GraphView.restricted(kg, split.train, config.use_attributes)
     ent = entity_matrix(view, params, config)
     rel = params.relation.data
@@ -463,7 +463,7 @@ def classification_accuracy(
     """Accuracy of argmax class prediction (ties resolve to the lowest index).
     Class scores that are not finite raise ``IntegrityError``."""
     if not entities:
-        raise ConfigError("no entities to classify")
+        raise DatasetError("no entities to classify")
     if "cls_w" not in params:
         raise ConfigError("model has no classifier head")
     for e in entities:
@@ -486,7 +486,7 @@ def evaluate_classification(
 ) -> dict[str, float | int]:
     """Accuracy over the labeled test entities."""
     if split.labels is None:
-        raise ConfigError("dataset has no labels")
+        raise DatasetError("dataset has no labels")
     view = GraphView.restricted(kg, split.train, config.use_attributes)
     ent = entity_matrix(view, params, config)
     acc = classification_accuracy(ent, params, split.label_test, split.labels)

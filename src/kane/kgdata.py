@@ -18,16 +18,21 @@ target)``: ``target`` is the tail entity, or ``num_entities + v`` for
 attribute value ``v``. ``known_triples`` indexes every known row by sorted
 int64 keys (``KnownAnswers``). The parts of a ``DatasetSplit`` are lists of
 ``(head, relation, tail)`` int tuples.
+
+A dataset bundle (``bundle_to_json``, ``bundle_from_json``) is one JSON
+document, ``kane-bundle-v2``: names, literals and counts as plain JSON,
+and every id array packed into one base64 string of little-endian int32
+ids, row-major, so that loading decodes each array in one step.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -35,7 +40,9 @@ import numpy as np
 from .autodiff import AggregationPlan
 from .errors import ConfigError, DomainError, IntegrityError, ParseError
 
-BUNDLE_FORMAT = "kane-bundle-v1"
+BUNDLE_FORMAT = "kane-bundle-v2"
+# the format before the id arrays were packed: refused, with a hint to re-run prepare
+_RETIRED_FORMAT = "kane-bundle-v1"
 
 Triple = tuple[int, int, int]
 
@@ -639,29 +646,48 @@ def kg_statistics(kg: KnowledgeGraph) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # dataset bundle (single self-contained JSON file with content checksum)
 
+def _pack(ids, what: str) -> str:
+    """Ids (an int array, or rows of one) as the base64 of their
+    little-endian int32 bytes, row-major."""
+    arr = np.asarray(ids, dtype=np.int64)
+    outside = (arr < 0) | (arr >= 2**31)
+    if outside.any():
+        raise DomainError(f"bundle {what} holds id {int(arr[outside][0])}, outside the int32 ids a bundle stores")
+    return base64.b64encode(arr.astype("<i4").tobytes()).decode("ascii")
+
+
+def _stored_positions(stored: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The position in ``stored`` ((n, 3) rows, each once) of each of
+    ``rows``: one sort of both, where each row's first occurrence is its
+    stored one."""
+    both = np.concatenate([stored, rows])
+    _, first, inverse = np.unique(both, axis=0, return_index=True, return_inverse=True)
+    positions = first[inverse.reshape(-1)[len(stored):]]
+    if (positions >= len(stored)).any():
+        raise DomainError("split lists a triple the graph does not hold")
+    return positions
+
+
 def _bundle_data(kg: KnowledgeGraph, split: DatasetSplit) -> dict:
-    index = {t: i for i, t in enumerate(id_tuples(kg.relation_triples))}
+    parts = [np.asarray(part, dtype=np.int64).reshape(-1, 3) for part in (split.train, split.valid, split.test)]
+    positions = _stored_positions(kg.relation_triples, np.concatenate(parts))
+    indices = np.split(positions, np.cumsum([len(part) for part in parts])[:-1])
     data = {
         "entities": list(kg.entities.names),
         "relations": list(kg.relations.names),
         "values": list(kg.values.names),
-        "relation_triples": kg.relation_triples.tolist(),
-        "attribute_triples": kg.attribute_triples.tolist(),
+        "relation_triples": _pack(kg.relation_triples, "relation_triples"),
+        "attribute_triples": _pack(kg.attribute_triples, "attribute_triples"),
         "dropped_duplicates": [kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates],
-        "split": {
-            "train": [index[t] for t in split.train],
-            "valid": [index[t] for t in split.valid],
-            "test": [index[t] for t in split.test],
-        },
+        "split": {p: _pack(ids, f"split {p}") for p, ids in zip(_SPLIT_KEYS, indices)},
         "labels": None,
     }
     if split.labels is not None:
         data["labels"] = {
             "classes": list(split.class_names),
-            "by_entity": [[e, split.labels[e]] for e in sorted(split.labels)],
-            "train": list(split.label_train),
-            "valid": list(split.label_valid),
-            "test": list(split.label_test),
+            "by_entity": _pack(sorted(split.labels.items()), "labels by_entity"),
+            **{p: _pack(ids, f"labels {p}") for p, ids in
+               zip(_SPLIT_KEYS, (split.label_train, split.label_valid, split.label_test))},
         }
     return data
 
@@ -702,6 +728,11 @@ def _verified_data(text: str, source: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise IntegrityError(f"{source}: bundle is not valid JSON: {e}") from e
+    if isinstance(doc, dict) and doc.get("format") == _RETIRED_FORMAT:
+        raise IntegrityError(
+            f"{source}: bundle is in the retired {_RETIRED_FORMAT} format; "
+            f"re-run `kane prepare` to write a {BUNDLE_FORMAT} bundle"
+        )
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT or "data" not in doc:
         raise IntegrityError(f"{source}: not a {BUNDLE_FORMAT} bundle")
     data = doc["data"]
@@ -728,40 +759,45 @@ def _require(obj, keys: tuple[str, ...], what: str, source: str) -> None:
         raise IntegrityError(f"{source}: bundle {what} lacks {', '.join(missing)}")
 
 
-def _names(value, what: str, source: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+def _interned(value, what: str, source: str) -> Interner:
+    """A bundle's name list interned in one pass, each name's id its list
+    position; a name listed twice raises, since its ids would collide."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise IntegrityError(f"{source}: bundle {what} is not a list of strings")
-    # ids are list positions, and interning a repeated name would drop one
-    seen: set[str] = set()
-    for i, name in enumerate(value):
-        if name in seen:
-            raise IntegrityError(f"{source}: bundle {what} entry {i} repeats {name!r}")
-        seen.add(name)
-    return value
+    interner = Interner()
+    interner.names = value
+    interner._ids = dict(zip(value, range(len(value))))
+    if len(interner._ids) < len(value):  # find the first repeat to name it
+        seen: set[str] = set()
+        for i, name in enumerate(value):
+            if name in seen:
+                raise IntegrityError(f"{source}: bundle {what} entry {i} repeats {name!r}")
+            seen.add(name)
+    return interner
 
 
-def _check_ids(value, limits: tuple[int, ...], what: str, source: str, bools: bool) -> np.ndarray:
-    """``value`` as an int64 array: it must be a list of ids below
-    ``limits[0]`` (one limit), or a list of rows whose column j holds ids
-    below ``limits[j]``. ``bools`` is False when the JSON text holds no
-    ``true`` or ``false``, so no entry needs the scan for them."""
-    shape = (len(limits),) if len(limits) > 1 else ()
-    if value == []:
-        return np.empty((0, *shape), dtype=np.int64)
+def _unpacked(value, limits: tuple[int, ...], what: str, source: str) -> np.ndarray:
+    """A packed id field as an int64 array: rows whose column j holds ids
+    below ``limits[j]``, or, with one limit, a flat array of ids below it."""
+    width = len(limits)
+    kind = f"rows of {width} ids" if width > 1 else "ids"
+    if not isinstance(value, str):
+        raise IntegrityError(f"{source}: bundle {what} is not a packed string of {kind}")
     try:
-        arr = np.asarray(value) if isinstance(value, list) else None
-    except ValueError:  # rows of unequal length
-        arr = None
-    # NumPy reads JSON true and false among ints as 1 and 0
-    if (arr is None or arr.dtype.kind != "i" or arr.shape[1:] != shape
-            or bools and bool in set(map(type, chain.from_iterable(value) if shape else value))):
-        kind = f"rows of {len(limits)} ids" if shape else "ids"
-        raise IntegrityError(f"{source}: bundle {what} is not a list of {kind}")
-    bad = ((arr < 0) | (arr >= np.asarray(limits))).reshape(len(arr), -1).any(axis=1)
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as e:  # binascii.Error, or a character outside ASCII
+        raise IntegrityError(f"{source}: bundle {what} is not valid base64 ({e})") from e
+    if len(raw) % (4 * width):
+        raise IntegrityError(
+            f"{source}: bundle {what} is not a list of {kind}: "
+            f"{len(raw)} bytes is not a multiple of {4 * width}"
+        )
+    arr = np.frombuffer(raw, dtype="<i4").reshape((-1, width) if width > 1 else -1)
+    bad = ((arr < 0) | (arr >= np.asarray(limits))).reshape(len(arr), width).any(axis=1)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise IntegrityError(f"{source}: bundle {what} entry {i} is out of range: {arr[i].tolist()}")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64)
 
 
 def _check_once(ids: np.ndarray, limit: int, what: str, source: str) -> np.ndarray:
@@ -776,26 +812,28 @@ def _check_once(ids: np.ndarray, limit: int, what: str, source: str) -> np.ndarr
 def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGraph, DatasetSplit, str]:
     """Rebuild graph and split from a bundle.
 
-    Verifies the content checksum, the required keys, that every entity,
-    relation, value, triple, class and split id is in range, that no
-    triple, split index, labeled entity or label-split entity is listed
-    twice, and that every entity of the label split has a label; any
-    failure raises ``IntegrityError`` naming ``source``.
+    Verifies the content checksum, the required keys, that every packed id
+    field is base64 of whole rows, that every entity, relation, value,
+    triple, class and split id is in range, that no name, triple, split
+    index, labeled entity or label-split entity is listed twice, that every
+    value has a token and that every entity of the label split has a label;
+    any failure raises ``IntegrityError`` naming ``source``. A
+    ``kane-bundle-v1`` file is refused with a hint to re-run ``prepare``.
     """
     data, checksum = _verified_data(text, source)
-    # JSON spells a bool only as the literal true or false
-    bools = "true" in text or "false" in text
 
     _require(data, _BUNDLE_KEYS, "data", source)
-    n_ent = len(_names(data["entities"], "entities", source))
-    n_rel = len(_names(data["relations"], "relations", source))
-    n_val = len(_names(data["values"], "values", source))
-    rel_rows = _check_ids(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source, bools)
-    attr_rows = _check_ids(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source, bools)
+    kg = KnowledgeGraph()
+    kg.entities = _interned(data["entities"], "entities", source)
+    kg.relations = _interned(data["relations"], "relations", source)
+    kg.values = _interned(data["values"], "values", source)
+    n_ent, n_rel, n_val = kg.num_entities, kg.num_relations, kg.num_values
+    rel_rows = _unpacked(data["relation_triples"], (n_ent, n_rel, n_ent), "relation_triples", source)
+    attr_rows = _unpacked(data["attribute_triples"], (n_ent, n_rel, n_val), "attribute_triples", source)
     if not (first_occurrences(rel_rows).all() and first_occurrences(attr_rows).all()):
         raise IntegrityError(f"{source}: bundle lists a triple twice")
     _require(data["split"], _SPLIT_KEYS, "split", source)
-    parts = [_check_ids(data["split"][p], (len(rel_rows),), f"split {p}", source, bools) for p in _SPLIT_KEYS]
+    parts = [_unpacked(data["split"][p], (len(rel_rows),), f"split {p}", source) for p in _SPLIT_KEYS]
     _check_once(np.concatenate(parts), len(rel_rows), "split lists triple", source)
     dropped = data["dropped_duplicates"]
     if not (isinstance(dropped, list) and len(dropped) == 2 and all(type(x) is int and x >= 0 for x in dropped)):
@@ -803,25 +841,22 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
     lab = data["labels"]
     if lab is not None:
         _require(lab, _LABEL_KEYS, "labels", source)
-        n_cls = len(_names(lab["classes"], "label classes", source))
-        by_entity = _check_ids(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source, bools)
+        n_cls = len(_interned(lab["classes"], "label classes", source))
+        by_entity = _unpacked(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
         labeled = _check_once(by_entity[:, 0], n_ent, "labels by_entity lists entity", source)
-        label_parts = [_check_ids(lab[p], (n_ent,), f"labels {p}", source, bools) for p in _SPLIT_KEYS]
+        label_parts = [_unpacked(lab[p], (n_ent,), f"labels {p}", source) for p in _SPLIT_KEYS]
         split_entities = np.concatenate(label_parts)
         _check_once(split_entities, n_ent, "labels split lists entity", source)
         unlabeled = split_entities[labeled[split_entities] == 0]
         if len(unlabeled):
             raise IntegrityError(f"{source}: bundle labels split entity {unlabeled[0]} has no label")
 
-    kg = KnowledgeGraph()
-    for name in data["entities"]:
-        kg.entities.intern(name)
-    for name in data["relations"]:
-        kg.relations.intern(name)
-    for i, literal in enumerate(data["values"]):
-        if not tokenize(literal):
+    word = kg.words.intern
+    for i, literal in enumerate(kg.values.names):
+        tokens = tokenize(literal)
+        if not tokens:
             raise IntegrityError(f"{source}: bundle value {i} has no tokens: {literal!r}")
-        kg._intern_value(literal)
+        kg.value_tokens.append([word(w) for w in tokens])
     kg.relation_triples, kg.attribute_triples = rel_rows, attr_rows
     kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates = dropped
 

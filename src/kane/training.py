@@ -31,7 +31,7 @@ from . import autodiff as ad
 # wrappers installed on its attributes (bench/tracer.py) also see validation
 from . import evaluation
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, IntegrityError, SamplingError, TrainingError
+from .errors import ConfigError, DatasetError, IntegrityError, SamplingError, TrainingError
 from .kgdata import (
     DatasetSplit, GraphView, KnowledgeGraph, KnownAnswers, known_triples, pair_keys, triple_rows,
 )
@@ -353,14 +353,14 @@ def train(
         positives = triple_rows(kg, split.train, config.model.use_attributes)
         known = known_triples(kg)
         if not len(positives) and config.epochs > 0:
-            raise ConfigError("no training triples")
+            raise DatasetError("no training triples")
         has_validation = bool(split.valid)
     else:
         if split.labels is None or class_count < 1:
-            raise ConfigError("classification training needs labels")
+            raise DatasetError("classification training needs labels")
         positives = np.array(split.label_train, dtype=np.int64)
         if not len(positives) and config.epochs > 0:
-            raise ConfigError("no labeled training entities")
+            raise DatasetError("no labeled training entities")
         for e in positives:
             if e not in split.labels:
                 raise ConfigError(f"entity {e} has no label")

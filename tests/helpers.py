@@ -8,6 +8,7 @@ package is evidence of correctness rather than a restatement of it.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 
@@ -15,7 +16,7 @@ import numpy as np
 
 import kane.autodiff as ad
 from kane.errors import IntegrityError
-from kane.kgdata import KnowledgeGraph, KnownAnswers
+from kane.kgdata import KnowledgeGraph, KnownAnswers, bundle_checksum
 from kane.model import ModelParams
 from kane.training import CHECKPOINT_MAGIC, bce_loss
 
@@ -368,6 +369,71 @@ def with_checkpoint_header(blob: bytes, header) -> bytes:
     head = json.dumps(header).encode("utf-8")
     arrays = blob[len(CHECKPOINT_MAGIC) + 8 + length:]
     return CHECKPOINT_MAGIC + struct.pack("<Q", len(head)) + head + arrays
+
+
+# ---------------------------------------------------------------------------
+# bundle id fields, read and written with ``struct`` rather than the loader
+
+# each packed id field of a bundle's data: (path, ids per row)
+PACKED_FIELDS = [
+    (("relation_triples",), 3), (("attribute_triples",), 3),
+    (("split", "train"), 1), (("split", "valid"), 1), (("split", "test"), 1),
+    (("labels", "by_entity"), 2), (("labels", "train"), 1), (("labels", "valid"), 1), (("labels", "test"), 1),
+]
+
+
+def unpack_ids(text: str, width: int) -> list:
+    """A packed id field as a list of ids (``width`` 1) or of rows."""
+    raw = base64.b64decode(text)
+    ids = list(struct.unpack(f"<{len(raw) // 4}i", raw))
+    return ids if width == 1 else [ids[i:i + width] for i in range(0, len(ids), width)]
+
+
+def pack_ids(ids: list) -> str:
+    """A list of ids or of rows of ids, flattened row by row, as the
+    base64 of their little-endian int32 bytes."""
+    flat = [x for item in ids for x in (item if isinstance(item, list) else [item])]
+    return base64.b64encode(struct.pack(f"<{len(flat)}i", *flat)).decode("ascii")
+
+
+def _packable(ids) -> bool:
+    if not isinstance(ids, list):
+        return False
+    flat = [x for item in ids for x in (item if isinstance(item, list) else [item])]
+    return all(type(x) is int and -2**31 <= x < 2**31 for x in flat)
+
+
+def _packed_fields(data):
+    """(parent, key, ids per row) of each packed field present in ``data``."""
+    for path, width in PACKED_FIELDS:
+        parent = data
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict) and path[-1] in parent:
+            yield parent, path[-1], width
+
+
+def unpack_fields(data: dict) -> dict:
+    """A bundle's ``data`` with every packed id field unpacked, in place, to
+    a JSON list: the layout of a ``kane-bundle-v1`` bundle's data."""
+    for parent, key, width in _packed_fields(data):
+        parent[key] = unpack_ids(parent[key], width)
+    return data
+
+
+def edited_bundle(blob: str, edit) -> str:
+    """``blob`` with its packed id fields unpacked to JSON lists, ``edit``
+    applied to its data, the lists packed again and the checksum
+    recomputed, so only the loader's schema checks can refuse it. A field
+    that ``edit`` leaves as anything but a list of int32 ids (or of rows of
+    them) is written as it is."""
+    doc = json.loads(blob)
+    edit(unpack_fields(doc["data"]))
+    for parent, key, _ in _packed_fields(doc["data"]):
+        if _packable(parent[key]):
+            parent[key] = pack_ids(parent[key])
+    doc["checksum"] = bundle_checksum(doc["data"])
+    return json.dumps(doc)
 
 
 # ---------------------------------------------------------------------------

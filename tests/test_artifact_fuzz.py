@@ -3,13 +3,17 @@
 
 Byte-level damage (truncations, flipped bytes) mostly stops at the
 checksum or the JSON parser, so the bundle is also mutated at the JSON
-level with its checksum recomputed, and the checkpoint header field by
-field, which lets each mutation reach the schema checks behind them.
+level with its checksum recomputed: inside its packed id strings, whose
+characters are flipped or cut, and in its data with the packed id fields
+unpacked to JSON lists and packed again. The checkpoint header is mutated
+field by field. Each mutation thus reaches the schema checks behind the
+checksum.
 """
 
 from __future__ import annotations
 
 import json
+import string
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from kane.kgdata import bundle_checksum, bundle_from_json, bundle_to_json, gener
 from kane.model import ModelConfig, init_params
 from kane.training import TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes
 
-from helpers import checkpoint_header, with_checkpoint_header
+from helpers import (
+    PACKED_FIELDS, checkpoint_header, edited_bundle, unpack_fields, with_checkpoint_header,
+)
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -88,16 +94,57 @@ def test_truncated_or_flipped_bundle_raises_only_integrity_error(cut, at, byte):
     _loads_or_refuses(_load_bundle, BUNDLE[:at] + bytes([byte]) + BUNDLE[at + 1:])
 
 
-_BUNDLE_DOC = json.loads(BUNDLE)
+def _written(doc) -> bytes:
+    """``doc`` with its checksum recomputed, in the layout the writer uses."""
+    doc["checksum"] = bundle_checksum(doc["data"])
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+_PACKED = [path for path, _ in PACKED_FIELDS]
+
+
+def _field(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data, path[-1]
+
+
+# base64 characters, padding, and characters outside the alphabet and ASCII
+_CHARS = string.ascii_letters + string.digits + "+/=" + " \n-_.!\u00e9"
 
 
 @FUZZ
-@given(path=st.sampled_from(list(_paths(_BUNDLE_DOC["data"]))), **_MUTATION)
-def test_mutated_bundle_data_raises_only_integrity_error(path, op, value):
+@given(path=st.sampled_from(_PACKED), at=st.integers(0, 10**6), char=st.sampled_from(_CHARS), cut=st.booleans())
+@example(path=("split", "test"), at=1, char="=", cut=False)
+@example(path=("relation_triples",), at=7, char="A", cut=True)
+def test_flipped_or_cut_packed_field_raises_only_integrity_error(path, at, char, cut):
     doc = json.loads(BUNDLE)
-    _mutate(doc["data"], path, op, value)
-    doc["checksum"] = bundle_checksum(doc["data"])
-    _loads_or_refuses(_load_bundle, json.dumps(doc).encode("utf-8"))
+    parent, key = _field(doc["data"], path)
+    at %= len(parent[key]) + 1
+    parent[key] = parent[key][:at] if cut else parent[key][:at] + char + parent[key][at + 1:]
+    _loads_or_refuses(_load_bundle, _written(doc))
+
+
+@pytest.mark.parametrize("path", _PACKED, ids=["/".join(path) for path in _PACKED])
+def test_packed_field_replaced_by_each_bad_value_raises_only_integrity_error(path):
+    for value in BAD_VALUES:
+        doc = json.loads(BUNDLE)
+        parent, key = _field(doc["data"], path)
+        parent[key] = value
+        if isinstance(value, str):  # "" is an empty field, which may load
+            _loads_or_refuses(_load_bundle, _written(doc))
+            continue
+        with pytest.raises(IntegrityError, match=f"^b.json: bundle {' '.join(path)} is not a packed string"):
+            _load_bundle(_written(doc))
+
+
+@FUZZ
+@given(path=st.sampled_from(list(_paths(unpack_fields(json.loads(BUNDLE)["data"])))), **_MUTATION)
+@example(path=("split", "test", 0), op="replace", value=2**40)
+@example(path=("labels", "by_entity", 3), op="replace", value=[-1])
+def test_mutated_bundle_data_raises_only_integrity_error(path, op, value):
+    blob = edited_bundle(BUNDLE.decode("utf-8"), lambda data: _mutate(data, path, op, value))
+    _loads_or_refuses(_load_bundle, blob.encode("utf-8"))
 
 
 @FUZZ

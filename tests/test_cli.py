@@ -8,6 +8,9 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +25,15 @@ from kane.cli import (
 )
 from kane.errors import ConfigError, IntegrityError
 from kane.evaluation import entity_matrix
-from kane.kgdata import GraphView, bundle_checksum, bundle_from_json, generate_synthetic_kg
+from kane.kgdata import (
+    DatasetSplit, GraphView, bundle_from_json, bundle_to_json, generate_synthetic_kg,
+)
 from kane.model import ModelConfig
 from kane.training import (
     TrainConfig, load_checkpoint_bytes, make_train_config, save_checkpoint_bytes,
 )
 
-from helpers import parse_embedding_export
+from helpers import edited_bundle, kg_from_name_triples, pack_ids, parse_embedding_export, unpack_ids
 
 
 SMALL_GEN = [
@@ -417,10 +422,7 @@ class TestFailures:
     ], ids=["no-split", "test-index", "train-tail", "valid-tail"])
     def test_malformed_bundle_is_one_error_line(self, tmp_path, capsys, edit, message):
         bundle = gen_and_prepare(tmp_path)
-        doc = json.loads(bundle.read_text())
-        edit(doc["data"])
-        doc["checksum"] = bundle_checksum(doc["data"])
-        bundle.write_text(json.dumps(doc))
+        bundle.write_text(edited_bundle(bundle.read_text(), edit))
         capsys.readouterr()
         code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
                     *SMALL_TRAIN, "--set", "epochs=1"])
@@ -457,13 +459,101 @@ class TestFailures:
     def test_tampered_bundle_refused(self, tmp_path, capsys):
         bundle = gen_and_prepare(tmp_path)
         doc = json.loads(bundle.read_text())
-        triple = doc["data"]["relation_triples"][0]
-        triple[2] = (triple[2] + 1) % len(doc["data"]["entities"])
+        rows = unpack_ids(doc["data"]["relation_triples"], 3)
+        rows[0][2] = (rows[0][2] + 1) % len(doc["data"]["entities"])
+        doc["data"]["relation_triples"] = pack_ids(rows)
         bundle.write_text(json.dumps(doc))
         code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
                     *SMALL_TRAIN])
         assert code == 1
         assert "checksum" in capsys.readouterr().err.lower()
+
+    def test_retired_v1_bundle_is_one_error_line(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text('{"checksum":"0","data":{},"format":"kane-bundle-v1"}\n')
+        assert run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bundle}: bundle is in the retired kane-bundle-v1 format; "
+            "re-run `kane prepare` to write a kane-bundle-v2 bundle\n"
+        )
+
+
+def _tiny_bundle(tmp_path: Path, parts: tuple[slice, slice, slice], labels: dict | None = None,
+                 label_parts: tuple[list, list, list] = ([], [], [])) -> Path:
+    """A three-triple bundle whose split parts take the given slices of the
+    triples, with ``labels`` (one class) over the given label parts."""
+    kg = kg_from_name_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+    triples = [tuple(t) for t in kg.relation_triples.tolist()]
+    split = DatasetSplit(*(triples[part] for part in parts))
+    if labels is not None:
+        split.labels, split.class_names = labels, ["c0"]
+        split.label_train, split.label_valid, split.label_test = label_parts
+    path = tmp_path / "tiny.json"
+    path.write_text(bundle_to_json(kg, split))
+    return path
+
+
+ALL, NONE = slice(None), slice(0)
+LABELS = {0: 0, 1: 0, 2: 0}
+
+
+class TestBundleLacks:
+    """A bundle without what a command needs: one error line naming it."""
+
+    @pytest.mark.parametrize("parts, labels, label_parts, task, message", [
+        ((NONE, NONE, ALL), None, ([], [], []), "completion", "no training triples"),
+        ((ALL, NONE, NONE), None, ([], [], []), "classification", "classification training needs labels"),
+        ((ALL, NONE, NONE), LABELS, ([], [], [0, 1, 2]), "classification", "no labeled training entities"),
+    ], ids=["no-train-triples", "no-labels", "no-labeled-train"])
+    def test_train(self, tmp_path, capsys, parts, labels, label_parts, task, message):
+        bundle = _tiny_bundle(tmp_path, parts, labels, label_parts)
+        code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "o"),
+                    *SMALL_TRAIN, "--set", f"task={task}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command, task, labels, message", [
+        ("eval-completion", "completion", None, "no evaluation triples"),
+        ("eval-classify", "classification", LABELS, "no entities to classify"),
+    ], ids=["no-test-triples", "no-labeled-test"])
+    def test_eval(self, tmp_path, capsys, command, task, labels, message):
+        bundle = _tiny_bundle(tmp_path, (ALL, NONE, NONE), labels, ([0, 1, 2], [], []))
+        run_dir = tmp_path / "run"
+        assert run(["train", "--bundle", str(bundle), "--out", str(run_dir), *SMALL_TRAIN,
+                    "--set", f"task={task}"]) == 0
+        capsys.readouterr()
+        code = run([command, "--bundle", str(bundle), "--checkpoint", str(run_dir / "model.ckpt"),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+
+
+# counts the argparse parsers built during each of two `main` calls in a
+# fresh interpreter, where no earlier call has built one
+_COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from kane.cli import main
+counts = []
+for out in sys.argv[1:]:
+    assert main(["gen-synth", "--out", out, "--set", "entities=6", "--set", "clusters=2"]) == 0
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_main_builds_its_parser_at_the_first_call_only(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", _COUNT_PARSERS, str(tmp_path / "a"), str(tmp_path / "b")],
+                          capture_output=True, text=True, env=env, check=True)
+    # the command's parser and its six subcommands' parsers, all in the first call
+    assert done.stdout.splitlines()[-1] == "[7, 7]"
 
 
 # ---------------------------------------------------------------------------

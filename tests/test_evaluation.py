@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kane.evaluation as evaluation
 import kane.oracle as oracle
-from kane.errors import ConfigError, IntegrityError
+from kane.errors import ConfigError, DatasetError, IntegrityError
 from kane.evaluation import (
     SETTINGS,
     FilterIndex,
@@ -489,7 +489,7 @@ class TestClassification:
 
     def test_evaluate_classification_needs_labels(self):
         kg, split, params, model = _trained_toy()
-        with pytest.raises(ConfigError):
+        with pytest.raises(DatasetError, match="^dataset has no labels$"):
             evaluate_classification(kg, split, params, model)
 
 

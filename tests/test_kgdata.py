@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from kane.kgdata import (
     tokenize, triple_rows,
 )
 
-from helpers import contains_by_lookup, kg_from_name_triples, random_kg
+from helpers import (
+    contains_by_lookup, edited_bundle, kg_from_name_triples, pack_ids, random_kg, unpack_fields, unpack_ids,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +462,7 @@ def test_bundle_checksum_detects_tampering():
 
 def _written_bundle(data: dict) -> str:
     """``data`` with its checksum, in the layout ``bundle_to_json`` writes."""
-    doc = {"format": "kane-bundle-v1", "checksum": bundle_checksum(data), "data": data}
+    doc = {"format": "kane-bundle-v2", "checksum": bundle_checksum(data), "data": data}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -487,20 +490,33 @@ def test_reindented_bundle_loads_with_its_stored_checksum():
     assert bundle_to_json(kg2, split2) == blob
 
 
-def test_changed_digit_in_written_bundle_is_a_checksum_mismatch():
+def test_changed_character_in_written_bundle_is_a_checksum_mismatch():
     kg, split = generate_synthetic_kg(5)
     blob = bundle_to_json(kg, split)
-    at = blob.index('"relation_triples":[[') + len('"relation_triples":[[')
-    digit = "2" if blob[at] == "1" else "1"
+    at = blob.index('"relation_triples":"') + len('"relation_triples":"')
+    char = "B" if blob[at] == "A" else "A"
     with pytest.raises(IntegrityError, match="^data/b.json: bundle checksum mismatch"):
-        bundle_from_json(blob[:at] + digit + blob[at + 1 :], "data/b.json")
+        bundle_from_json(blob[:at] + char + blob[at + 1 :], "data/b.json")
 
 
-def test_bool_among_ids_refused_in_the_written_layout():
+def test_packed_fields_hold_little_endian_int32_rows():
     kg, split = generate_synthetic_kg(5)
     data = json.loads(bundle_to_json(kg, split))["data"]
-    data["relation_triples"][0][1] = True
-    with pytest.raises(IntegrityError, match="^b.json: bundle relation_triples is not a list of rows of 3 ids"):
+    assert unpack_ids(data["relation_triples"], 3) == kg.relation_triples.tolist()
+    assert unpack_ids(data["attribute_triples"], 3) == kg.attribute_triples.tolist()
+    index = {t: i for i, t in enumerate(id_tuples(kg.relation_triples))}
+    for part in ("train", "valid", "test"):
+        assert unpack_ids(data["split"][part], 1) == [index[t] for t in getattr(split, part)]
+    assert unpack_ids(data["labels"]["by_entity"], 2) == [[e, split.labels[e]] for e in sorted(split.labels)]
+    assert unpack_ids(data["labels"]["test"], 1) == split.label_test
+    assert data["labels"]["classes"] == split.class_names
+
+
+def test_id_list_refused_in_the_written_layout():
+    kg, split = generate_synthetic_kg(5)
+    data = json.loads(bundle_to_json(kg, split))["data"]
+    data["relation_triples"] = unpack_ids(data["relation_triples"], 3)
+    with pytest.raises(IntegrityError, match="^b.json: bundle relation_triples is not a packed string of rows of 3 ids"):
         bundle_from_json(_written_bundle(data), "b.json")
 
 
@@ -513,14 +529,84 @@ def test_entities_named_true_and_false_load():
     assert np.array_equal(kg2.relation_triples, kg.relation_triples)
 
 
-def _edited_bundle(edit) -> str:
-    """A valid bundle with ``edit`` applied to its data and the checksum
-    recomputed, so only the schema checks can refuse it."""
+@pytest.mark.parametrize("layout", ["written", "indented"])
+def test_retired_v1_bundle_is_refused_with_a_hint(layout):
     kg, split = generate_synthetic_kg(5)
-    doc = json.loads(bundle_to_json(kg, split))
-    edit(doc["data"])
-    doc["checksum"] = bundle_checksum(doc["data"])
-    return json.dumps(doc)
+    data = unpack_fields(json.loads(bundle_to_json(kg, split))["data"])
+    doc = {"format": "kane-bundle-v1", "checksum": bundle_checksum(data), "data": data}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) if layout == "written" else json.dumps(doc, indent=1)
+    message = "^data/b.json: bundle is in the retired kane-bundle-v1 format; re-run `kane prepare`"
+    with pytest.raises(IntegrityError, match=message):
+        bundle_from_json(text, "data/b.json")
+    with pytest.raises(IntegrityError, match=message):  # a bare header: no checksum is checked first
+        bundle_from_json('{"checksum":"0","data":{},"format":"kane-bundle-v1"}', "data/b.json")
+
+
+def test_writer_refuses_ids_past_int32():
+    kg, split = generate_synthetic_kg(5)
+    kg.attribute_triples = kg.attribute_triples.copy()
+    kg.attribute_triples[4, 2] = 2**31
+    with pytest.raises(DomainError, match="^bundle attribute_triples holds id 2147483648"):
+        bundle_to_json(kg, split)
+    kg.attribute_triples[4, 2] = 2**31 - 1  # the largest id a bundle stores
+    blob = bundle_to_json(kg, split)
+    assert unpack_ids(json.loads(blob)["data"]["attribute_triples"], 3)[4][2] == 2**31 - 1
+
+
+def test_writer_refuses_a_split_triple_the_graph_does_not_hold():
+    kg, split = generate_synthetic_kg(5)
+    h, r, t = split.test[0]
+    split.test[0] = (h, r, kg.num_entities)
+    with pytest.raises(DomainError, match="split lists a triple the graph does not hold"):
+        bundle_to_json(kg, split)
+
+
+@pytest.mark.parametrize("entities", [50, 500])
+@pytest.mark.parametrize("seed", range(5))
+def test_loaded_bundle_equals_the_generated_graph_and_split(seed, entities):
+    kg, split = generate_synthetic_kg(seed, entities=entities)
+    kg2, split2, _ = bundle_from_json(bundle_to_json(kg, split))
+    for table in ("entities", "relations", "values", "words"):
+        names = getattr(kg, table).names
+        assert getattr(kg2, table).names == names
+        assert [getattr(kg2, table).id_of(name) for name in names] == list(range(len(names)))
+    for rows in ("relation_triples", "attribute_triples"):
+        assert getattr(kg2, rows).dtype == np.int64
+        assert np.array_equal(getattr(kg2, rows), getattr(kg, rows))
+    assert kg2.value_tokens == kg.value_tokens
+    assert (kg2.dropped_relation_duplicates, kg2.dropped_attribute_duplicates) == (
+        kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates)
+    assert split2 == split
+
+
+def test_empty_id_fields_round_trip():
+    kg = kg_from_name_triples([("a", "r", "b")])
+    split = kgdata.DatasetSplit(id_tuples(kg.relation_triples), [], [], labels={}, class_names=["c"])
+    blob = bundle_to_json(kg, split)
+    data = json.loads(blob)["data"]
+    assert data["attribute_triples"] == data["split"]["test"] == data["labels"]["by_entity"] == ""
+    kg2, split2, _ = bundle_from_json(blob)
+    assert kg2.attribute_triples.shape == (0, 3) and split2 == split
+
+
+def test_bundle_load_peaks_below_ten_times_its_text():
+    # a loader that builds nested JSON id lists peaks near 17 times the text
+    kg, split = generate_synthetic_kg(0, entities=500)
+    text = bundle_to_json(kg, split)
+    tracemalloc.start()
+    try:
+        bundle_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
+
+
+def _edited_bundle(edit) -> str:
+    """A valid bundle with ``edit`` applied to its data, id fields as JSON
+    lists, and the checksum recomputed."""
+    kg, split = generate_synthetic_kg(5)
+    return edited_bundle(bundle_to_json(kg, split), edit)
 
 
 def _set_tail(data, part, tail):
@@ -537,9 +623,15 @@ MALFORMED_BUNDLES = [
     (lambda d: d["relation_triples"].append(d["relation_triples"][0]), "lists a triple twice"),
     (lambda d: d["attribute_triples"][3].__setitem__(2, len(d["values"])),
      "attribute_triples entry 3 is out of range"),
-    (lambda d: d["attribute_triples"][0].__setitem__(1, 0.5), "attribute_triples is not a list"),
-    (lambda d: d["relation_triples"][0].__setitem__(1, True), "relation_triples is not a list of rows of 3 ids"),
-    (lambda d: d["split"]["test"].__setitem__(0, False), "split test is not a list of ids"),
+    (lambda d: d["split"].__setitem__("test", True), "split test is not a packed string of ids"),
+    (lambda d: d["attribute_triples"][0].__setitem__(1, 0.5),
+     "attribute_triples is not a packed string of rows of 3 ids"),
+    (lambda d: d.update(relation_triples="AAAA!AAA"), "relation_triples is not valid base64"),
+    (lambda d: d["labels"].update(by_entity="AAAA\u00e9AAA"), "labels by_entity is not valid base64"),
+    (lambda d: d["split"].update(train="AAAAAAAA"),
+     "split train is not a list of ids: 6 bytes is not a multiple of 4"),
+    (lambda d: d["labels"].update(by_entity=pack_ids([0, 0, 1])),
+     "labels by_entity is not a list of rows of 2 ids: 12 bytes is not a multiple of 8"),
     (lambda d: d.update(entities="ent_000"), "entities is not a list of strings"),
     (lambda d: d.update(dropped_duplicates=[0]), "dropped_duplicates is not a pair"),
     (lambda d: d["labels"]["by_entity"][2].__setitem__(1, 5), "labels by_entity entry 2 is out of range"),
@@ -562,7 +654,8 @@ MALFORMED_BUNDLES = [
 
 @pytest.mark.parametrize("edit, message", MALFORMED_BUNDLES, ids=[
     "no-split", "no-valid-split", "test-index", "train-tail", "valid-tail", "short-triple",
-    "duplicate-triple", "value-id", "float-id", "bool-id", "bool-index", "entities-string", "dropped-count",
+    "duplicate-triple", "value-id", "packed-not-string", "packed-unpacked-list", "packed-bad-char",
+    "packed-non-ascii", "packed-partial-id", "packed-partial-row", "entities-string", "dropped-count",
     "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
     "duplicate-entity", "duplicate-relation", "duplicate-value", "split-repeat-within",
     "split-repeat-across", "labeled-twice", "split-entity-unlabeled", "negative-dropped-count",
@@ -577,5 +670,5 @@ def test_bundle_without_data_rejected():
     kg, split = generate_synthetic_kg(5)
     doc = json.loads(bundle_to_json(kg, split))
     del doc["data"]
-    with pytest.raises(IntegrityError, match="b.json: not a kane-bundle-v1 bundle"):
+    with pytest.raises(IntegrityError, match="b.json: not a kane-bundle-v2 bundle"):
         bundle_from_json(json.dumps(doc), "b.json")
