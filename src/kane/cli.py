@@ -308,7 +308,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         matrix = params.entity.data
     d = out_dir(args)
     path = d / (args.name or "embeddings.tsv")
-    write_atomic(path, format_embedding_export(list(kg.entities.names), matrix))
+    write_atomic(path, format_embedding_export(list(kg.entities), matrix))
     print(f"wrote {path}")
     return 0
 

@@ -458,23 +458,22 @@ def hits_fraction_for_triples(
 # classification
 
 def classification_accuracy(
-    ent: np.ndarray, params: ModelParams, entities: list[int], labels: dict[int, int]
+    ent: np.ndarray, params: ModelParams, entities: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Accuracy of argmax class prediction (ties resolve to the lowest index).
-    Class scores that are not finite raise ``IntegrityError``."""
-    if not entities:
+    """Accuracy of argmax class prediction (ties resolve to the lowest index)
+    against ``labels`` (-1: no label). Class scores that are not finite raise ``IntegrityError``."""
+    if not len(entities):
         raise DatasetError("no entities to classify")
     if "cls_w" not in params:
         raise ConfigError("model has no classifier head")
-    for e in entities:
-        if e not in labels:
-            raise ConfigError(f"entity {e} has no label")
+    truth = labels[entities]
+    if (truth < 0).any():
+        raise ConfigError(f"entity {entities[truth < 0][0]} has no label")
     with np.errstate(all="ignore"):
         scores = ent[entities] @ params["cls_w"].data + params["cls_b"].data
     if not np.isfinite(scores).all():
         raise IntegrityError("class scores are not finite")
     pred = scores.argmax(axis=1)
-    truth = np.array([labels[e] for e in entities])
     return float((pred == truth).mean())
 
 

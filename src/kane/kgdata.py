@@ -1,4 +1,4 @@
-"""Knowledge graph data: parsing, interning, indexing, splits, synthesis.
+"""Knowledge graph data: parsing, name ids, indexing, splits, synthesis.
 
 File formats (UTF-8, ``#`` starts a comment line, blank lines ignored):
 
@@ -7,17 +7,21 @@ File formats (UTF-8, ``#`` starts a comment line, blank lines ignored):
   the surrounding double quotes are optional and stripped.
 * ``labels.tsv``      -- ``entity<TAB>class_name`` per line.
 
-Entities, relations, attribute values and literal words are interned into
-dense integer ids in first-seen order, so loading the same files always
-produces the same ids.
+Entities, relations, attribute values and literal words get dense integer
+ids in first-seen order, so loading the same files always produces the same
+ids. Each name table is a plain ``dict`` from name to id: a new name takes
+id ``len(d)`` (``d.setdefault(name, len(d))``) and ``list(d)`` lists the
+names in id order.
 
 The graph stores triples as (n, 3) int64 id rows: ``relation_triples``
 holds ``(head, relation, tail)`` and ``attribute_triples`` ``(head,
 relation, value)``. Hot paths read ``triple_rows`` ``(head, relation,
 target)``: ``target`` is the tail entity, or ``num_entities + v`` for
 attribute value ``v``. ``known_triples`` indexes every known row by sorted
-int64 keys (``KnownAnswers``). The parts of a ``DatasetSplit`` are lists of
-``(head, relation, tail)`` int tuples.
+int64 keys (``KnownAnswers``). The relation parts of a ``DatasetSplit`` are
+lists of ``(head, relation, tail)`` int tuples; its ``labels`` are one int64
+array over all entities, the class id or -1 where an entity has no label,
+and its label parts int64 arrays of entity ids.
 
 A dataset bundle (``bundle_to_json``, ``bundle_from_json``) is one JSON
 document, ``kane-bundle-v2``: names, literals and counts as plain JSON,
@@ -45,34 +49,6 @@ BUNDLE_FORMAT = "kane-bundle-v2"
 _RETIRED_FORMAT = "kane-bundle-v1"
 
 Triple = tuple[int, int, int]
-
-
-class Interner:
-    """Bijective string <-> dense int mapping in first-seen order."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def intern(self, name: str) -> int:
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self.names)
-            self._ids[name] = i
-            self.names.append(name)
-        return i
-
-    def id_of(self, name: str) -> int:
-        return self._ids[name]
-
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 def tokenize(literal: str) -> list[str]:
@@ -105,10 +81,10 @@ class KnowledgeGraph:
     order. Duplicate triples are dropped on insert and counted."""
 
     def __init__(self) -> None:
-        self.entities = Interner()
-        self.relations = Interner()
-        self.values = Interner()  # keyed by the literal string, quotes stripped
-        self.words = Interner()
+        self.entities: dict[str, int] = {}
+        self.relations: dict[str, int] = {}
+        self.values: dict[str, int] = {}  # keyed by the literal string, quotes stripped
+        self.words: dict[str, int] = {}
         self.value_tokens: list[list[int]] = []  # per value id, word ids
         self.relation_triples = np.empty((0, 3), dtype=np.int64)
         self.attribute_triples = np.empty((0, 3), dtype=np.int64)
@@ -137,8 +113,10 @@ class KnowledgeGraph:
         """Intern the names of ``(head, relation, tail)`` triples in
         first-seen order and store their rows in input order; a triple
         already stored, or repeated in ``triples``, is dropped and counted."""
-        ent, rel = self.entities.intern, self.relations.intern
-        rows = [(ent(h), rel(r), ent(t)) for h, r, t in triples]
+        ent, rel = self.entities, self.relations
+        # a tuple evaluates left to right: the head takes its id before the tail
+        rows = [(ent.setdefault(h, len(ent)), rel.setdefault(r, len(rel)), ent.setdefault(t, len(ent)))
+                for h, r, t in triples]
         self.relation_triples, dropped = _append_new(self.relation_triples, rows)
         self.dropped_relation_duplicates += dropped
 
@@ -151,16 +129,17 @@ class KnowledgeGraph:
         for _, _, literal in triples:
             if not literal.strip():  # no tokens: strip and split share one whitespace
                 raise DomainError(f"attribute literal {literal!r} has no tokens")
-        ent, rel, val = self.entities.intern, self.relations.intern, self._intern_value
-        rows = [(ent(h), rel(r), val(literal)) for h, r, literal in triples]
+        ent, rel, val = self.entities, self.relations, self._intern_value
+        rows = [(ent.setdefault(h, len(ent)), rel.setdefault(r, len(rel)), val(literal))
+                for h, r, literal in triples]
         self.attribute_triples, dropped = _append_new(self.attribute_triples, rows)
         self.dropped_attribute_duplicates += dropped
 
     def _intern_value(self, literal: str) -> int:
-        known = literal in self.values
-        vid = self.values.intern(literal)
-        if not known:
-            self.value_tokens.append([self.words.intern(w) for w in tokenize(literal)])
+        vid = self.values.setdefault(literal, len(self.values))
+        if vid == len(self.value_tokens):  # a new value
+            words = self.words
+            self.value_tokens.append([words.setdefault(w, len(words)) for w in tokenize(literal)])
         return vid
 
 
@@ -355,10 +334,12 @@ def parse_attribute_triples(text: str, kg: KnowledgeGraph, source: str = "<input
     kg.add_attribute_triples(triples)
 
 
-def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tuple[dict[int, int], list[str]]:
-    """Parse ``entity<TAB>class_name`` lines; entities must already exist."""
-    labels: dict[int, int] = {}
-    classes = Interner()
+def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tuple[np.ndarray, list[str]]:
+    """Parse ``entity<TAB>class_name`` lines; entities must already exist.
+    Returns each entity's class id (-1 where it has none) and the class
+    names in first-seen order."""
+    labels = np.full(kg.num_entities, -1, dtype=np.int64)
+    classes: dict[str, int] = {}
     for ln, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 2:
@@ -366,35 +347,32 @@ def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tupl
         ent, cls = fields
         if not ent or not cls:
             raise ParseError(source, ln, "empty field in label line")
-        if ent not in kg.entities:
+        eid = kg.entities.get(ent)
+        if eid is None:
             raise ParseError(source, ln, f"label for unknown entity {ent!r}")
-        eid = kg.entities.id_of(ent)
-        if eid in labels:
+        if labels[eid] >= 0:
             raise ParseError(source, ln, f"duplicate label for entity {ent!r}")
-        labels[eid] = classes.intern(cls)
-    return labels, list(classes.names)
+        labels[eid] = classes.setdefault(cls, len(classes))
+    return labels, list(classes)
 
 
 # ---------------------------------------------------------------------------
 # serialization back to TSV
 
 def relations_to_tsv(kg: KnowledgeGraph) -> str:
-    ent, rel = kg.entities.names, kg.relations.names
+    ent, rel = list(kg.entities), list(kg.relations)
     lines = [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in kg.relation_triples.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def attributes_to_tsv(kg: KnowledgeGraph) -> str:
-    ent, rel, val = kg.entities.names, kg.relations.names, kg.values.names
+    ent, rel, val = list(kg.entities), list(kg.relations), list(kg.values)
     lines = [f'{ent[h]}\t{rel[r]}\t"{val[v]}"' for h, r, v in kg.attribute_triples.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def labels_to_tsv(kg: KnowledgeGraph, labels: dict[int, int], class_names: list[str]) -> str:
-    lines = [
-        f"{kg.entities.name_of(e)}\t{class_names[c]}"
-        for e, c in sorted(labels.items())
-    ]
+def labels_to_tsv(kg: KnowledgeGraph, labels: np.ndarray, class_names: list[str]) -> str:
+    lines = [f"{name}\t{class_names[c]}" for name, c in zip(kg.entities, labels.tolist()) if c >= 0]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -407,18 +385,19 @@ class DatasetSplit:
 
     Held-out triples only use entities and relations that occur in the
     training portion (the filtered evaluation protocol requires it).
-    Labeled entities get their own train/valid/test partition for the
-    classification task.
+    ``labels`` holds each entity's class id, -1 where it has none. Labeled
+    entities get their own train/valid/test partition for the
+    classification task: sorted int64 arrays of entity ids.
     """
 
     train: list[Triple]
     valid: list[Triple]
     test: list[Triple]
-    labels: dict[int, int] | None = None
+    labels: np.ndarray | None = None
     class_names: list[str] = field(default_factory=list)
-    label_train: list[int] = field(default_factory=list)
-    label_valid: list[int] = field(default_factory=list)
-    label_test: list[int] = field(default_factory=list)
+    label_train: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    label_valid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    label_test: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def class_count(self) -> int:
@@ -486,21 +465,19 @@ def _removable(h: int, r: int, t: int, ent_count: list[int], rel_count: list[int
 
 
 def split_labeled_entities(
-    labels: dict[int, int],
+    labels: np.ndarray,
     class_count: int,
     rng: np.random.Generator,
     valid_fraction: float = 0.2,
     test_fraction: float = 0.2,
-) -> tuple[list[int], list[int], list[int]]:
-    """Stratified per-class split; every class keeps at least one train entity."""
-    by_class: list[list[int]] = [[] for _ in range(class_count)]
-    for e in sorted(labels):
-        by_class[labels[e]].append(e)
-    train: list[int] = []
-    valid: list[int] = []
-    test: list[int] = []
-    for members in by_class:
-        order = [members[int(i)] for i in rng.permutation(len(members))]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified per-class split of the entities whose ``labels`` entry
+    is a class id; every class keeps at least one train entity. Returns
+    the sorted train, valid and test entity ids."""
+    part = np.full(len(labels), -1)  # 0 train, 1 valid, 2 test
+    for c in range(class_count):
+        members = np.flatnonzero(labels == c)
+        order = members[rng.permutation(len(members))]
         n = len(order)
         n_test = int(round(n * test_fraction))
         n_valid = int(round(n * valid_fraction))
@@ -509,10 +486,10 @@ def split_labeled_entities(
                 n_valid -= 1
             elif n_test > 0:
                 n_test -= 1
-        test.extend(order[:n_test])
-        valid.extend(order[n_test:n_test + n_valid])
-        train.extend(order[n_test + n_valid:])
-    return sorted(train), sorted(valid), sorted(test)
+        part[order[:n_test]] = 2
+        part[order[n_test:n_test + n_valid]] = 1
+        part[order[n_test + n_valid:]] = 0
+    return np.flatnonzero(part == 0), np.flatnonzero(part == 1), np.flatnonzero(part == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +547,10 @@ def generate_synthetic_kg(
     rng = np.random.default_rng(seed)
     kg = KnowledgeGraph()
     names = [f"ent_{i:03d}" for i in range(entities)]
-    for name in names:
-        kg.entities.intern(name)
+    kg.entities = dict(zip(names, range(entities)))
     cluster_of = [i % clusters for i in range(entities)]
     members = [[i for i in range(entities) if cluster_of[i] == c] for c in range(clusters)]
-    labels = {i: cluster_of[i] for i in range(entities)}
+    labels = np.arange(entities) % clusters
     class_names = [f"cluster_{c}" for c in range(clusters)]
 
     lab_train, lab_valid, lab_test = split_labeled_entities(labels, clusters, rng)
@@ -673,9 +649,9 @@ def _bundle_data(kg: KnowledgeGraph, split: DatasetSplit) -> dict:
     positions = _stored_positions(kg.relation_triples, np.concatenate(parts))
     indices = np.split(positions, np.cumsum([len(part) for part in parts])[:-1])
     data = {
-        "entities": list(kg.entities.names),
-        "relations": list(kg.relations.names),
-        "values": list(kg.values.names),
+        "entities": list(kg.entities),
+        "relations": list(kg.relations),
+        "values": list(kg.values),
         "relation_triples": _pack(kg.relation_triples, "relation_triples"),
         "attribute_triples": _pack(kg.attribute_triples, "attribute_triples"),
         "dropped_duplicates": [kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates],
@@ -683,9 +659,10 @@ def _bundle_data(kg: KnowledgeGraph, split: DatasetSplit) -> dict:
         "labels": None,
     }
     if split.labels is not None:
+        labeled = np.flatnonzero(split.labels >= 0)
         data["labels"] = {
             "classes": list(split.class_names),
-            "by_entity": _pack(sorted(split.labels.items()), "labels by_entity"),
+            "by_entity": _pack(np.column_stack([labeled, split.labels[labeled]]), "labels by_entity"),
             **{p: _pack(ids, f"labels {p}") for p, ids in
                zip(_SPLIT_KEYS, (split.label_train, split.label_valid, split.label_test))},
         }
@@ -722,12 +699,12 @@ def _verified_data(text: str, source: str):
         if hashlib.sha256(span.encode("utf-8")).hexdigest() == stored:
             try:
                 return json.loads(span), stored
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 pass  # reported by the full parse below
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise IntegrityError(f"{source}: bundle is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # also an integer past the digit limit, or nesting too deep
+        raise IntegrityError(f"{source}: bundle JSON cannot be parsed: {e}") from e
     if isinstance(doc, dict) and doc.get("format") == _RETIRED_FORMAT:
         raise IntegrityError(
             f"{source}: bundle is in the retired {_RETIRED_FORMAT} format; "
@@ -759,21 +736,29 @@ def _require(obj, keys: tuple[str, ...], what: str, source: str) -> None:
         raise IntegrityError(f"{source}: bundle {what} lacks {', '.join(missing)}")
 
 
-def _interned(value, what: str, source: str) -> Interner:
-    """A bundle's name list interned in one pass, each name's id its list
-    position; a name listed twice raises, since its ids would collide."""
+# a tab, or any character that str.splitlines breaks a line at
+_NOT_IN_TSV_FIELD = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _interned(value, what: str, source: str) -> dict[str, int]:
+    """A bundle's name list as a name -> id dict in one pass, each name's id
+    its list position. A name listed twice raises, since its ids would
+    collide; so does one that a TSV field cannot hold (empty, or holding a
+    tab or a line break), since ``prepare`` never writes one and the TSV
+    writers would corrupt their file with it."""
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise IntegrityError(f"{source}: bundle {what} is not a list of strings")
-    interner = Interner()
-    interner.names = value
-    interner._ids = dict(zip(value, range(len(value))))
-    if len(interner._ids) < len(value):  # find the first repeat to name it
+    ids = dict(zip(value, range(len(value))))
+    if len(ids) < len(value):  # find the first repeat to name it
         seen: set[str] = set()
         for i, name in enumerate(value):
             if name in seen:
                 raise IntegrityError(f"{source}: bundle {what} entry {i} repeats {name!r}")
             seen.add(name)
-    return interner
+    if "" in ids or _NOT_IN_TSV_FIELD.search("".join(value)):
+        i = next(i for i, name in enumerate(value) if not name or _NOT_IN_TSV_FIELD.search(name))
+        raise IntegrityError(f"{source}: bundle {what} entry {i} is {value[i]!r}, which a TSV field cannot hold")
+    return ids
 
 
 def _unpacked(value, limits: tuple[int, ...], what: str, source: str) -> np.ndarray:
@@ -800,13 +785,11 @@ def _unpacked(value, limits: tuple[int, ...], what: str, source: str) -> np.ndar
     return arr.astype(np.int64)
 
 
-def _check_once(ids: np.ndarray, limit: int, what: str, source: str) -> np.ndarray:
-    """How often each id below ``limit`` occurs in ``ids``; an id that
-    occurs more than once raises."""
+def _check_once(ids: np.ndarray, limit: int, what: str, source: str) -> None:
+    """Raise if an id (each below ``limit``) occurs more than once in ``ids``."""
     counts = np.bincount(ids, minlength=limit)
     if (counts > 1).any():
         raise IntegrityError(f"{source}: bundle {what} {int(np.argmax(counts > 1))} more than once")
-    return counts
 
 
 def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGraph, DatasetSplit, str]:
@@ -843,26 +826,28 @@ def bundle_from_json(text: str, source: str = "<bundle>") -> tuple[KnowledgeGrap
         _require(lab, _LABEL_KEYS, "labels", source)
         n_cls = len(_interned(lab["classes"], "label classes", source))
         by_entity = _unpacked(lab["by_entity"], (n_ent, n_cls), "labels by_entity", source)
-        labeled = _check_once(by_entity[:, 0], n_ent, "labels by_entity lists entity", source)
+        _check_once(by_entity[:, 0], n_ent, "labels by_entity lists entity", source)
+        labels = np.full(n_ent, -1, dtype=np.int64)
+        labels[by_entity[:, 0]] = by_entity[:, 1]
         label_parts = [_unpacked(lab[p], (n_ent,), f"labels {p}", source) for p in _SPLIT_KEYS]
         split_entities = np.concatenate(label_parts)
         _check_once(split_entities, n_ent, "labels split lists entity", source)
-        unlabeled = split_entities[labeled[split_entities] == 0]
+        unlabeled = split_entities[labels[split_entities] < 0]
         if len(unlabeled):
             raise IntegrityError(f"{source}: bundle labels split entity {unlabeled[0]} has no label")
 
-    word = kg.words.intern
-    for i, literal in enumerate(kg.values.names):
+    words = kg.words
+    for i, literal in enumerate(kg.values):
         tokens = tokenize(literal)
         if not tokens:
             raise IntegrityError(f"{source}: bundle value {i} has no tokens: {literal!r}")
-        kg.value_tokens.append([word(w) for w in tokens])
+        kg.value_tokens.append([words.setdefault(w, len(words)) for w in tokens])
     kg.relation_triples, kg.attribute_triples = rel_rows, attr_rows
     kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates = dropped
 
     split = DatasetSplit(*(id_tuples(rel_rows[ids]) for ids in parts))
     if lab is not None:
-        split.labels = dict(by_entity.tolist())
+        split.labels = labels
         split.class_names = list(lab["classes"])
-        split.label_train, split.label_valid, split.label_test = (ids.tolist() for ids in label_parts)
+        split.label_train, split.label_valid, split.label_test = label_parts
     return kg, split, checksum

@@ -320,8 +320,7 @@ def _classification_batch_loss(
     batch = np.asarray(batch_entities, dtype=np.intp)
     w, b = params["cls_w"], params["cls_b"]
     vecs = ent.data[batch]
-    loss, score_grad = bce_loss(vecs @ w.data + b.data, [split.labels[e] for e in batch_entities],
-                                split.class_count)
+    loss, score_grad = bce_loss(vecs @ w.data + b.data, split.labels[batch], split.class_count)
 
     def back(g):
         g_scores = score_grad * g
@@ -358,13 +357,13 @@ def train(
     else:
         if split.labels is None or class_count < 1:
             raise DatasetError("classification training needs labels")
-        positives = np.array(split.label_train, dtype=np.int64)
+        positives = split.label_train
         if not len(positives) and config.epochs > 0:
             raise DatasetError("no labeled training entities")
-        for e in positives:
-            if e not in split.labels:
-                raise ConfigError(f"entity {e} has no label")
-        has_validation = bool(split.label_valid)
+        unlabeled = positives[split.labels[positives] < 0]
+        if len(unlabeled):
+            raise ConfigError(f"entity {unlabeled[0]} has no label")
+        has_validation = len(split.label_valid) > 0
 
     report = TrainReport()
     best_metric: float | None = None
@@ -507,7 +506,7 @@ def _read_checkpoint(blob: bytes) -> tuple[ModelParams, TrainConfig, dict]:
         )
     try:
         header = json.loads(blob[off:off + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # also an integer past the digit limit, or nesting too deep
         raise IntegrityError(f"corrupt checkpoint header: {e}") from e
     off += head_len
     if not isinstance(header, dict) or "config" not in header:

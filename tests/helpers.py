@@ -266,8 +266,7 @@ def random_kg(
     kg = KnowledgeGraph()
     names = [f"e{i}" for i in range(entities)]
     rels = [f"r{i}" for i in range(relations)]
-    for name in names:  # fix entity ids 0..n-1 up front
-        kg.entities.intern(name)
+    kg.entities = dict(zip(names, range(entities)))  # fix entity ids 0..n-1 up front
     rel_triples = []
     for i in range(entities):  # guarantee an outgoing edge per entity
         r = rels[int(rng.integers(relations))]
@@ -364,11 +363,18 @@ def checkpoint_header(blob: bytes) -> dict:
 
 
 def with_checkpoint_header(blob: bytes, header) -> bytes:
-    """``blob`` with its JSON header replaced and the arrays kept."""
+    """``blob`` with its JSON header replaced and the arrays kept;
+    ``header`` is a JSON value, or the header's raw bytes."""
     (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
-    head = json.dumps(header).encode("utf-8")
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
     arrays = blob[len(CHECKPOINT_MAGIC) + 8 + length:]
     return CHECKPOINT_MAGIC + struct.pack("<Q", len(head)) + head + arrays
+
+
+# JSON texts that ``json.loads`` refuses with an error other than
+# ``JSONDecodeError``: nesting past the recursion limit (``RecursionError``)
+# and an integer past Python's digit limit (``ValueError``)
+UNPARSEABLE_JSON = {"nested": "[" * 200_000, "digits": '{"x": ' + "1" * 5000 + "}"}
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _loss_gradient_cases(rng: np.random.Generator):
     # the classifier record: gather, product, bias and BCE, entity 2 read twice
     ent = ad.parameter(rng.normal(size=(4, 3)))
     params = ModelParams({"cls_w": ad.parameter(rng.normal(size=(3, 4))), "cls_b": ad.parameter(rng.normal(size=4))})
-    split = DatasetSplit([], [], [], labels={e: e for e in range(4)}, class_names=["a", "b", "c", "d"])
+    split = DatasetSplit([], [], [], labels=np.arange(4), class_names=["a", "b", "c", "d"])
     cases.append(("classification_loss", [ent, params["cls_w"], params["cls_b"]],
                   lambda: _classification_batch_loss([2, 0, 2], ent, params, split)))
     return cases
@@ -190,8 +190,8 @@ def _end_to_end_case(seed: int, task: str):
     )
     split = DatasetSplit(
         train=id_tuples(kg.relation_triples), valid=[], test=[],
-        labels={e: e % 2 for e in range(4)}, class_names=["c0", "c1"],
-        label_train=[0, 1, 2, 3],
+        labels=np.arange(4) % 2, class_names=["c0", "c1"],
+        label_train=np.arange(4),
     )
     view = GraphView.restricted(kg, split.train, model.use_attributes)
     if task == "completion":
@@ -591,10 +591,10 @@ def test_serialization_round_trips(tmp_path):
 
     matrix = np.random.default_rng(12).standard_normal((kg.num_entities, 8))
     matrix[0, 0] = 1e-300  # subnormal-adjacent values survive too
-    text = format_embedding_export(list(kg.entities.names), matrix)
+    text = format_embedding_export(list(kg.entities), matrix)
     names, matrix2 = parse_embedding_export(text)
     text2 = format_embedding_export(names, matrix2)
-    assert names == list(kg.entities.names)
+    assert names == list(kg.entities)
     assert np.array_equal(matrix2, matrix), "embedding export changed values"
     assert text2 == text, "embedding export round-trip changed bytes"
 

@@ -1,19 +1,20 @@
 """Fuzzed artifacts: a damaged bundle or checkpoint loads or raises
 ``IntegrityError``, never another exception.
 
-Byte-level damage (truncations, flipped bytes) mostly stops at the
-checksum or the JSON parser, so the bundle is also mutated at the JSON
-level with its checksum recomputed: inside its packed id strings, whose
-characters are flipped or cut, and in its data with the packed id fields
-unpacked to JSON lists and packed again. The checkpoint header is mutated
-field by field. Each mutation thus reaches the schema checks behind the
-checksum.
+Byte-level damage (truncations, and a byte replaced by another or by a
+run of bytes) mostly stops at the checksum or the JSON parser, so the
+bundle is also mutated at the JSON level with its checksum recomputed:
+inside its packed id strings, whose characters are flipped or cut, and in
+its data with the packed id fields unpacked to JSON lists and packed
+again. The checkpoint header is mutated field by field. Each mutation
+thus reaches the schema checks behind the checksum.
 """
 
 from __future__ import annotations
 
 import json
 import string
+import struct
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from hypothesis import strategies as st
 from kane.errors import IntegrityError
 from kane.kgdata import bundle_checksum, bundle_from_json, bundle_to_json, generate_synthetic_kg
 from kane.model import ModelConfig, init_params
-from kane.training import TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes
+from kane.training import CHECKPOINT_MAGIC, TrainConfig, load_checkpoint_bytes, save_checkpoint_bytes
 
 from helpers import (
-    PACKED_FIELDS, checkpoint_header, edited_bundle, unpack_fields, with_checkpoint_header,
+    PACKED_FIELDS, UNPARSEABLE_JSON, checkpoint_header, edited_bundle, unpack_fields, with_checkpoint_header,
 )
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -87,11 +88,22 @@ def _load_bundle(blob: bytes) -> None:
 _MUTATION = dict(op=st.sampled_from(["replace", "delete", "duplicate"]), value=st.sampled_from(BAD_VALUES))
 
 
+def _byte(top: int):
+    """One byte up to ``top``, as the run that replaces a byte."""
+    return st.integers(0, top).map(lambda b: bytes([b]))
+
+
+# where the bundle's first count begins: a run of digits there is one integer
+_COUNT_AT = BUNDLE.index(b'"dropped_duplicates":[') + len(b'"dropped_duplicates":[')
+
+
 @FUZZ
-@given(cut=st.integers(0, len(BUNDLE) - 1), at=st.integers(0, len(BUNDLE) - 1), byte=st.integers(0, 0x7F))
-def test_truncated_or_flipped_bundle_raises_only_integrity_error(cut, at, byte):
+@given(cut=st.integers(0, len(BUNDLE) - 1), at=st.integers(0, len(BUNDLE) - 1), run=_byte(0x7F))
+@example(cut=0, at=0, run=UNPARSEABLE_JSON["nested"].encode())
+@example(cut=0, at=_COUNT_AT, run=b"1" * 5000)
+def test_truncated_or_flipped_bundle_raises_only_integrity_error(cut, at, run):
     _loads_or_refuses(_load_bundle, BUNDLE[:cut])
-    _loads_or_refuses(_load_bundle, BUNDLE[:at] + bytes([byte]) + BUNDLE[at + 1:])
+    _loads_or_refuses(_load_bundle, BUNDLE[:at] + run + BUNDLE[at + 1:])
 
 
 def _written(doc) -> bytes:
@@ -147,12 +159,28 @@ def test_mutated_bundle_data_raises_only_integrity_error(path, op, value):
     _loads_or_refuses(_load_bundle, blob.encode("utf-8"))
 
 
+_HEADER_AT = len(CHECKPOINT_MAGIC) + 8
+_HEADER_END = _HEADER_AT + struct.unpack_from("<Q", CHECKPOINT, len(CHECKPOINT_MAGIC))[0]
+
+
+def _spliced_checkpoint(at: int, run: bytes) -> bytes:
+    """``CHECKPOINT`` with the byte at ``at`` replaced by ``run``; a run
+    inside the header lengthens the header by its stored length too."""
+    blob = CHECKPOINT[:at] + run + CHECKPOINT[at + 1:]
+    if _HEADER_AT <= at < _HEADER_END:
+        grown = struct.pack("<Q", _HEADER_END - _HEADER_AT + len(run) - 1)
+        blob = blob[:len(CHECKPOINT_MAGIC)] + grown + blob[_HEADER_AT:]
+    return blob
+
+
 @FUZZ
-@given(cut=st.integers(0, len(CHECKPOINT) - 1), at=st.integers(0, len(CHECKPOINT) - 1), byte=st.integers(0, 255))
-def test_truncated_or_flipped_checkpoint_raises_only_integrity_error(cut, at, byte):
+@given(cut=st.integers(0, len(CHECKPOINT) - 1), at=st.integers(0, len(CHECKPOINT) - 1), run=_byte(255))
+@example(cut=0, at=_HEADER_AT, run=UNPARSEABLE_JSON["nested"].encode())
+@example(cut=0, at=CHECKPOINT.index(b'"format_version":') + len(b'"format_version":'), run=b"1" * 5000)
+def test_truncated_or_flipped_checkpoint_raises_only_integrity_error(cut, at, run):
     with pytest.raises(IntegrityError):
         load_checkpoint_bytes(CHECKPOINT[:cut])
-    _loads_or_refuses(load_checkpoint_bytes, CHECKPOINT[:at] + bytes([byte]) + CHECKPOINT[at + 1:])
+    _loads_or_refuses(load_checkpoint_bytes, _spliced_checkpoint(at, run))
 
 
 @FUZZ

@@ -33,7 +33,10 @@ from kane.training import (
     TrainConfig, load_checkpoint_bytes, make_train_config, save_checkpoint_bytes,
 )
 
-from helpers import edited_bundle, kg_from_name_triples, pack_ids, parse_embedding_export, unpack_ids
+from helpers import (
+    UNPARSEABLE_JSON, edited_bundle, kg_from_name_triples, pack_ids, parse_embedding_export, unpack_ids,
+    with_checkpoint_header,
+)
 
 
 SMALL_GEN = [
@@ -238,7 +241,7 @@ class TestPipeline:
         params, config, _ = load_checkpoint_bytes((run_c / "model.ckpt").read_bytes())
         view = GraphView.restricted(kg, split.train, config.model.use_attributes)
         want = entity_matrix(view, params, config.model)
-        assert names == list(kg.entities.names)
+        assert names == list(kg.entities)
         assert np.array_equal(matrix, want)  # 17-digit text round-trip is exact
 
     def test_train_twice_is_byte_identical(self, tmp_path):
@@ -431,6 +434,30 @@ class TestFailures:
         assert err.startswith(f"error: {bundle}: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("artifact", ["bundle", "checkpoint"])
+    @pytest.mark.parametrize("kind", sorted(UNPARSEABLE_JSON))
+    def test_json_the_parser_cannot_read_is_one_error_line(self, trained, tmp_path, capsys, artifact, kind):
+        """A bundle, or a checkpoint header, nested past the recursion limit
+        or holding an integer past Python's digit limit: one line naming the
+        file, and no traceback."""
+        bundle, blob = trained
+        ckpt = tmp_path / "model.ckpt"
+        if artifact == "bundle":
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(UNPARSEABLE_JSON[kind])
+            ckpt.write_bytes(blob)
+            named, message = bundle, "bundle JSON cannot be parsed: "
+        else:
+            ckpt.write_bytes(with_checkpoint_header(blob, UNPARSEABLE_JSON[kind].encode()))
+            named, message = ckpt, "corrupt checkpoint header: "
+        capsys.readouterr()
+        code = run(["eval-completion", "--bundle", str(bundle), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_directory_as_bundle_is_one_error_line(self, tmp_path, capsys):
         assert run(["train", "--bundle", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -478,7 +505,7 @@ class TestFailures:
         )
 
 
-def _tiny_bundle(tmp_path: Path, parts: tuple[slice, slice, slice], labels: dict | None = None,
+def _tiny_bundle(tmp_path: Path, parts: tuple[slice, slice, slice], labels: np.ndarray | None = None,
                  label_parts: tuple[list, list, list] = ([], [], [])) -> Path:
     """A three-triple bundle whose split parts take the given slices of the
     triples, with ``labels`` (one class) over the given label parts."""
@@ -487,14 +514,14 @@ def _tiny_bundle(tmp_path: Path, parts: tuple[slice, slice, slice], labels: dict
     split = DatasetSplit(*(triples[part] for part in parts))
     if labels is not None:
         split.labels, split.class_names = labels, ["c0"]
-        split.label_train, split.label_valid, split.label_test = label_parts
+        split.label_train, split.label_valid, split.label_test = (np.array(p, dtype=np.int64) for p in label_parts)
     path = tmp_path / "tiny.json"
     path.write_text(bundle_to_json(kg, split))
     return path
 
 
 ALL, NONE = slice(None), slice(0)
-LABELS = {0: 0, 1: 0, 2: 0}
+LABELS = np.zeros(3, dtype=np.int64)
 
 
 class TestBundleLacks:

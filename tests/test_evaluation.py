@@ -51,10 +51,8 @@ from helpers import quantized_ranking_setups, random_kg
 def _index(triples: list[tuple[int, int, int]], entities: int = 4, relations: int = 1):
     """Filter index over the given known (h, r, t) id triples."""
     kg = KnowledgeGraph()
-    for i in range(entities):
-        kg.entities.intern(f"e{i}")
-    for i in range(relations):
-        kg.relations.intern(f"r{i}")
+    kg.entities = {f"e{i}": i for i in range(entities)}
+    kg.relations = {f"r{i}": i for i in range(relations)}
     kg.add_relation_triples((f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples)
     return build_filter_index(kg)
 
@@ -370,10 +368,10 @@ def _trained_toy(task="completion", seed=0):
     config = TrainConfig(model=model, task=task, epochs=2, batch_size=4,
                          negatives=2, val_every=0, seed=seed)
     if task == "classification":
-        split.labels = {e: e % 2 for e in range(kg.num_entities)}
+        split.labels = np.arange(kg.num_entities) % 2
         split.class_names = ["c0", "c1"]
-        split.label_train = list(range(6))
-        split.label_test = [6, 7]
+        split.label_train = np.arange(6)
+        split.label_test = np.array([6, 7])
     params, _ = train(kg, split, config)
     return kg, split, params, model
 
@@ -449,27 +447,28 @@ class TestClassification:
     def test_accuracy_hand_case(self):
         params = self._params_with_identity_head()
         ent = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, 0.0]])
-        labels = {0: 0, 1: 0, 2: 1}
-        acc = classification_accuracy(ent, params, [0, 1, 2], labels)
+        labels = np.array([0, 0, 1])
+        acc = classification_accuracy(ent, params, np.arange(3), labels)
         assert acc == pytest.approx(1.0 / 3.0)
 
     def test_tie_resolves_to_lowest_class_index(self):
         params = self._params_with_identity_head()
         ent = np.array([[1.0, 1.0]])
-        assert classification_accuracy(ent, params, [0], {0: 0}) == 1.0
-        assert classification_accuracy(ent, params, [0], {0: 1}) == 0.0
+        assert classification_accuracy(ent, params, np.array([0]), np.array([0])) == 1.0
+        assert classification_accuracy(ent, params, np.array([0]), np.array([1])) == 0.0
 
     def test_errors(self):
         params = self._params_with_identity_head()
         ent = np.zeros((2, 2))
+        labels = np.array([0, -1])  # entity 1 has no label
         with pytest.raises(ConfigError):
-            classification_accuracy(ent, params, [], {0: 0})
-        with pytest.raises(ConfigError):
-            classification_accuracy(ent, params, [1], {0: 0})
+            classification_accuracy(ent, params, np.array([], dtype=np.int64), labels)
+        with pytest.raises(ConfigError, match="^entity 1 has no label$"):
+            classification_accuracy(ent, params, np.array([1]), labels)
         bare = init_params(2, 1, 0, 0, ModelConfig(dim=2, head_dim=2, heads=1, layers=0),
                            np.random.default_rng(1))
         with pytest.raises(ConfigError):
-            classification_accuracy(ent, bare, [0], {0: 0})
+            classification_accuracy(ent, bare, np.array([0]), labels)
 
     def test_scores_that_overflow_raise_integrity_error(self):
         """Finite vectors times a huge head overflow to infinite scores:
@@ -478,7 +477,7 @@ class TestClassification:
         params["cls_w"].data = np.array([[1e308, -1e308], [1e308, -1e308]])
         ent = np.array([[2.0, 2.0]])
         with pytest.raises(IntegrityError, match="class scores are not finite"):
-            classification_accuracy(ent, params, [0], {0: 0})
+            classification_accuracy(ent, params, np.array([0]), np.array([0]))
 
     def test_evaluate_classification_output(self):
         kg, split, params, model = _trained_toy(task="classification")

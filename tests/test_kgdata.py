@@ -1,7 +1,8 @@
-"""Parsing, interning, splits, synthesis and bundle round-trips."""
+"""Parsing, name ids, splits, synthesis and bundle round-trips."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import kane.kgdata as kgdata
 from kane.errors import ConfigError, DomainError, IntegrityError, KaneError, ParseError
 from kane.kgdata import (
-    GraphView, Interner, KnowledgeGraph, KnownAnswers, attributes_to_tsv, bundle_checksum,
+    GraphView, KnowledgeGraph, KnownAnswers, attributes_to_tsv, bundle_checksum,
     bundle_from_json, bundle_to_json, first_occurrences, generate_synthetic_kg, id_tuples,
     kg_statistics, known_triples, labels_to_tsv, pair_keys, parse_attribute_triples, parse_labels,
     parse_relation_triples, relations_to_tsv, split_labeled_entities, split_relation_triples,
@@ -22,31 +23,40 @@ from kane.kgdata import (
 )
 
 from helpers import (
-    contains_by_lookup, edited_bundle, kg_from_name_triples, pack_ids, random_kg, unpack_fields, unpack_ids,
+    UNPARSEABLE_JSON, contains_by_lookup, edited_bundle, kg_from_name_triples, pack_ids, random_kg, unpack_fields,
+    unpack_ids,
 )
 
 
 # ---------------------------------------------------------------------------
-# interning and tokenization
+# name ids and tokenization
 
 
-def test_interner_is_dense_first_seen_bijection():
-    it = Interner()
-    assert [it.intern(s) for s in ["b", "a", "b", "c", "a"]] == [0, 1, 0, 2, 1]
-    assert it.names == ["b", "a", "c"]
-    for i, name in enumerate(it.names):
-        assert it.id_of(name) == i and it.name_of(i) == name
-    assert "a" in it and "z" not in it and len(it) == 3
+def test_names_take_dense_first_seen_ids():
+    kg = KnowledgeGraph()
+    kg.add_relation_triples([("b", "r", "a"), ("b", "q", "c"), ("a", "r", "b")])
+    kg.add_attribute_triples([("c", "p", "Blue sky"), ("a", "s", "blue Sky"), ("b", "p", "Blue sky")])
+    assert kg.entities == {"b": 0, "a": 1, "c": 2}
+    assert kg.relations == {"r": 0, "q": 1, "p": 2, "s": 3}
+    assert kg.values == {"Blue sky": 0, "blue Sky": 1}
+    assert kg.words == {"blue": 0, "sky": 1}
+    assert kg.value_tokens == [[0, 1], [0, 1]]
+    assert list(kg.entities) == ["b", "a", "c"] and kg.num_entities == 3
+    assert (kg.num_relations, kg.num_values, kg.vocab_size) == (4, 2, 2)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(min_size=1), max_size=30))
-def test_interner_round_trip_property(names):
-    it = Interner()
-    ids = [it.intern(n) for n in names]
-    assert max(ids, default=-1) + 1 == len(it)  # dense
-    for n, i in zip(names, ids):
-        assert it.id_of(n) == i and it.name_of(i) == n
+@given(st.lists(st.text(min_size=1), min_size=1, max_size=30))
+def test_name_ids_round_trip_property(names):
+    kg = KnowledgeGraph()
+    kg.add_relation_triples(zip(names, names[1:] + names[:1], names))
+    for table, column in ((kg.entities, 0), (kg.relations, 1), (kg.entities, 2)):
+        assert sorted(table.values()) == list(range(len(table)))  # dense
+        listed = list(table)
+        for name, i in table.items():
+            assert listed[i] == name
+        for row in kg.relation_triples.tolist():
+            assert row[column] == table[listed[row[column]]]
 
 
 def test_tokenize_lowercases_and_keeps_punctuation():
@@ -60,7 +70,7 @@ def test_tokenize_lowercases_and_keeps_punctuation():
 
 
 def _relation_names(kg, rows) -> list[tuple[str, str, str]]:
-    ent, rel = kg.entities.names, kg.relations.names
+    ent, rel = list(kg.entities), list(kg.relations)
     return [(ent[h], rel[r], ent[t]) for h, r, t in rows.tolist()]
 
 
@@ -92,9 +102,10 @@ def test_batch_adds_keep_first_occurrences_in_order(batches):
         seen.update(dict.fromkeys(new))
     assert _relation_names(kg, kg.relation_triples) == list(seen)
     assert kg.dropped_relation_duplicates == sum(map(len, batches)) - len(seen)
-    # names are interned in first-seen order: head, relation, tail of each triple
+    # names take ids in first-seen order: head, relation, tail of each triple
     first_seen = dict.fromkeys(n for batch in batches for h, _, t in batch for n in (h, t))
-    assert kg.entities.names == list(first_seen)
+    assert list(kg.entities) == list(first_seen)
+    assert kg.entities == {name: i for i, name in enumerate(first_seen)}
 
 
 def test_first_occurrences_marks_each_distinct_row_once():
@@ -177,10 +188,10 @@ def test_neighborhood_lists_relations_then_attributes_in_load_order():
         [("a", "r1", "b"), ("a", "r2", "c"), ("b", "r1", "a")],
         [("a", "p", "x y"), ("b", "p", "z")],
     )
-    a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
+    a, b = kg.entities["a"], kg.entities["b"]
     edges = GraphView.restricted(kg, kg.relation_triples).edges
     of_a = edges.owner == a
-    assert edges.relation[of_a].tolist() == [kg.relations.id_of(r) for r in ("r1", "r2", "p")]
+    assert edges.relation[of_a].tolist() == [kg.relations[r] for r in ("r1", "r2", "p")]
     # source rows past the entities are attribute values
     assert (edges.source[of_a] >= kg.num_entities).tolist() == [False, False, True]
     assert edges.source[edges.owner == b][0] == a
@@ -201,8 +212,8 @@ def test_graphview_restricted_drops_heldout_edges_and_optionally_attributes():
         [("a", "p", "v")],
     )
     train = id_tuples(kg.relation_triples[:1])
-    a = kg.entities.id_of("a")
-    b = kg.entities.id_of("b")
+    a = kg.entities["a"]
+    b = kg.entities["b"]
 
     def reads_value(view, e):
         """Per outgoing edge of ``e``, whether it reads an attribute value."""
@@ -234,12 +245,12 @@ def test_parse_relation_triples_round_trip():
 def test_parse_attribute_triples_quotes_and_tokens():
     kg = KnowledgeGraph()
     parse_attribute_triples('e\tborn\t"June 14, 1946"\nf\tcolor\tDeep Blue\n', kg)
-    assert kg.values.names == ["June 14, 1946", "Deep Blue"]
-    assert [kg.words.name_of(w) for w in kg.value_tokens[0]] == ["june", "14,", "1946"]
+    assert list(kg.values) == ["June 14, 1946", "Deep Blue"]
+    assert [list(kg.words)[w] for w in kg.value_tokens[0]] == ["june", "14,", "1946"]
     tsv = attributes_to_tsv(kg)
     again = KnowledgeGraph()
     parse_attribute_triples(tsv, again)
-    assert again.values.names == kg.values.names
+    assert again.values == kg.values
 
 
 def test_parse_errors_name_source_and_line():
@@ -260,17 +271,19 @@ def test_parse_errors_name_source_and_line():
 
 
 def test_parse_labels_validation():
-    kg = kg_from_name_triples([("a", "r", "b")])
+    kg = kg_from_name_triples([("a", "r", "b"), ("b", "r", "c")])
     labels, classes = parse_labels("a\tcat\nb\tdog\n", kg)
     assert classes == ["cat", "dog"]
-    assert labels == {kg.entities.id_of("a"): 0, kg.entities.id_of("b"): 1}
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [0, 1, -1]  # c has no label
     with pytest.raises(ParseError, match="unknown entity"):
         parse_labels("zzz\tcat\n", kg)
     with pytest.raises(ParseError, match="duplicate label"):
         parse_labels("a\tcat\na\tdog\n", kg)
     tsv = labels_to_tsv(kg, labels, classes)
+    assert tsv == "a\tcat\nb\tdog\n"
     labels2, classes2 = parse_labels(tsv, kg)
-    assert labels2 == labels and classes2 == classes
+    assert np.array_equal(labels2, labels) and classes2 == classes
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +332,21 @@ def test_split_never_orphans_a_single_occurrence():
 
 
 def test_split_labeled_entities_stratified():
-    labels = {i: i % 3 for i in range(30)}
+    labels = np.arange(30) % 3
     train, valid, test = split_labeled_entities(labels, 3, np.random.default_rng(0))
-    assert sorted(train + valid + test) == sorted(labels)
+    assert sorted(np.concatenate([train, valid, test]).tolist()) == list(range(30))
     for part in (train, valid, test):
-        counts = [sum(1 for e in part if labels[e] == c) for c in range(3)]
+        assert part.dtype == np.int64 and part.tolist() == sorted(part.tolist())
+        counts = np.bincount(labels[part], minlength=3)
         assert max(counts) - min(counts) <= 1  # stratified within one entity
     # every class keeps at least one training entity even in tiny classes
-    tiny = {0: 0, 1: 1, 2: 2}
+    tiny = np.array([0, 1, 2])
     tr, va, te = split_labeled_entities(tiny, 3, np.random.default_rng(1))
-    assert sorted(tr) == [0, 1, 2] and va == [] and te == []
+    assert tr.tolist() == [0, 1, 2] and va.tolist() == [] and te.tolist() == []
+    # an entity without a label (-1) is in no part
+    partial = np.array([0, -1, 0, 1, -1, 1])
+    parts = split_labeled_entities(partial, 2, np.random.default_rng(2))
+    assert sorted(np.concatenate(parts).tolist()) == [0, 2, 3, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +361,8 @@ def test_generator_is_deterministic_and_labeled():
     assert bundle_to_json(kg1, split1) != bundle_to_json(kg3, _)
     assert kg1.num_entities == 50
     assert split1.class_count == 5
-    assert sorted(split1.labels) == list(range(50))
-    assert set(split1.labels.values()) == set(range(5))
+    assert split1.labels.dtype == np.int64
+    assert np.array_equal(split1.labels, np.arange(50) % 5)
 
 
 def test_generator_split_and_attribute_conventions():
@@ -353,13 +371,13 @@ def test_generator_split_and_attribute_conventions():
     # every entity carries one attribute triple per attribute relation
     assert np.bincount(kg.attribute_triples[:, 0]).tolist() == [3] * kg.num_entities
     # labeled split partitions all entities
-    assert sorted(split.label_train + split.label_valid + split.label_test) == list(range(50))
+    assert sorted(np.concatenate([split.label_train, split.label_valid, split.label_test]).tolist()) == list(range(50))
     # attribute tokens identify the label cluster: same label -> same value set
     by_label = {}
     values_of = {}
     for h, _, v in kg.attribute_triples.tolist():
         values_of.setdefault(h, set()).add(v)
-    for e, lab in split.labels.items():
+    for e, lab in enumerate(split.labels.tolist()):
         by_label.setdefault(lab, []).append(values_of[e])
     for group in by_label.values():
         assert all(vals == group[0] for vals in group)
@@ -419,17 +437,16 @@ def test_full_tsv_round_trip_reproduces_graph():
     parse_relation_triples(relations_to_tsv(kg), again)
     parse_attribute_triples(attributes_to_tsv(kg), again)
     labels, classes = parse_labels(labels_to_tsv(kg, split.labels, split.class_names), again)
-    assert again.entities.names[: kg.num_entities] == kg.entities.names or set(
-        again.entities.names
-    ) == set(kg.entities.names)
+    assert list(again.entities)[: kg.num_entities] == list(kg.entities) or set(again.entities) == set(kg.entities)
     assert set(_relation_names(again, again.relation_triples)) == set(_relation_names(kg, kg.relation_triples))
 
     def attribute_names(g):
-        return {(g.entities.name_of(h), g.values.name_of(v)) for h, _, v in g.attribute_triples.tolist()}
+        ent, val = list(g.entities), list(g.values)
+        return {(ent[h], val[v]) for h, _, v in g.attribute_triples.tolist()}
 
     assert attribute_names(again) == attribute_names(kg)
-    assert {again.entities.name_of(e): classes[c] for e, c in labels.items()} == {
-        kg.entities.name_of(e): split.class_names[c] for e, c in split.labels.items()
+    assert {name: classes[c] for name, c in zip(again.entities, labels.tolist())} == {
+        name: split.class_names[c] for name, c in zip(kg.entities, split.labels.tolist())
     }
 
 
@@ -444,7 +461,7 @@ def test_bundle_round_trip_is_bit_exact():
     assert np.array_equal(kg2.relation_triples, kg.relation_triples)
     assert np.array_equal(kg2.attribute_triples, kg.attribute_triples)
     assert kg2.relation_triples.dtype == kg2.attribute_triples.dtype == np.int64
-    assert split2.labels == split.labels
+    assert np.array_equal(split2.labels, split.labels)
     assert kg2.value_tokens == kg.value_tokens
 
 
@@ -479,7 +496,7 @@ def test_written_bundle_is_verified_without_serializing_it_again(monkeypatch):
         kg2, split2, checksum = bundle_from_json(text)
         assert checksum == json.loads(blob)["checksum"]
         assert np.array_equal(kg2.relation_triples, kg.relation_triples)
-        assert split2.train == split.train and split2.labels == split.labels
+        assert split2.train == split.train and np.array_equal(split2.labels, split.labels)
 
 
 def test_reindented_bundle_loads_with_its_stored_checksum():
@@ -507,8 +524,8 @@ def test_packed_fields_hold_little_endian_int32_rows():
     index = {t: i for i, t in enumerate(id_tuples(kg.relation_triples))}
     for part in ("train", "valid", "test"):
         assert unpack_ids(data["split"][part], 1) == [index[t] for t in getattr(split, part)]
-    assert unpack_ids(data["labels"]["by_entity"], 2) == [[e, split.labels[e]] for e in sorted(split.labels)]
-    assert unpack_ids(data["labels"]["test"], 1) == split.label_test
+    assert unpack_ids(data["labels"]["by_entity"], 2) == [[e, c] for e, c in enumerate(split.labels.tolist()) if c >= 0]
+    assert unpack_ids(data["labels"]["test"], 1) == split.label_test.tolist()
     assert data["labels"]["classes"] == split.class_names
 
 
@@ -525,7 +542,7 @@ def test_entities_named_true_and_false_load():
     data = json.loads(bundle_to_json(kg, split))["data"]
     data["entities"][:2] = ["true", "false"]
     kg2, _, _ = bundle_from_json(_written_bundle(data))
-    assert kg2.entities.names[:2] == ["true", "false"]
+    assert list(kg2.entities)[:2] == ["true", "false"]
     assert np.array_equal(kg2.relation_triples, kg.relation_triples)
 
 
@@ -561,32 +578,56 @@ def test_writer_refuses_a_split_triple_the_graph_does_not_hold():
         bundle_to_json(kg, split)
 
 
+def _assert_same_split(loaded, split, num_entities):
+    """``loaded`` holds the relation parts of ``split`` as int tuples, and
+    its labels and label parts as equal int64 arrays: the labels one entry
+    per entity, -1 exactly where ``split`` has none."""
+    for part in ("train", "valid", "test"):
+        assert getattr(loaded, part) == getattr(split, part)
+        assert all(type(x) is int for t in getattr(loaded, part) for x in t)
+    assert loaded.class_names == split.class_names
+    assert loaded.labels.dtype == np.int64 and loaded.labels.shape == (num_entities,)
+    assert np.array_equal(np.flatnonzero(loaded.labels < 0), np.flatnonzero(split.labels < 0))
+    assert np.array_equal(loaded.labels, split.labels)
+    for part in ("label_train", "label_valid", "label_test"):
+        assert getattr(loaded, part).dtype == np.int64
+        assert np.array_equal(getattr(loaded, part), getattr(split, part))
+
+
 @pytest.mark.parametrize("entities", [50, 500])
 @pytest.mark.parametrize("seed", range(5))
 def test_loaded_bundle_equals_the_generated_graph_and_split(seed, entities):
     kg, split = generate_synthetic_kg(seed, entities=entities)
     kg2, split2, _ = bundle_from_json(bundle_to_json(kg, split))
     for table in ("entities", "relations", "values", "words"):
-        names = getattr(kg, table).names
-        assert getattr(kg2, table).names == names
-        assert [getattr(kg2, table).id_of(name) for name in names] == list(range(len(names)))
+        names = getattr(kg, table)
+        assert getattr(kg2, table) == names
+        assert list(getattr(kg2, table).values()) == list(range(len(names)))
+        assert list(getattr(kg2, table)) == list(names)
     for rows in ("relation_triples", "attribute_triples"):
         assert getattr(kg2, rows).dtype == np.int64
         assert np.array_equal(getattr(kg2, rows), getattr(kg, rows))
     assert kg2.value_tokens == kg.value_tokens
     assert (kg2.dropped_relation_duplicates, kg2.dropped_attribute_duplicates) == (
         kg.dropped_relation_duplicates, kg.dropped_attribute_duplicates)
-    assert split2 == split
+    _assert_same_split(split2, split, kg.num_entities)
+    # the test part's entities lose their labels: -1 exactly there after a load
+    split.labels = split.labels.copy()
+    split.labels[split.label_test] = -1
+    split.label_test = split.label_test[:0]
+    _, split3, _ = bundle_from_json(bundle_to_json(kg, split))
+    _assert_same_split(split3, split, kg.num_entities)
 
 
 def test_empty_id_fields_round_trip():
     kg = kg_from_name_triples([("a", "r", "b")])
-    split = kgdata.DatasetSplit(id_tuples(kg.relation_triples), [], [], labels={}, class_names=["c"])
+    split = kgdata.DatasetSplit(id_tuples(kg.relation_triples), [], [], labels=np.full(2, -1), class_names=["c"])
     blob = bundle_to_json(kg, split)
     data = json.loads(blob)["data"]
     assert data["attribute_triples"] == data["split"]["test"] == data["labels"]["by_entity"] == ""
     kg2, split2, _ = bundle_from_json(blob)
-    assert kg2.attribute_triples.shape == (0, 3) and split2 == split
+    assert kg2.attribute_triples.shape == (0, 3)
+    _assert_same_split(split2, split, kg.num_entities)
 
 
 def test_bundle_load_peaks_below_ten_times_its_text():
@@ -649,6 +690,13 @@ MALFORMED_BUNDLES = [
     (lambda d: d.update(dropped_duplicates=[-1, 0]), "dropped_duplicates is not a pair of counts"),
     (lambda d: d["labels"]["train"].append(d["labels"]["test"][0]),
      "labels split lists entity \\d+ more than once"),
+    (lambda d: d["entities"].__setitem__(0, "ent\n000"),
+     r"entities entry 0 is 'ent\\n000', which a TSV field cannot hold"),
+    (lambda d: d["relations"].__setitem__(1, "rel\t1"),
+     r"relations entry 1 is 'rel\\t1', which a TSV field cannot hold"),
+    (lambda d: d["values"].__setitem__(2, "line\u2028separator"),
+     r"values entry 2 is 'line\\u2028separator', which a TSV field cannot hold"),
+    (lambda d: d["labels"]["classes"].__setitem__(0, ""), "label classes entry 0 is '', which a TSV field cannot hold"),
 ]
 
 
@@ -659,11 +707,47 @@ MALFORMED_BUNDLES = [
     "class-id", "label-entity", "label-test-entity", "no-classes", "blank-value",
     "duplicate-entity", "duplicate-relation", "duplicate-value", "split-repeat-within",
     "split-repeat-across", "labeled-twice", "split-entity-unlabeled", "negative-dropped-count",
-    "label-split-repeat",
+    "label-split-repeat", "entity-line-break", "relation-tab", "value-line-separator", "class-empty",
 ])
 def test_malformed_bundle_names_source_and_problem(edit, message):
     with pytest.raises(IntegrityError, match=f"^data/b.json: bundle .*{message}"):
         bundle_from_json(_edited_bundle(edit), "data/b.json")
+
+
+@pytest.mark.parametrize("layout", ["written", "bare"])
+@pytest.mark.parametrize("kind", sorted(UNPARSEABLE_JSON))
+def test_json_the_parser_cannot_read_is_an_integrity_error(kind, layout):
+    """Nesting past the recursion limit, or an integer past Python's digit
+    limit, as a bare document, or as the data span of the written layout
+    with a matching checksum, which the fast path parses first."""
+    text = span = UNPARSEABLE_JSON[kind]
+    if layout == "written":
+        checksum = hashlib.sha256(span.encode("utf-8")).hexdigest()
+        text = f'{{"checksum":"{checksum}","data":{span},"format":"kane-bundle-v2"}}\n'
+        assert kgdata._WRITTEN.fullmatch(text)
+    with pytest.raises(IntegrityError, match="^data/b.json: bundle JSON cannot be parsed: "):
+        bundle_from_json(text, "data/b.json")
+
+
+# every character str.splitlines breaks a line at: the last of each piece
+# but the final one, when the pieces are cut from a string of every character
+LINE_BREAKS = "".join(piece[-1] for piece in "".join(map(chr, range(0x110000))).splitlines(True)[:-1])
+
+
+def test_each_name_list_refuses_exactly_what_a_tsv_field_cannot_hold():
+    """An entity, relation, value or class name that holds a tab or a line
+    break is refused; one that holds another control character loads."""
+    assert len(LINE_BREAKS) == 10 and "\n" in LINE_BREAKS and "\u2029" in LINE_BREAKS
+    names = {"entities": lambda d: d["entities"], "relations": lambda d: d["relations"],
+             "values": lambda d: d["values"], "label classes": lambda d: d["labels"]["classes"]}
+    for what, of in names.items():
+        message = f"^b.json: bundle {what} entry 1 is .*, which a TSV field cannot hold"
+        for char in "\t" + LINE_BREAKS:
+            bundle = _edited_bundle(lambda d: of(d).__setitem__(1, of(d)[1] + char))
+            with pytest.raises(IntegrityError, match=message):
+                bundle_from_json(bundle, "b.json")
+        kg, split, _ = bundle_from_json(_edited_bundle(lambda d: of(d).__setitem__(1, of(d)[1] + "\x1f")))
+        assert (split.class_names if what == "label classes" else list(getattr(kg, what)))[1].endswith("\x1f")
 
 
 def test_bundle_without_data_rejected():

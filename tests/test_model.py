@@ -296,7 +296,7 @@ class TestAttention:
         """Entity "a"'s weights on the hand-built graph equal the softmax of
         its four NumPy logits."""
         kg, view, params = hand_built(config)
-        a = kg.entities.id_of("a")
+        a = kg.entities["a"]
         values = np.array([params["word"].data[toks].sum(axis=0) for toks in kg.value_tokens])
         neighbors = neighbor_vectors(view, params, values, a)
         logits = numpy_logits(config, head_transform(params, config, 0, 0), params.entity.data[a], neighbors)
@@ -355,7 +355,7 @@ class TestAttention:
         config = ModelConfig(dim=3, head_dim=3, heads=1, layers=1)
         params = init_params(2, 1, 0, 0, config, np.random.default_rng(0))
         view = GraphView.restricted(kg, kg.relation_triples, config.use_attributes)
-        sink = kg.entities.id_of("b")
+        sink = kg.entities["b"]
         edges = view.edges
         # attention over an empty neighborhood is refused, so the sink owns
         # no edge and no softmax segment
@@ -433,7 +433,7 @@ def test_score_hand_values():
     """The completion loss scores triples by ||h + r - t||: one positive at
     distance 4 (l1) or sqrt(10) (l2), one negative at distance 1."""
     kg = kg_from_name_triples([("h", "r", "t")])
-    h, t = kg.entities.id_of("h"), kg.entities.id_of("t")
+    h, t = kg.entities["h"], kg.entities["t"]
     for norm, d_pos in (("l1", 4.0), ("l2", np.sqrt(10.0))):
         model = ModelConfig(dim=2, head_dim=2, heads=1, layers=0, use_attributes=False, norm=norm)
         config = TrainConfig(model=model, margin=10.0, negatives=1)
@@ -451,16 +451,16 @@ def test_classify_hand_oracle_and_missing_head():
     params = init_params(3, 2, 0, 3, config, np.random.default_rng(10))
     ent = np.random.default_rng(11).standard_normal((3, 4))
     scores = ent @ params["cls_w"].data + params["cls_b"].data
-    labels = [2, 0, 1]
-    split = DatasetSplit([], [], [], labels=dict(enumerate(labels)), class_names=["x", "y", "z"])
+    labels = np.array([2, 0, 1])
+    split = DatasetSplit([], [], [], labels=labels, class_names=["x", "y", "z"])
     got = _classification_batch_loss([0, 1, 2], ad.constant(ent), params, split)
     # the loss reads the scores W v + b
     assert abs(float(got.data) - reference_bce(scores, labels)) < 1e-12
-    truth = {e: int(c) for e, c in enumerate(scores.argmax(axis=1))}
-    assert classification_accuracy(ent, params, [0, 1, 2], truth) == 1.0
+    truth = scores.argmax(axis=1)
+    assert classification_accuracy(ent, params, np.arange(3), truth) == 1.0
     bare = init_params(3, 2, 0, 0, config, np.random.default_rng(12))
     with pytest.raises(ConfigError):
-        classification_accuracy(ent, bare, [0, 1, 2], truth)
+        classification_accuracy(ent, bare, np.arange(3), truth)
 
 
 def test_encode_value_once_per_pass(monkeypatch):
@@ -496,11 +496,11 @@ def sparse_view(seed, config):
          ("b", "r", "c"), ("c", "r", "b"), ("c", "unused", "sink")],
         [("a", "p", "red round"), ("c", "q", "blue"), ("b", "p", "green red")],
     )
-    unused = kg.relations.id_of("unused")
+    unused = kg.relations["unused"]
     view = GraphView.restricted(
         kg, kg.relation_triples[kg.relation_triples[:, 1] != unused], config.use_attributes
     )
-    sink = kg.entities.id_of("sink")
+    sink = kg.entities["sink"]
     assert sink not in view.edges.active and sink < view.edges.active.max()
     assert unused not in view.edges.relation
     params = init_params(kg.num_entities, kg.num_relations, kg.vocab_size, 0, config,
@@ -575,9 +575,9 @@ def test_isolated_entity_keeps_raw_vector():
     params = init_params(3, 1, 0, 0, config, np.random.default_rng(4))
     view = GraphView.restricted(kg, kg.relation_triples, config.use_attributes)
     vecs = forward_all(view, params, config).data
-    sink = kg.entities.id_of("c")
+    sink = kg.entities["c"]
     assert np.array_equal(vecs[sink], params.entity.data[sink])
-    moved = kg.entities.id_of("a")
+    moved = kg.entities["a"]
     assert not np.array_equal(vecs[moved], params.entity.data[moved])
 
 
@@ -605,7 +605,7 @@ def test_attributes_off_ignores_attribute_triples():
     params_b = init_params(2, 2, 2, 0, config_off, np.random.default_rng(5))
     vec_a = forward_all(GraphView.restricted(with_attr, with_attr.relation_triples, False), params_a, config_off)
     vec_b = forward_all(GraphView.restricted(without, without.relation_triples, False), params_b, config_off)
-    top = with_attr.entities.id_of("a")
+    top = with_attr.entities["a"]
     assert np.array_equal(vec_a.data[top], vec_b.data[top])
     config_on = ModelConfig(dim=3, head_dim=3, heads=1, layers=2)
     params_on = init_params(2, 2, 2, 0, config_on, np.random.default_rng(5))

@@ -40,6 +40,7 @@ from kane.training import (
 )
 
 from helpers import (
+    UNPARSEABLE_JSON,
     autodiff_gradients,
     check_gradients,
     checkpoint_header,
@@ -153,7 +154,7 @@ class TestCorrupt:
         # also known, so the valid corruptions are (b, r, b), (d, r, b),
         # (a, r, a) and (a, r, c): each has draw weight 1/2 * 1/4
         kg = kg_from_name_triples([("a", "r", "b"), ("c", "r", "b"), ("a", "r", "d")])
-        a, b, c, d = (kg.entities.id_of(x) for x in "abcd")
+        a, b, c, d = (kg.entities[x] for x in "abcd")
         draws = 8000
         _, negs = _corrupt_all(kg, draws, 11, triple_rows(kg, kg.relation_triples[:1]))
         counts = {}
@@ -323,7 +324,7 @@ def _classification_loss_setup(bias_scale: float = 1.0):
     rng = np.random.default_rng(22)
     params = init_params(5, 2, 0, 3, ModelConfig(dim=4, head_dim=4, heads=1, layers=0), rng)
     params["cls_b"].data = rng.normal(size=3) * bias_scale
-    split = DatasetSplit([], [], [], labels={0: 2, 1: 0, 2: 1, 3: 1, 4: 0}, class_names=["x", "y", "z"])
+    split = DatasetSplit([], [], [], labels=np.array([2, 0, 1, 1, 0]), class_names=["x", "y", "z"])
     return [3, 0, 4, 3], params.entity, params, split
 
 
@@ -339,7 +340,7 @@ def test_fused_classification_loss_matches_the_composition_bit_for_bit(bias_scal
                                                  tensors)
     composed_loss, composed_grads = autodiff_gradients(
         lambda: composed_classification_loss(batch, ent, params["cls_w"], params["cls_b"],
-                                             [split.labels[e] for e in batch], split.class_count), tensors)
+                                             split.labels[batch], split.class_count), tensors)
     assert fused_loss == composed_loss
     for got, want in zip(fused_grads, composed_grads, strict=True):
         assert np.array_equal(got, want)
@@ -527,8 +528,8 @@ def test_classification_loss_gradients_end_to_end():
     params = init_params(kg.num_entities, kg.num_relations, 0, 2, model, np.random.default_rng(14))
     split = DatasetSplit(
         train=id_tuples(kg.relation_triples), valid=[], test=[],
-        labels={0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, class_names=["c0", "c1"],
-        label_train=[0, 1, 2, 3, 4],
+        labels=np.array([0, 1, 0, 1, 0]), class_names=["c0", "c1"],
+        label_train=np.arange(5),
     )
     view = GraphView.restricted(kg, split.train, model.use_attributes)
 
@@ -627,10 +628,10 @@ class TestTrainLoop:
 
     def test_classification_trains_and_validates(self):
         kg, split = _toy_setup()
-        split.labels = {e: e % 2 for e in range(kg.num_entities)}
+        split.labels = np.arange(kg.num_entities) % 2
         split.class_names = ["c0", "c1"]
-        split.label_train = list(range(6))
-        split.label_valid = [6, 7]
+        split.label_train = np.arange(6)
+        split.label_valid = np.array([6, 7])
         config = _toy_config(task="classification", epochs=10, val_every=5, patience=20)
         _, report = train(kg, split, config)
         assert report.epoch_losses[-1] < report.epoch_losses[0]
@@ -638,12 +639,21 @@ class TestTrainLoop:
         assert report.final_validation is not None
         assert 0.0 <= report.final_validation <= 1.0
 
+    def test_classification_refuses_an_unlabeled_training_entity(self):
+        kg, split = _toy_setup()
+        split.labels = np.arange(kg.num_entities) % 2
+        split.labels[3] = -1
+        split.class_names = ["c0", "c1"]
+        split.label_train = np.arange(6)
+        with pytest.raises(ConfigError, match="^entity 3 has no label$"):
+            train(kg, split, _toy_config(task="classification"))
+
     def test_early_stopping_on_flat_validation(self):
         kg, split = _toy_setup()
-        split.labels = {e: e % 2 for e in range(kg.num_entities)}
+        split.labels = np.arange(kg.num_entities) % 2
         split.class_names = ["c0", "c1"]
-        split.label_train = list(range(6))
-        split.label_valid = [6, 7]
+        split.label_train = np.arange(6)
+        split.label_valid = np.array([6, 7])
         config = _toy_config(task="classification", epochs=50, val_every=1,
                              patience=2, learning_rate=1e-12)
         _, report = train(kg, split, config)
@@ -706,7 +716,7 @@ class TestTrainLoop:
                            attribute_relations=1, attribute_triples=5)
         split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
         if task == "classification":
-            split.labels, split.class_names, split.label_train = {e: e % 2 for e in range(6)}, ["c0", "c1"], list(range(6))
+            split.labels, split.class_names, split.label_train = np.arange(6) % 2, ["c0", "c1"], np.arange(6)
         view = GraphView.restricted(kg, split.train, model.use_attributes)
         assert (view.edges.active.size < kg.num_entities) == (case == "attributes-off-isolated")
         tapes = []
@@ -852,6 +862,15 @@ class TestCheckpoint:
             assert np.array_equal(got[name].data, tensor.data), name
         again = save_checkpoint_bytes(loaded, config2, bundle_checksum=header["bundle_checksum"])
         assert again == blob
+
+    @pytest.mark.parametrize("kind", sorted(UNPARSEABLE_JSON))
+    def test_header_the_parser_cannot_read_is_an_integrity_error(self, kind):
+        """A header nested past the recursion limit, or holding an integer
+        past Python's digit limit, is refused naming the file."""
+        params, config = self._params_and_config()
+        blob = with_checkpoint_header(save_checkpoint_bytes(params, config), UNPARSEABLE_JSON[kind].encode())
+        with pytest.raises(IntegrityError, match="^run/model.ckpt: corrupt checkpoint header: "):
+            load_checkpoint_bytes(blob, "run/model.ckpt")
 
     def test_header_keys_of_older_writers_ignored(self):
         """Earlier writers also stored the generator state, graph counts and
