@@ -31,14 +31,21 @@ The NumPy kernels the records run sum rows by index. ``scatter_sum`` is a
 flat ``np.bincount`` over ``index * width + column``: it serves the
 bag-of-words encoder, the scatters of the losses and the layers and the
 isolated entities' rows, needs no sort, and reads its input in memory
-order; rows no index hits are zero. An ``AggregationPlan``, built once per edge set (a graph view
-holds one), holds the segments of the edges and runs the segment softmax
-and the edge aggregation over them. The aggregation reads its table rows
-by index where they are and sums them slot by slot over segments ordered
-longest first, with no (entries, width) array: its forward runs over
-segments, and its table gradient over the entries grouped by table row,
-whose reverse index the plan builds at the first gradient. Both kernels
-add in index order from zero, so every sum equals a Python loop's.
+order; rows no index hits are zero. An ``AggregationPlan``, built once
+per edge set (a graph view holds one), holds the segments of the edges
+and runs the segment softmax and the edge aggregation over them, with no
+(entries, width) array. The aggregation has two kernels, and the plan
+picks one by its size. A small plan, whose (segments, table rows) matrix
+holds at most ``DENSE_CELLS_PER_ENTRY`` cells per entry, runs the dense
+kernel: one ``bincount`` scatters the weights into one such matrix per
+head, and the sum and both gradients are one matrix product per head.
+Other plans run the slot kernel, which reads the table rows by index
+where they are and sums them slot by slot over segments ordered longest
+first; its table gradient runs over the entries grouped by table row,
+whose reverse index the plan builds at the first gradient.
+``scatter_sum`` and the slot kernel add in index order from zero, so
+every sum they make equals a Python loop's. The dense kernel's products
+add in BLAS order, so its sums equal the loop's to rounding only.
 """
 from __future__ import annotations
 
@@ -51,6 +58,10 @@ import numpy as np
 from .errors import ShapeError
 
 _LOCAL = threading.local()
+
+# An AggregationPlan whose (segments, rows) matrix has at most this many
+# cells per entry runs the dense kernel; see its docstring for the crossover.
+DENSE_CELLS_PER_ENTRY = 20
 
 
 def active_tape() -> "Tape | None":
@@ -235,7 +246,49 @@ class AggregationPlan:
     reads it: ``softmax`` and its gradient per segment, and the weighted sum
     of table rows per segment and its two gradients.
 
-    The weighted sum runs slot by slot. Segments are ordered longest first
+    The weighted sum has two kernels. ``dense`` is set when the plan's
+    (segments, rows) matrix holds at most ``DENSE_CELLS_PER_ENTRY`` cells
+    per entry; the weighted sum and its gradients then run the dense
+    kernel, and otherwise the slot kernel. The rule also bounds the dense
+    kernel's matrices to that many floats per entry and head.
+
+    The dense kernel scatters the (entries, k) weights into a (k, segments,
+    rows) matrix M with one ``bincount`` over each entry's cell
+    (``cells``), adding repeated cells in entry order. Per head h, the sum
+    is ``M_h @ table_h``, the table gradient ``M_h.T @ g_h``, and entry
+    e's weight gradient the cell of ``g_h @ table_h.T`` in its segment's
+    row and column ``index[e]``. Its products add in BLAS order, so its
+    results equal a Python loop's to rounding only; the slot kernel's
+    equal it exactly.
+
+    The crossover, on the training view of seed-0 ``generate_synthetic_kg``
+    graphs (two heads of 64 columns, one BLAS thread, minimum of 400
+    calls, microseconds):
+
+    ======== ===== ========== =============== =================
+    entities edges cells/edge sum slot->dense grads slot->dense
+    ======== ===== ========== =============== =================
+    50       342   9.5        87 -> 28        173 -> 57
+    100      709   16.2       147 -> 74       303 -> 363
+    110      781   17.6       161 -> 86       322 -> 164
+    120      842   19.2       166 -> 94       344 -> 198
+    130      906   20.8       169 -> 109      366 -> 560
+    140      989   21.9       188 -> 123      389 -> 264
+    150      1051  23.5       194 -> 135      420 -> 739
+    200      1398  30.8       253 -> 227      539 -> 1149
+    300      2123  44.5       564 -> 536      833 -> 2744
+    500      3509  73.4       581 -> 1455     1391 -> 7302
+    ======== ===== ========== =============== =================
+
+    A training step makes one sum and one gradient call per layer. The
+    pair costs less dense up to 120 entities (19.2 cells per edge; 100 is
+    a tie) and more at 130 and from 150 on, hence the bound of 20. From
+    100 entities on a matrix holds 180 KB or more, and the dense
+    gradients jump between neighbouring sizes (110 and 140 read faster
+    than 100 and 130) by more than their products explain, likely with
+    the allocator's handling of blocks that large.
+
+    The slot kernel runs slot by slot. Segments are ordered longest first
     (``order``, a stable sort), so the ones still open at slot ``l`` are a
     prefix of that order and slot ``l`` adds entry ``l`` of each.
     ``entries`` lists the entries slot-major, ``sources`` the table rows
@@ -257,6 +310,10 @@ class AggregationPlan:
         self.order = np.argsort(-self.counts, kind="stable")
         self.entries, self.slots = _slot_major(self.starts[self.order], self.counts[self.order])
         self.sources = idx[self.entries]
+        segments = self.counts.size
+        # entry e's cell of a (segments, rows) matrix: its segment's row index[e]
+        self.cells = np.repeat(np.arange(segments) * self.rows, self.counts) + idx
+        self.dense = segments * self.rows <= DENSE_CELLS_PER_ENTRY * idx.size
 
     @cached_property
     def reverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
@@ -304,13 +361,57 @@ class AggregationPlan:
         """Per segment, the sum over its entries e of table row ``index[e]``
         scaled by weight e: (entries,) or (entries, k) weights and a (rows,
         q) table -> (segments, q). Indices may repeat, and table rows no
-        index hits add nothing.
+        index hits add nothing. Runs the plan's kernel, dense or slot."""
+        return (self._dense_sum if self.dense else self._slot_sum)(weights, table)
 
-        No (entries, q) array is built. Slot ``l`` adds entry ``l`` of each
-        segment still open into a zeroed (segments, q) accumulator, one
-        gather, one product and one sum per slot, so every sum is 0 + x_0 +
-        x_1 + ... in entry order.
-        """
+    def weighted_sum_grads(
+        self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients of ``weighted_sum`` for the weights and the table,
+        given the (segments, q) gradient ``g``, from the plan's kernel."""
+        return (self._dense_grads if self.dense else self._slot_grads)(g, weights, table)
+
+    def _matrix(self, w: np.ndarray) -> np.ndarray:
+        """(k, segments, rows) from (entries, k, 1) weights: per head, each
+        segment's weights summed by the table row they read, in entry
+        order. One ``bincount`` fills all heads: one per head, stacked,
+        cost 10-15 times as much on the 130- and 150-entity graphs."""
+        k, segments = w.shape[1], self.counts.size
+        size = segments * self.rows
+        cells = (self.cells + size * np.arange(k)[:, None]).ravel()
+        sums = np.bincount(cells, weights=w[:, :, 0].T.ravel(), minlength=k * size)
+        return sums.reshape(k, segments, self.rows)
+
+    def _dense_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The dense kernel's weighted sum: per head, the (segments, rows)
+        weight matrix times the table block, one product each."""
+        w, blocks = self._blocks(weights, table)
+        heads = blocks[:self.rows].transpose(1, 0, 2)  # (k, rows, q / k)
+        out = np.matmul(self._matrix(w), heads)
+        return out.transpose(1, 0, 2).reshape(self.counts.size, -1)
+
+    def _dense_grads(
+        self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The dense kernel's gradients: per head h, the table gradient is
+        ``M_h.T @ g_h``, and entry e's weight gradient, <g_h[segment],
+        table_h[index[e]]>, is its cell of ``g_h @ table_h.T``."""
+        w, blocks = self._blocks(weights, table)
+        k, segments = w.shape[1], self.counts.size
+        heads = blocks[:self.rows].transpose(1, 0, 2)
+        g_heads = g.reshape(segments, k, -1).transpose(1, 0, 2)  # (k, segments, q / k)
+        products = np.matmul(g_heads, heads.transpose(0, 2, 1))  # (k, segments, rows)
+        w_grad = products.reshape(k, -1).T[self.cells]
+        table_grad = np.zeros(table.shape)
+        row_grads = np.matmul(self._matrix(w).transpose(0, 2, 1), g_heads)  # (k, rows, q / k)
+        table_grad[:self.rows] = row_grads.transpose(1, 0, 2).reshape(self.rows, -1)
+        return w_grad.reshape(weights.shape), table_grad
+
+    def _slot_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The slot kernel's weighted sum. No (entries, q) array is built.
+        Slot ``l`` adds entry ``l`` of each segment still open into a zeroed
+        (segments, q) accumulator, one gather, one product and one sum per
+        slot, so every sum is 0 + x_0 + x_1 + ... in entry order."""
         w, blocks = self._blocks(weights, table)
         segments = self.counts.size
         acc = np.zeros((segments,) + blocks.shape[1:])
@@ -319,12 +420,11 @@ class AggregationPlan:
         out[self.order] = acc.reshape(segments, -1)
         return out
 
-    def weighted_sum_grads(
+    def _slot_grads(
         self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The gradients of ``weighted_sum`` for the weights and the table,
-        given the (segments, q) gradient ``g``; neither builds an (entries,
-        q) array. The weight gradient walks the forward's slots, one row
+        """The slot kernel's gradients; neither builds an (entries, q)
+        array. The weight gradient walks the forward's slots, one row
         product per entry, summed as ``np.sum`` sums a row. The table
         gradient runs the forward's kernel over ``reverse``, so each table
         row adds its entries in entry order from zero, as ``scatter_sum``

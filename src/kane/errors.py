@@ -21,9 +21,9 @@ class ShapeError(KaneError):
 
 class DomainError(KaneError):
     """Input outside what an operation can represent: an attribute literal
-    with no tokens, which no encoder can encode, or a graph and split that a
+    with no tokens, which no encoder can encode, a graph and split that a
     bundle cannot store (an id of 2**31 or more, a split triple the graph
-    does not hold)."""
+    does not hold), or an entity name that begins a TSV line with ``#``."""
 
 
 class ConfigError(KaneError):

@@ -359,21 +359,34 @@ def parse_labels(text: str, kg: KnowledgeGraph, source: str = "<input>") -> tupl
 # ---------------------------------------------------------------------------
 # serialization back to TSV
 
+def _tsv(lines: list[str], what: str) -> str:
+    """The lines as one TSV text. Each starts with an entity name, and one
+    that starts with ``#`` would parse as a comment: that raises."""
+    text = "\n".join(lines) + ("\n" if lines else "")
+    if "#" in text:
+        for line in text.splitlines():
+            if line.startswith("#"):
+                name = line.split("\t")[0]
+                raise DomainError(f"{what}: entity {name!r} begins with '#', "
+                                  "and the TSV parser would read its line as a comment")
+    return text
+
+
 def relations_to_tsv(kg: KnowledgeGraph) -> str:
     ent, rel = list(kg.entities), list(kg.relations)
     lines = [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in kg.relation_triples.tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _tsv(lines, "relation triples")
 
 
 def attributes_to_tsv(kg: KnowledgeGraph) -> str:
     ent, rel, val = list(kg.entities), list(kg.relations), list(kg.values)
     lines = [f'{ent[h]}\t{rel[r]}\t"{val[v]}"' for h, r, v in kg.attribute_triples.tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _tsv(lines, "attribute triples")
 
 
 def labels_to_tsv(kg: KnowledgeGraph, labels: np.ndarray, class_names: list[str]) -> str:
     lines = [f"{name}\t{class_names[c]}" for name, c in zip(kg.entities, labels.tolist()) if c >= 0]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _tsv(lines, "labels")
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ an edge's logits are two gathers, at rows ``source * R + relation`` and
 weights over its edges labelled r: one scatter of the (edges, heads)
 weights into an (active * R, heads) table, then one small matrix product
 with q, next to one weighted sum of the rows t_s, which the plan's
-``weighted_sum`` reads from the source table by index, slot by slot, with
-no (edges, heads * head_dim) array of gathered rows. The plan is the
+``weighted_sum`` forms with no (edges, heads * head_dim) array of gathered
+rows: on a small view as one product per head of a (segments, rows)
+weight matrix with the source table, on a larger one slot by slot from
+the source rows read by index where they are. The plan is the
 view's ``aggregation``, built once per view and shared by every layer,
 step and validation over it. The tables hold (S + R) * R *
 heads and active * R * heads entries, against the edges * heads *

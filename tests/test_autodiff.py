@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import kane.autodiff as ad
 import kane.model as model_module
 from kane.errors import ShapeError
-from kane.kgdata import GraphView
+from kane.kgdata import GraphView, generate_synthetic_kg
 from kane.model import ModelConfig, ModelParams, aggregate, forward_all, init_params
 from kane.training import sgd_step
 
@@ -252,9 +252,10 @@ def test_gather_backward_adds_repeated_indices_to_existing_grad():
 def test_scatter_sums_match_a_python_loop(data):
     """Every sum of rows by index adds in index order, from zero, exactly as
     a Python loop does: ``scatter_sum`` of a matrix and of a vector, and
-    the plan's weighted sum and its table gradient; its weight gradient
-    takes each entry's products with
-    its segment's gradient row and sums them as ``np.sum`` does. Unsorted
+    the plan's slot kernel, its weighted sum and its table gradient; its
+    weight gradient takes each entry's products with its segment's
+    gradient row and sums them as ``np.sum`` does. The slot kernel is
+    called directly, since plans this small run the dense one. Unsorted
     and repeated indices, rows no index hits, widths 1, 3 and 128, vector
     and (n, k) weights, and segments of unequal lengths whose longest is
     not the first; the aggregation runs twice through one plan."""
@@ -285,8 +286,8 @@ def test_scatter_sums_match_a_python_loop(data):
         weights = rng.normal(size=entries if k is None else (entries, k))
         table = rng.normal(size=(rows_total, blocks * width))
         w_out = rng.normal(size=(len(counts), blocks * width))
-        summed = plan.weighted_sum(weights, table)
-        weight_grad, table_grad = plan.weighted_sum_grads(w_out, weights, table)
+        summed = plan._slot_sum(weights, table)
+        weight_grad, table_grad = plan._slot_grads(w_out, weights, table)
         want, want_table = np.zeros_like(w_out), np.zeros_like(table)
         want_weights = np.zeros((entries, blocks))
         for seg, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
@@ -306,6 +307,51 @@ def test_scatter_sums_match_a_python_loop(data):
         assert np.array_equal(weight_grad, want_weights.reshape(weights.shape))
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_kernel_matches_the_slot_kernel(data):
+    """The dense kernel's weighted sum and both its gradients equal the
+    slot kernel's to 1e-12 of the sum of their terms' magnitudes (the same
+    kernel over absolute values): only the summation order differs. Indices
+    repeat within a segment, some segments hold one entry, weights are
+    vectors or (n, k), and the table has rows past the plan's ``rows``."""
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=0, max_size=8), label="counts")
+    counts += [1, 3]  # a single-entry segment, and one that reads a row twice
+    counts = data.draw(st.permutations(counts), label="order")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    entries = int(offsets[-1])
+    index = data.draw(st.lists(st.integers(0, 15), min_size=entries, max_size=entries), label="index")
+    twice = int(offsets[counts.index(3)])
+    index[twice + 1] = index[twice]
+    plan = ad.AggregationPlan(index, offsets)
+    k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
+    width = data.draw(st.sampled_from([1, 3, 64]), label="width")
+    extra = data.draw(st.integers(0, 3), label="rows past the plan's")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    weights = rng.normal(size=entries if k is None else (entries, k))
+    table = rng.normal(size=(plan.rows + extra, (k or 1) * width))
+    g = rng.normal(size=(len(counts), table.shape[1]))
+    dense = [plan._dense_sum(weights, table), *plan._dense_grads(g, weights, table)]
+    slot = [plan._slot_sum(weights, table), *plan._slot_grads(g, weights, table)]
+    scale = [plan._slot_sum(abs(weights), abs(table)), *plan._slot_grads(abs(g), abs(weights), abs(table))]
+    for got, want, bound in zip(dense, slot, scale, strict=True):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * bound).all()
+    assert not dense[2][plan.rows:].any()
+
+
+def test_size_rule_picks_dense_for_50_entities_and_slot_for_500():
+    """The seed-0 synthetic graph's training view runs the dense kernel at
+    50 entities (9.5 matrix cells per edge) and the slot kernel at 500
+    (73)."""
+    for entities, dense in ((50, True), (500, False)):
+        kg, split = generate_synthetic_kg(0, entities=entities)
+        plan = GraphView.restricted(kg, split.train).aggregation
+        cells = plan.counts.size * plan.rows
+        assert plan.dense is dense
+        assert (cells <= ad.DENSE_CELLS_PER_ENTRY * plan.index.size) is dense
+
+
 def test_scatter_sum_over_no_index_is_float_zeros():
     """An empty index sums nothing: float64 zeros of the vector and the
     matrix form, all +0.0, which a gradient can accumulate into."""
@@ -321,8 +367,9 @@ def test_scatter_sum_over_no_index_is_float_zeros():
 
 def test_aggregation_backward_builds_no_entry_wide_array():
     """The gradients of the plan's weighted sum over 2,000 entries allocate
-    less at their peak than one (entries, width) float64 array: both are
-    summed slot by slot, not from gathered rows."""
+    less at their peak than one (entries, width) float64 array, from either
+    kernel: the slot kernel sums slot by slot and the dense one multiplies
+    (segments, rows) matrices, neither from gathered rows."""
     rng = np.random.default_rng(31)
     counts = rng.integers(1, 40, size=100)
     offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -333,14 +380,15 @@ def test_aggregation_backward_builds_no_entry_wide_array():
     plan = ad.AggregationPlan(rng.integers(0, 50, size=entries), offsets)
     w_out = rng.normal(size=(counts.size, width))
     plan.weighted_sum(weights, table)
-    tracemalloc.start()
-    try:
-        weight_grad, table_grad = plan.weighted_sum_grads(w_out, weights, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert weight_grad.shape == (entries, 2) and table_grad.shape == (50, width)
-    assert peak < entries * width * 8, f"peak {peak} bytes"
+    for grads in (plan._slot_grads, plan._dense_grads):  # the slot kernel builds its reverse index
+        tracemalloc.start()
+        try:
+            weight_grad, table_grad = grads(w_out, weights, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weight_grad.shape == (entries, 2) and table_grad.shape == (50, width)
+        assert peak < entries * width * 8, f"{grads.__name__}: peak {peak} bytes"
 
 
 def test_gradient_buffers_belong_to_one_tensor():

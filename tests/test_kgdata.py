@@ -286,6 +286,26 @@ def test_parse_labels_validation():
     assert np.array_equal(labels2, labels) and classes2 == classes
 
 
+def test_tsv_writers_refuse_a_name_that_would_read_as_a_comment():
+    """A line that begins with ``#`` parses as a comment, so a writer whose
+    line would begin with an entity named ``#ent_000`` raises a
+    ``KaneError`` naming it instead of losing the triple or label."""
+    kg, split = generate_synthetic_kg(0, entities=10)
+    assert split.labels[0] >= 0 and (kg.relation_triples[:, 0] == 0).any()
+    assert (kg.attribute_triples[:, 0] == 0).any()
+    kg.entities = {("#ent_000" if i == 0 else name): i for name, i in kg.entities.items()}
+    writers = (lambda: relations_to_tsv(kg), lambda: attributes_to_tsv(kg),
+               lambda: labels_to_tsv(kg, split.labels, split.class_names))
+    for write in writers:
+        with pytest.raises(KaneError, match="'#ent_000' begins with '#'"):
+            write()
+    # a name that no line starts with is written, and read back
+    tail_only = kg_from_name_triples([("a", "r", "#b")])
+    again = KnowledgeGraph()
+    parse_relation_triples(relations_to_tsv(tail_only), again)
+    assert list(again.entities) == ["a", "#b"]
+
+
 # ---------------------------------------------------------------------------
 # splits
 

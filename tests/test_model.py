@@ -641,26 +641,29 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
     weighted sum reads the transformed source rows where they are: neither
     the layer's forward nor its backward allocates as much as one (edges,
     heads * head_dim) array at its peak, on a graph with many more edges
-    than entities."""
+    than entities, with either aggregation kernel: the plan's pick, the
+    dense one, then the slot one."""
     config = ModelConfig(dim=4, head_dim=64, heads=2, layers=1, attention=attention)
     _, view, params = build(3, config, entities=10, relations=6, triples=800, with_attributes=True)
     edges, width = view.edges.source.size, config.heads * config.head_dim
-    assert edges >= 400
+    assert edges >= 400 and view.aggregation.dense
     values = encode_value(view, params, config)
-    view.aggregation.reverse  # built once per view, not per layer
+    view.aggregation.reverse  # the slot kernel's, built once per view, not per layer
     weights = np.random.default_rng(4).normal(size=(view.edges.active.size, width))
-    peaks = []  # above what was held before each pass
-    with ad.Tape() as tape:
-        tracemalloc.start()
-        try:
-            _, outputs = model_module._layer_heads(params.entity, values, view, params, config, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            root = probe(outputs, weights)
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            ad.backward(tape, root)
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-        finally:
-            tracemalloc.stop()
-    assert params["head_w.0"].grad is not None
-    assert max(peaks) < edges * width * 8, (peaks, edges * width * 8)
+    for dense in (True, False):
+        view.aggregation.dense = dense
+        peaks = []  # above what was held before each pass
+        with ad.Tape() as tape:
+            tracemalloc.start()
+            try:
+                _, outputs = model_module._layer_heads(params.entity, values, view, params, config, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                root = probe(outputs, weights)
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                ad.backward(tape, root)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert params["head_w.0"].grad is not None
+        assert max(peaks) < edges * width * 8, (dense, peaks, edges * width * 8)

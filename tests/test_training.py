@@ -737,15 +737,19 @@ class TestTrainLoop:
         assert len(stored) == 4 + 2 * (task == "classification") + 2 * (model.encoder == "lstm")
         assert stored <= read
 
-    def test_one_aggregation_plan_per_view(self, monkeypatch):
+    @pytest.mark.parametrize("entities, triples, dense", [(8, 24, True), (30, 34, False)])
+    def test_one_aggregation_plan_per_view(self, monkeypatch, entities, triples, dense):
         """A run's edges never change: one ``train`` call builds one view and
-        its aggregation plan once, and the plan's reverse index at the first
-        backward; validation reuses both. A forward outside a tape, as
-        evaluation runs it, builds a plan but never its reverse index."""
-        kg = random_kg(np.random.default_rng(5), entities=8, relations=2, triples=24,
+        its aggregation plan once, and validation reuses both. A plan that
+        runs the slot kernel (30 entities, one or two edges each: 29 matrix
+        cells per edge) builds its reverse index at the first backward; one
+        that runs the dense kernel (8 entities, 4.3 cells per edge) never
+        builds it. A forward outside a tape, as evaluation runs it, builds a
+        plan but never its reverse index."""
+        kg = random_kg(np.random.default_rng(5), entities=entities, relations=2, triples=triples,
                        attribute_relations=1, attribute_triples=6)
-        triples = id_tuples(kg.relation_triples)
-        split = DatasetSplit(train=triples[:20], valid=triples[20:], test=[])
+        rows = id_tuples(kg.relation_triples)
+        split = DatasetSplit(train=rows[:triples - 4], valid=rows[triples - 4:], test=[])
         views, plans = [], []
         real_restricted, real_init = GraphView.restricted, ad.AggregationPlan.__init__
 
@@ -763,7 +767,8 @@ class TestTrainLoop:
         params, report = train(kg, split, config)
         assert len(report.validation) == 2
         assert len(views) == 1 and len(plans) == 1
-        assert views[0].aggregation is plans[0] and "reverse" in plans[0].__dict__
+        assert views[0].aggregation is plans[0] and plans[0].dense is dense
+        assert ("reverse" in plans[0].__dict__) is not dense
 
         view = GraphView.restricted(kg, split.train)
         forward_all(view, params, config.model)
