@@ -12,12 +12,13 @@ optimization steps.
   sum by sequence.
 * ``lstm_encode`` -- final hidden state of a standard LSTM cell run over
   the tokens in order; zero initial states; order-sensitive. The
-  sequences run as packed sequences: one step advances every sequence
-  still running with one matrix product per path for all four gates,
-  whose weights are stored side by side in (in, out) layout. The whole
-  encoding is one tape record with a hand-written backward through time,
-  whose sums keep the order of the op-by-op tape of the same cell, so its
-  gradients are bit for bit those of that composition.
+  sequences run packed, step-major, with all four gates' weights side by
+  side in (in, out) layout: the input path is one product per call over
+  the words read, and only the hidden path runs step by step. The whole
+  encoding is one tape record with a hand-written backward through time
+  that forms each weight's gradient from all steps' rows at once, so its
+  sums add in BLAS order, not in the order of an op-by-op tape of the
+  same cell.
 
 The encoders take their weights as tensors; which parameters a model has,
 their checkpoint names and how they are drawn is ``kane.model``'s.
@@ -67,15 +68,6 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
                     lambda g: (ad.scatter_sum(tokens, g[owner], vocab),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, overflow-free in
-    both tails."""
-    z = np.exp(np.negative(np.abs(x)))
-    val = np.where(x >= 0.0, 1.0, z)
-    val /= 1.0 + z
-    return val
-
-
 def lstm_encode(
     sequences: Sequence[Sequence[int]], word_table: Tensor, w_in: Tensor, w_hid: Tensor, b: Tensor
 ) -> Tensor:
@@ -88,87 +80,125 @@ def lstm_encode(
     a path feeds gate ``g``.
 
     The batch runs as packed sequences, longest first (a stable sort, so
-    equal lengths keep their input order): step ``t`` advances the ``live``
-    sequences still running, always the leading rows, with one matrix
-    product per path for all four gates, read as column slices. Step 0
-    starts from the zero states, so it runs only the input path and no
-    forget gate. The whole encoding is one tape record; its backward walks
-    the steps in reverse (backpropagation through time) and adds each
-    parameter's gradient step by step from the last step, which is the
-    order of the op-by-op tape. The word table's gradient runs over only
-    the words the batch reads, one scatter per step, and fills one (vocab,
-    dim) array at the end, so a backward costs what the tokens cost, not
-    steps times the vocabulary.
+    equal lengths keep their input order), in one step-major layout: step
+    ``t`` owns a contiguous band of rows, one per sequence still running,
+    always the leading ones. The input path runs once per call, as one
+    product over the words the batch reads, and one gather spreads it to a
+    (tokens, 4 * dim) buffer; only the hidden path runs per step, one
+    product for all four gates, added to the step's band, which the gates
+    then overwrite in place. Step 0 starts from the zero states, so it has
+    no hidden path and no forget gate. The cell, ``tanh`` of the cell and
+    the hidden state are (tokens, dim) arrays in the same layout.
+
+    A sigmoid is ``0.5 + 0.5 * tanh(x / 2)``, which cannot overflow. The
+    halving is folded into the sigmoid columns of the input path, the bias
+    and the hidden path (exact: a power of two), so one ``tanh`` serves all
+    four gates. Its absolute error stays below 1.1e-16, the spacing of the
+    doubles just below 1, but in the far negative tail that is a large
+    part of the value: the relative error reaches about 2e-8 at x = -20,
+    and below x = -38, where the exact value is under 3.2e-17, it returns 0.
+
+    The whole encoding is one tape record. Its backward walks the steps in
+    reverse (backpropagation through time); each step forms only the gate
+    gradients and the recurrent product, into one packed (tokens, 4 * dim)
+    gradient of the pre-activations. After the loop each weight takes its
+    gradient from the stacked rows at once: the rows summed by word (one
+    ``reduceat`` over the rows sorted by word), then one product each for
+    ``w_in`` and the words' embedding rows, one sum for ``b``, and one
+    product of the previous hidden states with the rows of steps 1 and on
+    for ``w_hid``, which gets ``None`` when every sequence has one token.
+    These sums add in BLAS and ``reduceat`` order, not step by step. The
+    word table's gradient is one (vocab, dim) array filled at the words the
+    batch reads, so a backward costs what the tokens cost, not the
+    vocabulary.
     """
     lengths, flat = _check_sequences(sequences, word_table.shape[0])
-    dim = word_table.shape[1]
+    n, dim = lengths.size, word_table.shape[1]
     order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    runs = ordered > np.arange(ordered[0])[:, None]  # (steps, sequences), longest first
+    running = runs.sum(axis=1)
+    bounds = [0, *np.cumsum(running).tolist()]  # step t owns rows bounds[t]:bounds[t + 1]
+    total = bounds[-1]
     starts = (np.cumsum(lengths) - lengths)[order]
-    running = (lengths[order] > np.arange(int(lengths.max()))[:, None]).sum(axis=1).tolist()
-    table, w_i, w_h, bias = word_table.data, w_in.data, w_hid.data, b.data
-    final = np.empty((lengths.size, dim))  # longest first
-    steps = []  # per step: tokens, inputs, previous states, gates, tanh(cell)
-    h = c = None  # the zero initial states
-    for t, live in enumerate(running):
-        tokens = flat[starts[:live] + t]
-        x = table[tokens]
-        pre = x @ w_i
-        if h is not None:
-            h, c = h[:live], c[:live]
-            pre += h @ w_h
-        pre += bias
-        sig = _sigmoid(pre[:, :3 * dim])  # input, forget, output
-        cand = np.tanh(pre[:, 3 * dim:])
-        cell = sig[:, :dim] * cand
-        c_new = cell if c is None else sig[:, dim:2 * dim] * c + cell
-        tanh_c = np.tanh(c_new)
-        h_new = sig[:, 2 * dim:] * tanh_c
-        steps.append((tokens, x, h, c, sig, cand, tanh_c))
-        h, c = h_new, c_new
-        done = running[t + 1] if t + 1 < len(running) else 0
-        final[done:live] = h[done:]
+    tokens = flat[(starts + np.arange(running.size)[:, None])[runs]]
+    last = np.empty(n, dtype=np.intp)  # each input sequence's row at its last step
+    last[order] = np.array(bounds)[ordered - 1] + np.arange(n)
+    prev = np.arange(n, total) - np.repeat(running[:-1], running[1:])  # the row a step before
+    by_word = np.argsort(tokens, kind="stable")
+    head = np.ones(total, dtype=bool)
+    head[1:] = tokens[by_word[1:]] != tokens[by_word[:-1]]
+    firsts = np.flatnonzero(head)  # where each word's rows start, in by_word order
+    words = tokens[by_word[firsts]]
+    slot = np.empty(total, dtype=np.intp)
+    slot[by_word] = np.cumsum(head) - 1  # each row's index into words
+
+    table, w_i, w_hd = word_table.data, w_in.data, w_hid.data
+    x = table[words]
+    half = np.full(4 * dim, 0.5)  # sigmoid columns take tanh(x / 2)
+    half[3 * dim:] = 1.0
+    shift = 1.0 - half
+    gates = ((x @ w_i + b.data) * half)[slot]
+    w_h = w_hd * half
+    h, c, tanh_c = np.empty((total, dim)), np.empty((total, dim)), np.empty((total, dim))
+    for t in range(running.size):
+        lo, hi = bounds[t], bounds[t + 1]
+        z = gates[lo:hi]
+        if t:
+            p = bounds[t - 1]
+            z += h[p:p + hi - lo] @ w_h
+        np.tanh(z, out=z)
+        z *= half
+        z += shift  # input, forget, output, cell
+        np.multiply(z[:, :dim], z[:, 3 * dim:], out=c[lo:hi])
+        if t:
+            c[lo:hi] += z[:, dim:2 * dim] * c[p:p + hi - lo]
+        np.tanh(c[lo:hi], out=tanh_c[lo:hi])
+        np.multiply(z[:, 2 * dim:3 * dim], tanh_c[lo:hi], out=h[lo:hi])
 
     def backward(g):
-        g_final = g[order]
-        # the word gradient is summed over only the words the batch reads
-        read = np.bincount(flat, minlength=table.shape[0]) > 0
-        words, slot = np.flatnonzero(read), np.cumsum(read) - 1
-        grads = [None, None, None, None]  # those words' rows, w_in, w_hid, b
-        g_h = g_c = None  # from step t + 1, for its live rows
-        for t in range(len(steps) - 1, -1, -1):
-            tokens, x, h_prev, c_prev, sig, cand, tanh_c = steps[t]
-            live = x.shape[0]
-            i, f, o = sig[:, :dim], sig[:, dim:2 * dim], sig[:, 2 * dim:]
-            done = 0 if g_h is None else g_h.shape[0]
-            gh = np.empty((live, dim))
-            gh[:done] = g_h
-            gh[done:] = g_final[done:live]
-            gc = (gh * o) * (1.0 - tanh_c * tanh_c)
+        gate = gates.reshape(total, 4, dim)
+        # per row and gate, d(gate)/d(pre) times the value the gate
+        # multiplies (the candidate, the previous cell, tanh(c), the input
+        # gate): a step scales it by the gradient of c, or of h for the
+        # output gate, into the pre-activation gradient
+        k = np.subtract(1.0, gate)
+        k *= gate
+        k[:, 0] *= gate[:, 3]
+        k[:n, 1] = 0.0
+        k[n:, 1] *= c[prev]
+        k[:, 2] *= tanh_c
+        np.multiply(gate[:, 3], gate[:, 3], out=k[:, 3])
+        np.subtract(1.0, k[:, 3], out=k[:, 3])
+        k[:, 3] *= gate[:, 0]
+        dc = tanh_c * tanh_c  # d(c) from d(h): o (1 - tanh(c)^2)
+        np.subtract(1.0, dc, out=dc)
+        dc *= gate[:, 2]
+        g_h = np.empty((total, dim))
+        g_h[last] = g  # every other row is filled by the step after it
+        g_c = None  # from the step after, for its rows
+        by_gate = np.empty((n, 4, dim))  # per gate, the gradient of h or c it scales
+        w_h_t = np.ascontiguousarray(w_hd.T)  # a transposed operand costs more per step
+        for t in range(running.size - 1, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            gh = g_h[lo:hi]
+            gc = gh * dc[lo:hi]
             if g_c is not None:
-                gc[:done] += g_c
-            g_pre = np.empty((live, 4 * dim))
-            np.multiply(gc, cand, out=g_pre[:, :dim])
-            if c_prev is None:
-                g_pre[:, dim:2 * dim] = 0.0
-            else:
-                np.multiply(gc, c_prev, out=g_pre[:, dim:2 * dim])
-            np.multiply(gh, tanh_c, out=g_pre[:, 2 * dim:3 * dim])
-            g_sig = g_pre[:, :3 * dim]
-            g_sig *= sig
-            g_sig *= 1.0 - sig
-            np.multiply(gc * i, 1.0 - cand * cand, out=g_pre[:, 3 * dim:])
-            parts = [ad.scatter_sum(slot[tokens], g_pre @ w_i.T, words.size), x.T @ g_pre, None, g_pre.sum(axis=0)]
-            if h_prev is not None:
-                parts[2] = h_prev.T @ g_pre
-                g_h, g_c = g_pre @ w_h.T, gc * f
-            for k, part in enumerate(parts):
-                if part is not None:
-                    if grads[k] is None:
-                        grads[k] = part
-                    else:
-                        grads[k] += part
+                gc[:g_c.shape[0]] += g_c
+            m = by_gate[:hi - lo]
+            m[:] = gc[:, None]
+            m[:, 2] = gh
+            g_pre = k[lo:hi]  # k becomes the pre-activation gradient in place
+            g_pre *= m
+            if t:
+                p = bounds[t - 1]
+                np.matmul(g_pre.reshape(hi - lo, 4 * dim), w_h_t, out=g_h[p:p + hi - lo])
+                g_c = gc * gate[lo:hi, 1]
+        g_pre = k.reshape(total, 4 * dim)
+        per_word = np.add.reduceat(g_pre[by_word], firsts)
         word_grad = np.zeros(table.shape)
-        word_grad[words] = grads[0]
-        return [word_grad] + grads[1:]
+        word_grad[words] = per_word @ w_i.T
+        g_hid = h[prev].T @ g_pre[n:] if total > n else None
+        return [word_grad, x.T @ per_word, g_hid, per_word.sum(axis=0)]
 
-    return ad.fused(final[np.argsort(order)], (word_table, w_in, w_hid, b), backward)
+    return ad.fused(h[last], (word_table, w_in, w_hid, b), backward)

@@ -74,9 +74,9 @@ counts give, with their checkpoint names, shapes and order. ``ModelParams``
 maps those names to tensors in that order, ``init_params`` draws them in
 that order, and propagation reads each by name, such as ``head_w.{l}``.
 A run stores only what it trains, with one corner left: with ``layers ==
-0`` a classification run reads neither the relation table nor any
-attribute, yet stores the relation table and, with ``use_attributes``, the
-word table.
+0`` a classification run reads no relation, yet stores the relation table,
+which ``eval-completion`` reads. Such a run stores no word table and no
+LSTM, since none of its passes encodes a value.
 """
 
 from __future__ import annotations
@@ -169,12 +169,14 @@ def parameter_shapes(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """(checkpoint name, shape) of every parameter of a model with this
     config and these counts, in checkpoint order: the one place that
-    decides which parameters exist. ``word`` and ``lstm.*`` exist only with
-    ``use_attributes``, the classifier only for ``class_count > 0``, which
+    decides which parameters exist. ``word`` and ``lstm.*`` exist only when
+    a pass reads a value: with ``use_attributes``, and with propagation
+    layers or with no classifier (the completion loss reads values at any
+    depth). The classifier exists only for ``class_count > 0``, which
     ``training.classifier_classes`` gives for classification alone."""
     d, width = config.dim, config.heads * config.head_dim
     out = [("entity", (entity_count, d)), ("relation", (relation_count, d))]
-    if config.use_attributes and vocab_size > 0:
+    if config.use_attributes and vocab_size > 0 and (config.layers > 0 or class_count == 0):
         out.append(("word", (vocab_size, d)))
         if config.encoder == "lstm":
             out += [("lstm.w_in", (d, 4 * d)), ("lstm.w_hid", (d, 4 * d)), ("lstm.b", (4 * d,))]

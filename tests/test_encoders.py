@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import kane.autodiff as ad
 from kane.encoders import bow_encode, lstm_encode
 from kane.model import ModelConfig, init_params
+from kane.training import sgd_step
 
 from helpers import (
     autodiff_gradients, check_gradients, composed_bow_encode, probe, reference_lstm_final_state, relative_error,
@@ -295,3 +296,50 @@ def test_batch_equals_sequences_encoded_alone(encoder, case):
     assert got.shape == (len(sequences), 4)
     for row, tokens in zip(got, sequences):
         assert relative_error(row, encode([tokens])[0]) < 1e-12
+
+
+# batches whose packing the cases above do not reach: every sequence one
+# token long (no step past the first), and a word read twice in one step
+GRADIENT_BATCHES = {
+    **BATCHES,
+    "one-token": [[3], [8], [3], [0]],
+    "word-twice-in-a-step": [[4, 2, 9], [4, 2], [7, 2, 4]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_BATCHES))
+def test_batch_gradients_are_the_sum_of_sequences_encoded_alone(case):
+    """Under a random probe, each of the four gradients of a batch equals
+    the sum of the gradients of its sequences encoded one at a time: the
+    packed layout and the backward through time add up per sequence,
+    whatever order the stacked products sum in."""
+    rng = np.random.default_rng(17)
+    table = make_table(rng, vocab=10, dim=4)
+    params = lstm_weights(rng, 4)
+    tensors = [table, *params]
+    sequences = GRADIENT_BATCHES[case]
+    weights = rng.standard_normal((len(sequences), 4))
+    _, batch = autodiff_gradients(lambda: probe(lstm_encode(sequences, table, *params), weights), tensors)
+    alone = [np.zeros_like(t.data) for t in tensors]
+    for tokens, row in zip(sequences, weights):
+        _, grads = autodiff_gradients(lambda: probe(lstm_encode([tokens], table, *params), row[None]), tensors)
+        for total_grad, grad in zip(alone, grads):
+            total_grad += grad
+    for name, got, want in zip(("word", *LSTM_NAMES), batch, alone):
+        assert relative_error(got, want) < 1e-12, name
+
+
+def test_one_token_batch_gives_no_hidden_path_gradient():
+    """With every sequence one token long no step reads the hidden path:
+    its gradient stays ``None`` and an SGD step leaves it untouched."""
+    rng = np.random.default_rng(18)
+    config = ModelConfig(dim=4, head_dim=4, heads=1, layers=0, encoder="lstm")
+    params = init_params(1, 1, 10, 0, config, rng)
+    before = params["lstm.w_hid"].data.copy()
+    args = [params[name] for name in ("word", *LSTM_NAMES)]
+    with ad.Tape() as tape:
+        ad.backward(tape, total(lstm_encode([[3], [8], [3]], *args)))
+    assert params["lstm.w_hid"].grad is None
+    assert all(params[name].grad is not None for name in ("word", "lstm.w_in", "lstm.b"))
+    sgd_step(params, 0.1)
+    assert np.array_equal(params["lstm.w_hid"].data, before)

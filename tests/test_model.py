@@ -286,6 +286,26 @@ def test_parameter_shapes_match_init_params(task, config):
         assert not np.array_equal(t.data, init[name].data), name
 
 
+@pytest.mark.parametrize("encoder", ["bow", "lstm"])
+def test_classification_without_layers_stores_no_encoder(encoder):
+    """At ``layers == 0`` a classification run encodes no value, so it lays
+    out no ``word`` and no ``lstm.*``; it keeps ``relation``, which
+    ``eval-completion`` reads though no step trains it, and one epoch moves
+    every other array."""
+    kg, split = generate_synthetic_kg(0)
+    config = ModelConfig(dim=4, head_dim=4, heads=1, layers=0, encoder=encoder)
+    counts = (kg.num_entities, kg.num_relations, kg.vocab_size, split.class_count)
+    assert [name for name, _ in parameter_shapes(config, *counts)] == ["entity", "relation", "cls_w", "cls_b"]
+    assert "word" in dict(parameter_shapes(config, *counts[:3], 0))
+    init = init_params(*counts, config, np.random.default_rng(0))
+    train_config = TrainConfig(model=config, task="classification", epochs=1, seed=0, val_every=0)
+    trained, _ = train(kg, split, train_config)
+    stored, _, _ = load_checkpoint_bytes(save_checkpoint_bytes(trained, train_config))
+    assert list(stored) == list(init)
+    for name, t in stored.items():
+        assert np.array_equal(t.data, init[name].data) == (name == "relation"), name
+
+
 # ---------------------------------------------------------------------------
 # attention
 

@@ -621,6 +621,25 @@ class TestTrainLoop:
         p3, _ = train(kg, split, _toy_config(epochs=3, seed=2))
         assert not np.array_equal(p1.entity.data, p3.entity.data)
 
+    @pytest.mark.parametrize("task", ["classification", "completion"])
+    def test_same_seed_is_bit_identical_with_the_lstm(self, task):
+        """The LSTM encoder's stacked products over all steps' rows give the
+        same bits run after run, for both tasks' losses."""
+        kg = random_kg(np.random.default_rng(4), entities=12, relations=2, triples=30,
+                       attribute_relations=2, attribute_triples=16, max_tokens=5)
+        split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
+        split.labels = np.arange(kg.num_entities) % 2
+        split.class_names = ["c0", "c1"]
+        split.label_train = np.arange(8)
+        model = ModelConfig(dim=32, head_dim=32, heads=1, layers=1, encoder="lstm")
+        config = _toy_config(model=model, task=task, epochs=3)
+        p1, r1 = train(kg, split, config)
+        p2, r2 = train(kg, split, config)
+        assert "lstm.w_hid" in p1
+        assert r1.epoch_losses == r2.epoch_losses
+        for (name, a), (_, b) in zip(p1.named_parameters(), p2.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+
     def test_completion_loss_decreases(self):
         kg, split = _toy_setup()
         _, report = train(kg, split, _toy_config())
