@@ -28,10 +28,15 @@ may list a parent more than once; it then adds that parent's gradients one
 after another, in its list's order.
 
 The NumPy kernels the records run sum rows by index. ``scatter_sum`` is a
-flat ``np.bincount`` over ``index * width + column``: it serves the
-bag-of-words encoder, the scatters of the losses and the layers and the
-isolated entities' rows, needs no sort, and reads its input in memory
-order; rows no index hits are zero. An ``AggregationPlan``, built once
+flat ``np.bincount`` over ``index * width + column``: it needs no sort,
+reads its input in memory order, and rows no index hits are zero. It
+builds that flat index at every call, so it serves the scatters whose
+rows change from call to call, the losses' live rows and batch rows, and
+the small ones: the bag-of-words encoder's two and translational
+attention's three per-edge gradient scatters. A scatter whose index a
+graph view fixes builds its flat index once, with ``scatter_index``, and
+runs ``scatter_rows`` over it: the attention layer's pair scatter and the
+gradient of its products table. An ``AggregationPlan``, built once
 per edge set (a graph view holds one), holds the segments of the edges
 and runs the segment softmax and the edge aggregation over them, with no
 (entries, width) array. The aggregation has two kernels, and the plan
@@ -156,8 +161,20 @@ def scatter_sum(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
         return np.zeros((n, *g.shape[1:]))
     if g.ndim == 1:
         return np.bincount(idx, weights=g, minlength=n)
+    return scatter_rows(scatter_index(idx, g.shape[1]), g, n)
+
+
+def scatter_index(idx: np.ndarray, width: int) -> np.ndarray:
+    """The flat ``bincount`` index of ``scatter_sum`` for rows ``width``
+    wide: column ``c`` of row ``i`` goes to bin ``idx[i] * width + c``. A
+    caller whose index is fixed builds it once and runs ``scatter_rows``."""
+    return (idx[:, None] * width + np.arange(width)).ravel()
+
+
+def scatter_rows(flat: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """``scatter_sum`` of the (rows, width) ``g`` over the non-empty flat
+    index ``scatter_index`` built for it: (n, width)."""
     w = g.shape[1]
-    flat = (idx[:, None] * w + np.arange(w)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=n * w).reshape(n, w)
 
 
@@ -314,6 +331,7 @@ class AggregationPlan:
         # entry e's cell of a (segments, rows) matrix: its segment's row index[e]
         self.cells = np.repeat(np.arange(segments) * self.rows, self.counts) + idx
         self.dense = segments * self.rows <= DENSE_CELLS_PER_ENTRY * idx.size
+        self._head_cells: dict[int, np.ndarray] = {}  # by head count, see _matrix
 
     @cached_property
     def reverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
@@ -375,10 +393,13 @@ class AggregationPlan:
         """(k, segments, rows) from (entries, k, 1) weights: per head, each
         segment's weights summed by the table row they read, in entry
         order. One ``bincount`` fills all heads: one per head, stacked,
-        cost 10-15 times as much on the 130- and 150-entity graphs."""
+        cost 10-15 times as much on the 130- and 150-entity graphs. Its
+        cells for k heads are built at the first call and kept."""
         k, segments = w.shape[1], self.counts.size
         size = segments * self.rows
-        cells = (self.cells + size * np.arange(k)[:, None]).ravel()
+        cells = self._head_cells.get(k)
+        if cells is None:  # head h's copy of the cells, shifted by h matrices
+            cells = self._head_cells[k] = (self.cells + size * np.arange(k)[:, None]).ravel()
         sums = np.bincount(cells, weights=w[:, :, 0].T.ravel(), minlength=k * size)
         return sums.reshape(k, segments, self.rows)
 

@@ -3,9 +3,13 @@
 Both encoders take every sequence of a batch in one call and return one
 row per sequence, in input order; the model encodes all attribute values
 of a forward pass in one such call. Both read rows of a trainable word
-embedding table, so gradients flow back into the table. Encodings are
-rebuilt from the current table at every use; nothing is cached across
-optimization steps.
+embedding table, so gradients flow back into the table. A batch reaches
+an encoder as its layout (``BowLayout`` or ``LstmLayout``): the checked
+tokens and the index arrays the encoder reads, which depend on the tokens
+alone. The model builds the layout once per view and keeps it in the
+view's ``derived``, so every step and validation over the view reuses it.
+Encodings are rebuilt from the current table at every use; only the
+layout outlives a call.
 
 * ``bow_encode``  -- sum of the token embeddings; permutation-invariant.
   One tape record: one gather over the concatenated tokens and one scatter
@@ -32,27 +36,85 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ShapeError
 
 
-def _check_sequences(
-    sequences: Sequence[Sequence[int]], vocab_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and concatenated tokens of a non-empty batch of non-empty sequences."""
-    if len(sequences) == 0:
-        raise ValueError("cannot encode an empty batch of sequences")
-    lengths = np.array([len(tokens) for tokens in sequences], dtype=np.intp)
-    if (lengths == 0).any():
-        raise ValueError("cannot encode an empty token sequence")
-    flat = np.array([t for tokens in sequences for t in tokens], dtype=np.intp)
-    outside = (flat < 0) | (flat >= vocab_size)
-    if outside.any():
-        raise IndexError(f"word id {flat[outside][0]} outside vocabulary of size {vocab_size}")
-    return lengths, flat
+class _Layout:
+    """The index arrays an encoder reads for one non-empty batch of
+    non-empty sequences over a vocabulary of ``vocab_size`` words, from the
+    sequences' ``lengths`` and their concatenated tokens, ``flat``. They
+    depend on the tokens alone, never on the weights, so a batch that is
+    encoded again, such as a view's attribute values at every step, builds
+    its layout once."""
+
+    def __init__(self, sequences: Sequence[Sequence[int]], vocab_size: int):
+        if len(sequences) == 0:
+            raise ValueError("cannot encode an empty batch of sequences")
+        self.lengths = np.array([len(tokens) for tokens in sequences], dtype=np.intp)
+        if (self.lengths == 0).any():
+            raise ValueError("cannot encode an empty token sequence")
+        self.flat = np.array([t for tokens in sequences for t in tokens], dtype=np.intp)
+        outside = (self.flat < 0) | (self.flat >= vocab_size)
+        if outside.any():
+            raise IndexError(f"word id {self.flat[outside][0]} outside vocabulary of size {vocab_size}")
+        self.vocab_size = vocab_size
+        self.count = self.lengths.size
+
+    def check(self, word_table: Tensor) -> None:
+        if word_table.shape[0] != self.vocab_size:
+            raise ShapeError(
+                f"a layout over {self.vocab_size} words read with a word table of {word_table.shape[0]} rows"
+            )
 
 
-def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor:
-    """Sum of token embeddings per sequence: (sequences, dim). Repeated
-    tokens count once per occurrence; reordered tokens encode identically.
+class BowLayout(_Layout):
+    """A bag-of-words batch: ``owner``, each token's sequence, and
+    ``tokens``, the word ids sorted within each sequence."""
+
+    def __init__(self, sequences: Sequence[Sequence[int]], vocab_size: int):
+        super().__init__(sequences, vocab_size)
+        self.owner = np.repeat(np.arange(self.count), self.lengths)
+        self.tokens = self.flat[np.lexsort((self.flat, self.owner))]
+
+
+class LstmLayout(_Layout):
+    """A batch packed for ``lstm_encode``: longest first, step-major.
+
+    Step ``t`` owns rows ``bounds[t]:bounds[t + 1]``; ``last`` is each input
+    sequence's row at its last step and ``prev`` the row a step before each
+    row of steps 1 and on. ``words`` are the distinct words the batch
+    reads, ``slot`` each row's index into them, and ``by_word`` the rows
+    grouped by word (a stable sort), with ``firsts`` where each word's
+    group starts.
+    """
+
+    def __init__(self, sequences: Sequence[Sequence[int]], vocab_size: int):
+        super().__init__(sequences, vocab_size)
+        lengths, flat, n = self.lengths, self.flat, self.count
+        order = np.argsort(-lengths, kind="stable")
+        ordered = lengths[order]
+        runs = ordered > np.arange(ordered[0])[:, None]  # (steps, sequences), longest first
+        running = runs.sum(axis=1)
+        self.bounds = [0, *np.cumsum(running).tolist()]
+        self.steps, self.total = running.size, self.bounds[-1]
+        starts = (np.cumsum(lengths) - lengths)[order]
+        tokens = flat[(starts + np.arange(running.size)[:, None])[runs]]
+        self.last = np.empty(n, dtype=np.intp)
+        self.last[order] = np.array(self.bounds)[ordered - 1] + np.arange(n)
+        self.prev = np.arange(n, self.total) - np.repeat(running[:-1], running[1:])
+        self.by_word = np.argsort(tokens, kind="stable")
+        head = np.ones(self.total, dtype=bool)
+        head[1:] = tokens[self.by_word[1:]] != tokens[self.by_word[:-1]]
+        self.firsts = np.flatnonzero(head)
+        self.words = tokens[self.by_word[self.firsts]]
+        self.slot = np.empty(self.total, dtype=np.intp)
+        self.slot[self.by_word] = np.cumsum(head) - 1
+
+
+def bow_encode(layout: BowLayout, word_table: Tensor) -> Tensor:
+    """Sum of token embeddings per sequence of the layout's batch:
+    (sequences, dim). Repeated tokens count once per occurrence; reordered
+    tokens encode identically.
 
     Each sum runs over its tokens in sorted order: float addition is not
     associative, so summing in arrival order would make two orderings of
@@ -60,19 +122,15 @@ def bow_encode(sequences: Sequence[Sequence[int]], word_table: Tensor) -> Tensor
     record: the token rows summed by sequence, and in its backward each
     sequence's gradient row summed by token, both with ``scatter_sum``.
     """
-    lengths, flat = _check_sequences(sequences, word_table.shape[0])
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    tokens = flat[np.lexsort((flat, owner))]  # sorted within each sequence
-    vocab = word_table.shape[0]
-    return ad.fused(ad.scatter_sum(owner, word_table.data[tokens], lengths.size), (word_table,),
-                    lambda g: (ad.scatter_sum(tokens, g[owner], vocab),))
+    layout.check(word_table)
+    owner, tokens = layout.owner, layout.tokens
+    return ad.fused(ad.scatter_sum(owner, word_table.data[tokens], layout.count), (word_table,),
+                    lambda g: (ad.scatter_sum(tokens, g[owner], layout.vocab_size),))
 
 
-def lstm_encode(
-    sequences: Sequence[Sequence[int]], word_table: Tensor, w_in: Tensor, w_hid: Tensor, b: Tensor
-) -> Tensor:
-    """Final hidden state of each sequence after feeding its token embeddings
-    in order: (sequences, dim).
+def lstm_encode(layout: LstmLayout, word_table: Tensor, w_in: Tensor, w_hid: Tensor, b: Tensor) -> Tensor:
+    """Final hidden state of each sequence of the layout's batch after
+    feeding its token embeddings in order: (sequences, dim).
 
     The cell's four gates sit side by side in the order input, forget,
     output, cell: the input path ``w_in`` and the hidden path ``w_hid`` are
@@ -82,13 +140,15 @@ def lstm_encode(
     The batch runs as packed sequences, longest first (a stable sort, so
     equal lengths keep their input order), in one step-major layout: step
     ``t`` owns a contiguous band of rows, one per sequence still running,
-    always the leading ones. The input path runs once per call, as one
-    product over the words the batch reads, and one gather spreads it to a
-    (tokens, 4 * dim) buffer; only the hidden path runs per step, one
-    product for all four gates, added to the step's band, which the gates
-    then overwrite in place. Step 0 starts from the zero states, so it has
-    no hidden path and no forget gate. The cell, ``tanh`` of the cell and
-    the hidden state are (tokens, dim) arrays in the same layout.
+    always the leading ones. The ``LstmLayout`` holds that packing, built
+    once per batch of sequences (``kane.model`` keeps one per view). The
+    input path runs once per call, as one product over the words the batch
+    reads, and one gather spreads it to a (tokens, 4 * dim) buffer; only the
+    hidden path runs per step, one product for all four gates, added to the
+    step's band, which the gates then overwrite in place. Step 0 starts
+    from the zero states, so it has no hidden path and no forget gate. The
+    cell, ``tanh`` of the cell and the hidden state are (tokens, dim)
+    arrays in the same layout.
 
     A sigmoid is ``0.5 + 0.5 * tanh(x / 2)``, which cannot overflow. The
     halving is folded into the sigmoid columns of the input path, the bias
@@ -112,36 +172,20 @@ def lstm_encode(
     batch reads, so a backward costs what the tokens cost, not the
     vocabulary.
     """
-    lengths, flat = _check_sequences(sequences, word_table.shape[0])
-    n, dim = lengths.size, word_table.shape[1]
-    order = np.argsort(-lengths, kind="stable")
-    ordered = lengths[order]
-    runs = ordered > np.arange(ordered[0])[:, None]  # (steps, sequences), longest first
-    running = runs.sum(axis=1)
-    bounds = [0, *np.cumsum(running).tolist()]  # step t owns rows bounds[t]:bounds[t + 1]
-    total = bounds[-1]
-    starts = (np.cumsum(lengths) - lengths)[order]
-    tokens = flat[(starts + np.arange(running.size)[:, None])[runs]]
-    last = np.empty(n, dtype=np.intp)  # each input sequence's row at its last step
-    last[order] = np.array(bounds)[ordered - 1] + np.arange(n)
-    prev = np.arange(n, total) - np.repeat(running[:-1], running[1:])  # the row a step before
-    by_word = np.argsort(tokens, kind="stable")
-    head = np.ones(total, dtype=bool)
-    head[1:] = tokens[by_word[1:]] != tokens[by_word[:-1]]
-    firsts = np.flatnonzero(head)  # where each word's rows start, in by_word order
-    words = tokens[by_word[firsts]]
-    slot = np.empty(total, dtype=np.intp)
-    slot[by_word] = np.cumsum(head) - 1  # each row's index into words
+    layout.check(word_table)
+    n, dim = layout.count, word_table.shape[1]
+    bounds, total, last, prev = layout.bounds, layout.total, layout.last, layout.prev
+    by_word, firsts, words = layout.by_word, layout.firsts, layout.words
 
     table, w_i, w_hd = word_table.data, w_in.data, w_hid.data
     x = table[words]
     half = np.full(4 * dim, 0.5)  # sigmoid columns take tanh(x / 2)
     half[3 * dim:] = 1.0
     shift = 1.0 - half
-    gates = ((x @ w_i + b.data) * half)[slot]
+    gates = ((x @ w_i + b.data) * half)[layout.slot]
     w_h = w_hd * half
     h, c, tanh_c = np.empty((total, dim)), np.empty((total, dim)), np.empty((total, dim))
-    for t in range(running.size):
+    for t in range(layout.steps):
         lo, hi = bounds[t], bounds[t + 1]
         z = gates[lo:hi]
         if t:
@@ -179,7 +223,7 @@ def lstm_encode(
         g_c = None  # from the step after, for its rows
         by_gate = np.empty((n, 4, dim))  # per gate, the gradient of h or c it scales
         w_h_t = np.ascontiguousarray(w_hd.T)  # a transposed operand costs more per step
-        for t in range(running.size - 1, -1, -1):
+        for t in range(layout.steps - 1, -1, -1):
             lo, hi = bounds[t], bounds[t + 1]
             gh = g_h[lo:hi]
             gc = gh * dc[lo:hi]

@@ -87,7 +87,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import bow_encode, lstm_encode
+from .encoders import BowLayout, LstmLayout, bow_encode, lstm_encode
 from .errors import ConfigError
 from .kgdata import GraphView
 
@@ -266,13 +266,19 @@ def init_params(
 def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> Tensor | None:
     """Encodings of all attribute values of the graph in one batched encoder
     call, row ``v`` for value id ``v``; None when no edge of the view reads
-    a value."""
+    a value. The encoder's layout of the values' tokens is built at the
+    first call over the view and kept in its ``derived``."""
     if not (view.edges.source >= view.entity_count).any():
         return None
-    sequences, word = view.kg.value_tokens, params["word"]
-    if config.encoder == "bow":
-        return bow_encode(sequences, word)
-    return lstm_encode(sequences, word, params["lstm.w_in"], params["lstm.w_hid"], params["lstm.b"])
+    word = params["word"]
+    bow = config.encoder == "bow"
+    key = ("encoder_layout", config.encoder, word.shape[0])
+    if key not in view.derived:
+        view.derived[key] = (BowLayout if bow else LstmLayout)(view.kg.value_tokens, word.shape[0])
+    layout = view.derived[key]
+    if bow:
+        return bow_encode(layout, word)
+    return lstm_encode(layout, word, params["lstm.w_in"], params["lstm.w_hid"], params["lstm.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +286,54 @@ def encode_value(view: GraphView, params: ModelParams, config: ModelConfig) -> T
 
 def _layer_index(view: GraphView, relations: int, n_table: int, config: ModelConfig) -> tuple:
     """The index arrays of an attention layer over ``view``, built once per
-    view and shape: the spread mask, whose row r * heads + h holds ones in
-    head h's columns; the relation of each of its rows; each edge's rows
-    of the products table for its source and for its relation's query;
-    and each edge's (active entity, relation) pair."""
-    key = ("layer_index", relations, n_table, config.heads, config.head_dim)
+    view, shape and attention form: the spread mask, whose row r * heads +
+    h holds ones in head h's columns; the relation of each of its rows;
+    each edge's rows of the products table for its source and for its
+    relation's query; each edge's (active entity, relation) pair; the flat
+    ``scatter_rows`` index of the pair scatter, one column per weight
+    column; and that of the products table's gradient, bilinear only,
+    which sums each edge's logit gradient into both of its rows at once:
+    the query rows lie past every source row, so the two sets of bins are
+    disjoint and one ``bincount`` adds what two would."""
+    bilinear = config.attention == "bilinear"
+    key = ("layer_index", relations, n_table, config.heads, config.head_dim, bilinear)
     if key not in view.derived:
         edges, heads = view.edges, config.heads
+        at_source = edges.source * relations + edges.relation
+        at_query = (n_table + edges.relation) * relations + edges.relation
+        pair = edges.merge[edges.owner] * relations + edges.relation
         arrays = (
             np.tile(np.repeat(np.eye(heads), config.head_dim, axis=1), (relations, 1)),
             np.repeat(np.arange(relations), heads),
-            edges.source * relations + edges.relation,
-            (n_table + edges.relation) * relations + edges.relation,
-            edges.merge[edges.owner] * relations + edges.relation,
+            at_source,
+            at_query,
+            pair,
+            ad.scatter_index(pair, heads if bilinear else 1),
+            ad.scatter_index(np.concatenate([at_query, at_source]), heads) if bilinear else None,
         )
         for arr in arrays:
-            arr.flags.writeable = False
+            if arr is not None:
+                arr.flags.writeable = False
         view.derived[key] = arrays
     return view.derived[key]
+
+
+def _diagonal_blocks(g_spread: np.ndarray, heads: int) -> np.ndarray:
+    """The query table's gradient from the spread's: row r * heads + h of
+    the spread is q_r masked to its column block h, so row r gets column
+    block h of spread row r * heads + h, for each head h. This is the sum
+    of the masked rows by relation, gathered instead of scattered."""
+    diagonal = np.arange(heads)
+    blocks = g_spread.reshape(g_spread.shape[0] // heads, heads, heads, -1)[:, diagonal, diagonal]
+    return blocks.reshape(blocks.shape[0], -1)
+
+
+def _placed(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, width) zeros with row ``index[i]`` set to row ``i`` of ``g``:
+    the scatter sum over an injective index, whose bins each get one row."""
+    out = np.zeros((rows, g.shape[1]))
+    out[index] = g
+    return out
 
 
 def _layer_heads(
@@ -336,7 +372,9 @@ def _layer_heads(
     bilinear = config.attention == "bilinear"
     table = inputs.data if values is None else np.concatenate([inputs.data, values.data])
     n_inputs, n_table = inputs.shape[0], table.shape[0]
-    mask, relation_of, at_source, at_query, pair = _layer_index(view, relations, n_table, config)
+    mask, relation_of, at_source, at_query, pair, pair_flat, products_flat = _layer_index(
+        view, relations, n_table, config
+    )
     w = transform.data
     # all heads at once, applied to the tables before any per-edge gather,
     # since W (r + n) = W r + W n
@@ -363,7 +401,8 @@ def _layer_heads(
     weights = plan.softmax(logits)
     # sum_e a_e (q_r + t_s): the t_s half per edge, the q_r half from the
     # weight sums per (active entity, relation) pair
-    pair_weights = ad.scatter_sum(pair, weights, edges.active.size * relations).reshape(edges.active.size, -1)
+    n_pairs = edges.active.size * relations
+    pair_weights = ad.scatter_rows(pair_flat, weights.reshape(pair.size, -1), n_pairs).reshape(edges.active.size, -1)
     out = plan.weighted_sum(weights, source)
     out += pair_weights @ spread
 
@@ -375,14 +414,13 @@ def _layer_heads(
         g_logits = plan.softmax_grad(g_weights, weights)
         if bilinear:
             g_raw = g_logits * np.where(pos, 1.0, slope)
-            g_products = ad.scatter_sum(at_query, g_raw, stacked.shape[0] * relations)
-            g_products += ad.scatter_sum(at_source, g_raw, stacked.shape[0] * relations)
+            g_products = ad.scatter_rows(products_flat, np.concatenate([g_raw, g_raw]), stacked.shape[0] * relations)
             g_products = g_products.reshape(-1, relations * heads)
             g_stacked = g_products @ spread_t.T
             g_spread += (stacked.T @ g_products).T
             g_source += g_stacked[:n_table]
             g_query = g_stacked[n_table:]
-            g_query += ad.scatter_sum(relation_of, g_spread * mask, relations)
+            g_query += _diagonal_blocks(g_spread, heads)
             g_table = g_source @ w.T
             parts = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
         else:
@@ -445,7 +483,7 @@ def aggregate(
 
     def backward(g):
         if isolated:
-            stacked = ad.scatter_sum(view.edges.merge, g, active + entities)
+            stacked = _placed(g, view.edges.merge, active + entities)
             g = stacked[:active]
         g_pre = g * np.where(pos, 1.0, slope)
         grads = [g_pre @ matrix.T]

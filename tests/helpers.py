@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 import kane.autodiff as ad
+from kane.encoders import BowLayout, LstmLayout, bow_encode, lstm_encode
 from kane.errors import IntegrityError
 from kane.kgdata import KnowledgeGraph, KnownAnswers, bundle_checksum
 from kane.model import ModelParams
@@ -201,6 +202,18 @@ def composed_completion_loss(
         return np.bincount(owner, weights=g_active, minlength=len(positives)), -g_active
 
     return ad.fused(np.where(active, violation, 0.0).sum(), (d_pos, d_neg), back)
+
+
+def encode_bow(sequences, word: ad.Tensor) -> ad.Tensor:
+    """``encoders.bow_encode`` of a batch of sequences, through a layout
+    built for it."""
+    return bow_encode(BowLayout(sequences, word.shape[0]), word)
+
+
+def encode_lstm(sequences, word: ad.Tensor, *weights: ad.Tensor) -> ad.Tensor:
+    """``encoders.lstm_encode`` of a batch of sequences, through a layout
+    built for it."""
+    return lstm_encode(LstmLayout(sequences, word.shape[0]), word, *weights)
 
 
 def composed_bow_encode(sequences, word: ad.Tensor) -> ad.Tensor:

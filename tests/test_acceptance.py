@@ -21,7 +21,6 @@ import pytest
 import kane.autodiff as ad
 import kane.oracle as oracle
 from kane.cli import format_embedding_export, main
-from kane.encoders import bow_encode, lstm_encode
 from kane.evaluation import (
     build_filter_index,
     evaluate_classification,
@@ -56,6 +55,8 @@ from kane.training import train as train_model
 from helpers import (
     check_gradients,
     edge_case_graph,
+    encode_bow,
+    encode_lstm,
     layer_tensors,
     parse_embedding_export,
     probe,
@@ -93,14 +94,14 @@ def _op_gradient_cases(rng: np.random.Generator):
     bow_word = m(6, 3)
     probe_bow = rng.normal(size=(3, 3))
     bow_sequences = [[4, 1, 4], [5, 0], [2, 4, 1, 1]]
-    case("bow_encode", [bow_word], lambda: probe(bow_encode(bow_sequences, bow_word), probe_bow))
+    case("bow_encode", [bow_word], lambda: probe(encode_bow(bow_sequences, bow_word), probe_bow))
     # the one-record LSTM: lengths 3, 1, 4 and 2 end at four different
     # steps, and the length-1 sequence runs step 0 alone, with no hidden path
     word, w_in, w_hid, bias = m(6, 3), m(3, 12), m(3, 12), v(12)
     probe_lstm = rng.normal(size=(4, 3))
     sequences = [[1, 4, 1], [5], [2, 0, 3, 3], [4, 2]]
     case("lstm_encode", [word, w_in, w_hid, bias],
-         lambda: probe(lstm_encode(sequences, word, w_in, w_hid, bias), probe_lstm))
+         lambda: probe(encode_lstm(sequences, word, w_in, w_hid, bias), probe_lstm))
 
     # one attention layer record over a graph with isolated entities, a
     # one-edge segment, a source read twice by one segment and a value read
@@ -390,7 +391,7 @@ def test_encoder_properties():
         shuffled = list(tokens)
         rng.shuffle(shuffled)
         assert np.array_equal(
-            bow_encode([tokens], table).data[0], bow_encode([shuffled], table).data[0]
+            encode_bow([tokens], table).data[0], encode_bow([shuffled], table).data[0]
         ), f"bag-of-words differs across orderings of {tokens}"
         bow_checked += 1
 
@@ -407,8 +408,8 @@ def test_encoder_properties():
             tokens[j] = int(rng.integers(12))
         swapped = list(tokens)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        a = lstm_encode([tokens], lstm_table, *weights).data[0]
-        b = lstm_encode([swapped], lstm_table, *weights).data[0]
+        a = encode_lstm([tokens], lstm_table, *weights).data[0]
+        b = encode_lstm([swapped], lstm_table, *weights).data[0]
         if not np.array_equal(a, b):
             differing += 1
     ok = differing >= 0.99 * pairs

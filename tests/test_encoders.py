@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kane.autodiff as ad
-from kane.encoders import bow_encode, lstm_encode
+from kane.encoders import BowLayout, LstmLayout, bow_encode, lstm_encode
+from kane.errors import ShapeError
 from kane.model import ModelConfig, init_params
 from kane.training import sgd_step
 
 from helpers import (
-    autodiff_gradients, check_gradients, composed_bow_encode, probe, reference_lstm_final_state, relative_error,
-    total,
+    autodiff_gradients, check_gradients, composed_bow_encode, encode_bow, encode_lstm, probe,
+    reference_lstm_final_state, relative_error, total,
 )
 
 
@@ -47,7 +48,7 @@ class TestBow:
         rng = np.random.default_rng(0)
         table = make_table(rng)
         tokens = [3, 1, 4, 1, 5]
-        out = bow_encode([tokens], table).data[0]
+        out = encode_bow([tokens], table).data[0]
         want = np.zeros(table.shape[1])
         for w in tokens:
             want = want + table.data[w]
@@ -59,10 +60,10 @@ class TestBow:
         for _ in range(200):
             k = int(rng.integers(1, 8))
             tokens = [int(rng.integers(table.shape[0])) for _ in range(k)]
-            base = bow_encode([tokens], table).data[0]
+            base = encode_bow([tokens], table).data[0]
             shuffled = list(tokens)
             rng.shuffle(shuffled)
-            assert np.array_equal(bow_encode([shuffled], table).data[0], base)
+            assert np.array_equal(encode_bow([shuffled], table).data[0], base)
 
     @given(st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=10),
            st.randoms(use_true_random=False))
@@ -71,13 +72,13 @@ class TestBow:
         table = make_table(np.random.default_rng(7))
         shuffled = list(tokens)
         pyrandom.shuffle(shuffled)
-        assert np.array_equal(bow_encode([shuffled], table).data[0],
-                              bow_encode([tokens], table).data[0])
+        assert np.array_equal(encode_bow([shuffled], table).data[0],
+                              encode_bow([tokens], table).data[0])
 
     def test_repeated_token_counts_per_occurrence(self):
         table = make_table(np.random.default_rng(2))
-        single = bow_encode([[4]], table).data[0]
-        double = bow_encode([[4, 4]], table).data[0]
+        single = encode_bow([[4]], table).data[0]
+        double = encode_bow([[4, 4]], table).data[0]
         assert np.array_equal(double, 2.0 * single)
 
     def test_additive_over_concatenation(self):
@@ -85,15 +86,15 @@ class TestBow:
         table = make_table(rng)
         a = [int(rng.integers(12)) for _ in range(4)]
         b = [int(rng.integers(12)) for _ in range(3)]
-        joint = bow_encode([a + b], table).data[0]
-        split = bow_encode([a], table).data[0] + bow_encode([b], table).data[0]
+        joint = encode_bow([a + b], table).data[0]
+        split = encode_bow([a], table).data[0] + encode_bow([b], table).data[0]
         assert relative_error(joint, split) < 1e-12
 
     def test_gradient_is_occurrence_count(self):
         table = make_table(np.random.default_rng(4), vocab=6, dim=3)
         tokens = [2, 5, 2, 2]
         with ad.Tape() as tape:
-            loss = total(bow_encode([tokens], table))
+            loss = total(encode_bow([tokens], table))
             ad.backward(tape, loss)
         g = table.grad
         want = np.zeros_like(table.data)
@@ -110,29 +111,36 @@ class TestBow:
         sequences."""
         table = make_table(np.random.default_rng(14), vocab=10, dim=4)
         weights = np.random.default_rng(15).normal(size=(len(sequences), 4))
-        assert np.array_equal(bow_encode(sequences, table).data, composed_bow_encode(sequences, table).data)
-        _, (fused,) = autodiff_gradients(lambda: probe(bow_encode(sequences, table), weights), [table])
+        assert np.array_equal(encode_bow(sequences, table).data, composed_bow_encode(sequences, table).data)
+        _, (fused,) = autodiff_gradients(lambda: probe(encode_bow(sequences, table), weights), [table])
         _, (composed,) = autodiff_gradients(lambda: probe(composed_bow_encode(sequences, table), weights), [table])
         assert np.array_equal(fused, composed)
         with ad.Tape() as tape:
-            bow_encode(sequences, table)
+            encode_bow(sequences, table)
         assert len(tape.records) == 1
 
     def test_rejects_empty_sequence(self):
         table = make_table(np.random.default_rng(5))
         with pytest.raises(ValueError):
-            bow_encode([[]], table)
+            encode_bow([[]], table)
         with pytest.raises(ValueError):
-            bow_encode([[1], []], table)
+            encode_bow([[1], []], table)
         with pytest.raises(ValueError):
-            bow_encode([], table)
+            encode_bow([], table)
 
     def test_rejects_out_of_vocabulary_id(self):
         table = make_table(np.random.default_rng(6), vocab=4)
         with pytest.raises(IndexError):
-            bow_encode([[0, 4]], table)
+            encode_bow([[0, 4]], table)
         with pytest.raises(IndexError):
-            bow_encode([[-1]], table)
+            encode_bow([[-1]], table)
+
+    def test_rejects_a_layout_built_for_another_vocabulary(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ShapeError):
+            bow_encode(BowLayout([[0, 3]], 4), make_table(rng, vocab=5))
+        with pytest.raises(ShapeError):
+            lstm_encode(LstmLayout([[0, 3]], 4), make_table(rng, vocab=5), *lstm_weights(rng, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +159,7 @@ class TestLstm:
             rng = np.random.default_rng(100 + seed)
             tokens = [int(rng.integers(table.shape[0]))
                       for _ in range(int(rng.integers(1, 7)))]
-            got = lstm_encode([tokens], table, *params).data[0]
+            got = encode_lstm([tokens], table, *params).data[0]
             raw = {name.removeprefix("lstm."): t.data for name, t in zip(LSTM_NAMES, params)}
             want = reference_lstm_final_state(tokens, table.data, raw)
             assert relative_error(got, want) < 1e-12
@@ -168,8 +176,8 @@ class TestLstm:
                 tokens[j] = int(rng.integers(table.shape[0]))
             swapped = list(tokens)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            a = lstm_encode([tokens], table, *params).data[0]
-            b = lstm_encode([swapped], table, *params).data[0]
+            a = encode_lstm([tokens], table, *params).data[0]
+            b = encode_lstm([swapped], table, *params).data[0]
             if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 0.99 * trials
@@ -195,11 +203,11 @@ class TestLstm:
     def test_rejects_empty_and_out_of_range(self):
         table, params = self._setup(9)
         with pytest.raises(ValueError):
-            lstm_encode([[]], table, *params)
+            encode_lstm([[]], table, *params)
         with pytest.raises(ValueError):
-            lstm_encode([], table, *params)
+            encode_lstm([], table, *params)
         with pytest.raises(IndexError):
-            lstm_encode([[table.shape[0]]], table, *params)
+            encode_lstm([[table.shape[0]]], table, *params)
 
     def test_gradients_match_finite_differences(self):
         table, params = self._setup(10, dim=3, vocab=5)
@@ -207,7 +215,7 @@ class TestLstm:
         tensors = [table, *params]
 
         def forward():
-            return total(lstm_encode([tokens], table, *params))
+            return total(encode_lstm([tokens], table, *params))
 
         worst = check_gradients(forward, tensors, step=1e-6)
         assert worst < 1e-5
@@ -215,7 +223,7 @@ class TestLstm:
     def test_gradient_reaches_every_gate(self):
         table, params = self._setup(11, dim=3, vocab=5)
         with ad.Tape() as tape:
-            loss = total(lstm_encode([[0, 3, 2]], table, *params))
+            loss = total(encode_lstm([[0, 3, 2]], table, *params))
             ad.backward(tape, loss)
         for name, t in zip(LSTM_NAMES, params):
             assert np.abs(t.grad).max() > 0, f"no gradient reached {name}"
@@ -228,7 +236,7 @@ class TestLstm:
         weights = np.random.default_rng(15).standard_normal((4, 3))
 
         def forward():
-            return probe(lstm_encode(sequences, table, *params), weights)
+            return probe(encode_lstm(sequences, table, *params), weights)
 
         assert check_gradients(forward, tensors, step=1e-6) < 1e-5
 
@@ -244,7 +252,7 @@ class TestLstm:
         params = lstm_weights(rng, dim)
         sequences = [list(rng.integers(0, vocab, size=int(rng.integers(3, 6)))) for _ in range(30)]
         with ad.Tape() as tape:
-            root = probe(lstm_encode(sequences, table, *params), rng.standard_normal((30, dim)))
+            root = probe(encode_lstm(sequences, table, *params), rng.standard_normal((30, dim)))
             tracemalloc.start()
             try:
                 held = tracemalloc.get_traced_memory()[0]
@@ -262,7 +270,7 @@ def test_bow_gradient_matches_finite_differences():
     table = make_table(np.random.default_rng(12), vocab=5, dim=3)
 
     def forward():
-        return total(bow_encode([[0, 2, 2, 4]], table))
+        return total(encode_bow([[0, 2, 2, 4]], table))
 
     assert check_gradients(forward, [table], step=1e-6) < 1e-7
 
@@ -289,8 +297,8 @@ def test_batch_equals_sequences_encoded_alone(encoder, case):
 
     def encode(batch):
         if encoder == "bow":
-            return bow_encode(batch, table).data
-        return lstm_encode(batch, table, *params).data
+            return encode_bow(batch, table).data
+        return encode_lstm(batch, table, *params).data
 
     got = encode(sequences)
     assert got.shape == (len(sequences), 4)
@@ -319,10 +327,10 @@ def test_batch_gradients_are_the_sum_of_sequences_encoded_alone(case):
     tensors = [table, *params]
     sequences = GRADIENT_BATCHES[case]
     weights = rng.standard_normal((len(sequences), 4))
-    _, batch = autodiff_gradients(lambda: probe(lstm_encode(sequences, table, *params), weights), tensors)
+    _, batch = autodiff_gradients(lambda: probe(encode_lstm(sequences, table, *params), weights), tensors)
     alone = [np.zeros_like(t.data) for t in tensors]
     for tokens, row in zip(sequences, weights):
-        _, grads = autodiff_gradients(lambda: probe(lstm_encode([tokens], table, *params), row[None]), tensors)
+        _, grads = autodiff_gradients(lambda: probe(encode_lstm([tokens], table, *params), row[None]), tensors)
         for total_grad, grad in zip(alone, grads):
             total_grad += grad
     for name, got, want in zip(("word", *LSTM_NAMES), batch, alone):
@@ -338,7 +346,7 @@ def test_one_token_batch_gives_no_hidden_path_gradient():
     before = params["lstm.w_hid"].data.copy()
     args = [params[name] for name in ("word", *LSTM_NAMES)]
     with ad.Tape() as tape:
-        ad.backward(tape, total(lstm_encode([[3], [8], [3]], *args)))
+        ad.backward(tape, total(encode_lstm([[3], [8], [3]], *args)))
     assert params["lstm.w_hid"].grad is None
     assert all(params[name].grad is not None for name in ("word", "lstm.w_in", "lstm.b"))
     sgd_step(params, 0.1)

@@ -12,6 +12,7 @@ import pytest
 import kane.autodiff as ad
 import kane.model as model_module
 import kane.oracle as oracle
+from kane.encoders import BowLayout, LstmLayout
 from kane.errors import ConfigError, ShapeError
 from kane.evaluation import classification_accuracy
 from kane.kgdata import DatasetSplit, GraphView, generate_synthetic_kg
@@ -32,8 +33,8 @@ from kane.training import (
 )
 
 from helpers import (
-    autodiff_gradients, check_gradients, fused_concat_rows, fused_rows, kg_from_name_triples, probe, random_kg,
-    reference_bce, relative_error, total,
+    autodiff_gradients, check_gradients, encode_bow, encode_lstm, fused_concat_rows, fused_rows,
+    kg_from_name_triples, probe, random_kg, reference_bce, relative_error, total,
 )
 
 
@@ -497,10 +498,12 @@ def test_encode_value_once_per_pass(monkeypatch):
     calls = []
     real = model_module.bow_encode
     monkeypatch.setattr(
-        model_module, "bow_encode", lambda seqs, word: calls.append(seqs) or real(seqs, word)
+        model_module, "bow_encode", lambda layout, word: calls.append(layout) or real(layout, word)
     )
     forward_all(view, params, config)
-    assert calls == [kg.value_tokens]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].lengths, [len(tokens) for tokens in kg.value_tokens])
+    assert np.array_equal(calls[0].flat, np.concatenate(kg.value_tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +582,79 @@ def test_merge_record_places_isolated_rows_as_the_composition_does(aggregator):
     composed_grads = autodiff_gradients(lambda: probe(composed(), weights), tensors)[1]
     for g_fused, g_composed in zip(fused_grads, composed_grads, strict=True):
         assert np.array_equal(g_fused, g_composed)
+
+
+@pytest.mark.parametrize("with_values", [True, False], ids=["values", "no-values"])
+def test_view_fixed_index_forms_equal_their_scatter_sums(with_values):
+    """On a view with an isolated entity, the forms that read an index the
+    view fixes equal, bit for bit, the ``scatter_sum`` forms they replace,
+    on random inputs: the pair scatter over its cached flat index, for
+    (edges, heads) and for translational (edges,) weights; the products
+    table's gradient as one ``bincount`` over both row sets; the query
+    table's gradient gathered from the spread's diagonal blocks; and the
+    merge's rows placed by the injective ``merge`` index."""
+    config = ModelConfig(dim=4, head_dim=3, heads=3, layers=1, use_attributes=with_values)
+    view, _ = sparse_view(5, config)
+    rng = np.random.default_rng(6)
+    kg, edges = view.kg, view.edges
+    relations, heads = kg.num_relations, config.heads
+    n_table = view.entity_count + (len(kg.value_tokens) if with_values else 0)
+    assert (edges.source >= view.entity_count).any() == with_values
+    mask, relation_of, at_source, at_query, pair, pair_flat, products_flat = model_module._layer_index(
+        view, relations, n_table, config
+    )
+    n_pairs = edges.active.size * relations
+    weights = rng.normal(size=(pair.size, heads))
+    assert np.array_equal(ad.scatter_rows(pair_flat, weights, n_pairs), ad.scatter_sum(pair, weights, n_pairs))
+    translational = ModelConfig(dim=4, head_dim=3, heads=3, layers=1, use_attributes=with_values,
+                                attention="translational")
+    *_, shared_flat, no_products = model_module._layer_index(view, relations, n_table, translational)
+    assert no_products is None
+    shared = rng.normal(size=pair.size)
+    assert np.array_equal(ad.scatter_rows(shared_flat, shared[:, None], n_pairs)[:, 0],
+                          ad.scatter_sum(pair, shared, n_pairs))
+    rows = (n_table + relations) * relations
+    g_raw = rng.normal(size=(pair.size, heads))
+    want = ad.scatter_sum(at_query, g_raw, rows)
+    want += ad.scatter_sum(at_source, g_raw, rows)
+    assert np.array_equal(ad.scatter_rows(products_flat, np.concatenate([g_raw, g_raw]), rows), want)
+    g_spread = rng.normal(size=(relations * heads, heads * config.head_dim))
+    assert np.array_equal(model_module._diagonal_blocks(g_spread, heads),
+                          ad.scatter_sum(relation_of, g_spread * mask, relations))
+    stacked = edges.active.size + view.entity_count
+    g = rng.normal(size=(view.entity_count, config.dim))
+    assert np.array_equal(model_module._placed(g, edges.merge, stacked), ad.scatter_sum(edges.merge, g, stacked))
+
+
+def fresh_encoding(kg, params, config) -> np.ndarray:
+    """The graph's value table encoded through a layout built for this call."""
+    if config.encoder == "bow":
+        return encode_bow(kg.value_tokens, params["word"]).data
+    return encode_lstm(kg.value_tokens, params["word"], *(params[f"lstm.{n}"] for n in ("w_in", "w_hid", "b"))).data
+
+
+@pytest.mark.parametrize("encoder", ["bow", "lstm"])
+def test_encoder_layout_is_built_once_per_view(monkeypatch, encoder):
+    """Two encodings over one view build the encoder's layout once; a view
+    over another graph builds its own, also when it is made after the
+    first view is gone and may reuse its memory."""
+    config = ModelConfig(dim=4, head_dim=4, heads=1, layers=1, encoder=encoder)
+    layout_class = BowLayout if encoder == "bow" else LstmLayout
+    built = []
+    real_init = layout_class.__init__
+    monkeypatch.setattr(layout_class, "__init__", lambda self, *args: built.append(self) or real_init(self, *args))
+    kg, view, params = build(12, config, with_attributes=True)
+    first = encode_value(view, params, config).data
+    assert np.array_equal(encode_value(view, params, config).data, first)
+    assert len(built) == 1
+    del view
+    for seed in range(13, 17):
+        kg, view, params = build(seed, config, with_attributes=True)
+        count = len(built)
+        got = encode_value(view, params, config).data
+        assert len(built) == count + 1
+        assert np.array_equal(got, fresh_encoding(kg, params, config))
+        del view
 
 
 def test_zero_layers_returns_raw_embeddings():
