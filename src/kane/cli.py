@@ -386,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KaneError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # a config too large for the machine, refused by the allocator
+        print(f"error: {args.command}: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ Two tasks share the propagation model but train separately:
 
 * ``completion``      -- margin hinge loss over positive triples (training
   relation triples plus all attribute triples) against sampled corruptions.
-  Both are ``kgdata.triple_rows``; ``corrupt`` draws a whole batch at once.
+  Both are ``kgdata.triple_rows``; ``corrupt`` draws a whole epoch's
+  negatives at once.
 * ``classification``  -- per-class binary cross-entropy on the labeled
   training entities.
 
 Runs are deterministic for a fixed seed: one RNG drives initialization,
-shuffling and corruption in a fixed draw order, and evaluation consumes no
-randomness.
+shuffling and corruption in a fixed draw order (the parameters, then per
+epoch the permutation and, for completion, that epoch's negatives), and
+evaluation consumes no randomness.
 """
 
 from __future__ import annotations
@@ -148,6 +150,12 @@ def corrupt(
     fair coin picks the head or the target, which is replaced by a uniform
     entity (a uniform value, for an attribute row's target). Slots that hit
     a known triple are drawn again, coin included.
+
+    ``train`` calls it once per epoch, over all positives in that epoch's
+    order, so the sampler's fixed cost and its redraw rounds are paid once
+    per epoch, not once per batch. The result then holds positives x n x
+    3 int64 for the whole epoch: 0.84 MB on the 500-entity benchmark graph
+    (3,509 positives, 10 negatives each).
     """
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     ne, nv = kg.num_entities, kg.num_values
@@ -337,6 +345,12 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Train from scratch; returns the parameters and a per-epoch report.
 
+    Each epoch draws a permutation of the positives and, for completion,
+    all of its negatives in one ``corrupt`` call over the permuted
+    positives, ``negatives`` rows per positive, grouped by positive; a
+    batch of k positives takes its k * ``negatives`` rows as a slice.
+    Classification draws no negatives.
+
     With validation enabled (``val_every > 0`` and held-out data present),
     the best-validation parameters are kept and restored at the end; early
     stopping triggers after ``patience`` checks without improvement.
@@ -378,14 +392,16 @@ def train(
         for epoch in range(1, config.epochs + 1):
             t0 = time.perf_counter()
             order = rng.permutation(len(positives))
+            if config.task == "completion":
+                # the epoch's negatives in one draw, grouped by positive in epoch order
+                epoch_negs = corrupt(positives[order], kg, known, rng, config.negatives)
             total_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 chunk = positives[order[start:start + config.batch_size]]
-                if config.task == "completion":
-                    negs = corrupt(chunk, kg, known, rng, config.negatives)
                 ad.zero_grads(params.values())
                 with Tape() as tape:
                     if config.task == "completion":
+                        negs = epoch_negs[start * config.negatives:(start + len(chunk)) * config.negatives]
                         # one value table, read by propagation and by the loss's attribute targets
                         values = encode_value(view, params, config.model)
                         finals = forward_all(view, params, config.model, values)

@@ -149,6 +149,21 @@ class TestConfig:
         assert err.startswith(f"error: {key} must be > 0 and finite") and err.count("\n") == 1
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    def test_a_config_too_large_for_memory_exits_with_one_line_error(self, tmp_path, capsys):
+        """An entity table the allocator refuses ends in one error line that
+        names the command, not in a traceback. At 20 entities, dim 10**13
+        asks for 1.42 PiB, past any 47-bit address space, so no overcommit
+        setting grants it and NumPy refuses it at once."""
+        bundle = gen_and_prepare(tmp_path)
+        capsys.readouterr()
+        code = run(["train", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+                    *SMALL_TRAIN, "--set", "dim=10000000000000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: train: out of memory: ") and err.count("\n") == 1
+        assert "1.42 PiB" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("form", [["--seed", "-1"], ["--set", "seed=-1"]], ids=["flag", "set"])
     @pytest.mark.parametrize("command", ["gen-synth", "prepare", "train"])
     def test_negative_seed_exits_with_one_line_error(self, tmp_path, capsys, command, form):

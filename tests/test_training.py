@@ -17,7 +17,8 @@ import kane.autodiff as ad
 import kane.training as training
 from kane.errors import ConfigError, IntegrityError, SamplingError, TrainingError
 from kane.kgdata import (
-    DatasetSplit, GraphView, KnownAnswers, generate_synthetic_kg, id_tuples, known_triples, triple_rows,
+    DatasetSplit, GraphView, KnownAnswers, generate_synthetic_kg, id_tuples, known_triples, pair_keys,
+    triple_rows,
 )
 from kane.model import (
     AGGREGATORS, ATTENTION_FORMS, ENCODERS, NORMS, ModelConfig, encode_value, forward_all, init_params,
@@ -639,6 +640,60 @@ class TestTrainLoop:
         assert r1.epoch_losses == r2.epoch_losses
         for (name, a), (_, b) in zip(p1.named_parameters(), p2.named_parameters()):
             assert np.array_equal(a.data, b.data), name
+
+    def test_completion_draws_each_epochs_negatives_in_one_call(self, monkeypatch):
+        """A completion run calls ``corrupt`` once per epoch, over all its
+        positives, and each batch's negatives are that draw's rows of the
+        batch's positives: ``negatives`` per positive, grouped by positive,
+        each with its positive's relation and one of its ends, and none a
+        known triple. The positive count is no multiple of the batch size,
+        so each epoch's last batch is partial."""
+        kg = random_kg(np.random.default_rng(8), entities=10, relations=2, triples=21,
+                       attribute_relations=1, attribute_triples=6)
+        split = DatasetSplit(train=id_tuples(kg.relation_triples), valid=[], test=[])
+        positives = triple_rows(kg, split.train, True)
+        config = _toy_config(epochs=3, batch_size=4, negatives=3)
+        assert len(positives) % config.batch_size and (positives[:, 2] >= kg.num_entities).any()
+        draws, batches = [], []
+        real_corrupt, real_loss = training.corrupt, training._completion_batch_loss
+
+        def counting_corrupt(rows, *args):
+            draws.append((rows.copy(), real_corrupt(rows, *args)))
+            return draws[-1][1]
+
+        def recording_loss(chunk, negs, *args):
+            batches.append((len(draws), chunk.copy(), negs.copy()))
+            return real_loss(chunk, negs, *args)
+
+        monkeypatch.setattr(training, "corrupt", counting_corrupt)
+        monkeypatch.setattr(training, "_completion_batch_loss", recording_loss)
+        train(kg, split, config)
+        assert len(draws) == config.epochs
+        known = known_triples(kg)
+        n = config.negatives
+        for epoch, (rows, negs) in enumerate(draws, start=1):
+            assert sorted(map(tuple, rows)) == sorted(map(tuple, positives))
+            mine = [(chunk, got) for seen, chunk, got in batches if seen == epoch]
+            assert len(mine) == -(-len(positives) // config.batch_size)
+            assert len(mine[-1][0]) == len(positives) % config.batch_size
+            assert np.array_equal(np.concatenate([chunk for chunk, _ in mine]), rows)
+            assert np.array_equal(np.concatenate([got for _, got in mine]), negs)
+            for chunk, got in mine:
+                assert got.shape == (len(chunk) * n, 3)
+                own = np.repeat(chunk, n, axis=0)
+                assert np.array_equal(got[:, 1], own[:, 1])
+                assert ((got[:, 0] == own[:, 0]) | (got[:, 2] == own[:, 2])).all()
+                assert not known.contains(pair_keys(got[:, 0], got[:, 1]), got[:, 2]).any()
+
+    def test_classification_draws_no_negatives(self, monkeypatch):
+        kg, split = _toy_setup()
+        split.labels = np.arange(kg.num_entities) % 2
+        split.class_names = ["c0", "c1"]
+        split.label_train = np.arange(6)
+        calls = []
+        monkeypatch.setattr(training, "corrupt", lambda *args: calls.append(args))
+        train(kg, split, _toy_config(task="classification", epochs=2))
+        assert calls == []
 
     def test_completion_loss_decreases(self):
         kg, split = _toy_setup()
