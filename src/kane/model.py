@@ -377,14 +377,16 @@ def _layer_heads(
     )
     w = transform.data
     # all heads at once, applied to the tables before any per-edge gather,
-    # since W (r + n) = W r + W n
-    query = relation.data @ w  # (R, heads * head_dim)
-    source = table @ w  # (S, heads * head_dim)
+    # since W (r + n) = W r + W n; t = W n and q = W r are the two halves of
+    # one (S + R, heads * head_dim) buffer, which the bilinear products read
+    # whole as [t; q]
+    stacked = np.empty((n_table + relations, w.shape[1]))
+    source = np.matmul(table, w, out=stacked[:n_table])
+    query = np.matmul(relation.data, w, out=stacked[n_table:])
     if bilinear:
         spread = query[relation_of] * mask
         # <x_h, q_{r,h}> for every row x of [source; query], relation r and
         # head h, at row x * R + r, column h
-        stacked = np.concatenate([source, query])
         spread_t = np.ascontiguousarray(spread.T)
         products = (stacked @ spread_t).reshape(-1, heads)
         raw = products[at_source] + products[at_query]

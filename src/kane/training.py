@@ -146,7 +146,8 @@ def corrupt(
     """``n`` corruptions of each positive row, filtered against known positives.
 
     ``positives`` are (m, 3) ``triple_rows`` and ``known`` is
-    ``known_triples(kg)``; returns (m * n, 3) rows grouped by positive. A
+    ``known_triples(kg)``; returns (m * n, 3) int32 rows grouped by
+    positive (ids are below 2**31, as bundles store them). A
     fair coin picks the head or the target, which is replaced by a uniform
     entity (a uniform value, for an attribute row's target). Slots that hit
     a known triple are drawn again, coin included.
@@ -154,8 +155,9 @@ def corrupt(
     ``train`` calls it once per epoch, over all positives in that epoch's
     order, so the sampler's fixed cost and its redraw rounds are paid once
     per epoch, not once per batch. The result then holds positives x n x
-    3 int64 for the whole epoch: 0.84 MB on the 500-entity benchmark graph
-    (3,509 positives, 10 negatives each).
+    3 int32 for the whole epoch: 0.42 MB on the 500-entity benchmark graph
+    (3,509 positives, 10 negatives each). The pair keys of the known-triple
+    test stay int64.
     """
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     ne, nv = kg.num_entities, kg.num_values
@@ -163,7 +165,7 @@ def corrupt(
         raise SamplingError("cannot corrupt: need at least 2 entities")
     if (pos[:, 2] >= ne).any() and nv < 2:
         raise SamplingError("cannot corrupt attribute value: need at least 2 values")
-    out = np.repeat(pos, n, axis=0)
+    out = np.repeat(pos.astype(np.int32), n, axis=0)
     slots = np.arange(len(out))
     for _ in range(_MAX_RESAMPLE):
         cand = pos[slots // n]
@@ -248,6 +250,10 @@ def sgd_step(params: ModelParams, learning_rate: float) -> None:
 # ---------------------------------------------------------------------------
 # batch losses
 
+_LOSS_ROWS = 256  # rows per forward block: two (256, 64) float64 buffers fit in L2
+_SCATTER_CELLS = 1 << 17  # elements per column block of the backward's scatters
+
+
 def _completion_batch_loss(
     positives: np.ndarray,
     negatives: np.ndarray,
@@ -261,53 +267,73 @@ def _completion_batch_loss(
     positive, as one tape record. Attribute targets read ``values``, the
     value table from ``encode_value``.
 
-    Each row's difference h + r - t is built in one buffer, every gather
-    writing straight into a buffer. The backward runs over the live rows
-    only, those whose hinge gradient is nonzero or whose distance is not
-    finite: any other row adds only +-0.0 to gradient sums that start at
-    +0.0, so dropping it changes no bit. It writes the live rows' gradient
-    of the difference into the second buffer, from which three scatters
-    fill the entity, relation and value gradients.
+    The forward runs in blocks of ``_LOSS_ROWS`` rows, every gather writing
+    straight into a buffer: each block's difference h + r - t is built in
+    one buffer and its distances in the other. The record keeps only what
+    its backward reads: l1's signs of the difference as float16, exact for
+    -1, +-0, +1 and NaN, or l2's float64 difference, which is then built
+    in place. The two buffers are ``work[0]`` and ``work[1]``, a
+    (2, >= min(rows, ``_LOSS_ROWS``), dim) float64 array that a training
+    run allocates once, or new arrays; only the forward reads them.
 
-    The two buffers are ``work[0]`` and ``work[1]``, a (2, >= rows, dim)
-    float64 array that a training run allocates once, or new arrays. The
-    record reads them until its backward has run, so ``work`` must not be
-    passed again before then.
+    The backward runs over the live rows only, those whose hinge gradient
+    is nonzero or whose distance is not finite: any other row adds only
+    +-0.0 to gradient sums that start at +0.0, so dropping it changes no
+    bit. It walks the columns in blocks of at most ``_SCATTER_CELLS``
+    elements, each building the live rows' gradient of the difference and
+    scattering it into the entity, relation and value gradients. Every
+    (bin, column) sum still adds its rows in row order from zero, so the
+    sums are bit for bit those of one scatter over all columns.
     """
     rows = np.concatenate([positives, negatives])
     head, relation, target = rows[:, 0], rows[:, 1], rows[:, 2]
     rel, n_ent = params.relation, ent.shape[0]
     # targets index one table: the entity rows, then the value rows by value id
     table = ent.data if values is None else np.concatenate([ent.data, values.data])
-    n_rel, n_target = rel.shape[0], table.shape[0]
+    n_rel, (n_target, dim) = rel.shape[0], table.shape
     for col, n, what in ((head, n_ent, "head"), (relation, n_rel, "relation"), (target, n_target, "target")):
         if col.min() < 0 or col.max() >= n:
             raise IndexError(f"completion loss: {what} index out of range for {n} rows")
     if work is None:
-        work = np.empty((2, len(rows), table.shape[1]))
-    # mode="clip" lets take write into ``out`` unbuffered; the checks above keep it from clipping
-    diff = ent.data.take(head, axis=0, out=work[0, :len(rows)], mode="clip")
-    buf = rel.data.take(relation, axis=0, out=work[1, :len(rows)], mode="clip")
-    diff += buf
-    diff -= table.take(target, axis=0, out=buf, mode="clip")
+        work = np.empty((2, min(len(rows), _LOSS_ROWS), dim))
     l1 = config.model.norm == "l1"
-    dist = np.abs(diff, out=buf).sum(axis=1) if l1 else np.sqrt(np.multiply(diff, diff, out=buf).sum(axis=1))
+    kept = np.empty((len(rows), dim), dtype=np.float16 if l1 else np.float64)
+    dist = np.empty(len(rows))
+    for start in range(0, len(rows), _LOSS_ROWS):
+        part, n = slice(start, start + _LOSS_ROWS), min(_LOSS_ROWS, len(rows) - start)
+        diff, buf = work[0, :n] if l1 else kept[part], work[1, :n]
+        # mode="clip" lets take write into ``out`` unbuffered; the checks above keep it from clipping
+        ent.data.take(head[part], axis=0, out=diff, mode="clip")
+        diff += rel.data.take(relation[part], axis=0, out=buf, mode="clip")
+        diff -= table.take(target[part], axis=0, out=buf, mode="clip")
+        if l1:
+            np.abs(diff, out=buf).sum(axis=1, out=dist[part])
+            np.sign(diff, out=kept[part])
+        else:
+            np.sqrt(np.multiply(diff, diff, out=buf).sum(axis=1, out=dist[part]), out=dist[part])
     loss, dist_grad = hinge_loss(dist, len(positives), config.margin, config.negatives)
 
     def back(g):
         g_dist = dist_grad * g
         live = np.flatnonzero((g_dist != 0.0) | ~np.isfinite(dist))
-        g_dist, d = g_dist[live, None], dist[live]
-        grad = diff.take(live, axis=0, out=buf[:live.size], mode="clip")
-        if l1:
-            np.sign(grad, out=grad)
-            grad *= g_dist
-        else:
-            grad *= g_dist / np.where(d == 0.0, 1.0, d)[:, None]
-            grad *= (d != 0.0)[:, None]
-        rel_grad = ad.scatter_sum(relation[live], grad, n_rel)
-        head_grad = ad.scatter_sum(head[live], grad, n_ent)
-        target_grad = ad.scatter_sum(target[live], np.negative(grad, out=grad), n_target)
+        g_dist = g_dist[live, None]
+        if not l1:
+            d = dist[live]
+            g_dist = g_dist / np.where(d == 0.0, 1.0, d)[:, None]
+            nonzero = (d != 0.0)[:, None]
+        heads, relations, targets = head[live], relation[live], target[live]
+        head_grad, rel_grad, target_grad = np.empty((n_ent, dim)), np.empty((n_rel, dim)), np.empty((n_target, dim))
+        width = min(dim, max(1, _SCATTER_CELLS // max(1, live.size)))
+        cells = np.empty(live.size * width)  # one column block's gradient, reused by the next
+        for start in range(0, dim, width):
+            cols = slice(start, min(start + width, dim))
+            grad = cells[:live.size * (cols.stop - start)].reshape(live.size, cols.stop - start)
+            np.multiply(kept[live, cols], g_dist, out=grad)
+            if not l1:
+                grad *= nonzero
+            rel_grad[:, cols] = ad.scatter_sum(relations, grad, n_rel)
+            head_grad[:, cols] = ad.scatter_sum(heads, grad, n_ent)
+            target_grad[:, cols] = ad.scatter_sum(targets, np.negative(grad, out=grad), n_target)
         head_grad += target_grad[:n_ent]
         if values is None:
             return head_grad, rel_grad
@@ -384,9 +410,8 @@ def train(
     best_snap: dict[str, np.ndarray] | None = None
     checks_since_best = 0
     filt = None  # the filter index, built at the first completion validation
-    work = None  # the completion loss's buffers: allocated once, not faulted in every step
-    if config.task == "completion":
-        work = np.empty((2, min(len(positives), config.batch_size) * (1 + config.negatives), config.model.dim))
+    # the completion loss's two block buffers: allocated once, not faulted in every step
+    work = np.empty((2, _LOSS_ROWS, config.model.dim)) if config.task == "completion" else None
 
     with np.errstate(all="ignore"):  # no warnings: a diverging step fails a check below
         for epoch in range(1, config.epochs + 1):

@@ -126,6 +126,7 @@ class TestCorrupt:
         kg = random_kg(np.random.default_rng(2), entities=6, triples=14)
         rows, negs = _corrupt_all(kg, 13, 0)
         assert negs.shape == (13 * len(rows), 3)
+        assert negs.dtype == np.int32  # an epoch's negatives are held whole; ids are below 2**31
         groups = negs.reshape(len(rows), 13, 3)
         # each corruption keeps its positive's relation and one of its two ends
         assert (groups[:, :, 1] == rows[:, None, 1]).all()
@@ -309,6 +310,30 @@ def _completion_loss_setup(norm, values):
     return positives, negatives, params.entity, params, config, table
 
 
+def _large_completion_loss_setup(norm, values, positive_count=200):
+    """The tuple of ``_completion_loss_setup`` at dim 64: ``positive_count``
+    positives with 10 negatives each (2,200 rows by default) over 50
+    entities, 5 relations and, with ``values``, 10 value rows (targets
+    50-59). The margin holds every (positive, negative) pair inside it, so
+    every row is live: 2,200 rows run nine forward blocks and two column
+    blocks of the backward. Row 0 is (0, 1, 2), and no row reads entity 49
+    or value row 9."""
+    rng = np.random.default_rng(24)
+    dim, n_ent, n_rel, n_val, per = 64, 50, 5, 10, 10
+    targets = np.r_[0:n_ent - 1, n_ent:n_ent + n_val - 1] if values else np.arange(n_ent - 1)
+    positives = np.column_stack([rng.integers(n_ent - 1, size=positive_count),
+                                 rng.integers(n_rel, size=positive_count),
+                                 rng.choice(targets, size=positive_count)])
+    positives[0] = [0, 1, 2]
+    negatives = np.repeat(positives, per, axis=0)
+    negatives[:, 2] = rng.choice(targets, size=len(negatives))
+    model = ModelConfig(dim=dim, head_dim=4, heads=1, layers=0, use_attributes=False, norm=norm)
+    params = init_params(n_ent, n_rel, 0, 0, model, rng)
+    config = TrainConfig(model=ModelConfig(dim=dim, norm=norm), margin=1e4, negatives=per)
+    table = ad.parameter(rng.normal(size=(n_val, dim))) if values else None
+    return positives, negatives, params.entity, params, config, table
+
+
 @pytest.mark.parametrize("loss", ["completion", "bce"])
 def test_each_loss_is_one_tape_record(loss):
     with ad.Tape() as tape:
@@ -360,11 +385,14 @@ def _fused_and_composed(positives, negatives, ent, params, config, table):
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("values", [False, True])
-def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values):
+@pytest.mark.parametrize("large", [False, True])
+def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values, large):
     """The one-record loss and every gradient equal the op-by-op composition
     (``helpers.composed_completion_loss``) bit for bit, with and without
-    a value table, and some distances exactly zero (l2's 0/0 guard)."""
-    positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values)
+    a value table, and some distances exactly zero (l2's 0/0 guard); also
+    on 2,200 live rows, across several forward blocks and column blocks."""
+    setup = _large_completion_loss_setup if large else _completion_loss_setup
+    positives, negatives, ent, params, config, table = setup(norm, values)
     negatives[0] = positives[0]  # with the next line, row 0 of both has a zero difference
     ent.data[2] = ent.data[0] + params.relation.data[1]
     (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
@@ -411,13 +439,23 @@ def test_completion_loss_with_every_negative_past_the_margin_has_positive_zero_g
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_completion_loss_passes_a_dead_row_non_finite_distance_on_as_the_composition_does(norm, bad):
+@pytest.mark.parametrize("large, values", [(False, True), (True, False), (True, True)])
+def test_completion_loss_passes_a_dead_row_non_finite_distance_on_as_the_composition_does(norm, bad, large,
+                                                                                          values):
     """A negative whose distance is not finite has no hinge gradient, but
     its backward still runs: l2's inf * 0 and both norms' NaN reach the
-    same gradient entries as in the composition, bit for bit."""
-    positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values=True)
-    negatives[0] = [0, 1, 7]  # value row 2, which no positive reads
-    table.data[2, 0] = bad
+    same gradient entries as in the composition, bit for bit, also when the
+    row lies in the last forward block and the entry in the last column
+    block."""
+    if large:
+        positives, negatives, ent, params, config, table = _large_completion_loss_setup(norm, values)
+        # entity 49 or value row 9, which no other row reads
+        negatives[-1] = [0, 1, 59 if values else 49]
+        (table.data[9] if values else ent.data[49])[-1] = bad
+    else:
+        positives, negatives, ent, params, config, table = _completion_loss_setup(norm, values)
+        negatives[0] = [0, 1, 7]  # value row 2, which no positive reads
+        table.data[2, 0] = bad
     with np.errstate(invalid="ignore"):  # as in training: inf * 0 is NaN
         (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
             positives, negatives, ent, params, config, table)
@@ -429,9 +467,9 @@ def test_completion_loss_passes_a_dead_row_non_finite_distance_on_as_the_composi
 
 
 def test_completion_loss_forward_holds_two_row_buffers():
-    """The forward gathers h, r and t straight into its two (rows, dim)
-    buffers: on 2,200 rows at dim 64 its peak stays below 2.5 such arrays,
-    where a buffered gather would copy a third, and below half of one when
+    """The forward gathers h, r and t straight into its two block buffers
+    and keeps only l1's float16 signs: on 2,200 rows at dim 64 its peak
+    stays below 2.5 float64 (rows, dim) arrays, and below half of one when
     the buffers are given."""
     rng = np.random.default_rng(23)
     dim, n_ent, n_rel, n_val, per = 64, 50, 5, 10, 10
@@ -453,6 +491,26 @@ def test_completion_loss_forward_holds_two_row_buffers():
             finally:
                 tracemalloc.stop()
         assert peak < bound * rows * dim * 8, (peak, rows * dim * 8)
+
+
+def test_completion_loss_peak_grows_by_its_float16_signs():
+    """Forward and backward at 2,200 and 4,400 rows at dim 64: the peak
+    grows by less than half a float64 (added rows, dim) array. Only l1's
+    float16 signs grow with the rows, a quarter of such an array; the block
+    buffers and the backward's column blocks keep their size."""
+    peaks = []
+    for positive_count in (200, 400):
+        positives, negatives, ent, params, config, table = _large_completion_loss_setup("l1", True,
+                                                                                        positive_count)
+        with ad.Tape() as tape:
+            tracemalloc.start()
+            try:
+                ad.backward(tape, _completion_batch_loss(positives, negatives, ent, params, config, table))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    added = 200 * (1 + config.negatives) * ent.shape[1] * 8
+    assert peaks[1] - peaks[0] < 0.5 * added, (peaks, added)
 
 
 @pytest.mark.parametrize("column, rows", [(0, 5), (1, 3), (2, 8)])
