@@ -31,12 +31,15 @@ The NumPy kernels the records run sum rows by index. ``scatter_sum`` is a
 flat ``np.bincount`` over ``index * width + column``: it needs no sort,
 reads its input in memory order, and rows no index hits are zero. It
 builds that flat index at every call, so it serves the scatters whose
-rows change from call to call, the losses' live rows and batch rows, and
-the small ones: the bag-of-words encoder's two and translational
-attention's three per-edge gradient scatters. A scatter whose index a
-graph view fixes builds its flat index once, with ``scatter_index``, and
-runs ``scatter_rows`` over it: the attention layer's pair scatter and the
-gradient of its products table. An ``AggregationPlan``, built once
+rows change from call to call, the classification loss's batch rows,
+and the small ones: the bag-of-words encoder's two and translational
+attention's three per-edge gradient scatters. A scatter that runs more
+than once over one index builds its flat index once, with
+``scatter_index``, and runs ``scatter_rows`` over it: the attention
+layer's pair scatter and the gradient of its products table, whose
+index a graph view fixes, and the completion loss's three scatters of
+its live rows, whose indexes a step builds once for all of its column
+blocks. An ``AggregationPlan``, built once
 per edge set (a graph view holds one), holds the segments of the edges
 and runs the segment softmax and the edge aggregation over them, with no
 (entries, width) array. The aggregation has two kernels, and the plan

@@ -251,7 +251,7 @@ def sgd_step(params: ModelParams, learning_rate: float) -> None:
 # batch losses
 
 _LOSS_ROWS = 256  # rows per forward block: two (256, 64) float64 buffers fit in L2
-_SCATTER_CELLS = 1 << 17  # elements per column block of the backward's scatters
+_SCATTER_CELLS = 1 << 17  # elements of a backward column block's three flat scatter indexes together
 
 
 def _completion_batch_loss(
@@ -270,20 +270,27 @@ def _completion_batch_loss(
     The forward runs in blocks of ``_LOSS_ROWS`` rows, every gather writing
     straight into a buffer: each block's difference h + r - t is built in
     one buffer and its distances in the other. The record keeps only what
-    its backward reads: l1's signs of the difference as float16, exact for
-    -1, +-0, +1 and NaN, or l2's float64 difference, which is then built
-    in place. The two buffers are ``work[0]`` and ``work[1]``, a
+    its backward reads: l1's signs of the difference as int8, from two
+    compares written into the second buffer's bytes once the distances are
+    summed, or l2's float64 difference, which is then built in place. The
+    two buffers are ``work[0]`` and ``work[1]``, a
     (2, >= min(rows, ``_LOSS_ROWS``), dim) float64 array that a training
     run allocates once, or new arrays; only the forward reads them.
 
     The backward runs over the live rows only, those whose hinge gradient
     is nonzero or whose distance is not finite: any other row adds only
     +-0.0 to gradient sums that start at +0.0, so dropping it changes no
-    bit. It walks the columns in blocks of at most ``_SCATTER_CELLS``
-    elements, each building the live rows' gradient of the difference and
-    scattering it into the entity, relation and value gradients. Every
+    bit. int8 holds no NaN, so l1's live rows whose distance is not finite
+    take ``np.sign`` of their difference, gathered again as the forward
+    did. The backward walks the columns in blocks of one width, whose
+    relation, head and target flat scatter indexes hold at most
+    ``_SCATTER_CELLS`` elements together and are built once per step; the
+    last block ends at dim, redoing columns of the one before if it must.
+    Each block builds the live rows' gradient of the difference and
+    scatters it into the entity, relation and value gradients. Every
     (bin, column) sum still adds its rows in row order from zero, so the
-    sums are bit for bit those of one scatter over all columns.
+    sums, redone ones too, are bit for bit those of one scatter over all
+    columns.
     """
     rows = np.concatenate([positives, negatives])
     head, relation, target = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -297,7 +304,7 @@ def _completion_batch_loss(
     if work is None:
         work = np.empty((2, min(len(rows), _LOSS_ROWS), dim))
     l1 = config.model.norm == "l1"
-    kept = np.empty((len(rows), dim), dtype=np.float16 if l1 else np.float64)
+    kept = np.empty((len(rows), dim), dtype=np.int8 if l1 else np.float64)
     dist = np.empty(len(rows))
     for start in range(0, len(rows), _LOSS_ROWS):
         part, n = slice(start, start + _LOSS_ROWS), min(_LOSS_ROWS, len(rows) - start)
@@ -308,7 +315,9 @@ def _completion_batch_loss(
         diff -= table.take(target[part], axis=0, out=buf, mode="clip")
         if l1:
             np.abs(diff, out=buf).sum(axis=1, out=dist[part])
-            np.sign(diff, out=kept[part])
+            above, below = buf.reshape(-1).view(np.bool_)[:2 * diff.size].reshape(2, n, dim)
+            np.greater(diff, 0.0, out=above)
+            np.subtract(above.view(np.int8), np.less(diff, 0.0, out=below).view(np.int8), out=kept[part])
         else:
             np.sqrt(np.multiply(diff, diff, out=buf).sum(axis=1, out=dist[part]), out=dist[part])
     loss, dist_grad = hinge_loss(dist, len(positives), config.margin, config.negatives)
@@ -316,24 +325,40 @@ def _completion_batch_loss(
     def back(g):
         g_dist = dist_grad * g
         live = np.flatnonzero((g_dist != 0.0) | ~np.isfinite(dist))
-        g_dist = g_dist[live, None]
-        if not l1:
-            d = dist[live]
-            g_dist = g_dist / np.where(d == 0.0, 1.0, d)[:, None]
-            nonzero = (d != 0.0)[:, None]
-        heads, relations, targets = head[live], relation[live], target[live]
-        head_grad, rel_grad, target_grad = np.empty((n_ent, dim)), np.empty((n_rel, dim)), np.empty((n_target, dim))
-        width = min(dim, max(1, _SCATTER_CELLS // max(1, live.size)))
-        cells = np.empty(live.size * width)  # one column block's gradient, reused by the next
-        for start in range(0, dim, width):
-            cols = slice(start, min(start + width, dim))
-            grad = cells[:live.size * (cols.stop - start)].reshape(live.size, cols.stop - start)
-            np.multiply(kept[live, cols], g_dist, out=grad)
-            if not l1:
-                grad *= nonzero
-            rel_grad[:, cols] = ad.scatter_sum(relations, grad, n_rel)
-            head_grad[:, cols] = ad.scatter_sum(heads, grad, n_ent)
-            target_grad[:, cols] = ad.scatter_sum(targets, np.negative(grad, out=grad), n_target)
+        new = np.empty if live.size else np.zeros  # no live row leaves every gradient +0.0
+        head_grad, rel_grad, target_grad = new((n_ent, dim)), new((n_rel, dim)), new((n_target, dim))
+        if live.size:
+            g_dist = g_dist[live, None]
+            if l1:
+                signs = kept if live.size == len(kept) else kept.take(live, axis=0)
+                # NaN entries, which the int8 signs read as 0, lie in these rows alone
+                odd = np.flatnonzero(~np.isfinite(dist[live]))
+                if odd.size:
+                    at = live[odd]
+                    full = ent.data if values is None else np.concatenate([ent.data, values.data])
+                    odd_signs = np.sign(ent.data[head[at]] + rel.data[relation[at]] - full[target[at]])
+            else:
+                d = dist[live]
+                g_dist = g_dist / np.where(d == 0.0, 1.0, d)[:, None]
+                nonzero = (d != 0.0)[:, None]
+            # the fewest column blocks whose three flat indexes fit in the cells, all one width
+            blocks = -(-dim // max(1, _SCATTER_CELLS // (3 * live.size)))
+            width = -(-dim // blocks)
+            flats = [ad.scatter_index(col[live], width) for col in (relation, head, target)]
+            grad = np.empty((live.size, width))  # one column block's gradient, reused by the next
+            for start in range(0, dim, width):
+                start = min(start, dim - width)  # the last block ends at dim
+                cols = slice(start, start + width)
+                if l1:
+                    np.multiply(signs[:, cols], g_dist, out=grad)
+                    if odd.size:
+                        grad[odd] = odd_signs[:, cols] * g_dist[odd]
+                else:
+                    np.multiply(kept[live, cols], g_dist, out=grad)
+                    grad *= nonzero
+                rel_grad[:, cols] = ad.scatter_rows(flats[0], grad, n_rel)
+                head_grad[:, cols] = ad.scatter_rows(flats[1], grad, n_ent)
+                target_grad[:, cols] = ad.scatter_rows(flats[2], np.negative(grad, out=grad), n_target)
         head_grad += target_grad[:n_ent]
         if values is None:
             return head_grad, rel_grad
