@@ -107,7 +107,7 @@ class Tensor:
     never do.
     """
 
-    __slots__ = ("data", "grad", "is_param", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "is_param", "name", "_backward")
 
     def __init__(self, data, *, is_param: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -119,7 +119,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.is_param = is_param
         self.name = name
-        self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -186,8 +185,8 @@ def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     parent, a gradient shaped like it or ``None``. Parents that take no
     gradient get none; a first gradient is adopted, not copied, and later
     ones are added into it; a gradient that may alias an earlier one is
-    copied; a parent listed more than once gets its gradients in list
-    order. Outside a tape the result is a plain value."""
+    copied. Each parent is listed once. Outside a tape the result is a
+    plain value."""
     out = Tensor(data)
     tape = active_tape()
     if tape is None:
@@ -206,7 +205,6 @@ def fused(data, parents: Sequence[Tensor], backward: Callable) -> Tensor:
             else:
                 p.grad += grad
 
-    out._parents = tuple(parents)
     out._backward = back
     tape.records.append(out)
     return out

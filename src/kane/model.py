@@ -359,12 +359,8 @@ def _layer_heads(
     product, the weighted sum, the pair scatter, the softmax, the leaky ReLU
     and the logit gathers (or the norms and the translational gathers), the
     products table and the spread mask, and last the transform's two
-    products. It adds each gradient in the order the same steps would as
-    separate tape records, so its sums, and with them fixed-seed runs, are
-    bit for bit those of that composition: a tensor that several steps
-    read, such as the source table, gets its contributions one after
-    another, and ``inputs`` is listed once per step that hands it one, so
-    even a gradient it already holds grows in that order.
+    products. Both forms build one source-table gradient, which the
+    translational gathers' sums join, and hand each parent one gradient.
     """
     edges, plan = view.edges, view.aggregation
     relation, transform = params.relation, params[f"head_w.{layer}"]
@@ -423,35 +419,27 @@ def _layer_heads(
             g_source += g_stacked[:n_table]
             g_query = g_stacked[n_table:]
             g_query += _diagonal_blocks(g_spread, heads)
-            g_table = g_source @ w.T
-            parts = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
         else:
             g_query = g_spread
+        g_table = g_source @ w.T
+        g_relation = g_query @ w.T
+        if not bilinear:
             g_norms = -g_logits
             if l1:
                 g_diff = g_norms[:, None] * np.sign(diff)
             else:
                 safe = np.where(norms == 0.0, 1.0, norms)
                 g_diff = (g_norms / safe)[:, None] * diff * (norms != 0.0)[:, None]
-            g_table = ad.scatter_sum(edges.source, -g_diff, n_table)
-            g_owner = ad.scatter_sum(edges.owner, g_diff, n_inputs)
-            # the source gather's, the owner gather's, then the product's
-            if values is None:  # the table is the inputs, which get all three in turn
-                parts = [g_table, g_owner, g_source @ w.T]
-            else:
-                g_table += g_source @ w.T
-                parts = [g_owner, g_table[:n_inputs], g_table[n_inputs:]]
-        g_relation = g_query @ w.T
-        if not bilinear:
+            # the source gather subtracts, the owner gather adds into the entity rows
+            g_table -= ad.scatter_sum(edges.source, g_diff, n_table)
+            g_table[:n_inputs] += ad.scatter_sum(edges.owner, g_diff, n_inputs)
             g_relation += ad.scatter_sum(edges.relation, g_diff, relations)
         g_w = table.T @ g_source
         g_w += relation.data.T @ g_query
+        parts = [g_table] if values is None else [g_table[:n_inputs], g_table[n_inputs:]]
         return parts + [g_relation, g_w]
 
-    if bilinear:
-        parents = [inputs] if values is None else [inputs, values]
-    else:
-        parents = [inputs, inputs, inputs if values is None else values]
+    parents = [inputs] if values is None else [inputs, values]
     return ad.constant(weights), ad.fused(out, parents + [relation, transform], backward)
 
 

@@ -280,14 +280,17 @@ def _completion_batch_loss(
     The backward runs over the live rows only, those whose hinge gradient
     is nonzero or whose distance is not finite: any other row adds only
     +-0.0 to gradient sums that start at +0.0, so dropping it changes no
-    bit. int8 holds no NaN, so l1's live rows whose distance is not finite
-    take ``np.sign`` of their difference, gathered again as the forward
-    did. The backward walks the columns in blocks of one width, whose
-    relation, head and target flat scatter indexes hold at most
-    ``_SCATTER_CELLS`` elements together and are built once per step; the
-    last block ends at dim, redoing columns of the one before if it must.
-    Each block builds the live rows' gradient of the difference and
-    scatters it into the entity, relation and value gradients. Every
+    bit. It gathers each live row's direction once per step, l1's signs or
+    l2's difference, with one scale per row: the hinge gradient, for l2
+    over the distance and 0 where the distance is 0. int8 holds no NaN, so
+    l1's live rows whose distance is not finite take ``np.sign`` of their
+    difference, gathered again as the forward did. One loop for both norms
+    walks the columns in blocks of one width, whose relation, head and
+    target flat scatter indexes hold at most ``_SCATTER_CELLS`` elements
+    together and are built once per step; the last block ends at dim,
+    redoing columns of the one before if it must. Each block multiplies
+    the directions by their scales and scatters the product into the
+    entity, relation and value gradients. Every
     (bin, column) sum still adds its rows in row order from zero, so the
     sums, redone ones too, are bit for bit those of one scatter over all
     columns.
@@ -328,9 +331,9 @@ def _completion_batch_loss(
         new = np.empty if live.size else np.zeros  # no live row leaves every gradient +0.0
         head_grad, rel_grad, target_grad = new((n_ent, dim)), new((n_rel, dim)), new((n_target, dim))
         if live.size:
+            direction = kept if live.size == len(kept) else kept.take(live, axis=0)
             g_dist = g_dist[live, None]
             if l1:
-                signs = kept if live.size == len(kept) else kept.take(live, axis=0)
                 # NaN entries, which the int8 signs read as 0, lie in these rows alone
                 odd = np.flatnonzero(~np.isfinite(dist[live]))
                 if odd.size:
@@ -338,9 +341,10 @@ def _completion_batch_loss(
                     full = ent.data if values is None else np.concatenate([ent.data, values.data])
                     odd_signs = np.sign(ent.data[head[at]] + rel.data[relation[at]] - full[target[at]])
             else:
-                d = dist[live]
-                g_dist = g_dist / np.where(d == 0.0, 1.0, d)[:, None]
-                nonzero = (d != 0.0)[:, None]
+                odd = live[:0]  # l2's difference holds its own NaN
+                d = dist[live, None]
+                g_dist = g_dist / np.where(d == 0.0, 1.0, d)
+                g_dist *= d != 0.0  # a zero-distance row's difference is finite: its zeros keep their signs
             # the fewest column blocks whose three flat indexes fit in the cells, all one width
             blocks = -(-dim // max(1, _SCATTER_CELLS // (3 * live.size)))
             width = -(-dim // blocks)
@@ -349,13 +353,9 @@ def _completion_batch_loss(
             for start in range(0, dim, width):
                 start = min(start, dim - width)  # the last block ends at dim
                 cols = slice(start, start + width)
-                if l1:
-                    np.multiply(signs[:, cols], g_dist, out=grad)
-                    if odd.size:
-                        grad[odd] = odd_signs[:, cols] * g_dist[odd]
-                else:
-                    np.multiply(kept[live, cols], g_dist, out=grad)
-                    grad *= nonzero
+                np.multiply(direction[:, cols], g_dist, out=grad)
+                if odd.size:
+                    grad[odd] = odd_signs[:, cols] * g_dist[odd]
                 rel_grad[:, cols] = ad.scatter_rows(flats[0], grad, n_rel)
                 head_grad[:, cols] = ad.scatter_rows(flats[1], grad, n_ent)
                 target_grad[:, cols] = ad.scatter_rows(flats[2], np.negative(grad, out=grad), n_target)

@@ -385,16 +385,28 @@ def _fused_and_composed(positives, negatives, ent, params, config, table):
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("values", [False, True])
-@pytest.mark.parametrize("large", [False, True])
-def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values, large):
+@pytest.mark.parametrize("large, margin", [(False, None), (True, None), (True, 1.0)],
+                         ids=["False", "True", "partly-live"])
+def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values, large, margin):
     """The one-record loss and every gradient equal the op-by-op composition
     (``helpers.composed_completion_loss``) bit for bit, with and without
     a value table, and some distances exactly zero (l2's 0/0 guard); also
-    on 2,200 live rows, across several forward blocks and column blocks."""
+    on 2,200 live rows, across several forward blocks and column blocks,
+    and on the same rows at margin 1.0, where only some are live (76% for
+    l1 and 88% for l2 with a value table), so the backward gathers the live
+    rows' directions before its column blocks."""
     setup = _large_completion_loss_setup if large else _completion_loss_setup
     positives, negatives, ent, params, config, table = setup(norm, values)
     negatives[0] = positives[0]  # with the next line, row 0 of both has a zero difference
     ent.data[2] = ent.data[0] + params.relation.data[1]
+    if margin is not None:
+        config = replace(config, margin=margin)
+        full = ent.data if table is None else np.concatenate([ent.data, table.data])
+        rows = np.concatenate([positives, negatives])
+        diff = full[rows[:, 0]] + params.relation.data[rows[:, 1]] - full[rows[:, 2]]
+        dist = np.abs(diff).sum(axis=1) if norm == "l1" else np.sqrt((diff * diff).sum(axis=1))
+        live = hinge_loss(dist, len(positives), margin, config.negatives)[1] != 0.0
+        assert 0.5 < live.mean() < 1.0, live.mean()
     (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
         positives, negatives, ent, params, config, table)
     assert fused_loss == composed_loss
@@ -682,6 +694,20 @@ def _toy_setup(seed=3, entities=8, triples=20):
     return kg, split
 
 
+def _record_parents(monkeypatch) -> list[tuple]:
+    """Replace ``ad.fused`` by a wrapper that appends each record it makes,
+    with that record's parents, to the returned list, which keeps both."""
+    made, real_fused = [], ad.fused
+
+    def fused(data, parents, backward):
+        out = real_fused(data, parents, backward)
+        made.append((out, tuple(parents)))
+        return out
+
+    monkeypatch.setattr(ad, "fused", fused)
+    return made
+
+
 def _toy_config(**overrides):
     model = ModelConfig(dim=8, head_dim=8, heads=1, layers=1)
     base = dict(model=model, learning_rate=0.01, batch_size=4, negatives=2,
@@ -891,15 +917,33 @@ class TestTrainLoop:
             return real_backward(tape, root)
 
         monkeypatch.setattr(ad, "backward", backward)
+        made = _record_parents(monkeypatch)
         params, _ = train(kg, split, _toy_config(model=model, task=task, epochs=1, batch_size=64))
+        parents_of = {id(out): parents for out, parents in made}
         (tape,) = tapes
         assert {t._backward.__qualname__ for t in tape.records} == {"fused.<locals>.back"}
         assert len(tape.records) == 2 * model.layers + 1 + model.use_attributes
-        read = {p.name for t in tape.records for p in t._parents if p.is_param}
+        read = {p.name for t in tape.records for p in parents_of[id(t)] if p.is_param}
         stored = {name for name, _ in params.named_parameters()
                   if name.startswith(("head_w", "out_w", "cls_", "lstm.w"))}
         assert len(stored) == 4 + 2 * (task == "classification") + 2 * (model.encoder == "lstm")
         assert stored <= read
+
+    @pytest.mark.parametrize("attention", ["bilinear", "translational"])
+    @pytest.mark.parametrize("use_attributes", [True, False])
+    def test_no_record_lists_a_parent_twice(self, attention, use_attributes, monkeypatch):
+        """One epoch on the seed-0 graph: every tape record hands each of its
+        parents one gradient, so none lists a tensor twice, for both
+        attention forms with and without the value table."""
+        kg, split = generate_synthetic_kg(0)
+        made = _record_parents(monkeypatch)
+        config = TrainConfig(model=ModelConfig(attention=attention, use_attributes=use_attributes),
+                             epochs=1, val_every=0)
+        train(kg, split, config)
+        steps = -(-len(split.train) // config.batch_size)
+        assert len(made) >= steps * (5 + use_attributes)
+        for _, parents in made:
+            assert len({id(p) for p in parents}) == len(parents), [p.name for p in parents]
 
     @pytest.mark.parametrize("entities, triples, dense", [(8, 24, True), (30, 34, False)])
     def test_one_aggregation_plan_per_view(self, monkeypatch, entities, triples, dense):
