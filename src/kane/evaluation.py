@@ -35,8 +35,14 @@ for l2 gamma_n of ``(||a|| + ||c||)**2``.
 A candidate below the answer by more than twice ``err`` is better; one
 above by more is not; the band between, and any query whose values are
 not finite or near float32's limit, is recomputed in float64 with the
-expression above and its summation order. A candidate whose row equals
-the answer's is never better and is dropped from the band by index.
+expression above and its summation order.
+
+Candidates with equal rows share every distance, so all three steps run
+once per copy group (``_copy_groups``), over one representative row
+each: the approximate distances, the band and the recheck are (query,
+group) arrays, and a better group counts once per member. The answer's
+own group is never better and leaves the band as one column; a known
+positive is filtered when its group is better, once per known copy.
 
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
@@ -129,16 +135,20 @@ def _gamma(n: int, u: float) -> float:
 
 
 def _copy_groups(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An id per row such that rows with one id are equal (equal rows may
-    still get different ids; a row holding NaN shares its id with none),
-    and the rows ordered by id. Ids run from 1 up."""
+    """A group id per row, from 0 up, such that rows with one id are equal
+    (equal rows may still get different ids; a row holding NaN shares its
+    id with none), and for each id the index of one row, its representative.
+
+    Ranking runs the float32 pass, the band and the float64 recheck over
+    the representatives alone, once per distinct row, and counts a better
+    group once per member."""
     order = np.argsort(mat.sum(axis=1))
     ordered = mat[order]
     new = np.ones(len(mat), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ids = np.empty(len(mat), dtype=np.int64)
-    ids[order] = np.cumsum(new)
-    return ids, order
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
 
 
 def _operands(kind: str, q: np.ndarray, ent: np.ndarray, rel: np.ndarray):
@@ -261,39 +271,41 @@ def _rank(
     phi, p = _NORM_MAPS[norm]
     q, single = _as_queries(queries)
     answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
+    # each distinct candidate row is ranked once: copy group g is the row
+    # distinct[g], held by sizes[g] candidates, and group[c] is candidate
+    # c's group; the answer's own group is never strictly better
+    group, reps = _copy_groups(cand)
+    distinct = cand[reps]
+    sizes = np.bincount(group, minlength=len(reps)).astype(np.float64)
+    target = group[answer]
     # A float32 distance below the answer's by more than twice the bound is
     # strictly below in float64 too (after l2's root as well), and one
     # above by more is not better.
-    width = 2 * _bound(norm, parts, cand)
+    width = 2 * _bound(norm, parts, distinct)
     dim = cand.shape[1]
 
-    def exact(qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
-        """The float64 distance of each (query, candidate) pair (infinite
-        where l2's squares overflow)."""
-        x, y, z = (cand[ci] if part is None else part[qi] for part in parts)
+    def exact(qi: np.ndarray, gi: np.ndarray) -> np.ndarray:
+        """The float64 distance of each (query, group) pair (infinite where
+        l2's squares overflow)."""
+        x, y, z = (distinct[gi] if part is None else part[qi] for part in parts)
         with np.errstate(over="ignore"):
             dist = phi((x + y) - z).sum(axis=1)
         return np.sqrt(dist) if p == 2 else dist
 
-    # a candidate whose row equals the answer's is never strictly better;
-    # copy group g is members[starts[g] : starts[g] + sizes[g]]
-    copies, members = _copy_groups(cand)
-    sizes = np.bincount(copies)
-    starts = np.cumsum(sizes) - sizes
     # queries per band (their approximate distances fill one chunk),
-    # queries per float32 sweep, and (query, candidate) pairs per recheck
-    group = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(cand))))
-    rows = max(1, min(group, CHUNK_ELEMENTS // max(1, len(cand) * dim)))
+    # queries per float32 sweep, and (query, group) pairs per recheck
+    batch = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(reps))))
+    rows = max(1, min(batch, CHUNK_ELEMENTS // max(1, len(reps) * dim)))
     pairs = max(1, CHUNK_ELEMENTS // max(1, dim))
-    fill = _float32_pass(norm, a, cand, rows)
+    fill = _float32_pass(norm, a, distinct, rows)
     out = np.empty((len(wanted), len(q)), dtype=np.int64)
-    for lo in range(0, len(q), group):
-        s = slice(lo, lo + group)
+    for lo in range(0, len(q), batch):
+        s = slice(lo, lo + batch)
         n = len(answer[s])
-        approx = np.empty((n, len(cand)), dtype=np.float32)
+        approx = np.empty((n, len(reps)), dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             fill(lo, approx)
-            near = approx[np.arange(n), answer[s]].astype(np.float64)
+            near = approx[np.arange(n), target[s]].astype(np.float64)
             # thresholds rounded outward to float32, so each test stays sound
             below = np.nextafter((near - width[s]).astype(np.float32), -np.inf)[:, None]
             above = np.nextafter((near + width[s]).astype(np.float32), np.inf)[:, None]
@@ -302,25 +314,23 @@ def _rank(
         band = approx > above
         band |= better
         np.logical_not(band, out=band)
-        # each query's answer group leaves the band, listed query by query
-        group_of = copies[answer[s]]
-        count = sizes[group_of]
-        at = np.arange(count.sum()) + np.repeat(starts[group_of] - (np.cumsum(count) - count), count)
-        band[np.repeat(np.arange(n), count), members[at]] = False
-        qi, ci = np.nonzero(band)
+        band[np.arange(n), target[s]] = False
+        qi, gi = np.nonzero(band)
         dist = np.empty(len(qi))
         for i in range(0, len(qi), pairs):
-            dist[i : i + pairs] = exact(qi[i : i + pairs] + lo, ci[i : i + pairs])
-        closer = dist < exact(np.arange(lo, lo + n), answer[s])[qi]
-        better[qi[closer], ci[closer]] = True
-        raw = 1 + better.sum(axis=1)
+            dist[i : i + pairs] = exact(qi[i : i + pairs] + lo, gi[i : i + pairs])
+        closer = dist < exact(np.arange(lo, lo + n), target[s])[qi]
+        better[qi[closer], gi[closer]] = True
+        # a better group counts once per member (an exact float64 count)
+        raw = 1 + (better @ sizes).astype(np.int64)
         for i, name in enumerate(wanted):
             if name == "raw":
                 out[i, s] = raw
                 continue
-            # the answer itself is never better than its own distance
+            # each known answer in a better group drops once; the answer
+            # itself is never better than its own distance
             query, cand_id = known.lookup(keys[s])
-            dropped = query[better[query, cand_id]]
+            dropped = query[better[query, group[cand_id]]]
             out[i, s] = raw - np.bincount(dropped, minlength=len(raw))
     if single:
         return int(out[0, 0]) if len(wanted) == 1 else out[:, 0]

@@ -105,18 +105,47 @@ class TestRankHandCases:
 # batched ranking
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Each ``_float32_pass`` call as (queries, the candidate rows it reads,
+    queries per float32 sweep)."""
+    calls = []
+    real = evaluation._float32_pass
+
+    def spy(norm, a, cand, rows):
+        calls.append((len(a), cand, rows))
+        return real(norm, a, cand, rows)
+
+    monkeypatch.setattr(evaluation, "_float32_pass", spy)
+    return calls
+
+
+def _three_queries_per_sweep(monkeypatch, ent: np.ndarray) -> int:
+    """Size the chunks so that a float32 sweep over the distinct entity rows
+    holds three queries; returns the number of those rows (copy groups)."""
+    groups = len(evaluation._copy_groups(ent)[1])
+    monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * groups * ent.shape[1])
+    return groups
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_batches_match_single_triple_calls(norm, monkeypatch):
+def test_batches_match_single_triple_calls(norm, monkeypatch, sweeps):
     checked = 0
     for kg, ent, rel in quantized_ranking_setups():
         filt = build_filter_index(kg)
-        # three entity queries per chunk; n is not a multiple of three
-        monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * ent.size)
+        # three entity queries per sweep; n is not a multiple of three, so
+        # the last sweep is ragged
+        groups = _three_queries_per_sweep(monkeypatch, ent)
         n = len(kg.relation_triples) - (len(kg.relation_triples) % 3 == 0)
         for batch in (kg.relation_triples[:1], kg.relation_triples[:n]):
             for fn in (rank_tail, rank_head, rank_relation):
+                sweeps.clear()
                 both = fn(np.array(batch), ent, rel, norm, filt, SETTINGS)
                 assert both.shape == (len(SETTINGS), len(batch))
+                [(queries, cand, rows)] = sweeps
+                if fn is not rank_relation:
+                    assert (len(cand), rows) == (groups, min(3, len(batch)))
+                    assert len(batch) == 1 or (queries > rows and queries % rows)
                 for i, setting in enumerate(SETTINGS):
                     single = [fn(t, ent, rel, norm, filt, setting) for t in batch]
                     assert all(type(r) is int for r in single)
@@ -137,7 +166,7 @@ RANKERS = {"tail": rank_tail, "head": rank_head, "relation": rank_relation}
 
 @pytest.mark.parametrize("band", ["bound", "everything", "nothing"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_tie_heavy_ranks_match_oracle_whatever_the_band(norm, band, monkeypatch):
+def test_tie_heavy_ranks_match_oracle_whatever_the_band(norm, band, monkeypatch, sweeps):
     """The rounding bound, a band over every candidate (no float32 result is
     trusted) and a band of zero width (only exact float32 ties are
     rechecked) all give the oracle's ranks: half-integer grids are exact in
@@ -147,21 +176,67 @@ def test_tie_heavy_ranks_match_oracle_whatever_the_band(norm, band, monkeypatch)
     elif band == "nothing":
         for name in ("_U32", "_U64", "_ETA32"):
             monkeypatch.setattr(evaluation, name, 0.0)
-    checked = 0
+    checked = ragged = 0
     for kg, ent, rel in quantized_ranking_setups():
         filt = build_filter_index(kg)
-        monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * ent.size)
+        groups = _three_queries_per_sweep(monkeypatch, ent)
         vectors, relations = ent.tolist(), rel.tolist()
         known = id_tuples(kg.relation_triples)
         for kind, fn in RANKERS.items():
             naive = getattr(oracle, f"naive_rank_{kind}")
+            sweeps.clear()
             got = fn(kg.relation_triples, ent, rel, norm, filt, SETTINGS)
+            [(queries, cand, rows)] = sweeps
+            if kind != "relation":
+                assert (len(cand), rows) == (groups, 3)
+                ragged += queries > rows and queries % rows != 0
             for i, setting in enumerate(SETTINGS):
                 want = [naive(tuple(trip), vectors, relations, known, norm, setting)
                         for trip in kg.relation_triples.tolist()]
                 assert got[i].tolist() == want, (kind, setting)
                 checked += len(want)
-    assert checked >= 1000
+    assert checked >= 1000 and ragged >= 10
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_copied_rows_rank_once_and_count_per_copy(norm, sweeps):
+    """Every entity row held three times, with each triple's ids moved onto
+    random copies: the float32 pass reads each distinct row once, and the
+    ranks equal the oracle's, which counts every copy of a better row and
+    filters every known copy, several of one better row included."""
+    rng = np.random.default_rng(7)
+    base = random_kg(rng, entities=6, relations=3, triples=14)
+    distinct = rng.standard_normal((6, 4))
+    ent = np.repeat(distinct, 3, axis=0)  # entity e's copies are 3e, 3e + 1 and 3e + 2
+    rel = rng.standard_normal((3, 4))
+    triples = sorted({(3 * h + i, r, 3 * t + k) for h, r, t in base.relation_triples.tolist()
+                      for i, k in rng.integers(0, 3, size=(3, 2)).tolist()})
+    filt = _index(triples, entities=len(ent), relations=len(rel))
+    vectors, relations = ent.tolist(), rel.tolist()
+    for kind, fn in RANKERS.items():
+        naive = getattr(oracle, f"naive_rank_{kind}")
+        sweeps.clear()
+        got = fn(triples, ent, rel, norm, filt, SETTINGS)
+        [(_, cand, _)] = sweeps
+        assert sorted(cand.tolist()) == sorted((rel if kind == "relation" else distinct).tolist())
+        for i, setting in enumerate(SETTINGS):
+            want = [naive(trip, vectors, relations, triples, norm, setting) for trip in triples]
+            assert got[i].tolist() == want, (kind, setting)
+            assert [fn(trip, ent, rel, norm, filt, setting) for trip in triples] == want
+    # some tail query has two or more known copies of one better row
+    most = 0
+    for h, r, t in triples:
+        d = [oracle.naive_distance(vectors[h], relations[r], vectors[c], norm) for c in range(len(ent))]
+        rows = [c // 3 for kh, kr, c in triples if (kh, kr) == (h, r) and d[c] < d[t]]
+        most = max([most] + [rows.count(row) for row in rows])
+    assert most >= 2
+
+
+def test_copy_groups_keep_nan_rows_apart():
+    mat = np.array([[np.nan, 1.0], [1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
+    ids, reps = evaluation._copy_groups(mat)
+    assert ids[0] != ids[2] and ids[1] == ids[3]
+    assert ids[reps].tolist() == list(range(len(reps))) == sorted(set(ids.tolist()))
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
