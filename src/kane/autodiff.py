@@ -42,18 +42,24 @@ its live rows, whose indexes a step builds once for all of its column
 blocks. An ``AggregationPlan``, built once
 per edge set (a graph view holds one), holds the segments of the edges
 and runs the segment softmax and the edge aggregation over them, with no
-(entries, width) array. The aggregation has two kernels, and the plan
-picks one by its size. A small plan, whose (segments, table rows) matrix
-holds at most ``DENSE_CELLS_PER_ENTRY`` cells per entry, runs the dense
-kernel: one ``bincount`` scatters the weights into one such matrix per
-head, and the sum and both gradients are one matrix product per head.
-Other plans run the slot kernel, which reads the table rows by index
-where they are and sums them slot by slot over segments ordered longest
-first; its table gradient runs over the entries grouped by table row,
-whose reverse index the plan builds at the first gradient.
-``scatter_sum`` and the slot kernel add in index order from zero, so
-every sum they make equals a Python loop's. The dense kernel's products
-add in BLAS order, so its sums equal the loop's to rounding only.
+(entries, width) array. The aggregation runs in two parts, and the plan
+splits its entries between them by its size. The hub part runs the
+dense kernel over the entries that read a hub column: one ``bincount``
+scatters their weights into one (segments, hub columns) matrix per head,
+and the sum and both gradients are one matrix product per head. A small
+plan, whose whole (segments, table rows) matrix holds at most
+``DENSE_CELLS_PER_ENTRY`` cells per entry, makes every row a hub column;
+a larger one only the rows whose own column passes that test, the rows
+that many segments read, such as the attribute values. The slot part
+runs the slot kernel over the other entries: it reads their table rows
+by index where they are and sums them slot by slot over segments ordered
+longest first, and its table gradient runs over those entries grouped by
+table row, whose reverse index the plan builds at the first gradient. A
+part with no entries is skipped. ``scatter_sum`` and the slot kernel add
+in index order from zero, so every sum they make equals a Python loop's.
+The dense kernel's products add in BLAS order, so its sums, and a
+segment's sum that starts from its hub product before the slots add to
+it, equal the loop's to rounding only.
 """
 from __future__ import annotations
 
@@ -264,24 +270,35 @@ class AggregationPlan:
     reads it: ``softmax`` and its gradient per segment, and the weighted sum
     of table rows per segment and its two gradients.
 
-    The weighted sum has two kernels. ``dense`` is set when the plan's
-    (segments, rows) matrix holds at most ``DENSE_CELLS_PER_ENTRY`` cells
-    per entry; the weighted sum and its gradients then run the dense
-    kernel, and otherwise the slot kernel. The rule also bounds the dense
-    kernel's matrices to that many floats per entry and head.
+    The weighted sum and its gradients run in two parts, each skipped when
+    it holds no entry. The hub part runs the dense kernel over the entries
+    that read a hub column, one of the table rows that many segments read
+    (``hub_count`` of them), and the slot part runs the slot kernel over
+    the other entries, the slot entries. A plan whose (segments, rows)
+    matrix holds at most ``DENSE_CELLS_PER_ENTRY`` cells per entry is
+    ``dense``: every row is a hub column and the slot part is empty. On any
+    other plan a row is a hub column when its own column of that matrix
+    holds at most that many cells per entry that reads it: segments <=
+    ``DENSE_CELLS_PER_ENTRY`` * hits. Either way the rule bounds the hub
+    part's matrices to that many floats per hub entry and head. ``hubs``
+    and ``hub_entries`` index the hub rows and the hub entries; on a dense
+    plan they are slices over all of them, so its kernel reads the weights
+    and the table where they are, with no gather.
 
-    The dense kernel scatters the (entries, k) weights into a (k, segments,
-    rows) matrix M with one ``bincount`` over each entry's cell
-    (``cells``), adding repeated cells in entry order. Per head h, the sum
-    is ``M_h @ table_h``, the table gradient ``M_h.T @ g_h``, and entry
-    e's weight gradient the cell of ``g_h @ table_h.T`` in its segment's
-    row and column ``index[e]``. Its products add in BLAS order, so its
-    results equal a Python loop's to rounding only; the slot kernel's
-    equal it exactly.
+    The dense kernel scatters the hub entries' (entries, k) weights into a
+    (k, segments, hubs) matrix M with one ``bincount`` over each entry's
+    cell (``cells``), adding repeated cells in entry order. Per head h, the
+    sum is ``M_h @ table_h`` over the hub rows, their table gradient
+    ``M_h.T @ g_h``, and hub entry e's weight gradient the cell of ``g_h @
+    table_h.T`` in its segment's row and the column of ``index[e]``. Its
+    products add in BLAS order, so its results equal a Python loop's to
+    rounding only; the slot kernel's equal it exactly. A segment's sum is
+    its hub product, or zero, plus its slot entries in entry order.
 
-    The crossover, on the training view of seed-0 ``generate_synthetic_kg``
-    graphs (two heads of 64 columns, one BLAS thread, minimum of 400
-    calls, microseconds):
+    The crossover of the whole-matrix rule, on the training view of seed-0
+    ``generate_synthetic_kg`` graphs (two heads of 64 columns, one BLAS
+    thread, minimum of 400 calls, microseconds), measured when a plan ran
+    one kernel or the other over all its entries:
 
     ======== ===== ========== =============== =================
     entities edges cells/edge sum slot->dense grads slot->dense
@@ -306,14 +323,32 @@ class AggregationPlan:
     than 100 and 130) by more than their products explain, likely with
     the allocator's handling of blocks that large.
 
-    The slot kernel runs slot by slot. Segments are ordered longest first
-    (``order``, a stable sort), so the ones still open at slot ``l`` are a
-    prefix of that order and slot ``l`` adds entry ``l`` of each.
-    ``entries`` lists the entries slot-major, ``sources`` the table rows
-    they read, and ``slots`` each slot's (start, stop) in those lists. The
-    same structure over the entries grouped by table row, for the table
-    gradient, is built at the first gradient (``reverse``, cached), so a
-    forward outside a tape never pays for it.
+    Past the crossover the hub columns are the attribute values, each read
+    by about a fifth of the entities. On the same views with (edges, 2)
+    weights at width 128 (one BLAS thread, medians of 300 interleaved
+    calls at 500 entities and 100 at 2000, microseconds), every entry in
+    slots against the hub columns plus slots over the rest; the forward
+    slots fall from 13 to 10 and the reverse ones from 100 to 16 at 500
+    entities and from 400 to 15 at 2000:
+
+    ======== ====== ======== =========== ============= ==============
+    entities edges  hub rows hub entries sum all->hub  grads all->hub
+    ======== ====== ======== =========== ============= ==============
+    500      3509   15       1500        718 -> 524    1568 -> 1151
+    2000     14073  15       6000        4068 -> 3065  8207 -> 6158
+    ======== ====== ======== =========== ============= ==============
+
+    The slot kernel runs slot by slot over the slot entries. Segments are
+    ordered by how many of them they hold, longest first (``order``, a
+    stable sort), so the ones still open at slot ``l`` are a prefix of that
+    order and slot ``l`` adds entry ``l`` of each. ``entries`` lists the
+    slot entries slot-major, ``sources`` the table rows they read, and
+    ``slots`` each slot's (start, stop) in those lists. The hub matrix's
+    segment rows follow ``order`` too, so the slot part adds into the hub
+    products where they lie. The same structure over the slot entries
+    grouped by table row, for the table gradient, is built at the first
+    gradient (``reverse``, cached), so a forward outside a tape never pays
+    for it.
     """
 
     def __init__(self, index, offsets):
@@ -325,23 +360,40 @@ class AggregationPlan:
         self.starts, self.counts = _segments(offsets, idx.size)
         self.index = idx
         self.rows = int(idx.max()) + 1  # a table needs at least this many rows
-        self.order = np.argsort(-self.counts, kind="stable")
-        self.entries, self.slots = _slot_major(self.starts[self.order], self.counts[self.order])
-        self.sources = idx[self.entries]
         segments = self.counts.size
-        # entry e's cell of a (segments, rows) matrix: its segment's row index[e]
-        self.cells = np.repeat(np.arange(segments) * self.rows, self.counts) + idx
         self.dense = segments * self.rows <= DENSE_CELLS_PER_ENTRY * idx.size
+        if self.dense:
+            hub_row = np.ones(self.rows, dtype=bool)
+        else:
+            hub_row = segments <= DENSE_CELLS_PER_ENTRY * np.bincount(idx)
+        is_hub = hub_row[idx]
+        self.hub_count = int(np.count_nonzero(hub_row))
+        self.hubs = slice(self.rows) if self.dense else np.flatnonzero(hub_row)
+        self.hub_entries = slice(None) if self.dense else np.flatnonzero(is_hub)
+        rest = np.flatnonzero(~is_hub)
+        segment = np.repeat(np.arange(segments), self.counts)
+        lengths = np.bincount(segment[rest], minlength=segments)
+        self.order = np.argsort(-lengths, kind="stable")
+        positions, self.slots = _slot_major((np.cumsum(lengths) - lengths)[self.order], lengths[self.order])
+        self.entries = rest[positions]
+        self.sources = idx[self.entries]
+        row_of = np.empty(segments, dtype=np.intp)  # a segment's row of the hub matrix
+        row_of[self.order] = np.arange(segments)
+        # hub entry e's cell of a (segments, hub_count) matrix: its
+        # segment's row, and its table row's rank among the hub rows
+        column = np.cumsum(hub_row) - 1
+        self.cells = row_of[segment[is_hub]] * self.hub_count + column[idx[is_hub]]
         self._head_cells: dict[int, np.ndarray] = {}  # by head count, see _matrix
 
     @cached_property
     def reverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
-        """The table rows that entries read, most-read first; then, slot by
-        slot over those rows, the entries (grouped by row in entry order, a
-        stable sort) and the segments they belong to; and each slot's
-        (start, stop)."""
-        by_row = np.argsort(self.index, kind="stable")
-        hits = np.bincount(self.index)
+        """The table rows that slot entries read, most-read first; then,
+        slot by slot over those rows, the slot entries (grouped by row in
+        entry order, a stable sort) and the segments they belong to; and
+        each slot's (start, stop)."""
+        rest = np.sort(self.entries)
+        by_row = rest[np.argsort(self.index[rest], kind="stable")]
+        hits = np.bincount(self.index[rest])
         hit_rows = np.argsort(-hits, kind="stable")[:np.count_nonzero(hits)]
         first = (np.cumsum(hits) - hits)[hit_rows]
         positions, slots = _slot_major(first, hits[hit_rows])
@@ -376,98 +428,86 @@ class AggregationPlan:
             raise IndexError(f"weighted sum: index out of range for {table.shape[0]} rows")
         return weights.reshape(-1, k, 1), table.reshape(table.shape[0], k, -1)
 
+    def _matrix(self, w: np.ndarray) -> np.ndarray:
+        """(k, segments, hubs) from (entries, k, 1) weights: per head, each
+        segment's hub entry weights summed by the table row they read, in
+        entry order. One ``bincount`` fills all heads: one per head,
+        stacked, cost 10-15 times as much on the 130- and 150-entity
+        graphs. Its cells for k heads are built at the first call and
+        kept."""
+        k, segments = w.shape[1], self.counts.size
+        size = segments * self.hub_count
+        cells = self._head_cells.get(k)
+        if cells is None:  # head h's copy of the cells, shifted by h matrices
+            cells = self._head_cells[k] = (self.cells + size * np.arange(k)[:, None]).ravel()
+        sums = np.bincount(cells, weights=w[self.hub_entries, :, 0].T.ravel(), minlength=k * size)
+        return sums.reshape(k, segments, self.hub_count)
+
     def weighted_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Per segment, the sum over its entries e of table row ``index[e]``
         scaled by weight e: (entries,) or (entries, k) weights and a (rows,
         q) table -> (segments, q). Indices may repeat, and table rows no
-        index hits add nothing. Runs the plan's kernel, dense or slot."""
-        return (self._dense_sum if self.dense else self._slot_sum)(weights, table)
-
-    def weighted_sum_grads(
-        self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The gradients of ``weighted_sum`` for the weights and the table,
-        given the (segments, q) gradient ``g``, from the plan's kernel."""
-        return (self._dense_grads if self.dense else self._slot_grads)(g, weights, table)
-
-    def _matrix(self, w: np.ndarray) -> np.ndarray:
-        """(k, segments, rows) from (entries, k, 1) weights: per head, each
-        segment's weights summed by the table row they read, in entry
-        order. One ``bincount`` fills all heads: one per head, stacked,
-        cost 10-15 times as much on the 130- and 150-entity graphs. Its
-        cells for k heads are built at the first call and kept."""
-        k, segments = w.shape[1], self.counts.size
-        size = segments * self.rows
-        cells = self._head_cells.get(k)
-        if cells is None:  # head h's copy of the cells, shifted by h matrices
-            cells = self._head_cells[k] = (self.cells + size * np.arange(k)[:, None]).ravel()
-        sums = np.bincount(cells, weights=w[:, :, 0].T.ravel(), minlength=k * size)
-        return sums.reshape(k, segments, self.rows)
-
-    def _dense_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """The dense kernel's weighted sum: per head, the (segments, rows)
-        weight matrix times the table block, one product each."""
-        w, blocks = self._blocks(weights, table)
-        heads = blocks[:self.rows].transpose(1, 0, 2)  # (k, rows, q / k)
-        out = np.matmul(self._matrix(w), heads)
-        return out.transpose(1, 0, 2).reshape(self.counts.size, -1)
-
-    def _dense_grads(
-        self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The dense kernel's gradients: per head h, the table gradient is
-        ``M_h.T @ g_h``, and entry e's weight gradient, <g_h[segment],
-        table_h[index[e]]>, is its cell of ``g_h @ table_h.T``."""
-        w, blocks = self._blocks(weights, table)
-        k, segments = w.shape[1], self.counts.size
-        heads = blocks[:self.rows].transpose(1, 0, 2)
-        g_heads = g.reshape(segments, k, -1).transpose(1, 0, 2)  # (k, segments, q / k)
-        products = np.matmul(g_heads, heads.transpose(0, 2, 1))  # (k, segments, rows)
-        w_grad = products.reshape(k, -1).T[self.cells]
-        table_grad = np.zeros(table.shape)
-        row_grads = np.matmul(self._matrix(w).transpose(0, 2, 1), g_heads)  # (k, rows, q / k)
-        table_grad[:self.rows] = row_grads.transpose(1, 0, 2).reshape(self.rows, -1)
-        return w_grad.reshape(weights.shape), table_grad
-
-    def _slot_sum(self, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """The slot kernel's weighted sum. No (entries, q) array is built.
-        Slot ``l`` adds entry ``l`` of each segment still open into a zeroed
-        (segments, q) accumulator, one gather, one product and one sum per
-        slot, so every sum is 0 + x_0 + x_1 + ... in entry order."""
+        index hits add nothing. The hub part is one product per head of the
+        weight matrix with the hub rows' block; the slot part then adds
+        slot ``l``'s entry of each segment still open, one gather, one
+        product and one sum per slot. No (entries, q) array is built."""
         w, blocks = self._blocks(weights, table)
         segments = self.counts.size
-        acc = np.zeros((segments,) + blocks.shape[1:])
+        shape = (segments,) + blocks.shape[1:]  # rows in ``order``
+        if self.hub_count:
+            acc = np.empty(shape)
+            np.matmul(self._matrix(w), blocks[self.hubs].transpose(1, 0, 2), out=acc.transpose(1, 0, 2))
+        else:
+            acc = np.zeros(shape)
+        if not self.slots:  # then ``order`` keeps the segments in place
+            return acc.reshape(segments, -1)
         _slot_sums(self.slots, blocks, self.sources, w[self.entries], np.empty_like(acc), acc)
         out = np.empty((segments, table.shape[1]))
         out[self.order] = acc.reshape(segments, -1)
         return out
 
-    def _slot_grads(
+    def weighted_sum_grads(
         self, g: np.ndarray, weights: np.ndarray, table: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The slot kernel's gradients; neither builds an (entries, q)
-        array. The weight gradient walks the forward's slots, one row
-        product per entry, summed as ``np.sum`` sums a row. The table
-        gradient runs the forward's kernel over ``reverse``, so each table
-        row adds its entries in entry order from zero, as ``scatter_sum``
-        would."""
+        """The gradients of ``weighted_sum`` for the weights and the table,
+        given the (segments, q) gradient ``g``; neither part builds an
+        (entries, q) array. The hub part takes per head h the hub rows'
+        table gradient ``M_h.T @ g_h`` and each hub entry's weight gradient,
+        <g_h[segment], table_h[index[e]]>, as its cell of ``g_h @
+        table_h.T``. The slot part walks the forward's slots for the weight
+        gradient, one row product per entry, summed as ``np.sum`` sums a
+        row, and runs the forward's kernel over ``reverse`` for the table
+        gradient, so each of its rows adds its entries in entry order from
+        zero, as ``scatter_sum`` would."""
         w, blocks = self._blocks(weights, table)
         segments, n, k = self.counts.size, w.shape[0], w.shape[1]
         g = g.reshape(segments, k, -1)
-        g_order = g[self.order]
-        part = np.empty((segments,) + blocks.shape[1:])
-        by_slot = np.empty((n, k))
-        for lo, hi in self.slots:
-            prod = blocks.take(self.sources[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
-            prod *= g_order[:hi - lo]
-            np.add.reduce(prod, axis=2, out=by_slot[lo:hi])
+        g_order = g[self.order] if self.slots else g  # with no slot, ``order`` is the identity
         w_grad = np.empty((n, k))
-        w_grad[self.entries] = by_slot
-        hit_rows, row_entries, segment, row_slots = self.reverse
-        row_acc = np.zeros((hit_rows.size,) + blocks.shape[1:])
-        _slot_sums(row_slots, g, segment, w[row_entries], np.empty_like(row_acc), row_acc)
+        row_grads = []  # per part, its table rows and their gradient
+        if self.hub_count:
+            heads = blocks[self.hubs].transpose(1, 0, 2)  # (k, hubs, q / k)
+            g_heads = g_order.transpose(1, 0, 2)  # (k, segments, q / k)
+            products = np.matmul(g_heads, heads.transpose(0, 2, 1))  # (k, segments, hubs)
+            w_grad[self.hub_entries] = products.reshape(k, -1).T[self.cells]
+            hub_grads = np.matmul(self._matrix(w).transpose(0, 2, 1), g_heads)  # (k, hubs, q / k)
+            row_grads.append((self.hubs, hub_grads.transpose(1, 0, 2).reshape(self.hub_count, -1)))
+        if self.slots:
+            part = np.empty((segments,) + blocks.shape[1:])
+            by_slot = np.empty((self.entries.size, k))
+            for lo, hi in self.slots:
+                prod = blocks.take(self.sources[lo:hi], axis=0, out=part[:hi - lo], mode="clip")
+                prod *= g_order[:hi - lo]
+                np.add.reduce(prod, axis=2, out=by_slot[lo:hi])
+            w_grad[self.entries] = by_slot
+            hit_rows, row_entries, segment, row_slots = self.reverse
+            row_acc = np.zeros((hit_rows.size,) + blocks.shape[1:])
+            _slot_sums(row_slots, g, segment, w[row_entries], np.empty_like(row_acc), row_acc)
+            row_grads.append((hit_rows, row_acc.reshape(hit_rows.size, -1)))
+        # zeroed last: before the slot loops it slowed them by 5-10%
         table_grad = np.zeros(table.shape)
-        table_grad[hit_rows] = row_acc.reshape(hit_rows.size, -1)
+        for rows, grads in row_grads:
+            table_grad[rows] = grads
         return w_grad.reshape(weights.shape), table_grad
 
 

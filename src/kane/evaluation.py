@@ -135,15 +135,18 @@ def _gamma(n: int, u: float) -> float:
 
 
 def _copy_groups(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A group id per row, from 0 up, such that rows with one id are equal
-    (equal rows may still get different ids; a row holding NaN shares its
-    id with none), and for each id the index of one row, its representative.
+    """A group id per row, from 0 up, such that two rows share an id when
+    they are equal and only then (a row holding NaN shares its id with
+    none), and for each id the index of one row, its representative. The
+    rows are sorted by their bytes, with -0.0 read as 0.0, so that equal
+    rows lie next to each other; then adjacent rows are compared.
 
     Ranking runs the float32 pass, the band and the float64 recheck over
     the representatives alone, once per distinct row, and counts a better
     group once per member."""
-    order = np.argsort(mat.sum(axis=1))
-    ordered = mat[order]
+    rows = np.ascontiguousarray(mat + 0.0)  # -0.0 + 0.0 is 0.0
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    ordered = rows[order]
     new = np.ones(len(mat), dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ids = np.empty(len(mat), dtype=np.int64)

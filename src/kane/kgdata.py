@@ -58,11 +58,23 @@ def tokenize(literal: str) -> list[str]:
 
 def first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Bool mask over (n, 3) ``rows``: True at the first occurrence of each
-    distinct row. One stable sort, then a compare of adjacent rows."""
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
+    distinct row. One stable sort, then a compare of adjacent rows. Where
+    the ids are non-negative and the product of the column widths (largest
+    id + 1) fits in int64, each row is one int64 code, ``(a * w1 + b) * w2
+    + c``, and the sort is one ``argsort``; otherwise it is a ``lexsort``
+    of the three columns."""
     keep = np.ones(len(rows), dtype=bool)
-    keep[order[1:]] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if len(rows) < 2:
+        return keep
+    w0, w1, w2 = (int(w) + 1 for w in rows.max(axis=0))
+    if rows.min() >= 0 and w0 * w1 * w2 <= np.iinfo(np.int64).max:
+        codes = (rows[:, 0].astype(np.int64) * w1 + rows[:, 1]) * w2 + rows[:, 2]
+        order = np.argsort(codes, kind="stable")
+        keep[order[1:]] = np.diff(codes[order]) != 0
+    else:
+        order = np.lexsort(rows.T)
+        ordered = rows[order]
+        keep[order[1:]] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return keep
 
 

@@ -37,9 +37,12 @@ weights over its edges labelled r: one scatter of the (edges, heads)
 weights into an (active * R, heads) table, then one small matrix product
 with q, next to one weighted sum of the rows t_s, which the plan's
 ``weighted_sum`` forms with no (edges, heads * head_dim) array of gathered
-rows: on a small view as one product per head of a (segments, rows)
-weight matrix with the source table, on a larger one slot by slot from
-the source rows read by index where they are. The plan is the
+rows, in two parts: the source rows that many entities read (on a small
+view every row; on a larger one the attribute values) as one product per
+head of a (segments, those rows) weight matrix with their block of the
+source table, added in BLAS order, and the other rows slot by slot, read
+by index where they are and added to that product in edge order. The
+plan is the
 view's ``aggregation``, built once per view and shared by every layer,
 step and validation over it. The tables hold (S + R) * R *
 heads and active * R * heads entries, against the edges * heads *

@@ -68,6 +68,20 @@ def weighted_sum_record(weights, table, plan):
                     lambda g: plan.weighted_sum_grads(g, weights.data, table.data))
 
 
+def plan_at(cells, index, offsets):
+    """The plan of ``index`` and ``offsets`` under a size-rule bound of
+    ``cells`` per entry: at 0 no row is a hub column, so the slot kernel
+    runs alone; past the plan's whole matrix, the dense kernel does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "DENSE_CELLS_PER_ENTRY", cells)
+        return ad.AggregationPlan(index, offsets)
+
+
+def sum_and_grads(plan, weights, table, g):
+    """The plan's weighted sum and its weight and table gradients."""
+    return [plan.weighted_sum(weights, table), *plan.weighted_sum_grads(g, weights, table)]
+
+
 def layer_gradient_error(rng, config, use_attributes):
     """Worst finite-difference error of one attention layer record over the
     edge-case graph, for every tensor it reads; without attributes no edge
@@ -254,11 +268,12 @@ def test_scatter_sums_match_a_python_loop(data):
     a Python loop does: ``scatter_sum`` of a matrix and of a vector, and
     the plan's slot kernel, its weighted sum and its table gradient; its
     weight gradient takes each entry's products with its segment's
-    gradient row and sums them as ``np.sum`` does. The slot kernel is
-    called directly, since plans this small run the dense one. Unsorted
-    and repeated indices, rows no index hits, widths 1, 3 and 128, vector
-    and (n, k) weights, and segments of unequal lengths whose longest is
-    not the first; the aggregation runs twice through one plan."""
+    gradient row and sums them as ``np.sum`` does. The plans are built
+    with no hub column, since plans this small run the dense kernel by the
+    size rule. Unsorted and repeated indices, rows no index hits, widths 1,
+    3 and 128, vector and (n, k) weights, and segments of unequal lengths
+    whose longest is not the first; the aggregation runs twice through one
+    plan."""
     width = data.draw(st.sampled_from([1, 3, 128]), label="width")
     n = data.draw(st.integers(1, 12), label="n")
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), label="idx")
@@ -281,13 +296,13 @@ def test_scatter_sums_match_a_python_loop(data):
     rows_total = data.draw(st.integers(2, 12), label="table rows")
     index = data.draw(st.lists(st.integers(0, rows_total - 2), min_size=entries, max_size=entries), label="index")
     index[-1] = index[0]
-    plan = ad.AggregationPlan(index, offsets)
+    plan = plan_at(0, index, offsets)
+    assert plan.hub_count == 0 and plan.slots
     for _ in range(2):  # one plan, fresh weights and table: the reuse path of training
         weights = rng.normal(size=entries if k is None else (entries, k))
         table = rng.normal(size=(rows_total, blocks * width))
         w_out = rng.normal(size=(len(counts), blocks * width))
-        summed = plan._slot_sum(weights, table)
-        weight_grad, table_grad = plan._slot_grads(w_out, weights, table)
+        summed, weight_grad, table_grad = sum_and_grads(plan, weights, table, w_out)
         want, want_table = np.zeros_like(w_out), np.zeros_like(table)
         want_weights = np.zeros((entries, blocks))
         for seg, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
@@ -323,7 +338,8 @@ def test_dense_kernel_matches_the_slot_kernel(data):
     index = data.draw(st.lists(st.integers(0, 15), min_size=entries, max_size=entries), label="index")
     twice = int(offsets[counts.index(3)])
     index[twice + 1] = index[twice]
-    plan = ad.AggregationPlan(index, offsets)
+    plan, slot = ad.AggregationPlan(index, offsets), plan_at(0, index, offsets)
+    assert plan.dense and not plan.slots and slot.hub_count == 0
     k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
     width = data.draw(st.sampled_from([1, 3, 64]), label="width")
     extra = data.draw(st.integers(0, 3), label="rows past the plan's")
@@ -331,25 +347,86 @@ def test_dense_kernel_matches_the_slot_kernel(data):
     weights = rng.normal(size=entries if k is None else (entries, k))
     table = rng.normal(size=(plan.rows + extra, (k or 1) * width))
     g = rng.normal(size=(len(counts), table.shape[1]))
-    dense = [plan._dense_sum(weights, table), *plan._dense_grads(g, weights, table)]
-    slot = [plan._slot_sum(weights, table), *plan._slot_grads(g, weights, table)]
-    scale = [plan._slot_sum(abs(weights), abs(table)), *plan._slot_grads(abs(g), abs(weights), abs(table))]
-    for got, want, bound in zip(dense, slot, scale, strict=True):
+    dense = sum_and_grads(plan, weights, table, g)
+    scale = sum_and_grads(slot, abs(weights), abs(table), abs(g))
+    for got, want, bound in zip(dense, sum_and_grads(slot, weights, table, g), scale, strict=True):
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-12 * bound).all()
     assert not dense[2][plan.rows:].any()
 
 
-def test_size_rule_picks_dense_for_50_entities_and_slot_for_500():
-    """The seed-0 synthetic graph's training view runs the dense kernel at
-    50 entities (9.5 matrix cells per edge) and the slot kernel at 500
-    (73)."""
-    for entities, dense in ((50, True), (500, False)):
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_hub_columns_match_the_slot_kernel(data):
+    """A plan with hub columns and slot entries sums and differentiates as
+    the slot kernel does, to 1e-12 of the same kernel over absolute values.
+    Every segment reads every hub row, one segment reads one of them
+    twice, and the other rows are read once each, by some segments only,
+    so the other segments hold hub entries alone. At a bound of one cell
+    per entry the hub rows, read by every segment, are exactly the hub
+    columns, while the rows read once are not, and the plan is not dense.
+    Weights are vectors or (n, k), and the table has rows past the plan's
+    ``rows``."""
+    segments = data.draw(st.integers(3, 10), label="segments")
+    hubs = data.draw(st.integers(1, 3), label="hub rows")
+    alone = data.draw(st.integers(1, segments - 1), label="segments with hub entries alone")
+    owners = data.draw(st.lists(st.integers(alone, segments - 1), min_size=2, max_size=3 * segments),
+                       label="segment of each once-read row")
+    k = data.draw(st.sampled_from([None, 1, 2, 4]), label="k")  # None: vector weights
+    width = data.draw(st.sampled_from([1, 3, 64]), label="width")
+    extra = data.draw(st.integers(0, 3), label="rows past the plan's")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = rng.permutation(hubs + len(owners))  # hub rows anywhere in the table
+    hub_rows, once = rows[:hubs], rows[hubs:]
+    read = [list(hub_rows) for _ in range(segments)]
+    read[rng.integers(segments)].append(hub_rows[0])
+    for row, owner in zip(once, owners):
+        read[owner].append(row)
+    for entries in read:
+        rng.shuffle(entries)
+    index = np.concatenate(read)
+    offsets = np.concatenate([[0], np.cumsum([len(entries) for entries in read])])
+    plan, slot = plan_at(1, index, offsets), plan_at(0, index, offsets)
+    assert not plan.dense and plan.slots and slot.hub_count == 0
+    assert sorted(plan.hubs.tolist()) == sorted(hub_rows.tolist())
+    assert np.array_equal(np.sort(plan.entries), np.flatnonzero(np.isin(index, once)))
+    weights = rng.normal(size=index.size if k is None else (index.size, k))
+    table = rng.normal(size=(plan.rows + extra, (k or 1) * width))
+    g = rng.normal(size=(segments, table.shape[1]))
+    got = sum_and_grads(plan, weights, table, g)
+    scale = sum_and_grads(slot, abs(weights), abs(table), abs(g))
+    for part, want, bound in zip(got, sum_and_grads(slot, weights, table, g), scale, strict=True):
+        assert part.shape == want.shape
+        assert (np.abs(part - want) <= 1e-12 * bound).all()
+    assert not got[2][plan.rows:].any()
+
+
+def test_size_rule_picks_dense_at_50_entities_and_the_value_rows_as_hub_columns_at_500():
+    """The seed-0 synthetic graph's training view runs all dense at 50
+    entities (9.5 matrix cells per edge). At 500 (73 cells per edge) its
+    hub columns are exactly the 15 attribute-value rows, each read by 100
+    of the 500 segments, which hold 1,500 of the 3,509 edges; without
+    attributes no row is read by enough segments, and the slot kernel runs
+    alone."""
+    for entities, attributes in ((50, True), (500, True), (500, False)):
         kg, split = generate_synthetic_kg(0, entities=entities)
-        plan = GraphView.restricted(kg, split.train).aggregation
-        cells = plan.counts.size * plan.rows
-        assert plan.dense is dense
-        assert (cells <= ad.DENSE_CELLS_PER_ENTRY * plan.index.size) is dense
+        plan = GraphView.restricted(kg, split.train, attributes).aggregation
+        segments, hits = plan.counts.size, np.bincount(plan.index)
+        cells = segments * plan.rows
+        assert plan.dense is (entities == 50)
+        assert (cells <= ad.DENSE_CELLS_PER_ENTRY * plan.index.size) is plan.dense
+        if plan.dense:
+            assert plan.hub_count == plan.rows and not plan.slots
+            continue
+        picked = np.flatnonzero(segments <= ad.DENSE_CELLS_PER_ENTRY * hits)
+        assert np.array_equal(plan.hubs, picked)
+        if attributes:
+            assert plan.hubs.tolist() == list(range(kg.num_entities, kg.num_entities + kg.num_values))
+            assert kg.num_values == 15 and (hits[plan.hubs] == 100).all()
+            assert (plan.hub_entries.size, plan.index.size) == (1500, 3509)
+        else:
+            assert plan.hub_count == 0 and plan.entries.size == plan.index.size
+        assert plan.hub_entries.size + plan.entries.size == plan.index.size
 
 
 def test_scatter_sum_over_no_index_is_float_zeros():
@@ -367,28 +444,38 @@ def test_scatter_sum_over_no_index_is_float_zeros():
 
 def test_aggregation_backward_builds_no_entry_wide_array():
     """The gradients of the plan's weighted sum over 2,000 entries allocate
-    less at their peak than one (entries, width) float64 array, from either
-    kernel: the slot kernel sums slot by slot and the dense one multiplies
-    (segments, rows) matrices, neither from gathered rows."""
+    less at their peak than one (entries, width) float64 array, whichever
+    parts run: the slot kernel alone sums slot by slot, an all-dense plan
+    multiplies (segments, rows) matrices, and a plan with hub columns
+    multiplies (segments, hubs) matrices and runs the slots over the rest,
+    none from gathered rows."""
     rng = np.random.default_rng(31)
-    counts = rng.integers(1, 40, size=100)
+    counts = rng.integers(1, 20, size=200)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     entries, width = int(offsets[-1]), 64
     assert entries >= 1000
     weights = rng.normal(size=(entries, 2))
-    table = rng.normal(size=(50, width))
-    plan = ad.AggregationPlan(rng.integers(0, 50, size=entries), offsets)
+    table = rng.normal(size=(600, width))
+    uniform = rng.integers(0, 50, size=entries)
+    # half the entries read rows 0-9, about 100 each, and the rest rows
+    # 10-599, under 10 each: 200 segments make hub columns of rows 0-9 alone
+    hub_read = rng.random(entries) < 0.5
+    skewed = np.where(hub_read, rng.integers(0, 10, size=entries), rng.integers(10, 600, size=entries))
+    plans = {"slot": plan_at(0, uniform, offsets), "dense": ad.AggregationPlan(uniform, offsets),
+             "hub": ad.AggregationPlan(skewed, offsets)}
+    assert plans["slot"].hub_count == 0 and plans["dense"].dense
+    assert plans["hub"].hubs.tolist() == list(range(10)) and plans["hub"].slots
     w_out = rng.normal(size=(counts.size, width))
-    plan.weighted_sum(weights, table)
-    for grads in (plan._slot_grads, plan._dense_grads):  # the slot kernel builds its reverse index
+    for name, plan in plans.items():
+        plan.weighted_sum_grads(w_out, weights, table)  # the slot part builds its reverse index
         tracemalloc.start()
         try:
-            weight_grad, table_grad = grads(w_out, weights, table)
+            weight_grad, table_grad = plan.weighted_sum_grads(w_out, weights, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert weight_grad.shape == (entries, 2) and table_grad.shape == (50, width)
-        assert peak < entries * width * 8, f"{grads.__name__}: peak {peak} bytes"
+        assert weight_grad.shape == (entries, 2) and table_grad.shape == (600, width)
+        assert peak < entries * width * 8, f"{name}: peak {peak} bytes"
 
 
 def test_gradient_buffers_belong_to_one_tensor():

@@ -239,6 +239,17 @@ def test_copy_groups_keep_nan_rows_apart():
     assert ids[reps].tolist() == list(range(len(reps))) == sorted(set(ids.tolist()))
 
 
+def test_copy_groups_join_equal_rows_whose_sum_ties_another_row():
+    """Equal rows share one id even when a different row with the same row
+    sum lies between them in the input (rows 0 and 2 around row 1, all
+    summing to 3), and rows equal up to the sign of a zero share one too."""
+    mat = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [0.0, 3.0], [-0.0, 3.0], [2.0, 1.0]])
+    ids, reps = evaluation._copy_groups(mat)
+    assert ids[0] == ids[2] and ids[1] == ids[5] and ids[3] == ids[4]
+    assert len({ids[0], ids[1], ids[3]}) == 3 == len(reps)
+    assert ids[reps].tolist() == list(range(len(reps)))
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_candidate_past_float32_range_still_ranks_in_float64(norm):
     """A candidate row beyond float32's largest value (3.4e38) is infinite

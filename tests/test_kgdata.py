@@ -114,6 +114,23 @@ def test_first_occurrences_marks_each_distinct_row_once():
     assert first_occurrences(rows[:0]).shape == (0,)
 
 
+def test_first_occurrences_match_a_set_with_codes_and_without():
+    """Small non-negative ids take one int64 code per row, even from int32
+    rows whose codes pass int32; negative ids and ids whose code would pass
+    int64 take the three-column sort. Either marks the rows a set has not
+    seen yet."""
+    rng = np.random.default_rng(7)
+    for low, high, dtype in ((0, 4, np.int64), (0, 2000, np.int32), (-2, 3, np.int64), (0, 2**40, np.int64)):
+        for n in (1, 2, 30):
+            rows = rng.integers(low, high, size=(n, 3)).astype(dtype)
+            rows[n // 2:] = rows[:n - n // 2]  # repeats
+            seen, want = set(), []
+            for row in map(tuple, rows.tolist()):
+                want.append(row not in seen)
+                seen.add(row)
+            assert first_occurrences(rows).tolist() == want
+
+
 def test_add_attribute_triple_refuses_literal_without_tokens():
     kg = KnowledgeGraph()
     with pytest.raises(DomainError, match="no tokens") as err:

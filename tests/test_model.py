@@ -737,17 +737,27 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
     weighted sum reads the transformed source rows where they are: neither
     the layer's forward nor its backward allocates as much as one (edges,
     heads * head_dim) array at its peak, on a graph with many more edges
-    than entities, with either aggregation kernel: the plan's pick, the
-    dense one, then the slot one."""
+    than entities, whichever parts the plan runs: the plan's pick (all
+    dense), the slot kernel alone (a size-rule bound of 0), and hub columns
+    with slots (a bound of half a cell per edge: the entity rows, each read
+    by more than 20 of the 10 segments' edges, are hub columns, and the
+    value rows are not)."""
     config = ModelConfig(dim=4, head_dim=64, heads=2, layers=1, attention=attention)
-    _, view, params = build(3, config, entities=10, relations=6, triples=800, with_attributes=True)
-    edges, width = view.edges.source.size, config.heads * config.head_dim
-    assert edges >= 400 and view.aggregation.dense
-    values = encode_value(view, params, config)
-    view.aggregation.reverse  # the slot kernel's, built once per view, not per layer
-    weights = np.random.default_rng(4).normal(size=(view.edges.active.size, width))
-    for dense in (True, False):
-        view.aggregation.dense = dense
+    for cells in (ad.DENSE_CELLS_PER_ENTRY, 0, 0.5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "DENSE_CELLS_PER_ENTRY", cells)
+            _, view, params = build(3, config, entities=10, relations=6, triples=800, with_attributes=True)
+            plan = view.aggregation
+        edges, width = view.edges.source.size, config.heads * config.head_dim
+        assert edges >= 400
+        assert plan.dense is (cells == ad.DENSE_CELLS_PER_ENTRY)
+        assert (plan.hub_count == 0) is (cells == 0)
+        if cells == 0.5:
+            assert plan.hubs.tolist() == list(range(10)) and plan.slots
+        values = encode_value(view, params, config)
+        if plan.slots:
+            plan.reverse  # the slot part's, built once per view, not per layer
+        weights = np.random.default_rng(4).normal(size=(view.edges.active.size, width))
         peaks = []  # above what was held before each pass
         with ad.Tape() as tape:
             tracemalloc.start()
@@ -762,4 +772,4 @@ def test_layer_builds_no_per_edge_array_of_head_width(attention):
             finally:
                 tracemalloc.stop()
         assert params["head_w.0"].grad is not None
-        assert max(peaks) < edges * width * 8, (dense, peaks, edges * width * 8)
+        assert max(peaks) < edges * width * 8, (cells, peaks, edges * width * 8)

@@ -949,9 +949,10 @@ class TestTrainLoop:
     def test_one_aggregation_plan_per_view(self, monkeypatch, entities, triples, dense):
         """A run's edges never change: one ``train`` call builds one view and
         its aggregation plan once, and validation reuses both. A plan that
-        runs the slot kernel (30 entities, one or two edges each: 29 matrix
-        cells per edge) builds its reverse index at the first backward; one
-        that runs the dense kernel (8 entities, 4.3 cells per edge) never
+        runs slots (30 entities, one or two edges each: 29 matrix cells per
+        edge; the rows read twice or more are hub columns, and 14 of the 36
+        edges run in slots) builds its reverse index at the first backward;
+        one that runs all dense (8 entities, 4.3 cells per edge) never
         builds it. A forward outside a tape, as evaluation runs it, builds a
         plan but never its reverse index."""
         kg = random_kg(np.random.default_rng(5), entities=entities, relations=2, triples=triples,
