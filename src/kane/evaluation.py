@@ -44,6 +44,17 @@ group) arrays, and a better group counts once per member. The answer's
 own group is never better and leaves the band as one column; a known
 positive is filtered when its group is better, once per known copy.
 
+Validation (``hits_fraction_for_triples``) reads only whether a filtered
+entity rank is at most k, so on a table of at least four times
+``BLOCK_GROUPS`` copy groups it first runs the float32 pass over the first
+``BLOCK_GROUPS`` groups alone (``_undecided``). A group whose float32
+value lies below the answer's float64 distance less the bound is strictly
+closer in float64; a query with k or more such members that are not known
+answers ranks above k, a miss decided without its full ranking. Only the
+other queries are ranked. The decision is one-sided, so the metric is that
+of every query's rank: a hit is never decided early, and a query whose
+bound is infinite or whose values are not finite falls through.
+
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
 into the messages.
@@ -69,6 +80,12 @@ SETTINGS = ("raw", "filter")
 # to this many (query, candidate) pairs, and a float64 recheck up to this
 # many differences.
 CHUNK_ELEMENTS = 1 << 18
+
+# Copy groups in validation's block (``hits_fraction_for_triples``): the
+# first this many representatives, read only when the table holds at least
+# four times as many groups, so that the block's float32 pass costs at
+# most a quarter of the full one.
+BLOCK_GROUPS = 64
 
 
 @dataclass(frozen=True)
@@ -206,6 +223,16 @@ def _bound(norm: str, parts: tuple, cand: np.ndarray) -> np.ndarray:
     return np.where(size < _SAFE32, err, np.inf)
 
 
+def _float64_sums(norm: str, parts: tuple, cand: np.ndarray, qi: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """Per pair j, the float64 sum of the norm's map of (x + y) - z for
+    query qi[j] and candidate row cand[ci[j]]: the distance, or for l2 its
+    square before the root (infinite where the squares overflow)."""
+    phi = _NORM_MAPS[norm][0]
+    x, y, z = (cand[ci] if part is None else part[qi] for part in parts)
+    with np.errstate(over="ignore"):
+        return phi((x + y) - z).sum(axis=1)
+
+
 def _float32_pass(norm: str, a: np.ndarray, cand: np.ndarray, rows: int):
     """A function ``fill(lo, out)`` that writes the float32 distance (l2's
     squared) of queries lo, lo + 1, ... to every candidate into the rows of
@@ -271,7 +298,7 @@ def _rank(
         raise ConfigError(f"setting must be one of {SETTINGS} or that tuple, got {setting!r}")
     if norm not in _NORM_MAPS:
         raise ConfigError(f"norm must be one of {tuple(_NORM_MAPS)}, got {norm!r}")
-    phi, p = _NORM_MAPS[norm]
+    p = _NORM_MAPS[norm][1]
     q, single = _as_queries(queries)
     answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
     # each distinct candidate row is ranked once: copy group g is the row
@@ -290,9 +317,7 @@ def _rank(
     def exact(qi: np.ndarray, gi: np.ndarray) -> np.ndarray:
         """The float64 distance of each (query, group) pair (infinite where
         l2's squares overflow)."""
-        x, y, z = (distinct[gi] if part is None else part[qi] for part in parts)
-        with np.errstate(over="ignore"):
-            dist = phi((x + y) - z).sum(axis=1)
+        dist = _float64_sums(norm, parts, distinct, qi, gi)
         return np.sqrt(dist) if p == 2 else dist
 
     # queries per band (their approximate distances fill one chunk),
@@ -450,6 +475,55 @@ def evaluate_completion(
     }
 
 
+def _undecided(
+    kind: str,
+    q: np.ndarray,
+    ent: np.ndarray,
+    rel: np.ndarray,
+    norm: str,
+    known: KnownAnswers,
+    k: int,
+    groups: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Indices of the (n, 3) queries ``q`` of an entity ranking ``kind``
+    that the block of the first ``BLOCK_GROUPS`` copy groups (``groups``,
+    from ``_copy_groups(ent)``) cannot show to rank above ``k`` filtered.
+
+    A block group whose float32 distance lies below the answer's float64
+    one less the ``_bound``, the threshold rounded outward to float32, is
+    strictly closer in float64 (for l2 after the root too, as in ``_rank``),
+    so each of its members is better than the answer. A query whose better
+    block members, less its known answers among them, number ``k`` or more
+    has a filtered rank above ``k``. The answer's own group lies within
+    the bound of the answer's distance, so it never falls below the
+    threshold, nor does any group of a query whose bound is infinite or
+    whose values are not finite."""
+    group, reps = groups
+    answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
+    distinct = cand[reps]
+    block = distinct[:BLOCK_GROUPS]
+    target = group[answer]
+    near = _float64_sums(norm, parts, distinct, np.arange(len(q)), target)
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = np.nextafter((near - _bound(norm, parts, distinct)).astype(np.float32), -np.inf)[:, None]
+    batch = max(1, min(len(q), CHUNK_ELEMENTS // len(block)))
+    fill = _float32_pass(norm, a, block, max(1, min(batch, CHUNK_ELEMENTS // block.size)))
+    closer = np.empty((len(q), len(block)), dtype=bool)
+    approx = np.empty((batch, len(block)), dtype=np.float32)
+    for lo in range(0, len(q), batch):
+        out = approx[: min(batch, len(q) - lo)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(lo, out)
+        np.less(out, below[lo : lo + batch], out=closer[lo : lo + batch])
+    count = closer @ np.bincount(group, minlength=len(reps))[: len(block)].astype(np.float64)
+    # each known answer in a closer block group is filtered, once per copy
+    query, cand_id = known.lookup(keys)
+    in_block = group[cand_id] < len(block)
+    query, kept = query[in_block], group[cand_id[in_block]]
+    count -= np.bincount(query[closer[query, kept]], minlength=len(q))
+    return np.flatnonzero(count < k)
+
+
 def hits_fraction_for_triples(
     triples: list[Triple],
     ent: np.ndarray,
@@ -458,12 +532,27 @@ def hits_fraction_for_triples(
     filt: FilterIndex,
     k: int,
 ) -> float:
-    """Filtered entity-prediction Hits@k (used as the validation metric)."""
+    """Filtered entity-prediction Hits@k (used as the validation metric).
+
+    Only whether a rank is at most ``k`` is read, so on a table of at least
+    four times ``BLOCK_GROUPS`` copy groups a float32 pass over the first
+    ``BLOCK_GROUPS`` of them comes first (``_undecided``): a query with ``k``
+    or more non-known candidates in that block strictly closer than its
+    answer beyond the rounding bound is a miss, and only the other queries
+    go to ``rank_tail``/``rank_head``, whose call is skipped when none is
+    left. The decision is one-sided and exact: a hit is never decided
+    early, so the fraction equals the one from every query's rank."""
     if not triples:
         raise ConfigError("no triples for validation metric")
     queries = np.asarray(triples, dtype=np.int64)
-    hits = int((rank_tail(queries, ent, rel, norm, filt, "filter") <= k).sum())
-    hits += int((rank_head(queries, ent, rel, norm, filt, "filter") <= k).sum())
+    groups = _copy_groups(ent) if len(ent) >= 4 * BLOCK_GROUPS else None
+    if groups is not None and len(groups[1]) < 4 * BLOCK_GROUPS:
+        groups = None
+    hits = 0
+    for kind, rank, known in (("tail", rank_tail, filt.tails), ("head", rank_head, filt.heads)):
+        q = queries if groups is None else queries[_undecided(kind, queries, ent, rel, norm, known, k, groups)]
+        if len(q):
+            hits += int((rank(q, ent, rel, norm, filt, "filter") <= k).sum())
     return hits / (2 * len(triples))
 
 

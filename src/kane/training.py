@@ -250,7 +250,7 @@ def sgd_step(params: ModelParams, learning_rate: float) -> None:
 # ---------------------------------------------------------------------------
 # batch losses
 
-_LOSS_ROWS = 256  # rows per forward block: two (256, 64) float64 buffers fit in L2
+_LOSS_ROWS = 256  # rows per forward block and backward row chunk: two (256, 64) float64 buffers fit in L2
 _SCATTER_CELLS = 1 << 17  # elements of a backward column block's three flat scatter indexes together
 
 
@@ -275,16 +275,20 @@ def _completion_batch_loss(
     summed, or l2's float64 difference, which is then built in place. The
     two buffers are ``work[0]`` and ``work[1]``, a
     (2, >= min(rows, ``_LOSS_ROWS``), dim) float64 array that a training
-    run allocates once, or new arrays; only the forward reads them.
+    run allocates once, or new arrays; only the forward and the backward's
+    row moves (below) use them.
 
     The backward runs over the live rows only, those whose hinge gradient
     is nonzero or whose distance is not finite: any other row adds only
     +-0.0 to gradient sums that start at +0.0, so dropping it changes no
-    bit. It gathers each live row's direction once per step, l1's signs or
-    l2's difference, with one scale per row: the hinge gradient, for l2
-    over the distance and 0 where the distance is 0. int8 holds no NaN, so
-    l1's live rows whose distance is not finite take ``np.sign`` of their
-    difference, gathered again as the forward did. One loop for both norms
+    bit. It reads each live row's direction, l1's signs or l2's
+    difference, with one scale per row: the hinge gradient, for l2 over
+    the distance and 0 where the distance is 0. The backward runs once, so
+    it moves the live rows to the front of the kept array, in chunks of
+    ``_LOSS_ROWS`` rows through ``work[0]``, and reads them there: no
+    (live, dim) copy is made while the kept array is alive. int8 holds no
+    NaN, so l1's live rows whose distance is not finite take ``np.sign`` of
+    their difference, gathered again as the forward did. One loop for both norms
     walks the columns in blocks of one width, whose relation, head and
     target flat scatter indexes hold at most ``_SCATTER_CELLS`` elements
     together and are built once per step; the last block ends at dim,
@@ -331,7 +335,14 @@ def _completion_batch_loss(
         new = np.empty if live.size else np.zeros  # no live row leaves every gradient +0.0
         head_grad, rel_grad, target_grad = new((n_ent, dim)), new((n_rel, dim)), new((n_target, dim))
         if live.size:
-            direction = kept if live.size == len(kept) else kept.take(live, axis=0)
+            # the live rows' directions move to the front of ``kept``, one
+            # chunk of rows at a time through the first block buffer's bytes:
+            # live[i] >= i, so no chunk reads a row that an earlier one wrote
+            moved = work[0].reshape(-1).view(kept.dtype).reshape(-1, dim)
+            for start in range(0, live.size if live.size < len(kept) else 0, _LOSS_ROWS):
+                chunk = live[start : start + _LOSS_ROWS]
+                kept[start : start + len(chunk)] = kept.take(chunk, axis=0, out=moved[: len(chunk)], mode="clip")
+            direction = kept[: live.size]
             g_dist = g_dist[live, None]
             if l1:
                 # NaN entries, which the int8 signs read as 0, lie in these rows alone

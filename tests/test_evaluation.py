@@ -331,6 +331,18 @@ def _mixed_scale_example(rng, dim):
     return ent, rel, queries
 
 
+def _mixed_scale_known(rng, queries):
+    """A filter index over a random prefix of the queries, distinct triples
+    as a graph stores them, and those known triples as an (n, 3) array."""
+    h, r, t = np.unique(queries[: int(rng.integers(1, 13))], axis=0).T
+    filt = FilterIndex(
+        tails=KnownAnswers.from_pairs(pair_keys(h, r), t),
+        heads=KnownAnswers.from_pairs(pair_keys(r, t), h),
+        relations=KnownAnswers.from_pairs(pair_keys(h, t), r),
+    )
+    return filt, np.stack([h, r, t], axis=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
 def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
@@ -339,14 +351,7 @@ def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
     rng = np.random.default_rng(seed)
     ent, rel, queries = _mixed_scale_example(rng, dim)
     entities = len(ent)
-    # known positives: distinct triples, as a graph stores them
-    h, r, t = np.unique(queries[: int(rng.integers(1, 13))], axis=0).T
-    filt = FilterIndex(
-        tails=KnownAnswers.from_pairs(pair_keys(h, r), t),
-        heads=KnownAnswers.from_pairs(pair_keys(r, t), h),
-        relations=KnownAnswers.from_pairs(pair_keys(h, t), r),
-    )
-    known = np.stack([h, r, t], axis=1)
+    filt, known = _mixed_scale_known(rng, queries)
     ids, _ = evaluation._copy_groups(ent)
     same = ids[:, None] == ids[None, :]
     assert (ent[np.nonzero(same)[0]] == ent[np.nonzero(same)[1]]).all()
@@ -384,6 +389,26 @@ def test_float32_distances_lie_within_the_bound(seed, dim, norm):
         assert covered.all() or not small, kind
         gap = np.abs(approx[covered].astype(np.float64) - exact[covered])
         assert (gap <= err[covered, None]).all(), (kind, (gap / err[covered, None]).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70), norm=st.sampled_from(["l1", "l2"]))
+def test_block_decides_only_misses_on_mixed_scales(seed, dim, norm):
+    """On mixed-scale vectors, whose rows copy, mirror or sit a few ulps
+    from each other, a block of one copy group decides only queries whose
+    float64 filtered rank is above k, for k = 1, 2 and 3."""
+    rng = np.random.default_rng(seed)
+    ent, rel, queries = _mixed_scale_example(rng, dim)
+    filt, known = _mixed_scale_known(rng, queries)
+    groups = evaluation._copy_groups(ent)
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "BLOCK_GROUPS", 1)
+        for kind, answers in (("tail", filt.tails), ("head", filt.heads)):
+            ranks = _float64_ranks(kind, queries, ent, rel, norm, known)[1]
+            for k in (1, 2, 3):
+                undecided = evaluation._undecided(kind, queries, ent, rel, norm, answers, k, groups)
+                decided = np.setdiff1d(np.arange(len(queries)), undecided)
+                assert (ranks[decided] > k).all(), (kind, k)
 
 
 def test_aggregate_metrics_hand_case():
@@ -516,6 +541,115 @@ class TestEvaluateCompletion:
         assert got == pytest.approx(hits / (2 * len(triples)))
         with pytest.raises(ConfigError):
             hits_fraction_for_triples([], ent, params.relation.data, model.norm, filt, k=3)
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The queries that reach the full ranking: one (kind, number of
+    queries) per ``rank_tail``/``rank_head`` call."""
+    calls = []
+    for kind in ("tail", "head"):
+        real = getattr(evaluation, f"rank_{kind}")
+
+        def spy(queries, *args, kind=kind, real=real):
+            calls.append((kind, len(queries)))
+            return real(queries, *args)
+
+        monkeypatch.setattr(evaluation, f"rank_{kind}", spy)
+    return calls
+
+
+def _oracle_hits(triples, ent, rel, known, norm, k) -> float:
+    vectors, relations = ent.tolist(), rel.tolist()
+    hits = sum(getattr(oracle, f"naive_rank_{kind}")(trip, vectors, relations, known, norm, "filter") <= k
+               for trip in triples for kind in ("tail", "head"))
+    return hits / (2 * len(triples))
+
+
+def _known_copies_in_the_block(block: int):
+    """(triples, entity vectors, relation vectors) on a 4 x 5 integer grid
+    whose first copy group (always in the block) is held by three entities,
+    0, 20 and 21. The tail query (1, 0, t) has e_1 + r_0 on that row, the
+    answer t one step from it, and all three copies as known tails: they
+    are the only rows closer than t, so its filtered rank is 1, while the
+    block holds three closer members."""
+    grid = np.array([(i, j) for i in range(4) for j in range(5)], dtype=float)
+    first = evaluation._copy_groups(grid)[1][0]
+    grid[[0, first]] = grid[[first, 0]]  # entity 0 holds the first group's row
+    ent = np.concatenate([grid, grid[[0, 0]]])
+    t = next(c for c in range(1, len(grid)) if np.abs(grid[c] - grid[0]).sum() == 1)
+    rel = np.array([grid[0] - grid[1], [1.0, 0.0]])
+    triples = [(1, 0, t), (1, 0, 0), (1, 0, 20), (1, 0, 21), (2, 1, 3), (4, 1, 7), (5, 0, 9)]
+    assert evaluation._copy_groups(ent)[0][[0, 20, 21]].tolist() == [0, 0, 0]
+    assert len(evaluation._copy_groups(ent)[1]) >= 4 * block
+    return triples, ent, rel
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_validation_hits_equal_the_oracle_with_a_small_block(norm, monkeypatch, ranked):
+    """With a block of 2 or 3 copy groups, the tie-heavy quantized graphs
+    decide some queries as misses early, and the validation metric equals
+    the filtered hits@k of ``kane.oracle``'s naive ranks for k = 1, 3 and
+    10. Also on a grid whose first copy group holds three known copies of a
+    row closer than the answer (a hit only once they are filtered), and
+    with one entity row past float32's range, where the bound is infinite
+    and every query falls through to the full ranking."""
+    decided = 0
+    for block in (2, 3):  # the quantized graphs hold 4-13 groups
+        monkeypatch.setattr(evaluation, "BLOCK_GROUPS", block)
+        setups = []
+        for kg, ent, rel in quantized_ranking_setups():
+            triples = id_tuples(kg.relation_triples)
+            setups.append((triples, ent, rel, build_filter_index(kg), "quantized"))
+        big = next((trip, ent.copy(), rel, filt) for trip, ent, rel, filt, _ in setups
+                   if len(evaluation._copy_groups(ent)[1]) >= 4 * block)
+        big[1][-1] = [1e39, 0.0]
+        setups.append((*big, "huge"))
+        triples, ent, rel = _known_copies_in_the_block(block)
+        setups.append((triples, ent, rel, _index(triples, entities=len(ent), relations=len(rel)), "copies"))
+        for triples, ent, rel, filt, what in setups:
+            for k in (1, 3, 10):
+                ranked.clear()
+                got = hits_fraction_for_triples(triples, ent, rel, norm, filt, k)
+                assert got == _oracle_hits(triples, ent, rel, triples, norm, k), (what, block, k)
+                queries = sum(n for _, n in ranked)
+                if what == "huge":
+                    assert ranked == [("tail", len(triples)), ("head", len(triples))]
+                elif what == "copies":
+                    assert ("tail", 0) not in ranked and ranked[0][0] == "tail"
+                decided += 2 * len(triples) - queries
+    assert decided >= 100
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("answers", ["far", "nearest"])
+def test_validation_ranks_only_the_undecided_queries(norm, answers, monkeypatch, ranked):
+    """49 rows on a 7 x 7 integer grid about the origin and 8 far rows +-p.
+    With ``far`` answers each triple is (-p, r = p, +p): every other row c
+    is at ||c|| from the query, the answer at ||p||, so all grid rows are
+    strictly closer, those in the block among them, and not one query
+    reaches the full ranking. With ``nearest`` answers r = e_t - e_h puts
+    every answer at distance 0 in both directions, so every query is
+    ranked."""
+    monkeypatch.setattr(evaluation, "BLOCK_GROUPS", 4)
+    k = 2
+    far = np.array([(100.0, 0.0), (0.0, 100.0), (100.0, 100.0), (100.0, -100.0)])
+    grid = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
+    ent = np.concatenate([grid, far, -far])
+    plus, minus = np.arange(len(grid), len(grid) + 4), np.arange(len(grid) + 4, len(ent))
+    if answers == "far":
+        triples = [(int(h), i, int(t)) for i, (h, t) in enumerate(zip(minus, plus))]
+        rel = far.copy()
+        group, reps = evaluation._copy_groups(ent)
+        assert (reps[:4] < len(grid)).sum() >= k  # block rows on the grid, none of them known
+    else:
+        pairs = np.random.default_rng(5).choice(len(ent), size=(12, 2), replace=True)
+        triples = [(int(h), i, int(t)) for i, (h, t) in enumerate(pairs) if h != t]
+        rel = np.array([ent[t] - ent[h] for h, _, t in triples])
+    filt = _index(triples, entities=len(ent), relations=len(rel))
+    got = hits_fraction_for_triples(triples, ent, rel, norm, filt, k)
+    assert got == _oracle_hits(triples, ent, rel, triples, norm, k) == (0.0 if answers == "far" else 1.0)
+    assert ranked == ([] if answers == "far" else [("tail", len(triples)), ("head", len(triples))])
 
 
 # ---------------------------------------------------------------------------

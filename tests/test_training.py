@@ -385,16 +385,23 @@ def _fused_and_composed(positives, negatives, ent, params, config, table):
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("values", [False, True])
-@pytest.mark.parametrize("large, margin", [(False, None), (True, None), (True, 1.0)],
-                         ids=["False", "True", "partly-live"])
-def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values, large, margin):
+@pytest.mark.parametrize("large, margin, chunk", [(False, None, None), (True, None, None), (True, 1.0, None),
+                                                  (True, 1.0, 7)],
+                         ids=["False", "True", "partly-live", "partly-live-chunks"])
+def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values, large, margin, chunk,
+                                                                   monkeypatch):
     """The one-record loss and every gradient equal the op-by-op composition
     (``helpers.composed_completion_loss``) bit for bit, with and without
     a value table, and some distances exactly zero (l2's 0/0 guard); also
     on 2,200 live rows, across several forward blocks and column blocks,
     and on the same rows at margin 1.0, where only some are live (76% for
-    l1 and 88% for l2 with a value table), so the backward gathers the live
-    rows' directions before its column blocks."""
+    l1 and 88% for l2 with a value table), so the backward moves the live
+    rows' directions to the front of the kept array before its column
+    blocks; and so again in row chunks (and forward blocks) of 7 rows,
+    where over a hundred chunks read rows that lie past them, each before
+    any chunk overwrites it."""
+    if chunk is not None:
+        monkeypatch.setattr(training, "_LOSS_ROWS", chunk)
     setup = _large_completion_loss_setup if large else _completion_loss_setup
     positives, negatives, ent, params, config, table = setup(norm, values)
     negatives[0] = positives[0]  # with the next line, row 0 of both has a zero difference
@@ -407,6 +414,9 @@ def test_fused_completion_loss_matches_the_composition_bit_for_bit(norm, values,
         dist = np.abs(diff).sum(axis=1) if norm == "l1" else np.sqrt((diff * diff).sum(axis=1))
         live = hinge_loss(dist, len(positives), margin, config.negatives)[1] != 0.0
         assert 0.5 < live.mean() < 1.0, live.mean()
+        if chunk is not None:
+            live = np.flatnonzero(live)
+            assert (live[::chunk] > np.arange(0, len(live), chunk)).sum() > 100
     (fused_loss, fused_grads), (composed_loss, composed_grads) = _fused_and_composed(
         positives, negatives, ent, params, config, table)
     assert fused_loss == composed_loss
@@ -525,6 +535,28 @@ def test_completion_loss_peak_grows_by_its_int8_signs():
                 tracemalloc.stop()
     added = 200 * (1 + config.negatives) * ent.shape[1] * 8
     assert peaks[1] - peaks[0] < 0.3 * added, (peaks, added)
+
+
+def test_l2_completion_loss_peak_grows_by_its_difference_alone():
+    """l2 forward and backward at 2,200 and 4,400 rows at dim 64, margin
+    1.0, where most but not all rows are live: the peak grows by less than
+    1.5 float64 (added rows, dim) arrays. The kept difference is one such
+    array; the backward moves the live rows to its front instead of
+    gathering them into a second one, which read 2.0 here."""
+    peaks = []
+    for positive_count in (200, 400):
+        positives, negatives, ent, params, config, table = _large_completion_loss_setup("l2", True,
+                                                                                        positive_count)
+        config = replace(config, margin=1.0)
+        with ad.Tape() as tape:
+            tracemalloc.start()
+            try:
+                ad.backward(tape, _completion_batch_loss(positives, negatives, ent, params, config, table))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    added = 200 * (1 + config.negatives) * ent.shape[1] * 8
+    assert peaks[1] - peaks[0] < 1.5 * added, (peaks, added)
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
