@@ -38,22 +38,21 @@ not finite or near float32's limit, is recomputed in float64 with the
 expression above and its summation order.
 
 Candidates with equal rows share every distance, so all three steps run
-once per copy group (``_copy_groups``), over one representative row
-each: the approximate distances, the band and the recheck are (query,
-group) arrays, and a better group counts once per member. The answer's
-own group is never better and leaves the band as one column; a known
+once per copy group, over one representative row each. A ranking builds
+its entity rows' ``CandidateTable`` once and hands it to every rank call:
+the approximate distances, the band and the recheck are (query, group)
+arrays, and a better group counts once per member. The answer's own
+group is never better and leaves the band as one column; a known
 positive is filtered when its group is better, once per known copy.
 
 Validation (``hits_fraction_for_triples``) reads only whether a filtered
-entity rank is at most k, so on a table of at least four times
-``BLOCK_GROUPS`` copy groups it first runs the float32 pass over the first
-``BLOCK_GROUPS`` groups alone (``_undecided``). A group whose float32
-value lies below the answer's float64 distance less the bound is strictly
-closer in float64; a query with k or more such members that are not known
-answers ranks above k, a miss decided without its full ranking. Only the
-other queries are ranked. The decision is one-sided, so the metric is that
-of every query's rank: a hit is never decided early, and a query whose
-bound is infinite or whose values are not finite falls through.
+entity rank is at most k. On a table of at least four times
+``BLOCK_GROUPS`` copy groups, ``_undecided`` first runs the float32 pass
+over the first ``BLOCK_GROUPS`` groups: a query with k or more members
+there that are not known answers and lie below the answer's float64
+distance less the bound (strictly closer in float64) is a miss; only the
+other queries are ranked. A hit is never decided early and a query with
+an infinite bound falls through, so the metric is that of every rank.
 
 Candidates are scored against the final propagated entity vectors; the
 propagation runs over the training graph so held-out edges never leak
@@ -106,6 +105,36 @@ def build_filter_index(kg: KnowledgeGraph) -> FilterIndex:
     )
 
 
+@dataclass(frozen=True)
+class CandidateTable:
+    """Candidate rows and their copy groups, built once per ranking by
+    ``candidate_table``. Copies are equal vectors, not entities with equal
+    graph neighbourhoods: ranks are functions of the vectors, and BLAS can
+    split rows that the graph makes equal by 1e-16, so a grouping from the
+    graph would rank otherwise than the float64 distances and ``kane.oracle``."""
+
+    rows: np.ndarray  # (n, dim) candidate rows
+    group: np.ndarray  # group id of each row
+    reps: np.ndarray  # one row index per group, its representative
+    sizes: np.ndarray  # rows per group, as float64
+
+
+def candidate_table(mat: np.ndarray) -> CandidateTable:
+    """The copy groups of the rows of ``mat``: two rows share a group id,
+    from 0 up, when they are equal and only then (a row holding NaN shares
+    its id with none). The rows are sorted by their bytes, with -0.0 read
+    as 0.0, so that equal rows lie next to each other; then adjacent rows
+    are compared."""
+    rows = np.ascontiguousarray(mat + 0.0)  # -0.0 + 0.0 is 0.0
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    ordered = rows[order]
+    new = np.ones(len(mat), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(mat), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return CandidateTable(mat, group, order[new], np.bincount(group).astype(np.float64))
+
+
 def entity_matrix(view: GraphView, params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Final entity vectors as one (entities, dim) array (no tape recorded).
 
@@ -149,26 +178,6 @@ def _gamma(n: int, u: float) -> float:
     """Higham's gamma_n = nu / (1 - nu): bounds the relative error of a
     result that passed through n roundings of unit roundoff u."""
     return n * u / (1.0 - n * u)
-
-
-def _copy_groups(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A group id per row, from 0 up, such that two rows share an id when
-    they are equal and only then (a row holding NaN shares its id with
-    none), and for each id the index of one row, its representative. The
-    rows are sorted by their bytes, with -0.0 read as 0.0, so that equal
-    rows lie next to each other; then adjacent rows are compared.
-
-    Ranking runs the float32 pass, the band and the float64 recheck over
-    the representatives alone, once per distinct row, and counts a better
-    group once per member."""
-    rows = np.ascontiguousarray(mat + 0.0)  # -0.0 + 0.0 is 0.0
-    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-    ordered = rows[order]
-    new = np.ones(len(mat), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(mat), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
 
 
 def _operands(kind: str, q: np.ndarray, ent: np.ndarray, rel: np.ndarray):
@@ -284,7 +293,7 @@ def _float32_pass(norm: str, a: np.ndarray, cand: np.ndarray, rows: int):
 def _rank(
     kind: str,
     queries,
-    ent: np.ndarray,
+    ent: CandidateTable | np.ndarray,
     rel: np.ndarray,
     norm: str,
     known: KnownAnswers,
@@ -300,13 +309,13 @@ def _rank(
         raise ConfigError(f"norm must be one of {tuple(_NORM_MAPS)}, got {norm!r}")
     p = _NORM_MAPS[norm][1]
     q, single = _as_queries(queries)
-    answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
+    ent = ent if isinstance(ent, CandidateTable) else candidate_table(ent)
+    answer, keys, cand, parts, a = _operands(kind, q, ent.rows, rel)
     # each distinct candidate row is ranked once: copy group g is the row
-    # distinct[g], held by sizes[g] candidates, and group[c] is candidate
-    # c's group; the answer's own group is never strictly better
-    group, reps = _copy_groups(cand)
-    distinct = cand[reps]
-    sizes = np.bincount(group, minlength=len(reps)).astype(np.float64)
+    # distinct[g], held by table.sizes[g] candidates, and group[c] is
+    # candidate c's group; the answer's own group is never strictly better
+    table = candidate_table(rel) if kind == "relation" else ent
+    group, distinct = table.group, cand[table.reps]
     target = group[answer]
     # A float32 distance below the answer's by more than twice the bound is
     # strictly below in float64 too (after l2's root as well), and one
@@ -322,15 +331,15 @@ def _rank(
 
     # queries per band (their approximate distances fill one chunk),
     # queries per float32 sweep, and (query, group) pairs per recheck
-    batch = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(reps))))
-    rows = max(1, min(batch, CHUNK_ELEMENTS // max(1, len(reps) * dim)))
+    batch = max(1, min(len(q), CHUNK_ELEMENTS // max(1, len(distinct))))
+    rows = max(1, min(batch, CHUNK_ELEMENTS // max(1, len(distinct) * dim)))
     pairs = max(1, CHUNK_ELEMENTS // max(1, dim))
     fill = _float32_pass(norm, a, distinct, rows)
     out = np.empty((len(wanted), len(q)), dtype=np.int64)
     for lo in range(0, len(q), batch):
         s = slice(lo, lo + batch)
         n = len(answer[s])
-        approx = np.empty((n, len(reps)), dtype=np.float32)
+        approx = np.empty((n, len(distinct)), dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             fill(lo, approx)
             near = approx[np.arange(n), target[s]].astype(np.float64)
@@ -350,7 +359,7 @@ def _rank(
         closer = dist < exact(np.arange(lo, lo + n), target[s])[qi]
         better[qi[closer], gi[closer]] = True
         # a better group counts once per member (an exact float64 count)
-        raw = 1 + (better @ sizes).astype(np.int64)
+        raw = 1 + (better @ table.sizes).astype(np.int64)
         for i, name in enumerate(wanted):
             if name == "raw":
                 out[i, s] = raw
@@ -367,7 +376,7 @@ def _rank(
 
 def rank_tail(
     queries,
-    ent: np.ndarray,
+    ent: CandidateTable | np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
@@ -375,18 +384,19 @@ def rank_tail(
 ) -> int | np.ndarray:
     """Rank of each query's tail among all entities as candidate tails.
 
-    ``queries`` is one triple or an (n, 3) array of triples; ``setting``
-    one name in ``SETTINGS`` or ``SETTINGS`` itself. One triple and one
-    setting give an int; n triples give an (n,) int64 array; ``SETTINGS``
-    adds a leading axis with one row per setting, all from one pass over
-    the distances.
+    ``queries`` is one triple or an (n, 3) array of triples, ``ent`` the
+    entities' ``candidate_table`` (or their array, grouped in the call) and
+    ``setting`` one name in ``SETTINGS`` or ``SETTINGS`` itself. One triple
+    and one setting give an int; n triples give an (n,) int64 array;
+    ``SETTINGS`` adds a leading axis with one row per setting, all from one
+    pass over the distances.
     """
     return _rank("tail", queries, ent, rel, norm, filt.tails, setting)
 
 
 def rank_head(
     queries,
-    ent: np.ndarray,
+    ent: CandidateTable | np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
@@ -398,7 +408,7 @@ def rank_head(
 
 def rank_relation(
     queries,
-    ent: np.ndarray,
+    ent: CandidateTable | np.ndarray,
     rel: np.ndarray,
     norm: str,
     filt: FilterIndex,
@@ -449,7 +459,7 @@ def evaluate_completion(
     if not split.test:
         raise DatasetError("no evaluation triples")
     view = GraphView.restricted(kg, split.train, config.use_attributes)
-    ent = entity_matrix(view, params, config)
+    ent = candidate_table(entity_matrix(view, params, config))
     rel = params.relation.data
     filt = build_filter_index(kg)
 
@@ -478,16 +488,15 @@ def evaluate_completion(
 def _undecided(
     kind: str,
     q: np.ndarray,
-    ent: np.ndarray,
+    table: CandidateTable,
     rel: np.ndarray,
     norm: str,
     known: KnownAnswers,
     k: int,
-    groups: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Indices of the (n, 3) queries ``q`` of an entity ranking ``kind``
-    that the block of the first ``BLOCK_GROUPS`` copy groups (``groups``,
-    from ``_copy_groups(ent)``) cannot show to rank above ``k`` filtered.
+    that the block of the first ``BLOCK_GROUPS`` copy groups of ``table``
+    cannot show to rank above ``k`` filtered.
 
     A block group whose float32 distance lies below the answer's float64
     one less the ``_bound``, the threshold rounded outward to float32, is
@@ -498,14 +507,11 @@ def _undecided(
     the bound of the answer's distance, so it never falls below the
     threshold, nor does any group of a query whose bound is infinite or
     whose values are not finite."""
-    group, reps = groups
-    answer, keys, cand, parts, a = _operands(kind, q, ent, rel)
-    distinct = cand[reps]
-    block = distinct[:BLOCK_GROUPS]
-    target = group[answer]
-    near = _float64_sums(norm, parts, distinct, np.arange(len(q)), target)
+    answer, keys, cand, parts, a = _operands(kind, q, table.rows, rel)
+    block = cand[table.reps[:BLOCK_GROUPS]]
+    near = _float64_sums(norm, parts, cand, np.arange(len(q)), answer)
     with np.errstate(over="ignore", invalid="ignore"):
-        below = np.nextafter((near - _bound(norm, parts, distinct)).astype(np.float32), -np.inf)[:, None]
+        below = np.nextafter((near - _bound(norm, parts, cand)).astype(np.float32), -np.inf)[:, None]
     batch = max(1, min(len(q), CHUNK_ELEMENTS // len(block)))
     fill = _float32_pass(norm, a, block, max(1, min(batch, CHUNK_ELEMENTS // block.size)))
     closer = np.empty((len(q), len(block)), dtype=bool)
@@ -515,11 +521,11 @@ def _undecided(
         with np.errstate(over="ignore", invalid="ignore"):
             fill(lo, out)
         np.less(out, below[lo : lo + batch], out=closer[lo : lo + batch])
-    count = closer @ np.bincount(group, minlength=len(reps))[: len(block)].astype(np.float64)
+    count = closer @ table.sizes[: len(block)]
     # each known answer in a closer block group is filtered, once per copy
     query, cand_id = known.lookup(keys)
-    in_block = group[cand_id] < len(block)
-    query, kept = query[in_block], group[cand_id[in_block]]
+    in_block = table.group[cand_id] < len(block)
+    query, kept = query[in_block], table.group[cand_id[in_block]]
     count -= np.bincount(query[closer[query, kept]], minlength=len(q))
     return np.flatnonzero(count < k)
 
@@ -532,27 +538,21 @@ def hits_fraction_for_triples(
     filt: FilterIndex,
     k: int,
 ) -> float:
-    """Filtered entity-prediction Hits@k (used as the validation metric).
-
-    Only whether a rank is at most ``k`` is read, so on a table of at least
-    four times ``BLOCK_GROUPS`` copy groups a float32 pass over the first
-    ``BLOCK_GROUPS`` of them comes first (``_undecided``): a query with ``k``
-    or more non-known candidates in that block strictly closer than its
-    answer beyond the rounding bound is a miss, and only the other queries
-    go to ``rank_tail``/``rank_head``, whose call is skipped when none is
-    left. The decision is one-sided and exact: a hit is never decided
-    early, so the fraction equals the one from every query's rank."""
+    """Filtered entity-prediction Hits@k (the validation metric), equal to
+    the one from every query's rank. One ``candidate_table`` of ``ent``
+    serves the block (``_undecided``, on at least four times
+    ``BLOCK_GROUPS`` copy groups) and both rank calls, which get only the
+    queries the block leaves undecided; a call left with none is skipped."""
     if not triples:
         raise ConfigError("no triples for validation metric")
     queries = np.asarray(triples, dtype=np.int64)
-    groups = _copy_groups(ent) if len(ent) >= 4 * BLOCK_GROUPS else None
-    if groups is not None and len(groups[1]) < 4 * BLOCK_GROUPS:
-        groups = None
+    table = candidate_table(ent)
+    block = len(table.reps) >= 4 * BLOCK_GROUPS
     hits = 0
     for kind, rank, known in (("tail", rank_tail, filt.tails), ("head", rank_head, filt.heads)):
-        q = queries if groups is None else queries[_undecided(kind, queries, ent, rel, norm, known, k, groups)]
+        q = queries[_undecided(kind, queries, table, rel, norm, known, k)] if block else queries
         if len(q):
-            hits += int((rank(q, ent, rel, norm, filt, "filter") <= k).sum())
+            hits += int((rank(q, table, rel, norm, filt, "filter") <= k).sum())
     return hits / (2 * len(triples))
 
 

@@ -123,13 +123,15 @@ def sweeps(monkeypatch):
 def _three_queries_per_sweep(monkeypatch, ent: np.ndarray) -> int:
     """Size the chunks so that a float32 sweep over the distinct entity rows
     holds three queries; returns the number of those rows (copy groups)."""
-    groups = len(evaluation._copy_groups(ent)[1])
+    groups = len(evaluation.candidate_table(ent).reps)
     monkeypatch.setattr(evaluation, "CHUNK_ELEMENTS", 3 * groups * ent.shape[1])
     return groups
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_batches_match_single_triple_calls(norm, monkeypatch, sweeps):
+    """Batches rank as single triples do, with the entities given as their
+    bare array and as their ``candidate_table``, and both rank alike."""
     checked = 0
     for kg, ent, rel in quantized_ranking_setups():
         filt = build_filter_index(kg)
@@ -139,22 +141,25 @@ def test_batches_match_single_triple_calls(norm, monkeypatch, sweeps):
         n = len(kg.relation_triples) - (len(kg.relation_triples) % 3 == 0)
         for batch in (kg.relation_triples[:1], kg.relation_triples[:n]):
             for fn in (rank_tail, rank_head, rank_relation):
-                sweeps.clear()
-                both = fn(np.array(batch), ent, rel, norm, filt, SETTINGS)
-                assert both.shape == (len(SETTINGS), len(batch))
-                [(queries, cand, rows)] = sweeps
-                if fn is not rank_relation:
-                    assert (len(cand), rows) == (groups, min(3, len(batch)))
-                    assert len(batch) == 1 or (queries > rows and queries % rows)
-                for i, setting in enumerate(SETTINGS):
-                    single = [fn(t, ent, rel, norm, filt, setting) for t in batch]
-                    assert all(type(r) is int for r in single)
-                    got = fn(batch, ent, rel, norm, filt, setting)
-                    assert got.dtype == np.int64 and got.tolist() == single
-                    assert both[i].tolist() == single
-                    checked += len(batch)
-                assert fn(batch[0], ent, rel, norm, filt, SETTINGS).tolist() == both[:, 0].tolist()
-    assert checked >= 1000
+                bare = fn(np.array(batch), ent, rel, norm, filt, SETTINGS)
+                for table in (ent, evaluation.candidate_table(ent)):
+                    sweeps.clear()
+                    both = fn(np.array(batch), table, rel, norm, filt, SETTINGS)
+                    assert both.shape == (len(SETTINGS), len(batch))
+                    assert both.tolist() == bare.tolist()
+                    [(queries, cand, rows)] = sweeps
+                    if fn is not rank_relation:
+                        assert (len(cand), rows) == (groups, min(3, len(batch)))
+                        assert len(batch) == 1 or (queries > rows and queries % rows)
+                    for i, setting in enumerate(SETTINGS):
+                        single = [fn(t, table, rel, norm, filt, setting) for t in batch]
+                        assert all(type(r) is int for r in single)
+                        got = fn(batch, table, rel, norm, filt, setting)
+                        assert got.dtype == np.int64 and got.tolist() == single
+                        assert both[i].tolist() == single
+                        checked += len(batch)
+                    assert fn(batch[0], table, rel, norm, filt, SETTINGS).tolist() == both[:, 0].tolist()
+    assert checked >= 2000
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +239,12 @@ def test_copied_rows_rank_once_and_count_per_copy(norm, sweeps):
 
 def test_copy_groups_keep_nan_rows_apart():
     mat = np.array([[np.nan, 1.0], [1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
-    ids, reps = evaluation._copy_groups(mat)
+    table = evaluation.candidate_table(mat)
+    ids, reps = table.group, table.reps
     assert ids[0] != ids[2] and ids[1] == ids[3]
     assert ids[reps].tolist() == list(range(len(reps))) == sorted(set(ids.tolist()))
+    assert table.rows is mat and table.sizes.dtype == np.float64
+    assert table.sizes[ids].tolist() == [1.0, 2.0, 1.0, 2.0]
 
 
 def test_copy_groups_join_equal_rows_whose_sum_ties_another_row():
@@ -244,10 +252,12 @@ def test_copy_groups_join_equal_rows_whose_sum_ties_another_row():
     sum lies between them in the input (rows 0 and 2 around row 1, all
     summing to 3), and rows equal up to the sign of a zero share one too."""
     mat = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [0.0, 3.0], [-0.0, 3.0], [2.0, 1.0]])
-    ids, reps = evaluation._copy_groups(mat)
+    table = evaluation.candidate_table(mat)
+    ids, reps = table.group, table.reps
     assert ids[0] == ids[2] and ids[1] == ids[5] and ids[3] == ids[4]
     assert len({ids[0], ids[1], ids[3]}) == 3 == len(reps)
     assert ids[reps].tolist() == list(range(len(reps)))
+    assert table.sizes.tolist() == [2.0, 2.0, 2.0]
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -352,7 +362,7 @@ def test_ranks_equal_float64_ranks_on_mixed_scales(seed, dim, norm):
     ent, rel, queries = _mixed_scale_example(rng, dim)
     entities = len(ent)
     filt, known = _mixed_scale_known(rng, queries)
-    ids, _ = evaluation._copy_groups(ent)
+    ids = evaluation.candidate_table(ent).group
     same = ids[:, None] == ids[None, :]
     assert (ent[np.nonzero(same)[0]] == ent[np.nonzero(same)[1]]).all()
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
@@ -400,13 +410,13 @@ def test_block_decides_only_misses_on_mixed_scales(seed, dim, norm):
     rng = np.random.default_rng(seed)
     ent, rel, queries = _mixed_scale_example(rng, dim)
     filt, known = _mixed_scale_known(rng, queries)
-    groups = evaluation._copy_groups(ent)
+    table = evaluation.candidate_table(ent)
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation, "BLOCK_GROUPS", 1)
         for kind, answers in (("tail", filt.tails), ("head", filt.heads)):
             ranks = _float64_ranks(kind, queries, ent, rel, norm, known)[1]
             for k in (1, 2, 3):
-                undecided = evaluation._undecided(kind, queries, ent, rel, norm, answers, k, groups)
+                undecided = evaluation._undecided(kind, queries, table, rel, norm, answers, k)
                 decided = np.setdiff1d(np.arange(len(queries)), undecided)
                 assert (ranks[decided] > k).all(), (kind, k)
 
@@ -574,14 +584,15 @@ def _known_copies_in_the_block(block: int):
     are the only rows closer than t, so its filtered rank is 1, while the
     block holds three closer members."""
     grid = np.array([(i, j) for i in range(4) for j in range(5)], dtype=float)
-    first = evaluation._copy_groups(grid)[1][0]
+    first = evaluation.candidate_table(grid).reps[0]
     grid[[0, first]] = grid[[first, 0]]  # entity 0 holds the first group's row
     ent = np.concatenate([grid, grid[[0, 0]]])
     t = next(c for c in range(1, len(grid)) if np.abs(grid[c] - grid[0]).sum() == 1)
     rel = np.array([grid[0] - grid[1], [1.0, 0.0]])
     triples = [(1, 0, t), (1, 0, 0), (1, 0, 20), (1, 0, 21), (2, 1, 3), (4, 1, 7), (5, 0, 9)]
-    assert evaluation._copy_groups(ent)[0][[0, 20, 21]].tolist() == [0, 0, 0]
-    assert len(evaluation._copy_groups(ent)[1]) >= 4 * block
+    table = evaluation.candidate_table(ent)
+    assert table.group[[0, 20, 21]].tolist() == [0, 0, 0] and table.sizes[0] == 3.0
+    assert len(table.reps) >= 4 * block
     return triples, ent, rel
 
 
@@ -602,7 +613,7 @@ def test_validation_hits_equal_the_oracle_with_a_small_block(norm, monkeypatch, 
             triples = id_tuples(kg.relation_triples)
             setups.append((triples, ent, rel, build_filter_index(kg), "quantized"))
         big = next((trip, ent.copy(), rel, filt) for trip, ent, rel, filt, _ in setups
-                   if len(evaluation._copy_groups(ent)[1]) >= 4 * block)
+                   if len(evaluation.candidate_table(ent).reps) >= 4 * block)
         big[1][-1] = [1e39, 0.0]
         setups.append((*big, "huge"))
         triples, ent, rel = _known_copies_in_the_block(block)
@@ -640,7 +651,7 @@ def test_validation_ranks_only_the_undecided_queries(norm, answers, monkeypatch,
     if answers == "far":
         triples = [(int(h), i, int(t)) for i, (h, t) in enumerate(zip(minus, plus))]
         rel = far.copy()
-        group, reps = evaluation._copy_groups(ent)
+        reps = evaluation.candidate_table(ent).reps
         assert (reps[:4] < len(grid)).sum() >= k  # block rows on the grid, none of them known
     else:
         pairs = np.random.default_rng(5).choice(len(ent), size=(12, 2), replace=True)
@@ -650,6 +661,42 @@ def test_validation_ranks_only_the_undecided_queries(norm, answers, monkeypatch,
     got = hits_fraction_for_triples(triples, ent, rel, norm, filt, k)
     assert got == _oracle_hits(triples, ent, rel, triples, norm, k) == (0.0 if answers == "far" else 1.0)
     assert ranked == ([] if answers == "far" else [("tail", len(triples)), ("head", len(triples))])
+
+
+@pytest.fixture
+def byte_sorts(monkeypatch):
+    """The rows of each table sorted by its rows' bytes (the copy groups):
+    one entry per ``np.argsort`` call over a whole-row (void) dtype."""
+    calls = []
+    real = np.argsort
+
+    def spy(a, *args, **kwargs):
+        if np.asarray(a).dtype.kind == "V":
+            calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+@pytest.mark.parametrize("entities", [50, 300])
+def test_one_candidate_table_per_validation_and_per_eval(entities, byte_sorts, ranked):
+    """``hits_fraction_for_triples`` sorts its entity table once, for its
+    block (300 distinct rows, at least four times ``BLOCK_GROUPS``) or
+    without one (50) and both rank calls; ``evaluate_completion`` sorts
+    the entity table once for its three rank calls, and the relation table
+    once for its relation ranking."""
+    rng = np.random.default_rng(entities)
+    kg = random_kg(rng, entities=entities, relations=3, triples=2 * entities)
+    ent, rel = rng.standard_normal((entities, 4)), rng.standard_normal((3, 4))
+    hits_fraction_for_triples(id_tuples(kg.relation_triples), ent, rel, "l1", build_filter_index(kg), 10)
+    assert byte_sorts == [entities]
+    assert [kind for kind, _ in ranked] == ["tail", "head"]
+
+    kg, split, params, model = _trained_toy()
+    byte_sorts.clear()
+    evaluate_completion(kg, split, params, model)
+    assert byte_sorts == [kg.num_entities, kg.num_relations] and kg.num_entities != kg.num_relations
 
 
 # ---------------------------------------------------------------------------
